@@ -1,11 +1,10 @@
 package bipartite
 
 import (
+	"cmp"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Builder accumulates click records and produces an immutable-adjacency
@@ -50,36 +49,102 @@ func (b *Builder) AddEdges(edges []Edge) {
 // NumEdges returns the number of raw (pre-merge) records added so far.
 func (b *Builder) NumEdges() int { return len(b.edges) }
 
+// Grow reserves room for n more records, so that a caller that knows its
+// row count (clicktable.Table.ToGraph, Compact) pays for one buffer instead
+// of append's doubling.
+func (b *Builder) Grow(n int) { b.edges = slices.Grow(b.edges, n) }
+
 // Build constructs the Graph. The Builder may be reused afterwards; the
-// built graph does not alias the builder's storage. Large edge lists are
-// built with up to GOMAXPROCS goroutines; the result is identical to
-// BuildSerial regardless of worker count.
+// built graph does not alias the builder's storage, and the recorded edges
+// are left in the order they were added.
+//
+// It is a counting build, linear in the records but for the per-row sorts:
+// count records per user, scatter them into one pre-sized arena, sort each
+// (short) row by item and merge its duplicates in place, then fill the item
+// side with one scatter in user order — which leaves every item column
+// ascending by user with no sort at all. It runs on one goroutine: every
+// pass is a bandwidth-bound sweep over arrays the others also touch, and
+// the chunk-sort/merge/atomic-scatter build it replaced was slower at every
+// worker count (DESIGN.md §9).
 func (b *Builder) Build() *Graph {
-	return b.BuildWorkers(0)
+	g := NewGraph(b.numUsers, b.numItems)
+
+	// User side: rows[start[u]:start[u+1]] receives u's records in input
+	// order; uDeg doubles as the scatter cursor and ends up as the raw
+	// (pre-merge) row length.
+	start := make([]int, b.numUsers+1)
+	for _, e := range b.edges {
+		start[e.U+1]++
+	}
+	for u := 0; u < b.numUsers; u++ {
+		start[u+1] += start[u]
+	}
+	rows := make([]Arc, len(b.edges))
+	for _, e := range b.edges {
+		rows[start[e.U]+int(g.uDeg[e.U])] = Arc{To: e.V, Weight: e.Weight}
+		g.uDeg[e.U]++
+	}
+
+	// Sort and merge each row, sliding it left over the slots earlier rows'
+	// duplicates freed (w never passes the row's own start, so the copy
+	// only ever moves data toward the front).
+	w := 0
+	for u := 0; u < b.numUsers; u++ {
+		row := rows[start[u]:start[u+1]]
+		slices.SortFunc(row, compareArcs)
+		lo := w
+		for _, a := range row {
+			if w > lo && rows[w-1].To == a.To {
+				rows[w-1].Weight = satAdd32(rows[w-1].Weight, a.Weight)
+				continue
+			}
+			rows[w] = a
+			w++
+		}
+		g.uDeg[u] = int32(w - lo)
+	}
+	if w < len(rows) {
+		// Duplicates were merged: do not pin the unused tail for the
+		// graph's lifetime.
+		rows = slices.Clone(rows[:w])
+	}
+
+	// Cut the user rows and count the item side.
+	w = 0
+	for u := 0; u < b.numUsers; u++ {
+		row := rows[w : w+int(g.uDeg[u]) : w+int(g.uDeg[u])]
+		w += len(row)
+		g.uAdj[u] = row
+		for _, a := range row {
+			g.uStrength[u] += uint64(a.Weight)
+			g.vStrength[a.To] += uint64(a.Weight)
+			g.vDeg[a.To]++
+		}
+		g.liveClick += g.uStrength[u]
+	}
+	g.liveEdges = len(rows)
+
+	// Item side: users are visited in ascending order, so each column
+	// fills ascending by user.
+	cols := make([]Arc, len(rows))
+	w = 0
+	for v := 0; v < b.numItems; v++ {
+		g.vAdj[v] = cols[w : w : w+int(g.vDeg[v])]
+		w += int(g.vDeg[v])
+	}
+	for u, row := range g.uAdj {
+		for _, a := range row {
+			g.vAdj[a.To] = append(g.vAdj[a.To], Arc{To: NodeID(u), Weight: a.Weight})
+		}
+	}
+	return g
 }
 
-// BuildWorkers is Build with an explicit worker bound (0 means GOMAXPROCS).
-// Small inputs fall back to the serial path — fan-out only pays past a few
-// thousand edges per worker.
-func (b *Builder) BuildWorkers(workers int) *Graph {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := len(b.edges) / parallelBuildGrain; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		return b.BuildSerial()
-	}
-	return b.buildParallel(workers)
-}
+func compareArcs(a, b Arc) int { return cmp.Compare(a.To, b.To) }
 
-// parallelBuildGrain is the minimum number of edges per worker before the
-// parallel build path is worth its coordination overhead.
-const parallelBuildGrain = 4096
-
-// BuildSerial is the single-goroutine reference implementation of Build,
-// kept as the oracle the parallel path is tested against.
+// BuildSerial is the reference implementation of Build — sort every record
+// by (user, item), merge neighbours, append arc by arc — kept as the oracle
+// the counting build is tested against.
 func (b *Builder) BuildSerial() *Graph {
 	// Sort by (U, V) so duplicates are adjacent and adjacency ends up sorted.
 	sort.Slice(b.edges, func(i, j int) bool {
@@ -95,7 +160,7 @@ func (b *Builder) BuildSerial() *Graph {
 		e := b.edges[i]
 		j := i + 1
 		for j < len(b.edges) && b.edges[j].U == e.U && b.edges[j].V == e.V {
-			e.Weight += b.edges[j].Weight
+			e.Weight = satAdd32(e.Weight, b.edges[j].Weight)
 			j++
 		}
 		merged = append(merged, e)
@@ -117,165 +182,6 @@ func (b *Builder) BuildSerial() *Graph {
 		g.vAdj[e.V] = append(g.vAdj[e.V], Arc{To: e.U, Weight: e.Weight})
 	}
 	return g
-}
-
-// buildParallel is the multi-goroutine build: parallel chunk sort + pairwise
-// merges, a serial duplicate-merging scan, then CSR arena fills where the
-// user side is a straight parallel copy (the merged list IS the user-side
-// CSR order) and the item side is a parallel scatter with atomic per-bucket
-// cursors followed by a per-bucket sort that restores the deterministic
-// ascending-user order.
-func (b *Builder) buildParallel(workers int) *Graph {
-	less := func(e, f Edge) bool {
-		if e.U != f.U {
-			return e.U < f.U
-		}
-		return e.V < f.V
-	}
-
-	// Phase 1: sort chunks of the raw edge list in parallel, in place.
-	n := len(b.edges)
-	chunk := (n + workers - 1) / workers
-	var runs [][]Edge
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		runs = append(runs, b.edges[lo:hi:hi])
-	}
-	var wg sync.WaitGroup
-	for _, r := range runs {
-		wg.Add(1)
-		go func(r []Edge) {
-			defer wg.Done()
-			sort.Slice(r, func(i, j int) bool { return less(r[i], r[j]) })
-		}(r)
-	}
-	wg.Wait()
-
-	// Phase 2: merge sorted runs pairwise until one remains.
-	for len(runs) > 1 {
-		next := make([][]Edge, (len(runs)+1)/2)
-		var mg sync.WaitGroup
-		for i := 0; i+1 < len(runs); i += 2 {
-			mg.Add(1)
-			go func(i int) {
-				defer mg.Done()
-				next[i/2] = mergeRuns(runs[i], runs[i+1], less)
-			}(i)
-		}
-		if len(runs)%2 == 1 {
-			next[len(next)-1] = runs[len(runs)-1]
-		}
-		mg.Wait()
-		runs = next
-	}
-	sorted := runs[0]
-
-	// Phase 3: merge adjacent duplicates (serial scan; output stays sorted).
-	merged := make([]Edge, 0, len(sorted))
-	for i := 0; i < len(sorted); {
-		e := sorted[i]
-		j := i + 1
-		for j < len(sorted) && sorted[j].U == e.U && sorted[j].V == e.V {
-			e.Weight += sorted[j].Weight
-			j++
-		}
-		merged = append(merged, e)
-		i = j
-	}
-
-	// Phase 4: degrees, strengths and edge totals in one serial scan.
-	g := NewGraph(b.numUsers, b.numItems)
-	for _, e := range merged {
-		g.uDeg[e.U]++
-		g.vDeg[e.V]++
-		g.uStrength[e.U] += uint64(e.Weight)
-		g.vStrength[e.V] += uint64(e.Weight)
-		g.liveEdges++
-		g.liveClick += uint64(e.Weight)
-	}
-
-	// Phase 5: user-side CSR. merged is sorted by (U, V), so position i of
-	// merged IS position i of the user-side arena — a parallel copy.
-	uOff := make([]int, b.numUsers+1)
-	for u := 0; u < b.numUsers; u++ {
-		uOff[u+1] = uOff[u] + int(g.uDeg[u])
-	}
-	arenaU := make([]Arc, len(merged))
-	parallelRange(len(merged), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arenaU[i] = Arc{To: merged[i].V, Weight: merged[i].Weight}
-		}
-	})
-	for u := 0; u < b.numUsers; u++ {
-		g.uAdj[u] = arenaU[uOff[u]:uOff[u+1]:uOff[u+1]]
-	}
-
-	// Phase 6: item-side CSR. Scatter with atomic per-item cursors (write
-	// order races across workers), then sort each bucket by To — user IDs
-	// are unique within a bucket, so the result is deterministic.
-	vOff := make([]int, b.numItems+1)
-	for v := 0; v < b.numItems; v++ {
-		vOff[v+1] = vOff[v] + int(g.vDeg[v])
-	}
-	arenaV := make([]Arc, len(merged))
-	vCur := make([]int32, b.numItems)
-	parallelRange(len(merged), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := merged[i]
-			slot := vOff[e.V] + int(atomic.AddInt32(&vCur[e.V], 1)) - 1
-			arenaV[slot] = Arc{To: e.U, Weight: e.Weight}
-		}
-	})
-	parallelRange(b.numItems, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			bucket := arenaV[vOff[v]:vOff[v+1]]
-			sort.Slice(bucket, func(i, j int) bool { return bucket[i].To < bucket[j].To })
-		}
-	})
-	for v := 0; v < b.numItems; v++ {
-		g.vAdj[v] = arenaV[vOff[v]:vOff[v+1]:vOff[v+1]]
-	}
-	return g
-}
-
-// mergeRuns merges two sorted edge runs into a fresh sorted slice.
-func mergeRuns(a, b []Edge, less func(e, f Edge) bool) []Edge {
-	out := make([]Edge, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// parallelRange splits [0, n) into at most `workers` contiguous spans and
-// runs fn on each concurrently, waiting for all.
-func parallelRange(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // FromEdges is a convenience constructor building a graph directly from an
@@ -302,6 +208,7 @@ func Compact(g *Graph) (c *Graph, userOf, itemOf []NodeID) {
 		newV[v] = NodeID(i)
 	}
 	b := NewBuilder(len(userOf), len(itemOf))
+	b.Grow(g.LiveEdges())
 	for _, u := range userOf {
 		g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
 			b.Add(newU[u], newV[v], w)

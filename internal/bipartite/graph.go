@@ -203,6 +203,16 @@ func (g *Graph) EachItemNeighbor(v NodeID, fn func(u NodeID, w uint32) bool) {
 	}
 }
 
+// UserArcs returns user u's whole adjacency row, ascending by item ID, dead
+// items included: the caller filters with ItemAlive. The slice is the
+// graph's own storage and must not be modified. It exists for inner loops
+// that cannot afford EachUserNeighbor's call per arc.
+func (g *Graph) UserArcs(u NodeID) []Arc { return g.uAdj[u] }
+
+// ItemArcs is the item-side dual of UserArcs: item v's whole column,
+// ascending by user ID, dead users included, read-only.
+func (g *Graph) ItemArcs(v NodeID) []Arc { return g.vAdj[v] }
+
 // UserNeighbors returns the live item neighbors of u as a fresh slice,
 // sorted by item ID.
 func (g *Graph) UserNeighbors(u NodeID) []Arc {

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -51,39 +52,114 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 	}
 }
 
-func TestBuildWorkersMatchesSerial(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 7, 42} {
-		edges := randomEdges(seed, 30000, 900, 250)
-
-		ref := NewBuilder(0, 0)
-		ref.AddEdges(edges)
-		want := ref.BuildSerial()
-
-		for _, w := range []int{2, 3, 8} {
-			b := NewBuilder(0, 0)
-			b.AddEdges(edges)
-			got := b.BuildWorkers(w)
-			graphsEqual(t, got, want)
-		}
+// TestBuildMatchesSerial pins the counting build against the sort-everything
+// reference on every input shape that takes a different path through it.
+func TestBuildMatchesSerial(t *testing.T) {
+	cases := map[string]func(b *Builder){
+		"empty": func(b *Builder) {},
+		"random with duplicates": func(b *Builder) {
+			b.AddEdges(randomEdges(1, 30000, 900, 250))
+		},
+		"heavy duplication": func(b *Builder) {
+			// 20k records over 60 pairs: rows shrink by orders of magnitude.
+			b.AddEdges(randomEdges(2, 20000, 6, 10))
+		},
+		"one pair many times": func(b *Builder) {
+			for i := 0; i < 100; i++ {
+				b.Add(3, 5, 2)
+			}
+		},
+		"zero-click rows": func(b *Builder) {
+			for _, e := range randomEdges(3, 5000, 300, 80) {
+				b.Add(e.U, e.V, e.Weight%3) // a third of the rows carry no click
+			}
+		},
+		"gaps between IDs": func(b *Builder) {
+			// Only every 7th user and every 5th item has a record.
+			for _, e := range randomEdges(4, 4000, 200, 60) {
+				b.Add(e.U*7, e.V*5, e.Weight)
+			}
+		},
+		"already aggregated": func(b *Builder) {
+			for u := NodeID(0); u < 50; u++ {
+				for v := u % 3; v < 40; v += 3 {
+					b.Add(u, v, 1+u+v)
+				}
+			}
+		},
 	}
-}
-
-func TestBuildWorkersSmallInputFallsBackToSerial(t *testing.T) {
-	// Below the parallel grain the same builder must still produce the
-	// reference graph (the fallback path), including edge cases: empty and
-	// all-duplicates inputs.
+	for name, fill := range cases {
+		t.Run(name, func(t *testing.T) {
+			// A hint below the IDs that arrive: Add must grow the graph.
+			got, ref := NewBuilder(2, 2), NewBuilder(2, 2)
+			fill(got)
+			fill(ref)
+			graphsEqual(t, got.Build(), ref.BuildSerial())
+		})
+	}
+	if g := NewBuilder(0, 0).Build(); g.NumUsers() != 0 || g.LiveEdges() != 0 {
+		t.Fatalf("empty build: %v", g)
+	}
 	b := NewBuilder(0, 0)
-	if g := b.BuildWorkers(8); g.LiveEdges() != 0 {
-		t.Fatalf("empty build has %d edges", g.LiveEdges())
-	}
-	b = NewBuilder(0, 0)
 	for i := 0; i < 100; i++ {
 		b.Add(3, 5, 2)
 	}
-	g := b.BuildWorkers(8)
-	if g.LiveEdges() != 1 || g.Weight(3, 5) != 200 {
+	if g := b.Build(); g.LiveEdges() != 1 || g.Weight(3, 5) != 200 {
 		t.Fatalf("duplicate merge: edges=%d w=%d, want 1/200", g.LiveEdges(), g.Weight(3, 5))
 	}
+}
+
+// TestBuildReusedBuilder: Build leaves the builder usable — building twice
+// gives equal graphs that share no storage, and records added in between
+// show up in the second graph only.
+func TestBuildReusedBuilder(t *testing.T) {
+	edges := randomEdges(5, 6000, 150, 40)
+	b := NewBuilder(0, 0)
+	b.AddEdges(edges[:4000])
+	first := b.Build()
+	again := b.Build()
+	graphsEqual(t, again, first)
+	again.uAdj[edges[0].U][0].Weight++
+	if reflect.DeepEqual(again.UserNeighbors(edges[0].U), first.UserNeighbors(edges[0].U)) {
+		t.Fatal("two builds of one builder share adjacency storage")
+	}
+
+	b.AddEdges(edges[4000:])
+	ref := NewBuilder(0, 0)
+	ref.AddEdges(edges)
+	graphsEqual(t, b.Build(), ref.BuildSerial())
+	ref4k := NewBuilder(0, 0)
+	ref4k.AddEdges(edges[:4000])
+	graphsEqual(t, first, ref4k.BuildSerial())
+}
+
+// TestDuplicateWeightsSaturate: every way of folding two records of one
+// pair into one edge caps at MaxUint32 instead of wrapping — Build,
+// BuildSerial, and the stream path's PatchGraph from an empty graph.
+func TestDuplicateWeightsSaturate(t *testing.T) {
+	fill := func() *Builder {
+		b := NewBuilder(0, 0)
+		b.Add(1, 1, math.MaxUint32-1)
+		b.Add(1, 1, 5)
+		return b
+	}
+	graphs := map[string]*Graph{
+		"Build":       fill().Build(),
+		"BuildSerial": fill().BuildSerial(),
+		"PatchGraph": PatchGraph(PatchGraph(NewGraph(0, 0),
+			[]Edge{{U: 1, V: 1, Weight: math.MaxUint32 - 1}}), []Edge{{U: 1, V: 1, Weight: 5}}),
+	}
+	for name, g := range graphs {
+		if w := g.Weight(1, 1); w != math.MaxUint32 {
+			t.Errorf("%s: weight %d, want MaxUint32", name, w)
+		}
+		if g.UserStrength(1) != math.MaxUint32 || g.ItemStrength(1) != math.MaxUint32 || g.LiveClicks() != math.MaxUint32 {
+			t.Errorf("%s: strengths %d/%d, clicks %d, want MaxUint32 each",
+				name, g.UserStrength(1), g.ItemStrength(1), g.LiveClicks())
+		}
+	}
+	graphsEqual(t, graphs["Build"], graphs["BuildSerial"])
+	graphsEqual(t, graphs["PatchGraph"], graphs["BuildSerial"])
 }
 
 func TestCompactComponentPreservesStructure(t *testing.T) {

@@ -197,4 +197,3 @@ func TestPropertyCommonNeighborsAtLeastAgrees(t *testing.T) {
 		t.Error(err)
 	}
 }
-

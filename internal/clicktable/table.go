@@ -168,6 +168,7 @@ func (s Scale) String() string {
 // TableToBiGraph function of the paper's Algorithm 2.
 func (t *Table) ToGraph() *bipartite.Graph {
 	b := bipartite.NewBuilder(0, 0)
+	b.Grow(len(t.users))
 	for i := range t.users {
 		b.Add(t.users[i], t.items[i], t.clicks[i])
 	}

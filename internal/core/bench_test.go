@@ -61,11 +61,13 @@ func BenchmarkSquareRoundCounterReuse(b *testing.B) {
 	pool := newCounterPool(g.NumUsers(), g.NumItems())
 	ids := g.LiveUserIDs()
 	ctx := context.Background()
-	squareRoundUsers(ctx, g, p, ids, pool) // warm the pool
+	wide := newWideMasks(g)
+	wide.refresh(g)
+	squareRoundUsers(ctx, g, p, ids, pool, wide) // warm the pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		squareRoundUsers(ctx, g, p, ids, pool)
+		squareRoundUsers(ctx, g, p, ids, pool, wide)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -116,7 +117,7 @@ func pruneFixpointRescan(ctx context.Context, g *bipartite.Graph, p Params, sp *
 		st.Rounds++
 		rsp := sp.Start("round")
 		removed := corePruneFixpoint(g, p, a, st.Rounds)
-		uVictims := squareRoundUsers(ctx, g, p, g.LiveUserIDs(), pool)
+		uVictims := squareRoundUsers(ctx, g, p, g.LiveUserIDs(), pool, nil)
 		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, ceilMul(p.K2, p.Alpha), p.K1)
 		for _, u := range uVictims {
 			g.RemoveUser(u)
@@ -164,16 +165,30 @@ func pruneFixpointRescan(ctx context.Context, g *bipartite.Graph, p Params, sp *
 //  3. Taken frontiers are evaluated in ascending ID order with dead entries
 //     skipped, so the victim sequence matches the rescan loop's
 //     LiveUserIDs/LiveItemIDs order.
+//
+// The user-side evaluations go through the wide-item masks (wideMasks), built
+// once after the first core fixpoint: the same predicate, computed without
+// walking the hottest items' columns.
 func pruneFixpointFrontier(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span, o *obs.Observer, a *auditor) (PruneStats, error) {
-	var st PruneStats
-	pool := newCounterPool(g.NumUsers(), g.NumItems())
-	fr := &frontier{
+	return newFrontier(g).prune(ctx, p, sp, o, a)
+}
+
+func newFrontier(g *bipartite.Graph) *frontier {
+	return &frontier{
 		g:     g,
 		users: newDirtySet(g.NumUsers()),
 		items: newDirtySet(g.NumItems()),
 		walkU: newDirtySet(g.NumUsers()),
 		walkI: newDirtySet(g.NumItems()),
 	}
+}
+
+// prune runs the dirty-frontier fixpoint on fr.g. On cancellation fr is left
+// holding every vertex whose evaluation was taken but not finished.
+func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Observer, a *auditor) (PruneStats, error) {
+	var st PruneStats
+	g := fr.g
+	pool := newCounterPool(g.NumUsers(), g.NumItems())
 
 	faultinject.Hit("core.prune.round")
 	if err := ctx.Err(); err != nil {
@@ -184,6 +199,7 @@ func pruneFixpointFrontier(ctx context.Context, g *bipartite.Graph, p Params, sp
 	removed := corePruneFixpoint(g, p, a, st.Rounds)
 	prev := g.SetRemovalObserver(fr)
 	defer g.SetRemovalObserver(prev)
+	wide := newWideMasks(g)
 
 	first := true
 	for {
@@ -205,7 +221,8 @@ func pruneFixpointFrontier(ctx context.Context, g *bipartite.Graph, p Params, sp
 			fr.expand()
 			evalU = fr.users.take()
 		}
-		uVictims := squareRoundUsers(ctx, g, p, evalU, pool)
+		wide.refresh(g)
+		uVictims := squareRoundUsers(ctx, g, p, evalU, pool, wide)
 		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, ceilMul(p.K2, p.Alpha), p.K1)
 		for _, u := range uVictims {
 			g.RemoveUser(u)
@@ -471,6 +488,7 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 		side bipartite.Side
 	}
 	var queue []node
+	var nbrs []bipartite.NodeID // scratch: the live neighbors of the vertex being removed
 
 	g.EachLiveUser(func(u bipartite.NodeID) bool {
 		if g.UserDegree(u) < minUDeg {
@@ -493,7 +511,7 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 				continue
 			}
 			// Collect neighbors before removal so we can recheck them.
-			var nbrs []bipartite.NodeID
+			nbrs = nbrs[:0]
 			g.EachUserNeighbor(n.id, func(v bipartite.NodeID, _ uint32) bool {
 				nbrs = append(nbrs, v)
 				return true
@@ -510,7 +528,7 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 			if !g.ItemAlive(n.id) {
 				continue
 			}
-			var nbrs []bipartite.NodeID
+			nbrs = nbrs[:0]
 			g.EachItemNeighbor(n.id, func(u bipartite.NodeID, _ uint32) bool {
 				nbrs = append(nbrs, u)
 				return true
@@ -537,6 +555,7 @@ type commonCounter struct {
 	touched []bipartite.NodeID
 	nbrs    []bipartite.NodeID
 	keys    []uint64 // sortByDegree scratch
+	steps   int      // arcs and mask words read by the masked user test, accumulated
 }
 
 func newCommonCounter(numUsers, numItems int) *commonCounter {
@@ -608,6 +627,159 @@ func squareSurvivesUser(g *bipartite.Graph, u bipartite.NodeID, need, k1 int, c 
 	return ok
 }
 
+// maxWide is the number of wide items a wideMasks indexes: one bit each of
+// a machine word.
+const maxWide = 64
+
+// wideMasks lets the user-side square test skip the columns of the widest
+// items. Crews ride a handful of hot items, so after core pruning nearly all
+// of a user's 2-hop walk runs through a few dozen very long columns; the
+// masks replace walking those columns by one AND + popcount per candidate.
+//
+// The wide set W (the ≤ 64 live items of highest live degree) and the user
+// masks — bit i of user[y] says y has an arc to items[i] — are fixed for the
+// whole fixpoint. Which of them still count is re-read before every round
+// (refresh): a round evaluates against a frozen graph, so one reading serves
+// all of its evaluations, on every worker. For live users u, y
+//
+//	common(u, y) = |{v ∉ W live : v ∈ N(u) ∩ N(y)}| + popcount(user[u] & user[y] & live)
+//
+// exactly, so the masked test decides the same predicate as the plain walk
+// whatever W is (DESIGN.md §10.5).
+type wideMasks struct {
+	items  []bipartite.NodeID // W; bit i stands for items[i]
+	isWide []bool             // item → whether it is in W
+	user   []uint64           // user → the wide items it has an arc to; 0 once the user is dead
+	live   uint64             // the bits of W whose item is still alive
+}
+
+func newWideMasks(g *bipartite.Graph) *wideMasks {
+	items := g.LiveItemIDs()
+	sortByDegree(items, g.ItemDegree, nil)
+	wm := &wideMasks{
+		items:  items[max(0, len(items)-maxWide):], // the widest are last
+		isWide: make([]bool, g.NumItems()),
+		user:   make([]uint64, g.NumUsers()),
+	}
+	for i, v := range wm.items {
+		wm.isWide[v] = true
+		for _, a := range g.ItemArcs(v) {
+			wm.user[a.To] |= 1 << i
+		}
+	}
+	return wm
+}
+
+// refresh re-reads liveness from g: call it between rounds, after the
+// previous round's removals are applied and before the next evaluations.
+func (wm *wideMasks) refresh(g *bipartite.Graph) {
+	wm.live = 0
+	for i, v := range wm.items {
+		if g.ItemAlive(v) {
+			wm.live |= 1 << i
+		}
+	}
+	for y := range wm.user {
+		if !g.UserAlive(bipartite.NodeID(y)) {
+			wm.user[y] = 0
+		}
+	}
+}
+
+// squareSurvivesUserWide decides the predicate of squareSurvivesUser through
+// the wide-item masks. u's live items that are not wide are walked as before
+// (ascending degree, online exit); its live wide items are then settled per
+// candidate y by popcount(user[u] & user[y] & live), added to what the walk
+// counted for y:
+//
+//   - u has fewer than need live wide items: a user the walk never touched
+//     shares at most those with u and cannot reach need, so only the
+//     touched candidates are finished — no more work than the walk did;
+//   - u has at least need of them: any user may qualify through wide items
+//     alone, so every user's mask is read. That costs NumUsers steps in
+//     place of walking the wide columns, and is taken only when those
+//     columns together are at least that long; otherwise they are walked
+//     like any other item. Either way one evaluation costs no more than the
+//     plain walk's Σ deg.
+func squareSurvivesUserWide(g *bipartite.Graph, u bipartite.NodeID, need, k1 int, c *commonCounter, wm *wideMasks) bool {
+	c.nbrs = c.nbrs[:0]
+	c.steps += len(g.UserArcs(u))
+	wideSteps := 0 // what walking u's live wide columns would cost
+	for _, a := range g.UserArcs(u) {
+		if !g.ItemAlive(a.To) {
+			continue
+		}
+		if wm.isWide[a.To] {
+			wideSteps += g.ItemDegree(a.To)
+		} else {
+			c.nbrs = append(c.nbrs, a.To)
+		}
+	}
+	mu := wm.user[u] & wm.live
+	scanAll := bits.OnesCount64(mu) >= need
+	if scanAll && wideSteps < len(wm.user) {
+		for m := mu; m != 0; m &= m - 1 {
+			c.nbrs = append(c.nbrs, wm.items[bits.TrailingZeros64(m)])
+		}
+		mu, scanAll = 0, false
+	}
+	c.keys = sortByDegree(c.nbrs, g.ItemDegree, c.keys)
+
+	c.touched = c.touched[:0]
+	num := 0
+walk:
+	for _, v := range c.nbrs {
+		col := g.ItemArcs(v)
+		c.steps += len(col)
+		for _, a := range col {
+			y := a.To
+			if !g.UserAlive(y) {
+				continue
+			}
+			n := c.countsU[y]
+			if n == 0 {
+				c.touched = append(c.touched, y)
+			}
+			c.countsU[y] = n + 1
+			if int(n)+1 == need {
+				if num++; num >= k1 {
+					break walk
+				}
+			}
+		}
+	}
+	// Finish: candidates the walk left short of need may get there through
+	// the wide items they share with u. (Those already at need are counted.)
+	switch {
+	case num >= k1 || mu == 0:
+	case scanAll:
+		c.steps += len(wm.user)
+		for y, my := range wm.user {
+			if my&mu == 0 {
+				continue
+			}
+			if n := int(c.countsU[y]); n < need && n+bits.OnesCount64(my&mu) >= need {
+				if num++; num >= k1 {
+					break
+				}
+			}
+		}
+	default:
+		c.steps += len(c.touched)
+		for _, y := range c.touched {
+			if n := int(c.countsU[y]); n < need && n+bits.OnesCount64(wm.user[y]&mu) >= need {
+				if num++; num >= k1 {
+					break
+				}
+			}
+		}
+	}
+	for _, y := range c.touched {
+		c.countsU[y] = 0
+	}
+	return num >= k1
+}
+
 // squareSurvivesItem is the item-side dual of squareSurvivesUser.
 func squareSurvivesItem(g *bipartite.Graph, v bipartite.NodeID, need, k2 int, c *commonCounter) bool {
 	c.nbrs = c.nbrs[:0]
@@ -667,8 +839,10 @@ func sortByDegree(ids []bipartite.NodeID, deg func(bipartite.NodeID) int, keys [
 // candidate users against the frozen graph, in parallel, and returns the
 // victims in candidate order. Candidates must be sorted ascending; dead
 // candidates (stale frontier marks) are skipped, so the victim sequence is
-// exactly the one a full LiveUserIDs scan would produce.
-func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool) []bipartite.NodeID {
+// exactly the one a full LiveUserIDs scan would produce. With wide non-nil
+// (refreshed for this round) the masked test is used; nil selects the plain
+// walk, the reference.
+func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool, wide *wideMasks) []bipartite.NodeID {
 	need := ceilMul(p.K2, p.Alpha)
 	return parallelFilter(ctx, ids, p.workers(), func(c *commonCounter, u bipartite.NodeID) bool {
 		if !g.UserAlive(u) {
@@ -676,6 +850,9 @@ func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []b
 		}
 		if h := testSquareEvalHook; h != nil {
 			h(bipartite.UserSide, u)
+		}
+		if wide != nil {
+			return !squareSurvivesUserWide(g, u, need, p.K1, c, wide)
 		}
 		return !squareSurvivesUser(g, u, need, p.K1, c)
 	}, pool)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -182,14 +183,15 @@ func TestParallelFilterMatchesSerial(t *testing.T) {
 	pPar.Workers = 8
 
 	pool := newCounterPool(g.NumUsers(), g.NumItems())
-	serialU := squareRoundUsers(context.Background(), g, pSerial, g.LiveUserIDs(), pool)
-	parU := squareRoundUsers(context.Background(), g, pPar, g.LiveUserIDs(), pool)
-	if len(serialU) != len(parU) {
-		t.Fatalf("victim counts differ: serial %d, parallel %d", len(serialU), len(parU))
-	}
-	for i := range serialU {
-		if serialU[i] != parU[i] {
-			t.Errorf("victim %d differs: %d vs %d", i, serialU[i], parU[i])
+	wide := newWideMasks(g)
+	wide.refresh(g)
+	serialU := squareRoundUsers(context.Background(), g, pSerial, g.LiveUserIDs(), pool, nil)
+	for name, parU := range map[string][]bipartite.NodeID{
+		"plain walk": squareRoundUsers(context.Background(), g, pPar, g.LiveUserIDs(), pool, nil),
+		"masked":     squareRoundUsers(context.Background(), g, pPar, g.LiveUserIDs(), pool, wide),
+	} {
+		if !slices.Equal(serialU, parU) {
+			t.Errorf("%s: parallel victims %v, serial %v", name, parU, serialU)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -149,11 +150,11 @@ func TestDetectContextCancelledScreeningKeepsScreenedPrefix(t *testing.T) {
 	g := disjointBicliques(3, 12, 15)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Screen two groups, then cancel at the third checkpoint.
-	calls := 0
+	// Screen two groups, then cancel at the third checkpoint. The site is
+	// hit from the screening workers, so the count is atomic.
+	var calls atomic.Int32
 	faultinject.Arm("core.screen.group", faultinject.Fault{Do: func() {
-		calls++
-		if calls == 3 {
+		if calls.Add(1) == 3 {
 			cancel()
 		}
 	}})

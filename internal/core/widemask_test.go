@@ -1,0 +1,268 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math/bits"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/bipartite"
+	"repro/internal/faultinject"
+	"repro/internal/synth"
+)
+
+// maskShape is one family of random graphs for the masked-kernel property.
+// Every user clicks each of the `hot` head items with probability pHot and
+// `tail` items from the rest: drawn uniformly, or — with crew > 0 — the
+// `tail` target items its crew of that many consecutive users shares.
+type maskShape struct {
+	name                string
+	users, items        int
+	hot, tail, crew     int
+	pHot                float64
+	k1, k2              int
+	alpha               float64
+	wantScan, wantShort bool // must see users with ≥ need / with 1…need−1 live wide items
+	wantWalked          bool // must see wide items walked because their columns are short
+}
+
+var maskShapes = []maskShape{
+	// The marketplace: a hot head far wider than the tail, more than 64 items.
+	{name: "hot head, long tail", users: 400, items: 200, hot: 8, tail: 5, pHot: 0.6,
+		k1: 4, k2: 4, alpha: 1, wantScan: true, wantShort: true},
+	// blocks_resweep: at most 64 items, so every item is wide and nothing is walked.
+	{name: "every item wide", users: 300, items: 16, hot: 16, tail: 0, pHot: 0.8,
+		k1: 10, k2: 10, alpha: 1, wantScan: true, wantShort: true},
+	// Crews smaller than k1 on private targets: the walk certifies a user's
+	// crew mates, the masks must add the rest without counting them twice.
+	{name: "crews on private targets", users: 400, items: 6 + 80*5, hot: 6, tail: 5, crew: 5, pHot: 0.4,
+		k1: 12, k2: 4, alpha: 1, wantScan: true, wantShort: true},
+	{name: "alpha below one, k1 != k2", users: 300, items: 150, hot: 10, tail: 4, pHot: 0.5,
+		k1: 3, k2: 7, alpha: 0.6, wantScan: true, wantShort: true},
+	{name: "need = 1", users: 300, items: 120, hot: 4, tail: 2, pHot: 0.3,
+		k1: 5, k2: 1, alpha: 1, wantScan: true},
+	// No head at all: 64 of 100 equally narrow items are "wide", and their
+	// columns are shorter than the user list.
+	{name: "flat degrees", users: 2000, items: 100, hot: 0, tail: 5, pHot: 0,
+		k1: 3, k2: 2, alpha: 1, wantWalked: true, wantShort: true},
+}
+
+func (s maskShape) graph(rng *rand.Rand) *bipartite.Graph {
+	b := bipartite.NewBuilder(s.users, s.items)
+	for u := 0; u < s.users; u++ {
+		for v := 0; v < s.hot; v++ {
+			if rng.Float64() < s.pHot {
+				b.Add(bipartite.NodeID(u), bipartite.NodeID(v), 1)
+			}
+		}
+		for i := 0; i < s.tail; i++ {
+			v := s.hot + rng.Intn(s.items-s.hot)
+			if s.crew > 0 {
+				v = s.hot + u/s.crew*s.tail + i
+			}
+			b.Add(bipartite.NodeID(u), bipartite.NodeID(v), 1)
+		}
+	}
+	return b.Build()
+}
+
+// walkBound is what the plain walk reads for u: its own row plus the column
+// of each of its live items.
+func walkBound(g *bipartite.Graph, u bipartite.NodeID) int {
+	n := len(g.UserArcs(u))
+	for _, a := range g.UserArcs(u) {
+		if g.ItemAlive(a.To) {
+			n += len(g.ItemArcs(a.To))
+		}
+	}
+	return n
+}
+
+// TestPropertyWideMasksMatchPlainWalk: on random graphs, after random
+// removals made since the masks were built, the masked user test gives the
+// plain walk's verdict for every live user, and never reads more than twice
+// what the plain walk reads.
+func TestPropertyWideMasksMatchPlainWalk(t *testing.T) {
+	for _, s := range maskShapes {
+		t.Run(s.name, func(t *testing.T) {
+			need := ceilMul(s.k2, s.alpha)
+			var scan, short, walked, deadWide, survive, fail int
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				g := s.graph(rng)
+				wm := newWideMasks(g)
+				if s.items <= maxWide {
+					for v := range wm.isWide {
+						if !wm.isWide[v] {
+							t.Logf("seed %d: item %d of %d is not wide", seed, v, s.items)
+							return false
+						}
+					}
+				}
+
+				// Removals after the masks were built: a random share of both
+				// sides (none for one seed in three) and always one wide item.
+				share := []float64{0, 0.1, 0.4}[rng.Intn(3)]
+				for u := 0; u < s.users; u++ {
+					if rng.Float64() < share {
+						g.RemoveUser(bipartite.NodeID(u))
+					}
+				}
+				for v := 0; v < s.items; v++ {
+					if rng.Float64() < share {
+						g.RemoveItem(bipartite.NodeID(v))
+					}
+				}
+				if share > 0 {
+					g.RemoveItem(wm.items[rng.Intn(len(wm.items))])
+				}
+				wm.refresh(g)
+				deadWide += len(wm.items) - bits.OnesCount64(wm.live)
+
+				c := newCommonCounter(g.NumUsers(), g.NumItems())
+				ok := true
+				g.EachLiveUser(func(u bipartite.NodeID) bool {
+					wide, wideSteps := bits.OnesCount64(wm.user[u]&wm.live), 0
+					for m := wm.user[u] & wm.live; m != 0; m &= m - 1 {
+						wideSteps += g.ItemDegree(wm.items[bits.TrailingZeros64(m)])
+					}
+					switch {
+					case wide >= need && wideSteps >= g.NumUsers():
+						scan++
+					case wide >= need:
+						walked++
+					case wide > 0:
+						short++
+					}
+
+					want := squareSurvivesUser(g, u, need, s.k1, c)
+					c.steps = 0
+					got := squareSurvivesUserWide(g, u, need, s.k1, c, wm)
+					if got != want {
+						t.Logf("seed %d: user %d: masked %v, plain walk %v", seed, u, got, want)
+						ok = false
+					}
+					if bound := 2 * walkBound(g, u); c.steps > bound {
+						t.Logf("seed %d: user %d: masked test read %d, twice the plain walk is %d", seed, u, c.steps, bound)
+						ok = false
+					}
+					if want {
+						survive++
+					} else {
+						fail++
+					}
+					return ok
+				})
+				return ok
+			}
+			cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}
+			if err := quick.Check(f, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if survive == 0 || fail == 0 {
+				t.Errorf("one-sided workload: %d users passed, %d failed", survive, fail)
+			}
+			if deadWide == 0 {
+				t.Error("no wide item died after the masks were built")
+			}
+			if s.wantScan && scan == 0 {
+				t.Error("no user took the all-users finish")
+			}
+			if s.wantShort && short == 0 {
+				t.Error("no user took the touched-candidates finish")
+			}
+			if s.wantWalked && walked == 0 {
+				t.Error("no user walked its wide items")
+			}
+		})
+	}
+}
+
+// TestWideMaskScanNeverCostsMoreThanTheWalk: where no item is wide in any
+// real sense — 5000 users, 100 items of ≈ 300 users each — reading every
+// user's mask would cost more than walking a user's whole 2-hop
+// neighborhood, so the masked test must not do it: per-vertex work stays
+// O(Σ deg), not O(users).
+func TestWideMaskScanNeverCostsMoreThanTheWalk(t *testing.T) {
+	s := maskShape{users: 5000, items: 100, tail: 6}
+	g := s.graph(rand.New(rand.NewSource(3)))
+	wm := newWideMasks(g)
+	wm.refresh(g)
+	c := newCommonCounter(g.NumUsers(), g.NumItems())
+	const need = 2
+	wideEnough := 0
+	g.EachLiveUser(func(u bipartite.NodeID) bool {
+		if bits.OnesCount64(wm.user[u]&wm.live) >= need {
+			wideEnough++
+		}
+		bound := 2 * walkBound(g, u)
+		if bound >= g.NumUsers() {
+			t.Fatalf("user %d: twice its walk (%d) is not below the user count; the graph proves nothing", u, bound)
+		}
+		c.steps = 0
+		// k1 beyond the user count: no online exit, the full cost is paid.
+		squareSurvivesUserWide(g, u, need, g.NumUsers()+1, c, wm)
+		if c.steps > bound {
+			t.Fatalf("user %d: masked test read %d, twice the plain walk is %d (users: %d)", u, c.steps, bound, g.NumUsers())
+		}
+		return true
+	})
+	if wideEnough < g.NumUsers()/2 {
+		t.Fatalf("only %d of %d users have ≥ %d wide items; the scan branch was never in question", wideEnough, g.NumUsers(), need)
+	}
+}
+
+// TestFrontierCancelledRoundKeepsTakenMarks: a round cancelled after it took
+// its frontier must hand the taken vertices back, so that the frontier still
+// covers everything a resumed pass has to re-check. The reference is the
+// same fixpoint left to run: whatever it evaluates in round 2 must still be
+// marked after a run cancelled at the start of round 2.
+func TestFrontierCancelledRoundKeepsTakenMarks(t *testing.T) {
+	defer faultinject.Reset()
+	defer func() { testSquareEvalHook = nil }()
+	k1, k2, alpha := synth.LadderParams(6, 6)
+	p := params(k1, k2, alpha)
+	p.Workers = 1 // the eval hook is not synchronized
+
+	// Reference run: the users round 2 evaluates. "core.frontier" fires once
+	// per round, before the round takes its frontier.
+	round := 0
+	faultinject.Arm("core.frontier", faultinject.Fault{Do: func() { round++ }})
+	var round2 []bipartite.NodeID
+	testSquareEvalHook = func(side bipartite.Side, id bipartite.NodeID) {
+		if side == bipartite.UserSide && round == 2 {
+			round2 = append(round2, id)
+		}
+	}
+	if _, err := newFrontier(synth.LadderGraph(8, 6, 6)).prune(context.Background(), p, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(round2) == 0 {
+		t.Fatal("reference run evaluated no user in round 2")
+	}
+
+	testSquareEvalHook = nil
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	round = 0
+	faultinject.Arm("core.frontier", faultinject.Fault{Do: func() {
+		if round++; round == 2 {
+			cancel()
+		}
+	}})
+	fr := newFrontier(synth.LadderGraph(8, 6, 6))
+	st, err := fr.prune(ctx, p, nil, nil, nil)
+	if !errors.Is(err, context.Canceled) || st.Rounds != 2 {
+		t.Fatalf("err = %v after %d rounds, want context.Canceled in round 2", err, st.Rounds)
+	}
+	for _, u := range round2 {
+		if !fr.users.bits[u] {
+			t.Errorf("user %d is due in round 2 but the cancelled round dropped its mark", u)
+		}
+	}
+	if len(fr.items.list) == 0 {
+		t.Error("the cancelled round dropped its item frontier")
+	}
+}

@@ -119,4 +119,3 @@ func Incremental(p Params) (Report, error) {
 		" misclassification the paper observes in Fig 9e.)\n")
 	return Report{ID: "X2", Title: "Extension — incremental detection", Text: b.String()}, nil
 }
-

@@ -157,23 +157,23 @@ func DefaultConfig() Config {
 			// cross a low T_hot — the effect behind Fig 9e, where a
 			// too-low hot threshold misclassifies heavily-attacked
 			// targets as hot items and loses their groups.
-			AttackersMin:       8,
-			AttackersMax:       55,
-			TargetsMin:         12,
-			TargetsMax:         18,
-			HotMin:             2,
-			HotMax:             3,
-			TargetClicksMin:    8,
-			TargetClicksMax:    24,
-			HotClicksMax:       3,
-			CamouflageItemsMin: 2,
-			CamouflageItemsMax: 5,
+			AttackersMin:        8,
+			AttackersMax:        55,
+			TargetsMin:          12,
+			TargetsMax:          18,
+			HotMin:              2,
+			HotMax:              3,
+			TargetClicksMin:     8,
+			TargetClicksMax:     24,
+			HotClicksMax:        3,
+			CamouflageItemsMin:  2,
+			CamouflageItemsMax:  5,
 			CamouflageClicksMax: 2,
-			Participation:      0.95,
-			OrganicClickers:    6,
-			AgencyLoyalty:      0.88,
-			CampaignGroups:     1,
-			CampaignAttackers:  110,
+			Participation:       0.95,
+			OrganicClickers:     6,
+			AgencyLoyalty:       0.88,
+			CampaignGroups:      1,
+			CampaignAttackers:   110,
 		},
 	}
 }

@@ -34,8 +34,8 @@ func TestReadEventsRejectsBadInput(t *testing.T) {
 	cases := []string{
 		"a,b,c,d\n",
 		"day,user_id,item_id,click\nx,1,1,1\n",
-		"day,user_id,item_id,click\n0,1,1,1\n",           // day < 1
-		"day,user_id,item_id,click\n2,1,1,1\n1,1,1,1\n",  // out of order
+		"day,user_id,item_id,click\n0,1,1,1\n",          // day < 1
+		"day,user_id,item_id,click\n2,1,1,1\n1,1,1,1\n", // out of order
 		"day,user_id,item_id,click\n1,x,1,1\n",
 		"day,user_id,item_id,click\n1,1,x,1\n",
 		"day,user_id,item_id,click\n1,1,1,x\n",
