@@ -7,6 +7,7 @@
 package fakeclick_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -187,23 +188,6 @@ func BenchmarkExposure(b *testing.B) {
 
 // --- ablation benchmarks (DESIGN.md X3) --------------------------------------
 
-// BenchmarkPruningAblation compares the literal single-pass Algorithm 3
-// against the fixpoint iteration the reproduction defaults to.
-func BenchmarkPruningAblation(b *testing.B) {
-	ds := benchDataset(b)
-	run := func(b *testing.B, single bool) {
-		p := core.DefaultParams()
-		p.SinglePass = single
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g := ds.Graph.Clone()
-			core.Prune(g, p)
-		}
-	}
-	b.Run("fixpoint", func(b *testing.B) { run(b, false) })
-	b.Run("single-pass", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkSeededVsUnseeded measures the speedup of Algorithm 2's seed-based
 // graph pruning.
 func BenchmarkSeededVsUnseeded(b *testing.B) {
@@ -237,7 +221,9 @@ func BenchmarkSquarePruningWorkers(b *testing.B) {
 			p.Workers = workers
 			for i := 0; i < b.N; i++ {
 				g := ds.Graph.Clone()
-				core.Prune(g, p)
+				if _, err := core.PruneCtx(context.Background(), g, p, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -245,27 +231,11 @@ func BenchmarkSquarePruningWorkers(b *testing.B) {
 
 // BenchmarkDetectSharded measures the component-sharded detection pipeline
 // end to end (prune → shard plan → per-component square pruning/extraction →
-// deterministic merge → screening) across worker counts, against the
-// single-goroutine reference path (Params.NoShard) as the oracle baseline.
-// The JSON panel in bench_parallel_test.go re-runs this matrix for
-// BENCH_parallel.json.
+// deterministic merge → screening) across worker counts. The reference
+// model's time on the same dataset is internal/core's
+// BenchmarkDetectReference.
 func BenchmarkDetectSharded(b *testing.B) {
 	ds := benchDataset(b)
-	run := func(b *testing.B, p core.Params) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d := &core.Detector{Params: p}
-			if _, err := d.Detect(ds.Graph); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial-oracle", func(b *testing.B) {
-		p := core.DefaultParams()
-		p.NoShard = true
-		run(b, p)
-	})
 	seen := make(map[int]bool)
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
 		if seen[workers] {
@@ -275,41 +245,34 @@ func BenchmarkDetectSharded(b *testing.B) {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			p := core.DefaultParams()
 			p.Workers = workers
-			run(b, p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := &core.Detector{Params: p}
+				if _, err := d.Detect(ds.Graph); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
-	// The no-frontier leg re-runs the sharded pipeline with full-rescan
-	// pruning rounds (Params.NoFrontier), so the bench smoke exercises both
-	// pruning modes; BENCH_frontier.json records the delta.
-	b.Run("w4-rescan", func(b *testing.B) {
-		p := core.DefaultParams()
-		p.Workers = 4
-		p.NoFrontier = true
-		run(b, p)
-	})
 }
 
-// BenchmarkPruneFrontier measures the dirty-frontier fixpoint against the
-// full-rescan reference loop on the rounds-heavy ladder workload (~100
-// fixpoint rounds of small removals, where per-round full rescans are
-// maximally wasteful). The JSON panel in bench_frontier_test.go re-runs
-// this pair for BENCH_frontier.json.
+// BenchmarkPruneFrontier measures the dirty-frontier fixpoint on the
+// rounds-heavy ladder workload (~100 fixpoint rounds of small removals, where
+// re-evaluating every vertex every round would be maximally wasteful; that
+// comparison is internal/core's BenchmarkPruneLadderFrontier).
 func BenchmarkPruneFrontier(b *testing.B) {
 	base := synth.LadderGraph(200, 6, 6)
-	k1, k2, alpha := synth.LadderParams(6, 6)
-	run := func(b *testing.B, noFrontier bool) {
-		p := core.DefaultParams()
-		p.K1, p.K2, p.Alpha = k1, k2, alpha
-		p.NoFrontier = noFrontier
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g := base.Clone()
-			core.Prune(g, p)
+	p := core.DefaultParams()
+	p.K1, p.K2, p.Alpha = synth.LadderParams(6, 6)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := base.Clone()
+		if _, err := core.PruneCtx(context.Background(), g, p, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("frontier", func(b *testing.B) { run(b, false) })
-	b.Run("rescan", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkScreeningOnly isolates the UI module's cost (the small stack
@@ -325,7 +288,9 @@ func BenchmarkScreeningOnly(b *testing.B) {
 	hot := core.ComputeHotSet(ds.Graph, p.THot)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.ScreenGroups(ds.Graph, res.Groups, hot, p)
+		if _, err := core.ScreenGroupsCtx(context.Background(), ds.Graph, res.Groups, hot, p, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -334,7 +299,7 @@ func BenchmarkScreeningOnly(b *testing.B) {
 func BenchmarkFeedbackLoop(b *testing.B) {
 	ds := benchDataset(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DetectWithFeedback(ds.Graph, core.DefaultParams(), 1<<30, 3); err != nil {
+		if _, err := core.DetectWithFeedbackContext(context.Background(), ds.Graph, core.DefaultParams(), 1<<30, 3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,7 +315,7 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Detect(); err != nil { // warm the cache
+		if _, err := d.SweepContext(context.Background()); err != nil { // warm the cache
 			b.Fatal(err)
 		}
 		return d
@@ -364,7 +329,7 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 				rng = rng*1664525 + 1013904223
 				d.AddClick(rng%uint32(ds.NumNormalUsers), rng>>16%uint32(ds.NumNormalItems), 1)
 			}
-			if _, err := d.Detect(); err != nil {
+			if _, err := d.SweepContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -373,7 +338,7 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 		d := newDetector(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.FullDetect(); err != nil {
+			if _, err := d.FullDetectContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

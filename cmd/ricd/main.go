@@ -77,8 +77,6 @@ func run() int {
 		hold      = flag.Duration("hold", 0, "keep the debug server running this long after the run (for scraping); interrupted by SIGINT")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the run; on expiry partial results are printed and the exit status is 2")
 		workers   = flag.Int("workers", 0, "worker goroutines for the sharded detection pipeline (0 = GOMAXPROCS)")
-		serial    = flag.Bool("serial", false, "run the single-goroutine reference pipeline instead of the sharded one (identical output)")
-		noFront   = flag.Bool("no-frontier", false, "rescan every live vertex each pruning round instead of the dirty frontier (identical output)")
 	)
 	flag.Parse()
 	if *listAlgos {
@@ -147,8 +145,6 @@ func run() int {
 		TClick:        uint32(*tclick),
 		SkipScreening: *raw,
 		Workers:       *workers,
-		Serial:        *serial,
-		NoFrontier:    *noFront,
 		Observer:      observer,
 	}
 	var parseErr error

@@ -9,7 +9,6 @@
 //	      [-k1 10] [-k2 10] [-alpha 1.0]
 //	      [-thot 0] [-tclick 0]          # 0 derives thresholds from the data
 //	      [-resweep 0]                   # re-detect and republish at this interval
-//	      [-no-cache]                    # disable the cross-resweep verdict cache
 //	      [-max-inflight 256]            # concurrent queries before 429 shedding
 //	      [-trace out.json] [-audit out.jsonl] [-runs]
 //	      [-debug-addr :6060]            # pprof/expvar/metrics sidecar
@@ -60,7 +59,6 @@ func run() int {
 		thot      = flag.Uint64("thot", 0, "hot-item threshold (0 = derive from data)")
 		tclick    = flag.Uint("tclick", 0, "abnormal-click threshold (0 = derive via Eq 4)")
 		resweep   = flag.Duration("resweep", 0, "re-run detection and publish a fresh epoch at this interval (0 = detect once)")
-		noCache   = flag.Bool("no-cache", false, "re-detect every component on each resweep instead of replaying cached verdicts for unchanged ones (identical output)")
 		inflight  = flag.Int("max-inflight", 256, "max concurrent queries before 429 shedding (0 = unlimited)")
 		workers   = flag.Int("workers", 0, "worker goroutines for the sharded detection pipeline (0 = GOMAXPROCS)")
 		tracePath = flag.String("trace", "", "write the run's stage trace to this file as JSON")
@@ -114,11 +112,11 @@ func run() int {
 		Workers:  *workers,
 		Observer: observer,
 		Serve:    verdicts,
-		NoCache:  *noCache,
 	}
-	if !*noCache {
+	if *resweep > 0 {
 		// Shared across the resweep loop: components whose subgraph did not
 		// change since the previous detection replay their cached verdict.
+		// A detect-once run has no second detection to replay into.
 		cfg.Cache = fakeclick.NewVerdictCache(0)
 	}
 

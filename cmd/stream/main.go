@@ -8,7 +8,7 @@
 //	synthgen -out clicks.csv -labels labels.csv -events events.csv
 //	stream -events events.csv [-thot 1000] [-tclick 12] [-labels labels.csv]
 //	       [-wal-dir state/] [-snapshot-every 5000] [-fsync]
-//	       [-no-delta] [-no-cache] [-compact-fraction 0.5]
+//	       [-compact-fraction 0.5]
 //	       [-buffer 4096] [-shed-policy block|oldest|newest]
 //	       [-serve-addr :8080] [-serve-inflight 256]
 //	       [-timeout 1m] [-trace out.json] [-trace-tree] [-audit out.jsonl]
@@ -34,16 +34,12 @@
 // over it. -fsync makes appends survive power loss, not just process
 // death.
 //
-// Per-sweep graph preparation is delta-maintained by default: each sweep
-// patches only the clicks since the last sweep onto the previous graph,
-// compacting with a full rebuild once the pending tail exceeds
-// -compact-fraction of the aggregated base. -no-delta pins the historical
-// rebuild-from-full-history path; output is byte-identical either way, so
-// the flag is the equivalence oracle (and escape hatch), like -no-frontier.
-// Detection itself is incremental too: components of the click graph left
-// untouched by a sweep's delta replay their cached verdict instead of
-// being re-pruned and re-screened; -no-cache pins the cache-free path
-// (again byte-identical output — the third equivalence oracle).
+// Per-sweep graph preparation is delta-maintained: each sweep patches only
+// the clicks since the last sweep onto the previous graph, compacting with
+// a full rebuild once the pending tail exceeds -compact-fraction of the
+// aggregated base. Detection itself is incremental too: components of the
+// click graph left untouched by a sweep's delta replay their cached verdict
+// instead of being re-pruned and re-screened.
 //
 // -buffer inserts a bounded pending-click queue between the reader and
 // the detector; when it fills, -shed-policy decides between backpressure
@@ -122,9 +118,6 @@ func run() int {
 		hold       = flag.Duration("hold", 0, "keep the debug server running this long after the replay (for scraping); interrupted by SIGINT")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole replay; on expiry the exit status is 2")
 		workers    = flag.Int("workers", 0, "worker goroutines for the sharded sweep pipeline (0 = GOMAXPROCS)")
-		noFront    = flag.Bool("no-frontier", false, "rescan every live vertex each pruning round instead of the dirty frontier (identical output)")
-		noDelta    = flag.Bool("no-delta", false, "rebuild the sweep graph from the full click history instead of patching the delta (identical output)")
-		noCache    = flag.Bool("no-cache", false, "re-detect every component each sweep instead of replaying cached verdicts for clean ones (identical output)")
 		compactFr  = flag.Float64("compact-fraction", 0, "full-rebuild compaction once pending clicks exceed this fraction of the aggregated base (0 = default 0.5)")
 	)
 	flag.Parse()
@@ -180,7 +173,6 @@ func run() int {
 	params.THot = *thot
 	params.TClick = uint32(*tclick)
 	params.Workers = *workers
-	params.NoFrontier = *noFront
 
 	cli, err := obs.StartCLI(obs.CLIConfig{
 		Namespace: "stream",
@@ -223,10 +215,8 @@ func run() int {
 		cli.Shutdown()
 		return 1
 	}
-	// Graph-maintenance policy, before the first sweep (the detector pins
-	// both at first use).
-	det.NoDelta = *noDelta
-	det.NoCache = *noCache
+	// Graph-maintenance policy, before the first sweep (the detector pins it
+	// at first use).
 	det.CompactFraction = *compactFr
 
 	// Online verdict serving: every committed sweep compiles the sweep's
@@ -323,7 +313,7 @@ func run() int {
 			}
 		}
 		t0 := time.Now()
-		res, err := det.DetectContext(ctx)
+		res, err := det.SweepContext(ctx)
 		if err != nil && res == nil {
 			log.Print(err)
 			interrupted = true

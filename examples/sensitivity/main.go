@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 	// parameters yield and watch the loop relax T_click, α, k₁/k₂.
 	strict := base
 	strict.TClick = 18
-	fr, err := core.DetectWithFeedback(ds.Graph, strict, ds.Truth.NumAbnormal(), 8)
+	fr, err := core.DetectWithFeedbackContext(context.Background(), ds.Graph, strict, ds.Truth.NumAbnormal(), 8, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

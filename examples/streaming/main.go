@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,6 +20,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	ds := synth.MustGenerate(synth.SmallConfig())
 
@@ -43,7 +45,7 @@ func main() {
 	}
 
 	// Initial sweep over clean traffic (full detection).
-	res, err := det.Detect()
+	res, err := det.SweepContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 		det.AddBatch(attack[lo:hi])
 
 		t0 := time.Now()
-		res, err := det.Detect()
+		res, err := det.SweepContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,7 +76,7 @@ func main() {
 
 	// Compare the final incremental state against a from-scratch batch run.
 	t0 := time.Now()
-	full, err := det.FullDetect()
+	full, err := det.FullDetectContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -120,50 +120,24 @@ type Config struct {
 	// (component shard pool, square-pruning rounds, screening); 0 uses
 	// GOMAXPROCS.
 	Workers int
-	// Serial disables the component-sharded parallel orchestration and
-	// runs the monolithic single-goroutine reference pipeline instead.
-	// Output is identical either way (the sharded path is validated
-	// against the serial one group-for-group and score-for-score); Serial
-	// exists as the oracle switch for that validation and for debugging.
-	Serial bool
-	// NoFrontier disables the dirty-frontier incremental square pruning
-	// and makes every fixpoint round rescan all live vertices. Output is
-	// identical either way (the frontier loop is validated against the
-	// rescan loop byte-for-byte); NoFrontier exists as the oracle switch
-	// for that validation and for debugging, mirroring Serial.
-	NoFrontier bool
-	// NoDelta makes a StreamDetector rebuild its sweep graph from the full
-	// click history on every sweep instead of patching only the clicks since
-	// the last build onto the previous graph. Output is byte-identical
-	// either way (the patch path is validated against the rebuild path
-	// graph-for-graph and group-for-group); NoDelta exists as the oracle
-	// switch for that validation, mirroring Serial and NoFrontier. Batch
-	// Detect ignores it.
-	NoDelta bool
 	// CompactFraction tunes a StreamDetector's delta-maintenance compaction
 	// policy: once the raw clicks pending since the last compaction exceed
 	// this fraction of the aggregated base table, the next graph build folds
 	// them in with a full rebuild instead of patching. 0 means the default
-	// (0.5); ignored under NoDelta. Batch Detect ignores it.
+	// (0.5). Batch Detect ignores it.
 	CompactFraction float64
-	// NoCache disables the cross-sweep component verdict cache: every
-	// sweep re-prunes, re-extracts and re-screens every component live.
-	// Output is identical either way (the cached path is validated against
-	// the cache-free one group-for-group and epoch-for-epoch); NoCache
-	// exists as the oracle switch for that validation, mirroring Serial,
-	// NoFrontier and NoDelta.
-	NoCache bool
-	// CacheBytes bounds the verdict cache's memory (0 = 32 MiB). Entries
-	// beyond the bound are evicted oldest-sweep-first.
+	// CacheBytes bounds a StreamDetector's cross-sweep component verdict
+	// cache (0 = 32 MiB). Entries beyond the bound are evicted
+	// oldest-sweep-first. Batch Detect ignores it (see Cache).
 	CacheBytes int64
 	// Cache, when non-nil, is a verdict cache shared across batch
 	// Detect/DetectContext calls (construct with NewVerdictCache): repeated
 	// detections over a slowly changing graph — the resweep loop of
 	// cmd/serve — skip every component whose subgraph is unchanged since
-	// the previous run. A StreamDetector ignores it and owns a private
-	// cache instead (disable with NoCache, bound with CacheBytes). Ignored
-	// when NoCache is set or Audit is attached (the audit trail needs the
-	// full decision replay).
+	// the previous run. Output is identical with or without it. A
+	// StreamDetector ignores it and owns a private cache instead (bound with
+	// CacheBytes). Bypassed when Audit is attached (the audit trail needs
+	// the full decision replay).
 	Cache *VerdictCache
 	// Observer, when non-nil, receives the run's stage trace (per-phase
 	// spans mirroring the paper's Fig 8b split) and pipeline metrics; the
@@ -507,11 +481,7 @@ func resolveParams(bg *bipartite.Graph, cfg Config) (core.Params, error) {
 	params.K1, params.K2 = cfg.K1, cfg.K2
 	params.Alpha = cfg.Alpha
 	params.Workers = cfg.Workers
-	params.NoShard = cfg.Serial
-	params.NoFrontier = cfg.NoFrontier
-	if cfg.Cache != nil && !cfg.NoCache {
-		params.Cache = cfg.Cache
-	}
+	params.Cache = cfg.Cache
 	if cfg.THot != 0 || cfg.TClick != 0 {
 		params.THot = cfg.THot
 		params.TClick = cfg.TClick

@@ -1,6 +1,8 @@
 package lpa
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -86,5 +88,107 @@ func TestLPADetectorInterface(t *testing.T) {
 	var _ detect.Detector = (*Detector)(nil)
 	if DefaultDetector(1, 1).Name() != "LPA" {
 		t.Error("bad name")
+	}
+}
+
+func TestLPAConvergesOnTwoComponents(t *testing.T) {
+	// Two disjoint 3×3 bicliques must end with exactly two labels.
+	b := bipartite.NewBuilder(6, 6)
+	for blk := 0; blk < 2; blk++ {
+		for u := 0; u < 3; u++ {
+			for v := 0; v < 3; v++ {
+				b.Add(bipartite.NodeID(blk*3+u), bipartite.NodeID(blk*3+v), 2)
+			}
+		}
+	}
+	userLabel, itemLabel := propagate(b.Build(), 10)
+	blockLabels := func(lo, hi int) map[uint32]bool {
+		set := map[uint32]bool{}
+		for i := lo; i < hi; i++ {
+			set[userLabel[i]] = true
+			set[itemLabel[i]] = true
+		}
+		return set
+	}
+	blkA, blkB := blockLabels(0, 3), blockLabels(3, 6)
+	if len(blkA) != 1 || len(blkB) != 1 {
+		t.Fatalf("blocks not label-uniform: %v %v", blkA, blkB)
+	}
+	for l := range blkA {
+		if blkB[l] {
+			t.Error("disconnected blocks share a label")
+		}
+	}
+}
+
+// partitionDigest hashes a detection's groups — count, order, members.
+func partitionDigest(groups []detect.Group) uint64 {
+	h := fnv.New64a()
+	put := func(ids []bipartite.NodeID) {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], uint32(len(ids)))
+		h.Write(b[:])
+		for _, id := range ids {
+			binary.LittleEndian.PutUint32(b[:], id)
+			h.Write(b[:])
+		}
+	}
+	for _, grp := range groups {
+		put(grp.Users)
+		put(grp.Items)
+	}
+	return h.Sum64()
+}
+
+// TestLPAPartitionPinned pins the partition — same groups, same members,
+// same order — that label propagation produced when it ran as a vertex
+// program on the BSP engine this package used to import; the digests were
+// recorded from that implementation.
+func TestLPAPartitionPinned(t *testing.T) {
+	workloads := append([]synth.Config{synth.SmallConfig(), synth.DefaultConfig()}, synth.EquivCorpus()...)
+	pinned := []struct {
+		groups int
+		digest uint64
+	}{
+		{4, 0x5a7b5d9b9b07a0b6},
+		{9, 0xb2b110c15936d301},
+		{4, 0xe7a502dec7fb07c8},
+		{5, 0x5af33854e22eb0e7},
+		{3, 0x81c313efbb3b86f},
+		{4, 0x7a9af102ef6dadcf},
+		{5, 0x6d24e1c414f56988},
+		{3, 0x90439cc4b30dc396},
+		{4, 0xe7ed9b7ad5fdb26f},
+		{5, 0x45fc2703844353c3},
+		{3, 0x213d66d835da8df7},
+		{4, 0xbad6990f8ecb48dd},
+		{5, 0x23a87b86eed3059d},
+		{6, 0x81b3e22b913d9753},
+		{3, 0x9243c2f77a3a34d0},
+		{4, 0x72a031893b991fe},
+		{5, 0x548dd95b8fde1339},
+		{6, 0x310a960eb54e1863},
+		{3, 0x672e12c1e7f3cbc9},
+		{4, 0x549edcd6243c3561},
+		{5, 0x168c936b8f8e4bef},
+		{6, 0x901c1a3c1513f5c2},
+	}
+	if len(pinned) != len(workloads) {
+		t.Fatalf("%d pinned partitions for %d workloads", len(pinned), len(workloads))
+	}
+	total := 0
+	for i, cfg := range workloads {
+		res, err := DefaultDetector(10, 10).Detect(synth.MustGenerate(cfg).Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := partitionDigest(res.Groups); len(res.Groups) != pinned[i].groups || got != pinned[i].digest {
+			t.Errorf("workload %d: %d groups, digest %#x; pinned %d groups, digest %#x",
+				i, len(res.Groups), got, pinned[i].groups, pinned[i].digest)
+		}
+		total += len(res.Groups)
+	}
+	if total == 0 {
+		t.Fatal("no workload produced a group; the pin is vacuous")
 	}
 }

@@ -6,6 +6,7 @@
 package baselines
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/bipartite"
@@ -39,7 +40,8 @@ func (s *Screened) Detect(g *bipartite.Graph) (*detect.Result, error) {
 	detectDone := time.Now()
 
 	hot := core.ComputeHotSet(g, s.Params.THot)
-	groups := core.ScreenGroups(g, inner.Groups, hot, s.Params)
+	// The background context never ends, so the error is always nil.
+	groups, _ := core.ScreenGroupsCtx(context.Background(), g, inner.Groups, hot, s.Params, nil, nil)
 
 	res := &detect.Result{Groups: groups}
 	res.DetectElapsed = detectDone.Sub(start)

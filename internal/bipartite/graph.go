@@ -248,8 +248,8 @@ func (g *Graph) SetRemovalObserver(o RemovalObserver) (prev RemovalObserver) {
 // RemovalEpoch returns the total number of vertex removals ever applied to
 // this graph (no-op removals of already-dead vertices do not count). Clones
 // inherit the epoch of their source, so two graphs that underwent the same
-// removal sequence — e.g. the sharded and serial prune paths — report the
-// same epoch.
+// removals — e.g. under sharded pruning and under the monolithic reference
+// it is tested against — report the same epoch.
 func (g *Graph) RemovalEpoch() uint64 { return g.removals }
 
 // RemoveUser deletes user u and its incident edges. Removing an already-dead

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -50,6 +51,48 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 			t.Fatalf("item %d adjacency diverges:\n got %v\nwant %v", v, got.ItemNeighbors(id), want.ItemNeighbors(id))
 		}
 	}
+}
+
+// BuildSerial is the reference implementation of Build — sort every record
+// by (user, item), merge neighbours, append arc by arc — the oracle the
+// counting build is tested against.
+func (b *Builder) BuildSerial() *Graph {
+	// Sort by (U, V) so duplicates are adjacent and adjacency ends up sorted.
+	sort.Slice(b.edges, func(i, j int) bool {
+		if b.edges[i].U != b.edges[j].U {
+			return b.edges[i].U < b.edges[j].U
+		}
+		return b.edges[i].V < b.edges[j].V
+	})
+
+	g := NewGraph(b.numUsers, b.numItems)
+	var merged []Edge
+	for i := 0; i < len(b.edges); {
+		e := b.edges[i]
+		j := i + 1
+		for j < len(b.edges) && b.edges[j].U == e.U && b.edges[j].V == e.V {
+			e.Weight = satAdd32(e.Weight, b.edges[j].Weight)
+			j++
+		}
+		merged = append(merged, e)
+		i = j
+	}
+
+	for _, e := range merged {
+		g.uAdj[e.U] = append(g.uAdj[e.U], Arc{To: e.V, Weight: e.Weight})
+		g.uDeg[e.U]++
+		g.uStrength[e.U] += uint64(e.Weight)
+		g.vDeg[e.V]++
+		g.vStrength[e.V] += uint64(e.Weight)
+		g.liveEdges++
+		g.liveClick += uint64(e.Weight)
+	}
+	// Item adjacency: bucket by item, already in user order because merged
+	// is sorted by (U, V).
+	for _, e := range merged {
+		g.vAdj[e.V] = append(g.vAdj[e.V], Arc{To: e.U, Weight: e.Weight})
+	}
+	return g
 }
 
 // TestBuildMatchesSerial pins the counting build against the sort-everything

@@ -13,11 +13,10 @@ import (
 // check and zero allocations when auditing is off — the same contract as
 // the nil observer.
 //
-// Sharded pruning runs on compacted component graphs whose vertex IDs are
+// Square pruning runs on compacted component graphs whose vertex IDs are
 // local (bipartite.CompactComponent); forShard derives a translating
 // auditor from the shard's local→original maps, so every emitted event
-// carries IDs in the original graph's namespace regardless of which path
-// produced it.
+// carries IDs in the original graph's namespace.
 type auditor struct {
 	sink   *obs.EventSink
 	shard  int                // 1-based shard index, 0 outside shards
@@ -113,23 +112,6 @@ func (a *auditor) squareRemovals(side bipartite.Side, victims []bipartite.NodeID
 			Stat:   stat,
 		})
 	}
-}
-
-// squareRemoval is the single-vertex form used by the literal single-pass
-// mode's immediate removals.
-func (a *auditor) squareRemoval(side bipartite.Side, id bipartite.NodeID, round, need, k int) {
-	if a == nil {
-		return
-	}
-	a.sink.Emit(obs.Event{
-		Type:   obs.EventPruneRemove,
-		Side:   side.String(),
-		ID:     uint32(a.translate(side, id)),
-		Round:  round,
-		Shard:  a.shard,
-		Reason: "square.neighbors",
-		Stat:   fmt.Sprintf("ak_neighbors<%d need=%d", k, need),
-	})
 }
 
 // shardDone marks one component shard's pruning boundary.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bipartite"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/synth"
@@ -148,26 +149,36 @@ func removalSet(events []obs.Event) map[string]bool {
 	return set
 }
 
-// TestAuditSerialShardedEquivalence checks that the audit trail names the
-// same removed vertices whether pruning runs serially or component-sharded
-// with translated shard-local IDs — the observable counterpart of the
-// shard-equivalence harness.
+// TestAuditSerialShardedEquivalence checks that the audit trail of the
+// component-sharded pruning, with its translated shard-local IDs, names
+// exactly the vertices the monolithic reference removes — the observable
+// counterpart of the shard-equivalence harness.
 func TestAuditSerialShardedEquivalence(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
 
-	run := func(mutate func(*Params)) map[string]bool {
-		p := smallParams()
-		mutate(&p)
-		o, buf := auditedObserver("test")
-		d := &Detector{Params: p, Obs: o}
-		if _, err := d.Detect(ds.Graph); err != nil {
-			t.Fatal(err)
+	pruned := ds.Graph.Clone()
+	refPrune(pruned, smallParams())
+	serial := make(map[string]bool)
+	ds.Graph.EachLiveUser(func(u bipartite.NodeID) bool {
+		if !pruned.UserAlive(u) {
+			serial[fmt.Sprintf("%s/%d", bipartite.UserSide, u)] = true
 		}
-		return removalSet(parseAudit(t, buf))
-	}
+		return true
+	})
+	ds.Graph.EachLiveItem(func(v bipartite.NodeID) bool {
+		if !pruned.ItemAlive(v) {
+			serial[fmt.Sprintf("%s/%d", bipartite.ItemSide, v)] = true
+		}
+		return true
+	})
 
-	serial := run(func(p *Params) { p.NoShard = true; p.NoFrontier = true; p.Workers = 1 })
-	sharded := run(func(p *Params) { p.Workers = 4 })
+	p := smallParams()
+	p.Workers = 4
+	o, buf := auditedObserver("test")
+	if _, err := (&Detector{Params: p, Obs: o}).Detect(ds.Graph); err != nil {
+		t.Fatal(err)
+	}
+	sharded := removalSet(parseAudit(t, buf))
 
 	if len(serial) == 0 {
 		t.Fatal("serial run pruned nothing; equivalence is vacuous")
@@ -190,7 +201,7 @@ func TestAuditFeedbackWiden(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
 	o, buf := auditedObserver("test")
 	// An unreachable expectation guarantees at least one relaxation.
-	fr, err := DetectWithFeedbackObserved(ds.Graph, smallParams(), ds.Graph.LiveUsers()*2, 4, o)
+	fr, err := DetectWithFeedbackContext(context.Background(), ds.Graph, smallParams(), ds.Graph.LiveUsers()*2, 4, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/synth"
 )
 
@@ -18,7 +19,7 @@ func BenchmarkPruneSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := ds.Graph.Clone()
-		Prune(g, p)
+		prune(g, p)
 	}
 }
 
@@ -44,15 +45,14 @@ func BenchmarkScreenGroupsSmall(b *testing.B) {
 	hot := ComputeHotSet(ds.Graph, p.THot)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScreenGroups(ds.Graph, res.Groups, hot, p)
+		screenGroups(ds.Graph, res.Groups, hot, p)
 	}
 }
 
 // BenchmarkSquareRoundCounterReuse isolates the counter-pooling win: a
 // square round over a stable biclique (no victims, so no output growth)
 // with a warm pool allocates zero counter state — before pooling, every
-// round built a fresh graph-sized commonCounter per worker. The alloc
-// report pins the steady-state claim of BENCH_frontier.json: the one
+// round built a fresh graph-sized commonCounter per worker. The one
 // residual alloc (112 B) is the predicate closure, not counter state.
 func BenchmarkSquareRoundCounterReuse(b *testing.B) {
 	g := plantedGraph(40, 40, 3, 0, 0, 0, 1)
@@ -71,24 +71,43 @@ func BenchmarkSquareRoundCounterReuse(b *testing.B) {
 	}
 }
 
+// benchPrune times one form of Algorithm 3 on fresh clones of base.
+func benchPrune(base *bipartite.Graph, p Params, pruneFn func(*bipartite.Graph, Params) PruneStats) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pruneFn(base.Clone(), p)
+		}
+	}
+}
+
 // BenchmarkPruneLadderFrontier compares the dirty-frontier fixpoint with
-// the full-rescan loop on the rounds-heavy ladder (~ layers/2 rounds of
+// the full-rescan reference on the rounds-heavy ladder (~ layers/2 rounds of
 // small removals, the regime the frontier is built for).
 func BenchmarkPruneLadderFrontier(b *testing.B) {
 	base := synth.LadderGraph(120, 6, 6)
 	k1, k2, alpha := synth.LadderParams(6, 6)
-	run := func(b *testing.B, noFrontier bool) {
-		p := params(k1, k2, alpha)
-		p.NoFrontier = noFrontier
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g := base.Clone()
-			Prune(g, p)
-		}
+	b.Run("frontier", benchPrune(base, params(k1, k2, alpha), prune))
+	b.Run("rescan", benchPrune(base, params(k1, k2, alpha), refPrune))
+}
+
+// BenchmarkPruningAblation compares the literal single-pass Algorithm 3
+// against the fixpoint iteration the reproduction runs.
+func BenchmarkPruningAblation(b *testing.B) {
+	ds := synth.MustGenerate(synth.DefaultConfig())
+	b.Run("fixpoint", benchPrune(ds.Graph, DefaultParams(), prune))
+	b.Run("single-pass", benchPrune(ds.Graph, DefaultParams(), refPruneSinglePass))
+}
+
+// BenchmarkDetectReference times the reference model end to end, the
+// baseline for the root package's BenchmarkDetectSharded worker sweep.
+func BenchmarkDetectReference(b *testing.B) {
+	ds := synth.MustGenerate(synth.DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refDetect(ds.Graph, DefaultParams())
 	}
-	b.Run("frontier", func(b *testing.B) { run(b, false) })
-	b.Run("rescan", func(b *testing.B) { run(b, true) })
 }
 
 func BenchmarkNaiveSmall(b *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -187,78 +188,93 @@ func sameResults(t *testing.T, label string, want, got *detect.Result) {
 	}
 }
 
-// TestCachedDetectionMatchesOracle is the batch-path sanity check (the full
-// harness is internal/stream's cache-equivalence suite): cold run, warm run
-// and poisoned-cache run over the same graph all reproduce the uncached
-// oracle exactly, the warm run is all hits, and the obs counters agree with
-// the cache's own stats.
+// TestCachedDetectionMatchesOracle pins cached ≡ cache-free detection across
+// the equivalence corpus: with Params.Cache set the screening passes run per
+// component inside the shards, with Cache nil one global ScreenGroupsCtx
+// screens all candidates, and the two must agree exactly. Per workload, a
+// cold run, a warm run and a poisoned-cache run over the same graph all
+// reproduce the uncached oracle, the warm run is all hits, and the obs
+// counters agree with the cache's own stats.
 func TestCachedDetectionMatchesOracle(t *testing.T) {
 	defer faultinject.Reset()
-	ds := synth.MustGenerate(synth.SmallConfig())
-	oracle, err := (&Detector{Params: smallParams()}).Detect(ds.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oracle.Groups) == 0 {
-		t.Fatal("oracle found no groups; the test would be vacuous")
-	}
-
-	cache := NewVerdictCache(0)
-	p := smallParams()
-	p.Cache = cache
-	o := obs.NewObserver("core")
-	det := &Detector{Params: p, Obs: o}
-
-	cold, err := det.Detect(ds.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "cold", oracle, cold)
-	afterCold := cache.Stats()
-	if afterCold.Misses == 0 || afterCold.Entries == 0 {
-		t.Fatalf("cold run consulted no components: %+v", afterCold)
-	}
-
-	warm, err := det.Detect(ds.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "warm", oracle, warm)
-	afterWarm := cache.Stats()
-	if afterWarm.Hits == 0 {
-		t.Error("warm run over an identical graph replayed nothing")
-	}
-	if afterWarm.Misses != afterCold.Misses {
-		t.Errorf("warm run missed %d components; every fingerprint should have hit",
-			afterWarm.Misses-afterCold.Misses)
-	}
-
-	// Poisoned lookups (fault site core.cache) fall back to live detection:
-	// verdicts cannot depend on cache health.
-	faultinject.Arm("core.cache", faultinject.Fault{Err: errors.New("poisoned lookup")})
-	faulty, err := det.Detect(ds.Graph)
-	faultinject.Reset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "poisoned", oracle, faulty)
-	st := cache.Stats()
-	if st.Faults == 0 {
-		t.Error("poisoned run recorded no cache faults")
-	}
-
-	// The obs counters are fed from the same merge loop that aggregates the
-	// shard results; they must agree with the cache's lifetime stats.
-	counters := o.Metrics.Counters()
-	for counter, want := range map[string]int64{
-		"core.cache.hit":   st.Hits,
-		"core.cache.miss":  st.Misses,
-		"core.cache.evict": st.Evictions,
-		"core.cache.fault": st.Faults,
-	} {
-		if got := counters[counter]; got != want {
-			t.Errorf("%s = %d, cache stats say %d", counter, got, want)
+	var groups int
+	var total CacheStats
+	for i, cfg := range equivCorpus() {
+		ds := synth.MustGenerate(cfg)
+		label := func(run string) string { return fmt.Sprintf("workload %d %s", i, run) }
+		oracle, err := (&Detector{Params: equivParams(i, cfg)}).Detect(ds.Graph)
+		if err != nil {
+			t.Fatal(err)
 		}
+		groups += len(oracle.Groups)
+
+		cache := NewVerdictCache(0)
+		p := equivParams(i, cfg)
+		p.Cache = cache
+		o := obs.NewObserver("core")
+		det := &Detector{Params: p, Obs: o}
+
+		cold, err := det.Detect(ds.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, label("cold"), oracle, cold)
+		afterCold := cache.Stats()
+		if afterCold.Hits != 0 {
+			t.Errorf("%s: %d hits on an empty cache", label("cold"), afterCold.Hits)
+		}
+
+		warm, err := det.Detect(ds.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, label("warm"), oracle, warm)
+		afterWarm := cache.Stats()
+		if afterWarm.Hits != afterCold.Misses {
+			t.Errorf("%s: %d hits after %d cold misses; every component should have replayed",
+				label("warm"), afterWarm.Hits, afterCold.Misses)
+		}
+		if afterWarm.Misses != afterCold.Misses {
+			t.Errorf("%s: missed %d components; every fingerprint should have hit",
+				label("warm"), afterWarm.Misses-afterCold.Misses)
+		}
+
+		// Poisoned lookups (fault site core.cache) fall back to live
+		// detection: verdicts cannot depend on cache health.
+		faultinject.Arm("core.cache", faultinject.Fault{Err: errors.New("poisoned lookup")})
+		faulty, err := det.Detect(ds.Graph)
+		faultinject.Reset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, label("poisoned"), oracle, faulty)
+		st := cache.Stats()
+		if st.Faults != afterCold.Misses {
+			t.Errorf("%s: %d cache faults over %d components", label("poisoned"), st.Faults, afterCold.Misses)
+		}
+
+		// The obs counters are fed from the same merge loop that aggregates
+		// the shard results; they must agree with the cache's lifetime stats.
+		counters := o.Metrics.Counters()
+		for counter, want := range map[string]int64{
+			"core.cache.hit":   st.Hits,
+			"core.cache.miss":  st.Misses,
+			"core.cache.evict": st.Evictions,
+			"core.cache.fault": st.Faults,
+		} {
+			if got := counters[counter]; got != want {
+				t.Errorf("workload %d: %s = %d, cache stats say %d", i, counter, got, want)
+			}
+		}
+		total.Hits += st.Hits
+		total.Misses += st.Misses
+		total.Faults += st.Faults
+	}
+	if groups == 0 {
+		t.Fatal("the oracle found no groups anywhere; the test would be vacuous")
+	}
+	if total.Misses == 0 || total.Hits == 0 || total.Faults == 0 {
+		t.Fatalf("the corpus never exercised the cache: %+v", total)
 	}
 }
 

@@ -126,28 +126,22 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 	return sub
 }
 
-// NearBicliqueExtract runs Algorithm 3 on work (mutating it) and returns the
-// surviving candidate groups.
-func NearBicliqueExtract(work *bipartite.Graph, p Params) []detect.Group {
-	return NearBicliqueExtractObserved(work, p, nil, nil)
-}
-
-// NearBicliqueExtractObserved is NearBicliqueExtract with observability:
-// pruning rounds and the component split become child spans of sp, and
-// removal/group counts feed o's registry under core.prune.* and
-// core.extract.*. Nil sp/o observe nothing.
-func NearBicliqueExtractObserved(work *bipartite.Graph, p Params, sp *obs.Span, o *obs.Observer) []detect.Group {
-	groups, _ := NearBicliqueExtractCtx(context.Background(), work, p, sp, o)
-	return groups
-}
-
-// NearBicliqueExtractCtx is NearBicliqueExtractObserved with cooperative
-// cancellation: pruning checks ctx every round, and the component split is
-// guarded by the "core.extract" checkpoint. A cancelled call returns no
-// groups (a half-pruned residual would report organic users as attackers)
-// together with ctx's error. With p.Cache set on the sharded path the
-// component verdict cache serves unchanged components in raw (unscreened)
-// mode; output is identical either way.
+// NearBicliqueExtractCtx runs Algorithm 3 on work (mutating it) and returns
+// the surviving candidate groups: the connected components of the pruned
+// residual that satisfy the size bounds |L| ≥ k₁, |R| ≥ k₂ of Definition 3
+// (this is also the explicit group-size control of desired property (4b):
+// components too small to be a coordinated attack — e.g. group-buying
+// clusters around a single item — are discarded). Pruning rounds and the
+// component split become child spans of sp, and removal/group counts feed
+// o's registry under core.prune.* and core.extract.*; nil sp/o observe
+// nothing.
+//
+// Cancellation is cooperative: pruning checks ctx every round, and the
+// component split is guarded by the "core.extract" checkpoint. A cancelled
+// call returns no groups (a half-pruned residual would report organic users
+// as attackers) together with ctx's error. With p.Cache set the component
+// verdict cache serves unchanged components in raw (unscreened) mode; output
+// is identical either way.
 func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
 	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
@@ -156,30 +150,22 @@ func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params
 }
 
 // NearBicliqueExtractCachedCtx is NearBicliqueExtractCtx plus the cached
-// screening path: with p.Cache set, the sharded orchestration active and
-// hot non-nil (the marketplace-wide HotSet of the input graph), the
-// VariantFull screening passes run per component inside the shards, so
-// cache hits skip screening as well as pruning and extraction. It returns
-// the raw candidates plus, when per-shard screening actually ran
-// (screenedOK), the fully screened groups — byte-identical to running
-// ScreenGroupsCtx over the raw candidates. screenedOK is false whenever the
-// cache was bypassed (serial path, no cache, or an audit sink demanding the
-// full decision trail); callers must then screen raw globally as usual.
+// screening path: with p.Cache set and hot non-nil (the marketplace-wide
+// HotSet of the input graph), the VariantFull screening passes run per
+// component inside the shards, so cache hits skip screening as well as
+// pruning and extraction. It returns the raw candidates plus, when per-shard
+// screening actually ran (screenedOK), the fully screened groups —
+// byte-identical to running ScreenGroupsCtx over the raw candidates.
+// screenedOK is false whenever the cache was bypassed (no cache, or an audit
+// sink demanding the full decision trail); callers must then screen raw
+// globally as usual.
 func NearBicliqueExtractCachedCtx(ctx context.Context, work *bipartite.Graph, hot *HotSet,
 	p Params, sp *obs.Span, o *obs.Observer) (raw, screened []detect.Group, screenedOK bool, err error) {
 
-	sharded := p.sharded()
+	// The sharded orchestration prunes and extracts per component in one
+	// pass, so the groups come back already merged in canonical order.
 	psp := sp.Start("prune")
-	var st PruneStats
-	var outc extractOutcome
-	if sharded {
-		// The sharded orchestration prunes and extracts per component in
-		// one pass, so the groups come back already merged in serial order.
-		psp.Set("mode", "sharded")
-		st, outc, err = shardedPruneExtract(ctx, work, p, psp, o, shardOptions{collect: true, hot: hot})
-	} else {
-		st, err = pruneCtxObserved(ctx, work, p, psp, o)
-	}
+	st, outc, err := shardedPruneExtract(ctx, work, p, psp, o, shardOptions{collect: true, hot: hot})
 	psp.SetInt("rounds", int64(st.Rounds))
 	psp.SetInt("users_removed", int64(st.UsersRemoved))
 	psp.SetInt("items_removed", int64(st.ItemsRemoved))
@@ -197,14 +183,10 @@ func NearBicliqueExtractCachedCtx(ctx context.Context, work *bipartite.Graph, ho
 		return nil, nil, false, err
 	}
 	esp := sp.Start("extract")
-	raw = outc.raw
-	if !sharded {
-		raw = ExtractGroups(work, p)
-	}
-	esp.SetInt("groups", int64(len(raw)))
+	esp.SetInt("groups", int64(len(outc.raw)))
 	esp.SetInt("survivor_users", int64(work.LiveUsers()))
 	esp.SetInt("survivor_items", int64(work.LiveItems()))
 	esp.End()
-	o.Counter("core.extract.groups").Add(int64(len(raw)))
-	return raw, outc.screened, outc.screenedOK, nil
+	o.Counter("core.extract.groups").Add(int64(len(outc.raw)))
+	return outc.raw, outc.screened, outc.screenedOK, nil
 }

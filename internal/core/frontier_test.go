@@ -7,30 +7,28 @@ import (
 	"testing/quick"
 
 	"repro/internal/bipartite"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
 // TestPropertyFrontierMatchesRescanOracle is the frontier-vs-oracle
-// testing/quick property: on random graphs, the dirty-frontier fixpoint
-// (the default) must leave exactly the residual, stats (Rounds included),
-// and removal epoch of the full-rescan reference loop. Both run NoShard so
-// the property isolates the frontier from the sharding equivalence, which
-// has its own harness.
+// testing/quick property: on random graphs, the dirty-frontier fixpoint must
+// leave exactly the residual, stats (Rounds included), and removal epoch of
+// the full-rescan reference loop. The frontier runs over the whole graph —
+// what a one-component residual runs inside its shard — so the property
+// isolates the frontier from the sharding equivalence, which has its own
+// harness.
 func TestPropertyFrontierMatchesRescanOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		g1 := randomPruneGraph(seed)
 		g2 := g1.Clone()
 
-		rescan := params(6, 6, 0.8)
-		rescan.NoShard = true
-		rescan.NoFrontier = true
-		front := params(6, 6, 0.8)
-		front.NoShard = true
-
-		stR := Prune(g1, rescan)
-		stF := Prune(g2, front)
+		stR := refPrune(g1, params(6, 6, 0.8))
+		stF, err := newFrontier(g2).prune(context.Background(), params(6, 6, 0.8), nil, nil, nil)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
 		if stR != stF {
 			t.Logf("seed %d: frontier stats %+v, rescan %+v", seed, stF, stR)
 			return false
@@ -82,8 +80,8 @@ func ladderWithBiclique(layers, m, k, n int) (*bipartite.Graph, int, int) {
 // TestFrontierSkipsVerticesFarFromRemovals pins the point of the frontier:
 // a vertex more than two hops from every removal is never re-evaluated.
 // The ladder component needs several rounds of removals; the disjoint
-// biclique must be square-evaluated exactly once (round 1), where the
-// rescan loop re-evaluates it every round.
+// biclique must be square-evaluated exactly once (round 1), where a full
+// rescan re-evaluates it every round.
 func TestFrontierSkipsVerticesFarFromRemovals(t *testing.T) {
 	const layers, m, k = 8, 6, 6
 	k1, k2, alpha := synth.LadderParams(m, k)
@@ -93,21 +91,20 @@ func TestFrontierSkipsVerticesFarFromRemovals(t *testing.T) {
 		side bipartite.Side
 		id   bipartite.NodeID
 	}
-	countEvals := func(p Params) (PruneStats, map[key]int, *bipartite.Graph) {
-		g, _, _ := ladderWithBiclique(layers, m, k, n)
-		evals := map[key]int{}
-		testSquareEvalHook = func(side bipartite.Side, id bipartite.NodeID) {
-			evals[key{side, id}]++
-		}
-		defer func() { testSquareEvalHook = nil }()
-		st := Prune(g, p)
-		return st, evals, g
-	}
-
 	p := params(k1, k2, alpha)
-	p.NoShard = true
 	p.Workers = 1 // the eval hook is not synchronized
-	st, evals, g := countEvals(p)
+	g, _, _ := ladderWithBiclique(layers, m, k, n)
+	evals := map[key]int{}
+	testSquareEvalHook = func(side bipartite.Side, id bipartite.NodeID) {
+		evals[key{side, id}]++
+	}
+	defer func() { testSquareEvalHook = nil }()
+	// One frontier over the whole graph: sharding would put the biclique in
+	// a component of its own, where nothing is ever removed.
+	st, err := newFrontier(g).prune(context.Background(), p, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if st.Rounds < 3 {
 		t.Fatalf("ladder fixpoint took %d rounds, want ≥ 3 (workload is not rounds-heavy)", st.Rounds)
@@ -128,16 +125,12 @@ func TestFrontierSkipsVerticesFarFromRemovals(t *testing.T) {
 		}
 	}
 
-	// Non-vacuity: the rescan loop re-evaluates the same far vertices every
-	// round, so the frontier's exactly-once count is a real saving.
-	pr := p
-	pr.NoFrontier = true
-	stR, evalsR, _ := countEvals(pr)
-	if stR != st {
+	// Non-vacuity: the full-rescan reference, which evaluates every live
+	// vertex in each of its rounds, takes the same rounds to the same
+	// fixpoint, so the frontier's exactly-once count is a real saving.
+	gR, _, _ := ladderWithBiclique(layers, m, k, n)
+	if stR := refPrune(gR, p); stR != st {
 		t.Fatalf("rescan stats %+v diverge from frontier %+v", stR, st)
-	}
-	if c := evalsR[key{bipartite.UserSide, bipartite.NodeID(uOff)}]; c != st.Rounds {
-		t.Errorf("rescan evaluated far user %d times, want once per round (%d)", c, st.Rounds)
 	}
 }
 
@@ -154,45 +147,5 @@ func TestFrontierMetricsRecorded(t *testing.T) {
 	}
 	if v := o.Counter("core.frontier.evaluated").Value(); v == 0 {
 		t.Error("core.frontier.evaluated counter never incremented")
-	}
-}
-
-// TestSinglePassItemScanCancellation pins the per-scan reset of the literal
-// pass's ctx-poll counter. The cycle graph u_i—v_i—u_{i+1} keeps every
-// vertex at degree 2 (core-safe for k₁=k₂=2, α=1) but gives no vertex a
-// second (α,k)-neighbor, so the sequential user scan removes all n users
-// one by one, and the item scan then finds every item dead-ended. A cancel
-// armed at the item scan's start ("core.prune.single_pass.items") is first
-// noticed at the scan's own 256th poll point: exactly 255 items removed.
-// Before the reset, the counter carried the user scan's n evaluations and
-// the cut drifted to a cadence-dependent value (111 for n=400).
-func TestSinglePassItemScanCancellation(t *testing.T) {
-	defer faultinject.Reset()
-	const n = 400
-	b := bipartite.NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		b.Add(bipartite.NodeID(i), bipartite.NodeID(i), 1)
-		b.Add(bipartite.NodeID((i+1)%n), bipartite.NodeID(i), 1)
-	}
-	g := b.Build()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Arm("core.prune.single_pass.items", faultinject.Fault{Do: cancel, Times: 1})
-
-	p := params(2, 2, 1.0)
-	p.SinglePass = true
-	st, err := PruneCtx(ctx, g, p, nil)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if faultinject.HitCount("core.prune.single_pass.items") == 0 {
-		t.Fatal("item-scan site never fired")
-	}
-	if st.UsersRemoved != n {
-		t.Errorf("users removed = %d, want %d (user scan must complete before the cancel)", st.UsersRemoved, n)
-	}
-	if st.ItemsRemoved != 255 {
-		t.Errorf("items removed = %d, want 255 (first poll of a freshly reset scan counter)", st.ItemsRemoved)
 	}
 }

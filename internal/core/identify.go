@@ -116,30 +116,19 @@ type FeedbackResult struct {
 	MetExpectation bool
 }
 
-// DetectWithFeedback runs the RICD detector, and while the number of output
-// nodes falls short of the end-user's expectation, relaxes the parameters
-// the way Section V-B describes (decrease T_click first — it is the most
-// interpretable knob — then α, then the size bounds k₁/k₂) and retries, up
-// to maxIters runs. Relaxation increases recall at the cost of precision.
-func DetectWithFeedback(g *bipartite.Graph, p Params, expectation, maxIters int) (FeedbackResult, error) {
-	return DetectWithFeedbackObserved(g, p, expectation, maxIters, nil)
-}
-
-// DetectWithFeedbackObserved is DetectWithFeedback with observability:
-// every inner detection run records its own ricd.detect span under o's
-// trace root, and the loop's iteration count feeds the registry. A nil o
+// DetectWithFeedbackContext runs the RICD detector, and while the number of
+// output nodes falls short of the end-user's expectation, relaxes the
+// parameters the way Section V-B describes (decrease T_click first — it is
+// the most interpretable knob — then α, then the size bounds k₁/k₂) and
+// retries, up to maxIters runs. Relaxation increases recall at the cost of
+// precision. Every inner detection run records its own ricd.detect span under
+// o's trace root, and the loop's iteration count feeds the registry; a nil o
 // observes nothing.
-func DetectWithFeedbackObserved(g *bipartite.Graph, p Params, expectation, maxIters int,
-	o *obs.Observer) (FeedbackResult, error) {
-
-	return DetectWithFeedbackContext(context.Background(), g, p, expectation, maxIters, o)
-}
-
-// DetectWithFeedbackContext is DetectWithFeedbackObserved under a context:
-// the budget covers the WHOLE loop, not one run. ctx is checked before
-// every iteration (fault-injection site "core.feedback.round") and inside
-// each detection run. When the budget expires mid-loop the best result so
-// far is returned — the last complete iteration's groups when one
+//
+// The context budget covers the WHOLE loop, not one run. ctx is checked
+// before every iteration (fault-injection site "core.feedback.round") and
+// inside each detection run. When the budget expires mid-loop the best result
+// so far is returned — the last complete iteration's groups when one
 // finished, else the interrupted run's partial output — together with the
 // context's error, so a widened re-run that overruns still yields the
 // narrower sweep's findings. When a complete iteration's output stands in

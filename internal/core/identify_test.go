@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -69,7 +70,7 @@ func TestRankResultEmptyResult(t *testing.T) {
 func TestDetectWithFeedbackMeetsExpectation(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
 	p := smallParams()
-	fr, err := DetectWithFeedback(ds.Graph, p, 10, 5)
+	fr, err := DetectWithFeedbackContext(context.Background(), ds.Graph, p, 10, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestDetectWithFeedbackRelaxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := base.NumNodes() + 5
-	fr, err := DetectWithFeedback(ds.Graph, p, want, 8)
+	fr, err := DetectWithFeedbackContext(context.Background(), ds.Graph, p, want, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestDetectWithFeedbackRelaxes(t *testing.T) {
 func TestDetectWithFeedbackStopsAtFloor(t *testing.T) {
 	// An absurd expectation must terminate once every knob hits its floor.
 	ds := synth.MustGenerate(synth.SmallConfig())
-	fr, err := DetectWithFeedback(ds.Graph, smallParams(), 1<<30, 50)
+	fr, err := DetectWithFeedbackContext(context.Background(), ds.Graph, smallParams(), 1<<30, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,51 +50,28 @@ type Params struct {
 	// (the C³₂ ≫ C³₁ test of Fig 6).
 	DisguiseRatio float64
 
-	// SinglePass, when true, runs Core/Square pruning exactly once each,
-	// as the literal Algorithm 3 pseudocode does, instead of iterating
-	// the two to a fixpoint. The fixpoint is the default because the
-	// guarantees of Lemmas 1–2 only hold at a fixpoint.
-	SinglePass bool
-
 	// Workers bounds the goroutines used by the parallel stages (shard
 	// pool, square-pruning rounds, screening); 0 means GOMAXPROCS.
 	Workers int
 
-	// NoShard disables the component-sharded parallel orchestration of
-	// Algorithm 3 and forces the monolithic serial fixpoint — the reference
-	// ("golden oracle") path the sharded pipeline is validated against in
-	// shardequiv_test.go. Output is identical either way; NoShard trades
-	// speed for the simplest possible execution.
-	NoShard bool
-
-	// NoFrontier disables the dirty-frontier incremental square pruning and
-	// forces every fixpoint round to re-evaluate all live vertices — the
-	// full-rescan reference path the frontier loop is validated against,
-	// mirroring NoShard. Output is identical either way (the frontier
-	// computes the same maximal fixpoint; see DESIGN.md §10); NoFrontier
-	// trades speed for the simplest possible execution. The golden oracle of
-	// the equivalence harness sets NoShard and NoFrontier together.
-	NoFrontier bool
-
-	// Cache, when non-nil, enables the cross-sweep component verdict cache
-	// on the sharded extraction path: compacted components are fingerprinted
-	// after the global core prune and looked up before square-pruning runs,
-	// so components whose CSR, parameters and (in screened mode) hot bits
-	// match a previous sweep replay their cached verdict instead of being
-	// re-detected (DESIGN.md §15). Output is identical with or without the
-	// cache — the fingerprint covers every verdict-affecting input, and the
-	// golden harness pins cached vs cache-free equivalence. The cache is
-	// ignored on the serial (NoShard/SinglePass) path and bypassed whenever
-	// an audit sink is attached (replayed verdicts cannot re-emit the
+	// Cache, when non-nil, is the cross-sweep component verdict cache:
+	// compacted components are fingerprinted after the global core prune and
+	// looked up before square-pruning runs, so components whose CSR,
+	// parameters and (in screened mode) hot bits match a previous sweep
+	// replay their cached verdict instead of being re-detected (DESIGN.md
+	// §15). Output is identical with or without the cache — the fingerprint
+	// covers every verdict-affecting input, and the golden harness pins
+	// cached vs cache-free equivalence. The cache is bypassed whenever an
+	// audit sink is attached (replayed verdicts cannot re-emit the
 	// per-decision audit trail).
 	Cache *VerdictCache
 
 	// CacheTouched is a sorted hint listing the user IDs touched since the
 	// last sweep (the delta's dirty set): components intersecting it are
-	// known-churned, so the sharded path skips hashing and consulting the
-	// cache for them entirely. Purely an optimization — the fingerprint
-	// remains the correctness authority for every component that IS
-	// consulted. Nil means "consult the cache for every component".
+	// known-churned, so the shards skip hashing and consulting the cache for
+	// them entirely. Purely an optimization — the fingerprint remains the
+	// correctness authority for every component that IS consulted. Nil means
+	// "consult the cache for every component".
 	CacheTouched []bipartite.NodeID
 }
 
@@ -138,11 +115,6 @@ func (p Params) workers() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// sharded reports whether the component-sharded orchestration should run.
-// SinglePass requests the literal sequential pseudocode, which is never
-// sharded.
-func (p Params) sharded() bool { return !p.NoShard && !p.SinglePass }
 
 // ceilMul returns ⌈k × α⌉, the common quantity of Definitions 3–4.
 func ceilMul(k int, alpha float64) int {

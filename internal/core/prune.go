@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/bipartite"
-	"repro/internal/detect"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
@@ -19,19 +18,17 @@ import (
 // Both conditions are monotone: removing any vertex can only lower other
 // vertices' live degrees and common-neighbor counts. The set of vertices
 // satisfying both conditions therefore has a unique maximal fixpoint, which
-// the default mode computes by alternating batch rounds (safe to evaluate in
-// parallel because each round inspects a frozen graph and removals are
-// applied between rounds). Params.SinglePass instead performs one sequential
-// pass of each stage with immediate removals, matching the literal
-// pseudocode.
+// is computed by alternating batch rounds (safe to evaluate in parallel
+// because each round inspects a frozen graph and removals are applied between
+// rounds). The guarantees of Lemmas 1–2 only hold at that fixpoint; the
+// paper's literal one-pass pseudocode lives in reference_test.go.
 //
 // Rounds after the first do not rescan the whole graph: a vertex's square
 // verdict depends only on its ≤2-hop live neighborhood, so only vertices
 // within two hops of a removal can change verdict between rounds. The
-// dirty-frontier loop (pruneFixpointFrontier) exploits this by observing
-// every removal and re-evaluating only the marked frontier; see DESIGN.md
-// §10 for the soundness argument. Params.NoFrontier falls back to the
-// full-rescan reference loop the frontier is validated against.
+// dirty-frontier loop (frontier.prune) exploits this by observing every
+// removal and re-evaluating only the marked frontier; see DESIGN.md §10 for
+// the soundness argument.
 
 // PruneStats reports what pruning removed.
 type PruneStats struct {
@@ -40,49 +37,23 @@ type PruneStats struct {
 	Rounds       int
 }
 
-// Prune runs Core + Square pruning on g in place and returns removal
-// statistics. After Prune returns (in fixpoint mode), every surviving user
-// has live degree ≥ ⌈α·k₂⌉ and at least k₁ (α,k₂)-neighbors, and every
-// surviving item has live degree ≥ ⌈α·k₁⌉ and at least k₂ (α,k₁)-neighbors.
-func Prune(g *bipartite.Graph, p Params) PruneStats {
-	return PruneTraced(g, p, nil)
-}
-
-// PruneTraced is Prune with stage tracing: every fixpoint round (or literal
-// pass) becomes a child span of sp carrying its removal counts. A nil sp
-// traces nothing at no cost.
-func PruneTraced(g *bipartite.Graph, p Params, sp *obs.Span) PruneStats {
-	st, _ := PruneCtx(context.Background(), g, p, sp)
-	return st
-}
-
-// PruneCtx is PruneTraced with cooperative cancellation: the fixpoint loop
-// checks ctx at the top of every round (fault-injection site
-// "core.prune.round") and the parallel square-pruning workers poll ctx
-// periodically, so a cancelled prune returns within a fraction of a round.
-// On cancellation the graph is left mid-prune (still a valid graph, but not
-// at the fixpoint) and the accumulated stats are returned with ctx's error.
+// PruneCtx runs Core + Square pruning on g in place and returns removal
+// statistics. After PruneCtx returns without error, every surviving user has
+// live degree ≥ ⌈α·k₂⌉ and at least k₁ (α,k₂)-neighbors, and every surviving
+// item has live degree ≥ ⌈α·k₁⌉ and at least k₂ (α,k₁)-neighbors. Every
+// fixpoint round becomes a child span of sp carrying its removal counts; a
+// nil sp traces nothing at no cost.
 //
-// Unless p.NoShard or p.SinglePass is set, the fixpoint is computed by the
-// component-sharded orchestration (shard.go); the residual graph and the
-// stats are identical to the serial path's.
+// The fixpoint is computed by the component-sharded orchestration (shard.go),
+// which checks ctx before the global core prune (fault-injection site
+// "core.prune.round"), before each shard and at the top of every round inside
+// a shard, while the parallel square-pruning workers poll ctx periodically, so
+// a cancelled prune returns within a fraction of a round. On cancellation the
+// graph is left mid-prune (still a valid graph, but not at the fixpoint) and
+// the accumulated stats are returned with ctx's error.
 func PruneCtx(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span) (PruneStats, error) {
-	return pruneCtxObserved(ctx, g, p, sp, nil)
-}
-
-// pruneCtxObserved is PruneCtx carrying the pipeline's observer so the
-// frontier metrics and the audit trail reach internal callers (extract.go);
-// the exported entry points pass nil.
-func pruneCtxObserved(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span, o *obs.Observer) (PruneStats, error) {
-	a := newAuditor(o)
-	if p.SinglePass {
-		return pruneSinglePass(ctx, g, p, sp, a)
-	}
-	if p.sharded() {
-		st, _, err := shardedPruneExtract(ctx, g, p, sp, o, shardOptions{})
-		return st, err
-	}
-	return pruneFixpoint(ctx, g, p, sp, o, a)
+	st, _, err := shardedPruneExtract(ctx, g, p, sp, nil, shardOptions{})
+	return st, err
 }
 
 // testSquareEvalHook, when non-nil, is invoked for every live vertex whose
@@ -91,87 +62,6 @@ func pruneCtxObserved(ctx context.Context, g *bipartite.Graph, p Params, sp *obs
 // removal. Only set it with Workers=1 — parallel rounds would race on the
 // hook's state.
 var testSquareEvalHook func(side bipartite.Side, id bipartite.NodeID)
-
-// pruneFixpoint computes the Core/Square fixpoint of Algorithm 3, selecting
-// the dirty-frontier loop unless p.NoFrontier requests the full-rescan
-// reference path. o (nil-safe) receives the core.frontier metrics.
-func pruneFixpoint(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span, o *obs.Observer, a *auditor) (PruneStats, error) {
-	if p.NoFrontier {
-		return pruneFixpointRescan(ctx, g, p, sp, a)
-	}
-	return pruneFixpointFrontier(ctx, g, p, sp, o, a)
-}
-
-// pruneFixpointRescan is the reference fixpoint loop: every round re-evaluates
-// the square condition for every live vertex. It is retained as the golden
-// oracle the frontier loop is pinned against (shardequiv_test.go) and as the
-// Params.NoFrontier escape hatch.
-func pruneFixpointRescan(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span, a *auditor) (PruneStats, error) {
-	var st PruneStats
-	pool := newCounterPool(g.NumUsers(), g.NumItems())
-	for {
-		faultinject.Hit("core.prune.round")
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		st.Rounds++
-		rsp := sp.Start("round")
-		removed := corePruneFixpoint(g, p, a, st.Rounds)
-		uVictims := squareRoundUsers(ctx, g, p, g.LiveUserIDs(), pool, nil)
-		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, ceilMul(p.K2, p.Alpha), p.K1)
-		for _, u := range uVictims {
-			g.RemoveUser(u)
-		}
-		iVictims := squareRoundItems(ctx, g, p, g.LiveItemIDs(), pool)
-		a.squareRemovals(bipartite.ItemSide, iVictims, st.Rounds, ceilMul(p.K1, p.Alpha), p.K2)
-		for _, v := range iVictims {
-			g.RemoveItem(v)
-		}
-		st.UsersRemoved += removed.UsersRemoved + len(uVictims)
-		st.ItemsRemoved += removed.ItemsRemoved + len(iVictims)
-		rsp.SetInt("core_users_removed", int64(removed.UsersRemoved))
-		rsp.SetInt("core_items_removed", int64(removed.ItemsRemoved))
-		rsp.SetInt("square_users_removed", int64(len(uVictims)))
-		rsp.SetInt("square_items_removed", int64(len(iVictims)))
-		rsp.End()
-		if err := ctx.Err(); err != nil {
-			// A cancelled square round returns a truncated victim list;
-			// the removals applied so far are sound (both conditions are
-			// monotone) but the fixpoint is not reached.
-			return st, err
-		}
-		if len(uVictims) == 0 && len(iVictims) == 0 {
-			return st, nil
-		}
-	}
-}
-
-// pruneFixpointFrontier computes the same fixpoint as pruneFixpointRescan —
-// byte-identical victims, rounds, and residual — but each round after the
-// first evaluates only the dirty frontier: the vertices whose ≤2-hop live
-// neighborhood shrank since their last evaluation. The frontier is
-// maintained by observing every removal (bipartite.RemovalObserver), so core
-// cascades, square victims, and caller-applied removals all feed it.
-//
-// Round protocol, chosen to replay the rescan loop exactly:
-//
-//  1. Round 1 evaluates every live vertex (the all-dirty seed), so the
-//     initial core fixpoint runs before the observer attaches and the
-//     redundant item-side marks of round 1's user victims are dropped.
-//  2. Each later round runs the core fixpoint first (its removals mark),
-//     then takes the user frontier, then — only after the round's user
-//     victims are applied — takes the item frontier, mirroring the rescan
-//     loop's item scan seeing the same round's user removals.
-//  3. Taken frontiers are evaluated in ascending ID order with dead entries
-//     skipped, so the victim sequence matches the rescan loop's
-//     LiveUserIDs/LiveItemIDs order.
-//
-// The user-side evaluations go through the wide-item masks (wideMasks), built
-// once after the first core fixpoint: the same predicate, computed without
-// walking the hottest items' columns.
-func pruneFixpointFrontier(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span, o *obs.Observer, a *auditor) (PruneStats, error) {
-	return newFrontier(g).prune(ctx, p, sp, o, a)
-}
 
 func newFrontier(g *bipartite.Graph) *frontier {
 	return &frontier{
@@ -183,8 +73,31 @@ func newFrontier(g *bipartite.Graph) *frontier {
 	}
 }
 
-// prune runs the dirty-frontier fixpoint on fr.g. On cancellation fr is left
-// holding every vertex whose evaluation was taken but not finished.
+// prune computes the Core/Square fixpoint of Algorithm 3 on fr.g. Round 1
+// evaluates every live vertex; each later round evaluates only the dirty
+// frontier: the vertices whose ≤2-hop live neighborhood shrank since their
+// last evaluation. The frontier is maintained by observing every removal
+// (bipartite.RemovalObserver), so core cascades, square victims, and
+// caller-applied removals all feed it. o (nil-safe) receives the
+// core.frontier metrics. On cancellation fr is left holding every vertex
+// whose evaluation was taken but not finished.
+//
+// Round protocol, chosen so that victims, rounds and residual are those of a
+// loop that re-evaluates every live vertex every round (the reference in
+// reference_test.go):
+//
+//  1. The initial core fixpoint runs before the observer attaches, and the
+//     redundant item-side marks of round 1's user victims are dropped.
+//  2. Each later round runs the core fixpoint first (its removals mark),
+//     then takes the user frontier, then — only after the round's user
+//     victims are applied — takes the item frontier, so the item evaluations
+//     see the same round's user removals.
+//  3. Taken frontiers are evaluated in ascending ID order with dead entries
+//     skipped, so the victim sequence is that of a LiveUserIDs/LiveItemIDs
+//     scan.
+//
+// The user-side evaluations go through the wide-item masks (wideMasks), built
+// once after the first core fixpoint.
 func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Observer, a *auditor) (PruneStats, error) {
 	var st PruneStats
 	g := fr.g
@@ -279,9 +192,9 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 
 // dirtySet tracks the vertices of one side whose square-condition inputs may
 // have shrunk since their last evaluation. mark is O(1) and idempotent; take
-// returns the marked IDs sorted ascending (the evaluation order of the
-// rescan rounds) and resets the set. The two backing buffers alternate
-// between rounds, so a steady-state fixpoint allocates nothing here.
+// returns the marked IDs sorted ascending (the evaluation order of a full
+// scan) and resets the set. The two backing buffers alternate between rounds,
+// so a steady-state fixpoint allocates nothing here.
 type dirtySet struct {
 	bits  []bool
 	list  []bipartite.NodeID
@@ -397,83 +310,6 @@ func (f *frontier) expand() {
 	}
 }
 
-func pruneSinglePass(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span, a *auditor) (PruneStats, error) {
-	var st PruneStats
-	st.Rounds = 1
-	pass := sp.Start("single_pass")
-	defer func() {
-		pass.SetInt("users_removed", int64(st.UsersRemoved))
-		pass.SetInt("items_removed", int64(st.ItemsRemoved))
-		pass.End()
-	}()
-	faultinject.Hit("core.prune.round")
-	if err := ctx.Err(); err != nil {
-		return st, err
-	}
-	minUDeg := ceilMul(p.K2, p.Alpha)
-	minIDeg := ceilMul(p.K1, p.Alpha)
-
-	// CorePruning, literal: one scan of users, then one scan of items,
-	// reading live degrees (so earlier removals are visible).
-	g.EachLiveUser(func(u bipartite.NodeID) bool {
-		if deg := g.UserDegree(u); deg < minUDeg {
-			a.coreRemoval(bipartite.UserSide, u, 1, deg, minUDeg)
-			g.RemoveUser(u)
-			st.UsersRemoved++
-		}
-		return true
-	})
-	g.EachLiveItem(func(v bipartite.NodeID) bool {
-		if deg := g.ItemDegree(v); deg < minIDeg {
-			a.coreRemoval(bipartite.ItemSide, v, 1, deg, minIDeg)
-			g.RemoveItem(v)
-			st.ItemsRemoved++
-		}
-		return true
-	})
-
-	// SquarePruning, literal: sequential scans with immediate removal,
-	// polling ctx between vertices so a cancel lands promptly.
-	if err := ctx.Err(); err != nil {
-		return st, err
-	}
-	needU := ceilMul(p.K2, p.Alpha)
-	counter := newCommonCounter(g.NumUsers(), g.NumItems())
-	scanned := 0
-	g.EachLiveUser(func(u bipartite.NodeID) bool {
-		if scanned++; scanned&0xff == 0 && ctx.Err() != nil {
-			return false
-		}
-		if !squareSurvivesUser(g, u, needU, p.K1, counter) {
-			a.squareRemoval(bipartite.UserSide, u, 1, needU, p.K1)
-			g.RemoveUser(u)
-			st.UsersRemoved++
-		}
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return st, err
-	}
-	needI := ceilMul(p.K1, p.Alpha)
-	faultinject.Hit("core.prune.single_pass.items")
-	// The poll cadence must restart with the scan: carrying the user scan's
-	// count over would shift the &0xff poll points of the item scan by an
-	// arbitrary offset.
-	scanned = 0
-	g.EachLiveItem(func(v bipartite.NodeID) bool {
-		if scanned++; scanned&0xff == 0 && ctx.Err() != nil {
-			return false
-		}
-		if !squareSurvivesItem(g, v, needI, p.K2, counter) {
-			a.squareRemoval(bipartite.ItemSide, v, 1, needI, p.K2)
-			g.RemoveItem(v)
-			st.ItemsRemoved++
-		}
-		return true
-	})
-	return st, ctx.Err()
-}
-
 // corePruneFixpoint removes vertices violating the Lemma 1 degree bounds
 // until stable, propagating removals through a work queue. Each removal is
 // audited (a nil-safe) with the vertex's live degree at removal time and
@@ -582,51 +418,6 @@ func newCounterPool(numUsers, numItems int) *counterPool {
 func (cp *counterPool) get() *commonCounter  { return cp.pool.Get().(*commonCounter) }
 func (cp *counterPool) put(c *commonCounter) { cp.pool.Put(c) }
 
-// squareSurvivesUser reports whether user u has at least k1 users (itself
-// included, per Definition 4: u trivially shares all deg(u) ≥ need neighbors
-// with itself) whose common-item count with u is ≥ need.
-//
-// Items are scanned in ascending counterpart-degree order with an online
-// exit: a vertex's (α,k)-neighbor count can only be certified after `need`
-// items have been merged, and attack targets (low degree) certify their
-// co-attackers long before the expensive hot-item adjacencies are touched —
-// the candidate-ordering heuristic the paper adopts from reduce2Hop.
-func squareSurvivesUser(g *bipartite.Graph, u bipartite.NodeID, need, k1 int, c *commonCounter) bool {
-	c.nbrs = c.nbrs[:0]
-	g.EachUserNeighbor(u, func(v bipartite.NodeID, _ uint32) bool {
-		c.nbrs = append(c.nbrs, v)
-		return true
-	})
-	c.keys = sortByDegree(c.nbrs, g.ItemDegree, c.keys)
-
-	c.touched = c.touched[:0]
-	num := 0
-	ok := false
-	for _, v := range c.nbrs {
-		g.EachItemNeighbor(v, func(u2 bipartite.NodeID, _ uint32) bool {
-			if c.countsU[u2] == 0 {
-				c.touched = append(c.touched, u2)
-			}
-			c.countsU[u2]++
-			if int(c.countsU[u2]) == need {
-				num++
-				if num >= k1 {
-					ok = true
-					return false
-				}
-			}
-			return true
-		})
-		if ok {
-			break
-		}
-	}
-	for _, u2 := range c.touched {
-		c.countsU[u2] = 0
-	}
-	return ok
-}
-
 // maxWide is the number of wide items a wideMasks indexes: one bit each of
 // a machine word.
 const maxWide = 64
@@ -644,7 +435,7 @@ const maxWide = 64
 //
 //	common(u, y) = |{v ∉ W live : v ∈ N(u) ∩ N(y)}| + popcount(user[u] & user[y] & live)
 //
-// exactly, so the masked test decides the same predicate as the plain walk
+// exactly, so the masked test decides the same predicate as a plain 2-hop walk
 // whatever W is (DESIGN.md §10.5).
 type wideMasks struct {
 	items  []bipartite.NodeID // W; bit i stands for items[i]
@@ -686,11 +477,17 @@ func (wm *wideMasks) refresh(g *bipartite.Graph) {
 	}
 }
 
-// squareSurvivesUserWide decides the predicate of squareSurvivesUser through
-// the wide-item masks. u's live items that are not wide are walked as before
-// (ascending degree, online exit); its live wide items are then settled per
-// candidate y by popcount(user[u] & user[y] & live), added to what the walk
-// counted for y:
+// squareSurvivesUserWide reports whether user u has at least k1 users (itself
+// included, per Definition 4: u trivially shares all deg(u) ≥ need neighbors
+// with itself) whose common-item count with u is ≥ need.
+//
+// u's live items that are not wide are walked in ascending counterpart-degree
+// order with an online exit: a vertex's (α,k)-neighbor count can only be
+// certified after `need` items have been merged, and attack targets (low
+// degree) certify their co-attackers long before the expensive hot-item
+// adjacencies are touched — the candidate-ordering heuristic the paper adopts
+// from reduce2Hop. u's live wide items are then settled per candidate y by
+// popcount(user[u] & user[y] & live), added to what the walk counted for y:
 //
 //   - u has fewer than need live wide items: a user the walk never touched
 //     shares at most those with u and cannot reach need, so only the
@@ -780,7 +577,9 @@ walk:
 	return num >= k1
 }
 
-// squareSurvivesItem is the item-side dual of squareSurvivesUser.
+// squareSurvivesItem is the item-side dual of squareSurvivesUserWide, by a
+// plain 2-hop walk: whether item v has at least k2 items (itself included)
+// sharing ≥ need live users with it.
 func squareSurvivesItem(g *bipartite.Graph, v bipartite.NodeID, need, k2 int, c *commonCounter) bool {
 	c.nbrs = c.nbrs[:0]
 	g.EachItemNeighbor(v, func(u bipartite.NodeID, _ uint32) bool {
@@ -839,9 +638,8 @@ func sortByDegree(ids []bipartite.NodeID, deg func(bipartite.NodeID) int, keys [
 // candidate users against the frozen graph, in parallel, and returns the
 // victims in candidate order. Candidates must be sorted ascending; dead
 // candidates (stale frontier marks) are skipped, so the victim sequence is
-// exactly the one a full LiveUserIDs scan would produce. With wide non-nil
-// (refreshed for this round) the masked test is used; nil selects the plain
-// walk, the reference.
+// exactly the one a full LiveUserIDs scan would produce. wide must have been
+// refreshed for this round.
 func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool, wide *wideMasks) []bipartite.NodeID {
 	need := ceilMul(p.K2, p.Alpha)
 	return parallelFilter(ctx, ids, p.workers(), func(c *commonCounter, u bipartite.NodeID) bool {
@@ -851,10 +649,7 @@ func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []b
 		if h := testSquareEvalHook; h != nil {
 			h(bipartite.UserSide, u)
 		}
-		if wide != nil {
-			return !squareSurvivesUserWide(g, u, need, p.K1, c, wide)
-		}
-		return !squareSurvivesUser(g, u, need, p.K1, c)
+		return !squareSurvivesUserWide(g, u, need, p.K1, c, wide)
 	}, pool)
 }
 
@@ -937,19 +732,4 @@ func parallelFilter(ctx context.Context, ids []bipartite.NodeID, workers int,
 		}
 	}
 	return out
-}
-
-// ExtractGroups splits the pruned residual graph into connected components
-// and keeps those satisfying the size bounds |L| ≥ k₁, |R| ≥ k₂ of
-// Definition 3 (this is also the explicit group-size control of desired
-// property (4b): components too small to be a coordinated attack — e.g.
-// group-buying clusters around a single item — are discarded).
-func ExtractGroups(g *bipartite.Graph, p Params) []detect.Group {
-	var groups []detect.Group
-	for _, comp := range bipartite.ConnectedComponents(g) {
-		if len(comp.Users) >= p.K1 && len(comp.Items) >= p.K2 {
-			groups = append(groups, detect.Group{Users: comp.Users, Items: comp.Items})
-		}
-	}
-	return groups
 }

@@ -39,8 +39,8 @@ func TestPropertyFixpointWorkerIndependent(t *testing.T) {
 		p1.Workers = 1
 		p2 := p1
 		p2.Workers = 8
-		Prune(g1, p1)
-		Prune(g2, p2)
+		prune(g1, p1)
+		prune(g2, p2)
 		if g1.LiveUsers() != g2.LiveUsers() || g1.LiveItems() != g2.LiveItems() {
 			return false
 		}
@@ -73,7 +73,7 @@ func TestPropertyPruneMonotoneUnderEdgeAddition(t *testing.T) {
 		p := params(6, 6, 0.9)
 
 		before := g.Clone()
-		Prune(before, p)
+		prune(before, p)
 
 		// Add random extra edges on top of the same base graph.
 		b := bipartite.NewBuilder(60, 60)
@@ -84,7 +84,7 @@ func TestPropertyPruneMonotoneUnderEdgeAddition(t *testing.T) {
 			b.Add(bipartite.NodeID(rng.Intn(60)), bipartite.NodeID(rng.Intn(60)), 1)
 		}
 		after := b.Build()
-		Prune(after, p)
+		prune(after, p)
 
 		ok := true
 		before.EachLiveUser(func(u bipartite.NodeID) bool {
@@ -112,7 +112,7 @@ func TestPropertyExtractedGroupsDisjointAndSized(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomPruneGraph(seed)
 		p := params(5, 5, 0.8)
-		groups := NearBicliqueExtract(g, p)
+		groups := extractGroups(g, p)
 		seenU := map[bipartite.NodeID]bool{}
 		seenV := map[bipartite.NodeID]bool{}
 		for _, grp := range groups {
@@ -148,7 +148,7 @@ func TestPropertyScreeningSubsetOfCandidates(t *testing.T) {
 		p.THot = 200
 		hot := ComputeHotSet(g, p.THot)
 		work := g.Clone()
-		candidates := NearBicliqueExtract(work, p)
+		candidates := extractGroups(work, p)
 		inCand := map[bipartite.NodeID]bool{}
 		inCandV := map[bipartite.NodeID]bool{}
 		for _, grp := range candidates {
@@ -159,7 +159,7 @@ func TestPropertyScreeningSubsetOfCandidates(t *testing.T) {
 				inCandV[v] = true
 			}
 		}
-		for _, grp := range ScreenGroups(g, candidates, hot, p) {
+		for _, grp := range screenGroups(g, candidates, hot, p) {
 			if len(grp.Users) < p.K1 || len(grp.Items) < p.K2 {
 				return false
 			}

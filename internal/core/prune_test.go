@@ -37,7 +37,7 @@ func params(k1, k2 int, alpha float64) Params {
 func TestPruneKeepsBicliqueRemovesNoise(t *testing.T) {
 	g := plantedGraph(12, 12, 5, 50, 50, 120, 1)
 	p := params(10, 10, 1.0)
-	st := Prune(g, p)
+	st := prune(g, p)
 	// All 12 biclique users/items survive; the sparse noise cannot.
 	for u := bipartite.NodeID(0); u < 12; u++ {
 		if !g.UserAlive(u) {
@@ -58,7 +58,7 @@ func TestPruneKeepsBicliqueRemovesNoise(t *testing.T) {
 func TestPruneRemovesBicliqueBelowThreshold(t *testing.T) {
 	g := plantedGraph(8, 8, 5, 0, 0, 0, 1)
 	p := params(10, 10, 1.0)
-	Prune(g, p)
+	prune(g, p)
 	if g.LiveUsers() != 0 || g.LiveItems() != 0 {
 		t.Errorf("8×8 biclique should not survive k=10 pruning: %v", g)
 	}
@@ -81,13 +81,13 @@ func TestPruneAlphaRelaxation(t *testing.T) {
 	relaxedG := strict.Clone()
 
 	pStrict := params(11, 11, 1.0)
-	Prune(strict, pStrict)
+	prune(strict, pStrict)
 	if strict.LiveUsers() != 0 {
 		t.Errorf("α=1.0 should prune the holed biclique, %d users left", strict.LiveUsers())
 	}
 
 	prelax := params(11, 11, 0.8)
-	Prune(relaxedG, pRelaxFix(prelax))
+	prune(relaxedG, pRelaxFix(prelax))
 	if relaxedG.LiveUsers() != 11 || relaxedG.LiveItems() != 11 {
 		t.Errorf("α=0.8 should keep the holed biclique: %d users / %d items",
 			relaxedG.LiveUsers(), relaxedG.LiveItems())
@@ -109,7 +109,7 @@ func TestCorePruneCascades(t *testing.T) {
 	}
 	g := b.Build()
 	p := params(3, 3, 1.0)
-	Prune(g, p)
+	prune(g, p)
 	if g.LiveUsers() != 0 || g.LiveItems() != 0 {
 		t.Errorf("path should be fully pruned: %v", g)
 	}
@@ -124,11 +124,8 @@ func TestSinglePassWeakerThanFixpoint(t *testing.T) {
 	g2 := g1.Clone()
 
 	pFix := params(10, 10, 1.0)
-	Prune(g1, pFix)
-
-	pOne := pFix
-	pOne.SinglePass = true
-	Prune(g2, pOne)
+	prune(g1, pFix)
+	refPruneSinglePass(g2, pFix)
 
 	// Every fixpoint survivor also survives the single pass.
 	g1.EachLiveUser(func(u bipartite.NodeID) bool {
@@ -147,32 +144,52 @@ func TestSinglePassWeakerThanFixpoint(t *testing.T) {
 
 func TestPruneFixpointPostconditions(t *testing.T) {
 	// After fixpoint pruning, every survivor satisfies Lemma 1 (degree)
-	// and Lemma 2 (number of (α,k)-neighbors, self included).
-	g := plantedGraph(14, 13, 4, 80, 80, 600, 3)
+	// and Lemma 2 (number of (α,k)-neighbors, self included) — checked
+	// pair by pair with the set operations of package bipartite, for the
+	// production fixpoint and for the reference the harnesses compare it
+	// with.
 	p := params(10, 10, 0.9)
-	Prune(g, p)
-
 	minUDeg := ceilMul(p.K2, p.Alpha)
 	minIDeg := ceilMul(p.K1, p.Alpha)
-	counter := newCommonCounter(g.NumUsers(), g.NumItems())
-	g.EachLiveUser(func(u bipartite.NodeID) bool {
-		if g.UserDegree(u) < minUDeg {
-			t.Errorf("user %d degree %d < %d", u, g.UserDegree(u), minUDeg)
+	for name, pruneFn := range map[string]func(*bipartite.Graph, Params) PruneStats{
+		"production": prune,
+		"reference":  refPrune,
+	} {
+		g := plantedGraph(14, 13, 4, 80, 80, 600, 3)
+		pruneFn(g, p)
+		if g.LiveUsers() == 0 {
+			t.Errorf("%s: nothing survived; the postconditions are vacuous", name)
 		}
-		if !squareSurvivesUser(g, u, ceilMul(p.K2, p.Alpha), p.K1, counter) {
-			t.Errorf("user %d violates square condition at fixpoint", u)
+		users, items := g.LiveUserIDs(), g.LiveItemIDs()
+		for _, u := range users {
+			if g.UserDegree(u) < minUDeg {
+				t.Errorf("%s: user %d degree %d < %d", name, u, g.UserDegree(u), minUDeg)
+			}
+			n := 0
+			for _, y := range users {
+				if bipartite.CommonUserNeighbors(g, u, y) >= minUDeg {
+					n++
+				}
+			}
+			if n < p.K1 {
+				t.Errorf("%s: user %d violates square condition at fixpoint", name, u)
+			}
 		}
-		return true
-	})
-	g.EachLiveItem(func(v bipartite.NodeID) bool {
-		if g.ItemDegree(v) < minIDeg {
-			t.Errorf("item %d degree %d < %d", v, g.ItemDegree(v), minIDeg)
+		for _, v := range items {
+			if g.ItemDegree(v) < minIDeg {
+				t.Errorf("%s: item %d degree %d < %d", name, v, g.ItemDegree(v), minIDeg)
+			}
+			n := 0
+			for _, y := range items {
+				if bipartite.CommonItemNeighbors(g, v, y) >= minIDeg {
+					n++
+				}
+			}
+			if n < p.K2 {
+				t.Errorf("%s: item %d violates square condition at fixpoint", name, v)
+			}
 		}
-		if !squareSurvivesItem(g, v, ceilMul(p.K1, p.Alpha), p.K2, counter) {
-			t.Errorf("item %d violates square condition at fixpoint", v)
-		}
-		return true
-	})
+	}
 }
 
 func TestParallelFilterMatchesSerial(t *testing.T) {
@@ -185,14 +202,19 @@ func TestParallelFilterMatchesSerial(t *testing.T) {
 	pool := newCounterPool(g.NumUsers(), g.NumItems())
 	wide := newWideMasks(g)
 	wide.refresh(g)
-	serialU := squareRoundUsers(context.Background(), g, pSerial, g.LiveUserIDs(), pool, nil)
-	for name, parU := range map[string][]bipartite.NodeID{
-		"plain walk": squareRoundUsers(context.Background(), g, pPar, g.LiveUserIDs(), pool, nil),
-		"masked":     squareRoundUsers(context.Background(), g, pPar, g.LiveUserIDs(), pool, wide),
-	} {
-		if !slices.Equal(serialU, parU) {
-			t.Errorf("%s: parallel victims %v, serial %v", name, parU, serialU)
+	serialU := squareRoundUsers(context.Background(), g, pSerial, g.LiveUserIDs(), pool, wide)
+	parU := squareRoundUsers(context.Background(), g, pPar, g.LiveUserIDs(), pool, wide)
+	if !slices.Equal(serialU, parU) {
+		t.Errorf("parallel victims %v, serial %v", parU, serialU)
+	}
+	var walkU []bipartite.NodeID
+	for _, u := range g.LiveUserIDs() {
+		if !refUserSurvives(g, u, ceilMul(pSerial.K2, pSerial.Alpha), pSerial.K1) {
+			walkU = append(walkU, u)
 		}
+	}
+	if !slices.Equal(serialU, walkU) {
+		t.Errorf("masked victims %v, plain walk %v", serialU, walkU)
 	}
 }
 
@@ -212,7 +234,7 @@ func TestExtractGroupsSizeFilter(t *testing.T) {
 	}
 	g := b.Build()
 	p := params(10, 10, 1.0)
-	groups := NearBicliqueExtract(g, p)
+	groups := extractGroups(g, p)
 	if len(groups) != 1 {
 		t.Fatalf("got %d groups, want 1", len(groups))
 	}
@@ -234,7 +256,7 @@ func TestExtractTwoSeparateGroups(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	groups := NearBicliqueExtract(g, params(10, 10, 1.0))
+	groups := extractGroups(g, params(10, 10, 1.0))
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
@@ -242,7 +264,7 @@ func TestExtractTwoSeparateGroups(t *testing.T) {
 
 func TestPruneEmptyGraph(t *testing.T) {
 	g := bipartite.NewGraph(0, 0)
-	st := Prune(g, params(10, 10, 1.0))
+	st := prune(g, params(10, 10, 1.0))
 	if st.UsersRemoved != 0 || st.ItemsRemoved != 0 {
 		t.Errorf("empty graph pruning removed something: %+v", st)
 	}

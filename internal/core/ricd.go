@@ -190,8 +190,7 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 	// With the verdict cache armed and full screening requested, the
 	// screening passes ride inside the shards (hot handed down), so cached
 	// components skip screening too; screenedOK=false falls back to the
-	// global screening stage below (serial path, or an audit sink bypassing
-	// the cache).
+	// global screening stage below (an audit sink bypassing the cache).
 	var screened []detect.Group
 	var screenedOK bool
 	if err := stage("extraction", func() error {

@@ -168,28 +168,15 @@ func medianU32(xs []uint32) uint32 {
 	return xs[len(xs)/2]
 }
 
-// ScreenGroups applies the full screening module to candidate groups and
+// ScreenGroupsCtx applies the full screening module to candidate groups and
 // re-partitions the survivors: removing hot items can split a merged
 // component (several attack groups riding the same hot items) back into its
 // true attack groups, so survivors are re-clustered by connected components
 // of the induced verified subgraph and the Definition 3 size bounds are
-// re-applied (property (4b)).
-func ScreenGroups(g *bipartite.Graph, groups []detect.Group, hot *HotSet, p Params) []detect.Group {
-	return ScreenGroupsObserved(g, groups, hot, p, nil, nil)
-}
-
-// ScreenGroupsObserved is ScreenGroups with observability: the user-check
-// and item-verification passes become child spans of sp, and candidate
-// in/out counts feed o's registry under core.screen.*. Nil sp/o observe
-// nothing.
-func ScreenGroupsObserved(g *bipartite.Graph, groups []detect.Group, hot *HotSet, p Params,
-	sp *obs.Span, o *obs.Observer) []detect.Group {
-
-	out, _ := ScreenGroupsCtx(context.Background(), g, groups, hot, p, sp, o)
-	return out
-}
-
-// ScreenGroupsCtx is ScreenGroupsObserved with cooperative cancellation:
+// re-applied (property (4b)). The user-check and item-verification passes
+// become child spans of sp, and candidate in/out counts feed o's registry
+// under core.screen.*; nil sp/o observe nothing.
+//
 // ctx is checked before each candidate group (fault-injection site
 // "core.screen.group"). On cancellation the groups fully screened so far
 // still go through the cheap repartition, so the partial output obeys the
@@ -208,7 +195,7 @@ func ScreenGroupsCtx(ctx context.Context, g *bipartite.Graph, groups []detect.Gr
 	a := newAuditor(o)
 	csp := sp.Start("behavior_checks")
 	var allUsers, allItems []bipartite.NodeID
-	if p.sharded() && p.workers() > 1 && len(groups) > 1 {
+	if p.workers() > 1 && len(groups) > 1 {
 		allUsers, allItems, ctxErr = screenParallel(ctx, g, groups, hot, p, a)
 	} else {
 		for i, grp := range groups {

@@ -190,7 +190,7 @@ func TestScreenGroupsEndToEnd(t *testing.T) {
 	}
 	merged := []detect.Group{{Users: users, Items: items}}
 
-	out := ScreenGroups(g, merged, hot, p)
+	out := screenGroups(g, merged, hot, p)
 	if len(out) != 2 {
 		t.Fatalf("got %d groups after screening, want 2 (split on hot-item removal)", len(out))
 	}
@@ -211,7 +211,7 @@ func TestScreenGroupsEmptyInput(t *testing.T) {
 	g := bipartite.NewGraph(1, 1)
 	p := DefaultParams()
 	hot := ComputeHotSet(g, p.THot)
-	if out := ScreenGroups(g, nil, hot, p); out != nil {
+	if out := screenGroups(g, nil, hot, p); out != nil {
 		t.Errorf("screening nil groups = %v, want nil", out)
 	}
 }

@@ -26,16 +26,16 @@ import (
 // counters from whole-graph size to component size — the dominant allocation
 // of the square rounds.
 //
-// Determinism/merge contract: shard outputs are merged in a canonical order
-// that reproduces the serial path exactly. ExtractGroups walks
-// ConnectedComponents of the whole residual — discovery in ascending
-// minimum-user-ID order, then a stable sort by component size descending.
-// Shard groups are exactly those residual components, so replaying the same
-// two-key stable sort over the union of shard outputs yields the serial
-// sequence independent of goroutine scheduling. Compaction preserves
-// verdicts too: local IDs are assigned in ascending original-ID order, so
-// every ID-ordered traversal (and the degree-then-ID candidate order of
-// sortByDegree) coincides with the original graph's.
+// Determinism/merge contract: shard outputs are merged in the order a
+// monolithic pass over the whole residual produces (the reference in
+// reference_test.go): ConnectedComponents of the residual — discovery in
+// ascending minimum-user-ID order, then a stable sort by component size
+// descending. Shard groups are exactly those residual components, so
+// replaying the same two-key stable sort over the union of shard outputs
+// yields that sequence independent of goroutine scheduling. Compaction
+// preserves verdicts too: local IDs are assigned in ascending original-ID
+// order, so every ID-ordered traversal (and the degree-then-ID candidate
+// order of sortByDegree) coincides with the original graph's.
 //
 // Verdict caching (DESIGN.md §15): with p.Cache set, each shard hashes its
 // freshly compacted CSR (componentFingerprint) and consults the cache
@@ -69,7 +69,7 @@ type shardOptions struct {
 
 // extractOutcome is the collect-mode output of shardedPruneExtract.
 type extractOutcome struct {
-	raw []detect.Group // extracted candidates, serial order
+	raw []detect.Group // extracted candidates, canonical order (sortGroupsCanonical)
 	// screened/screenedOK carry the per-shard screening output when it ran
 	// (cache active, opt.hot set, no audit sink); when screenedOK is false
 	// the caller must screen raw globally as usual.
@@ -101,16 +101,16 @@ type shardResult struct {
 // global CorePruning fixpoint → component split → per-shard compaction +
 // local Core/Square fixpoint (+ group extraction and optionally screening
 // when opt says so) on a bounded worker pool → deterministic merge. g is
-// left at the same residual the serial path produces; the returned stats
-// and groups are identical to the serial path's (see shardequiv_test.go).
+// left at the residual a monolithic fixpoint over the whole graph produces;
+// the returned stats and groups are identical to that reference's (see
+// shardequiv_test.go).
 //
 // Cancellation: ctx is checked at entry (fault-injection site
-// "core.prune.round", matching the serial loop), before each shard
-// ("core.shard"), and between pruning rounds inside shards. Completed
-// shards' removals are applied even when later shards were skipped — both
-// pruning conditions are monotone, so a partially sharded residual is a
-// sound over-approximation, exactly like a serial mid-prune graph. On
-// cancellation no groups are returned.
+// "core.prune.round"), before each shard ("core.shard"), and between pruning
+// rounds inside shards. Completed shards' removals are applied even when
+// later shards were skipped — both pruning conditions are monotone, so a
+// partially sharded residual is a sound over-approximation of the fixpoint.
+// On cancellation no groups are returned.
 func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	sp *obs.Span, o *obs.Observer, opt shardOptions) (PruneStats, extractOutcome, error) {
 
@@ -202,9 +202,8 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	wg.Wait()
 
 	// Merge. Panics recovered inside shard workers are rethrown here, on
-	// the caller's goroutine, so the serial contract (a stage bug surfaces
-	// as a panic through PruneCtx / the DetectContext stage isolation)
-	// holds unchanged.
+	// the caller's goroutine, so a stage bug surfaces as a panic through
+	// PruneCtx / the DetectContext stage isolation.
 	maxRounds := 0
 	evicted, faults := 0, 0
 	var firstErr error
@@ -242,9 +241,10 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 		evicted += out.evicted
 		o.Histogram("core.shard").Observe(out.elapsed)
 	}
-	// Serial round r removes each component's round-r square victims, and a
-	// converged component stays converged, so the serial round count is the
-	// max over components of their local fixpoint rounds.
+	// Round r of a whole-graph fixpoint removes each component's round-r
+	// square victims, and a converged component stays converged, so the
+	// whole-graph round count is the max over components of their local
+	// fixpoint rounds.
 	if maxRounds > st.Rounds {
 		st.Rounds = maxRounds
 	}
@@ -285,10 +285,10 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	return st, outc, nil
 }
 
-// sortGroupsCanonical orders groups the way the serial
-// ExtractGroups/repartition paths do: ascending minimum user ID (Users is
-// sorted, so Users[0] is the minimum), then a stable sort by group size
-// descending.
+// sortGroupsCanonical orders groups the way ConnectedComponents orders the
+// components of one graph holding all of them (the global repartition, the
+// reference's extraction): ascending minimum user ID (Users is sorted, so
+// Users[0] is the minimum), then a stable sort by group size descending.
 func sortGroupsCanonical(groups []detect.Group) {
 	sort.SliceStable(groups, func(i, j int) bool { return groups[i].Users[0] < groups[j].Users[0] })
 	sort.SliceStable(groups, func(i, j int) bool {
@@ -298,10 +298,9 @@ func sortGroupsCanonical(groups []detect.Group) {
 
 // runShard prunes one compacted component to its local fixpoint and, in
 // collect mode, extracts its candidate groups, all in original IDs. Each
-// shard's compact graph carries its own dirty frontier (attached inside
-// pruneFixpoint), sized to the component rather than the whole graph. A
-// panic is recovered into the result for deterministic rethrow by the
-// merger.
+// shard's compact graph carries its own dirty frontier, sized to the
+// component rather than the whole graph. A panic is recovered into the
+// result for deterministic rethrow by the merger.
 //
 // With cache non-nil the shard consults/feeds the verdict cache (unless the
 // component intersects p.CacheTouched); with hot non-nil it additionally
@@ -378,7 +377,7 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 
 	lp := p
 	lp.Workers = innerWorkers
-	lst, err := pruneFixpoint(ctx, cg, lp, ssp, o, a.forShard(shardIdx, userOf, itemOf))
+	lst, err := newFrontier(cg).prune(ctx, lp, ssp, o, a.forShard(shardIdx, userOf, itemOf))
 	out.rounds = lst.Rounds
 	var locRemU, locRemI []bipartite.NodeID
 	for lu := 0; lu < cg.NumUsers(); lu++ {

@@ -7,7 +7,7 @@ import (
 )
 
 // Property: for random seeded graphs, the merge of per-shard PruneStats
-// equals the whole-graph serial PruneStats — removal counts exactly, and
+// equals the whole-graph reference PruneStats — removal counts exactly, and
 // Rounds both exactly (serial round r removes every component's round-r
 // square victims, so the serial count is the max over components of their
 // local fixpoint rounds) and monotonically (≥ 1, ≤ the serial count, pinned
@@ -17,14 +17,11 @@ func TestPropertyShardMergedStatsMatchWholeGraph(t *testing.T) {
 	f := func(seed int64) bool {
 		g1 := randomPruneGraph(seed)
 		g2 := g1.Clone()
-		serial := params(6, 6, 0.8)
-		serial.NoShard = true
-		serial.NoFrontier = true // the golden oracle is the full-rescan serial loop
 		sharded := params(6, 6, 0.8)
 		sharded.Workers = 4
 
-		stSerial := Prune(g1, serial)
-		stSharded := Prune(g2, sharded)
+		stSerial := refPrune(g1, params(6, 6, 0.8))
+		stSharded := prune(g2, sharded)
 
 		if stSharded.UsersRemoved != stSerial.UsersRemoved ||
 			stSharded.ItemsRemoved != stSerial.ItemsRemoved {
@@ -58,15 +55,12 @@ func TestPropertyShardMergedStatsMatchWholeGraph(t *testing.T) {
 func TestPropertyShardedExtractionMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		p := params(6, 6, 0.8)
-		serial := p
-		serial.NoShard = true
-		serial.NoFrontier = true
 
 		g1 := randomPruneGraph(seed)
 		g2 := g1.Clone()
-		want := NearBicliqueExtract(g1, serial)
+		want := refExtract(g1, p)
 		p.Workers = 8
-		got := NearBicliqueExtract(g2, p)
+		got := extractGroups(g2, p)
 		if !reflect.DeepEqual(got, want) {
 			t.Logf("seed %d: groups diverge:\n got %v\nwant %v", seed, got, want)
 			return false

@@ -8,15 +8,14 @@ import (
 	"repro/internal/synth"
 )
 
-// This file is the golden-oracle equivalence harness for the
-// component-sharded detection pipeline (shard.go) and the dirty-frontier
-// pruning loop (pruneFixpointFrontier): across a corpus of ≥ 20 seeded
-// synthetic workloads of varied shape and worker counts {1, 2, 8}, every
-// mode combination must return exactly what the doubly-disabled reference
-// path (Params.NoShard + Params.NoFrontier: monolithic serial full-rescan
-// fixpoint) returns — same groups in the same order, same membership order,
-// same risk scores, same per-group statistics, same pruning stats including
-// Rounds.
+// This file is the golden-oracle equivalence harness for the detection
+// pipeline — component sharding (shard.go), the dirty-frontier pruning loop
+// and the wide-item masks (prune.go): across a corpus of ≥ 20 seeded
+// synthetic workloads of varied shape and worker counts {1, 2, 8}, it must
+// return exactly what the reference model (reference_test.go: monolithic
+// full-rescan fixpoint, plain 2-hop walks) returns — same groups in the same
+// order, same membership order, same risk scores, same per-group statistics,
+// same pruning stats including Rounds.
 
 // equivCorpus returns the shared seeded workload corpus
 // (synth.EquivCorpus): varied marketplace sizes, attack-group counts and
@@ -50,42 +49,13 @@ func TestShardedDetectionMatchesSerialOracle(t *testing.T) {
 		ds := synth.MustGenerate(cfg)
 		base := equivParams(i, cfg)
 
-		serial := base
-		serial.NoShard = true
-		serial.NoFrontier = true
-		oracle, err := (&Detector{Params: serial}).Detect(ds.Graph)
-		if err != nil {
-			t.Fatalf("workload %d: serial oracle: %v", i, err)
-		}
+		oracle := refDetect(ds.Graph, base)
 		totalGroups += len(oracle.Groups)
 
-		// Candidate matrix: the default frontier+sharded mode across the
-		// worker sweep, plus — on a corpus prefix — the two one-knob-back
-		// modes (serial+frontier, sharded+rescan), so every NoShard ×
-		// NoFrontier combination is pinned to the doubly-disabled oracle.
-		type mode struct {
-			name       string
-			workers    int
-			noShard    bool
-			noFrontier bool
-		}
-		modes := []mode{
-			{"w1", 1, false, false},
-			{"w2", 2, false, false},
-			{"w8", 8, false, false},
-		}
-		if i < 6 {
-			modes = append(modes,
-				mode{"serial-frontier", 0, true, false},
-				mode{"w2-rescan", 2, false, true},
-			)
-		}
-		for _, m := range modes {
-			t.Run(fmt.Sprintf("workload%02d/%s", i, m.name), func(t *testing.T) {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("workload%02d/w%d", i, workers), func(t *testing.T) {
 				p := base
-				p.Workers = m.workers
-				p.NoShard = m.noShard
-				p.NoFrontier = m.noFrontier
+				p.Workers = workers
 				res, err := (&Detector{Params: p}).Detect(ds.Graph)
 				if err != nil {
 					t.Fatalf("sharded detect: %v", err)
@@ -126,9 +96,9 @@ func TestShardedDetectionMatchesSerialOracle(t *testing.T) {
 }
 
 // TestShardedPruneLeavesOracleResidual pins the other half of the contract:
-// not just the reported groups but the residual graph itself — PruneCtx in
-// every mode combination must leave exactly the serial full-rescan fixpoint,
-// with identical PruneStats (Rounds included) and an identical removal
+// not just the reported groups but the residual graph itself — PruneCtx at
+// every worker count must leave exactly the reference fixpoint, with
+// identical PruneStats (Rounds included) and an identical removal
 // epoch (same number of removals applied, clone-inherited base cancelling
 // out).
 func TestShardedPruneLeavesOracleResidual(t *testing.T) {
@@ -137,14 +107,11 @@ func TestShardedPruneLeavesOracleResidual(t *testing.T) {
 		p := equivParams(i, cfg)
 
 		serial := ds.Graph.Clone()
-		sp := p
-		sp.NoShard = true
-		sp.NoFrontier = true
-		stSerial := Prune(serial, sp)
+		stSerial := refPrune(serial, p)
 
 		check := func(name string, pp Params) {
 			g := ds.Graph.Clone()
-			st := Prune(g, pp)
+			st := prune(g, pp)
 			if stSerial != st {
 				t.Errorf("workload %d %s: stats = %+v, oracle %+v", i, name, st, stSerial)
 			}
@@ -164,12 +131,5 @@ func TestShardedPruneLeavesOracleResidual(t *testing.T) {
 			pp.Workers = w
 			check(fmt.Sprintf("w%d", w), pp)
 		}
-		pf := p
-		pf.NoShard = true
-		check("serial-frontier", pf)
-		pr := p
-		pr.Workers = 2
-		pr.NoFrontier = true
-		check("w2-rescan", pr)
 	}
 }

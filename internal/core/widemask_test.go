@@ -137,7 +137,7 @@ func TestPropertyWideMasksMatchPlainWalk(t *testing.T) {
 						short++
 					}
 
-					want := squareSurvivesUser(g, u, need, s.k1, c)
+					want := refUserSurvives(g, u, need, s.k1)
 					c.steps = 0
 					got := squareSurvivesUserWide(g, u, need, s.k1, c, wm)
 					if got != want {

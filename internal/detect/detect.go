@@ -20,8 +20,8 @@ import (
 // any single stage. Either Panic (the recovered value) or Err (a wrapped
 // error) is set, never both.
 type StageError struct {
-	// Stage is the pipeline stage that failed, e.g. "prune" or
-	// "engine.superstep".
+	// Stage is the pipeline stage that failed, e.g. "extraction" or
+	// "stream.sweep".
 	Stage string
 	// Panic is the recovered panic value when the stage panicked.
 	Panic any
@@ -42,7 +42,7 @@ func (e *StageError) Unwrap() error { return e.Err }
 
 // RunStage executes fn as the named pipeline stage, converting a panic into
 // a *StageError. It is the panic-isolation primitive shared by the RICD
-// core, the BSP engine and the stream detector.
+// core and the stream detector.
 func RunStage(stage string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

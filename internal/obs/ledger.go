@@ -17,7 +17,7 @@ type StageTiming struct {
 type RunSummary struct {
 	// Seq is the ledger-assigned run number, starting at 1.
 	Seq int64 `json:"seq"`
-	// Root names the run kind: "ricd.detect", "stream.sweep", "engine.run".
+	// Root names the run kind: "ricd.detect" or "stream.sweep".
 	Root       string `json:"root"`
 	DurationNS int64  `json:"duration_ns"`
 	Groups     int    `json:"groups"`

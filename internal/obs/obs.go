@@ -2,7 +2,7 @@
 // pipeline: a metrics registry of atomic counters, gauges and fixed-bucket
 // latency histograms, a stage tracer that records the pipeline's nested
 // phase structure (the detection/screening split of the paper's Fig 8b,
-// pruning rounds, engine supersteps, stream sweeps) as spans with
+// pruning rounds, component shards, stream sweeps) as spans with
 // durations and key=value attributes, a structured audit-event sink
 // (EventSink) that captures the per-decision trail an analyst reviews —
 // which vertex was pruned under which bound, which behavior check dropped

@@ -274,7 +274,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestConcurrentSpanChildren attaches children to one parent from many
-// goroutines (the engine does this per worker); run with -race.
+// goroutines (the shard pool does this per worker); run with -race.
 func TestConcurrentSpanChildren(t *testing.T) {
 	tr := NewTrace("run")
 	const n = 32

@@ -23,12 +23,12 @@ func allocDetector(t testing.TB) (*Detector, []clicktable.Record) {
 	for i := range batch {
 		batch[i] = clicktable.Record{UserID: uint32(10 + i), ItemID: uint32(i % 6), Clicks: 2}
 	}
-	if _, err := d.Sweep(); err != nil {
+	if _, err := sweep(d); err != nil {
 		t.Fatal(err)
 	}
 	for warm := 0; warm < 5; warm++ {
 		d.AddBatch(batch)
-		if _, err := d.Sweep(); err != nil {
+		if _, err := sweep(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestSteadyStateSweepAllocs(t *testing.T) {
 	d, batch := allocDetector(t)
 	avg := testing.AllocsPerRun(50, func() {
 		d.AddBatch(batch)
-		if _, err := d.Sweep(); err != nil {
+		if _, err := sweep(d); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -85,7 +85,7 @@ func TestSeedScratchReuse(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		d.AddBatch(batch)
-		if _, err := d.Sweep(); err != nil {
+		if _, err := sweep(d); err != nil {
 			t.Fatal(err)
 		}
 	}

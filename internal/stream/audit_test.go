@@ -27,11 +27,11 @@ func TestSweepAuditTrail(t *testing.T) {
 	o.Events = obs.NewEventSink(&buf, 0)
 	d.Obs = o
 
-	if _, err := d.Detect(); err != nil { // full baseline sweep
+	if _, err := sweep(d); err != nil { // full baseline sweep
 		t.Fatal(err)
 	}
 	d.AddBatch(attack)
-	res, err := d.Detect() // incremental sweep catches the attack
+	res, err := sweep(d) // incremental sweep catches the attack
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,9 @@ import (
 // across the shared ≥ 20-workload corpus (synth.EquivCorpus — the fourth
 // consumer, after the sharding, delta-maintenance and serving harnesses), a
 // detector replaying cached component verdicts must produce sweep results
-// AND served index epochs byte-identical to a detector pinned to the
-// cache-free path (NoCache — the stream CLI's -no-cache). The drive folds
+// AND served index epochs byte-identical to an oracle whose cache is purged
+// before each of its sweeps, so that it computes every verdict live (and is
+// checked to have replayed none). The drive folds
 // in warm full sweeps (all-hit replays), incremental sweeps (dirty-set
 // skips), mid-sweep ingestion, adversarial single-click component merges
 // and splits, resets, and durable crash recovery with a cold cache, so
@@ -67,16 +68,26 @@ func (h *cacheEquivHarness) sweep(label string, full bool, beforeCached func()) 
 		var res *detect.Result
 		var err error
 		if full {
-			res, err = d.FullDetect()
+			res, err = fullDetect(d)
 		} else {
-			res, err = d.Sweep()
+			res, err = sweep(d)
 		}
 		if err != nil {
 			h.t.Fatalf("%s: sweep: %v", label, err)
 		}
 		return res
 	}
+	// The oracle detects every component live: its cache is emptied before
+	// each of its sweeps, and must not have served a single verdict.
+	h.oracle.mu.Lock()
+	if h.oracle.cache != nil {
+		h.oracle.cache.Purge()
+	}
+	h.oracle.mu.Unlock()
 	want := run(h.oracle)
+	if hits := h.oracle.CacheStats().Hits; hits != 0 {
+		h.t.Fatalf("%s: the cache-free oracle replayed %d cached verdicts", label, hits)
+	}
 	if beforeCached != nil {
 		beforeCached()
 	}
@@ -155,7 +166,6 @@ func TestCacheEquivalenceGoldenWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle.NoCache = true
 
 			var cached *Detector
 			durDir := ""
@@ -310,7 +320,7 @@ func TestConcurrentIngestDuringCachedSweeps(t *testing.T) {
 	})
 	d.AddBatch(bg)
 	d.AddBatch(attack)
-	if _, err := d.FullDetect(); err != nil { // cold pass fills the cache
+	if _, err := fullDetect(d); err != nil { // cold pass fills the cache
 		t.Fatal(err)
 	}
 
@@ -319,19 +329,21 @@ func TestConcurrentIngestDuringCachedSweeps(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// A narrow band of organic users churns throughout; components not
-		// containing them keep matching their fingerprints mid-ingest.
-		for i := 0; ; i++ {
+		// A narrow band of one-item users churns throughout. The core peel
+		// removes them in every sweep, so the components keep matching their
+		// fingerprints mid-ingest whenever the sweeps take their snapshots.
+		churn := uint32(ds.Graph.NumUsers())
+		for i := uint32(0); ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
-				d.AddClick(uint32(i%7), uint32(i%11), 1)
+				d.AddClick(churn+i%7, i%7, 1)
 			}
 		}
 	}()
 	for k := 0; k < 5; k++ {
-		if _, err := d.FullDetect(); err != nil {
+		if _, err := fullDetect(d); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/clicktable"
 	"repro/internal/core"
+	"repro/internal/detect"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/synth"
@@ -16,8 +17,9 @@ import (
 // This file is the golden-oracle harness for delta-maintained graph
 // builds: across a ≥ 20-workload corpus, a detector that patches each
 // sweep's click delta onto its previous graph (the default) must produce
-// graphs AND sweep results byte-identical to a detector pinned to the
-// historical full-rebuild path (NoDelta — the stream CLI's -no-delta).
+// graphs AND sweep results byte-identical to an oracle that re-aggregates
+// the whole click history and rebuilds from scratch for every build
+// (feedRebuildOracle), and that is checked never to have patched.
 // The corpus crosses marketplace shapes with the three compaction regimes
 // (compact-every-build, never-compact/pure-patching, default policy) and
 // folds in mid-sweep ingestion and crash-recovery replays, so compaction
@@ -56,7 +58,7 @@ func sameGraphBytes(t *testing.T, label string, oracle, delta *Detector) {
 }
 
 // TestDeltaEquivalenceGoldenWorkloads is the harness proper: for every
-// corpus workload, drive a NoDelta oracle and a delta-maintained detector
+// corpus workload, drive a rebuild oracle and a delta-maintained detector
 // through an identical three-phase stream (background, first attack half,
 // second attack half) with a sweep after each phase, comparing the
 // serialized graph and the serialized groups at every step.
@@ -95,7 +97,15 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle.NoDelta = true
+			oracle.Obs = obs.NewObserver("oracle")
+			oracleSweep := func() *detect.Result {
+				t.Helper()
+				res := mustSweep(t, oracle)
+				if n := oracle.Obs.Metrics.Counters()["stream.graph.patch"]; n != 0 {
+					t.Fatalf("the rebuild oracle patched its graph %d times", n)
+				}
+				return res
+			}
 
 			var delta *Detector
 			durDir := ""
@@ -116,9 +126,9 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 			}
 			compactFraction := delta.CompactFraction
 
-			oracle.AddBatch(bg)
+			feedRebuildOracle(oracle, bg)
 			delta.AddBatch(bg)
-			r1o := mustSweep(t, oracle)
+			r1o := oracleSweep()
 			// Mid-sweep ingestion: the fault site fires inside the sweep
 			// stage, after the graph snapshot — injected clicks are invisible
 			// to that sweep and must surface in the next one. Armed only
@@ -137,15 +147,15 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 				// The oracle gets the mid-sweep clicks now: for both
 				// detectors they are post-sweep-1, pre-sweep-2 traffic.
 				faultinject.Reset()
-				oracle.AddBatch(midSweep)
+				feedRebuildOracle(oracle, midSweep)
 				sameGraphBytes(t, "after sweep1", oracle, delta)
 			} else {
 				sameGraphBytes(t, "after sweep1", oracle, delta)
 			}
 
-			oracle.AddBatch(phaseA)
+			feedRebuildOracle(oracle, phaseA)
 			delta.AddBatch(phaseA)
-			r2o := mustSweep(t, oracle)
+			r2o := oracleSweep()
 			r2d := mustSweep(t, delta)
 			sameGroups(t, "sweep2", r2o, r2d)
 			sameGraphBytes(t, "after sweep2", oracle, delta)
@@ -167,9 +177,9 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 				sameGraphBytes(t, "after recovery", oracle, delta)
 			}
 
-			oracle.AddBatch(phaseB)
+			feedRebuildOracle(oracle, phaseB)
 			delta.AddBatch(phaseB)
-			r3o := mustSweep(t, oracle)
+			r3o := oracleSweep()
 			r3d := mustSweep(t, delta)
 			sameGroups(t, "sweep3", r3o, r3d)
 			sameGraphBytes(t, "after sweep3", oracle, delta)
@@ -188,8 +198,8 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 }
 
 // TestGraphBuildModeCounters pins the observable split between the two
-// build paths: a never-compacting detector rebuilds once (the first build)
-// and patches afterwards; a NoDelta detector only ever rebuilds.
+// build branches: a never-compacting detector rebuilds once (the first
+// build) and patches afterwards.
 func TestGraphBuildModeCounters(t *testing.T) {
 	feed := func(d *Detector) {
 		for round := 0; round < 3; round++ {
@@ -216,21 +226,6 @@ func TestGraphBuildModeCounters(t *testing.T) {
 	}
 	if got := counters["stream.graph.delta_rows"]; got != 150 {
 		t.Errorf("delta_rows = %d, want 150", got)
-	}
-
-	nd, err := New(nil, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd.NoDelta = true
-	nd.Obs = obs.NewObserver("stream")
-	feed(nd)
-	counters = nd.Obs.Metrics.Counters()
-	if got := counters["stream.graph.rebuild"]; got != 3 {
-		t.Errorf("no-delta: %d rebuilds, want 3", got)
-	}
-	if got := counters["stream.graph.patch"]; got != 0 {
-		t.Errorf("no-delta: %d patches, want 0", got)
 	}
 }
 
@@ -270,9 +265,9 @@ func TestCompactionPolicyTriggers(t *testing.T) {
 	}
 }
 
-// TestEventsCountsLifetimeTotal pins Events' contract (the resolution of
-// the old PendingEvents name/doc mismatch): the count is the lifetime
-// total of non-zero click events, monotone across sweeps and resets.
+// TestEventsCountsLifetimeTotal pins Events' contract: the count is the
+// lifetime total of non-zero click events, monotone across sweeps and
+// resets.
 func TestEventsCountsLifetimeTotal(t *testing.T) {
 	d, err := New(nil, smallParams())
 	if err != nil {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -27,9 +28,28 @@ func groupBytes(groups []detect.Group) []byte {
 	return appendGroups(nil, groups)
 }
 
+// sweep and fullDetect call the context-taking entry points for tests that
+// neither cancel nor time out.
+func sweep(d *Detector) (*detect.Result, error) { return d.SweepContext(context.Background()) }
+
+func fullDetect(d *Detector) (*detect.Result, error) {
+	return d.FullDetectContext(context.Background())
+}
+
+// feedRebuildOracle ingests records into a graph-build oracle and forgets its
+// built graph, so that its next build — whichever call triggers it —
+// re-aggregates the whole click history and rebuilds from scratch (the
+// compaction branch of graphLocked) instead of patching.
+func feedRebuildOracle(oracle *Detector, records []clicktable.Record) {
+	oracle.AddBatch(records)
+	oracle.mu.Lock()
+	oracle.graph = nil
+	oracle.mu.Unlock()
+}
+
 func mustSweep(t *testing.T, d *Detector) *detect.Result {
 	t.Helper()
-	res, err := d.Sweep()
+	res, err := sweep(d)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -86,19 +106,18 @@ func TestRecoveryEquivalenceGoldenWorkloads(t *testing.T) {
 			return true
 		})
 
-		// Oracle: never crashes, never persists — and pins the full-rebuild
-		// graph path, so recovered delta-patched sweeps are compared against
-		// pure from-scratch rebuilds.
+		// Oracle: never crashes, never persists — and rebuilds its graph from
+		// the full history for every sweep, so recovered delta-patched sweeps
+		// are compared against pure from-scratch rebuilds.
 		oracle, err := New(nil, smallParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle.NoDelta = true
-		oracle.AddBatch(bg)
+		feedRebuildOracle(oracle, bg)
 		r1 := mustSweep(t, oracle)
-		oracle.AddBatch(phaseA)
+		feedRebuildOracle(oracle, phaseA)
 		r2 := mustSweep(t, oracle)
-		oracle.AddBatch(phaseB)
+		feedRebuildOracle(oracle, phaseB)
 		r3 := mustSweep(t, oracle)
 
 		for _, crashPoint := range []string{"after-sweep-2", "mid-phase-3"} {
@@ -192,7 +211,7 @@ func TestRecoverySnapshotTakenMidSweep(t *testing.T) {
 	})
 	sweepDone := make(chan *detect.Result, 1)
 	go func() {
-		res, _ := d1.Sweep()
+		res, _ := sweep(d1)
 		sweepDone <- res
 	}()
 	<-started

@@ -25,7 +25,7 @@ func TestDetectContextCancelledSweepCommitsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	faultinject.Arm("stream.sweep", faultinject.Fault{Do: cancel, Times: 1})
-	res, err := d.DetectContext(ctx)
+	res, err := d.SweepContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -39,11 +39,11 @@ func TestDetectContextCancelledSweepCommitsNothing(t *testing.T) {
 
 	// The aborted sweep committed nothing, so the retry is still the first
 	// full detection and must match a reference detector exactly.
-	res2, err := d.Detect()
+	res2, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := d.FullDetect()
+	full, err := fullDetect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDetectContextPanicIsStageError(t *testing.T) {
 	}
 	faultinject.Arm("core.screen.group", faultinject.Fault{Panic: "sweep bug", Times: 1})
 
-	res, err := d.DetectContext(context.Background())
+	res, err := d.SweepContext(context.Background())
 	var se *detect.StageError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *detect.StageError", err)
@@ -97,7 +97,7 @@ func TestConcurrentIngestAndSweep(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 8; i++ {
-		if _, err := d.DetectContext(context.Background()); err != nil {
+		if _, err := d.SweepContext(context.Background()); err != nil {
 			t.Errorf("sweep %d: %v", i, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestConcurrentIngestAndSweep(t *testing.T) {
 
 	// One quiescent sweep after ingestion finishes: every attack click is
 	// now visible, so the implanted groups must be found.
-	res, err := d.Detect()
+	res, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestConcurrentIngestWithCancelledSweeps(t *testing.T) {
 		if i%2 == 0 {
 			cancel() // cancelled before the sweep starts: partial, no commit
 		}
-		res, err := d.DetectContext(ctx)
+		res, err := d.SweepContext(ctx)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Errorf("sweep %d: %v", i, err)
 		}
@@ -152,7 +152,7 @@ func TestConcurrentIngestWithCancelledSweeps(t *testing.T) {
 	}
 	wg.Wait()
 
-	res, err := d.Detect()
+	res, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMidSweepClickOnSnapshottedUserStaysDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Detect(); err != nil { // full sweep; retires all dirty users
+	if _, err := sweep(d); err != nil { // full sweep; retires all dirty users
 		t.Fatal(err)
 	}
 
@@ -183,7 +183,7 @@ func TestMidSweepClickOnSnapshottedUserStaysDirty(t *testing.T) {
 	faultinject.Arm("stream.sweep", faultinject.Fault{Do: func() {
 		d.AddClick(1, 2, 4)
 	}, Times: 1})
-	if _, err := d.Detect(); err != nil {
+	if _, err := sweep(d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +205,7 @@ func TestAbortedSweepRestoresDirtySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Detect(); err != nil {
+	if _, err := sweep(d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,7 +213,7 @@ func TestAbortedSweepRestoresDirtySet(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	faultinject.Arm("stream.sweep", faultinject.Fault{Do: cancel, Times: 1})
-	if _, err := d.DetectContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := d.SweepContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 

@@ -34,7 +34,7 @@ import (
 
 // Detector is an incremental RICD detector. Ingestion and detection are
 // safe to run concurrently: AddClick/AddBatch may race with an in-flight
-// Detect, which sweeps a consistent snapshot of the graph taken at entry;
+// sweep, which examines a consistent snapshot of the graph taken at entry;
 // clicks streamed during a sweep land in the next one.
 type Detector struct {
 	params core.Params
@@ -45,22 +45,6 @@ type Detector struct {
 	// core.GraphGeneratorBounded). Zero falls back to DefaultExpandCap.
 	ExpandDegreeCap int
 
-	// NoDelta pins the historical full-rebuild graph path: every sweep
-	// re-aggregates the whole click history and rebuilds the graph from
-	// scratch instead of patching the delta onto the previous build. Output
-	// is byte-identical either way — the flag exists as the equivalence
-	// oracle (stream CLI -no-delta) and as an escape hatch, mirroring
-	// core.Params.NoFrontier. Set before first use; do not flip afterwards.
-	NoDelta bool
-
-	// NoCache disables the cross-sweep component verdict cache (the
-	// equivalence oracle, stream CLI -no-cache): every sweep re-detects
-	// every component live. Output is byte-identical either way — the
-	// cache's fingerprint covers all verdict-affecting inputs (DESIGN.md
-	// §15) and cache_equiv_test.go pins the equivalence. Set before first
-	// use; do not flip afterwards.
-	NoCache bool
-
 	// CacheBytes bounds the verdict cache (0 = core.DefaultCacheBytes).
 	// Set before first use.
 	CacheBytes int64
@@ -69,11 +53,11 @@ type Detector struct {
 	// raw rows accumulated since the last compaction exceed this fraction
 	// of the aggregated base table, the next graph build folds them in with
 	// a full rebuild instead of patching (amortizing the pending tail away).
-	// Zero means DefaultCompactFraction; ignored under NoDelta. Set before
-	// first use; do not change afterwards.
+	// Zero means DefaultCompactFraction. Set before first use; do not change
+	// afterwards.
 	CompactFraction float64
 
-	// Obs, when non-nil, records every Detect as a stream.sweep span
+	// Obs, when non-nil, records every sweep as a stream.sweep span
 	// (sweep type, dirty-user scope, seed count, sweep-local graph size)
 	// and feeds stream.* metrics, including separate full/incremental
 	// sweep latency histograms for incremental-speedup ratios. Nil costs
@@ -90,7 +74,7 @@ type Detector struct {
 	// the first sweep and do not mutate it afterwards.
 	OnCommit func(res *detect.Result, g *bipartite.Graph)
 
-	// mu guards all mutable state below. Detect holds it only while taking
+	// mu guards all mutable state below. A sweep holds it only while taking
 	// its snapshot and while committing a completed sweep, never during the
 	// detection work itself, so ingestion stalls for microseconds, not for
 	// a whole sweep.
@@ -99,8 +83,8 @@ type Detector struct {
 	// graph is the last built click graph: nil before the first build,
 	// stale while table.DeltaLen() > 0. Builds after the first patch the
 	// delta onto the previous graph (bipartite.PatchGraph) unless the
-	// compaction policy or NoDelta forces a full rebuild; either way the
-	// result is byte-identical to rebuilding from the full history.
+	// compaction policy calls for a full rebuild; either way the result is
+	// byte-identical to rebuilding from the full history.
 	graph *bipartite.Graph
 	// dirty maps each user touched since the last committed sweep to the
 	// record-clock value (seq) of their newest click. The seq lets sweep
@@ -174,7 +158,7 @@ const DefaultCompactFraction = 0.5
 const DefaultExpandCap = 500
 
 // New creates an incremental detector over an optional initial click table
-// (nil starts empty). The initial table counts as dirty: the first Detect
+// (nil starts empty). The initial table counts as dirty: the first sweep
 // is a full detection.
 func New(initial *clicktable.Table, params core.Params) (*Detector, error) {
 	if err := params.Validate(); err != nil {
@@ -296,10 +280,6 @@ func (d *Detector) AddBatch(records []clicktable.Record) {
 // incarnation — the count survives recovery). It never decreases: sweeps
 // consume the dirty region, not this counter. Zero-click events are not
 // counted, matching AddClick/AddBatch dropping them.
-//
-// This method was previously named PendingEvents, whose name wrongly
-// suggested events-since-last-sweep while both the doc comment and every
-// caller meant the lifetime total; see TestEventsCountsLifetimeTotal.
 func (d *Detector) Events() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -309,8 +289,8 @@ func (d *Detector) Events() int {
 // Graph returns the current aggregated click graph, bringing it up to date
 // if the stream advanced: the clicks since the last build are patched onto
 // the previous graph in O(delta) (or the graph is rebuilt from scratch
-// when the compaction policy or NoDelta says so — the output is identical
-// either way). The returned graph must not be mutated; once built it is
+// when the compaction policy says so — the output is identical either
+// way). The returned graph must not be mutated; once built it is
 // never modified by the detector (new clicks produce a fresh Graph value),
 // so it stays safe to read concurrently with ingestion.
 func (d *Detector) Graph() *bipartite.Graph {
@@ -326,11 +306,11 @@ func (d *Detector) Graph() *bipartite.Graph {
 // as a raw pending tail; a build patches just that tail's aggregate onto
 // the previous graph (copy-on-write on touched rows/columns), which costs
 // O(clicks since last build) instead of O(total history). When the tail
-// outgrows CompactFraction of the base — or under NoDelta, always — the
-// build compacts: the full history is re-aggregated and the graph rebuilt
-// from scratch, exactly the historical path. bipartite.PatchGraph's
-// byte-identity contract (tested by FuzzGraphPatch and the delta/no-delta
-// golden harness) makes the two paths indistinguishable to every consumer.
+// outgrows CompactFraction of the base — and on the first build — the build
+// compacts: the full history is re-aggregated and the graph rebuilt from
+// scratch. bipartite.PatchGraph's byte-identity contract (tested by
+// FuzzGraphPatch and the delta golden harness) makes the two branches
+// indistinguishable to every consumer.
 func (d *Detector) graphLocked() *bipartite.Graph {
 	if d.graph != nil && d.table.DeltaLen() == 0 {
 		return d.graph
@@ -342,7 +322,7 @@ func (d *Detector) graphLocked() *bipartite.Graph {
 	if frac <= 0 {
 		frac = DefaultCompactFraction
 	}
-	patch := !d.NoDelta && d.graph != nil &&
+	patch := d.graph != nil &&
 		float64(d.table.PendingLen()) <= frac*float64(d.table.BaseLen())
 	if patch {
 		delta := d.table.Delta()
@@ -368,48 +348,30 @@ func (d *Detector) graphLocked() *bipartite.Graph {
 	return d.graph
 }
 
-// Detect runs incremental detection: previously detected groups are
-// re-screened against the current graph, and group extraction runs scoped
-// to the neighborhoods of nodes touched since the last call. The very
-// first call (or a call after Reset) is a full detection.
-func (d *Detector) Detect() (*detect.Result, error) {
-	return d.DetectContext(context.Background())
-}
-
-// Sweep is the operational name for Detect: one batched pass over the
-// clicks accumulated since the last pass.
-func (d *Detector) Sweep() (*detect.Result, error) {
-	return d.DetectContext(context.Background())
-}
-
-// SweepContext is Sweep under a context, with DetectContext's partial-result
-// contract. The sweep inherits the component-sharded orchestration of
-// core.NearBicliqueExtractCtx: the dirty-region subgraph splits into
-// connected components after core pruning and each runs on its own worker
-// (bounded by the detector's core.Params.Workers), so a sweep touching
-// several disjoint dirty neighborhoods prunes them concurrently while
-// producing output identical to a serial sweep.
+// SweepContext runs incremental detection, one batched pass over the clicks
+// accumulated since the last pass: previously detected groups are re-screened
+// against the current graph, and group extraction runs scoped to the
+// neighborhoods of nodes touched since the last call. The very first call (or
+// a call after Reset) is a full detection.
 //
+// Extraction is component-sharded (core.NearBicliqueExtractCtx): the work
+// graph splits into connected components after core pruning and each runs on
+// its own worker (bounded by the detector's core.Params.Workers), so a sweep
+// touching several disjoint dirty neighborhoods prunes them concurrently.
 // Pruning inside a sweep is frontier-driven end to end: an incremental
 // sweep's work graph is already scoped to the dirty users' neighborhoods
 // (GraphGeneratorBounded), so the frontier's all-dirty round-1 seed IS the
 // sweep's dirty set rather than a whole-component re-prime, and every later
 // round touches only vertices within two hops of an actual removal.
-// core.Params.NoFrontier (the stream CLI's -no-frontier) restores the
-// full-rescan rounds; output is identical either way.
+//
+// The sweep checks ctx at its stage boundaries and inside
+// extraction/screening; a cancelled or deadline-expired sweep returns a
+// non-nil PARTIAL result (Result.Partial, Result.StageReached) with whatever
+// the completed stages produced, plus the context's error. A partial sweep
+// commits nothing: the snapshotted dirty region is merged back and the cached
+// groups are left untouched, so the next sweep redoes the work in full. A
+// panicking stage is isolated into a *detect.StageError.
 func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
-	return d.DetectContext(ctx)
-}
-
-// DetectContext is Detect under a context. The sweep checks ctx at its
-// stage boundaries and inside extraction/screening; a cancelled or
-// deadline-expired sweep returns a non-nil PARTIAL result (Result.Partial,
-// Result.StageReached) with whatever the completed stages produced, plus
-// the context's error. A partial sweep commits nothing: the snapshotted
-// dirty region is merged back and the cached groups are left untouched, so
-// the next sweep redoes the work in full. A panicking stage is isolated
-// into a *detect.StageError.
-func (d *Detector) DetectContext(ctx context.Context) (*detect.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -466,19 +428,8 @@ func (d *Detector) DetectContext(ctx context.Context) (*detect.Result, error) {
 		sweepType = "full"
 	}
 	sp.Set("type", sweepType)
-	pruneMode := "frontier"
-	if params.NoFrontier {
-		pruneMode = "rescan"
-	}
-	sp.Set("prune_mode", pruneMode)
 	sp.SetInt("dirty_users", int64(len(dirty)))
-	var cacheBefore core.CacheStats
-	if params.Cache != nil {
-		cacheBefore = params.Cache.Stats()
-		sp.Set("cache", "on")
-	} else {
-		sp.Set("cache", "off")
-	}
+	cacheBefore := params.Cache.Stats()
 
 	sink := d.Obs.Sink()
 	if sink != nil {
@@ -551,7 +502,7 @@ func (d *Detector) DetectContext(ctx context.Context) (*detect.Result, error) {
 		if full {
 			work := core.GraphGenerator(g, detect.Seeds{})
 			var eerr error
-			if params.Cache != nil && len(cached) == 0 {
+			if len(cached) == 0 {
 				// A full sweep carries no cached groups (lastFull is only
 				// cleared by New/Reset, which also clear them), so the
 				// candidate set IS the fresh extraction and screening can
@@ -612,11 +563,9 @@ func (d *Detector) DetectContext(ctx context.Context) (*detect.Result, error) {
 	res.Elapsed = time.Since(start)
 	res.DetectElapsed = res.Elapsed
 	sp.SetInt("groups", int64(len(groups)))
-	if params.Cache != nil {
-		cs := params.Cache.Stats()
-		sp.SetInt("cache_hits", cs.Hits-cacheBefore.Hits)
-		sp.SetInt("cache_misses", cs.Misses-cacheBefore.Misses)
-	}
+	cs := params.Cache.Stats()
+	sp.SetInt("cache_hits", cs.Hits-cacheBefore.Hits)
+	sp.SetInt("cache_misses", cs.Misses-cacheBefore.Misses)
 	if err != nil {
 		// Graceful degradation: report what completed, commit nothing. The
 		// snapshotted dirty users merge back into the live set (which may
@@ -735,16 +684,20 @@ func suspiciousUser(g *bipartite.Graph, hot *core.HotSet, u bipartite.NodeID, tC
 	return found
 }
 
-// FullDetect bypasses the incremental path and runs the batch RICD detector
-// on the current graph — the reference the incremental result is validated
-// against in tests and benchmarks.
-func (d *Detector) FullDetect() (*detect.Result, error) {
-	return d.FullDetectContext(context.Background())
+// FullDetectContext bypasses the incremental path and runs the batch RICD
+// detector on the current graph — the reference the incremental result is
+// validated against in tests and benchmarks — with the same partial-result
+// contract as core.(*Detector).DetectContext.
+func (d *Detector) FullDetectContext(ctx context.Context) (*detect.Result, error) {
+	res, _, err := d.FullDetectGraphContext(ctx)
+	return res, err
 }
 
-// FullDetectContext is FullDetect under a context, with the same partial
-// result contract as core.(*Detector).DetectContext.
-func (d *Detector) FullDetectContext(ctx context.Context) (*detect.Result, error) {
+// FullDetectGraphContext is FullDetectContext that also returns the immutable
+// graph the detection examined, for callers that derive evidence from the
+// result: clicks streamed while the detection runs are in a later Graph(),
+// not in this one.
+func (d *Detector) FullDetectGraphContext(ctx context.Context) (*detect.Result, *bipartite.Graph, error) {
 	d.mu.Lock()
 	g := d.graphLocked()
 	params := d.params
@@ -755,15 +708,13 @@ func (d *Detector) FullDetectContext(ctx context.Context) (*detect.Result, error
 	params.CacheTouched = nil
 	d.mu.Unlock()
 	det := &core.Detector{Params: params, Obs: d.Obs}
-	return det.DetectContext(ctx, g)
+	res, err := det.DetectContext(ctx, g)
+	return res, g, err
 }
 
 // cacheLocked returns the detector's verdict cache, creating it on first
-// use; nil under NoCache. d.mu must be held.
+// use. d.mu must be held.
 func (d *Detector) cacheLocked() *core.VerdictCache {
-	if d.NoCache {
-		return nil
-	}
 	if d.cache == nil {
 		d.cache = core.NewVerdictCache(d.CacheBytes)
 	}
@@ -771,7 +722,7 @@ func (d *Detector) cacheLocked() *core.VerdictCache {
 }
 
 // CacheStats reports the verdict cache's lifetime counters (the zero value
-// when the cache is disabled or not yet created).
+// when the cache is not yet created).
 func (d *Detector) CacheStats() core.CacheStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -781,7 +732,7 @@ func (d *Detector) CacheStats() core.CacheStats {
 	return d.cache.Stats()
 }
 
-// Reset drops the cached detection state, forcing the next Detect to run
+// Reset drops the cached detection state, forcing the next sweep to run
 // fully (for example after a parameter change via Retune). On a durable
 // detector the reset is WAL-logged so recovery reproduces it.
 func (d *Detector) Reset() {
@@ -837,7 +788,7 @@ func (d *Detector) Retune(params core.Params) error {
 	return nil
 }
 
-// Detections returns how many Detect calls have completed successfully.
+// Detections returns how many sweeps have committed.
 func (d *Detector) Detections() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

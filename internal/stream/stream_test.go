@@ -42,11 +42,11 @@ func TestFirstDetectIsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Detect()
+	res, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := d.FullDetect()
+	full, err := fullDetect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestIncrementalCatchesStreamedAttack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Baseline sweep over clean traffic.
-	res, err := d.Detect()
+	res, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIncrementalCatchesStreamedAttack(t *testing.T) {
 
 	// Stream the attack, then re-detect incrementally.
 	d.AddBatch(attack)
-	res, err = d.Detect()
+	res, err = sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestIncrementalMatchesFullDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Detect(); err != nil {
+	if _, err := sweep(d); err != nil {
 		t.Fatal(err)
 	}
 	// Stream the attack in three chunks with a detection after each.
@@ -106,14 +106,14 @@ func TestIncrementalMatchesFullDetection(t *testing.T) {
 	var inc *metrics.Eval
 	for _, chunk := range chunks {
 		d.AddBatch(chunk)
-		res, err := d.Detect()
+		res, err := sweep(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := metrics.Evaluate(res, ds.Truth)
 		inc = &e
 	}
-	full, err := d.FullDetect()
+	full, err := fullDetect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestCachedGroupsSurviveQuietStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.Detect()
+	first, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No new events: detection must return the cached groups.
-	second, err := d.Detect()
+	second, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRescreeningDropsGroupWhenTargetGoesHot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Detect()
+	res, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRescreeningDropsGroupWhenTargetGoesHot(t *testing.T) {
 		d.AddClick(u, 0, 1)
 		d.AddClick(u, 1, 1)
 	}
-	res, err = d.Detect()
+	res, err = sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +194,11 @@ func TestResetForcesFullDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Detect(); err != nil {
+	if _, err := sweep(d); err != nil {
 		t.Fatal(err)
 	}
 	d.Reset()
-	res, err := d.Detect()
+	res, err := sweep(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRetune(t *testing.T) {
 	if err := d.Retune(p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Detect(); err != nil {
+	if _, err := sweep(d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Detections() != 1 {

@@ -66,6 +66,10 @@ type StreamDetector struct {
 	obs      *obs.Observer
 	serve    *VerdictStore
 	recovery *StreamRecovery
+	// committed is the immutable graph the last committed sweep examined,
+	// handed over by inner.OnCommit on the sweeping goroutine just before
+	// SweepContext returns (sweeps are never concurrent).
+	committed *bipartite.Graph
 }
 
 // NewStreamDetector creates a streaming detector, optionally warm-started
@@ -94,19 +98,25 @@ func NewStreamDetector(initial *Graph, cfg Config) (*StreamDetector, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A stream detector owns its private per-sweep cache (NoCache/CacheBytes);
-	// a shared Config.Cache is a batch-path concern.
+	// A stream detector owns its private per-sweep cache (CacheBytes); a
+	// shared Config.Cache is a batch-path concern.
 	params.Cache = nil
 	inner, err := stream.New(tbl, params)
 	if err != nil {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
 	inner.Obs = auditObserver(cfg)
-	inner.NoDelta = cfg.NoDelta
+	return wrapStreamDetector(inner, cfg, nil), nil
+}
+
+// wrapStreamDetector finishes either construction path: the tuning fields,
+// and the commit hook through which a sweep hands over the graph it examined.
+func wrapStreamDetector(inner *stream.Detector, cfg Config, recovery *StreamRecovery) *StreamDetector {
+	s := &StreamDetector{inner: inner, obs: cfg.Observer, serve: cfg.Serve, recovery: recovery}
 	inner.CompactFraction = cfg.CompactFraction
-	inner.NoCache = cfg.NoCache
 	inner.CacheBytes = cfg.CacheBytes
-	return &StreamDetector{inner: inner, obs: cfg.Observer, serve: cfg.Serve}, nil
+	inner.OnCommit = func(_ *detect.Result, g *bipartite.Graph) { s.committed = g }
+	return s
 }
 
 // openDurableStreamDetector is NewStreamDetector's durable path.
@@ -136,21 +146,12 @@ func openDurableStreamDetector(initial *Graph, cfg Config) (*StreamDetector, err
 	if err != nil {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
-	inner.NoDelta = cfg.NoDelta
-	inner.CompactFraction = cfg.CompactFraction
-	inner.NoCache = cfg.NoCache
-	inner.CacheBytes = cfg.CacheBytes
-	return &StreamDetector{
-		inner: inner,
-		obs:   cfg.Observer,
-		serve: cfg.Serve,
-		recovery: &StreamRecovery{
-			ColdStart:       info.ColdStart,
-			SnapshotClock:   info.SnapshotClock,
-			ReplayedRecords: info.Replayed,
-			TruncatedBytes:  info.TruncatedBytes,
-		},
-	}, nil
+	return wrapStreamDetector(inner, cfg, &StreamRecovery{
+		ColdStart:       info.ColdStart,
+		SnapshotClock:   info.SnapshotClock,
+		ReplayedRecords: info.Replayed,
+		TruncatedBytes:  info.TruncatedBytes,
+	}), nil
 }
 
 // Recovery returns what a durable detector reconstructed at open; nil for
@@ -196,8 +197,14 @@ func (s *StreamDetector) Sweep() (*Report, error) {
 // dirty region and cached groups are untouched, so the next sweep redoes
 // the work in full. A stage panic is isolated into a *StageError.
 func (s *StreamDetector) SweepContext(ctx context.Context) (*Report, error) {
-	res, err := s.inner.DetectContext(ctx)
-	return s.finish(res, err)
+	res, err := s.inner.SweepContext(ctx)
+	g := s.committed
+	if err != nil {
+		// An aborted sweep commits nothing and hands over no graph; its
+		// partial report, which is never published, reads the live one.
+		g = s.inner.Graph()
+	}
+	return s.finish(g, res, err)
 }
 
 // FullSweep forces a from-scratch batch detection.
@@ -208,17 +215,19 @@ func (s *StreamDetector) FullSweep() (*Report, error) {
 // FullSweepContext is FullSweep under a context, with SweepContext's
 // partial-report contract.
 func (s *StreamDetector) FullSweepContext(ctx context.Context) (*Report, error) {
-	res, err := s.inner.FullDetectContext(ctx)
-	return s.finish(res, err)
+	res, g, err := s.inner.FullDetectGraphContext(ctx)
+	return s.finish(g, res, err)
 }
 
 // finish applies the facade's graceful-degradation contract to a sweep
 // outcome (see finishReport) and, with Config.Serve set, publishes every
 // committed sweep's verdicts as a fresh index epoch — the online serving
 // path. Aborted sweeps publish nothing: the previous epoch keeps serving.
-func (s *StreamDetector) finish(res *detect.Result, err error) (*Report, error) {
+// g is the graph the detection examined: evidence read from a later graph
+// would count clicks the verdict never saw.
+func (s *StreamDetector) finish(g *bipartite.Graph, res *detect.Result, err error) (*Report, error) {
 	if err == nil {
-		rep := s.report(res)
+		rep := s.report(g, res)
 		if s.serve != nil {
 			_ = s.serve.Publish(rep.Index())
 		}
@@ -227,7 +236,7 @@ func (s *StreamDetector) finish(res *detect.Result, err error) (*Report, error) 
 	if res == nil {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
-	rep := s.report(res)
+	rep := s.report(g, res)
 	rep.Partial = true
 	rep.Stage = res.StageReached
 	rep.Err = err
@@ -238,11 +247,7 @@ func (s *StreamDetector) finish(res *detect.Result, err error) (*Report, error) 
 	return rep, nil
 }
 
-func (s *StreamDetector) report(res *detect.Result) *Report {
-	// Ranking needs the current graph and the params actually used; the
-	// stream detector owns both, so rebuild the report here rather than
-	// through buildReport's param plumbing.
-	g := s.inner.Graph()
+func (s *StreamDetector) report(g *bipartite.Graph, res *detect.Result) *Report {
 	rep := &Report{
 		Elapsed: res.Elapsed,
 		Users:   res.Users(),

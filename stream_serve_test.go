@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/clicktable"
 	"repro/internal/core"
+	"repro/internal/detect"
+	"repro/internal/faultinject"
 	"repro/internal/serve"
 	"repro/internal/stream"
 )
@@ -180,7 +182,7 @@ func TestCompilePathMatchesReportPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := inner.DetectContext(context.Background())
+	res, err := inner.SweepContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,5 +213,74 @@ func TestCompilePathMatchesReportPath(t *testing.T) {
 	}
 	if len(rep.Groups) == 0 {
 		t.Fatal("workload detected nothing; equivalence was vacuous")
+	}
+}
+
+// TestStreamServeReadsTheExaminedGraph: a report and the epoch published
+// from it carry evidence from the graph the detection examined, not from
+// clicks streamed while it ran. Clicks are injected mid-detection through a
+// fault site that fires after the snapshot is taken; every served group and
+// node verdict must equal serve.Compile(snapshot, result).
+func TestStreamServeReadsTheExaminedGraph(t *testing.T) {
+	g, ds := syntheticGraph(t)
+	for name, tc := range map[string]struct {
+		site  string
+		sweep func(*StreamDetector) (*Report, error)
+	}{
+		"Sweep":     {"stream.sweep", (*StreamDetector).Sweep},
+		"FullSweep": {"core.extraction", (*StreamDetector).FullSweep},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer faultinject.Reset()
+			store := NewVerdictStore(nil)
+			cfg := smallConfig()
+			cfg.Serve = store
+			sd, err := NewStreamDetector(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshot := sd.inner.Graph()
+			a, b := ds.Groups[0], ds.Groups[1]
+			faultinject.Arm(tc.site, faultinject.Fault{Times: 1, Do: func() {
+				sd.AddClicks(a.Attackers[0], a.Targets[0], 500) // a heavier in-group edge
+				sd.AddClicks(a.Attackers[0], b.Targets[0], 1)   // one more suspicious item clicked
+			}})
+			rep, err := tc.sweep(sd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sd.inner.Graph().LiveClicks() != snapshot.LiveClicks()+501 {
+				t.Fatal("the mid-sweep clicks never arrived")
+			}
+			if len(rep.Groups) < 2 {
+				t.Fatalf("detected %d groups; the injected edges touch none", len(rep.Groups))
+			}
+
+			res := &detect.Result{}
+			for _, grp := range rep.Groups {
+				res.Groups = append(res.Groups, detect.Group{Users: grp.Users, Items: grp.Items, Score: grp.Score})
+			}
+			want, got := serve.Compile(snapshot, res, cfg.THot, cfg.TClick), store.Current()
+			if got == nil || got.NumGroups() != want.NumGroups() {
+				t.Fatalf("published %v, want %d groups", got, want.NumGroups())
+			}
+			for n := 1; n <= want.NumGroups(); n++ {
+				gw, _ := want.Group(n)
+				gg, _ := got.Group(n)
+				if !reflect.DeepEqual(gg, gw) {
+					t.Errorf("group %d: served %+v, the examined graph gives %+v", n, gg, gw)
+				}
+			}
+			for id := uint32(0); id < uint32(g.NumUsers()); id++ {
+				if gg, gw := got.User(id), want.User(id); !reflect.DeepEqual(gg, gw) {
+					t.Errorf("user %d: served %+v, the examined graph gives %+v", id, gg, gw)
+				}
+			}
+			for id := uint32(0); id < uint32(g.NumItems()); id++ {
+				if gg, gw := got.Item(id), want.Item(id); !reflect.DeepEqual(gg, gw) {
+					t.Errorf("item %d: served %+v, the examined graph gives %+v", id, gg, gw)
+				}
+			}
+		})
 	}
 }

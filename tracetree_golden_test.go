@@ -26,9 +26,7 @@ var durRe = regexp.MustCompile(` +(\d+m)?\d+(\.\d+)?(ns|µs|ms|s)\b`)
 func TestTraceTreeGolden(t *testing.T) {
 	g, _ := syntheticGraph(t)
 	cfg := smallConfig() // explicit THot/TClick: no data-derivation spans
-	cfg.Serial = true
-	cfg.NoFrontier = true
-	cfg.Workers = 1
+	cfg.Workers = 1      // span order under the shard pool is scheduling-dependent
 	cfg.Observer = NewObserver("ricd")
 	if _, err := Detect(g, cfg); err != nil {
 		t.Fatal(err)
