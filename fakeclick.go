@@ -232,29 +232,12 @@ func DefaultConfig() Config {
 
 // Group is one detected attack group: suspicious users (crowd-worker
 // accounts) and suspicious items (attack targets), with a risk score and
-// the forensic statistics an analyst reviews before acting.
-type Group struct {
-	Users []uint32
-	Items []uint32
-	Score float64
-
-	// Density is in-group edges / (users × items); 1.0 is a perfect
-	// biclique.
-	Density float64
-	// MeanEdgeClicks is the average click weight of in-group edges —
-	// crowd workers hammer targets, so this runs far above the
-	// marketplace per-edge mean.
-	MeanEdgeClicks float64
-	// OutsideShare is the fraction of the group items' clicks coming
-	// from users outside the group (organic traffic).
-	OutsideShare float64
-}
+// the forensic statistics an analyst reviews before acting (Density,
+// MeanEdgeClicks, OutsideShare).
+type Group = detect.Group
 
 // RankedNode is a node with its identification-module risk score.
-type RankedNode struct {
-	ID    uint32
-	Score float64
-}
+type RankedNode = detect.Scored
 
 // Report is a detection outcome.
 type Report struct {
@@ -320,27 +303,18 @@ func (r *Report) Summary() string {
 // report answers — a user/item is suspicious iff it appears in a group
 // (with its RankedUsers/RankedItems risk score), a pair is in-group iff
 // some single group contains both ends — which the query-equivalence
-// harness pins byte-for-byte. The index references the report's slices
-// without copying; do not mutate the report afterwards.
+// harness pins byte-for-byte. Nothing is copied or recomputed: the index
+// references the report's group and ranking slices, so do not mutate the
+// report afterwards.
 func (r *Report) Index() *VerdictIndex {
-	d := serve.Data{THot: r.THot, TClick: r.TClick, Partial: r.Partial}
-	for _, grp := range r.Groups {
-		d.Groups = append(d.Groups, serve.Group{
-			Users:          grp.Users,
-			Items:          grp.Items,
-			Score:          grp.Score,
-			Density:        grp.Density,
-			MeanEdgeClicks: grp.MeanEdgeClicks,
-			OutsideShare:   grp.OutsideShare,
-		})
-	}
-	for _, n := range r.RankedUsers {
-		d.RankedUsers = append(d.RankedUsers, serve.Scored{ID: n.ID, Score: n.Score})
-	}
-	for _, n := range r.RankedItems {
-		d.RankedItems = append(d.RankedItems, serve.Scored{ID: n.ID, Score: n.Score})
-	}
-	return serve.Build(d)
+	return serve.Build(serve.Data{
+		Groups:      r.Groups,
+		RankedUsers: r.RankedUsers,
+		RankedItems: r.RankedItems,
+		THot:        r.THot,
+		TClick:      r.TClick,
+		Partial:     r.Partial,
+	})
 }
 
 // TopUsers returns the k highest-risk users.
@@ -391,20 +365,7 @@ func DetectContext(ctx context.Context, g *Graph, cfg Config) (*Report, error) {
 		d.Variant = core.VariantUI
 	}
 	res, err := d.DetectContext(ctx, bg)
-	rep, err := finishReport(bg, res, params, cfg.Observer, err)
-	publishVerdicts(cfg, rep, err)
-	return rep, err
-}
-
-// publishVerdicts compiles and publishes a complete report to Config.Serve
-// (nil store or partial/failed outcome: no-op — the previous epoch keeps
-// serving). A Publish failure is already counted and audited by the store;
-// the detection outcome stands regardless, so it is not propagated here.
-func publishVerdicts(cfg Config, rep *Report, err error) {
-	if cfg.Serve == nil || rep == nil || rep.Partial || err != nil {
-		return
-	}
-	_ = cfg.Serve.Publish(rep.Index())
+	return newReport(bg, res, err, params, cfg)
 }
 
 // auditObserver returns the observer the pipeline should run under:
@@ -447,25 +408,47 @@ func DetectWithExpectationContext(ctx context.Context, g *Graph, cfg Config,
 		return nil, err
 	}
 	fr, err := core.DetectWithFeedbackContext(ctx, bg, params, expectedNodes, maxRounds, auditObserver(cfg))
-	rep, err := finishReport(bg, fr.Result, fr.Params, cfg.Observer, err)
-	publishVerdicts(cfg, rep, err)
-	return rep, err
+	return newReport(bg, fr.Result, err, fr.Params, cfg)
 }
 
-// finishReport applies the graceful-degradation contract shared by the
-// context entry points: a nil error or a pure cancellation yields a
-// report (partial on cancellation); a stage panic yields the partial
-// report AND its *StageError; anything else fails outright.
-func finishReport(bg *bipartite.Graph, res *detect.Result, params core.Params,
-	o *obs.Observer, err error) (*Report, error) {
-
-	if err == nil {
-		return buildReport(bg, res, params, o), nil
-	}
+// newReport turns a detection outcome into its Report — the one path behind
+// Detect, DetectWithExpectation, Sweep and FullSweep. g is the graph the
+// detection examined (evidence read from a later graph would count clicks
+// the verdict never saw) and params what it ran with. A complete outcome
+// arrives identified against g and is reported as is; a cut-short one is
+// identified here. The graceful-degradation contract: a nil error or a pure
+// cancellation yields a report (partial on cancellation); a stage panic
+// yields the partial report AND its *StageError; no result fails outright.
+// With Config.Serve set, every complete outcome is published as a fresh
+// index epoch; partial ones publish nothing and the previous epoch keeps
+// serving. A Publish failure is already counted and audited by the store
+// and the detection outcome stands regardless, so it is not propagated.
+func newReport(g *bipartite.Graph, res *detect.Result, err error, params core.Params, cfg Config) (*Report, error) {
 	if res == nil {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
-	rep := buildReport(bg, res, params, o)
+	sp := cfg.Observer.Root().Start("report")
+	core.Identify(g, res)
+	rep := &Report{
+		Groups:      res.Groups,
+		Users:       res.Users(),
+		Items:       res.Items(),
+		RankedUsers: res.RankedUsers,
+		RankedItems: res.RankedItems,
+		Elapsed:     res.Elapsed,
+		THot:        params.THot,
+		TClick:      params.TClick,
+	}
+	if cfg.Observer != nil {
+		rep.Trace = cfg.Observer.Trace
+	}
+	sp.End()
+	if err == nil {
+		if cfg.Serve != nil {
+			_ = cfg.Serve.Publish(rep.Index())
+		}
+		return rep, nil
+	}
 	rep.Partial = true
 	rep.Stage = res.StageReached
 	rep.Err = err
@@ -505,40 +488,6 @@ func resolveParams(bg *bipartite.Graph, cfg Config) (core.Params, error) {
 	return params, nil
 }
 
-func buildReport(bg *bipartite.Graph, res *detect.Result, params core.Params, o *obs.Observer) *Report {
-	sp := o.Root().Start("report")
-	defer sp.End()
-	rep := &Report{
-		Elapsed: res.Elapsed,
-		THot:    params.THot,
-		TClick:  params.TClick,
-		Users:   res.Users(),
-		Items:   res.Items(),
-	}
-	if o != nil {
-		rep.Trace = o.Trace
-	}
-	for _, grp := range res.Groups {
-		st := core.ComputeGroupStats(bg, grp)
-		rep.Groups = append(rep.Groups, Group{
-			Users:          grp.Users,
-			Items:          grp.Items,
-			Score:          grp.Score,
-			Density:        st.Density,
-			MeanEdgeClicks: st.MeanEdgeClicks,
-			OutsideShare:   st.OutsideShare,
-		})
-	}
-	ranking := core.RankResult(bg, res)
-	for _, n := range ranking.Users {
-		rep.RankedUsers = append(rep.RankedUsers, RankedNode{ID: n.ID, Score: n.Score})
-	}
-	for _, n := range ranking.Items {
-		rep.RankedItems = append(rep.RankedItems, RankedNode{ID: n.ID, Score: n.Score})
-	}
-	return rep
-}
-
 // Explain renders the evidence trail for one detected group (by index into
 // rep.Groups): block statistics, each account's hot-vs-target click
 // pattern, and each item's supporter-vs-organic profile. This is the
@@ -552,8 +501,7 @@ func Explain(g *Graph, rep *Report, group int) (string, error) {
 	params.THot = rep.THot
 	params.TClick = rep.TClick
 	hot := core.ComputeHotSet(bg, params.THot)
-	grp := detect.Group{Users: rep.Groups[group].Users, Items: rep.Groups[group].Items}
-	return core.ExplainGroup(bg, grp, hot, params), nil
+	return core.ExplainGroup(bg, rep.Groups[group], hot, params), nil
 }
 
 // Recommend returns the top-k item-to-item recommendations for a user who

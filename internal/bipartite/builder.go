@@ -45,9 +45,6 @@ func (b *Builder) AddEdges(edges []Edge) {
 	}
 }
 
-// NumEdges returns the number of raw (pre-merge) records added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
 // Grow reserves room for n more records, so that a caller that knows its
 // row count (clicktable.Table.ToGraph, Compact) pays for one buffer instead
 // of append's doubling.

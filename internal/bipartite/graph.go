@@ -300,15 +300,6 @@ func (g *Graph) RemoveItem(v NodeID) {
 	g.vStrength[v] = 0
 }
 
-// Remove deletes the vertex id on the given side.
-func (g *Graph) Remove(s Side, id NodeID) {
-	if s == UserSide {
-		g.RemoveUser(id)
-	} else {
-		g.RemoveItem(id)
-	}
-}
-
 // EachLiveUser calls fn for every live user in increasing ID order.
 func (g *Graph) EachLiveUser(fn func(u NodeID) bool) {
 	for u := range g.uAlive {

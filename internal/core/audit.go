@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bipartite"
+	"repro/internal/detect"
 	"repro/internal/obs"
 )
 
@@ -225,21 +226,25 @@ func (a *auditor) dropItemSupporters(group int, v bipartite.NodeID, supporters, 
 	})
 }
 
-// groupVerdict records one final group with its risk score and forensic
-// evidence — the record an analyst reviews before acting.
-func (a *auditor) groupVerdict(group, users, items int, score float64, st GroupStats) {
-	if a == nil {
+// EmitGroupVerdicts records the final verdicts of a run on sink (nil: no-op):
+// one group.verdict event per identified group, in reported order, with its
+// risk score and forensic evidence — the record an analyst reviews before
+// acting. Batch detections and stream sweeps both report through here.
+func EmitGroupVerdicts(sink *obs.EventSink, groups []detect.Group) {
+	if sink == nil {
 		return
 	}
-	a.sink.Emit(obs.Event{
-		Type:  obs.EventGroupVerdict,
-		Group: group,
-		Users: users,
-		Items: items,
-		Score: score,
-		Stat: fmt.Sprintf("density=%.3f mean_edge_clicks=%.1f outside_share=%.3f",
-			st.Density, st.MeanEdgeClicks, st.OutsideShare),
-	})
+	for i, grp := range groups {
+		sink.Emit(obs.Event{
+			Type:  obs.EventGroupVerdict,
+			Group: i + 1,
+			Users: len(grp.Users),
+			Items: len(grp.Items),
+			Score: grp.Score,
+			Stat: fmt.Sprintf("density=%.3f mean_edge_clicks=%.1f outside_share=%.3f",
+				grp.Density, grp.MeanEdgeClicks, grp.OutsideShare),
+		})
+	}
 }
 
 // widenEvents records the feedback loop's parameter relaxations: one event

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/bipartite"
@@ -15,29 +16,71 @@ import (
 // strategy (Fig 7), which together make the framework consumable by business
 // experts (desired property 4).
 
-// RankedNode is one row of the identification module's output table.
-type RankedNode struct {
-	ID   bipartite.NodeID
-	Side bipartite.Side
-	// Score is the risk score: for users, the number of suspicious items
-	// clicked; for items, the average risk score of its clickers.
-	Score float64
+// Identify is the identification module, run once per detection outcome:
+// it ranks every suspicious node (RankResult), scores each group with the
+// mean risk score of its users, measures each group's forensic statistics
+// (ComputeGroupStats) and orders the groups most suspicious first, ties
+// keeping their order. Everything is recorded on res, so reports, the audit
+// trail, the WAL and the serving index all read one outcome. Identifying an
+// identified result again does nothing, whatever graph is passed: a complete
+// detection leaves its detector identified against the graph it examined,
+// and evidence read from a later graph would count clicks the verdict never
+// saw. res.Groups must be final.
+func Identify(g *bipartite.Graph, res *detect.Result) {
+	if res.Identified {
+		return
+	}
+	res.RankedUsers, res.RankedItems = RankResult(g, res)
+
+	// The suspicious-user union is sorted, so a user's slot in it indexes
+	// its risk score.
+	ids := res.Users()
+	score := make([]float64, len(ids))
+	// slot finds id's place in ids; at, the slot after the previous hit, is
+	// tried first because members mostly arrive in ascending runs.
+	at := 0
+	slot := func(id bipartite.NodeID) int {
+		if at >= len(ids) || ids[at] != id {
+			at, _ = slices.BinarySearch(ids, id)
+		}
+		at++
+		return at - 1
+	}
+	for _, n := range res.RankedUsers {
+		score[slot(n.ID)] = n.Score
+	}
+	for gi := range res.Groups {
+		grp := &res.Groups[gi]
+		var sum float64
+		for _, u := range grp.Users {
+			sum += score[slot(u)]
+		}
+		grp.Score = sum / float64(max(len(grp.Users), 1))
+		st := ComputeGroupStats(g, *grp)
+		grp.Density, grp.MeanEdgeClicks, grp.OutsideShare = st.Density, st.MeanEdgeClicks, st.OutsideShare
+	}
+	sort.SliceStable(res.Groups, func(i, j int) bool { return res.Groups[i].Score > res.Groups[j].Score })
+	res.Identified = true
 }
 
-// Ranking is the ordered user-item output table.
-type Ranking struct {
-	Users []RankedNode // descending by Score, ties by ID
-	Items []RankedNode
-}
+// testRankHook, when non-nil, is invoked once per RankResult execution. Tests
+// use it to count ranking passes per published epoch; it selects nothing.
+var testRankHook func()
 
 // RankResult computes risk scores for every suspicious node of a detection
-// result, against the original click graph:
+// result, against the original click graph, and returns the two rankings
+// (descending by score, ties by ID):
 //
 //   - a user's risk score is the number of suspicious items it clicked;
 //   - an item's risk score is the average risk score of the users that
 //     clicked it (non-suspicious clickers contribute zero, so organically
 //     popular items are diluted downward).
-func RankResult(g *bipartite.Graph, res *detect.Result) Ranking {
+//
+// Every call recomputes both rankings from res's groups; nothing is cached.
+func RankResult(g *bipartite.Graph, res *detect.Result) (users, items []detect.Scored) {
+	if h := testRankHook; h != nil {
+		h()
+	}
 	susItems := map[bipartite.NodeID]bool{}
 	for _, v := range res.Items() {
 		susItems[v] = true
@@ -55,10 +98,11 @@ func RankResult(g *bipartite.Graph, res *detect.Result) Ranking {
 		userScore[u] = float64(n)
 	}
 
-	var r Ranking
+	users = slices.Grow(users, len(userScore))
 	for u, s := range userScore {
-		r.Users = append(r.Users, RankedNode{ID: u, Side: bipartite.UserSide, Score: s})
+		users = append(users, detect.Scored{ID: u, Score: s})
 	}
+	items = slices.Grow(items, len(susItems))
 	for v := range susItems {
 		var sum float64
 		n := 0
@@ -71,36 +115,20 @@ func RankResult(g *bipartite.Graph, res *detect.Result) Ranking {
 		if n > 0 {
 			score = sum / float64(n)
 		}
-		r.Items = append(r.Items, RankedNode{ID: v, Side: bipartite.ItemSide, Score: score})
+		items = append(items, detect.Scored{ID: v, Score: score})
 	}
-	sortRanked(r.Users)
-	sortRanked(r.Items)
-	return r
+	sortRanked(users)
+	sortRanked(items)
+	return users, items
 }
 
-func sortRanked(nodes []RankedNode) {
+func sortRanked(nodes []detect.Scored) {
 	sort.Slice(nodes, func(i, j int) bool {
 		if nodes[i].Score != nodes[j].Score {
 			return nodes[i].Score > nodes[j].Score
 		}
 		return nodes[i].ID < nodes[j].ID
 	})
-}
-
-// TopUsers returns the k highest-risk users (fewer if the ranking is short).
-func (r Ranking) TopUsers(k int) []RankedNode { return top(r.Users, k) }
-
-// TopItems returns the k highest-risk items.
-func (r Ranking) TopItems(k int) []RankedNode { return top(r.Items, k) }
-
-func top(nodes []RankedNode, k int) []RankedNode {
-	if k > len(nodes) {
-		k = len(nodes)
-	}
-	if k <= 0 {
-		return nil
-	}
-	return nodes[:k]
 }
 
 // FeedbackResult reports the outcome of the feedback-based parameter

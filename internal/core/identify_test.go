@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -23,47 +24,80 @@ func TestRankResultScores(t *testing.T) {
 		Users: []bipartite.NodeID{0, 1},
 		Items: []bipartite.NodeID{0, 1},
 	}}}
-	r := RankResult(g, res)
-	if len(r.Users) != 2 || len(r.Items) != 2 {
-		t.Fatalf("ranking sizes = %d users / %d items", len(r.Users), len(r.Items))
+	users, items := RankResult(g, res)
+	if len(users) != 2 || len(items) != 2 {
+		t.Fatalf("ranking sizes = %d users / %d items", len(users), len(items))
 	}
 	// u0 risk 2, u1 risk 1.
-	if r.Users[0].ID != 0 || r.Users[0].Score != 2 {
-		t.Errorf("top user = %+v, want u0 score 2", r.Users[0])
+	if users[0].ID != 0 || users[0].Score != 2 {
+		t.Errorf("top user = %+v, want u0 score 2", users[0])
 	}
-	if r.Users[1].ID != 1 || r.Users[1].Score != 1 {
-		t.Errorf("second user = %+v, want u1 score 1", r.Users[1])
+	if users[1].ID != 1 || users[1].Score != 1 {
+		t.Errorf("second user = %+v, want u1 score 1", users[1])
 	}
 	// v0: clickers u0(2), u1(1), u2(0) → avg 1; v1: u0(2) → avg 2.
-	if r.Items[0].ID != 1 || r.Items[0].Score != 2 {
-		t.Errorf("top item = %+v, want v1 score 2", r.Items[0])
+	if items[0].ID != 1 || items[0].Score != 2 {
+		t.Errorf("top item = %+v, want v1 score 2", items[0])
 	}
-	if r.Items[1].ID != 0 || r.Items[1].Score != 1 {
-		t.Errorf("second item = %+v, want v0 score 1", r.Items[1])
+	if items[1].ID != 0 || items[1].Score != 1 {
+		t.Errorf("second item = %+v, want v0 score 1", items[1])
 	}
 }
 
-func TestRankingTopK(t *testing.T) {
-	r := Ranking{
-		Users: []RankedNode{{ID: 1, Score: 3}, {ID: 2, Score: 2}, {ID: 3, Score: 1}},
-		Items: []RankedNode{{ID: 9, Score: 5}},
+// TestIdentifyScoresOrdersAndRunsOnce: one Identify call leaves the rankings,
+// each group's score (mean user risk) and statistics on the result, most
+// suspicious group first; a second call — even against another graph —
+// changes nothing and ranks nothing.
+func TestIdentifyScoresOrdersAndRunsOnce(t *testing.T) {
+	// Group A: u0,u1 × v0 (risk 1 each). Group B: u2,u3 × v1,v2 (risk 2 each).
+	b := bipartite.NewBuilder(4, 3)
+	b.Add(0, 0, 5)
+	b.Add(1, 0, 5)
+	for _, u := range []bipartite.NodeID{2, 3} {
+		b.Add(u, 1, 7)
+		b.Add(u, 2, 7)
 	}
-	if got := r.TopUsers(2); len(got) != 2 || got[0].ID != 1 {
-		t.Errorf("TopUsers(2) = %+v", got)
+	g := b.Build()
+	groupA := detect.Group{Users: []bipartite.NodeID{0, 1}, Items: []bipartite.NodeID{0}}
+	groupB := detect.Group{Users: []bipartite.NodeID{3, 2}, Items: []bipartite.NodeID{1, 2}}
+	res := &detect.Result{Groups: []detect.Group{groupA, groupB}}
+
+	passes := 0
+	testRankHook = func() { passes++ }
+	defer func() { testRankHook = nil }()
+	Identify(g, res)
+	if passes != 1 {
+		t.Errorf("Identify ranked %d times, want 1", passes)
 	}
-	if got := r.TopUsers(10); len(got) != 3 {
-		t.Errorf("TopUsers(10) returned %d", len(got))
+
+	wantUsers, wantItems := RankResult(g, &detect.Result{Groups: []detect.Group{groupA, groupB}})
+	if !reflect.DeepEqual(res.RankedUsers, wantUsers) || !reflect.DeepEqual(res.RankedItems, wantItems) {
+		t.Errorf("rankings = %v / %v, RankResult gives %v / %v", res.RankedUsers, res.RankedItems, wantUsers, wantItems)
 	}
-	if got := r.TopItems(0); got != nil {
-		t.Errorf("TopItems(0) = %+v, want nil", got)
+	if len(res.Groups) != 2 || res.Groups[0].Users[0] != 3 || res.Groups[0].Score != 2 || res.Groups[1].Score != 1 {
+		t.Fatalf("groups = %+v, want B (score 2) before A (score 1)", res.Groups)
+	}
+	for _, grp := range res.Groups {
+		st := ComputeGroupStats(g, grp)
+		if grp.Density != st.Density || grp.MeanEdgeClicks != st.MeanEdgeClicks || grp.OutsideShare != st.OutsideShare {
+			t.Errorf("group %v carries %v/%v/%v, ComputeGroupStats gives %+v",
+				grp.Users, grp.Density, grp.MeanEdgeClicks, grp.OutsideShare, st)
+		}
+	}
+
+	before := append([]detect.Group(nil), res.Groups...)
+	passes = 0
+	Identify(bipartite.NewGraph(4, 3), res)
+	if passes != 0 || !reflect.DeepEqual(res.Groups, before) {
+		t.Errorf("identifying an identified result ranked %d times and left %+v", passes, res.Groups)
 	}
 }
 
 func TestRankResultEmptyResult(t *testing.T) {
 	g := bipartite.NewGraph(1, 1)
-	r := RankResult(g, &detect.Result{})
-	if len(r.Users) != 0 || len(r.Items) != 0 {
-		t.Errorf("empty result produced ranking %+v", r)
+	users, items := RankResult(g, &detect.Result{})
+	if users != nil || items != nil {
+		t.Errorf("empty result produced ranking %+v / %+v", users, items)
 	}
 }
 

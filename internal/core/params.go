@@ -44,11 +44,6 @@ type Params struct {
 	// literal Fig 5 user-behavior check; the threshold is exposed for the
 	// stricter-screening ablation.
 	MaxHotAvg float64
-	// DisguiseRatio is the factor by which a user's target-item clicks
-	// must exceed its clicks on an in-group hot/ordinary item for that
-	// edge to be considered camouflage during item behavior verification
-	// (the C³₂ ≫ C³₁ test of Fig 6).
-	DisguiseRatio float64
 
 	// Workers bounds the goroutines used by the parallel stages (shard
 	// pool, square-pruning rounds, screening); 0 means GOMAXPROCS.
@@ -79,14 +74,13 @@ type Params struct {
 // k₁ = k₂ = 10, α = 1.0, T_hot = 1,000, T_click = 12.
 func DefaultParams() Params {
 	return Params{
-		K1:            10,
-		K2:            10,
-		Alpha:         1.0,
-		THot:          1000,
-		TClick:        12,
-		TRisk:         50,
-		MaxHotAvg:     0,
-		DisguiseRatio: 4,
+		K1:        10,
+		K2:        10,
+		Alpha:     1.0,
+		THot:      1000,
+		TClick:    12,
+		TRisk:     50,
+		MaxHotAvg: 0,
 	}
 }
 
@@ -101,8 +95,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: TClick must be positive")
 	case p.MaxHotAvg < 0:
 		return fmt.Errorf("core: MaxHotAvg must be ≥ 0 (0 disables), got %v", p.MaxHotAvg)
-	case p.DisguiseRatio < 1:
-		return fmt.Errorf("core: DisguiseRatio must be ≥ 1, got %v", p.DisguiseRatio)
 	case p.Workers < 0:
 		return fmt.Errorf("core: Workers must be ≥ 0, got %d", p.Workers)
 	}

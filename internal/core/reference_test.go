@@ -172,7 +172,7 @@ func refDetect(g *bipartite.Graph, p Params) *detect.Result {
 	p.Workers = 1
 	groups = screenGroups(g, groups, hot, p)
 	res := &detect.Result{Groups: groups}
-	scoreGroups(g, res)
+	Identify(g, res)
 	return res
 }
 

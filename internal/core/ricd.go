@@ -88,32 +88,13 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 
 	a := newAuditor(o)
 	a.runStart(d.Variant.String(), g.LiveUsers(), g.LiveItems())
-	ledger := o.RunLedger()
 	var countersBefore map[string]int64
-	if ledger != nil {
+	if o.RunLedger() != nil {
 		countersBefore = o.Metrics.Counters()
 	}
-	// record files one RunSummary with the ledger: stage durations from the
-	// finished run span, outcome counts, and the run's own counter deltas.
 	record := func(res *detect.Result, err error) {
-		if ledger == nil {
-			return
-		}
-		sum := obs.RunSummary{
-			Root:       "ricd.detect",
-			DurationNS: res.Elapsed.Nanoseconds(),
-			Groups:     len(res.Groups),
-			Users:      len(res.Users()),
-			Items:      len(res.Items()),
-			Partial:    res.Partial,
-			Stage:      res.StageReached,
-			Stages:     obs.StagesOf(run.Export()),
-			Stats:      obs.CounterDelta(countersBefore, o.Metrics.Counters()),
-		}
-		if err != nil {
-			sum.Err = err.Error()
-		}
-		ledger.Record(sum)
+		o.RecordRun("ricd.detect", run, res.Elapsed, len(res.Groups), len(res.Users()), len(res.Items()),
+			res.Partial, res.StageReached, err, countersBefore)
 	}
 
 	var groups []detect.Group
@@ -241,29 +222,19 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 	ssp.SetInt("groups_out", int64(len(groups)))
 	ssp.End()
 
-	// Module 3: identification — score groups so the most suspicious come
-	// first; per-node rankings are available via RankResult.
+	// Module 3: identification — risk rankings, group scores and forensic
+	// statistics, most suspicious group first.
 	isp := run.Start("identification")
 	res := &detect.Result{Groups: groups}
 	if err := stage("identification", func() error {
-		scoreGroups(g, res)
+		Identify(g, res)
 		return nil
 	}); err != nil {
 		isp.End()
 		return degrade("identification", err)
 	}
 	isp.End()
-
-	// Final verdicts: one event per reported group, most suspicious first
-	// (scoreGroups already ordered them), with the risk score and the
-	// forensic statistics an analyst reviews before acting. Guarded so the
-	// disabled path never computes the stats.
-	if a != nil {
-		for i, grp := range res.Groups {
-			a.groupVerdict(i+1, len(grp.Users), len(grp.Items), grp.Score,
-				ComputeGroupStats(g, grp))
-		}
-	}
+	EmitGroupVerdicts(o.Sink(), res.Groups)
 
 	res.DetectElapsed = detectDone.Sub(start)
 	res.ScreenElapsed = time.Since(detectDone)
@@ -302,36 +273,4 @@ func screenUsersOnly(g *bipartite.Graph, groups []detect.Group, hot *HotSet, p P
 		out = append(out, detect.Group{Users: users, Items: items})
 	}
 	return out
-}
-
-// scoreGroups assigns every group the mean user risk score of its members
-// and orders groups most-suspicious-first.
-func scoreGroups(g *bipartite.Graph, res *detect.Result) {
-	if len(res.Groups) == 0 {
-		return
-	}
-	ranking := RankResult(g, res)
-	userScore := make(map[bipartite.NodeID]float64, len(ranking.Users))
-	for _, n := range ranking.Users {
-		userScore[n.ID] = n.Score
-	}
-	for i := range res.Groups {
-		grp := &res.Groups[i]
-		var sum float64
-		for _, u := range grp.Users {
-			sum += userScore[u]
-		}
-		if len(grp.Users) > 0 {
-			grp.Score = sum / float64(len(grp.Users))
-		}
-	}
-	sortGroupsByScore(res.Groups)
-}
-
-func sortGroupsByScore(groups []detect.Group) {
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groups[j].Score > groups[j-1].Score; j-- {
-			groups[j], groups[j-1] = groups[j-1], groups[j]
-		}
-	}
 }

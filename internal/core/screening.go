@@ -86,10 +86,10 @@ func userBehaviorCheck(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Para
 //   - an ordinary item is a verified target iff at least ⌈α·k₁⌉ surviving
 //     users clicked it ≥ T_click times (the clicked-user-set coincidence
 //     test of Fig 6 — targets of one group share their attacker set);
-//   - an ordinary item whose in-group clicks are uniformly a factor
-//     DisguiseRatio below the users' target clicks is camouflage (the
-//     C³₂ ≫ C³₁ case) and is dropped by the same supporter test, since
-//     camouflage weights sit far below T_click.
+//   - an ordinary item whose in-group clicks sit far below the users'
+//     target clicks is camouflage (the C³₂ ≫ C³₁ case of Fig 6) and is
+//     dropped by the same supporter test, since camouflage weights sit far
+//     below T_click.
 func ItemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
 	users []bipartite.NodeID, hot *HotSet, p Params) []bipartite.NodeID {
 
@@ -131,41 +131,6 @@ func itemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
 		}
 	}
 	return kept
-}
-
-// DisguisedHotEdge reports whether user u's edge to in-group item v looks
-// like a disguise: u's median click weight on the verified targets exceeds
-// DisguiseRatio × w(u,v). This is the explicit C³₂ ≫ C³₁ test of Fig 6,
-// exposed for analysis tooling; the screening pipeline subsumes it through
-// the supporter test.
-func DisguisedHotEdge(g *bipartite.Graph, u, v bipartite.NodeID,
-	targets []bipartite.NodeID, p Params) bool {
-
-	w := g.Weight(u, v)
-	if w == 0 {
-		return false
-	}
-	var weights []uint32
-	for _, t := range targets {
-		if tw := g.Weight(u, t); tw > 0 {
-			weights = append(weights, tw)
-		}
-	}
-	if len(weights) == 0 {
-		return false
-	}
-	med := medianU32(weights)
-	return float64(med) >= p.DisguiseRatio*float64(w)
-}
-
-func medianU32(xs []uint32) uint32 {
-	// Insertion sort: screening medians are over a handful of weights.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-	return xs[len(xs)/2]
 }
 
 // ScreenGroupsCtx applies the full screening module to candidate groups and

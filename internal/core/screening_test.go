@@ -129,24 +129,6 @@ func TestItemBehaviorVerificationDropsCamouflage(t *testing.T) {
 	}
 }
 
-func TestDisguisedHotEdge(t *testing.T) {
-	g, _, _, p := fig5Graph()
-	targets := []bipartite.NodeID{1, 2}
-	// u2 clicks i0 once but targets 13-16 times: disguise.
-	if !DisguisedHotEdge(g, 2, 0, targets, p) {
-		t.Error("u2→i0 should be a disguise edge")
-	}
-	// u0 clicks i0 twice and has no ≥-weight target edges... its target
-	// clicks are 1, so 1 < ratio×2: not a disguise.
-	if DisguisedHotEdge(g, 0, 0, targets, p) {
-		t.Error("u0→i0 should not be a disguise edge")
-	}
-	// Nonexistent edge is never a disguise.
-	if DisguisedHotEdge(g, 2, 9, targets, p) {
-		t.Error("missing edge reported as disguise")
-	}
-}
-
 func TestScreenGroupsEndToEnd(t *testing.T) {
 	// Build two planted attack groups glued by a shared hot item, plus the
 	// hot item's organic fans. Screening must drop the hot item and the

@@ -53,23 +53,55 @@ func RunStage(stage string, fn func() error) (err error) {
 }
 
 // Group is one suspected "Ride Item's Coattails" attack group: a set of
-// suspicious users (crowd workers) and suspicious items (attack targets).
+// suspicious users (crowd workers) and suspicious items (attack targets),
+// with the risk score and forensic statistics an analyst reviews before
+// acting. Score and the statistics are filled by the identification module
+// (core.Identify) and are zero on a group it has not seen.
 type Group struct {
 	Users []bipartite.NodeID
 	Items []bipartite.NodeID
-	// Score is an optional detector-specific suspiciousness score
-	// (higher is more suspicious); 0 when the detector does not score.
+	// Score is the group's suspiciousness (higher is more suspicious): the
+	// mean risk score of its users.
 	Score float64
+
+	// Density is in-group edges / (users × items); 1.0 is a perfect
+	// biclique.
+	Density float64
+	// MeanEdgeClicks is the average click weight of in-group edges —
+	// crowd workers hammer targets, so this runs far above the
+	// marketplace per-edge mean.
+	MeanEdgeClicks float64
+	// OutsideShare is the fraction of the group items' clicks coming
+	// from users outside the group (organic traffic).
+	OutsideShare float64
 }
 
 // Size returns the total number of nodes in the group.
 func (g Group) Size() int { return len(g.Users) + len(g.Items) }
 
+// Scored is one suspicious node with its identification-module risk score:
+// for a user, the number of suspicious items clicked; for an item, the
+// average risk score of its clickers.
+type Scored struct {
+	ID    bipartite.NodeID
+	Score float64
+}
+
 // Result is the output of a detection run.
 type Result struct {
-	// Groups are the detected attack groups, most suspicious first when
-	// the detector scores groups.
+	// Groups are the detected attack groups, most suspicious first once
+	// identified.
 	Groups []Group
+	// RankedUsers and RankedItems order every suspicious node by risk score
+	// (descending, ties by ID) for top-k triage; filled by core.Identify.
+	RankedUsers []Scored
+	RankedItems []Scored
+	// Identified reports that core.Identify has run: group scores,
+	// statistics, order and the two rankings are in place and describe the
+	// graph the result was identified against — for a result a detector
+	// returned, the one its detection examined. (A flag, not the graph: a
+	// kept result must not keep a superseded click graph reachable.)
+	Identified bool
 	// Elapsed is the end-to-end wall time of the detection run.
 	Elapsed time.Duration
 	// DetectElapsed and ScreenElapsed split Elapsed into the group

@@ -423,13 +423,6 @@ func (w *WAL) rotate(nextSeq uint64) error {
 	return nil
 }
 
-// Sync flushes the current segment to stable storage regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
 func (w *WAL) syncLocked() error {
 	if w.err != nil {
 		return w.err

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -163,9 +162,3 @@ func sparkline(xs []float64) string {
 
 func f3(x float64) string { return fmt.Sprintf("%.3f", x) }
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-
-func sortedCopy(xs []uint64) []uint64 {
-	out := append([]uint64(nil), xs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
-	return out
-}

@@ -32,9 +32,6 @@ const (
 	EventSweepStart  = "sweep.start"
 	EventSweepCommit = "sweep.commit"
 	EventSweepAbort  = "sweep.abort"
-	// EventSweepRetry is one watchdog-driven sweep retry after a failure;
-	// Round is the attempt number, Stat the backoff applied.
-	EventSweepRetry = "sweep.retry"
 	// EventWALRecover summarizes a crash recovery: Reason is "snapshot" or
 	// "cold", Stat carries the replayed-record and truncated-byte counts.
 	EventWALRecover = "wal.recover"

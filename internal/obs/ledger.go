@@ -75,6 +75,34 @@ func (l *Ledger) Record(rs RunSummary) {
 	l.mu.Unlock()
 }
 
+// RecordRun files one finished run with the observer's ledger, if it has one:
+// what the run produced, how far it got, its per-stage durations from the run
+// span sp, and the counters that advanced since before — the Counters()
+// snapshot the caller took when the run started.
+func (o *Observer) RecordRun(root string, sp *Span, elapsed time.Duration, groups, users, items int,
+	partial bool, stage string, err error, before map[string]int64) {
+
+	l := o.RunLedger()
+	if l == nil {
+		return
+	}
+	sum := RunSummary{
+		Root:       root,
+		DurationNS: elapsed.Nanoseconds(),
+		Groups:     groups,
+		Users:      users,
+		Items:      items,
+		Partial:    partial,
+		Stage:      stage,
+		Stages:     StagesOf(sp.Export()),
+		Stats:      CounterDelta(before, o.Metrics.Counters()),
+	}
+	if err != nil {
+		sum.Err = err.Error()
+	}
+	l.Record(sum)
+}
+
 // Runs returns the retained summaries, oldest first (nil for nil).
 func (l *Ledger) Runs() []RunSummary {
 	if l == nil {

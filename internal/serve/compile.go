@@ -6,35 +6,21 @@ import (
 	"repro/internal/detect"
 )
 
-// Compile builds an Index straight from a detection result and the click
-// graph it was computed against — the path the streaming detector's
-// sweep-completion hook uses. It derives exactly what the facade derives
-// when it builds a Report (core.RankResult risk scores, ComputeGroupStats
-// forensics), so an index compiled here answers byte-identically to one
-// compiled from the corresponding Report via the facade.
+// Compile builds an Index from a detection result and the click graph it
+// was computed against. A result that arrives unidentified (hand-built, or
+// cut short) is identified against g first (core.Identify); the results
+// core.Detector and stream.Detector return arrive identified against the
+// graph they examined and are indexed as they are. The index references the
+// result's own group and ranking slices without copying: do not mutate the
+// result afterwards.
 func Compile(g *bipartite.Graph, res *detect.Result, thot uint64, tclick uint32) *Index {
-	d := Data{
-		THot:    thot,
-		TClick:  tclick,
-		Partial: res.Partial,
-	}
-	for _, grp := range res.Groups {
-		st := core.ComputeGroupStats(g, grp)
-		d.Groups = append(d.Groups, Group{
-			Users:          grp.Users,
-			Items:          grp.Items,
-			Score:          grp.Score,
-			Density:        st.Density,
-			MeanEdgeClicks: st.MeanEdgeClicks,
-			OutsideShare:   st.OutsideShare,
-		})
-	}
-	rk := core.RankResult(g, res)
-	for _, n := range rk.Users {
-		d.RankedUsers = append(d.RankedUsers, Scored{ID: n.ID, Score: n.Score})
-	}
-	for _, n := range rk.Items {
-		d.RankedItems = append(d.RankedItems, Scored{ID: n.ID, Score: n.Score})
-	}
-	return Build(d)
+	core.Identify(g, res)
+	return Build(Data{
+		Groups:      res.Groups,
+		RankedUsers: res.RankedUsers,
+		RankedItems: res.RankedItems,
+		THot:        thot,
+		TClick:      tclick,
+		Partial:     res.Partial,
+	})
 }

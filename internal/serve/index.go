@@ -18,30 +18,23 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
-// Group is one detected attack group as the serving layer exposes it:
-// membership, risk score, and the forensic statistics an operator reviews.
-type Group struct {
-	Users          []uint32
-	Items          []uint32
-	Score          float64
-	Density        float64
-	MeanEdgeClicks float64
-	OutsideShare   float64
-}
+// Group and Scored are the detection outcome's own records (a group with
+// its risk score and forensic statistics; a node with its risk score): the
+// index serves them as identified, without a copy.
+type (
+	Group  = detect.Group
+	Scored = detect.Scored
+)
 
-// Scored is one risk-ranked node (id + identification-module risk score).
-type Scored struct {
-	ID    uint32
-	Score float64
-}
-
-// Data is the detection outcome an Index is compiled from — the subset of
-// a facade Report the serving layer needs. Build copies nothing: the
-// slices are referenced as-is and must not be mutated afterwards.
+// Data is the detection outcome an Index is compiled from — the identified
+// groups and rankings of a detect.Result or facade Report plus the
+// thresholds. Build copies nothing: the slices are referenced as-is and must
+// not be mutated afterwards.
 type Data struct {
 	Groups      []Group
 	RankedUsers []Scored
@@ -208,8 +201,9 @@ func (ix *Index) Pair(user, item uint32) PairVerdict {
 	return PairVerdict{InGroup: len(shared) > 0, Groups: shared}
 }
 
-// Group returns the 1-based n'th detected group (most suspicious first,
-// matching the report order) and whether it exists.
+// Group returns the 1-based n'th detected group and whether it exists.
+// Groups are numbered most suspicious first — the order core.Identify gives
+// them, the same whichever detector call produced the outcome.
 func (ix *Index) Group(n int) (Group, bool) {
 	if ix == nil || n < 1 || n > len(ix.data.Groups) {
 		return Group{}, false

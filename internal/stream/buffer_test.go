@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/clicktable"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -150,80 +149,5 @@ func TestBufferFlushDeadline(t *testing.T) {
 	defer cancel()
 	if err := b.Flush(ctx); err == nil {
 		t.Fatal("flush with a stuck drainer returned nil")
-	}
-}
-
-func TestBackoffExponentialCappedAndReset(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: -1}
-	var got []time.Duration
-	for i := 0; i < 5; i++ {
-		got = append(got, b.Next())
-	}
-	want := []time.Duration{10, 20, 40, 80, 80}
-	for i := range want {
-		if got[i] != want[i]*time.Millisecond {
-			t.Fatalf("delay %d = %v, want %v", i, got[i], want[i]*time.Millisecond)
-		}
-	}
-	b.Reset()
-	if d := b.Next(); d != 10*time.Millisecond {
-		t.Fatalf("post-reset delay = %v", d)
-	}
-	// Jitter stays within its fraction and uses the injected source.
-	j := Backoff{Base: 100 * time.Millisecond, Jitter: 0.5, Rand: func(n int64) int64 { return n - 1 }}
-	if d := j.Next(); d < 100*time.Millisecond || d > 150*time.Millisecond {
-		t.Fatalf("jittered delay = %v, want within [100ms, 150ms]", d)
-	}
-}
-
-// TestWatchdogRetriesThroughFailures arms a fault that kills the first two
-// sweeps; the watchdog must retry with backoff (auditing each retry),
-// recover, and clear the degraded gauge.
-func TestWatchdogRetriesThroughFailures(t *testing.T) {
-	defer faultinject.Reset()
-	d, err := New(nil, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obs.NewObserver("stream")
-	o.Events = obs.NewEventSink(nil, 64)
-	d.Obs = o
-	d.AddClick(1, 2, 3)
-
-	faultinject.Arm("stream.sweep", faultinject.Fault{Panic: "injected sweep failure", Times: 2})
-	w := &Watchdog{
-		D:        d,
-		Interval: 5 * time.Millisecond,
-		Backoff:  Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: -1},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- w.Run(ctx) }()
-	deadline := time.After(5 * time.Second)
-	for d.Detections() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("watchdog never recovered")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("run returned %v", err)
-	}
-	retries := 0
-	for _, e := range o.Events.Events() {
-		if e.Type == obs.EventSweepRetry {
-			retries++
-			if e.Reason == "" || e.Stat == "" {
-				t.Fatalf("retry event missing cause or backoff: %+v", e)
-			}
-		}
-	}
-	if retries != 2 {
-		t.Fatalf("audited %d retries, want 2", retries)
-	}
-	if v := o.Gauge("stream.degraded").Value(); v != 0 {
-		t.Fatalf("degraded gauge = %d after recovery", v)
 	}
 }

@@ -196,14 +196,6 @@ func (d *Detector) DurabilityErr() error {
 	return d.walErr
 }
 
-// Durable reports whether the detector was opened with a durability layer
-// (even if it has since degraded — see DurabilityErr).
-func (d *Detector) Durable() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.wal != nil
-}
-
 // Close flushes and closes the WAL. The detector keeps working in memory
 // after Close; call it last. Memory-only detectors are a no-op.
 func (d *Detector) Close() error {

@@ -14,6 +14,12 @@
 //  2. A new attack group must involve recently touched nodes. Scoped
 //     detection seeds Algorithm 2's graph generator with the users touched
 //     since the last detection, pruning the search to their neighborhoods.
+//
+// Every committed sweep ends with the identification module (core.Identify)
+// on the graph it examined, like a batch detection: the returned result, the
+// WAL sweep record, the carried groups, the audit trail's group.verdict
+// events and the OnCommit hook all see the same scored, ranked, most-
+// suspicious-first outcome.
 package stream
 
 import (
@@ -65,9 +71,10 @@ type Detector struct {
 	Obs *obs.Observer
 
 	// OnCommit, when non-nil, is invoked after every COMMITTED sweep with
-	// the sweep's result and the immutable graph it examined — the
-	// sweep-completion hook the serving layer uses to compile and publish
-	// a fresh verdict index (serve.Compile + Store.Publish). It runs on
+	// the sweep's identified result and the immutable graph it examined and
+	// was identified against — the sweep-completion hook the serving layer
+	// uses to index and publish the outcome (serve.Compile + Store.Publish,
+	// which rank nothing again). It runs on
 	// the sweeping goroutine, outside the detector's lock, so ingestion
 	// proceeds while it executes; aborted (partial) sweeps never fire it,
 	// so consumers only ever see fully committed verdicts. Set it before
@@ -352,7 +359,9 @@ func (d *Detector) graphLocked() *bipartite.Graph {
 // accumulated since the last pass: previously detected groups are re-screened
 // against the current graph, and group extraction runs scoped to the
 // neighborhoods of nodes touched since the last call. The very first call (or
-// a call after Reset) is a full detection.
+// a call after Reset) is a full detection. The screened groups are then
+// identified against the sweep's graph (core.Identify) before anything is
+// committed.
 //
 // Extraction is component-sharded (core.NearBicliqueExtractCtx): the work
 // graph splits into connected components after core pruning and each runs on
@@ -367,10 +376,10 @@ func (d *Detector) graphLocked() *bipartite.Graph {
 // The sweep checks ctx at its stage boundaries and inside
 // extraction/screening; a cancelled or deadline-expired sweep returns a
 // non-nil PARTIAL result (Result.Partial, Result.StageReached) with whatever
-// the completed stages produced, plus the context's error. A partial sweep
-// commits nothing: the snapshotted dirty region is merged back and the cached
-// groups are left untouched, so the next sweep redoes the work in full. A
-// panicking stage is isolated into a *detect.StageError.
+// the completed stages produced (unidentified), plus the context's error. A
+// partial sweep commits nothing: the snapshotted dirty region is merged back
+// and the cached groups are left untouched, so the next sweep redoes the work
+// in full. A panicking stage is isolated into a *detect.StageError.
 func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -435,39 +444,28 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 	if sink != nil {
 		sink.Emit(obs.Event{Type: obs.EventSweepStart, Reason: sweepType, Users: len(dirty)})
 	}
-	ledger := d.Obs.RunLedger()
 	var countersBefore map[string]int64
-	if ledger != nil {
+	if d.Obs.RunLedger() != nil {
 		countersBefore = d.Obs.Metrics.Counters()
 	}
-	// record files one RunSummary per sweep (committed or aborted): stage
-	// durations from the sweep span, outcome counts, per-sweep counter
-	// deltas.
 	record := func(res *detect.Result, err error) {
-		if ledger == nil {
-			return
-		}
-		sum := obs.RunSummary{
-			Root:       "stream.sweep",
-			DurationNS: res.Elapsed.Nanoseconds(),
-			Groups:     len(res.Groups),
-			Users:      len(res.Users()),
-			Items:      len(res.Items()),
-			Partial:    res.Partial,
-			Stage:      res.StageReached,
-			Stages:     obs.StagesOf(sp.Export()),
-			Stats:      obs.CounterDelta(countersBefore, d.Obs.Metrics.Counters()),
-		}
-		if err != nil {
-			sum.Err = err.Error()
-		}
-		ledger.Record(sum)
+		d.Obs.RecordRun("stream.sweep", sp, res.Elapsed, len(res.Groups), len(res.Users()), len(res.Items()),
+			res.Partial, res.StageReached, err, countersBefore)
 	}
 
-	var (
-		groups  []detect.Group
-		reached string
-	)
+	res := &detect.Result{}
+	var reached string
+	// identify ends both legs below: Module 3 runs inside the isolated stage,
+	// before anything is committed, so the WAL record, the carried groups,
+	// the audit trail, OnCommit and the caller all see one identified outcome.
+	identify := func() error {
+		reached = "identification"
+		isp := sp.Start("identification")
+		core.Identify(g, res)
+		isp.End()
+		reached = ""
+		return nil
+	}
 	err := detect.RunStage("stream.sweep", func() error {
 		faultinject.Hit("stream.sweep")
 		reached = "hotset"
@@ -543,26 +541,23 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 			ssp := sp.Start("screening")
 			ssp.Set("cached", "shards")
 			ssp.End()
-			groups = screened
-			reached = ""
-			return nil
+			res.Groups = screened
+			return identify()
 		}
 		candidates := append(append([]detect.Group(nil), fresh...), cached...)
 		ssp := sp.Start("screening")
 		var serr error
-		groups, serr = core.ScreenGroupsCtx(ctx, g, candidates, hot, params, ssp, d.Obs)
+		res.Groups, serr = core.ScreenGroupsCtx(ctx, g, candidates, hot, params, ssp, d.Obs)
 		ssp.End()
 		if serr != nil {
 			return serr
 		}
-		reached = ""
-		return nil
+		return identify()
 	})
 
-	res := &detect.Result{Groups: groups}
 	res.Elapsed = time.Since(start)
 	res.DetectElapsed = res.Elapsed
-	sp.SetInt("groups", int64(len(groups)))
+	sp.SetInt("groups", int64(len(res.Groups)))
 	cs := params.Cache.Stats()
 	sp.SetInt("cache_hits", cs.Hits-cacheBefore.Hits)
 	sp.SetInt("cache_misses", cs.Misses-cacheBefore.Misses)
@@ -594,7 +589,7 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 		d.Obs.Histogram("stream.sweep.latency").Observe(res.Elapsed)
 		d.Obs.Gauge("stream.dirty_users").Set(int64(remaining))
 		if sink != nil {
-			sink.Emit(obs.Event{Type: obs.EventSweepAbort, Reason: reached, Groups: len(groups)})
+			sink.Emit(obs.Event{Type: obs.EventSweepAbort, Reason: reached, Groups: len(res.Groups)})
 		}
 		record(res, err)
 		return res, err
@@ -614,7 +609,7 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 	d.seq++
 	walLogged := false
 	if d.walActiveLocked() {
-		d.walBuf = appendSweepRecord(d.walBuf[:0], startSeq, groups)
+		d.walBuf = appendSweepRecord(d.walBuf[:0], startSeq, res.Groups)
 		faultinject.Hit("stream.wal.append")
 		if werr := d.wal.Append(d.seq, d.walBuf); werr != nil {
 			d.degradeLocked(werr)
@@ -623,7 +618,7 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 			walLogged = true
 		}
 	}
-	d.cached = groups
+	d.cached = res.Groups
 	d.inflight = nil
 	d.seedScratch = dirty[:0]
 	remaining := len(d.dirty)
@@ -637,22 +632,8 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 	}
 	d.Obs.Gauge("stream.dirty_users").Set(int64(remaining))
 	if sink != nil {
-		// One verdict per committed group with its forensic evidence. Sweeps
-		// skip Module 3's risk ranking (the facade ranks on demand), so the
-		// score mirrors whatever the group carries — 0 for sweep-built groups.
-		for i, grp := range groups {
-			st := core.ComputeGroupStats(g, grp)
-			sink.Emit(obs.Event{
-				Type:  obs.EventGroupVerdict,
-				Group: i + 1,
-				Users: len(grp.Users),
-				Items: len(grp.Items),
-				Score: grp.Score,
-				Stat: fmt.Sprintf("density=%.3f mean_edge_clicks=%.1f outside_share=%.3f",
-					st.Density, st.MeanEdgeClicks, st.OutsideShare),
-			})
-		}
-		sink.Emit(obs.Event{Type: obs.EventSweepCommit, Reason: sweepType, Groups: len(groups)})
+		core.EmitGroupVerdicts(sink, res.Groups)
+		sink.Emit(obs.Event{Type: obs.EventSweepCommit, Reason: sweepType, Groups: len(res.Groups)})
 	}
 	if d.OnCommit != nil {
 		// g is the immutable snapshot this sweep examined (mid-sweep clicks

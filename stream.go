@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/durable"
-	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -53,18 +52,23 @@ type StreamRecovery struct {
 
 // StreamDetector is the incremental detection surface: feed click events
 // continuously and sweep periodically. Sweeps after the first are scoped to
-// the users whose new activity carries the crowd-worker signature, making
-// them several times cheaper than batch detection (see
-// BenchmarkIncrementalVsFull).
+// the users whose new activity carries the crowd-worker signature; what
+// that saves over a full detection on the same state is measured, per
+// workload, as stream.sweep_ms_p50 against stream.full_detect_ms_p50 in
+// BENCHMARK.json. Sweep and FullSweep reports are built the way Detect's
+// are: the same thresholds, the same Module 3 scores, the same group order
+// for the same outcome.
 //
 // Ingestion and sweeping are safe to run concurrently: AddClicks may race
 // with an in-flight Sweep/SweepContext, which works on a consistent
 // snapshot; clicks streamed during a sweep land in the next one. Running
 // multiple sweeps concurrently is not supported.
 type StreamDetector struct {
-	inner    *stream.Detector
-	obs      *obs.Observer
-	serve    *VerdictStore
+	inner *stream.Detector
+	// cfg and params are what the detector was created with: every report
+	// carries the thresholds its detection ran with.
+	cfg      Config
+	params   core.Params
 	recovery *StreamRecovery
 	// committed is the immutable graph the last committed sweep examined,
 	// handed over by inner.OnCommit on the sweeping goroutine just before
@@ -106,13 +110,13 @@ func NewStreamDetector(initial *Graph, cfg Config) (*StreamDetector, error) {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
 	inner.Obs = auditObserver(cfg)
-	return wrapStreamDetector(inner, cfg, nil), nil
+	return wrapStreamDetector(inner, cfg, params, nil), nil
 }
 
 // wrapStreamDetector finishes either construction path: the tuning fields,
 // and the commit hook through which a sweep hands over the graph it examined.
-func wrapStreamDetector(inner *stream.Detector, cfg Config, recovery *StreamRecovery) *StreamDetector {
-	s := &StreamDetector{inner: inner, obs: cfg.Observer, serve: cfg.Serve, recovery: recovery}
+func wrapStreamDetector(inner *stream.Detector, cfg Config, params core.Params, recovery *StreamRecovery) *StreamDetector {
+	s := &StreamDetector{inner: inner, cfg: cfg, params: params, recovery: recovery}
 	inner.CompactFraction = cfg.CompactFraction
 	inner.CacheBytes = cfg.CacheBytes
 	inner.OnCommit = func(_ *detect.Result, g *bipartite.Graph) { s.committed = g }
@@ -146,7 +150,7 @@ func openDurableStreamDetector(initial *Graph, cfg Config) (*StreamDetector, err
 	if err != nil {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
-	return wrapStreamDetector(inner, cfg, &StreamRecovery{
+	return wrapStreamDetector(inner, cfg, params, &StreamRecovery{
 		ColdStart:       info.ColdStart,
 		SnapshotClock:   info.SnapshotClock,
 		ReplayedRecords: info.Replayed,
@@ -204,7 +208,7 @@ func (s *StreamDetector) SweepContext(ctx context.Context) (*Report, error) {
 		// partial report, which is never published, reads the live one.
 		g = s.inner.Graph()
 	}
-	return s.finish(g, res, err)
+	return newReport(g, res, err, s.params, s.cfg)
 }
 
 // FullSweep forces a from-scratch batch detection.
@@ -216,63 +220,5 @@ func (s *StreamDetector) FullSweep() (*Report, error) {
 // partial-report contract.
 func (s *StreamDetector) FullSweepContext(ctx context.Context) (*Report, error) {
 	res, g, err := s.inner.FullDetectGraphContext(ctx)
-	return s.finish(g, res, err)
-}
-
-// finish applies the facade's graceful-degradation contract to a sweep
-// outcome (see finishReport) and, with Config.Serve set, publishes every
-// committed sweep's verdicts as a fresh index epoch — the online serving
-// path. Aborted sweeps publish nothing: the previous epoch keeps serving.
-// g is the graph the detection examined: evidence read from a later graph
-// would count clicks the verdict never saw.
-func (s *StreamDetector) finish(g *bipartite.Graph, res *detect.Result, err error) (*Report, error) {
-	if err == nil {
-		rep := s.report(g, res)
-		if s.serve != nil {
-			_ = s.serve.Publish(rep.Index())
-		}
-		return rep, nil
-	}
-	if res == nil {
-		return nil, fmt.Errorf("fakeclick: %w", err)
-	}
-	rep := s.report(g, res)
-	rep.Partial = true
-	rep.Stage = res.StageReached
-	rep.Err = err
-	var se *StageError
-	if errors.As(err, &se) {
-		return rep, fmt.Errorf("fakeclick: %w", err)
-	}
-	return rep, nil
-}
-
-func (s *StreamDetector) report(g *bipartite.Graph, res *detect.Result) *Report {
-	rep := &Report{
-		Elapsed: res.Elapsed,
-		Users:   res.Users(),
-		Items:   res.Items(),
-	}
-	for _, grp := range res.Groups {
-		st := core.ComputeGroupStats(g, grp)
-		rep.Groups = append(rep.Groups, Group{
-			Users:          grp.Users,
-			Items:          grp.Items,
-			Score:          grp.Score,
-			Density:        st.Density,
-			MeanEdgeClicks: st.MeanEdgeClicks,
-			OutsideShare:   st.OutsideShare,
-		})
-	}
-	ranking := core.RankResult(g, res)
-	for _, n := range ranking.Users {
-		rep.RankedUsers = append(rep.RankedUsers, RankedNode{ID: n.ID, Score: n.Score})
-	}
-	for _, n := range ranking.Items {
-		rep.RankedItems = append(rep.RankedItems, RankedNode{ID: n.ID, Score: n.Score})
-	}
-	if s.obs != nil {
-		rep.Trace = s.obs.Trace
-	}
-	return rep
+	return newReport(g, res, err, s.params, s.cfg)
 }

@@ -77,6 +77,55 @@ func TestStreamDetectorFullSweepAgrees(t *testing.T) {
 	}
 }
 
+// TestStreamReportsCarryThresholdsAndBatchEvidence: on one graph and config
+// a Sweep report, a FullSweep report and a batch Detect report state the
+// same, non-zero thresholds, and Explain renders every group from a stream
+// report exactly as from the batch report.
+func TestStreamReportsCarryThresholdsAndBatchEvidence(t *testing.T) {
+	g, _ := syntheticGraph(t)
+	cfg := smallConfig()
+	batch, err := Detect(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.THot == 0 || batch.TClick == 0 || len(batch.Groups) == 0 {
+		t.Fatalf("batch report: T_hot=%d T_click=%d groups=%d", batch.THot, batch.TClick, len(batch.Groups))
+	}
+	sd, err := NewStreamDetector(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		sweep func() (*Report, error)
+	}{{"Sweep", sd.Sweep}, {"FullSweep", sd.FullSweep}} {
+		rep, err := tc.sweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.THot != batch.THot || rep.TClick != batch.TClick {
+			t.Errorf("%s report has T_hot=%d T_click=%d, batch Detect T_hot=%d T_click=%d",
+				tc.name, rep.THot, rep.TClick, batch.THot, batch.TClick)
+		}
+		if len(rep.Groups) != len(batch.Groups) {
+			t.Fatalf("%s found %d groups, batch Detect %d", tc.name, len(rep.Groups), len(batch.Groups))
+		}
+		for i := range batch.Groups {
+			got, err := Explain(g, rep, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Explain(g, batch, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s: Explain of group %d differs from the batch report's:\n%s\nwant\n%s", tc.name, i, got, want)
+			}
+		}
+	}
+}
+
 func TestStreamDetectorEmptyStart(t *testing.T) {
 	cfg := smallConfig()
 	sd, err := NewStreamDetector(nil, cfg)
