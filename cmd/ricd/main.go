@@ -16,11 +16,22 @@
 //	     [-debug-addr :6060]           # serve /debug/pprof, /debug/vars,
 //	                                   # /metrics (Prometheus) and /debug/runs
 //	     [-hold 30s]                   # keep the debug server up after the run
+//	     [-serve-addr :8080]           # serve the verdicts as a query API
+//	     [-serve-inflight 256]         # concurrent queries before 429 shedding
 //
 // SIGINT/SIGTERM (and -timeout expiry) cancel the in-flight detection
 // cooperatively: the partial results computed so far are still printed,
 // and the process exits with status 2 so scripts can tell a cut-short run
 // from a complete one (status 0) or a hard failure (status 1).
+//
+// -serve-addr is the deployment shape of the paper's Fig 1, where the
+// recommender's risk-control layer asks "is this user / item / co-click
+// forged?" on the impression path: the detection's verdicts are published
+// as one immutable index epoch and answered over HTTP (/v1/user/{id},
+// /v1/item/{id}, /v1/pair?u=&i=, /v1/group/{id}, POST /v1/check, /healthz)
+// until SIGINT/SIGTERM, which drains in-flight queries before
+// observability is torn down. An address that cannot be bound (-serve-addr
+// or -debug-addr) fails the run with status 1 before anything is detected.
 package main
 
 import (
@@ -34,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	fakeclick "repro"
 	"repro/internal/baselines"
@@ -42,6 +54,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
@@ -77,6 +90,8 @@ func run() int {
 		hold      = flag.Duration("hold", 0, "keep the debug server running this long after the run (for scraping); interrupted by SIGINT")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the run; on expiry partial results are printed and the exit status is 2")
 		workers   = flag.Int("workers", 0, "worker goroutines for the sharded detection pipeline (0 = GOMAXPROCS)")
+		serveAddr = flag.String("serve-addr", "", "after the run, serve the verdict query API (/v1/*, /healthz) on this address until interrupted (e.g. :8080)")
+		serveInfl = flag.Int("serve-inflight", 256, "with -serve-addr: max concurrent queries before 429 shedding (0 = unlimited)")
 	)
 	flag.Parse()
 	if *listAlgos {
@@ -90,15 +105,21 @@ func run() int {
 		log.Print("missing -in")
 		return 2
 	}
+	ricd := *algo == "" || strings.EqualFold(*algo, "ricd")
+	if *serveAddr != "" && !ricd {
+		log.Print("-serve-addr serves RICD verdicts; it cannot be combined with -algo")
+		return 2
+	}
 
 	// SIGINT/SIGTERM cancel the in-flight detection cooperatively; a second
 	// signal kills the process the default way (stop() restores default
 	// handling once the context is done).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ctx := sigCtx
 	if *timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(sigCtx, *timeout)
 		defer cancel()
 	}
 
@@ -119,7 +140,7 @@ func run() int {
 	defer cli.Shutdown()
 	observer := cli.Obs()
 
-	if *algo != "" && !strings.EqualFold(*algo, "ricd") {
+	if !ricd {
 		if err := runAlgo(*algo, *in, *labels, *k1, *k2, *alpha, *thot, uint32(*tclick)); err != nil {
 			log.Print(err)
 			return 1
@@ -127,6 +148,22 @@ func run() int {
 		cli.Finish()
 		cli.Hold(ctx, *hold)
 		return 0
+	}
+
+	// Config.Serve makes a complete detection publish its verdicts into the
+	// store as a fresh epoch; until then queries answer 503.
+	var verdicts *fakeclick.VerdictStore
+	if *serveAddr != "" {
+		verdicts = fakeclick.NewVerdictStore(observer)
+		srv, serr := obs.StartServer("verdict server", *serveAddr,
+			fakeclick.NewVerdictServer(verdicts, serve.Options{Obs: observer, MaxInflight: *serveInfl}), serve.Endpoints)
+		if serr != nil {
+			log.Print(serr)
+			return 1
+		}
+		// Deferred after cli.Shutdown, so it runs before it: the query
+		// server drains while observability is still whole.
+		defer obs.DrainServer("verdict server", srv, 10*time.Second)
 	}
 
 	g, err := loadGraph(*in)
@@ -146,6 +183,7 @@ func run() int {
 		SkipScreening: *raw,
 		Workers:       *workers,
 		Observer:      observer,
+		Serve:         verdicts,
 	}
 	var parseErr error
 	cfg.SeedUsers, parseErr = parseIDs(*seedUsers)
@@ -221,8 +259,13 @@ func run() int {
 	}
 
 	cli.Finish()
+	complete := err == nil && !rep.Partial
+	if verdicts != nil && complete {
+		// Only a complete run published an epoch worth serving.
+		<-sigCtx.Done()
+	}
 	cli.Hold(ctx, *hold)
-	if err != nil || rep.Partial {
+	if !complete {
 		return 2 // cut-short or panic-degraded run: results incomplete
 	}
 	return 0

@@ -22,7 +22,9 @@
 // the current epoch. -serve-inflight bounds concurrent queries; excess
 // requests are shed with 429 (counted, never silent). /healthz reports the
 // index epoch, its staleness, and the durability-degraded flag. On
-// SIGTERM the query server drains FIRST (see shutdownSteps).
+// SIGTERM the query server drains FIRST (see shutdownSteps). An address
+// that cannot be bound (-serve-addr or -debug-addr) is a start-up error:
+// exit status 1, nothing replayed.
 //
 // -wal-dir enables durable state: every click and sweep commit is written
 // ahead to a checksummed WAL under the directory, with periodic atomic
@@ -234,13 +236,16 @@ func run() int {
 			MaxInflight: *serveInfl,
 			Degraded:    func() bool { return det.DurabilityErr() != nil },
 		})
-		serveSrv = &http.Server{Addr: *serveAddr, Handler: handler}
-		go func() {
-			if serr := serveSrv.ListenAndServe(); serr != nil && serr != http.ErrServerClosed {
-				log.Printf("verdict server: %v", serr)
+		serveSrv, err = obs.StartServer("verdict server", *serveAddr, handler, serve.Endpoints)
+		if err != nil {
+			// Nothing was replayed; release what opening the detector took.
+			log.Print(err)
+			if cerr := det.Close(); cerr != nil {
+				log.Printf("wal close: %v", cerr)
 			}
-		}()
-		fmt.Printf("verdict server on %s (/v1/user/{id}, /v1/item/{id}, /v1/pair, /v1/group/{id}, /v1/check, /healthz)\n", *serveAddr)
+			cli.Shutdown()
+			return 1
+		}
 	}
 
 	var buf *stream.Buffer

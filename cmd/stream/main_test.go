@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -59,6 +60,60 @@ func TestShutdownStepOrder(t *testing.T) {
 	}
 }
 
+// writeSmallEvents writes the small synthetic marketplace's event stream to
+// dir/events.csv for a child process to replay.
+func writeSmallEvents(t *testing.T, dir string) (string, []synth.Event) {
+	t.Helper()
+	events, err := synth.EventStream(synth.MustGenerate(synth.SmallConfig()), synth.DefaultEventStreamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "events.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := synth.WriteEvents(f, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, events
+}
+
+// TestUnbindableServeAddrFailsAtStartup pins the bind-then-serve contract: a
+// verdict server that cannot bind is a start-up error — exit status 1, the
+// reason on stderr, and not one day replayed behind a server that is not
+// there.
+func TestUnbindableServeAddrFailsAtStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a child process")
+	}
+	eventsPath, _ := writeSmallEvents(t, t.TempDir())
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, exe, "-events", eventsPath, "-thot", "400", "-serve-addr", "256.0.0.1:99999")
+	cmd.Env = append(os.Environ(), "STREAM_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("child ended with %v, want exit status 1\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
+	}
+	if !strings.Contains(stderr.String(), "verdict server: listen") {
+		t.Errorf("stderr does not name the failed listener:\n%s", &stderr)
+	}
+	if out := stdout.String(); strings.Contains(out, "day ") || strings.Contains(out, "verdict server on") {
+		t.Errorf("child replayed or announced a server it could not bind:\n%s", out)
+	}
+}
+
 // TestSIGTERMFlushesAndClosesWAL is the shutdown-ordering regression test
 // from the operator's side: a child stream process ingests through a
 // bounded buffer into a WAL, receives SIGTERM while holding the debug
@@ -72,23 +127,7 @@ func TestSIGTERMFlushesAndClosesWAL(t *testing.T) {
 	}
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "state")
-	eventsPath := filepath.Join(dir, "events.csv")
-
-	ds := synth.MustGenerate(synth.SmallConfig())
-	events, err := synth.EventStream(ds, synth.DefaultEventStreamConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(eventsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := synth.WriteEvents(f, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	eventsPath, events := writeSmallEvents(t, dir)
 
 	exe, err := os.Executable()
 	if err != nil {

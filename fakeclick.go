@@ -126,19 +126,6 @@ type Config struct {
 	// them in with a full rebuild instead of patching. 0 means the default
 	// (0.5). Batch Detect ignores it.
 	CompactFraction float64
-	// CacheBytes bounds a StreamDetector's cross-sweep component verdict
-	// cache (0 = 32 MiB). Entries beyond the bound are evicted
-	// oldest-sweep-first. Batch Detect ignores it (see Cache).
-	CacheBytes int64
-	// Cache, when non-nil, is a verdict cache shared across batch
-	// Detect/DetectContext calls (construct with NewVerdictCache): repeated
-	// detections over a slowly changing graph — the resweep loop of
-	// cmd/serve — skip every component whose subgraph is unchanged since
-	// the previous run. Output is identical with or without it. A
-	// StreamDetector ignores it and owns a private cache instead (bound with
-	// CacheBytes). Bypassed when Audit is attached (the audit trail needs
-	// the full decision replay).
-	Cache *VerdictCache
 	// Observer, when non-nil, receives the run's stage trace (per-phase
 	// spans mirroring the paper's Fig 8b split) and pipeline metrics; the
 	// trace is echoed on Report.Trace. Construct one with
@@ -200,16 +187,6 @@ type VerdictIndex = serve.Index
 // the next epoch; concurrent readers are lock-free and never observe a
 // half-built index (Config.Serve).
 type VerdictStore = serve.Store
-
-// VerdictCache is the cross-sweep component verdict cache (Config.Cache):
-// a bounded, oldest-sweep-evicted map from component fingerprint to cached
-// per-component detection outcome. Safe for concurrent use; see DESIGN.md
-// §15 for the fingerprint soundness argument.
-type VerdictCache = core.VerdictCache
-
-// NewVerdictCache constructs a verdict cache bounded to maxBytes of cached
-// verdict data (≤ 0 means the 32 MiB default) for Config.Cache.
-func NewVerdictCache(maxBytes int64) *VerdictCache { return core.NewVerdictCache(maxBytes) }
 
 // NewVerdictStore returns an empty verdict store for Config.Serve. The
 // observer (nil allowed) receives serve.* swap metrics and one audit
@@ -412,13 +389,13 @@ func DetectWithExpectationContext(ctx context.Context, g *Graph, cfg Config,
 }
 
 // newReport turns a detection outcome into its Report — the one path behind
-// Detect, DetectWithExpectation, Sweep and FullSweep. g is the graph the
-// detection examined (evidence read from a later graph would count clicks
-// the verdict never saw) and params what it ran with. A complete outcome
-// arrives identified against g and is reported as is; a cut-short one is
-// identified here. The graceful-degradation contract: a nil error or a pure
-// cancellation yields a report (partial on cancellation); a stage panic
-// yields the partial report AND its *StageError; no result fails outright.
+// Detect, DetectWithExpectation, Sweep and FullSweep. params is what the
+// detection ran with. A complete outcome arrives identified against the
+// graph it examined and is reported as is; a cut-short one is identified
+// here against g, which is read for nothing else. The graceful-degradation
+// contract: a nil error or a pure cancellation yields a report (partial on
+// cancellation); a stage panic yields the partial report AND its
+// *StageError; no result fails outright.
 // With Config.Serve set, every complete outcome is published as a fresh
 // index epoch; partial ones publish nothing and the previous epoch keeps
 // serving. A Publish failure is already counted and audited by the store
@@ -464,7 +441,6 @@ func resolveParams(bg *bipartite.Graph, cfg Config) (core.Params, error) {
 	params.K1, params.K2 = cfg.K1, cfg.K2
 	params.Alpha = cfg.Alpha
 	params.Workers = cfg.Workers
-	params.Cache = cfg.Cache
 	if cfg.THot != 0 || cfg.TClick != 0 {
 		params.THot = cfg.THot
 		params.TClick = cfg.TClick

@@ -36,32 +36,3 @@ func FuzzReadCSV(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBinary asserts the binary parser never panics or over-allocates
-// on corrupt input, and accepted tables round-trip.
-func FuzzReadBinary(f *testing.F) {
-	var seed bytes.Buffer
-	tbl := New(2)
-	tbl.Append(1, 2, 3)
-	tbl.Append(7, 8, 9)
-	if err := WriteBinary(&seed, tbl); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte("CTB1"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, got); err != nil {
-			t.Fatalf("accepted table failed to serialize: %v", err)
-		}
-		back, err := ReadBinary(&buf)
-		if err != nil || back.Len() != got.Len() {
-			t.Fatalf("round trip failed: %v", err)
-		}
-	})
-}

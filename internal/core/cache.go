@@ -13,26 +13,27 @@ import (
 // connected components, each compacted component is fingerprinted — a
 // canonical 128-bit hash over its CSR rows plus the Params that affect its
 // per-component output — and looked up here. A hit replays the component's
-// pruning removals, extracted groups and (in screened mode) screened groups
-// from the cache, translated back through the shard's local→original ID
-// maps, skipping square-pruning, extraction and screening for the component
-// entirely. A miss runs live detection and stores the outcome.
+// pruning removals, extracted groups and screened groups from the cache,
+// translated back through the shard's local→original ID maps, skipping
+// square-pruning, extraction and screening for the component entirely. A
+// miss runs live detection and stores the outcome. The cache is consulted
+// only when screening rides inside the shards (shardOptions.hot), so every
+// entry has the same shape.
 //
 // Soundness rests on the shard decomposition invariant (shard.go): a
 // component's verdict is a pure function of its compact CSR (topology +
-// weights), the pruning parameters, and — when screening runs inside the
-// shard — the component-local hot bits and behavioral thresholds. All of
-// those are folded into the fingerprint, so equal fingerprints imply equal
-// verdicts up to hash collisions (128 bits of a multiply-rotate mixer;
-// entries are process-local and never persisted, see DESIGN.md §15 for the
-// collision budget).
+// weights), the pruning parameters, the component-local hot bits and the
+// behavioral thresholds. All of those are folded into the fingerprint, so
+// equal fingerprints imply equal verdicts up to hash collisions (128 bits of
+// a multiply-rotate mixer; entries are process-local and never persisted,
+// see DESIGN.md §15 for the collision budget).
 
-// DefaultCacheBytes is the verdict cache's default size bound.
+// DefaultCacheBytes is the size bound of a stream.Detector's verdict cache.
 const DefaultCacheBytes = 32 << 20
 
 // fpVersion is folded into every fingerprint; bump it whenever the hashed
 // byte layout or the set of verdict-affecting inputs changes.
-const fpVersion = 1
+const fpVersion = 2
 
 // fingerprint is the 128-bit canonical component hash used as cache key.
 type fingerprint [2]uint64
@@ -75,29 +76,21 @@ func (h *fpHasher) sum() fingerprint {
 //   - the full CSR: per-user degree then the (item, weight) arc list, in
 //     the graph's deterministic ascending order — topology AND weights, so
 //     any perturbation of either changes the fingerprint;
-//   - the Params the per-component passes read: K1/K2/Alpha always
-//     (pruning + extraction), plus TClick/MaxHotAvg in screened mode
-//     (behavior checks);
-//   - in screened mode (localHot non-nil), the component-local hot bits:
-//     an item's hotness is a marketplace-wide property that can change
-//     without changing the component's own CSR, so it must key the entry.
+//   - the Params the per-component passes read: K1/K2/Alpha (pruning +
+//     extraction) and TClick/MaxHotAvg (behavior checks);
+//   - the component-local hot bits: an item's hotness is a marketplace-wide
+//     property that can change without changing the component's own CSR, so
+//     it must key the entry.
 //
-// The mode itself is folded in, so raw-mode and screened-mode entries for
-// the same CSR never collide. cg must be freshly compacted (all vertices
-// alive) — the hash is taken before local pruning mutates it.
+// cg must be freshly compacted (all vertices alive) — the hash is taken
+// before local pruning mutates it.
 func componentFingerprint(cg *bipartite.Graph, localHot []bool, p Params) fingerprint {
 	h := newFPHasher()
-	mode := uint64(1)
-	if localHot != nil {
-		mode = 2
-	}
-	h.word(fpVersion<<8 | mode)
+	h.word(fpVersion)
 	h.word(uint64(uint32(p.K1))<<32 | uint64(uint32(p.K2)))
 	h.word(math.Float64bits(p.Alpha))
-	if localHot != nil {
-		h.word(uint64(p.TClick))
-		h.word(math.Float64bits(p.MaxHotAvg))
-	}
+	h.word(uint64(p.TClick))
+	h.word(math.Float64bits(p.MaxHotAvg))
 	nu, nv := cg.NumUsers(), cg.NumItems()
 	h.word(uint64(uint32(nu))<<32 | uint64(uint32(nv)))
 	arc := func(v bipartite.NodeID, w uint32) bool {
@@ -108,19 +101,17 @@ func componentFingerprint(cg *bipartite.Graph, localHot []bool, p Params) finger
 		h.word(uint64(cg.UserDegree(bipartite.NodeID(u))))
 		cg.EachUserNeighbor(bipartite.NodeID(u), arc)
 	}
-	if localHot != nil {
-		var acc uint64
-		for i, hb := range localHot {
-			if hb {
-				acc |= 1 << (uint(i) & 63)
-			}
-			if i&63 == 63 {
-				h.word(acc)
-				acc = 0
-			}
+	var acc uint64
+	for i, hb := range localHot {
+		if hb {
+			acc |= 1 << (uint(i) & 63)
 		}
-		h.word(acc)
+		if i&63 == 63 {
+			h.word(acc)
+			acc = 0
+		}
 	}
+	h.word(acc)
 	return h.sum()
 }
 
@@ -142,10 +133,7 @@ type cacheEntry struct {
 	removedU []bipartite.NodeID
 	removedI []bipartite.NodeID
 	raw      []localGroup // extracted candidate groups
-	screened []localGroup // per-component screened groups (screened mode)
-	// screenedOK records the entry's mode; the fingerprint already
-	// separates modes, so this only guards against misuse.
-	screenedOK bool
+	screened []localGroup // per-component screened groups
 }
 
 // entrySize approximates an entry's memory footprint for the byte bound.
@@ -176,8 +164,8 @@ type CacheStats struct {
 
 // VerdictCache is a bounded, epoch-evicted map from component fingerprint
 // to cached per-component verdict. It is safe for concurrent use by the
-// shard workers of one sweep; one instance is meant to live across sweeps
-// (stream.Detector owns one, the facade can share one across batch runs).
+// shard workers of one sweep; one instance lives across the sweeps of the
+// stream.Detector that owns it.
 //
 // Eviction is oldest-epoch-first: BeginEpoch advances the clock once per
 // sharded pass, every store and hit restamps its entry with the current

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -35,9 +36,9 @@ func buildFPGraph(nU, nI int, edges []fpEdge) *bipartite.Graph {
 //   - determinism: an identical rebuild (and a clone) hashes identically,
 //     so equal CSR ⇒ equal cache key ⇒ the replayed verdict is the live one;
 //   - sensitivity: perturbing any verdict-affecting input — one edge
-//     weight, the topology, K1/K2/Alpha, a hot bit, the behavioral
-//     thresholds in screened mode, or the mode itself — changes the key,
-//     so a stale entry can never shadow a changed component.
+//     weight, the topology, K1/K2/Alpha, a hot bit or the behavioral
+//     thresholds — changes the key, so a stale entry can never shadow a
+//     changed component.
 func TestComponentFingerprintProperties(t *testing.T) {
 	base := smallParams()
 	prop := func(seed int64) bool {
@@ -65,64 +66,84 @@ func TestComponentFingerprintProperties(t *testing.T) {
 			hot[i] = rng.Intn(4) == 0
 		}
 
-		raw := componentFingerprint(g, nil, base)
-		scr := componentFingerprint(g, hot, base)
+		fp := componentFingerprint(g, hot, base)
 
-		// Determinism across rebuild and clone, in both modes.
-		if componentFingerprint(buildFPGraph(nU, nI, edges), nil, base) != raw {
+		// Determinism across rebuild and clone.
+		if componentFingerprint(buildFPGraph(nU, nI, edges), hot, base) != fp {
 			return false
 		}
-		if componentFingerprint(g.Clone(), hot, base) != scr {
+		if componentFingerprint(g.Clone(), hot, base) != fp {
 			return false
 		}
 		// Weight perturbation.
 		pe := append([]fpEdge(nil), edges...)
 		pe[rng.Intn(len(pe))].w++
-		if componentFingerprint(buildFPGraph(nU, nI, pe), nil, base) == raw {
+		if componentFingerprint(buildFPGraph(nU, nI, pe), hot, base) == fp {
 			return false
 		}
 		// Topology perturbation: drop one arc.
 		te := append([]fpEdge(nil), edges[:len(edges)-1]...)
-		if componentFingerprint(buildFPGraph(nU, nI, te), nil, base) == raw {
+		if componentFingerprint(buildFPGraph(nU, nI, te), hot, base) == fp {
 			return false
 		}
 		// Pruning/extraction params.
 		pk := base
 		pk.K1++
-		if componentFingerprint(g, nil, pk) == raw {
+		if componentFingerprint(g, hot, pk) == fp {
 			return false
 		}
 		pa := base
 		pa.Alpha *= 0.99
-		if componentFingerprint(g, nil, pa) == raw {
+		if componentFingerprint(g, hot, pa) == fp {
 			return false
 		}
-		// Raw and screened entries for the same CSR never collide.
-		if scr == raw {
-			return false
-		}
-		// A hot-bit flip rekeys a screened entry (hotness is a
-		// marketplace-wide property invisible in the component's own CSR).
+		// A hot-bit flip rekeys the entry (hotness is a marketplace-wide
+		// property invisible in the component's own CSR).
 		fh := append([]bool(nil), hot...)
 		i := rng.Intn(nI)
 		fh[i] = !fh[i]
-		if componentFingerprint(g, fh, base) == scr {
+		if componentFingerprint(g, fh, base) == fp {
 			return false
 		}
-		// Behavioral thresholds key only the screened mode: the raw entry
-		// (pruning + extraction) does not read TClick.
+		// Behavioral thresholds.
 		pt := base
 		pt.TClick++
-		if componentFingerprint(g, nil, pt) != raw {
-			return false
-		}
-		if componentFingerprint(g, hot, pt) == scr {
-			return false
-		}
-		return true
+		return componentFingerprint(g, hot, pt) != fp
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCacheServesOnlyScreenedDetection pins the cache's one mode: it is
+// consulted only when screening rides inside the shards. Unscreened
+// extraction and a VariantUI detection handed a cache neither look
+// anything up nor store anything; the fully screened detection over the
+// same graph does both.
+func TestCacheServesOnlyScreenedDetection(t *testing.T) {
+	ds := synth.MustGenerate(synth.SmallConfig())
+	p := smallParams()
+	p.Cache = NewVerdictCache(0)
+
+	groups, err := NearBicliqueExtractCtx(context.Background(), ds.Graph.Clone(), p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) == 0 {
+		t.Fatal("extraction found no groups; the test would be vacuous")
+	}
+	if _, err := (&Detector{Params: p, Variant: VariantUI}).Detect(ds.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Cache.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("unscreened runs touched the cache: %+v", st)
+	}
+
+	if _, err := (&Detector{Params: p}).Detect(ds.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Cache.Stats(); st.Misses == 0 || st.Bytes == 0 {
+		t.Fatalf("the screened detection never used the cache: %+v", st)
 	}
 }
 

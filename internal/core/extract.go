@@ -139,9 +139,8 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 // Cancellation is cooperative: pruning checks ctx every round, and the
 // component split is guarded by the "core.extract" checkpoint. A cancelled
 // call returns no groups (a half-pruned residual would report organic users
-// as attackers) together with ctx's error. With p.Cache set the component
-// verdict cache serves unchanged components in raw (unscreened) mode; output
-// is identical either way.
+// as attackers) together with ctx's error. p.Cache is not consulted: the
+// verdict cache serves only NearBicliqueExtractCachedCtx.
 func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
 	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 

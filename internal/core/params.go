@@ -49,16 +49,18 @@ type Params struct {
 	// pool, square-pruning rounds, screening); 0 means GOMAXPROCS.
 	Workers int
 
-	// Cache, when non-nil, is the cross-sweep component verdict cache:
-	// compacted components are fingerprinted after the global core prune and
-	// looked up before square-pruning runs, so components whose CSR,
-	// parameters and (in screened mode) hot bits match a previous sweep
-	// replay their cached verdict instead of being re-detected (DESIGN.md
-	// §15). Output is identical with or without the cache — the fingerprint
-	// covers every verdict-affecting input, and the golden harness pins
-	// cached vs cache-free equivalence. The cache is bypassed whenever an
-	// audit sink is attached (replayed verdicts cannot re-emit the
-	// per-decision audit trail).
+	// Cache, when non-nil, is the cross-sweep component verdict cache a
+	// stream.Detector injects into its sweeps (and the core tests into
+	// theirs): in a fully screened detection, compacted components are
+	// fingerprinted after the global core prune and looked up before
+	// square-pruning runs, so components whose CSR, parameters and hot bits
+	// match a previous sweep replay their cached verdict instead of being
+	// re-detected (DESIGN.md §15). Output is identical with or without the
+	// cache — the fingerprint covers every verdict-affecting input, and the
+	// golden harness pins cached vs cache-free equivalence. Unscreened
+	// extraction (NearBicliqueExtractCtx, VariantUI/VariantI) never consults
+	// it, and it is bypassed whenever an audit sink is attached (replayed
+	// verdicts cannot re-emit the per-decision audit trail).
 	Cache *VerdictCache
 
 	// CacheTouched is a sorted hint listing the user IDs touched since the

@@ -17,7 +17,7 @@ import (
 // real weights and the marketplace-wide hot classification, not against the
 // pruned residual.
 
-// UserBehaviorCheck filters a candidate group's users down to those whose
+// userBehaviorCheck filters a candidate group's users down to those whose
 // in-group click pattern matches the crowd-worker profile of Section IV-A:
 //
 //	(1) at least one in-group ordinary (non-hot) item clicked ≥ T_click
@@ -27,14 +27,9 @@ import (
 //	    (Section IV-A characteristic (2); optimal strategy: once).
 //
 // In the paper's Fig 5 example this is what removes u₁, whose only strong
-// edges go to a hot item.
-func UserBehaviorCheck(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params) []bipartite.NodeID {
-	return userBehaviorCheck(g, grp, hot, p, nil, 0)
-}
-
-// userBehaviorCheck is UserBehaviorCheck with auditing: every dropped user
-// produces a screen.drop event carrying the failed check and the statistic
-// that failed it. group is the 1-based candidate-group index.
+// edges go to a hot item. Every dropped user produces a screen.drop event on
+// a (nil audits nothing) carrying the failed check and the statistic that
+// failed it; group is the 1-based candidate-group index.
 func userBehaviorCheck(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params,
 	a *auditor, group int) []bipartite.NodeID {
 
@@ -79,7 +74,7 @@ func userBehaviorCheck(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Para
 	return kept
 }
 
-// ItemBehaviorVerification filters a group's items down to verified attack
+// itemBehaviorVerification filters a group's items down to verified attack
 // targets, given the users that survived the user behavior check:
 //
 //   - hot items are excluded — they are the ridden victims, not targets;
@@ -90,14 +85,9 @@ func userBehaviorCheck(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Para
 //     target clicks is camouflage (the C³₂ ≫ C³₁ case of Fig 6) and is
 //     dropped by the same supporter test, since camouflage weights sit far
 //     below T_click.
-func ItemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
-	users []bipartite.NodeID, hot *HotSet, p Params) []bipartite.NodeID {
-
-	return itemBehaviorVerification(g, items, users, hot, p, nil, 0)
-}
-
-// itemBehaviorVerification is ItemBehaviorVerification with auditing: hot
-// exclusions and failed supporter tests produce typed screen.drop events.
+//
+// Hot exclusions and failed supporter tests produce typed screen.drop events
+// on a.
 func itemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
 	users []bipartite.NodeID, hot *HotSet, p Params, a *auditor, group int) []bipartite.NodeID {
 

@@ -49,7 +49,7 @@ func TestUserBehaviorCheckDropsHotOnlyUser(t *testing.T) {
 	if !hot.IsHot(0) {
 		t.Fatal("fixture broken: item 0 should be hot")
 	}
-	kept := UserBehaviorCheck(g, grp, hot, p)
+	kept := userBehaviorCheck(g, grp, hot, p, nil, 0)
 	want := []bipartite.NodeID{1, 2}
 	if !reflect.DeepEqual(kept, want) {
 		t.Errorf("kept users = %v, want %v (u0 has no ≥T_click ordinary edge)", kept, want)
@@ -71,11 +71,11 @@ func TestUserBehaviorCheckDropsHotHeavyUser(t *testing.T) {
 	p.MaxHotAvg = 4 // enable the strict characteristic-(2) cap
 	hot := ComputeHotSet(g, p.THot)
 	grp := detect.Group{Users: []bipartite.NodeID{0}, Items: []bipartite.NodeID{0, 1}}
-	if kept := UserBehaviorCheck(g, grp, hot, p); len(kept) != 0 {
+	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0); len(kept) != 0 {
 		t.Errorf("hot-heavy user survived the check: %v", kept)
 	}
 	p.MaxHotAvg = 0 // disabled: the literal Fig 5 check keeps the user
-	if kept := UserBehaviorCheck(g, grp, hot, p); len(kept) != 1 {
+	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0); len(kept) != 1 {
 		t.Errorf("user dropped with MaxHotAvg disabled: %v", kept)
 	}
 }
@@ -90,15 +90,15 @@ func TestUserBehaviorCheckKeepsWorkerWithoutHotEdges(t *testing.T) {
 	p := DefaultParams()
 	hot := ComputeHotSet(g, p.THot)
 	grp := detect.Group{Users: []bipartite.NodeID{0}, Items: []bipartite.NodeID{0, 1}}
-	if kept := UserBehaviorCheck(g, grp, hot, p); len(kept) != 1 {
+	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0); len(kept) != 1 {
 		t.Errorf("worker without hot edges dropped: %v", kept)
 	}
 }
 
 func TestItemBehaviorVerification(t *testing.T) {
 	g, grp, hot, p := fig5Graph()
-	users := UserBehaviorCheck(g, grp, hot, p) // u1, u2
-	items := ItemBehaviorVerification(g, grp.Items, users, hot, p)
+	users := userBehaviorCheck(g, grp, hot, p, nil, 0) // u1, u2
+	items := itemBehaviorVerification(g, grp.Items, users, hot, p, nil, 0)
 	// i0 is hot → excluded; i1, i2 have 2 supporters ≥ ceil(α·k1)=2.
 	want := []bipartite.NodeID{1, 2}
 	if !reflect.DeepEqual(items, want) {
@@ -108,7 +108,7 @@ func TestItemBehaviorVerification(t *testing.T) {
 
 func TestItemBehaviorVerificationDropsCamouflage(t *testing.T) {
 	g, grp, hot, p := fig5Graph()
-	users := UserBehaviorCheck(g, grp, hot, p)
+	users := userBehaviorCheck(g, grp, hot, p, nil, 0)
 	// Add a camouflage item i3 clicked once by each checked user.
 	b := bipartite.NewBuilder(200, 10)
 	g.EachLiveUser(func(u bipartite.NodeID) bool {
@@ -121,7 +121,7 @@ func TestItemBehaviorVerificationDropsCamouflage(t *testing.T) {
 	b.Add(1, 3, 1)
 	b.Add(2, 3, 2)
 	g2 := b.Build()
-	items := ItemBehaviorVerification(g2, append(grp.Items, 3), users, hot, p)
+	items := itemBehaviorVerification(g2, append(grp.Items, 3), users, hot, p, nil, 0)
 	for _, v := range items {
 		if v == 3 {
 			t.Error("camouflage item 3 verified as target")

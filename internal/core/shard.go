@@ -37,17 +37,18 @@ import (
 // order, so every ID-ordered traversal (and the degree-then-ID candidate
 // order of sortByDegree) coincides with the original graph's.
 //
-// Verdict caching (DESIGN.md §15): with p.Cache set, each shard hashes its
-// freshly compacted CSR (componentFingerprint) and consults the cache
-// before pruning. A hit replays the cached removals/groups through the
-// shard's local→original maps; a miss detects live and stores the local
-// outcome. Components intersecting p.CacheTouched (the sweep delta's dirty
-// users) skip the cache entirely — they are known-churned. With opt.hot
-// set, the Fig 5/Fig 6 screening passes and the survivor repartition also
-// run inside the shard against the compact graph, which is sound because
-// screening only ever reads in-group edges (all present in the compact
-// graph with identical weights) and survivors of different shards can share
-// no edge (see screenComponentGroups).
+// Verdict caching (DESIGN.md §15): with p.Cache and opt.hot both set, the
+// Fig 5/Fig 6 screening passes and the survivor repartition run inside the
+// shard against the compact graph — sound because screening only ever reads
+// in-group edges (all present in the compact graph with identical weights)
+// and survivors of different shards can share no edge (see
+// screenComponentGroups) — and each shard hashes its freshly compacted CSR
+// (componentFingerprint) and consults the cache before pruning. A hit
+// replays the cached removals/groups through the shard's local→original
+// maps; a miss detects live and stores the local outcome. Components
+// intersecting p.CacheTouched (the sweep delta's dirty users) skip the cache
+// entirely — they are known-churned. Without opt.hot (prune-only and
+// unscreened extraction) the cache is never consulted.
 
 // maxShardSpans caps the per-shard child spans recorded under the prune
 // span, keeping traces bounded when the residual shatters into thousands of
@@ -60,10 +61,10 @@ type shardOptions struct {
 	// collect extracts candidate groups (the extraction callers); false
 	// prunes only (PruneCtx).
 	collect bool
-	// hot, when non-nil in collect mode with p.Cache set, additionally runs
-	// the VariantFull screening passes per shard so cached components skip
-	// screening too. The HotSet must be the marketplace-wide one computed
-	// on the full input graph.
+	// hot, when non-nil in collect mode with p.Cache set, arms the verdict
+	// cache and runs the VariantFull screening passes per shard, so cached
+	// components skip pruning, extraction and screening. The HotSet must be
+	// the marketplace-wide one computed on the full input graph.
 	hot *HotSet
 }
 
@@ -117,22 +118,21 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	var st PruneStats
 	var outc extractOutcome
 	a := newAuditor(o)
-	cache := p.Cache
-	if !opt.collect || a != nil {
+	cache, hot := p.Cache, opt.hot
+	if hot == nil || a != nil {
 		// The cache replays verdicts without re-running the per-decision
 		// passes, so it cannot re-emit the audit trail's removal and
 		// screening events; with a sink attached the trail's completeness
-		// wins and the cache is bypassed. Prune-only callers don't produce
-		// groups, so caching them is not worth an entry.
+		// wins and the cache is bypassed.
 		cache = nil
 	}
-	screening := opt.hot != nil && cache != nil
-	hot := opt.hot
-	if !screening {
-		hot = nil
-	}
-	if cache != nil {
+	// Per-shard screening exists for the cache's sake: the two run together
+	// or not at all.
+	screening := cache != nil
+	if screening {
 		cache.BeginEpoch()
+	} else {
+		hot = nil
 	}
 	faultinject.Hit("core.prune.round")
 	if err := ctx.Err(); err != nil {
@@ -302,10 +302,10 @@ func sortGroupsCanonical(groups []detect.Group) {
 // component rather than the whole graph. A panic is recovered into the
 // result for deterministic rethrow by the merger.
 //
-// With cache non-nil the shard consults/feeds the verdict cache (unless the
-// component intersects p.CacheTouched); with hot non-nil it additionally
-// screens its own groups against the compact graph. The two always arrive
-// together with hot ⊆ cache-enabled (shardedPruneExtract gates them).
+// cache and hot arrive together or not at all (shardedPruneExtract gates
+// them): with both, the shard screens its own groups against the compact
+// graph and consults/feeds the verdict cache (unless the component
+// intersects p.CacheTouched).
 //
 // Audit events emitted inside the shard carry the 1-based shard index and
 // original-graph IDs (via the auditor's local→original maps); rounds are
@@ -356,16 +356,12 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 			// health.
 			out.cacheFault = true
 			cache.noteFault()
-		} else if e, ok := cache.lookup(fp); ok && e.screenedOK == (hot != nil) {
+		} else if e, ok := cache.lookup(fp); ok {
 			out.rounds = e.rounds
 			out.removedU = mapIDs(e.removedU, userOf)
 			out.removedI = mapIDs(e.removedI, itemOf)
-			if collect {
-				out.groups = translateGroups(e.raw, userOf, itemOf)
-				if hot != nil {
-					out.screened = translateGroups(e.screened, userOf, itemOf)
-				}
-			}
+			out.groups = translateGroups(e.raw, userOf, itemOf)
+			out.screened = translateGroups(e.screened, userOf, itemOf)
 			out.done = true
 			out.cacheHit = true
 			ssp.Set("cache", "hit")
@@ -421,12 +417,11 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	}
 	if useCache {
 		out.evicted = cache.store(fp, &cacheEntry{
-			rounds:     out.rounds,
-			removedU:   locRemU,
-			removedI:   locRemI,
-			raw:        locals,
-			screened:   screenedLocals,
-			screenedOK: hot != nil,
+			rounds:   out.rounds,
+			removedU: locRemU,
+			removedI: locRemI,
+			raw:      locals,
+			screened: screenedLocals,
 		})
 	}
 	return

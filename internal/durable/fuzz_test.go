@@ -17,8 +17,8 @@ func FuzzWALScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	// A valid two-record log, a torn copy of it, and a bit-flipped one.
-	valid, _ := appendFrame(nil, 1, []byte("hello"), defaultMaxFrame)
-	valid, _ = appendFrame(valid, 2, bytes.Repeat([]byte{0xab}, 100), defaultMaxFrame)
+	valid, _ := appendFrame(nil, 1, []byte("hello"))
+	valid, _ = appendFrame(valid, 2, bytes.Repeat([]byte{0xab}, 100))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7])
 	flipped := append([]byte(nil), valid...)
@@ -39,7 +39,7 @@ func FuzzWALScan(f *testing.F) {
 			payload string
 		}
 		var first []rec
-		res, err := Replay(dir, 0, Options{}, func(seq uint64, payload []byte) error {
+		res, err := Replay(dir, 0, func(seq uint64, payload []byte) error {
 			first = append(first, rec{seq, string(payload)})
 			return nil
 		})
@@ -57,7 +57,7 @@ func FuzzWALScan(f *testing.F) {
 			t.Fatalf("file is %d bytes after truncating %d of %d", fi.Size(), res.TruncatedBytes, len(data))
 		}
 		var second []rec
-		res2, err := Replay(dir, 0, Options{}, func(seq uint64, payload []byte) error {
+		res2, err := Replay(dir, 0, func(seq uint64, payload []byte) error {
 			second = append(second, rec{seq, string(payload)})
 			return nil
 		})

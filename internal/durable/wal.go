@@ -53,26 +53,22 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy for appends.
 	Sync SyncPolicy
-	// MaxFrame bounds a single frame's body length (0 = 64 MiB); larger
-	// length prefixes are treated as corruption.
-	MaxFrame int
 }
 
 const (
 	defaultSegmentBytes = 64 << 20
-	defaultMaxFrame     = 64 << 20
-	frameHeaderLen      = 8 // u32 length + u32 crc
-	segPrefix           = "wal-"
-	segSuffix           = ".seg"
-	segSeqDigits        = 20
+	// maxFrame bounds a single frame's body length; larger length prefixes
+	// are treated as corruption.
+	maxFrame       = 64 << 20
+	frameHeaderLen = 8 // u32 length + u32 crc
+	segPrefix      = "wal-"
+	segSuffix      = ".seg"
+	segSeqDigits   = 20
 )
 
 func (o *Options) normalize() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = defaultMaxFrame
 	}
 }
 
@@ -117,10 +113,10 @@ func listSegments(dir string) ([]uint64, error) {
 }
 
 // appendFrame appends one encoded frame to b.
-func appendFrame(b []byte, seq uint64, payload []byte, maxFrame int) ([]byte, error) {
+func appendFrame(b []byte, seq uint64, payload []byte) ([]byte, error) {
 	bodyLen := 8 + len(payload)
 	if bodyLen > maxFrame {
-		return b, fmt.Errorf("durable: frame body %d bytes exceeds MaxFrame %d", bodyLen, maxFrame)
+		return b, fmt.Errorf("durable: frame body %d bytes exceeds the %d-byte frame bound", bodyLen, maxFrame)
 	}
 	var hdr [frameHeaderLen + 8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(bodyLen))
@@ -136,7 +132,7 @@ func appendFrame(b []byte, seq uint64, payload []byte, maxFrame int) ([]byte, er
 // for each valid one. It returns the offset of the first invalid frame
 // (len(data) when the segment is clean) — everything from that offset on is
 // a torn or corrupt tail. minSeq enforces strict seq growth across frames.
-func scanFrames(data []byte, minSeq uint64, maxFrame int, fn func(seq uint64, payload []byte) error) (validEnd int64, lastSeq uint64, err error) {
+func scanFrames(data []byte, minSeq uint64, fn func(seq uint64, payload []byte) error) (validEnd int64, lastSeq uint64, err error) {
 	off := 0
 	lastSeq = minSeq
 	for {
@@ -187,8 +183,7 @@ type ReplayResult struct {
 // any older segment aborts with ErrCorrupt, because replaying past a hole
 // could resurrect state the lost records had superseded. fn errors abort
 // the replay unchanged.
-func Replay(dir string, from uint64, opts Options, fn func(seq uint64, payload []byte) error) (ReplayResult, error) {
-	opts.normalize()
+func Replay(dir string, from uint64, fn func(seq uint64, payload []byte) error) (ReplayResult, error) {
 	var res ReplayResult
 	res.LastSeq = from
 	starts, err := listSegments(dir)
@@ -206,7 +201,7 @@ func Replay(dir string, from uint64, opts Options, fn func(seq uint64, payload [
 			return res, fmt.Errorf("durable: read segment: %w", err)
 		}
 		res.Segments++
-		validEnd, segLast, err := scanFrames(data, lastSeq, opts.MaxFrame, func(seq uint64, payload []byte) error {
+		validEnd, segLast, err := scanFrames(data, lastSeq, func(seq uint64, payload []byte) error {
 			if seq <= from {
 				return nil
 			}
@@ -283,7 +278,7 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: read segment: %w", err)
 	}
-	validEnd, lastSeq, _ := scanFrames(data, 0, opts.MaxFrame, nil)
+	validEnd, lastSeq, _ := scanFrames(data, 0, nil)
 	if validEnd < int64(len(data)) {
 		if err := os.Truncate(path, validEnd); err != nil {
 			return nil, fmt.Errorf("durable: truncate torn tail: %w", err)
@@ -358,7 +353,7 @@ func (w *WAL) AppendAll(entries []Entry) error {
 			return fmt.Errorf("durable: append seq %d not after %d", e.Seq, last)
 		}
 		var err error
-		w.buf, err = appendFrame(w.buf, e.Seq, e.Payload, w.opts.MaxFrame)
+		w.buf, err = appendFrame(w.buf, e.Seq, e.Payload)
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,7 @@ import (
 func collect(t *testing.T, dir string, from uint64) (map[uint64]string, ReplayResult) {
 	t.Helper()
 	got := map[uint64]string{}
-	res, err := Replay(dir, from, Options{}, func(seq uint64, payload []byte) error {
+	res, err := Replay(dir, from, func(seq uint64, payload []byte) error {
 		got[seq] = string(payload)
 		return nil
 	})
@@ -203,7 +203,7 @@ func TestWALCorruptionInOldSegmentIsFatal(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Replay(dir, 0, Options{}, func(uint64, []byte) error { return nil })
+	_, err = Replay(dir, 0, func(uint64, []byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay over mid-log corruption returned %v, want ErrCorrupt", err)
 	}
@@ -288,7 +288,7 @@ func TestWALEmptyDirReplay(t *testing.T) {
 		t.Fatalf("empty dir replay: %v %+v", got, res)
 	}
 	// A directory that does not exist at all is also a cold start.
-	res2, err := Replay(filepath.Join(t.TempDir(), "missing"), 0, Options{}, nil)
+	res2, err := Replay(filepath.Join(t.TempDir(), "missing"), 0, nil)
 	if err != nil || res2.Records != 0 {
 		t.Fatalf("missing dir replay: %+v %v", res2, err)
 	}

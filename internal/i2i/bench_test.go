@@ -18,15 +18,6 @@ func BenchmarkScores(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildIndex(b *testing.B) {
-	ds := synth.MustGenerate(synth.SmallConfig())
-	anchors := HotAnchors(ds.Graph, 300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildIndex(ds.Graph, anchors, 10, 0)
-	}
-}
-
 func BenchmarkSimulateCampaign(b *testing.B) {
 	cfg := DefaultCampaignConfig()
 	for i := 0; i < b.N; i++ {

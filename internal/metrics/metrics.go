@@ -49,30 +49,6 @@ func Evaluate(res *detect.Result, truth *detect.Labels) Eval {
 	return newEval(tp, out, truth.NumAbnormal())
 }
 
-// EvaluateUsers scores only the user side.
-func EvaluateUsers(res *detect.Result, truth *detect.Labels) Eval {
-	tp := 0
-	users := res.Users()
-	for _, u := range users {
-		if truth.Users[u] {
-			tp++
-		}
-	}
-	return newEval(tp, len(users), len(truth.Users))
-}
-
-// EvaluateItems scores only the item side.
-func EvaluateItems(res *detect.Result, truth *detect.Labels) Eval {
-	tp := 0
-	items := res.Items()
-	for _, v := range items {
-		if truth.Items[v] {
-			tp++
-		}
-	}
-	return newEval(tp, len(items), len(truth.Items))
-}
-
 // EvaluateNodes scores arbitrary node lists (used by rankers' top-k cuts).
 func EvaluateNodes(users, items []bipartite.NodeID, truth *detect.Labels) Eval {
 	tp := 0

@@ -42,19 +42,6 @@ func TestEvaluateExact(t *testing.T) {
 	}
 }
 
-func TestEvaluatePerSide(t *testing.T) {
-	truth := labelsFrom([]bipartite.NodeID{1, 2}, []bipartite.NodeID{10, 11})
-	res := resultFrom([]bipartite.NodeID{1}, []bipartite.NodeID{10, 11, 12})
-	u := EvaluateUsers(res, truth)
-	if !almost(u.Precision, 1.0) || !almost(u.Recall, 0.5) {
-		t.Errorf("users: %v", u)
-	}
-	i := EvaluateItems(res, truth)
-	if !almost(i.Precision, 2.0/3.0) || !almost(i.Recall, 1.0) {
-		t.Errorf("items: %v", i)
-	}
-}
-
 func TestEvaluateEmptyOutput(t *testing.T) {
 	truth := labelsFrom([]bipartite.NodeID{1}, nil)
 	ev := Evaluate(&detect.Result{}, truth)

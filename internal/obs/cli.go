@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"time"
@@ -12,11 +13,10 @@ import (
 	"repro/internal/durable"
 )
 
-// This file is the shared CLI observability bootstrap: every command
-// (ricd, stream, serve) previously hand-rolled the same observer
-// construction, audit-file plumbing, pprof/expvar debug server and
-// artifact emission, drifting apart comment by comment. StartCLI owns
-// that lifecycle in one place.
+// This file is the shared CLI observability bootstrap: StartCLI owns the
+// observer construction, audit-file plumbing, pprof/expvar debug server and
+// artifact emission of every command (ricd, stream) in one place, and
+// StartServer is how a command puts any HTTP server on the network.
 //
 // The helper deliberately does NOT import net/http/pprof: obs is linked
 // into every binary, and pprof's blank import registers handlers on the
@@ -25,13 +25,13 @@ import (
 // merely serves whatever mux it is given (DefaultServeMux by default,
 // which is where pprof and expvar register).
 
-// DefaultLedgerSize bounds the run ledger: one summary per run or daily
-// sweep, so 64 covers a feedback loop's inner runs or a two-month replay
-// while /debug/runs stays a quick read.
-const DefaultLedgerSize = 64
+// ledgerSize bounds the run ledger: one summary per run or daily sweep, so
+// 64 covers a feedback loop's inner runs or a two-month replay while
+// /debug/runs stays a quick read.
+const ledgerSize = 64
 
 // CLIConfig declares which observability features a command run wants —
-// the union of the ricd/stream/serve flag sets.
+// the union of the ricd/stream flag sets.
 type CLIConfig struct {
 	// Namespace prefixes the Prometheus exposition and the expvar map
 	// (e.g. "ricd" → ricd_core_prune_rounds, ricd_metrics).
@@ -50,8 +50,6 @@ type CLIConfig struct {
 	// command imports them, plus /metrics and /debug/runs) on this
 	// address.
 	DebugAddr string
-	// LedgerSize bounds the run ledger (0 = DefaultLedgerSize).
-	LedgerSize int
 	// Mux is the debug mux to extend and serve; nil uses
 	// http.DefaultServeMux, where net/http/pprof and expvar register.
 	// Tests pass a private mux so repeated StartCLI calls cannot collide
@@ -89,10 +87,43 @@ func (c *CLI) Obs() *Observer {
 	return c.Observer
 }
 
+// StartServer binds addr, serves h on it from a background goroutine and
+// announces "<name> on <bound address> (<endpoints>)". The bind is
+// synchronous: an address that cannot be bound is returned as the caller's
+// start-up error, before anything claims to be serving. A failure after the
+// bind is logged under name. The caller owns the returned server's
+// shutdown (DrainServer).
+func StartServer(name, addr string, h http.Handler, endpoints string) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	srv := &http.Server{Handler: h}
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			log.Printf("%s: %v", name, err)
+		}
+	}()
+	fmt.Printf("%s on %s (%s)\n", name, ln.Addr(), endpoints)
+	return srv, nil
+}
+
+// DrainServer gracefully shuts srv down — new connections refused,
+// in-flight requests finished — bounding the drain to timeout so a stuck
+// client cannot hold the exit hostage. A failed drain is logged under name.
+func DrainServer(name string, srv *http.Server, timeout time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("%s shutdown: %v", name, err)
+	}
+}
+
 // StartCLI builds the run's observer per the config and starts the debug
-// server when DebugAddr is set. Callers must eventually run StopServer
-// and CloseAudit (in that order — CLIShutdownSteps pins it) on every exit
-// path; Finish emits the trace/tree/ledger artifacts.
+// server when DebugAddr is set (failing if it cannot bind). Callers must
+// eventually run StopServer and CloseAudit (in that order —
+// CLIShutdownSteps pins it) on every exit path; Finish emits the
+// trace/tree/ledger artifacts.
 func StartCLI(cfg CLIConfig) (*CLI, error) {
 	if !cfg.enabled() {
 		return nil, nil
@@ -108,11 +139,7 @@ func StartCLI(cfg CLIConfig) (*CLI, error) {
 		o.Events = NewEventSink(f, 0)
 	}
 	if cfg.Runs || cfg.DebugAddr != "" {
-		size := cfg.LedgerSize
-		if size <= 0 {
-			size = DefaultLedgerSize
-		}
-		o.Ledger = NewLedger(size)
+		o.Ledger = NewLedger(ledgerSize)
 	}
 	if cfg.DebugAddr != "" {
 		mux := cfg.Mux
@@ -128,14 +155,12 @@ func StartCLI(cfg CLIConfig) (*CLI, error) {
 		}
 		mux.Handle("/metrics", MetricsHandler(cfg.Namespace, o.Metrics))
 		mux.Handle("/debug/runs", RunsHandler(o.Ledger))
-		srv := &http.Server{Addr: cfg.DebugAddr, Handler: mux}
+		srv, err := StartServer("debug server", cfg.DebugAddr, mux, "/debug/pprof/, /debug/vars, /metrics, /debug/runs")
+		if err != nil {
+			c.CloseAudit()
+			return nil, fmt.Errorf("-debug-addr: %w", err)
+		}
 		c.srv = srv
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("debug server: %v", err)
-			}
-		}()
-		fmt.Printf("debug server on %s (/debug/pprof/, /debug/vars, /metrics, /debug/runs)\n", cfg.DebugAddr)
 	}
 	return c, nil
 }
@@ -166,18 +191,12 @@ func (c *CLI) Shutdown() {
 	}
 }
 
-// StopServer gracefully shuts down the debug server (no-op without one),
-// bounding the drain so a stuck debug client cannot hold the exit
-// hostage.
+// StopServer drains the debug server (no-op without one).
 func (c *CLI) StopServer() {
 	if c == nil || c.srv == nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := c.srv.Shutdown(ctx); err != nil {
-		log.Printf("debug server shutdown: %v", err)
-	}
+	DrainServer("debug server", c.srv, 2*time.Second)
 	c.srv = nil
 }
 

@@ -118,3 +118,20 @@ func TestStartCLILifecycle(t *testing.T) {
 		t.Fatalf("audit file missing emitted event: %q", data)
 	}
 }
+
+// TestStartCLIUnbindableDebugAddr: a debug server that cannot bind is a
+// start-up error, not a banner followed by an asynchronous log line.
+func TestStartCLIUnbindableDebugAddr(t *testing.T) {
+	c, err := StartCLI(CLIConfig{
+		Namespace: "clitest",
+		AuditPath: filepath.Join(t.TempDir(), "audit.jsonl"),
+		DebugAddr: "256.0.0.1:99999",
+		Mux:       http.NewServeMux(),
+	})
+	if err == nil || c != nil {
+		t.Fatalf("StartCLI = %v, %v; want a bind error and no CLI", c, err)
+	}
+	if !strings.Contains(err.Error(), "-debug-addr") {
+		t.Errorf("error does not name the flag: %v", err)
+	}
+}

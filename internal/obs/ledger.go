@@ -150,15 +150,6 @@ func StagesOf(e *SpanExport) []StageTiming {
 	return out
 }
 
-// TotalDuration sums the recorded stage timings.
-func TotalDuration(stages []StageTiming) time.Duration {
-	var sum int64
-	for _, s := range stages {
-		sum += s.DurationNS
-	}
-	return time.Duration(sum)
-}
-
 // CounterDelta returns the counters that advanced between two Counters()
 // snapshots — the per-run share of the registry's cumulative counts.
 // Counters absent from before count from zero.

@@ -136,8 +136,6 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	tr := NewTrace("detect")
 	sp := tr.Root().Start("prune")
 	sp.SetInt("rounds", 3)
-	sp.SetFloat("alpha", 0.9)
-	sp.SetDuration("budget", 150*time.Millisecond)
 	sp.Set("mode", "fixpoint")
 	sp.End()
 	tr.Finish()
@@ -160,7 +158,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if p == nil {
 		t.Fatal("prune span lost in round trip")
 	}
-	want := []Attr{{"rounds", "3"}, {"alpha", "0.900"}, {"budget", "150ms"}, {"mode", "fixpoint"}}
+	want := []Attr{{"rounds", "3"}, {"mode", "fixpoint"}}
 	if !reflect.DeepEqual(p.Attrs, want) {
 		t.Errorf("attrs = %v, want %v", p.Attrs, want)
 	}
@@ -268,7 +266,7 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil gauge has a value")
 	}
 	h.Observe(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 {
+	if h.Count() != 0 {
 		t.Error("nil histogram recorded")
 	}
 }

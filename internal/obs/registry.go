@@ -109,14 +109,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the total observed duration (0 for nil).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
 // Sample is one metric value in a registry snapshot.
 type Sample struct {
 	Name  string

@@ -100,22 +100,6 @@ func (s *Span) SetInt(key string, v int64) {
 	s.Set(key, fmt.Sprintf("%d", v))
 }
 
-// SetFloat attaches a float attribute (3 decimal places).
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.Set(key, fmt.Sprintf("%.3f", v))
-}
-
-// SetDuration attaches a duration attribute.
-func (s *Span) SetDuration(key string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.Set(key, d.String())
-}
-
 // Trace is a span tree rooted at a single run-level span. The nil *Trace
 // is a no-op.
 type Trace struct {

@@ -110,24 +110,3 @@ func (d *Detector) Detect(g *bipartite.Graph) (*detect.Result, error) {
 func sortIDs(ids []bipartite.NodeID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
-
-// WouldFlag reports whether a hypothetical extra click burst (user clicking
-// item `clicks` times on top of existing traffic) trips any rule — the
-// check a careful crowd worker performs when choosing a click budget.
-func (d *Detector) WouldFlag(g *bipartite.Graph, user, item bipartite.NodeID, clicks uint32) bool {
-	r := d.Rules
-	newPair := g.Weight(user, item) + clicks
-	if r.MaxPairClicks > 0 && newPair >= r.MaxPairClicks {
-		return true
-	}
-	if r.MaxUserClicks > 0 && g.UserStrength(user)+uint64(clicks) >= r.MaxUserClicks {
-		return true
-	}
-	if r.MaxItemShare > 0 {
-		total := g.ItemStrength(item) + uint64(clicks)
-		if total > 0 && float64(newPair) >= r.MaxItemShare*float64(total) && total > uint64(newPair) {
-			return true
-		}
-	}
-	return false
-}

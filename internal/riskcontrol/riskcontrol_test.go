@@ -108,19 +108,6 @@ func TestBudgetedAttackEvadesRules(t *testing.T) {
 	}
 }
 
-func TestWouldFlag(t *testing.T) {
-	b := bipartite.NewBuilder(2, 2)
-	b.Add(0, 0, 30)
-	g := b.Build()
-	d := &Detector{Rules: Rules{MaxPairClicks: 50}}
-	if d.WouldFlag(g, 0, 0, 10) {
-		t.Error("30+10 < 50 should not flag")
-	}
-	if !d.WouldFlag(g, 0, 0, 25) {
-		t.Error("30+25 ≥ 50 should flag")
-	}
-}
-
 func TestDetectorInterface(t *testing.T) {
 	var _ detect.Detector = (*Detector)(nil)
 	if (&Detector{}).Name() != "RiskControl" {

@@ -127,6 +127,10 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// Endpoints lists the routes ServeHTTP answers, for start-up banners and the
+// unknown-route error.
+const Endpoints = "/v1/user/{id}, /v1/item/{id}, /v1/pair?u=&i=, /v1/group/{id}, /v1/check, /healthz"
+
 // ServeHTTP routes the five query endpoints plus /healthz. Routing is
 // hand-rolled (not http.ServeMux patterns) so every error path — unknown
 // route, bad method, malformed ID, shed — returns the same structured
@@ -167,7 +171,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case path == "/v1/check":
 		s.instrument("check", w, r, s.handleCheck)
 	default:
-		writeError(w, http.StatusNotFound, "unknown route (endpoints: /v1/user/{id}, /v1/item/{id}, /v1/pair?u=&i=, /v1/group/{id}, /v1/check, /healthz)")
+		writeError(w, http.StatusNotFound, "unknown route (endpoints: "+Endpoints+")")
 	}
 }
 

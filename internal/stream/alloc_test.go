@@ -1,9 +1,13 @@
 package stream
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/clicktable"
+	"repro/internal/synth"
 )
 
 // allocDetector builds a warmed-up memory-only detector: enough history for
@@ -69,6 +73,61 @@ func TestSteadyStateAddBatchAllocs(t *testing.T) {
 	t.Logf("steady-state AddBatch: %.2f allocs/run (bound %d)", avg, maxAllocs)
 	if avg > maxAllocs {
 		t.Errorf("steady-state AddBatch: %.2f allocs/run, want ≤ %d", avg, maxAllocs)
+	}
+}
+
+// TestAddClickIsAddBatchOfOne pins the one ingest path: a durable detector
+// fed click by click and one fed the same clicks as a single batch leave
+// byte-identical WAL segments, count the same events and sweep to the same
+// groups (a zero-click event is dropped on both sides), and a warm AddClick
+// allocates nothing.
+func TestAddClickIsAddBatchOfOne(t *testing.T) {
+	var records []clicktable.Record
+	synth.MustGenerate(synth.SmallConfig()).Table.Each(func(r clicktable.Record) bool {
+		records = append(records, r)
+		return true
+	})
+	records = append(records, clicktable.Record{UserID: 1, ItemID: 1, Clicks: 0})
+
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	byClick, _ := openDurable(t, dirs[0], Durability{})
+	byBatch, _ := openDurable(t, dirs[1], Durability{})
+	for _, r := range records {
+		byClick.AddClick(r.UserID, r.ItemID, r.Clicks)
+	}
+	byBatch.AddBatch(records)
+	if got, want := byClick.Events(), byBatch.Events(); got != want || got != len(records)-1 {
+		t.Fatalf("events: AddClick %d, AddBatch %d, want %d", got, want, len(records)-1)
+	}
+
+	var wal [2][]byte
+	for i, dir := range dirs {
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("detector %d: segments %v, %v; want exactly one", i, segs, err)
+		}
+		if wal[i], err = os.ReadFile(segs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(wal[0]) == 0 || !bytes.Equal(wal[0], wal[1]) {
+		t.Fatalf("WAL segments differ: %d bytes by click, %d by batch", len(wal[0]), len(wal[1]))
+	}
+
+	first := mustSweep(t, byBatch)
+	if len(first.Groups) == 0 {
+		t.Fatal("the first sweep found no groups; the comparison would be vacuous")
+	}
+	sameGroups(t, "first sweep", first, mustSweep(t, byClick))
+	for _, d := range []*Detector{byClick, byBatch} {
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	warm, _ := allocDetector(t)
+	if avg := testing.AllocsPerRun(200, func() { warm.AddClick(10, 3, 2) }); avg != 0 {
+		t.Errorf("steady-state AddClick: %.2f allocs/run, want 0", avg)
 	}
 }
 

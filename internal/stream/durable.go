@@ -61,10 +61,6 @@ func (dur *Durability) normalize() {
 	}
 }
 
-func (dur Durability) walOptions() durable.Options {
-	return durable.Options{SegmentBytes: dur.SegmentBytes, Sync: dur.Sync}
-}
-
 // RecoveryInfo reports what Open reconstructed.
 type RecoveryInfo struct {
 	// ColdStart is true when neither a snapshot nor WAL records existed.
@@ -129,8 +125,7 @@ func Open(dur Durability, params core.Params, o *obs.Observer) (*Detector, *Reco
 		return nil, nil, err
 	}
 
-	opts := dur.walOptions()
-	res, err := durable.Replay(dur.Dir, d.seq, opts, d.applyRecord)
+	res, err := durable.Replay(dur.Dir, d.seq, d.applyRecord)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -138,7 +133,7 @@ func Open(dur Durability, params core.Params, o *obs.Observer) (*Detector, *Reco
 	info.TruncatedBytes = res.TruncatedBytes
 	info.ColdStart = info.SnapshotClock == 0 && res.Records == 0
 
-	w, err := durable.OpenWAL(dur.Dir, opts)
+	w, err := durable.OpenWAL(dur.Dir, durable.Options{SegmentBytes: dur.SegmentBytes, Sync: dur.Sync})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -45,16 +45,6 @@ import (
 type Detector struct {
 	params core.Params
 
-	// ExpandDegreeCap bounds dirty-region seed expansion: items with more
-	// live clickers than the cap are not traversed through (their fan
-	// bases cannot co-form a near-biclique with a seed anyway — see
-	// core.GraphGeneratorBounded). Zero falls back to DefaultExpandCap.
-	ExpandDegreeCap int
-
-	// CacheBytes bounds the verdict cache (0 = core.DefaultCacheBytes).
-	// Set before first use.
-	CacheBytes int64
-
 	// CompactFraction is the delta-maintenance compaction policy: when the
 	// raw rows accumulated since the last compaction exceed this fraction
 	// of the aggregated base table, the next graph build folds them in with
@@ -158,11 +148,12 @@ type Detector struct {
 // bounds both the pending tail's memory and the patch chain's length.
 const DefaultCompactFraction = 0.5
 
-// DefaultExpandCap is the default item-degree traversal bound for
-// dirty-region expansion: generous relative to plausible attack-group head
-// counts (the paper's case-study group had 28 accounts) yet far below hot
-// items' fan bases.
-const DefaultExpandCap = 500
+// expandCap bounds dirty-region seed expansion: items with more live
+// clickers are not traversed through (their fan bases cannot co-form a
+// near-biclique with a seed anyway — see core.GraphGeneratorBounded). It is
+// generous relative to plausible attack-group head counts (the paper's
+// case-study group had 28 accounts) yet far below hot items' fan bases.
+const expandCap = 500
 
 // New creates an incremental detector over an optional initial click table
 // (nil starts empty). The initial table counts as dirty: the first sweep
@@ -179,49 +170,21 @@ func New(initial *clicktable.Table, params core.Params) (*Detector, error) {
 	if initial != nil {
 		d.table = clicktable.NewStaged(initial.Clone())
 	}
-	d.lastFull = false
 	return d, nil
 }
 
-// AddClick streams one aggregated click event. Safe to call while a sweep
-// is in flight; the click joins the next sweep's dirty region. On a
-// durable detector the click is appended to the WAL before it touches the
-// in-memory state (write-ahead), so every click visible to a sweep is
-// recoverable.
+// AddClick streams one aggregated click event: AddBatch of one. Safe to
+// call while a sweep is in flight; the click joins the next sweep's dirty
+// region.
 func (d *Detector) AddClick(user, item uint32, clicks uint32) {
-	if clicks == 0 {
-		return
-	}
-	d.mu.Lock()
-	d.seq++
-	logged := false
-	if d.walActiveLocked() {
-		d.walBuf = appendClickRecord(d.walBuf[:0], user, item, clicks)
-		faultinject.Hit("stream.wal.append")
-		if err := d.wal.Append(d.seq, d.walBuf); err != nil {
-			d.degradeLocked(err)
-		} else {
-			d.sinceSnap++
-			logged = true
-		}
-	}
-	d.table.Append(user, item, clicks)
-	d.dirty[user] = d.seq
-	d.events++
-	n := len(d.dirty)
-	d.mu.Unlock()
-	d.Obs.Counter("stream.events").Inc()
-	d.Obs.Counter("stream.clicks").Add(int64(clicks))
-	d.Obs.Gauge("stream.dirty_users").Set(int64(n))
-	if logged {
-		d.Obs.Counter("stream.wal.appends").Inc()
-	}
+	d.AddBatch([]clicktable.Record{{UserID: user, ItemID: item, Clicks: clicks}})
 }
 
 // AddBatch streams a batch of click records under one lock acquisition, so
 // bulk replay (log catch-up, backfill) does not pay per-record contention
-// against an in-flight sweep. Zero-click records are skipped, matching
-// AddClick.
+// against an in-flight sweep. Zero-click records are skipped. On a durable
+// detector the batch is appended to the WAL before it touches the in-memory
+// state (write-ahead), so every click visible to a sweep is recoverable.
 func (d *Detector) AddBatch(records []clicktable.Record) {
 	if len(records) == 0 {
 		return
@@ -494,56 +457,43 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 		}
 
 		reached = "extraction"
-		var fresh []detect.Group
-		var screened []detect.Group
+		var fresh, screened []detect.Group
 		var screenedOK bool
+		var eerr error
 		if full {
+			// A full sweep carries no cached groups (lastFull is only
+			// cleared by New/Reset, which also clear them), so the
+			// candidate set IS the fresh extraction and screening can ride
+			// inside the shards: cache hits skip it entirely. Incremental
+			// sweeps must keep the global screening pass — fresh and
+			// carried-over groups can overlap or connect.
 			work := core.GraphGenerator(g, detect.Seeds{})
-			var eerr error
-			if len(cached) == 0 {
-				// A full sweep carries no cached groups (lastFull is only
-				// cleared by New/Reset, which also clear them), so the
-				// candidate set IS the fresh extraction and screening can
-				// ride inside the shards: cache hits skip it entirely.
-				// Incremental sweeps must keep the global screening pass —
-				// fresh and carried-over groups can overlap or connect.
-				fresh, screened, screenedOK, eerr = core.NearBicliqueExtractCachedCtx(ctx, work, hot, params, sp, d.Obs)
-			} else {
-				fresh, eerr = core.NearBicliqueExtractCtx(ctx, work, params, sp, d.Obs)
-			}
-			if eerr != nil {
-				return eerr
-			}
+			fresh, screened, screenedOK, eerr = core.NearBicliqueExtractCachedCtx(ctx, work, hot, params, sp, d.Obs)
 		} else if len(seeds.Users) > 0 {
-			cap := d.ExpandDegreeCap
-			if cap <= 0 {
-				cap = DefaultExpandCap
-			}
 			gsp := sp.Start("dirty_expand")
-			work := core.GraphGeneratorBounded(g, seeds, cap)
+			work := core.GraphGeneratorBounded(g, seeds, expandCap)
 			gsp.SetInt("scope_users", int64(work.LiveUsers()))
 			gsp.SetInt("scope_items", int64(work.LiveItems()))
 			gsp.End()
 			d.Obs.Gauge("stream.sweep.scope_users").Set(int64(work.LiveUsers()))
-			var eerr error
 			fresh, eerr = core.NearBicliqueExtractCtx(ctx, work, params, sp, d.Obs)
-			if eerr != nil {
-				return eerr
-			}
+		}
+		if eerr != nil {
+			return eerr
 		}
 
-		// Merge candidates: freshly extracted groups around the dirty region
-		// plus the cached groups (monotonicity keeps their extraction
-		// validity; screening below re-judges them against current weights
-		// and hotness).
 		reached = "screening"
-		if screenedOK && len(cached) == 0 {
+		if screenedOK {
 			ssp := sp.Start("screening")
 			ssp.Set("cached", "shards")
 			ssp.End()
 			res.Groups = screened
 			return identify()
 		}
+		// Merge candidates: freshly extracted groups around the dirty region
+		// plus the cached groups (monotonicity keeps their extraction
+		// validity; screening below re-judges them against current weights
+		// and hotness).
 		candidates := append(append([]detect.Group(nil), fresh...), cached...)
 		ssp := sp.Start("screening")
 		var serr error
@@ -670,15 +620,6 @@ func suspiciousUser(g *bipartite.Graph, hot *core.HotSet, u bipartite.NodeID, tC
 // validated against in tests and benchmarks — with the same partial-result
 // contract as core.(*Detector).DetectContext.
 func (d *Detector) FullDetectContext(ctx context.Context) (*detect.Result, error) {
-	res, _, err := d.FullDetectGraphContext(ctx)
-	return res, err
-}
-
-// FullDetectGraphContext is FullDetectContext that also returns the immutable
-// graph the detection examined, for callers that derive evidence from the
-// result: clicks streamed while the detection runs are in a later Graph(),
-// not in this one.
-func (d *Detector) FullDetectGraphContext(ctx context.Context) (*detect.Result, *bipartite.Graph, error) {
 	d.mu.Lock()
 	g := d.graphLocked()
 	params := d.params
@@ -688,16 +629,14 @@ func (d *Detector) FullDetectGraphContext(ctx context.Context) (*detect.Result, 
 	params.Cache = d.cacheLocked()
 	params.CacheTouched = nil
 	d.mu.Unlock()
-	det := &core.Detector{Params: params, Obs: d.Obs}
-	res, err := det.DetectContext(ctx, g)
-	return res, g, err
+	return (&core.Detector{Params: params, Obs: d.Obs}).DetectContext(ctx, g)
 }
 
 // cacheLocked returns the detector's verdict cache, creating it on first
 // use. d.mu must be held.
 func (d *Detector) cacheLocked() *core.VerdictCache {
 	if d.cache == nil {
-		d.cache = core.NewVerdictCache(d.CacheBytes)
+		d.cache = core.NewVerdictCache(core.DefaultCacheBytes)
 	}
 	return d.cache
 }

@@ -24,14 +24,10 @@ type StreamDurability struct {
 	// power loss). Off, appends are flushed to the OS per call — they
 	// survive a process crash but not a kernel panic or power cut.
 	Fsync bool
-	// SegmentBytes rotates WAL segments at this size (0 = 64 MiB).
-	SegmentBytes int64
 	// SnapshotEvery takes an automatic snapshot at the first sweep
 	// boundary after this many WAL records (0 disables; Snapshot can
 	// still be called explicitly).
 	SnapshotEvery int
-	// KeepSnapshots retains this many snapshot generations (< 1 = 2).
-	KeepSnapshots int
 }
 
 // StreamRecovery reports what a durable StreamDetector reconstructed when
@@ -70,10 +66,6 @@ type StreamDetector struct {
 	cfg      Config
 	params   core.Params
 	recovery *StreamRecovery
-	// committed is the immutable graph the last committed sweep examined,
-	// handed over by inner.OnCommit on the sweeping goroutine just before
-	// SweepContext returns (sweeps are never concurrent).
-	committed *bipartite.Graph
 }
 
 // NewStreamDetector creates a streaming detector, optionally warm-started
@@ -102,25 +94,13 @@ func NewStreamDetector(initial *Graph, cfg Config) (*StreamDetector, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A stream detector owns its private per-sweep cache (CacheBytes); a
-	// shared Config.Cache is a batch-path concern.
-	params.Cache = nil
 	inner, err := stream.New(tbl, params)
 	if err != nil {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
 	inner.Obs = auditObserver(cfg)
-	return wrapStreamDetector(inner, cfg, params, nil), nil
-}
-
-// wrapStreamDetector finishes either construction path: the tuning fields,
-// and the commit hook through which a sweep hands over the graph it examined.
-func wrapStreamDetector(inner *stream.Detector, cfg Config, params core.Params, recovery *StreamRecovery) *StreamDetector {
-	s := &StreamDetector{inner: inner, cfg: cfg, params: params, recovery: recovery}
 	inner.CompactFraction = cfg.CompactFraction
-	inner.CacheBytes = cfg.CacheBytes
-	inner.OnCommit = func(_ *detect.Result, g *bipartite.Graph) { s.committed = g }
-	return s
+	return &StreamDetector{inner: inner, cfg: cfg, params: params}, nil
 }
 
 // openDurableStreamDetector is NewStreamDetector's durable path.
@@ -135,27 +115,25 @@ func openDurableStreamDetector(initial *Graph, cfg Config) (*StreamDetector, err
 	if err != nil {
 		return nil, err
 	}
-	params.Cache = nil
 	sync := durable.SyncNever
 	if cfg.Durability.Fsync {
 		sync = durable.SyncAlways
 	}
 	inner, info, err := stream.Open(stream.Durability{
 		Dir:           cfg.Durability.Dir,
-		SegmentBytes:  cfg.Durability.SegmentBytes,
 		Sync:          sync,
 		SnapshotEvery: cfg.Durability.SnapshotEvery,
-		KeepSnapshots: cfg.Durability.KeepSnapshots,
 	}, params, auditObserver(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
-	return wrapStreamDetector(inner, cfg, params, &StreamRecovery{
+	inner.CompactFraction = cfg.CompactFraction
+	return &StreamDetector{inner: inner, cfg: cfg, params: params, recovery: &StreamRecovery{
 		ColdStart:       info.ColdStart,
 		SnapshotClock:   info.SnapshotClock,
 		ReplayedRecords: info.Replayed,
 		TruncatedBytes:  info.TruncatedBytes,
-	}), nil
+	}}, nil
 }
 
 // Recovery returns what a durable detector reconstructed at open; nil for
@@ -202,10 +180,15 @@ func (s *StreamDetector) Sweep() (*Report, error) {
 // the work in full. A stage panic is isolated into a *StageError.
 func (s *StreamDetector) SweepContext(ctx context.Context) (*Report, error) {
 	res, err := s.inner.SweepContext(ctx)
-	g := s.committed
+	return s.report(res, err)
+}
+
+// report is newReport for a sweep outcome. A complete one arrives identified
+// against the graph it examined; a cut-short one, which is never published,
+// is identified against the live graph.
+func (s *StreamDetector) report(res *detect.Result, err error) (*Report, error) {
+	var g *bipartite.Graph
 	if err != nil {
-		// An aborted sweep commits nothing and hands over no graph; its
-		// partial report, which is never published, reads the live one.
 		g = s.inner.Graph()
 	}
 	return newReport(g, res, err, s.params, s.cfg)
@@ -219,6 +202,6 @@ func (s *StreamDetector) FullSweep() (*Report, error) {
 // FullSweepContext is FullSweep under a context, with SweepContext's
 // partial-report contract.
 func (s *StreamDetector) FullSweepContext(ctx context.Context) (*Report, error) {
-	res, g, err := s.inner.FullDetectGraphContext(ctx)
-	return newReport(g, res, err, s.params, s.cfg)
+	res, err := s.inner.FullDetectContext(ctx)
+	return s.report(res, err)
 }
