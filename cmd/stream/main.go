@@ -8,7 +8,6 @@
 //	synthgen -out clicks.csv -labels labels.csv -events events.csv
 //	stream -events events.csv [-thot 1000] [-tclick 12] [-labels labels.csv]
 //	       [-wal-dir state/] [-snapshot-every 5000] [-fsync]
-//	       [-compact-fraction 0.5]
 //	       [-buffer 4096] [-shed-policy block|oldest|newest]
 //	       [-serve-addr :8080] [-serve-inflight 256]
 //	       [-timeout 1m] [-trace out.json] [-trace-tree] [-audit out.jsonl]
@@ -38,10 +37,12 @@
 //
 // Per-sweep graph preparation is delta-maintained: each sweep patches only
 // the clicks since the last sweep onto the previous graph, compacting with
-// a full rebuild once the pending tail exceeds -compact-fraction of the
-// aggregated base. Detection itself is incremental too: components of the
-// click graph left untouched by a sweep's delta replay their cached verdict
-// instead of being re-pruned and re-screened.
+// a full rebuild once the pending tail exceeds half the aggregated base.
+// Detection itself is incremental too: after the first (full) sweep, each
+// sweep extracts only around the users touched since the last one and
+// re-screens the groups it carried over. No sweep of this command replays a
+// cached verdict — the component verdict cache serves only the library's
+// FullSweep refreshes.
 //
 // -buffer inserts a bounded pending-click queue between the reader and
 // the detector; when it fills, -shed-policy decides between backpressure
@@ -120,7 +121,6 @@ func run() int {
 		hold       = flag.Duration("hold", 0, "keep the debug server running this long after the replay (for scraping); interrupted by SIGINT")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole replay; on expiry the exit status is 2")
 		workers    = flag.Int("workers", 0, "worker goroutines for the sharded sweep pipeline (0 = GOMAXPROCS)")
-		compactFr  = flag.Float64("compact-fraction", 0, "full-rebuild compaction once pending clicks exceed this fraction of the aggregated base (0 = default 0.5)")
 	)
 	flag.Parse()
 	if *eventsPath == "" && *walDir == "" {
@@ -217,10 +217,6 @@ func run() int {
 		cli.Shutdown()
 		return 1
 	}
-	// Graph-maintenance policy, before the first sweep (the detector pins it
-	// at first use).
-	det.CompactFraction = *compactFr
-
 	// Online verdict serving: every committed sweep compiles the sweep's
 	// result into an immutable index and publishes it under a new epoch;
 	// queries answer lock-free from whichever epoch is current.

@@ -120,12 +120,6 @@ type Config struct {
 	// (component shard pool, square-pruning rounds, screening); 0 uses
 	// GOMAXPROCS.
 	Workers int
-	// CompactFraction tunes a StreamDetector's delta-maintenance compaction
-	// policy: once the raw clicks pending since the last compaction exceed
-	// this fraction of the aggregated base table, the next graph build folds
-	// them in with a full rebuild instead of patching. 0 means the default
-	// (0.5). Batch Detect ignores it.
-	CompactFraction float64
 	// Observer, when non-nil, receives the run's stage trace (per-phase
 	// spans mirroring the paper's Fig 8b split) and pipeline metrics; the
 	// trace is echoed on Report.Trace. Construct one with

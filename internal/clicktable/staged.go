@@ -1,7 +1,5 @@
 package clicktable
 
-import "sort"
-
 // Staged is a click table split into an aggregated base and a pending tail,
 // the table-side half of delta-maintained graph builds: the base stays
 // sorted and duplicate-free while fresh rows accumulate in the pending
@@ -80,13 +78,10 @@ func (s *Staged) Each(fn func(Record) bool) {
 }
 
 // Delta is the aggregate view of the unpatched pending rows: the records
-// merged and sorted the same way Table.Aggregate sorts them, plus the
-// distinct user and item IDs they touch (ascending) — exactly what a graph
-// patcher needs to know which rows and columns to rewrite.
+// merged and sorted the same way Table.Aggregate sorts them — what a graph
+// patcher splices in.
 type Delta struct {
 	Records *Table
-	Users   []uint32
-	Items   []uint32
 }
 
 // Delta aggregates the pending rows beyond the patched watermark. The
@@ -97,35 +92,7 @@ func (s *Staged) Delta() Delta {
 	for i := s.patched; i < s.pending.Len(); i++ {
 		tail.AppendRecord(s.pending.Row(i))
 	}
-	agg := tail.Aggregate()
-	d := Delta{Records: agg}
-	var lastU, lastV uint32
-	agg.Each(func(r Record) bool {
-		if len(d.Users) == 0 || r.UserID != lastU {
-			d.Users = append(d.Users, r.UserID)
-			lastU = r.UserID
-		}
-		if len(d.Items) == 0 || r.ItemID != lastV {
-			d.Items = append(d.Items, r.ItemID)
-			lastV = r.ItemID
-		}
-		return true
-	})
-	// Records are sorted by (user, item): users fall out deduplicated and
-	// ascending, items deduplicated but in first-seen order — sort them.
-	sort.Slice(d.Items, func(i, j int) bool { return d.Items[i] < d.Items[j] })
-	d.Items = dedupSorted(d.Items)
-	return d
-}
-
-func dedupSorted(ids []uint32) []uint32 {
-	out := ids[:0]
-	for i, v := range ids {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return Delta{Records: tail.Aggregate()}
 }
 
 // MarkPatched records that every current pending row has been applied to

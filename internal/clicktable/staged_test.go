@@ -107,18 +107,12 @@ func TestStagedDelta(t *testing.T) {
 	if !reflect.DeepEqual(rows(d.Records), wantRecords) {
 		t.Errorf("Delta records = %+v, want %+v", rows(d.Records), wantRecords)
 	}
-	if want := []uint32{3, 7}; !reflect.DeepEqual(d.Users, want) {
-		t.Errorf("Delta users = %v, want %v", d.Users, want)
-	}
-	if want := []uint32{1, 4}; !reflect.DeepEqual(d.Items, want) {
-		t.Errorf("Delta items = %v, want %v", d.Items, want)
-	}
 
 	s.MarkPatched()
 	if got := s.DeltaLen(); got != 0 {
 		t.Errorf("DeltaLen after MarkPatched = %d, want 0", got)
 	}
-	if empty := s.Delta(); empty.Records.Len() != 0 || empty.Users != nil || empty.Items != nil {
+	if empty := s.Delta(); empty.Records.Len() != 0 {
 		t.Errorf("empty delta = %+v", empty)
 	}
 }

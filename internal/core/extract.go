@@ -140,25 +140,25 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 // component split is guarded by the "core.extract" checkpoint. A cancelled
 // call returns no groups (a half-pruned residual would report organic users
 // as attackers) together with ctx's error. p.Cache is not consulted: the
-// verdict cache serves only NearBicliqueExtractCachedCtx.
+// verdict cache serves only Detector.DetectContext.
 func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
 	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
-	groups, _, _, err := NearBicliqueExtractCachedCtx(ctx, work, nil, p, sp, o)
+	groups, _, _, err := nearBicliqueExtractCachedCtx(ctx, work, nil, p, sp, o)
 	return groups, err
 }
 
-// NearBicliqueExtractCachedCtx is NearBicliqueExtractCtx plus the cached
-// screening path: with p.Cache set and hot non-nil (the marketplace-wide
-// HotSet of the input graph), the VariantFull screening passes run per
-// component inside the shards, so cache hits skip screening as well as
-// pruning and extraction. It returns the raw candidates plus, when per-shard
+// nearBicliqueExtractCachedCtx is NearBicliqueExtractCtx plus the cached
+// screening path DetectContext takes: with p.Cache set and hot non-nil (the
+// marketplace-wide HotSet of the input graph), the VariantFull screening
+// passes run per component inside the shards, so cache hits skip screening as
+// well as pruning and extraction. It returns the raw candidates plus, when per-shard
 // screening actually ran (screenedOK), the fully screened groups —
 // byte-identical to running ScreenGroupsCtx over the raw candidates.
 // screenedOK is false whenever the cache was bypassed (no cache, or an audit
 // sink demanding the full decision trail); callers must then screen raw
 // globally as usual.
-func NearBicliqueExtractCachedCtx(ctx context.Context, work *bipartite.Graph, hot *HotSet,
+func nearBicliqueExtractCachedCtx(ctx context.Context, work *bipartite.Graph, hot *HotSet,
 	p Params, sp *obs.Span, o *obs.Observer) (raw, screened []detect.Group, screenedOK bool, err error) {
 
 	// The sharded orchestration prunes and extracts per component in one

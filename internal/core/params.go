@@ -49,27 +49,19 @@ type Params struct {
 	// pool, square-pruning rounds, screening); 0 means GOMAXPROCS.
 	Workers int
 
-	// Cache, when non-nil, is the cross-sweep component verdict cache a
-	// stream.Detector injects into its sweeps (and the core tests into
-	// theirs): in a fully screened detection, compacted components are
-	// fingerprinted after the global core prune and looked up before
-	// square-pruning runs, so components whose CSR, parameters and hot bits
-	// match a previous sweep replay their cached verdict instead of being
-	// re-detected (DESIGN.md §15). Output is identical with or without the
-	// cache — the fingerprint covers every verdict-affecting input, and the
-	// golden harness pins cached vs cache-free equivalence. Unscreened
-	// extraction (NearBicliqueExtractCtx, VariantUI/VariantI) never consults
-	// it, and it is bypassed whenever an audit sink is attached (replayed
-	// verdicts cannot re-emit the per-decision audit trail).
+	// Cache, when non-nil, is the component verdict cache of a fully screened
+	// batch detection (Detector.DetectContext with VariantFull, its only
+	// reader; stream.Detector.FullDetectContext injects one that lives across
+	// refreshes): compacted components are fingerprinted after the global
+	// core prune and looked up before square-pruning runs, so components
+	// whose CSR, parameters and hot bits match an earlier detection replay
+	// their cached verdict instead of being re-detected (DESIGN.md §15).
+	// Output is identical with or without the cache — the fingerprint covers
+	// every verdict-affecting input and is the only invalidation; the golden
+	// harness pins the equivalence. Everything else never consults it, and an
+	// attached audit sink bypasses it (replayed verdicts cannot re-emit the
+	// per-decision audit trail).
 	Cache *VerdictCache
-
-	// CacheTouched is a sorted hint listing the user IDs touched since the
-	// last sweep (the delta's dirty set): components intersecting it are
-	// known-churned, so the shards skip hashing and consulting the cache for
-	// them entirely. Purely an optimization — the fingerprint remains the
-	// correctness authority for every component that IS consulted. Nil means
-	// "consult the cache for every component".
-	CacheTouched []bipartite.NodeID
 }
 
 // DefaultParams returns the paper's experiment defaults (Section VI-B):

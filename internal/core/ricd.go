@@ -177,7 +177,7 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 	if err := stage("extraction", func() error {
 		var eerr error
 		if p.Cache != nil && d.Variant == VariantFull {
-			groups, screened, screenedOK, eerr = NearBicliqueExtractCachedCtx(ctx, work, hot, p, dsp, o)
+			groups, screened, screenedOK, eerr = nearBicliqueExtractCachedCtx(ctx, work, hot, p, dsp, o)
 		} else {
 			groups, eerr = NearBicliqueExtractCtx(ctx, work, p, dsp, o)
 		}

@@ -45,10 +45,10 @@ import (
 // screenComponentGroups) — and each shard hashes its freshly compacted CSR
 // (componentFingerprint) and consults the cache before pruning. A hit
 // replays the cached removals/groups through the shard's local→original
-// maps; a miss detects live and stores the local outcome. Components
-// intersecting p.CacheTouched (the sweep delta's dirty users) skip the cache
-// entirely — they are known-churned. Without opt.hot (prune-only and
-// unscreened extraction) the cache is never consulted.
+// maps; a miss detects live and stores the local outcome. The fingerprint is
+// the only invalidation: a component any click changed hashes differently.
+// Without opt.hot (prune-only and unscreened extraction) the cache is never
+// consulted.
 
 // maxShardSpans caps the per-shard child spans recorded under the prune
 // span, keeping traces bounded when the residual shatters into thousands of
@@ -304,8 +304,7 @@ func sortGroupsCanonical(groups []detect.Group) {
 //
 // cache and hot arrive together or not at all (shardedPruneExtract gates
 // them): with both, the shard screens its own groups against the compact
-// graph and consults/feeds the verdict cache (unless the component
-// intersects p.CacheTouched).
+// graph and consults/feeds the verdict cache.
 //
 // Audit events emitted inside the shard carry the 1-based shard index and
 // original-graph IDs (via the auditor's local→original maps); rounds are
@@ -342,13 +341,8 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 			localHot[lv] = hot.IsHot(v)
 		}
 	}
-	// Components the sweep's delta touched are known-churned: skip both the
-	// lookup (it would miss) and the store (the entry would be invalidated
-	// by the very next click). The fingerprint stays the correctness
-	// authority for every component that IS consulted.
-	useCache := cache != nil && !intersectsSorted(comp.Users, p.CacheTouched)
 	var fp fingerprint
-	if useCache {
+	if cache != nil {
 		fp = componentFingerprint(cg, localHot, p)
 		if ferr := faultinject.ErrAt("core.cache"); ferr != nil {
 			// Poisoned lookup: fall back to live detection (and restore the
@@ -379,7 +373,7 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	for lu := 0; lu < cg.NumUsers(); lu++ {
 		if !cg.UserAlive(bipartite.NodeID(lu)) {
 			out.removedU = append(out.removedU, userOf[lu])
-			if useCache {
+			if cache != nil {
 				locRemU = append(locRemU, bipartite.NodeID(lu))
 			}
 		}
@@ -387,7 +381,7 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	for lv := 0; lv < cg.NumItems(); lv++ {
 		if !cg.ItemAlive(bipartite.NodeID(lv)) {
 			out.removedI = append(out.removedI, itemOf[lv])
-			if useCache {
+			if cache != nil {
 				locRemI = append(locRemI, bipartite.NodeID(lv))
 			}
 		}
@@ -415,7 +409,7 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 		screenedLocals = screenComponentGroups(cg, locals, lh, p)
 		out.screened = translateGroups(screenedLocals, userOf, itemOf)
 	}
-	if useCache {
+	if cache != nil {
 		out.evicted = cache.store(fp, &cacheEntry{
 			rounds:   out.rounds,
 			removedU: locRemU,
@@ -492,24 +486,6 @@ func translateGroups(locals []localGroup, userOf, itemOf []bipartite.NodeID) []d
 		out[i] = detect.Group{Users: mapIDs(l.Users, userOf), Items: mapIDs(l.Items, itemOf)}
 	}
 	return out
-}
-
-// intersectsSorted reports whether the two ascending NodeID slices share an
-// element (two-pointer walk; both are sorted — Component.Users by
-// construction, CacheTouched by the stream sweep).
-func intersectsSorted(a, b []bipartite.NodeID) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // mapIDs translates sorted local IDs back to original IDs; the mapping is

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 
 	"repro/internal/bipartite"
@@ -207,8 +208,8 @@ func (d *Detector) Close() error {
 // Snapshot atomically persists the full detector state at the current
 // record clock, then prunes snapshots beyond Durability.KeepSnapshots and
 // WAL segments the new snapshot covers. Safe to call concurrently with
-// ingestion and sweeps (a sweep's in-flight dirty set is included, so
-// nothing is lost whichever way the sweep ends). Returns an error on a
+// ingestion and sweeps (a running sweep only borrows the dirty set, so the
+// snapshot holds it whichever way the sweep ends). Returns an error on a
 // memory-only detector.
 func (d *Detector) Snapshot() error {
 	d.snapMu.Lock()
@@ -222,15 +223,7 @@ func (d *Detector) Snapshot() error {
 	w := d.wal
 	clock := d.seq
 	table := d.table.Clone()
-	dirty := make(map[bipartite.NodeID]uint64, len(d.dirty)+len(d.inflight))
-	for u, s := range d.inflight {
-		dirty[u] = s
-	}
-	for u, s := range d.dirty {
-		if cur, ok := dirty[u]; !ok || cur < s {
-			dirty[u] = s
-		}
-	}
+	dirty := maps.Clone(d.dirty)
 	cached := append([]detect.Group(nil), d.cached...)
 	events, detections, lastFull := d.events, d.detections, d.lastFull
 	d.mu.Unlock()
@@ -268,8 +261,9 @@ func (d *Detector) Snapshot() error {
 	return nil
 }
 
-// applyRecord applies one replayed WAL record. Called only during Open,
-// before the detector is shared, so no locking.
+// applyRecord applies one replayed WAL record through the functions the live
+// path applies it with (applyClick, applySweep, resetLocked). Called only
+// during Open, before the detector is shared, so no locking.
 func (d *Detector) applyRecord(seq uint64, payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("stream: empty WAL record")
@@ -281,25 +275,16 @@ func (d *Detector) applyRecord(seq uint64, payload []byte) error {
 			return err
 		}
 		d.seq = seq
-		d.table.Append(user, item, clicks)
-		d.dirty[user] = seq
-		d.events++
+		d.applyClick(user, item, clicks)
 	case recSweep:
 		startSeq, groups, err := decodeSweepRecord(payload)
 		if err != nil {
 			return err
 		}
 		d.seq = seq
-		// Retire exactly the users the original sweep's snapshot owned:
-		// everyone whose newest click preceded the sweep's start clock.
-		for u, s := range d.dirty {
-			if s <= startSeq {
-				delete(d.dirty, u)
-			}
+		if !d.supersededLocked(startSeq) {
+			d.applySweep(startSeq, groups)
 		}
-		d.cached = groups
-		d.lastFull = true
-		d.detections++
 	case recReset:
 		d.seq = seq
 		d.resetLocked()

@@ -168,7 +168,7 @@ func TestRecoveryEquivalenceGoldenWorkloads(t *testing.T) {
 // TestRecoverySnapshotTakenMidSweep crashes a detector whose LAST state
 // snapshot was taken while a sweep was in flight and which then died
 // before that sweep committed. The snapshot must have captured the sweep's
-// in-flight dirty set (Detector.inflight), or the recovered detector's
+// in-flight dirty set, or the recovered detector's
 // incremental sweep would silently skip the attack. Run under -race this
 // also exercises Snapshot racing a live sweep.
 func TestRecoverySnapshotTakenMidSweep(t *testing.T) {

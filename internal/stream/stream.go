@@ -20,6 +20,13 @@
 // WAL sweep record, the carried groups, the audit trail's group.verdict
 // events and the OnCommit hook all see the same scored, ranked, most-
 // suspicious-first outcome.
+//
+// The detector is a state machine driven by its own log. Three record types
+// change its state — a click, a sweep commit, a reset — and each has exactly
+// one apply function (applyClick, applySweep, resetLocked). The live path is
+// "tick the record clock, write the record ahead, apply it"; recovery
+// (durable.go) is "apply" over the same functions, so a recovered detector
+// holds the state the live one held, not merely an equivalent one.
 package stream
 
 import (
@@ -84,8 +91,8 @@ type Detector struct {
 	// byte-identical to rebuilding from the full history.
 	graph *bipartite.Graph
 	// dirty maps each user touched since the last committed sweep to the
-	// record-clock value (seq) of their newest click. The seq lets sweep
-	// commits — live or WAL-replayed — retire exactly the users whose
+	// record-clock value (seq) of their newest click. A sweep only borrows
+	// the keys; its commit (applySweep) retires exactly the users whose
 	// newest activity the sweep's snapshot actually saw.
 	dirty map[bipartite.NodeID]uint64
 
@@ -94,21 +101,21 @@ type Detector struct {
 	// snapshot's clock says precisely which WAL tail still needs replay.
 	seq uint64
 
-	// inflight is the dirty set a running sweep took ownership of, kept
-	// visible so a concurrent state snapshot still includes those users —
-	// if the sweep aborts they merge back, and losing them from a snapshot
-	// taken mid-sweep would silently drop detections after recovery.
-	inflight map[bipartite.NodeID]uint64
+	// resetSeq is the record clock of the newest reset this incarnation
+	// applied: a sweep whose snapshot predates it is superseded (see
+	// supersededLocked). Volatile — no sweep is in flight across a recovery.
+	resetSeq uint64
 
-	// cached are the groups of the last detection, kept for cheap
-	// re-validation.
+	// cached are the groups of the last committed sweep, carried into the
+	// next one for cheap re-validation.
 	cached []detect.Group
 
-	// cache is the cross-sweep component verdict cache, created lazily by
-	// cacheLocked. It lives across sweeps and is purged on every reset
-	// (Reset/Retune/WAL-replayed resets). It is volatile by design: a
-	// recovered detector starts cold and re-derives byte-identical verdicts
-	// (the fingerprint, not the cache, is the correctness authority).
+	// cache is the component verdict cache of FullDetectContext, its only
+	// client: created on the first refresh, kept across refreshes and purged
+	// on every reset (Reset/Retune/WAL-replayed resets). Sweeps never touch
+	// it. It is volatile by design: a recovered detector starts cold and
+	// re-derives byte-identical verdicts (the fingerprint, not the cache, is
+	// the correctness authority).
 	cache *core.VerdictCache
 
 	// durability (all nil/zero for a memory-only detector; see Open)
@@ -133,7 +140,7 @@ type Detector struct {
 	// Steady-state scratch buffers, reused across sweeps and batches so
 	// the hot ingest/sweep loop stops allocating once warm. All are only
 	// touched under mu except seedScratch, which a sweep takes ownership
-	// of (swapped to nil under mu) and returns at commit/abort.
+	// of (swapped to nil under mu) and returns when it ends.
 	seedScratch []bipartite.NodeID
 	deltaEdges  []bipartite.Edge
 	walEnds     []int
@@ -229,9 +236,7 @@ func (d *Detector) AddBatch(records []clicktable.Record) {
 			continue
 		}
 		d.seq++
-		d.table.Append(r.UserID, r.ItemID, r.Clicks)
-		d.dirty[r.UserID] = d.seq
-		d.events++
+		d.applyClick(r.UserID, r.ItemID, r.Clicks)
 		n++
 		clicks += int64(r.Clicks)
 	}
@@ -243,6 +248,15 @@ func (d *Detector) AddBatch(records []clicktable.Record) {
 	if walAppends > 0 {
 		d.Obs.Counter("stream.wal.appends").Add(int64(walAppends))
 	}
+}
+
+// applyClick applies one click record stamped with the current record clock
+// — the only code that appends to the table or marks a user dirty, shared by
+// AddBatch and WAL replay. d.mu must be held.
+func (d *Detector) applyClick(user, item, clicks uint32) {
+	d.table.Append(user, item, clicks)
+	d.dirty[user] = d.seq
+	d.events++
 }
 
 // Events returns the total number of click events streamed since the
@@ -318,137 +332,148 @@ func (d *Detector) graphLocked() *bipartite.Graph {
 	return d.graph
 }
 
+// sweepInput is everything a sweep's detection work reads: an immutable graph
+// and private copies of the detector state it depends on, so runSweep needs
+// neither the detector nor its lock.
+type sweepInput struct {
+	g      *bipartite.Graph
+	params core.Params
+	// full selects the work graph: the whole graph (the first sweep after
+	// New, Open or a reset) or the bounded ball around the suspicious dirty
+	// users.
+	full bool
+	// dirty is sorted, so the sweep is bit-reproducible regardless of map
+	// iteration order — required for the recovery-equivalence guarantee.
+	dirty   []bipartite.NodeID
+	carried []detect.Group
+}
+
+// sweepPass is one sweep from beginSweep to commitSweep | abortSweep.
+type sweepPass struct {
+	sweepInput
+	// startSeq is the record-clock position the sweep's graph reflects. The
+	// commit retires the dirty users at or before it, and the WAL sweep
+	// record carries it so a replayed commit retires exactly the same ones.
+	startSeq       uint64
+	start          time.Time
+	sp             *obs.Span
+	countersBefore map[string]int64
+}
+
+func (sw *sweepPass) kind() string {
+	if sw.full {
+		return "full"
+	}
+	return "incremental"
+}
+
 // SweepContext runs incremental detection, one batched pass over the clicks
-// accumulated since the last pass: previously detected groups are re-screened
-// against the current graph, and group extraction runs scoped to the
-// neighborhoods of nodes touched since the last call. The very first call (or
-// a call after Reset) is a full detection. The screened groups are then
-// identified against the sweep's graph (core.Identify) before anything is
-// committed.
+// accumulated since the last pass: group extraction runs scoped to the
+// neighborhoods of the users touched since the last committed sweep, and the
+// groups it finds are screened together with the carried ones against the
+// current graph. The very first call (or a call after Reset) extracts from
+// the whole graph instead. The screened groups are then identified against
+// the sweep's graph (core.Identify) before anything is committed.
 //
-// Extraction is component-sharded (core.NearBicliqueExtractCtx): the work
-// graph splits into connected components after core pruning and each runs on
-// its own worker (bounded by the detector's core.Params.Workers), so a sweep
-// touching several disjoint dirty neighborhoods prunes them concurrently.
-// Pruning inside a sweep is frontier-driven end to end: an incremental
-// sweep's work graph is already scoped to the dirty users' neighborhoods
-// (GraphGeneratorBounded), so the frontier's all-dirty round-1 seed IS the
-// sweep's dirty set rather than a whole-component re-prime, and every later
-// round touches only vertices within two hops of an actual removal.
+// A sweep is four steps: begin (snapshot under the lock), run (the detection
+// work, lock-free on the snapshot, so ingestion proceeds during it; extraction
+// is component-sharded on up to core.Params.Workers workers), then commit or
+// abort.
 //
 // The sweep checks ctx at its stage boundaries and inside
 // extraction/screening; a cancelled or deadline-expired sweep returns a
 // non-nil PARTIAL result (Result.Partial, Result.StageReached) with whatever
 // the completed stages produced (unidentified), plus the context's error. A
-// partial sweep commits nothing: the snapshotted dirty region is merged back
-// and the cached groups are left untouched, so the next sweep redoes the work
-// in full. A panicking stage is isolated into a *detect.StageError.
+// partial sweep commits nothing, so the next sweep redoes the work in full. A
+// panicking stage is isolated into a *detect.StageError. A sweep that a
+// Reset/Retune overtook returns its (complete) result but commits nothing
+// either: see supersededLocked.
 func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
+	sw := d.beginSweep()
+	res, reached, err := runSweep(ctx, sw.sweepInput, sw.sp, d.Obs)
+	res.Elapsed = time.Since(sw.start)
+	res.DetectElapsed = res.Elapsed
+	sw.sp.SetInt("groups", int64(len(res.Groups)))
+	if err != nil {
+		d.abortSweep(sw, res, reached)
+	} else {
+		d.commitSweep(sw, res)
+	}
+	d.Obs.RecordRun("stream.sweep", sw.sp, res.Elapsed, len(res.Groups), len(res.Users()), len(res.Items()),
+		res.Partial, res.StageReached, err, sw.countersBefore)
+	return res, err
+}
 
-	// Snapshot: the sweep works on an immutable graph and private copies of
-	// the dirty set and cached groups, so ingestion can proceed during it.
-	// The sweep takes OWNERSHIP of the dirty map — mid-sweep AddClick marks
-	// users in a fresh map, so a click for an already-snapshotted user
-	// (streamed after the snapshot, hence invisible to this sweep's graph)
-	// stays dirty for the next sweep instead of being un-marked by the
-	// commit below.
+// beginSweep snapshots what the sweep works on and opens its span and audit
+// bracket. The sweep BORROWS the dirty set — it copies the keys and owes
+// nothing back: a click streamed after this point (hence invisible to the
+// sweep's graph) stamps its user with a seq above startSeq, which the commit
+// leaves dirty for the next sweep.
+func (d *Detector) beginSweep() *sweepPass {
+	sw := &sweepPass{start: time.Now()}
 	d.mu.Lock()
-	g := d.graphLocked()
-	params := d.params
-	params.Cache = d.cacheLocked()
-	full := !d.lastFull
-	snap := d.dirty
-	d.dirty = map[bipartite.NodeID]uint64{}
-	// inflight keeps the owned set visible to concurrent state snapshots;
-	// startSeq is the record-clock position this sweep's graph reflects —
-	// the WAL sweep record carries it so replayed commits retire exactly
-	// the same users.
-	d.inflight = snap
-	startSeq := d.seq
+	sw.g = d.graphLocked()
+	sw.params = d.params
+	sw.full = !d.lastFull
+	sw.startSeq = d.seq
 	// The seed slice is detector-owned scratch: this sweep takes ownership
 	// (a hypothetical concurrent sweep would just allocate fresh) and
-	// returns it at commit/abort, so steady-state sweeps reuse one backing
+	// returns it when it ends, so steady-state sweeps reuse one backing
 	// array instead of allocating per sweep.
-	dirty := d.seedScratch[:0]
+	sw.dirty = d.seedScratch[:0]
 	d.seedScratch = nil
-	for u := range snap {
-		dirty = append(dirty, u)
+	for u := range d.dirty {
+		sw.dirty = append(sw.dirty, u)
 	}
-	cached := append([]detect.Group(nil), d.cached...)
+	sw.carried = append([]detect.Group(nil), d.cached...)
 	lastEnd := d.lastSweepEnd
 	d.mu.Unlock()
-	// Sorted seeds make the sweep bit-reproducible regardless of map
-	// iteration order — required for the recovery-equivalence guarantee
-	// (a replayed detector must re-derive byte-identical sweeps).
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	// The sorted dirty set doubles as the verdict cache's touched hint:
-	// components containing a dirty user are known-churned and skip the
-	// cache (shard.go). The slice is not mutated until commit/abort returns
-	// it to scratch, well after detection finishes reading it.
-	params.CacheTouched = dirty
+	sort.Slice(sw.dirty, func(i, j int) bool { return sw.dirty[i] < sw.dirty[j] })
 	if !lastEnd.IsZero() {
 		d.Obs.Gauge("stream.sweep.lag_ms").Set(time.Since(lastEnd).Milliseconds())
 	}
 
-	sp := d.Obs.Root().Start("stream.sweep")
-	sweepType := "incremental"
-	if full {
-		sweepType = "full"
+	sw.sp = d.Obs.Root().Start("stream.sweep")
+	sw.sp.Set("type", sw.kind())
+	sw.sp.SetInt("dirty_users", int64(len(sw.dirty)))
+	if sink := d.Obs.Sink(); sink != nil {
+		sink.Emit(obs.Event{Type: obs.EventSweepStart, Reason: sw.kind(), Users: len(sw.dirty)})
 	}
-	sp.Set("type", sweepType)
-	sp.SetInt("dirty_users", int64(len(dirty)))
-	cacheBefore := params.Cache.Stats()
-
-	sink := d.Obs.Sink()
-	if sink != nil {
-		sink.Emit(obs.Event{Type: obs.EventSweepStart, Reason: sweepType, Users: len(dirty)})
-	}
-	var countersBefore map[string]int64
 	if d.Obs.RunLedger() != nil {
-		countersBefore = d.Obs.Metrics.Counters()
+		sw.countersBefore = d.Obs.Metrics.Counters()
 	}
-	record := func(res *detect.Result, err error) {
-		d.Obs.RecordRun("stream.sweep", sp, res.Elapsed, len(res.Groups), len(res.Users()), len(res.Items()),
-			res.Partial, res.StageReached, err, countersBefore)
-	}
+	return sw
+}
 
-	res := &detect.Result{}
-	var reached string
-	// identify ends both legs below: Module 3 runs inside the isolated stage,
-	// before anything is committed, so the WAL record, the carried groups,
-	// the audit trail, OnCommit and the caller all see one identified outcome.
-	identify := func() error {
-		reached = "identification"
-		isp := sp.Start("identification")
-		core.Identify(g, res)
-		isp.End()
-		reached = ""
-		return nil
-	}
-	err := detect.RunStage("stream.sweep", func() error {
+// runSweep is the detection work of one sweep: hot set → work graph →
+// Algorithm 3 → screening → identification, as one panic-isolated stage. It
+// returns the result, the stage a failure interrupted ("" when none) and the
+// failure. It reads only its input, never the detector.
+func runSweep(ctx context.Context, in sweepInput, sp *obs.Span, o *obs.Observer) (res *detect.Result, reached string, err error) {
+	res = &detect.Result{}
+	err = detect.RunStage("stream.sweep", func() error {
 		faultinject.Hit("stream.sweep")
 		reached = "hotset"
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		hsp := sp.Start("hotset")
-		hot := core.ComputeHotSet(g, params.THot)
+		hot := core.ComputeHotSet(in.g, in.params.THot)
 		hsp.End()
 
 		var seeds detect.Seeds
-		if !full {
+		if !in.full {
 			// Seed only dirty users showing the crowd-worker signature: an
 			// edge of weight ≥ T_click to a non-hot item. Every member of a
 			// screenable group satisfies this (the user behavior check
 			// requires it), so filtering cannot lose a detectable group, and
 			// it keeps ordinary background churn from widening the sweep.
 			fsp := sp.Start("seed_filter")
-			for _, u := range dirty {
-				if suspiciousUser(g, hot, u, params.TClick) {
+			for _, u := range in.dirty {
+				if suspiciousUser(in.g, hot, u, in.params.TClick) {
 					seeds.Users = append(seeds.Users, u)
 				}
 			}
@@ -457,138 +482,159 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 		}
 
 		reached = "extraction"
-		var fresh, screened []detect.Group
-		var screenedOK bool
-		var eerr error
-		if full {
-			// A full sweep carries no cached groups (lastFull is only
-			// cleared by New/Reset, which also clear them), so the
-			// candidate set IS the fresh extraction and screening can ride
-			// inside the shards: cache hits skip it entirely. Incremental
-			// sweeps must keep the global screening pass — fresh and
-			// carried-over groups can overlap or connect.
-			work := core.GraphGenerator(g, detect.Seeds{})
-			fresh, screened, screenedOK, eerr = core.NearBicliqueExtractCachedCtx(ctx, work, hot, params, sp, d.Obs)
+		var work *bipartite.Graph
+		if in.full {
+			work = core.GraphGenerator(in.g, detect.Seeds{})
 		} else if len(seeds.Users) > 0 {
 			gsp := sp.Start("dirty_expand")
-			work := core.GraphGeneratorBounded(g, seeds, expandCap)
+			work = core.GraphGeneratorBounded(in.g, seeds, expandCap)
 			gsp.SetInt("scope_users", int64(work.LiveUsers()))
 			gsp.SetInt("scope_items", int64(work.LiveItems()))
 			gsp.End()
-			d.Obs.Gauge("stream.sweep.scope_users").Set(int64(work.LiveUsers()))
-			fresh, eerr = core.NearBicliqueExtractCtx(ctx, work, params, sp, d.Obs)
+			o.Gauge("stream.sweep.scope_users").Set(int64(work.LiveUsers()))
 		}
-		if eerr != nil {
-			return eerr
+		var fresh []detect.Group
+		if work != nil {
+			var eerr error
+			if fresh, eerr = core.NearBicliqueExtractCtx(ctx, work, in.params, sp, o); eerr != nil {
+				return eerr
+			}
 		}
 
 		reached = "screening"
-		if screenedOK {
-			ssp := sp.Start("screening")
-			ssp.Set("cached", "shards")
-			ssp.End()
-			res.Groups = screened
-			return identify()
-		}
-		// Merge candidates: freshly extracted groups around the dirty region
-		// plus the cached groups (monotonicity keeps their extraction
-		// validity; screening below re-judges them against current weights
-		// and hotness).
-		candidates := append(append([]detect.Group(nil), fresh...), cached...)
+		// Merge candidates: freshly extracted groups plus the carried ones
+		// (monotonicity keeps their extraction validity; screening re-judges
+		// them against current weights and hotness). Screening stays one
+		// global pass — fresh and carried groups can overlap or connect.
+		candidates := append(append([]detect.Group(nil), fresh...), in.carried...)
 		ssp := sp.Start("screening")
 		var serr error
-		res.Groups, serr = core.ScreenGroupsCtx(ctx, g, candidates, hot, params, ssp, d.Obs)
+		res.Groups, serr = core.ScreenGroupsCtx(ctx, in.g, candidates, hot, in.params, ssp, o)
 		ssp.End()
 		if serr != nil {
 			return serr
 		}
-		return identify()
+
+		// Module 3 runs inside the isolated stage, before anything is
+		// committed, so the WAL record, the carried groups, the audit trail,
+		// OnCommit and the caller all see one identified outcome.
+		reached = "identification"
+		isp := sp.Start("identification")
+		core.Identify(in.g, res)
+		isp.End()
+		reached = ""
+		return nil
 	})
+	return res, reached, err
+}
 
-	res.Elapsed = time.Since(start)
-	res.DetectElapsed = res.Elapsed
-	sp.SetInt("groups", int64(len(res.Groups)))
-	cs := params.Cache.Stats()
-	sp.SetInt("cache_hits", cs.Hits-cacheBefore.Hits)
-	sp.SetInt("cache_misses", cs.Misses-cacheBefore.Misses)
-	if err != nil {
-		// Graceful degradation: report what completed, commit nothing. The
-		// snapshotted dirty users merge back into the live set (which may
-		// have gained mid-sweep users, whose newer seqs win) so the next
-		// sweep redoes this one's work.
-		d.mu.Lock()
-		for u, s := range snap {
-			if cur, ok := d.dirty[u]; !ok || cur < s {
-				d.dirty[u] = s
-			}
-		}
-		d.inflight = nil
-		d.seedScratch = dirty[:0]
-		remaining := len(d.dirty)
-		d.lastSweepEnd = time.Now()
-		d.mu.Unlock()
-		res.Partial = true
-		res.StageReached = reached
-		sp.Set("partial", reached)
-		sp.End()
-		d.Obs.Counter("stream.sweeps.aborted").Inc()
-		d.Obs.Counter("detect.partial").Inc()
-		if reached != "" {
-			d.Obs.Counter("detect.stage_reached." + reached).Inc()
-		}
-		d.Obs.Histogram("stream.sweep.latency").Observe(res.Elapsed)
-		d.Obs.Gauge("stream.dirty_users").Set(int64(remaining))
-		if sink != nil {
-			sink.Emit(obs.Event{Type: obs.EventSweepAbort, Reason: reached, Groups: len(res.Groups)})
-		}
-		record(res, err)
-		return res, err
-	}
-	sp.End()
-	d.Obs.Counter("stream.sweeps." + sweepType).Inc()
-	d.Obs.Histogram("stream.sweep." + sweepType).Observe(res.Elapsed)
-	d.Obs.Histogram("stream.sweep.latency").Observe(res.Elapsed)
+// endSweepLocked is the bookkeeping every sweep ends with, committed or not;
+// it returns the dirty users left for the next sweep. d.mu must be held.
+func (d *Detector) endSweepLocked(sw *sweepPass) int {
+	d.seedScratch = sw.dirty[:0]
+	d.lastSweepEnd = time.Now()
+	return len(d.dirty)
+}
 
-	// Commit: the sweep owned its dirty snapshot, so only the users whose
-	// clicks this sweep actually examined are retired; clicks streamed
-	// during the sweep are already accumulating in the live map for the
-	// next one. On a durable detector the commit is written ahead to the
-	// WAL — a recovered detector replays it as "at record startSeq, these
-	// groups became the cache", which retires the same users by seq.
+// abortSweep ends a sweep that failed: graceful degradation — report what
+// completed, commit nothing. The sweep only borrowed the dirty set, so there
+// is nothing to restore and the next sweep redoes this one's work.
+func (d *Detector) abortSweep(sw *sweepPass, res *detect.Result, reached string) {
 	d.mu.Lock()
-	d.seq++
-	walLogged := false
-	if d.walActiveLocked() {
-		d.walBuf = appendSweepRecord(d.walBuf[:0], startSeq, res.Groups)
-		faultinject.Hit("stream.wal.append")
-		if werr := d.wal.Append(d.seq, d.walBuf); werr != nil {
-			d.degradeLocked(werr)
-		} else {
-			d.sinceSnap++
-			walLogged = true
+	remaining := d.endSweepLocked(sw)
+	d.mu.Unlock()
+	res.Partial = true
+	res.StageReached = reached
+	sw.sp.Set("partial", reached)
+	sw.sp.End()
+	d.Obs.Counter("stream.sweeps.aborted").Inc()
+	d.Obs.Counter("detect.partial").Inc()
+	if reached != "" {
+		d.Obs.Counter("detect.stage_reached." + reached).Inc()
+	}
+	d.Obs.Histogram("stream.sweep.latency").Observe(res.Elapsed)
+	d.Obs.Gauge("stream.dirty_users").Set(int64(remaining))
+	if sink := d.Obs.Sink(); sink != nil {
+		sink.Emit(obs.Event{Type: obs.EventSweepAbort, Reason: reached, Groups: len(res.Groups)})
+	}
+}
+
+// supersededLocked reports whether a reset overtook a sweep whose snapshot
+// was taken at startSeq. Such a sweep ran under state the reset declared
+// stale, so it commits nothing and the reset's promise — the next sweep runs
+// fully, under the current parameters — holds. The live commit asks before it
+// writes ahead (a superseded sweep leaves no WAL record) and replay asks
+// before it applies, so the two agree on any log. d.mu must be held.
+func (d *Detector) supersededLocked(startSeq uint64) bool {
+	return startSeq < d.resetSeq
+}
+
+// applySweep applies one sweep-commit record, shared by the live commit and
+// WAL replay: the groups become the carried set and exactly the users whose
+// newest click the sweep's snapshot saw (seq ≤ startSeq) are retired — users
+// touched while the sweep ran carry a newer seq and stay dirty for the next
+// one. d.mu must be held.
+func (d *Detector) applySweep(startSeq uint64, groups []detect.Group) {
+	for u, s := range d.dirty {
+		if s <= startSeq {
+			delete(d.dirty, u)
 		}
 	}
-	d.cached = res.Groups
-	d.inflight = nil
-	d.seedScratch = dirty[:0]
-	remaining := len(d.dirty)
+	d.cached = groups
 	d.lastFull = true
 	d.detections++
-	d.lastSweepEnd = time.Now()
-	snapDue := d.wal != nil && d.walErr == nil && d.dur.SnapshotEvery > 0 && d.sinceSnap >= d.dur.SnapshotEvery
+}
+
+// commitSweep ends a sweep that completed: tick the record clock, write the
+// commit ahead to the WAL (durable detectors), apply it — unless a reset
+// superseded the sweep, which then ends without a trace in the state.
+func (d *Detector) commitSweep(sw *sweepPass, res *detect.Result) {
+	sw.sp.End()
+	d.mu.Lock()
+	superseded := d.supersededLocked(sw.startSeq)
+	walLogged := false
+	if !superseded {
+		d.seq++
+		if d.walActiveLocked() {
+			d.walBuf = appendSweepRecord(d.walBuf[:0], sw.startSeq, res.Groups)
+			faultinject.Hit("stream.wal.append")
+			if werr := d.wal.Append(d.seq, d.walBuf); werr != nil {
+				d.degradeLocked(werr)
+			} else {
+				d.sinceSnap++
+				walLogged = true
+			}
+		}
+		d.applySweep(sw.startSeq, res.Groups)
+	}
+	remaining := d.endSweepLocked(sw)
+	snapDue := !superseded && d.wal != nil && d.walErr == nil && d.dur.SnapshotEvery > 0 && d.sinceSnap >= d.dur.SnapshotEvery
 	d.mu.Unlock()
+
+	d.Obs.Histogram("stream.sweep.latency").Observe(res.Elapsed)
+	d.Obs.Gauge("stream.dirty_users").Set(int64(remaining))
+	sink := d.Obs.Sink()
+	if superseded {
+		sw.sp.Set("superseded", "reset")
+		d.Obs.Counter("stream.sweeps.superseded").Inc()
+		if sink != nil {
+			sink.Emit(obs.Event{Type: obs.EventSweepAbort, Reason: "superseded", Groups: len(res.Groups)})
+		}
+		return
+	}
+	d.Obs.Counter("stream.sweeps." + sw.kind()).Inc()
+	d.Obs.Histogram("stream.sweep." + sw.kind()).Observe(res.Elapsed)
 	if walLogged {
 		d.Obs.Counter("stream.wal.appends").Inc()
 	}
-	d.Obs.Gauge("stream.dirty_users").Set(int64(remaining))
 	if sink != nil {
 		core.EmitGroupVerdicts(sink, res.Groups)
-		sink.Emit(obs.Event{Type: obs.EventSweepCommit, Reason: sweepType, Groups: len(res.Groups)})
+		sink.Emit(obs.Event{Type: obs.EventSweepCommit, Reason: sw.kind(), Groups: len(res.Groups)})
 	}
 	if d.OnCommit != nil {
-		// g is the immutable snapshot this sweep examined (mid-sweep clicks
-		// rebuilt a fresh graph), so the hook reads consistent state.
-		d.OnCommit(res, g)
+		// sw.g is the immutable snapshot this sweep examined (mid-sweep
+		// clicks rebuilt a fresh graph), so the hook reads consistent state.
+		d.OnCommit(res, sw.g)
 	}
 	if snapDue {
 		// Automatic snapshot at the sweep boundary — the only point where
@@ -597,8 +643,6 @@ func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 		// result stands either way.
 		_ = d.Snapshot()
 	}
-	record(res, nil)
-	return res, nil
 }
 
 // suspiciousUser reports whether u carries the abnormal-click signature of
@@ -623,22 +667,14 @@ func (d *Detector) FullDetectContext(ctx context.Context) (*detect.Result, error
 	d.mu.Lock()
 	g := d.graphLocked()
 	params := d.params
-	// Full detections share the sweep cache (no touched hint: the batch
-	// detector examines the whole current graph, so every unchanged
-	// component is a legitimate hit).
-	params.Cache = d.cacheLocked()
-	params.CacheTouched = nil
-	d.mu.Unlock()
-	return (&core.Detector{Params: params, Obs: d.Obs}).DetectContext(ctx, g)
-}
-
-// cacheLocked returns the detector's verdict cache, creating it on first
-// use. d.mu must be held.
-func (d *Detector) cacheLocked() *core.VerdictCache {
+	// The batch detector examines the whole current graph, so every
+	// component unchanged since the last refresh is a legitimate hit.
 	if d.cache == nil {
 		d.cache = core.NewVerdictCache(core.DefaultCacheBytes)
 	}
-	return d.cache
+	params.Cache = d.cache
+	d.mu.Unlock()
+	return (&core.Detector{Params: params, Obs: d.Obs}).DetectContext(ctx, g)
 }
 
 // CacheStats reports the verdict cache's lifetime counters (the zero value
@@ -662,10 +698,11 @@ func (d *Detector) Reset() {
 	d.resetLocked()
 }
 
-// resetLocked is the pure state reset shared by Reset, Retune and WAL
-// replay; d.mu must be held. It does not touch the record clock — the
-// callers that originate a reset log it first.
+// resetLocked applies one reset record stamped with the current record
+// clock, shared by Reset, Retune and WAL replay; d.mu must be held. It does
+// not tick the clock — the callers that originate a reset log it first.
 func (d *Detector) resetLocked() {
+	d.resetSeq = d.seq
 	d.cached = nil
 	d.lastFull = false
 	d.dirty = map[bipartite.NodeID]uint64{}

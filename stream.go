@@ -99,7 +99,6 @@ func NewStreamDetector(initial *Graph, cfg Config) (*StreamDetector, error) {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
 	inner.Obs = auditObserver(cfg)
-	inner.CompactFraction = cfg.CompactFraction
 	return &StreamDetector{inner: inner, cfg: cfg, params: params}, nil
 }
 
@@ -127,7 +126,6 @@ func openDurableStreamDetector(initial *Graph, cfg Config) (*StreamDetector, err
 	if err != nil {
 		return nil, fmt.Errorf("fakeclick: %w", err)
 	}
-	inner.CompactFraction = cfg.CompactFraction
 	return &StreamDetector{inner: inner, cfg: cfg, params: params, recovery: &StreamRecovery{
 		ColdStart:       info.ColdStart,
 		SnapshotClock:   info.SnapshotClock,
