@@ -14,10 +14,10 @@ import (
 // check and zero allocations when auditing is off — the same contract as
 // the nil observer.
 //
-// Square pruning runs on compacted component graphs whose vertex IDs are
-// local (bipartite.CompactComponent); forShard derives a translating
-// auditor from the shard's local→original maps, so every emitted event
-// carries IDs in the original graph's namespace.
+// Square pruning and screening run on compacted component graphs whose
+// vertex IDs are local (bipartite.CompactComponent); forShard derives a
+// translating auditor from the shard's local→original maps, so every
+// emitted event carries IDs in the original graph's namespace.
 type auditor struct {
 	sink   *obs.EventSink
 	shard  int                // 1-based shard index, 0 outside shards
@@ -34,8 +34,9 @@ func newAuditor(o *obs.Observer) *auditor {
 	return nil
 }
 
-// forShard returns an auditor stamping events with the shard index and
-// translating compact-graph IDs back to original IDs.
+// forShard returns an auditor stamping events with the shard index (0
+// stamps none, as screening does) and translating compact-graph IDs back
+// to original IDs.
 func (a *auditor) forShard(shard int, userOf, itemOf []bipartite.NodeID) *auditor {
 	if a == nil {
 		return nil
@@ -142,7 +143,7 @@ func (a *auditor) dropUserNoAttackEdge(group int, u bipartite.NodeID, maxOrdinar
 	a.sink.Emit(obs.Event{
 		Type:   obs.EventScreenDrop,
 		Side:   "user",
-		ID:     uint32(u),
+		ID:     uint32(a.translate(bipartite.UserSide, u)),
 		Group:  group,
 		Reason: "user.no_attack_edge",
 		Stat:   fmt.Sprintf("max_ordinary_clicks=%d t_click=%d", maxOrdinary, tClick),
@@ -158,7 +159,7 @@ func (a *auditor) dropUserHotAvg(group int, u bipartite.NodeID, avg, max float64
 	a.sink.Emit(obs.Event{
 		Type:   obs.EventScreenDrop,
 		Side:   "user",
-		ID:     uint32(u),
+		ID:     uint32(a.translate(bipartite.UserSide, u)),
 		Group:  group,
 		Reason: "user.hot_avg",
 		Stat:   fmt.Sprintf("hot_avg=%.1f max=%.1f", avg, max),
@@ -174,7 +175,7 @@ func (a *auditor) dropUserNoVerifiedTarget(group int, u bipartite.NodeID) {
 	a.sink.Emit(obs.Event{
 		Type:   obs.EventScreenDrop,
 		Side:   "user",
-		ID:     uint32(u),
+		ID:     uint32(a.translate(bipartite.UserSide, u)),
 		Group:  group,
 		Reason: "user.no_verified_target",
 	})
@@ -188,7 +189,7 @@ func (a *auditor) dropItemHot(group int, v bipartite.NodeID) {
 	a.sink.Emit(obs.Event{
 		Type:   obs.EventScreenDrop,
 		Side:   "item",
-		ID:     uint32(v),
+		ID:     uint32(a.translate(bipartite.ItemSide, v)),
 		Group:  group,
 		Reason: "item.hot",
 	})
@@ -204,7 +205,7 @@ func (a *auditor) dropItemGroupDissolved(group int, v bipartite.NodeID) {
 	a.sink.Emit(obs.Event{
 		Type:   obs.EventScreenDrop,
 		Side:   "item",
-		ID:     uint32(v),
+		ID:     uint32(a.translate(bipartite.ItemSide, v)),
 		Group:  group,
 		Reason: "item.group_dissolved",
 	})
@@ -219,7 +220,7 @@ func (a *auditor) dropItemSupporters(group int, v bipartite.NodeID, supporters, 
 	a.sink.Emit(obs.Event{
 		Type:   obs.EventScreenDrop,
 		Side:   "item",
-		ID:     uint32(v),
+		ID:     uint32(a.translate(bipartite.ItemSide, v)),
 		Group:  group,
 		Reason: "item.supporters",
 		Stat:   fmt.Sprintf("supporters=%d need=%d", supporters, need),

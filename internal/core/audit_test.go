@@ -195,6 +195,108 @@ func TestAuditSerialShardedEquivalence(t *testing.T) {
 	}
 }
 
+// screenDropSet projects an audit trail onto its screen.drop events as a
+// multiset of (side, id, group, reason, stat), failing on any event stamped
+// with a shard: screening drops name original IDs and candidate indices.
+func screenDropSet(t *testing.T, events []obs.Event) map[string]int {
+	t.Helper()
+	set := make(map[string]int)
+	for _, e := range events {
+		if e.Type != obs.EventScreenDrop {
+			continue
+		}
+		if e.Shard != 0 {
+			t.Fatalf("screen.drop stamped with shard %d: %+v", e.Shard, e)
+		}
+		set[fmt.Sprintf("%s/%d/%d/%s/%s", e.Side, e.ID, e.Group, e.Reason, e.Stat)]++
+	}
+	return set
+}
+
+// TestAuditedDetectionScreensLikeTheGlobalPass: attaching an audit sink
+// does not change what screening runs. Per workload and worker count, an
+// audited detection returns the unaudited result exactly; its screen.drop
+// trail is the one ScreenGroupsCtx emits when it screens
+// NearBicliqueExtractCtx's candidates on the original graph; and over a
+// warm verdict cache an audited run returns the same result without
+// reading or filling the cache.
+func TestAuditedDetectionScreensLikeTheGlobalPass(t *testing.T) {
+	type workload struct {
+		name string
+		cfg  synth.Config
+		p    Params
+	}
+	workloads := []workload{
+		{"small", synth.SmallConfig(), smallParams()},
+		{"default", synth.DefaultConfig(), smallParams()},
+	}
+	for i, cfg := range equivCorpus() {
+		workloads = append(workloads, workload{fmt.Sprintf("corpus %d", i), cfg, equivParams(i, cfg)})
+	}
+	drops := 0
+	for _, w := range workloads {
+		ds := synth.MustGenerate(w.cfg)
+		for _, workers := range []int{1, 4} {
+			p := w.p
+			p.Workers = workers
+			label := fmt.Sprintf("%s workers %d", w.name, workers)
+
+			plain, err := (&Detector{Params: p}).Detect(ds.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, buf := auditedObserver("test")
+			audited, err := (&Detector{Params: p, Obs: o}).Detect(ds.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, label+" audited", plain, audited)
+			got := screenDropSet(t, parseAudit(t, buf))
+
+			candidates, err := NearBicliqueExtractCtx(context.Background(), ds.Graph.Clone(), p, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			og, gbuf := auditedObserver("test")
+			hot := ComputeHotSet(ds.Graph, p.THot)
+			if _, err := ScreenGroupsCtx(context.Background(), ds.Graph, candidates, hot, p, nil, og); err != nil {
+				t.Fatal(err)
+			}
+			want := screenDropSet(t, parseAudit(t, gbuf))
+			for key, n := range want {
+				if got[key] != n {
+					t.Fatalf("%s: screen.drop %s emitted %d times by the audited detection, %d by the global pass",
+						label, key, got[key], n)
+				}
+				drops += n
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: audited detection emitted %d distinct screen.drop events, the global pass %d",
+					label, len(got), len(want))
+			}
+
+			cp := p
+			cp.Cache = NewVerdictCache(0)
+			if _, err := (&Detector{Params: cp}).Detect(ds.Graph); err != nil {
+				t.Fatal(err)
+			}
+			warm := cp.Cache.Stats()
+			o, _ = auditedObserver("test")
+			cachedAudited, err := (&Detector{Params: cp, Obs: o}).Detect(ds.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, label+" audited over a warm cache", plain, cachedAudited)
+			if st := cp.Cache.Stats(); st != warm {
+				t.Fatalf("%s: audited run touched the cache: %+v, was %+v", label, st, warm)
+			}
+		}
+	}
+	if drops == 0 {
+		t.Fatal("no workload dropped anything in screening; the trail comparison is vacuous")
+	}
+}
+
 // TestAuditFeedbackWiden forces the relax loop and checks every widening
 // is audited with the knob, both values, and the iteration.
 func TestAuditFeedbackWiden(t *testing.T) {

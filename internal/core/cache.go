@@ -16,9 +16,10 @@ import (
 // pruning removals, extracted groups and screened groups from the cache,
 // translated back through the shard's local→original ID maps, skipping
 // square-pruning, extraction and screening for the component entirely. A
-// miss runs live detection and stores the outcome. The cache is consulted
-// only when screening rides inside the shards (shardOptions.hot), so every
-// entry has the same shape.
+// miss runs live detection, and its entry is stored once the screening stage
+// has screened the component's candidates on its compact graph. Only a fully
+// screened detection without an audit sink consults the cache
+// (shardOptions.hot), so every entry has the same shape.
 //
 // Soundness rests on the shard decomposition invariant (shard.go): a
 // component's verdict is a pure function of its compact CSR (topology +

@@ -140,26 +140,19 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 // component split is guarded by the "core.extract" checkpoint. A cancelled
 // call returns no groups (a half-pruned residual would report organic users
 // as attackers) together with ctx's error. p.Cache is not consulted: the
-// verdict cache serves only Detector.DetectContext.
+// verdict cache serves only Detector.DetectContext's full screening.
 func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
 	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
-	groups, _, _, err := nearBicliqueExtractCachedCtx(ctx, work, nil, p, sp, o)
-	return groups, err
+	outc, err := extractCandidates(ctx, work, nil, p, sp, o)
+	return outc.raw, err
 }
 
-// nearBicliqueExtractCachedCtx is NearBicliqueExtractCtx plus the cached
-// screening path DetectContext takes: with p.Cache set and hot non-nil (the
-// marketplace-wide HotSet of the input graph), the VariantFull screening
-// passes run per component inside the shards, so cache hits skip screening as
-// well as pruning and extraction. It returns the raw candidates plus, when per-shard
-// screening actually ran (screenedOK), the fully screened groups —
-// byte-identical to running ScreenGroupsCtx over the raw candidates.
-// screenedOK is false whenever the cache was bypassed (no cache, or an audit
-// sink demanding the full decision trail); callers must then screen raw
-// globally as usual.
-func nearBicliqueExtractCachedCtx(ctx context.Context, work *bipartite.Graph, hot *HotSet,
-	p Params, sp *obs.Span, o *obs.Observer) (raw, screened []detect.Group, screenedOK bool, err error) {
+// extractCandidates is NearBicliqueExtractCtx's extraction. With hot set
+// (full screening) the outcome also carries every candidate on its shard
+// graph, and the verdict cache may be consulted (shardOptions.hot).
+func extractCandidates(ctx context.Context, work *bipartite.Graph, hot *HotSet,
+	p Params, sp *obs.Span, o *obs.Observer) (extractOutcome, error) {
 
 	// The sharded orchestration prunes and extracts per component in one
 	// pass, so the groups come back already merged in canonical order.
@@ -174,12 +167,12 @@ func nearBicliqueExtractCachedCtx(ctx context.Context, work *bipartite.Graph, ho
 	o.Counter("core.prune.items_removed").Add(int64(st.ItemsRemoved))
 	o.Histogram("core.prune").Observe(psp.Duration())
 	if err != nil {
-		return nil, nil, false, err
+		return extractOutcome{}, err
 	}
 
 	faultinject.Hit("core.extract")
 	if err := ctx.Err(); err != nil {
-		return nil, nil, false, err
+		return extractOutcome{}, err
 	}
 	esp := sp.Start("extract")
 	esp.SetInt("groups", int64(len(outc.raw)))
@@ -187,5 +180,5 @@ func nearBicliqueExtractCachedCtx(ctx context.Context, work *bipartite.Graph, ho
 	esp.SetInt("survivor_items", int64(work.LiveItems()))
 	esp.End()
 	o.Counter("core.extract.groups").Add(int64(len(outc.raw)))
-	return outc.raw, outc.screened, outc.screenedOK, nil
+	return outc, nil
 }

@@ -59,8 +59,8 @@ type Params struct {
 	// Output is identical with or without the cache — the fingerprint covers
 	// every verdict-affecting input and is the only invalidation; the golden
 	// harness pins the equivalence. Everything else never consults it, and an
-	// attached audit sink bypasses it (replayed verdicts cannot re-emit the
-	// per-decision audit trail).
+	// attached audit sink skips its lookup and store (replayed verdicts cannot
+	// re-emit the per-decision audit trail) and changes nothing else.
 	Cache *VerdictCache
 }
 

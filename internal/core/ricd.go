@@ -168,19 +168,17 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 		return degrade("graph_generator", err)
 	}
 
-	// With the verdict cache armed and full screening requested, the
-	// screening passes ride inside the shards (hot handed down), so cached
-	// components skip screening too; screenedOK=false falls back to the
-	// global screening stage below (an audit sink bypassing the cache).
-	var screened []detect.Group
-	var screenedOK bool
-	if err := stage("extraction", func() error {
-		var eerr error
-		if p.Cache != nil && d.Variant == VariantFull {
-			groups, screened, screenedOK, eerr = nearBicliqueExtractCachedCtx(ctx, work, hot, p, dsp, o)
-		} else {
-			groups, eerr = NearBicliqueExtractCtx(ctx, work, p, dsp, o)
+	// Full screening judges each candidate on the shard graph it was
+	// extracted from, so it hands the hot set down; only its verdicts are
+	// cached.
+	var outc extractOutcome
+	if err := stage("extraction", func() (eerr error) {
+		var screenHot *HotSet
+		if d.Variant == VariantFull {
+			screenHot = hot
 		}
+		outc, eerr = extractCandidates(ctx, work, screenHot, p, dsp, o)
+		groups = outc.raw
 		return eerr
 	}); err != nil {
 		dsp.End()
@@ -194,27 +192,16 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 	// each is individually sound, the run is just incomplete.
 	ssp := run.Start("screening")
 	ssp.Set("mode", d.Variant.String())
-	if err := stage("screening", func() error {
+	if err := stage("screening", func() (serr error) {
 		switch d.Variant {
 		case VariantUI:
 			// No screening at all.
-			return nil
 		case VariantI:
-			groups = screenUsersOnly(g, groups, hot, p, a)
-			return nil
+			groups, serr = screenUsersOnly(ctx, g, groups, hot, p, a)
 		default:
-			if screenedOK {
-				// Per-component screening already ran inside the shards
-				// (verdict-cache mode); adopt its output — byte-identical
-				// to screening the raw candidates globally.
-				ssp.Set("cached", "shards")
-				groups = screened
-				return nil
-			}
-			var serr error
-			groups, serr = ScreenGroupsCtx(ctx, g, groups, hot, p, ssp, o)
-			return serr
+			groups, serr = screenCandidates(ctx, outc, p, ssp, o)
 		}
+		return serr
 	}); err != nil {
 		ssp.End()
 		return degrade("screening", err)
@@ -251,10 +238,18 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 }
 
 // screenUsersOnly is the RICD-I screening: user behavior check plus hot-item
-// exclusion, without item behavior verification.
-func screenUsersOnly(g *bipartite.Graph, groups []detect.Group, hot *HotSet, p Params, a *auditor) []detect.Group {
+// exclusion, without item behavior verification. Like ScreenGroupsCtx it
+// checks ctx before each group (fault-injection site "core.screen.group")
+// and on cancellation returns the groups screened so far with ctx's error.
+func screenUsersOnly(ctx context.Context, g *bipartite.Graph, groups []detect.Group, hot *HotSet,
+	p Params, a *auditor) ([]detect.Group, error) {
+
 	var out []detect.Group
 	for i, grp := range groups {
+		faultinject.Hit("core.screen.group")
+		if err := ctx.Err(); err != nil {
+			return out, err
+		}
 		users := userBehaviorCheck(g, grp, hot, p, a, i+1)
 		if len(users) < p.K1 {
 			continue
@@ -272,5 +267,5 @@ func screenUsersOnly(g *bipartite.Graph, groups []detect.Group, hot *HotSet, p P
 		}
 		out = append(out, detect.Group{Users: users, Items: items})
 	}
-	return out
+	return out, nil
 }

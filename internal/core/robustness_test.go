@@ -174,6 +174,30 @@ func TestDetectContextCancelledScreeningKeepsScreenedPrefix(t *testing.T) {
 	}
 }
 
+// TestRICDIScreeningHonorsCancellation: RICD-I's screening loop checks ctx
+// before each group, like full screening, so a cancel there is reported as
+// the screening stage and keeps only groups that were fully screened.
+func TestRICDIScreeningHonorsCancellation(t *testing.T) {
+	defer faultinject.Reset()
+	g := disjointBicliques(3, 12, 15)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	faultinject.Arm("core.screen.group", faultinject.Fault{Do: cancel, Times: 1})
+
+	p := smallParams()
+	res, err := (&Detector{Params: p, Variant: VariantI}).DetectContext(ctx, g)
+	if faultinject.HitCount("core.screen.group") == 0 {
+		t.Fatal("RICD-I screening never reached core.screen.group")
+	}
+	assertPartial(t, res, err, context.Canceled, "screening")
+	for i, grp := range res.Groups {
+		if len(grp.Users) < p.K1 || len(grp.Items) < p.K2 {
+			t.Errorf("partially-screened output group %d violates size bounds: %d×%d",
+				i, len(grp.Users), len(grp.Items))
+		}
+	}
+}
+
 // TestDetectContextCompleteRunHitsAllSites records a full run and checks
 // every pipeline checkpoint actually fires — guarding against a refactor
 // silently dropping an interruption point.

@@ -13,9 +13,10 @@ import (
 
 // This file implements the Suspicious Group Screening module: the user
 // behavior check (Fig 5) and the item behavior verification (Fig 6). Both
-// steps read the ORIGINAL click graph — screening judges behavior against
-// real weights and the marketplace-wide hot classification, not against the
-// pruned residual.
+// steps read only a candidate's in-group edges, with their real click
+// weights, against the marketplace-wide hot classification — so the graph
+// they read is either the original click graph or the compact shard graph
+// the candidate was extracted from, which holds those edges unchanged.
 
 // userBehaviorCheck filters a candidate group's users down to those whose
 // in-group click pattern matches the crowd-worker profile of Section IV-A:
@@ -130,7 +131,8 @@ func itemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
 // of the induced verified subgraph and the Definition 3 size bounds are
 // re-applied (property (4b)). The user-check and item-verification passes
 // become child spans of sp, and candidate in/out counts feed o's registry
-// under core.screen.*; nil sp/o observe nothing.
+// under core.screen.*; nil sp/o observe nothing. It is screenCandidates
+// with every group on g, so overlapping groups re-partition together.
 //
 // ctx is checked before each candidate group (fault-injection site
 // "core.screen.group"). On cancellation the groups fully screened so far
@@ -140,57 +142,151 @@ func itemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
 func ScreenGroupsCtx(ctx context.Context, g *bipartite.Graph, groups []detect.Group,
 	hot *HotSet, p Params, sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
-	var usersIn, itemsIn int
-	for _, grp := range groups {
-		usersIn += len(grp.Users)
-		itemsIn += len(grp.Items)
+	on := &screenGraph{g: g, hot: hot}
+	cands := make([]candidate, len(groups))
+	for i, grp := range groups {
+		cands[i] = candidate{Group: grp, local: localGroup{Users: grp.Users, Items: grp.Items}, on: on}
 	}
+	return screenCandidates(ctx, extractOutcome{cands: cands, graphs: []*screenGraph{on}}, p, sp, o)
+}
 
-	var ctxErr error
-	a := newAuditor(o)
+// screenCandidates is Module 2 over an extraction outcome: every candidate
+// is screened on its own graph and each graph's survivors are re-partitioned
+// on that graph. This equals re-partitioning all survivors on the original
+// graph: a shard graph is one component of the core-pruned graph, and its
+// candidates are distinct residual components of it — pruning removes
+// vertices, never edges, so an edge between two survivors would have put
+// them in one candidate. For the same reason a shard-graph candidate that
+// screening left whole is its own repartition. The groups cache hits
+// replayed join the result, in canonical order, and the cache entries are
+// stored once every candidate is screened.
+func screenCandidates(ctx context.Context, outc extractOutcome, p Params,
+	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
+
+	var usersIn, itemsIn, usersKept, itemsKept int
+	for _, c := range outc.cands {
+		usersIn += len(c.Users)
+		itemsIn += len(c.Items)
+	}
 	csp := sp.Start("behavior_checks")
-	var allUsers, allItems []bipartite.NodeID
-	if p.workers() > 1 && len(groups) > 1 {
-		allUsers, allItems, ctxErr = screenParallel(ctx, g, groups, hot, p, a)
-	} else {
-		for i, grp := range groups {
-			faultinject.Hit("core.screen.group")
-			if ctxErr = ctx.Err(); ctxErr != nil {
-				break
-			}
-			users, items := screenOne(g, grp, hot, p, a, i+1)
-			allUsers = append(allUsers, users...)
-			allItems = append(allItems, items...)
-		}
+	kept, ctxErr := behaviorChecks(ctx, outc.cands, p, newAuditor(o))
+	for _, k := range kept {
+		usersKept += len(k.Users)
+		itemsKept += len(k.Items)
 	}
 	csp.SetInt("users_in", int64(usersIn))
-	csp.SetInt("users_kept", int64(len(allUsers)))
+	csp.SetInt("users_kept", int64(usersKept))
 	csp.SetInt("items_in", int64(itemsIn))
-	csp.SetInt("items_kept", int64(len(allItems)))
+	csp.SetInt("items_kept", int64(itemsKept))
 	csp.End()
-	o.Counter("core.screen.groups_in").Add(int64(len(groups)))
-	o.Counter("core.screen.users_dropped").Add(int64(usersIn - len(allUsers)))
-	o.Counter("core.screen.items_dropped").Add(int64(itemsIn - len(allItems)))
-	if len(allUsers) == 0 || len(allItems) == 0 {
-		return nil, ctxErr
-	}
+	o.Counter("core.screen.groups_in").Add(int64(len(outc.cands)))
+	o.Counter("core.screen.users_dropped").Add(int64(usersIn - usersKept))
+	o.Counter("core.screen.items_dropped").Add(int64(itemsIn - itemsKept))
 
-	rsp := sp.Start("repartition")
-	sub, err := bipartite.InducedSubgraph(g, allUsers, allItems)
-	if err != nil {
-		// IDs came from g itself; out-of-range is impossible.
-		panic("core: screening produced invalid IDs: " + err.Error())
-	}
 	var out []detect.Group
-	for _, comp := range bipartite.ConnectedComponents(sub) {
-		if len(comp.Users) >= p.K1 && len(comp.Items) >= p.K2 {
-			out = append(out, detect.Group{Users: comp.Users, Items: comp.Items})
+	if usersKept > 0 {
+		rsp := sp.Start("repartition")
+		for i, c := range outc.cands {
+			// Only a shard graph (one with ID maps) holds its candidates as
+			// distinct residual components.
+			if k := kept[i]; c.on.userOf != nil && len(k.Users) == len(c.Users) && len(k.Items) == len(c.Items) {
+				c.on.screened = append(c.on.screened, k)
+			} else {
+				c.on.users = append(c.on.users, k.Users...)
+				c.on.items = append(c.on.items, k.Items...)
+			}
+		}
+		for _, on := range outc.graphs {
+			out = append(out, on.repartition(p)...)
+		}
+		rsp.SetInt("groups_out", int64(len(out)))
+		rsp.End()
+		o.Counter("core.screen.groups_out").Add(int64(len(out)))
+	}
+	if outc.cache != nil && ctxErr == nil {
+		evicted := 0
+		for _, on := range outc.graphs {
+			if on.entry != nil {
+				on.entry.screened = on.screened
+				evicted += outc.cache.store(on.fp, on.entry)
+			}
+		}
+		o.Counter("core.cache.evict").Add(int64(evicted))
+		o.Gauge("core.cache.bytes").Set(outc.cache.Bytes())
+	}
+	out = append(out, outc.replayed...)
+	sortGroupsCanonical(out)
+	return out, ctxErr
+}
+
+// behaviorChecks runs screenOne on every candidate's graph on a pool of up
+// to p.workers() goroutines and returns each candidate's supported users and
+// verified items in its graph's IDs; candidates are independent, so the
+// output does not depend on scheduling. ctx is checked before each candidate
+// (fault-injection site "core.screen.group"); on cancellation the candidates
+// screened before it keep their output, each individually sound. A panic is
+// rethrown on the caller's goroutine for the stage isolation. Audit events
+// carry the candidate's 1-based position and original IDs.
+func behaviorChecks(ctx context.Context, cands []candidate, p Params,
+	a *auditor) (kept []localGroup, ctxErr error) {
+
+	kept = make([]localGroup, len(cands))
+	done := make([]bool, len(cands))
+	panicked := make([]any, len(cands))
+	screen := func(i int) bool {
+		defer func() { panicked[i] = recover() }()
+		faultinject.Hit("core.screen.group")
+		if ctx.Err() != nil {
+			return false
+		}
+		c := cands[i]
+		kept[i].Users, kept[i].Items = screenOne(c.on.g, detect.Group{Users: c.local.Users, Items: c.local.Items},
+			c.on.hot, p, a.forShard(0, c.on.userOf, c.on.itemOf), i+1)
+		done[i] = true
+		return true
+	}
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := min(p.workers(), len(cands)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if i := int(next.Add(1)) - 1; i >= len(cands) || !screen(i) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range cands {
+		if panicked[i] != nil {
+			panic(panicked[i])
+		}
+		if !done[i] {
+			ctxErr = ctx.Err()
 		}
 	}
-	rsp.SetInt("groups_out", int64(len(out)))
-	rsp.End()
-	o.Counter("core.screen.groups_out").Add(int64(len(out)))
-	return out, ctxErr
+	return kept, ctxErr
+}
+
+// repartition adds to on.screened the connected components of the
+// survivors' induced subgraph on on.g that meet the size bounds, and
+// returns on.screened in original IDs.
+func (on *screenGraph) repartition(p Params) []detect.Group {
+	if len(on.users) > 0 {
+		sub, err := bipartite.InducedSubgraph(on.g, on.users, on.items)
+		if err != nil {
+			// IDs came from on.g itself; out-of-range is impossible.
+			panic("core: screening produced invalid IDs: " + err.Error())
+		}
+		for _, comp := range bipartite.ConnectedComponents(sub) {
+			if len(comp.Users) >= p.K1 && len(comp.Items) >= p.K2 {
+				on.screened = append(on.screened, localGroup{Users: comp.Users, Items: comp.Items})
+			}
+		}
+	}
+	return translateGroups(on.screened, on.userOf, on.itemOf)
 }
 
 // screenOne applies the user behavior check and item behavior verification
@@ -239,67 +335,4 @@ func screenOne(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params,
 		}
 	}
 	return users, items
-}
-
-// screenParallel screens the candidate groups on a bounded worker pool.
-// Groups are independent of each other during behavior checks (only the
-// final repartition is cross-group, and it is set-based), so accumulating
-// per-group outputs in index order makes the result identical to the serial
-// loop's. On cancellation the groups fully screened before the cancel are
-// kept — each is individually sound, matching the serial partial contract.
-// A panic inside a worker is rethrown on the caller's goroutine so the
-// DetectContext stage isolation sees it exactly like a serial panic.
-func screenParallel(ctx context.Context, g *bipartite.Graph, groups []detect.Group,
-	hot *HotSet, p Params, a *auditor) (allUsers, allItems []bipartite.NodeID, ctxErr error) {
-
-	type screenOut struct {
-		users, items []bipartite.NodeID
-		done         bool
-		panicked     any
-	}
-	outs := make([]screenOut, len(groups))
-	pool := p.workers()
-	if pool > len(groups) {
-		pool = len(groups)
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(groups) {
-					return
-				}
-				faultinject.Hit("core.screen.group")
-				if ctx.Err() != nil {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							outs[i].panicked = r
-						}
-					}()
-					outs[i].users, outs[i].items = screenOne(g, groups[i], hot, p, a, i+1)
-					outs[i].done = true
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	ctxErr = ctx.Err()
-	for i := range outs {
-		if outs[i].panicked != nil {
-			panic(outs[i].panicked)
-		}
-		if !outs[i].done {
-			continue
-		}
-		allUsers = append(allUsers, outs[i].users...)
-		allItems = append(allItems, outs[i].items...)
-	}
-	return allUsers, allItems, ctxErr
 }

@@ -20,11 +20,10 @@ import (
 // graph splits into connected components that share no edge, so no removal
 // inside one component can ever change a degree or common-neighbor count in
 // another. The union of per-component (α,k₁,k₂) fixpoints therefore equals
-// the global fixpoint, and each component can be pruned, extracted and
-// screened on its own goroutine. Each shard is compacted first
-// (bipartite.CompactComponent), which shrinks the dense common-neighbor
-// counters from whole-graph size to component size — the dominant allocation
-// of the square rounds.
+// the global fixpoint, and each component can be pruned and extracted on its
+// own goroutine. Each shard is compacted first (bipartite.CompactComponent),
+// which shrinks the dense common-neighbor counters from whole-graph size to
+// component size — the dominant allocation of the square rounds.
 //
 // Determinism/merge contract: shard outputs are merged in the order a
 // monolithic pass over the whole residual produces (the reference in
@@ -37,18 +36,19 @@ import (
 // order, so every ID-ordered traversal (and the degree-then-ID candidate
 // order of sortByDegree) coincides with the original graph's.
 //
-// Verdict caching (DESIGN.md §15): with p.Cache and opt.hot both set, the
-// Fig 5/Fig 6 screening passes and the survivor repartition run inside the
-// shard against the compact graph — sound because screening only ever reads
-// in-group edges (all present in the compact graph with identical weights)
-// and survivors of different shards can share no edge (see
-// screenComponentGroups) — and each shard hashes its freshly compacted CSR
+// Screening on shard graphs: with opt.hot set, every candidate leaves the
+// pass with the compact graph it was extracted from and its local hot bits
+// (screenGraph), and the screening stage judges it there (screenCandidates,
+// which gives the soundness argument).
+//
+// Verdict caching (DESIGN.md §15): with p.Cache and opt.hot both set and no
+// audit sink, each shard hashes its freshly compacted CSR
 // (componentFingerprint) and consults the cache before pruning. A hit
-// replays the cached removals/groups through the shard's local→original
-// maps; a miss detects live and stores the local outcome. The fingerprint is
-// the only invalidation: a component any click changed hashes differently.
-// Without opt.hot (prune-only and unscreened extraction) the cache is never
-// consulted.
+// replays the cached removals, candidates and screened groups through the
+// shard's local→original maps and leaves nothing to screen; a miss detects
+// live, and its entry is stored once the screening stage has screened its
+// candidates. The fingerprint is the only invalidation: a component any
+// click changed hashes differently.
 
 // maxShardSpans caps the per-shard child spans recorded under the prune
 // span, keeping traces bounded when the residual shatters into thousands of
@@ -61,23 +61,43 @@ type shardOptions struct {
 	// collect extracts candidate groups (the extraction callers); false
 	// prunes only (PruneCtx).
 	collect bool
-	// hot, when non-nil in collect mode with p.Cache set, arms the verdict
-	// cache and runs the VariantFull screening passes per shard, so cached
-	// components skip pruning, extraction and screening. The HotSet must be
-	// the marketplace-wide one computed on the full input graph.
+	// hot, when non-nil in collect mode, is the marketplace-wide HotSet
+	// (computed on the full input graph) the caller screens against with
+	// full screening: the candidates then carry their shard graphs, and
+	// p.Cache is consulted unless an audit sink is attached.
 	hot *HotSet
+}
+
+// screenGraph is a graph candidates are screened on — a shard's compact
+// component graph, or the original graph itself (ScreenGroupsCtx) — with
+// what screening gathers on it.
+type screenGraph struct {
+	g              *bipartite.Graph
+	hot            *HotSet            // hot bits in g's ID space
+	userOf, itemOf []bipartite.NodeID // local → original IDs; nil when g is the original graph
+	users, items   []bipartite.NodeID // survivors left to re-partition
+	screened       []localGroup
+	entry          *cacheEntry // the component's verdict-cache entry, stored under fp once screened
+	fp             fingerprint
+}
+
+// candidate is one extracted group and the graph it is screened on.
+type candidate struct {
+	detect.Group            // original IDs
+	local        localGroup // the same group in on's IDs
+	on           *screenGraph
 }
 
 // extractOutcome is the collect-mode output of shardedPruneExtract.
 type extractOutcome struct {
-	raw []detect.Group // extracted candidates, canonical order (sortGroupsCanonical)
-	// screened/screenedOK carry the per-shard screening output when it ran
-	// (cache active, opt.hot set, no audit sink); when screenedOK is false
-	// the caller must screen raw globally as usual.
-	screened   []detect.Group
-	screenedOK bool
-	cacheHits  int
-	cacheMiss  int
+	raw []detect.Group // every extracted candidate, replayed ones included, canonical order (sortGroupsCanonical)
+	// With opt.hot: the candidates left to screen, in canonical order, the
+	// graphs they are screened on, the screened groups cache hits replayed
+	// instead, and the cache consulted (nil when none).
+	cands    []candidate
+	graphs   []*screenGraph
+	replayed []detect.Group
+	cache    *VerdictCache
 }
 
 // shardResult is one component's contribution to the merged outcome.
@@ -85,7 +105,9 @@ type shardResult struct {
 	removedU []bipartite.NodeID // original IDs pruned inside the shard
 	removedI []bipartite.NodeID
 	groups   []detect.Group // extracted groups in original IDs (collect mode)
-	screened []detect.Group // per-shard screened groups (screening mode)
+	on       *screenGraph   // the shard graph cands are screened on (opt.hot set, live run)
+	cands    []candidate
+	replayed []detect.Group // a cache hit's screened groups in original IDs
 	rounds   int            // local fixpoint rounds
 	elapsed  time.Duration
 	done     bool  // shard ran (possibly cut short by ctx with err set)
@@ -93,15 +115,14 @@ type shardResult struct {
 	panicked any   // recovered panic, rethrown on the caller's goroutine
 
 	cacheHit   bool // verdict replayed from the cache
-	cacheMiss  bool // cache consulted, no entry (stored after live run)
+	cacheMiss  bool // cache consulted, no entry (stored after screening)
 	cacheFault bool // poisoned lookup (fault site core.cache), ran live
-	evicted    int  // entries evicted by this shard's store
 }
 
 // shardedPruneExtract runs Algorithm 3 sharded by connected component:
 // global CorePruning fixpoint → component split → per-shard compaction +
-// local Core/Square fixpoint (+ group extraction and optionally screening
-// when opt says so) on a bounded worker pool → deterministic merge. g is
+// local Core/Square fixpoint (+ group extraction when opt says so) on a
+// bounded worker pool → deterministic merge. It screens nothing. g is
 // left at the residual a monolithic fixpoint over the whole graph produces;
 // the returned stats and groups are identical to that reference's (see
 // shardequiv_test.go).
@@ -118,21 +139,16 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	var st PruneStats
 	var outc extractOutcome
 	a := newAuditor(o)
-	cache, hot := p.Cache, opt.hot
-	if hot == nil || a != nil {
+	cache := p.Cache
+	if opt.hot == nil || a != nil {
 		// The cache replays verdicts without re-running the per-decision
 		// passes, so it cannot re-emit the audit trail's removal and
 		// screening events; with a sink attached the trail's completeness
-		// wins and the cache is bypassed.
+		// wins and the cache is neither read nor filled.
 		cache = nil
 	}
-	// Per-shard screening exists for the cache's sake: the two run together
-	// or not at all.
-	screening := cache != nil
-	if screening {
+	if cache != nil {
 		cache.BeginEpoch()
-	} else {
-		hot = nil
 	}
 	faultinject.Hit("core.prune.round")
 	if err := ctx.Err(); err != nil {
@@ -153,7 +169,6 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	plan.End()
 	o.Counter("core.shards").Add(int64(len(comps)))
 	if len(comps) == 0 {
-		outc.screenedOK = screening
 		return st, outc, nil
 	}
 
@@ -195,7 +210,7 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 					ssp = sp.Start("shard")
 				}
 				outs[i] = runShard(ctx, g, comps[i], p, inner[i], ssp, o, a, i+1,
-					opt.collect, cache, hot)
+					opt.collect, cache, opt.hot)
 			}
 		}()
 	}
@@ -205,7 +220,7 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	// the caller's goroutine, so a stage bug surfaces as a panic through
 	// PruneCtx / the DetectContext stage isolation.
 	maxRounds := 0
-	evicted, faults := 0, 0
+	hits, misses, faults := 0, 0, 0
 	var firstErr error
 	for i := range outs {
 		out := &outs[i]
@@ -230,15 +245,14 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 			firstErr = out.err
 		}
 		if out.cacheHit {
-			outc.cacheHits++
+			hits++
 		}
 		if out.cacheMiss {
-			outc.cacheMiss++
+			misses++
 		}
 		if out.cacheFault {
 			faults++
 		}
-		evicted += out.evicted
 		o.Histogram("core.shard").Observe(out.elapsed)
 	}
 	// Round r of a whole-graph fixpoint removes each component's round-r
@@ -249,13 +263,11 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 		st.Rounds = maxRounds
 	}
 	if cache != nil {
-		o.Counter("core.cache.hit").Add(int64(outc.cacheHits))
-		o.Counter("core.cache.miss").Add(int64(outc.cacheMiss))
-		o.Counter("core.cache.evict").Add(int64(evicted))
+		o.Counter("core.cache.hit").Add(int64(hits))
+		o.Counter("core.cache.miss").Add(int64(misses))
 		o.Counter("core.cache.fault").Add(int64(faults))
-		o.Gauge("core.cache.bytes").Set(cache.Bytes())
-		sp.SetInt("cache_hits", int64(outc.cacheHits))
-		sp.SetInt("cache_misses", int64(outc.cacheMiss))
+		sp.SetInt("cache_hits", int64(hits))
+		sp.SetInt("cache_misses", int64(misses))
 	}
 	if err := ctx.Err(); err != nil {
 		return st, extractOutcome{}, err
@@ -269,31 +281,36 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	}
 	for i := range outs {
 		outc.raw = append(outc.raw, outs[i].groups...)
-	}
-	sortGroupsCanonical(outc.raw)
-	if screening {
-		for i := range outs {
-			outc.screened = append(outc.screened, outs[i].screened...)
+		outc.cands = append(outc.cands, outs[i].cands...)
+		outc.replayed = append(outc.replayed, outs[i].replayed...)
+		if outs[i].on != nil {
+			outc.graphs = append(outc.graphs, outs[i].on)
 		}
-		// The global repartition's output order is the same
-		// ConnectedComponents order the extraction merge reproduces
-		// (discovery ascending by minimum user, then stable size-descending),
-		// so the identical two-key sort canonicalizes the screened merge.
-		sortGroupsCanonical(outc.screened)
-		outc.screenedOK = true
 	}
+	outc.cache = cache
+	sortGroupsCanonical(outc.raw)
+	sort.SliceStable(outc.cands, func(i, j int) bool {
+		return canonicalBefore(outc.cands[i].Group, outc.cands[j].Group)
+	})
 	return st, outc, nil
 }
 
 // sortGroupsCanonical orders groups the way ConnectedComponents orders the
 // components of one graph holding all of them (the global repartition, the
-// reference's extraction): ascending minimum user ID (Users is sorted, so
-// Users[0] is the minimum), then a stable sort by group size descending.
+// reference's extraction): discovery by ascending minimum user ID, then a
+// stable sort by group size descending — i.e. one stable sort by size
+// descending, then minimum user ascending.
 func sortGroupsCanonical(groups []detect.Group) {
-	sort.SliceStable(groups, func(i, j int) bool { return groups[i].Users[0] < groups[j].Users[0] })
-	sort.SliceStable(groups, func(i, j int) bool {
-		return len(groups[i].Users)+len(groups[i].Items) > len(groups[j].Users)+len(groups[j].Items)
-	})
+	sort.SliceStable(groups, func(i, j int) bool { return canonicalBefore(groups[i], groups[j]) })
+}
+
+// canonicalBefore is sortGroupsCanonical's order. Users is sorted, so
+// Users[0] is the minimum.
+func canonicalBefore(a, b detect.Group) bool {
+	if sa, sb := len(a.Users)+len(a.Items), len(b.Users)+len(b.Items); sa != sb {
+		return sa > sb
+	}
+	return a.Users[0] < b.Users[0]
 }
 
 // runShard prunes one compacted component to its local fixpoint and, in
@@ -302,9 +319,10 @@ func sortGroupsCanonical(groups []detect.Group) {
 // component rather than the whole graph. A panic is recovered into the
 // result for deterministic rethrow by the merger.
 //
-// cache and hot arrive together or not at all (shardedPruneExtract gates
-// them): with both, the shard screens its own groups against the compact
-// graph and consults/feeds the verdict cache.
+// With hot set, the shard's candidates keep the compact graph and its local
+// hot bits for the screening stage; with cache set too (shardedPruneExtract
+// gates it), the shard consults the verdict cache and, on a miss, leaves its
+// entry for the screening stage to complete and store.
 //
 // Audit events emitted inside the shard carry the 1-based shard index and
 // original-graph IDs (via the auditor's local→original maps); rounds are
@@ -355,7 +373,7 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 			out.removedU = mapIDs(e.removedU, userOf)
 			out.removedI = mapIDs(e.removedI, itemOf)
 			out.groups = translateGroups(e.raw, userOf, itemOf)
-			out.screened = translateGroups(e.screened, userOf, itemOf)
+			out.replayed = translateGroups(e.screened, userOf, itemOf)
 			out.done = true
 			out.cacheHit = true
 			ssp.Set("cache", "hit")
@@ -403,75 +421,18 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 		}
 	}
 	out.groups = translateGroups(locals, userOf, itemOf)
-	var screenedLocals []localGroup
-	if hot != nil {
-		lh := &HotSet{hot: localHot, tHot: p.THot}
-		screenedLocals = screenComponentGroups(cg, locals, lh, p)
-		out.screened = translateGroups(screenedLocals, userOf, itemOf)
+	if hot == nil {
+		return
+	}
+	out.on = &screenGraph{g: cg, hot: &HotSet{hot: localHot, tHot: p.THot}, userOf: userOf, itemOf: itemOf}
+	for j, l := range locals {
+		out.cands = append(out.cands, candidate{Group: out.groups[j], local: l, on: out.on})
 	}
 	if cache != nil {
-		out.evicted = cache.store(fp, &cacheEntry{
-			rounds:   out.rounds,
-			removedU: locRemU,
-			removedI: locRemI,
-			raw:      locals,
-			screened: screenedLocals,
-		})
+		out.on.fp = fp
+		out.on.entry = &cacheEntry{rounds: out.rounds, removedU: locRemU, removedI: locRemI, raw: locals}
 	}
 	return
-}
-
-// screenComponentGroups runs the Fig 5/Fig 6 screening passes and the
-// survivor repartition for one shard's candidate groups, entirely against
-// the compact component graph. This matches the global
-// ScreenGroupsCtx-over-the-original-graph output exactly:
-//
-//   - every read the behavior checks perform is filtered to in-group
-//     edges, and an in-group edge (both endpoints in the component) exists
-//     in the compact graph with an identical weight;
-//   - hotness comes in through the component-local hot bits, mapped from
-//     the marketplace-wide HotSet;
-//   - the global repartition can never merge survivors of different
-//     extraction components: pruning removes vertices, not edges, so an
-//     original-graph edge between two surviving vertices also survives in
-//     the residual, putting its endpoints in the same residual component —
-//     i.e. the same raw group. Cross-group edges therefore cannot exist,
-//     and repartitioning each raw group on its own is the identity
-//     decomposition of the global repartition.
-//
-// The no-drop fast path is the satellite fix for recomputing
-// ConnectedComponents per screening pass: when screening kept every member
-// of a raw group, that group is still exactly the connected residual
-// component extraction found, so the component split is reused instead of
-// re-deriving it from an induced subgraph.
-func screenComponentGroups(cg *bipartite.Graph, locals []localGroup, lh *HotSet, p Params) []localGroup {
-	var out []localGroup
-	for _, grp := range locals {
-		// Same fault-injection surface as the global screening loops: a
-		// fault armed on "core.screen.group" fires here too (a panic is
-		// recovered into the shard result and rethrown at merge, exactly
-		// like a pruning-stage panic).
-		faultinject.Hit("core.screen.group")
-		users, items := screenOne(cg, detect.Group{Users: grp.Users, Items: grp.Items}, lh, p, nil, 0)
-		if len(users) == 0 || len(items) == 0 {
-			continue
-		}
-		if len(users) == len(grp.Users) && len(items) == len(grp.Items) {
-			out = append(out, localGroup{Users: users, Items: items})
-			continue
-		}
-		sub, err := bipartite.InducedSubgraph(cg, users, items)
-		if err != nil {
-			// IDs came from cg itself; out-of-range is impossible.
-			panic("core: screening produced invalid IDs: " + err.Error())
-		}
-		for _, c := range bipartite.ConnectedComponents(sub) {
-			if len(c.Users) >= p.K1 && len(c.Items) >= p.K2 {
-				out = append(out, localGroup{Users: c.Users, Items: c.Items})
-			}
-		}
-	}
-	return out
 }
 
 // translateGroups maps component-local groups back to original IDs through
@@ -489,8 +450,12 @@ func translateGroups(locals []localGroup, userOf, itemOf []bipartite.NodeID) []d
 }
 
 // mapIDs translates sorted local IDs back to original IDs; the mapping is
-// strictly increasing, so the output stays sorted.
+// strictly increasing, so the output stays sorted. A nil mapping is the
+// identity (a graph already in original IDs) and copies nothing.
 func mapIDs(local, of []bipartite.NodeID) []bipartite.NodeID {
+	if of == nil {
+		return local
+	}
 	out := make([]bipartite.NodeID, len(local))
 	for i, id := range local {
 		out[i] = of[id]
