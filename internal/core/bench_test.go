@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -52,8 +53,10 @@ func BenchmarkScreenGroupsSmall(b *testing.B) {
 // BenchmarkSquareRoundCounterReuse isolates the counter-pooling win: a
 // square round over a stable biclique (no victims, so no output growth)
 // with a warm pool allocates zero counter state — before pooling, every
-// round built a fresh graph-sized commonCounter per worker. The one
-// residual alloc (112 B) is the predicate closure, not counter state.
+// round built a fresh graph-sized commonCounter per worker. The residual
+// allocs (5, 282 B) are the predicate closure and parallelFilter's per-round
+// keep slice, cursor and worker closure — O(candidates) bytes, not counter
+// state.
 func BenchmarkSquareRoundCounterReuse(b *testing.B) {
 	g := plantedGraph(40, 40, 3, 0, 0, 0, 1)
 	p := params(10, 10, 1.0)
@@ -63,11 +66,19 @@ func BenchmarkSquareRoundCounterReuse(b *testing.B) {
 	ctx := context.Background()
 	wide := newWideMasks(g)
 	wide.refresh(g)
-	squareRoundUsers(ctx, g, p, ids, pool, wide) // warm the pool
+	// Fresh certificates every round: every user is walked, as in round 1.
+	cert := newCertificates(g.NumUsers(), p.K1)
+	round := func() {
+		for u := range cert.lost {
+			cert.lost[u] = true
+		}
+		squareRoundUsers(ctx, g, p, ids, pool, wide, cert)
+	}
+	round() // warm the pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		squareRoundUsers(ctx, g, p, ids, pool, wide)
+		round()
 	}
 }
 
@@ -107,6 +118,34 @@ func BenchmarkDetectReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		refDetect(ds.Graph, DefaultParams())
+	}
+}
+
+// batchShape is the batch_detect benchmark's marketplace: DefaultConfig at
+// twice its attack density (16 crews). Its residual after core pruning is one
+// giant component, so square pruning is nearly all of a detection.
+func batchShape() *synth.Dataset {
+	cfg := synth.DefaultConfig()
+	cfg.Attack.Groups = 16
+	return synth.MustGenerate(cfg)
+}
+
+// BenchmarkDetectBatchShape times one batch detection of batchShape, so the
+// fixpoint kernel can be timed without the benchmark harness: Workers 0 uses
+// every core, Workers 1 is its serial twin.
+func BenchmarkDetectBatchShape(b *testing.B) {
+	ds := batchShape()
+	for _, workers := range []int{0, 1} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			d := &Detector{Params: DefaultParams()}
+			d.Params.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.DetectContext(context.Background(), ds.Graph); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bipartite"
 	"repro/internal/faultinject"
@@ -28,7 +30,9 @@ import (
 // within two hops of a removal can change verdict between rounds. The
 // dirty-frontier loop (frontier.prune) exploits this by observing every
 // removal and re-evaluating only the marked frontier; see DESIGN.md §10 for
-// the soundness argument.
+// the soundness argument. A frontier vertex whose last passing test left a
+// survivor certificate that still holds survives without a walk (DESIGN.md
+// §10.6).
 
 // PruneStats reports what pruning removed.
 type PruneStats struct {
@@ -57,10 +61,10 @@ func PruneCtx(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span) (
 }
 
 // testSquareEvalHook, when non-nil, is invoked for every live vertex whose
-// square condition is actually evaluated during fixpoint rounds. Tests use
-// it to assert the frontier never re-evaluates vertices far from every
-// removal. Only set it with Workers=1 — parallel rounds would race on the
-// hook's state.
+// square condition is actually walked during fixpoint rounds (a vertex whose
+// certificate holds is not). Tests use it to assert the frontier never
+// re-evaluates vertices far from every removal. Only set it with Workers=1 —
+// parallel rounds would race on the hook's state.
 var testSquareEvalHook func(side bipartite.Side, id bipartite.NodeID)
 
 func newFrontier(g *bipartite.Graph) *frontier {
@@ -97,7 +101,8 @@ func newFrontier(g *bipartite.Graph) *frontier {
 //     scan.
 //
 // The user-side evaluations go through the wide-item masks (wideMasks), built
-// once after the first core fixpoint.
+// once after the first core fixpoint, next to the survivor certificates that
+// let a taken vertex skip its walk.
 func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Observer, a *auditor) (PruneStats, error) {
 	var st PruneStats
 	g := fr.g
@@ -110,9 +115,10 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 	st.Rounds = 1
 	rsp := sp.Start("round")
 	removed := corePruneFixpoint(g, p, a, st.Rounds)
+	wide := newWideMasks(g)
+	fr.certU, fr.certI = newCertificates(g.NumUsers(), p.K1), newCertificates(g.NumItems(), p.K2)
 	prev := g.SetRemovalObserver(fr)
 	defer g.SetRemovalObserver(prev)
-	wide := newWideMasks(g)
 
 	first := true
 	for {
@@ -135,7 +141,7 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 			evalU = fr.users.take()
 		}
 		wide.refresh(g)
-		uVictims := squareRoundUsers(ctx, g, p, evalU, pool, wide)
+		uVictims := squareRoundUsers(ctx, g, p, evalU, pool, wide, fr.certU)
 		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, ceilMul(p.K2, p.Alpha), p.K1)
 		for _, u := range uVictims {
 			g.RemoveUser(u)
@@ -151,7 +157,7 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 			fr.expand()
 			evalI = fr.items.take()
 		}
-		iVictims := squareRoundItems(ctx, g, p, evalI, pool)
+		iVictims := squareRoundItems(ctx, g, p, evalI, pool, fr.certI)
 		a.squareRemovals(bipartite.ItemSide, iVictims, st.Rounds, ceilMul(p.K1, p.Alpha), p.K2)
 		for _, v := range iVictims {
 			g.RemoveItem(v)
@@ -168,6 +174,7 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 		rsp.SetInt("frontier_size", int64(len(evalU)+len(evalI)))
 		rsp.End()
 		o.Counter("core.frontier.evaluated").Add(int64(len(evalU) + len(evalI)))
+		o.Counter("core.frontier.certified").Add(pool.certified.Swap(0))
 
 		if err := ctx.Err(); err != nil {
 			// The cancelled evaluations above consumed dirty marks they did
@@ -265,18 +272,25 @@ func (s *dirtySet) reset() {
 // expansion and u was marked through it; if v died first, u was marked by
 // v's own 1-hop hook — so the taken frontier remains a superset of the
 // vertices whose verdict can have changed, which is all equivalence needs.
+//
+// The same 1-hop marks also set the lost bit of each neighbour's survivor
+// certificate: its live neighbourhood shrank, so its witnesses no longer
+// prove anything.
 type frontier struct {
 	g     *bipartite.Graph
 	users *dirtySet
 	items *dirtySet
 	walkU *dirtySet // users adjacent to removed items, pending a one-hop expansion
 	walkI *dirtySet // items adjacent to removed users, pending a one-hop expansion
+	certU *certificates
+	certI *certificates
 }
 
 func (f *frontier) UserRemoved(x bipartite.NodeID) {
 	f.g.EachUserNeighbor(x, func(v bipartite.NodeID, _ uint32) bool {
 		f.items.mark(v)
 		f.walkI.mark(v)
+		f.certI.lost[v] = true
 		return true
 	})
 }
@@ -285,6 +299,7 @@ func (f *frontier) ItemRemoved(y bipartite.NodeID) {
 	f.g.EachItemNeighbor(y, func(u bipartite.NodeID, _ uint32) bool {
 		f.users.mark(u)
 		f.walkU.mark(u)
+		f.certU.lost[u] = true
 		return true
 	})
 }
@@ -307,6 +322,49 @@ func (f *frontier) expand() {
 			f.items.mark(v)
 			return true
 		})
+	}
+}
+
+// certificates are one side's survivor certificates for one fixpoint
+// (DESIGN.md §10.6). A passing square test of vertex x finds, in order, the k
+// vertices of its side whose common count with x reaches need — x itself
+// among them — and records them as its witnesses. While no neighbour of x has
+// died since, x's live neighbourhood is the one the test saw, so every
+// witness still alive still reaches need with x and x passes again: holds
+// lets a round skip the walk.
+type certificates struct {
+	k    int
+	wit  []bipartite.NodeID // x's witnesses are wit[x*k:][:k]
+	lost []bool             // x has no certificate that holds: until its first pass, after a failing test, once a neighbour dies
+}
+
+func newCertificates(n, k int) *certificates {
+	cs := &certificates{k: k, wit: make([]bipartite.NodeID, n*k), lost: make([]bool, n)}
+	for x := range cs.lost {
+		cs.lost[x] = true
+	}
+	return cs
+}
+
+// holds reports whether x's certificate still proves that x survives.
+func (cs *certificates) holds(x bipartite.NodeID, alive func(bipartite.NodeID) bool) bool {
+	if cs.lost[x] {
+		return false
+	}
+	for _, w := range cs.wit[int(x)*cs.k:][:cs.k] {
+		if !alive(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// record keeps the outcome of x's square test; wit is what the test found,
+// exactly k witnesses when it passed.
+func (cs *certificates) record(x bipartite.NodeID, pass bool, wit []bipartite.NodeID) {
+	cs.lost[x] = !pass
+	if pass {
+		copy(cs.wit[int(x)*cs.k:][:cs.k], wit)
 	}
 }
 
@@ -386,12 +444,14 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 // countsU/countsI are indexed by vertex ID; touched remembers which slots to
 // reset, keeping amortized cost proportional to work done.
 type commonCounter struct {
-	countsU []int32
-	countsI []int32
-	touched []bipartite.NodeID
-	nbrs    []bipartite.NodeID
-	keys    []uint64 // sortByDegree scratch
-	steps   int      // arcs and mask words read by the masked user test, accumulated
+	countsU   []int32
+	countsI   []int32
+	touched   []bipartite.NodeID
+	nbrs      []bipartite.NodeID
+	keys      []uint64           // sortByDegree scratch
+	wit       []bipartite.NodeID // the candidates the last test counted at ≥ need, in order: a pass's witnesses
+	steps     int                // arcs and mask words read by the masked user test, accumulated
+	certified int                // vertices whose certificate held, since the counter was last pooled
 }
 
 func newCommonCounter(numUsers, numItems int) *commonCounter {
@@ -404,9 +464,12 @@ func newCommonCounter(numUsers, numItems int) *commonCounter {
 // counterPool recycles commonCounters across the rounds and workers of one
 // pruning fixpoint. The counters are graph-sized (component-sized inside a
 // compacted shard, which is why each shard builds its own pool), so reuse
-// means steady-state rounds allocate no counter state at all.
+// means steady-state rounds allocate no counter state at all. A counter
+// handed back adds its certified count to the pool's, so the workers of a
+// round tally without sharing a word.
 type counterPool struct {
-	pool sync.Pool
+	pool      sync.Pool
+	certified atomic.Int64
 }
 
 func newCounterPool(numUsers, numItems int) *counterPool {
@@ -415,8 +478,13 @@ func newCounterPool(numUsers, numItems int) *counterPool {
 	return cp
 }
 
-func (cp *counterPool) get() *commonCounter  { return cp.pool.Get().(*commonCounter) }
-func (cp *counterPool) put(c *commonCounter) { cp.pool.Put(c) }
+func (cp *counterPool) get() *commonCounter { return cp.pool.Get().(*commonCounter) }
+
+func (cp *counterPool) put(c *commonCounter) {
+	cp.certified.Add(int64(c.certified))
+	c.certified = 0
+	cp.pool.Put(c)
+}
 
 // maxWide is the number of wide items a wideMasks indexes: one bit each of
 // a machine word.
@@ -498,8 +566,12 @@ func (wm *wideMasks) refresh(g *bipartite.Graph) {
 //     columns together are at least that long; otherwise they are walked
 //     like any other item. Either way one evaluation costs no more than the
 //     plain walk's Σ deg.
+//
+// Every candidate counted at ≥ need, by the walk or a finish, is appended to
+// c.wit in the order found: on a pass, u's k1 witnesses.
 func squareSurvivesUserWide(g *bipartite.Graph, u bipartite.NodeID, need, k1 int, c *commonCounter, wm *wideMasks) bool {
 	c.nbrs = c.nbrs[:0]
+	c.wit = c.wit[:0]
 	c.steps += len(g.UserArcs(u))
 	wideSteps := 0 // what walking u's live wide columns would cost
 	for _, a := range g.UserArcs(u) {
@@ -539,6 +611,7 @@ walk:
 			}
 			c.countsU[y] = n + 1
 			if int(n)+1 == need {
+				c.wit = append(c.wit, y)
 				if num++; num >= k1 {
 					break walk
 				}
@@ -556,6 +629,7 @@ walk:
 				continue
 			}
 			if n := int(c.countsU[y]); n < need && n+bits.OnesCount64(my&mu) >= need {
+				c.wit = append(c.wit, bipartite.NodeID(y))
 				if num++; num >= k1 {
 					break
 				}
@@ -565,6 +639,7 @@ walk:
 		c.steps += len(c.touched)
 		for _, y := range c.touched {
 			if n := int(c.countsU[y]); n < need && n+bits.OnesCount64(wm.user[y]&mu) >= need {
+				c.wit = append(c.wit, y)
 				if num++; num >= k1 {
 					break
 				}
@@ -579,9 +654,11 @@ walk:
 
 // squareSurvivesItem is the item-side dual of squareSurvivesUserWide, by a
 // plain 2-hop walk: whether item v has at least k2 items (itself included)
-// sharing ≥ need live users with it.
+// sharing ≥ need live users with it. Its witnesses go to c.wit in the same
+// way.
 func squareSurvivesItem(g *bipartite.Graph, v bipartite.NodeID, need, k2 int, c *commonCounter) bool {
 	c.nbrs = c.nbrs[:0]
+	c.wit = c.wit[:0]
 	g.EachItemNeighbor(v, func(u bipartite.NodeID, _ uint32) bool {
 		c.nbrs = append(c.nbrs, u)
 		return true
@@ -598,6 +675,7 @@ func squareSurvivesItem(g *bipartite.Graph, v bipartite.NodeID, need, k2 int, c 
 			}
 			c.countsI[v2]++
 			if int(c.countsI[v2]) == need {
+				c.wit = append(c.wit, v2)
 				num++
 				if num >= k2 {
 					ok = true
@@ -638,93 +716,98 @@ func sortByDegree(ids []bipartite.NodeID, deg func(bipartite.NodeID) int, keys [
 // candidate users against the frozen graph, in parallel, and returns the
 // victims in candidate order. Candidates must be sorted ascending; dead
 // candidates (stale frontier marks) are skipped, so the victim sequence is
-// exactly the one a full LiveUserIDs scan would produce. wide must have been
-// refreshed for this round.
-func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool, wide *wideMasks) []bipartite.NodeID {
+// exactly the one a full LiveUserIDs scan would produce. A candidate whose
+// certificate in cert holds survives without a walk; every walk leaves a new
+// one. wide must have been refreshed for this round.
+func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool, wide *wideMasks, cert *certificates) []bipartite.NodeID {
 	need := ceilMul(p.K2, p.Alpha)
 	return parallelFilter(ctx, ids, p.workers(), func(c *commonCounter, u bipartite.NodeID) bool {
 		if !g.UserAlive(u) {
 			return false
 		}
+		if cert.holds(u, g.UserAlive) {
+			c.certified++
+			return false
+		}
 		if h := testSquareEvalHook; h != nil {
 			h(bipartite.UserSide, u)
 		}
-		return !squareSurvivesUserWide(g, u, need, p.K1, c, wide)
+		pass := squareSurvivesUserWide(g, u, need, p.K1, c, wide)
+		cert.record(u, pass, c.wit)
+		return !pass
 	}, pool)
 }
 
 // squareRoundItems is the item-side dual of squareRoundUsers.
-func squareRoundItems(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool) []bipartite.NodeID {
+func squareRoundItems(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool, cert *certificates) []bipartite.NodeID {
 	need := ceilMul(p.K1, p.Alpha)
 	return parallelFilter(ctx, ids, p.workers(), func(c *commonCounter, v bipartite.NodeID) bool {
 		if !g.ItemAlive(v) {
 			return false
 		}
+		if cert.holds(v, g.ItemAlive) {
+			c.certified++
+			return false
+		}
 		if h := testSquareEvalHook; h != nil {
 			h(bipartite.ItemSide, v)
 		}
-		return !squareSurvivesItem(g, v, need, p.K2, c)
+		pass := squareSurvivesItem(g, v, need, p.K2, c)
+		cert.record(v, pass, c.wit)
+		return !pass
 	}, pool)
 }
 
+// filterGrain is how many consecutive IDs a parallelFilter worker takes at a
+// time: small enough that no worker is left with a dear tail while another
+// idles, large enough that the shared cursor is touched rarely.
+const filterGrain = 32
+
 // parallelFilter returns the IDs for which pred is true, preserving input
-// order. Each worker leases a private counter from pool for the duration of
-// its chunk. Workers poll ctx every 256 vertices and stop early when it is
-// cancelled; the caller must treat a cancelled round's output as truncated
-// (the fixpoint loops re-check ctx after applying it).
+// order. Up to workers workers — the calling goroutine is one of them — take
+// grains of filterGrain IDs from a shared cursor until none are left, so a
+// round's cost spreads over the workers however it is skewed by ID; each
+// result is written by position. Each worker leases a private counter from
+// pool while it runs, polls ctx before every grain and yields the processor
+// after it, so goroutines serving other requests are not starved by a long
+// round. A cancelled worker stops early; the caller must treat a cancelled
+// round's output as truncated (the fixpoint loops re-check ctx after applying
+// it). No worker outlives the call.
 func parallelFilter(ctx context.Context, ids []bipartite.NodeID, workers int,
 	pred func(*commonCounter, bipartite.NodeID) bool, pool *counterPool) []bipartite.NodeID {
 
-	if workers < 1 {
-		workers = 1
+	if len(ids) == 0 {
+		return nil
 	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		if len(ids) == 0 {
-			return nil
-		}
+	keep := make([]bool, len(ids))
+	var next atomic.Int64
+	work := func() {
 		c := pool.get()
 		defer pool.put(c)
-		var out []bipartite.NodeID
-		for i, id := range ids {
-			if i&0xff == 0 && ctx.Err() != nil {
-				return out
+		for {
+			lo := int(next.Add(filterGrain)) - filterGrain
+			if lo >= len(ids) || ctx.Err() != nil {
+				return
 			}
-			if pred(c, id) {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-
-	keep := make([]bool, len(ids))
-	var wg sync.WaitGroup
-	chunk := (len(ids) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			c := pool.get()
-			defer pool.put(c)
-			for i := lo; i < hi; i++ {
-				if i&0xff == 0 && ctx.Err() != nil {
-					return
-				}
+			for i := lo; i < min(lo+filterGrain, len(ids)); i++ {
 				keep[i] = pred(c, ids[i])
 			}
-		}(lo, hi)
+			runtime.Gosched()
+		}
 	}
-	wg.Wait()
+	workers = min(max(workers, 1), (len(ids)+filterGrain-1)/filterGrain)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	func() {
+		defer wg.Wait() // even if this worker panics, the others finish first
+		work()
+	}()
 	var out []bipartite.NodeID
 	for i, k := range keep {
 		if k {

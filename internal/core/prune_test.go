@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/bipartite"
 )
@@ -194,18 +196,23 @@ func TestPruneFixpointPostconditions(t *testing.T) {
 
 func TestParallelFilterMatchesSerial(t *testing.T) {
 	g := plantedGraph(12, 12, 5, 100, 100, 800, 11)
+	ctx := context.Background()
 	pSerial := params(10, 10, 1.0)
 	pSerial.Workers = 1
-	pPar := pSerial
-	pPar.Workers = 8
 
 	pool := newCounterPool(g.NumUsers(), g.NumItems())
 	wide := newWideMasks(g)
 	wide.refresh(g)
-	serialU := squareRoundUsers(context.Background(), g, pSerial, g.LiveUserIDs(), pool, wide)
-	parU := squareRoundUsers(context.Background(), g, pPar, g.LiveUserIDs(), pool, wide)
-	if !slices.Equal(serialU, parU) {
-		t.Errorf("parallel victims %v, serial %v", parU, serialU)
+	round := func(p Params) []bipartite.NodeID {
+		return squareRoundUsers(ctx, g, p, g.LiveUserIDs(), pool, wide, newCertificates(g.NumUsers(), p.K1))
+	}
+	serialU := round(pSerial)
+	for _, workers := range []int{2, 8} {
+		pPar := pSerial
+		pPar.Workers = workers
+		if parU := round(pPar); !slices.Equal(serialU, parU) {
+			t.Errorf("workers %d: parallel victims %v, serial %v", workers, parU, serialU)
+		}
 	}
 	var walkU []bipartite.NodeID
 	for _, u := range g.LiveUserIDs() {
@@ -216,6 +223,94 @@ func TestParallelFilterMatchesSerial(t *testing.T) {
 	if !slices.Equal(serialU, walkU) {
 		t.Errorf("masked victims %v, plain walk %v", serialU, walkU)
 	}
+}
+
+// TestParallelFilterSkewedAndCancelled runs parallelFilter on a predicate
+// whose cost is skewed by ID — every 97th ID is 100× dearer, the shape that
+// left a worker idle under one fixed range per worker — and checks, at
+// Workers 2 and 8, that the grains give the serial output, that a round
+// cancelled midway returns an order-preserving subset of it with nothing
+// from the grains after the cancel, and that no worker outlives the call.
+func TestParallelFilterSkewedAndCancelled(t *testing.T) {
+	ids := make([]bipartite.NodeID, 2000)
+	for i := range ids {
+		ids[i] = bipartite.NodeID(i)
+	}
+	pred := func(_ *commonCounter, id bipartite.NodeID) bool {
+		n := 200
+		if id%97 == 0 {
+			n *= 100
+		}
+		x := uint32(id)
+		for i := 0; i < n; i++ {
+			x = x*1664525 + 1013904223
+		}
+		return x%3 == 0
+	}
+	var want []bipartite.NodeID
+	for _, id := range ids {
+		if pred(nil, id) {
+			want = append(want, id)
+		}
+	}
+	pool := newCounterPool(0, 0)
+	ctx := context.Background()
+	settled := func(base int) bool {
+		for i := 0; i < 100; i++ {
+			if runtime.NumGoroutine() <= base {
+				return true
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	}
+
+	const cancelAt = 1000
+	for _, workers := range []int{1, 2, 8} {
+		base := runtime.NumGoroutine()
+		if got := parallelFilter(ctx, ids, workers, pred, pool); !slices.Equal(got, want) {
+			t.Errorf("workers %d: %d kept, serial keeps %d", workers, len(got), len(want))
+		}
+
+		// The worker that meets cancelAt cancels. A worker reaching the
+		// grains after it waits for the cancel there, so it holds at most
+		// one grain that started before the cancel and takes no other.
+		cctx, cancel := context.WithCancel(ctx)
+		cancelled := make(chan struct{})
+		next := bipartite.NodeID((cancelAt/filterGrain + 1) * filterGrain)
+		got := parallelFilter(cctx, ids, workers, func(c *commonCounter, id bipartite.NodeID) bool {
+			switch {
+			case id == cancelAt:
+				cancel()
+				close(cancelled)
+			case id >= next:
+				<-cancelled
+			}
+			return pred(c, id)
+		}, pool)
+		cancel()
+		limit := next + bipartite.NodeID((workers-1)*filterGrain)
+		if len(got) == 0 || got[len(got)-1] >= limit {
+			t.Errorf("workers %d: cancelled round kept %v, want a prefix ending below %d", workers, got, limit)
+		}
+		if !isSubsequence(got, want) {
+			t.Errorf("workers %d: cancelled round output is not an order-preserving subset of the full round", workers)
+		}
+		if !settled(base) {
+			t.Errorf("workers %d: %d goroutines after the call, %d before", workers, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// isSubsequence reports whether sub is a subsequence of seq.
+func isSubsequence(sub, seq []bipartite.NodeID) bool {
+	i := 0
+	for _, x := range seq {
+		if i < len(sub) && sub[i] == x {
+			i++
+		}
+	}
+	return i == len(sub)
 }
 
 func TestExtractGroupsSizeFilter(t *testing.T) {
