@@ -46,7 +46,7 @@ func (b *Builder) AddEdges(edges []Edge) {
 }
 
 // Grow reserves room for n more records, so that a caller that knows its
-// row count (clicktable.Table.ToGraph, Compact) pays for one buffer instead
+// row count (clicktable.Table.ToGraph) pays for one buffer instead
 // of append's doubling.
 func (b *Builder) Grow(n int) { b.edges = slices.Grow(b.edges, n) }
 
@@ -146,35 +146,19 @@ func FromEdges(edges []Edge) *Graph {
 	return b.Build()
 }
 
-// Compact rewrites the graph dropping dead vertices and returns the new
-// graph along with mappings from new IDs back to the IDs in g. Algorithms
-// that repeatedly scan all vertices after heavy pruning use this to shrink
-// their working set.
-func Compact(g *Graph) (c *Graph, userOf, itemOf []NodeID) {
-	userOf = g.LiveUserIDs()
-	itemOf = g.LiveItemIDs()
-	newU := make(map[NodeID]NodeID, len(userOf))
-	newV := make(map[NodeID]NodeID, len(itemOf))
-	for i, u := range userOf {
-		newU[u] = NodeID(i)
-	}
-	for i, v := range itemOf {
-		newV[v] = NodeID(i)
-	}
-	b := NewBuilder(len(userOf), len(itemOf))
-	b.Grow(g.LiveEdges())
-	for _, u := range userOf {
-		g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
-			b.Add(newU[u], newV[v], w)
-			return true
-		})
-	}
-	return b.Build(), userOf, itemOf
-}
-
 // InducedSubgraph returns the subgraph of g induced by the given user and
 // item sets, in the original ID space (vertices outside the sets are dead in
-// the result). Unknown IDs are rejected with an error.
+// the result). Unknown IDs are rejected with an error; duplicates and dead
+// IDs are allowed, and a dead vertex stays dead.
+//
+// It is the one subgraph constructor, with two legs that leave identical
+// state — liveness, live degrees and strengths, LiveEdges, LiveClicks, and
+// a removal epoch one above g's per live vertex dropped — and take the
+// cheaper walk: building fresh liveness state costs the kept users' arcs,
+// cloning g's and removing the rest costs the dropped vertices' arcs. Both
+// live-degree sums come from the kept sets alone (each side's degrees sum to
+// LiveEdges), so the choice costs O(kept). A seed ball that keeps a fifth of
+// the users builds; a repartition that keeps nearly everything removes.
 func InducedSubgraph(g *Graph, users, items []NodeID) (*Graph, error) {
 	for _, u := range users {
 		if int(u) >= g.NumUsers() {
@@ -186,26 +170,73 @@ func InducedSubgraph(g *Graph, users, items []NodeID) (*Graph, error) {
 			return nil, fmt.Errorf("bipartite: induced subgraph: item %d out of range", v)
 		}
 	}
-	sub := g.Clone()
-	keepU := make(map[NodeID]bool, len(users))
-	keepV := make(map[NodeID]bool, len(items))
+	// keepU/keepV mark the kept live vertices once each: the build leg's
+	// liveness, the remove leg's membership test.
+	keepU := make([]bool, g.NumUsers())
+	keepV := make([]bool, g.NumItems())
+	var liveU, liveV, keptUserDeg, keptItemDeg int
 	for _, u := range users {
-		keepU[u] = true
+		if g.uAlive[u] && !keepU[u] {
+			keepU[u] = true
+			liveU++
+			keptUserDeg += int(g.uDeg[u])
+		}
 	}
 	for _, v := range items {
-		keepV[v] = true
+		if g.vAlive[v] && !keepV[v] {
+			keepV[v] = true
+			liveV++
+			keptItemDeg += int(g.vDeg[v])
+		}
 	}
-	sub.EachLiveUser(func(u NodeID) bool {
-		if !keepU[u] {
-			sub.RemoveUser(u)
+	if dropDeg := 2*g.liveEdges - keptUserDeg - keptItemDeg; keptUserDeg > dropDeg {
+		return removeOutside(g, keepU, keepV), nil
+	}
+
+	sub := &Graph{
+		uAdj:      g.uAdj,
+		vAdj:      g.vAdj,
+		uAlive:    keepU,
+		vAlive:    keepV,
+		uDeg:      make([]int32, g.NumUsers()),
+		vDeg:      make([]int32, g.NumItems()),
+		uStrength: make([]uint64, g.NumUsers()),
+		vStrength: make([]uint64, g.NumItems()),
+		liveUsers: liveU,
+		liveItems: liveV,
+		removals:  g.removals + uint64(g.liveUsers-liveU+g.liveItems-liveV),
+	}
+	for u, kept := range keepU {
+		if !kept {
+			continue
 		}
-		return true
-	})
-	sub.EachLiveItem(func(v NodeID) bool {
-		if !keepV[v] {
-			sub.RemoveItem(v)
+		for _, a := range g.uAdj[u] {
+			if keepV[a.To] {
+				sub.uDeg[u]++
+				sub.uStrength[u] += uint64(a.Weight)
+				sub.vDeg[a.To]++
+				sub.vStrength[a.To] += uint64(a.Weight)
+				sub.liveEdges++
+				sub.liveClick += uint64(a.Weight)
+			}
 		}
-		return true
-	})
+	}
 	return sub, nil
+}
+
+// removeOutside is InducedSubgraph's remove leg: g cloned, then every live
+// vertex outside keepU/keepV removed.
+func removeOutside(g *Graph, keepU, keepV []bool) *Graph {
+	sub := g.Clone()
+	for u, alive := range sub.uAlive {
+		if alive && !keepU[u] {
+			sub.RemoveUser(NodeID(u))
+		}
+	}
+	for v, alive := range sub.vAlive {
+		if alive && !keepV[v] {
+			sub.RemoveItem(NodeID(v))
+		}
+	}
+	return sub
 }

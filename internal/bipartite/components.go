@@ -1,6 +1,10 @@
 package bipartite
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // Component is a connected set of live users and items.
 type Component struct {
@@ -52,8 +56,8 @@ func ConnectedComponents(g *Graph) []Component {
 				})
 			}
 		}
-		sort.Slice(comp.Users, func(i, j int) bool { return comp.Users[i] < comp.Users[j] })
-		sort.Slice(comp.Items, func(i, j int) bool { return comp.Items[i] < comp.Items[j] })
+		slices.Sort(comp.Users)
+		slices.Sort(comp.Items)
 		return comp
 	}
 
@@ -72,21 +76,33 @@ func ConnectedComponents(g *Graph) []Component {
 		return true
 	})
 
-	sort.SliceStable(comps, func(i, j int) bool { return comps[i].Size() > comps[j].Size() })
+	slices.SortStableFunc(comps, func(a, b Component) int { return cmp.Compare(b.Size(), a.Size()) })
 	return comps
 }
+
+// itemIndexPool lends CompactComponent its dense original→local item
+// index, sized to the source graph's items. Entries are never cleared: a
+// read counts only when it round-trips through the component's own itemOf,
+// so an entry left by an earlier component is rejected, not trusted. Pooling
+// keeps a residual that shatters into thousands of components from paying
+// NumItems per component.
+var itemIndexPool = sync.Pool{New: func() any { return new([]NodeID) }}
 
 // CompactComponent builds a standalone compact graph containing exactly the
 // vertices of comp, which must be closed under live adjacency in g — e.g. an
 // element of ConnectedComponents(g). It returns the compact graph and the
-// local→original ID mappings for both sides.
+// local→original ID mappings for both sides. A live neighbour outside comp
+// panics.
 //
 // Local IDs are assigned by position in comp.Users/comp.Items (both sorted
 // ascending), so userOf and itemOf are strictly increasing: ID comparisons,
 // and therefore every ID-ordered traversal, agree between the compact graph
-// and g. Unlike Compact, no Builder round-trip and no whole-graph scan is
-// involved — the cost is proportional to the component alone, which is what
-// the sharded pruning path relies on.
+// and g. The cost is the component's own arcs plus its vertex count — no
+// Builder round-trip, no whole-graph scan, no hashing — which is what the
+// sharded pruning path relies on: the user rows are read through a pooled
+// dense item index into one arc slab, and the item rows are their transpose
+// (filled in ascending local user order, so already sorted), with each
+// item's transposed degree checked against its live degree in g.
 //
 // The compact graph starts at removal epoch 0 with no removal observer:
 // incremental passes attach their own per-shard observer to c, and the
@@ -94,47 +110,66 @@ func ConnectedComponents(g *Graph) []Component {
 // them through g.RemoveUser/RemoveItem.
 func CompactComponent(g *Graph, comp Component) (c *Graph, userOf, itemOf []NodeID) {
 	userOf, itemOf = comp.Users, comp.Items
-	localU := make(map[NodeID]NodeID, len(userOf))
-	localV := make(map[NodeID]NodeID, len(itemOf))
-	for i, u := range userOf {
-		localU[u] = NodeID(i)
+	idxp := itemIndexPool.Get().(*[]NodeID)
+	defer itemIndexPool.Put(idxp)
+	if len(*idxp) < g.NumItems() {
+		*idxp = make([]NodeID, g.NumItems())
 	}
-	for i, v := range itemOf {
-		localV[v] = NodeID(i)
+	localV := *idxp
+	for lv, v := range itemOf {
+		localV[v] = NodeID(lv)
 	}
 
 	c = NewGraph(len(userOf), len(itemOf))
-	for lu, u := range userOf {
-		arcs := make([]Arc, 0, g.UserDegree(u))
-		g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
-			lv, ok := localV[v]
-			if !ok {
-				panic("bipartite: CompactComponent: neighbor outside component")
-			}
-			// EachUserNeighbor ascends by original item ID and localV is
-			// monotone, so arcs stay sorted by To.
-			arcs = append(arcs, Arc{To: lv, Weight: w})
-			c.uStrength[lu] += uint64(w)
-			c.vStrength[lv] += uint64(w)
-			c.vDeg[lv]++
-			c.liveEdges++
-			c.liveClick += uint64(w)
-			return true
-		})
-		c.uAdj[lu] = arcs
-		c.uDeg[lu] = int32(len(arcs))
+	arcs := 0
+	for _, u := range userOf {
+		arcs += g.UserDegree(u)
 	}
-	for lv, v := range itemOf {
-		arcs := make([]Arc, 0, c.vDeg[lv])
-		g.EachItemNeighbor(v, func(u NodeID, w uint32) bool {
-			lu, ok := localU[u]
-			if !ok {
-				panic("bipartite: CompactComponent: neighbor outside component")
+	rows := make([]Arc, arcs)
+	w := 0
+	for lu, u := range userOf {
+		start := w
+		if g.UserAlive(u) {
+			for _, a := range g.uAdj[u] {
+				if !g.vAlive[a.To] {
+					continue
+				}
+				lv := localV[a.To]
+				if int(lv) >= len(itemOf) || itemOf[lv] != a.To {
+					panic("bipartite: CompactComponent: neighbor outside component")
+				}
+				// uAdj ascends by original item ID and localV is monotone
+				// on comp, so the row stays sorted by To.
+				rows[w] = Arc{To: lv, Weight: a.Weight}
+				w++
+				c.uStrength[lu] += uint64(a.Weight)
+				c.vStrength[lv] += uint64(a.Weight)
+				c.vDeg[lv]++
+				c.liveClick += uint64(a.Weight)
 			}
-			arcs = append(arcs, Arc{To: lu, Weight: w})
-			return true
-		})
-		c.vAdj[lv] = arcs
+		}
+		c.uAdj[lu] = rows[start:w:w]
+		c.uDeg[lu] = int32(w - start)
+	}
+	c.liveEdges = w
+
+	// Item rows: the transpose of the user rows. An item whose live degree
+	// in g exceeds the arcs its component's users gave it has a live
+	// neighbour outside comp.
+	cols := make([]Arc, w)
+	w = 0
+	for lv, v := range itemOf {
+		d := int(c.vDeg[lv])
+		if d != g.ItemDegree(v) {
+			panic("bipartite: CompactComponent: neighbor outside component")
+		}
+		c.vAdj[lv] = cols[w : w : w+d]
+		w += d
+	}
+	for lu, row := range c.uAdj {
+		for _, a := range row {
+			c.vAdj[a.To] = append(c.vAdj[a.To], Arc{To: NodeID(lu), Weight: a.Weight})
+		}
 	}
 	return c, userOf, itemOf
 }

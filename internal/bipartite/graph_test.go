@@ -253,6 +253,31 @@ func TestInducedSubgraphRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// Compact rewrites the graph dropping dead vertices and returns the new
+// graph along with mappings from new IDs back to the IDs in g, through a
+// Builder round-trip. It is the oracle CompactComponent is checked against.
+func Compact(g *Graph) (c *Graph, userOf, itemOf []NodeID) {
+	userOf = g.LiveUserIDs()
+	itemOf = g.LiveItemIDs()
+	newU := make(map[NodeID]NodeID, len(userOf))
+	newV := make(map[NodeID]NodeID, len(itemOf))
+	for i, u := range userOf {
+		newU[u] = NodeID(i)
+	}
+	for i, v := range itemOf {
+		newV[v] = NodeID(i)
+	}
+	b := NewBuilder(len(userOf), len(itemOf))
+	b.Grow(g.LiveEdges())
+	for _, u := range userOf {
+		g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
+			b.Add(newU[u], newV[v], w)
+			return true
+		})
+	}
+	return b.Build(), userOf, itemOf
+}
+
 func TestCompact(t *testing.T) {
 	g := testGraph(t)
 	g.RemoveUser(0)

@@ -40,8 +40,28 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 		return g.Clone()
 	}
 
-	keepU := map[bipartite.NodeID]bool{}
-	keepV := map[bipartite.NodeID]bool{}
+	// The ball is marked in arrays and collected as lists in marking order;
+	// InducedSubgraph then costs the ball or, when the ball is nearly the
+	// whole graph, what lies outside it.
+	keepU := make([]bool, g.NumUsers())
+	keepV := make([]bool, g.NumItems())
+	var users, items []bipartite.NodeID
+	markU := func(u bipartite.NodeID) bool {
+		if keepU[u] {
+			return false
+		}
+		keepU[u] = true
+		users = append(users, u)
+		return true
+	}
+	markV := func(v bipartite.NodeID) bool {
+		if keepV[v] {
+			return false
+		}
+		keepV[v] = true
+		items = append(items, v)
+		return true
+	}
 	traverse := func(v bipartite.NodeID) bool {
 		return itemDegreeCap <= 0 || g.ItemDegree(v) <= itemDegreeCap
 	}
@@ -51,17 +71,16 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 		if !g.UserAlive(u) {
 			return
 		}
-		keepU[u] = true
+		markU(u)
 		g.EachUserNeighbor(u, func(v bipartite.NodeID, _ uint32) bool {
-			keepV[v] = true
+			markV(v)
 			if !traverse(v) {
 				return true
 			}
 			g.EachItemNeighbor(v, func(u2 bipartite.NodeID, _ uint32) bool {
-				if !keepU[u2] {
-					keepU[u2] = true
+				if markU(u2) {
 					g.EachUserNeighbor(u2, func(v2 bipartite.NodeID, _ uint32) bool {
-						keepV[v2] = true
+						markV(v2)
 						return true
 					})
 				}
@@ -77,23 +96,18 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 		if !g.ItemAlive(v) {
 			return
 		}
-		keepV[v] = true
+		markV(v)
 		if !traverse(v) {
 			return
 		}
 		g.EachItemNeighbor(v, func(u bipartite.NodeID, _ uint32) bool {
-			if !keepU[u] {
-				keepU[u] = true
+			if markU(u) {
 				g.EachUserNeighbor(u, func(v2 bipartite.NodeID, _ uint32) bool {
-					if keepV[v2] {
-						return true
-					}
-					keepV[v2] = true
-					if !traverse(v2) {
+					if !markV(v2) || !traverse(v2) {
 						return true
 					}
 					g.EachItemNeighbor(v2, func(u2 bipartite.NodeID, _ uint32) bool {
-						keepU[u2] = true
+						markU(u2)
 						return true
 					})
 					return true
@@ -110,19 +124,11 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 		expandItem(v)
 	}
 
-	sub := g.Clone()
-	sub.EachLiveUser(func(u bipartite.NodeID) bool {
-		if !keepU[u] {
-			sub.RemoveUser(u)
-		}
-		return true
-	})
-	sub.EachLiveItem(func(v bipartite.NodeID) bool {
-		if !keepV[v] {
-			sub.RemoveItem(v)
-		}
-		return true
-	})
+	sub, err := bipartite.InducedSubgraph(g, users, items)
+	if err != nil {
+		// Every ID was reached through g's own adjacency.
+		panic("core: graph generator produced invalid IDs: " + err.Error())
+	}
 	return sub
 }
 

@@ -32,11 +32,17 @@ type GroupStats struct {
 
 // ComputeGroupStats measures grp against the full click graph.
 func ComputeGroupStats(g *bipartite.Graph, grp detect.Group) GroupStats {
+	m := getMarks()
+	defer putMarks(m)
+	return groupStats(g, grp, m)
+}
+
+// groupStats is ComputeGroupStats with the caller's membership scratch,
+// which it leaves clear: Identify measures every group with one buffer.
+func groupStats(g *bipartite.Graph, grp detect.Group, m *groupMarks) GroupStats {
 	st := GroupStats{Users: len(grp.Users), Items: len(grp.Items)}
-	inGroup := make(map[bipartite.NodeID]bool, len(grp.Users))
-	for _, u := range grp.Users {
-		inGroup[u] = true
-	}
+	inGroup := m.markUsers(g, grp.Users)
+	defer unmark(inGroup, grp.Users)
 
 	var itemTotal uint64
 	for _, v := range grp.Items {

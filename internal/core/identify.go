@@ -49,6 +49,8 @@ func Identify(g *bipartite.Graph, res *detect.Result) {
 	for _, n := range res.RankedUsers {
 		score[slot(n.ID)] = n.Score
 	}
+	m := getMarks()
+	defer putMarks(m)
 	for gi := range res.Groups {
 		grp := &res.Groups[gi]
 		var sum float64
@@ -56,7 +58,7 @@ func Identify(g *bipartite.Graph, res *detect.Result) {
 			sum += score[slot(u)]
 		}
 		grp.Score = sum / float64(max(len(grp.Users), 1))
-		st := ComputeGroupStats(g, *grp)
+		st := groupStats(g, *grp, m)
 		grp.Density, grp.MeanEdgeClicks, grp.OutsideShare = st.Density, st.MeanEdgeClicks, st.OutsideShare
 	}
 	sort.SliceStable(res.Groups, func(i, j int) bool { return res.Groups[i].Score > res.Groups[j].Score })

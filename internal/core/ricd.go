@@ -244,13 +244,15 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 func screenUsersOnly(ctx context.Context, g *bipartite.Graph, groups []detect.Group, hot *HotSet,
 	p Params, a *auditor) ([]detect.Group, error) {
 
+	m := getMarks()
+	defer putMarks(m)
 	var out []detect.Group
 	for i, grp := range groups {
 		faultinject.Hit("core.screen.group")
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		users := userBehaviorCheck(g, grp, hot, p, a, i+1)
+		users := userBehaviorCheck(g, grp, hot, p, a, i+1, m)
 		if len(users) < p.K1 {
 			continue
 		}

@@ -30,14 +30,13 @@ import (
 // In the paper's Fig 5 example this is what removes u₁, whose only strong
 // edges go to a hot item. Every dropped user produces a screen.drop event on
 // a (nil audits nothing) carrying the failed check and the statistic that
-// failed it; group is the 1-based candidate-group index.
+// failed it; group is the 1-based candidate-group index. m is the calling
+// worker's membership scratch, left clear on return.
 func userBehaviorCheck(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params,
-	a *auditor, group int) []bipartite.NodeID {
+	a *auditor, group int, m *groupMarks) []bipartite.NodeID {
 
-	inGroup := make(map[bipartite.NodeID]bool, len(grp.Items))
-	for _, v := range grp.Items {
-		inGroup[v] = true
-	}
+	inGroup := m.markItems(g, grp.Items)
+	defer unmark(inGroup, grp.Items)
 	var kept []bipartite.NodeID
 	for _, u := range grp.Users {
 		var hotClicks, hotEdges int
@@ -90,12 +89,10 @@ func userBehaviorCheck(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Para
 // Hot exclusions and failed supporter tests produce typed screen.drop events
 // on a.
 func itemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
-	users []bipartite.NodeID, hot *HotSet, p Params, a *auditor, group int) []bipartite.NodeID {
+	users []bipartite.NodeID, hot *HotSet, p Params, a *auditor, group int, m *groupMarks) []bipartite.NodeID {
 
-	userSet := make(map[bipartite.NodeID]bool, len(users))
-	for _, u := range users {
-		userSet[u] = true
-	}
+	userSet := m.markUsers(g, users)
+	defer unmark(userSet, users)
 	minSupporters := ceilMul(p.K1, p.Alpha)
 	var kept []bipartite.NodeID
 	for _, v := range items {
@@ -222,7 +219,9 @@ func screenCandidates(ctx context.Context, outc extractOutcome, p Params,
 // behaviorChecks runs screenOne on every candidate's graph on a pool of up
 // to p.workers() goroutines and returns each candidate's supported users and
 // verified items in its graph's IDs; candidates are independent, so the
-// output does not depend on scheduling. ctx is checked before each candidate
+// output does not depend on scheduling. Each worker screens with its own
+// membership scratch (groupMarks), so candidates sharing one graph never
+// share a buffer. ctx is checked before each candidate
 // (fault-injection site "core.screen.group"); on cancellation the candidates
 // screened before it keep their output, each individually sound. A panic is
 // rethrown on the caller's goroutine for the stage isolation. Audit events
@@ -233,7 +232,7 @@ func behaviorChecks(ctx context.Context, cands []candidate, p Params,
 	kept = make([]localGroup, len(cands))
 	done := make([]bool, len(cands))
 	panicked := make([]any, len(cands))
-	screen := func(i int) bool {
+	screen := func(i int, m *groupMarks) bool {
 		defer func() { panicked[i] = recover() }()
 		faultinject.Hit("core.screen.group")
 		if ctx.Err() != nil {
@@ -241,7 +240,7 @@ func behaviorChecks(ctx context.Context, cands []candidate, p Params,
 		}
 		c := cands[i]
 		kept[i].Users, kept[i].Items = screenOne(c.on.g, detect.Group{Users: c.local.Users, Items: c.local.Items},
-			c.on.hot, p, a.forShard(0, c.on.userOf, c.on.itemOf), i+1)
+			c.on.hot, p, a.forShard(0, c.on.userOf, c.on.itemOf), i+1, m)
 		done[i] = true
 		return true
 	}
@@ -251,8 +250,10 @@ func behaviorChecks(ctx context.Context, cands []candidate, p Params,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			m := getMarks()
+			defer putMarks(m)
 			for {
-				if i := int(next.Add(1)) - 1; i >= len(cands) || !screen(i) {
+				if i := int(next.Add(1)) - 1; i >= len(cands) || !screen(i, m) {
 					return
 				}
 			}
@@ -292,11 +293,12 @@ func (on *screenGraph) repartition(p Params) []detect.Group {
 // screenOne applies the user behavior check and item behavior verification
 // to one candidate group. It returns the supported users and verified items,
 // both possibly empty: a dissolved group contributes nothing. group is the
-// 1-based candidate index stamped on audit events.
+// 1-based candidate index stamped on audit events; m is the calling worker's
+// membership scratch, left clear on return.
 func screenOne(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params,
-	a *auditor, group int) (users, items []bipartite.NodeID) {
+	a *auditor, group int, m *groupMarks) (users, items []bipartite.NodeID) {
 
-	checked := userBehaviorCheck(g, grp, hot, p, a, group)
+	checked := userBehaviorCheck(g, grp, hot, p, a, group, m)
 	if len(checked) == 0 {
 		// The group dissolved at the user check; its items fall with it.
 		for _, v := range grp.Items {
@@ -304,7 +306,7 @@ func screenOne(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params,
 		}
 		return nil, nil
 	}
-	items = itemBehaviorVerification(g, grp.Items, checked, hot, p, a, group)
+	items = itemBehaviorVerification(g, grp.Items, checked, hot, p, a, group, m)
 	if len(items) == 0 {
 		// The group dissolved at item verification: every remaining user
 		// lost their targets, which the per-item events already explain.
@@ -315,10 +317,8 @@ func screenOne(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params,
 	}
 	// A user must still support at least one verified target;
 	// users whose only strong edges went to unverified items drop out.
-	itemSet := make(map[bipartite.NodeID]bool, len(items))
-	for _, v := range items {
-		itemSet[v] = true
-	}
+	itemSet := m.markItems(g, items)
+	defer unmark(itemSet, items)
 	for _, u := range checked {
 		supports := false
 		g.EachUserNeighbor(u, func(v bipartite.NodeID, w uint32) bool {
@@ -335,4 +335,62 @@ func screenOne(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params,
 		}
 	}
 	return users, items
+}
+
+// groupMarks is one goroutine's membership scratch: a flag per user and per
+// item of the graph being read. A check sets the flags of one group's
+// members, reads them per arc, and clears the same members before it
+// returns, so setting, reading and clearing all cost the group, not the
+// graph, and one buffer — grown to the largest graph it meets — serves every
+// group its goroutine checks. The flags are all clear whenever a buffer is
+// not lent out.
+type groupMarks struct{ users, items []bool }
+
+// marksPool keeps groupMarks across detections: every sweep screens on the
+// same graph sizes, so a pooled buffer is already grown.
+var marksPool = sync.Pool{New: func() any { return new(groupMarks) }}
+
+// testMarksHook, when non-nil, sees every groupMarks as it goes back to
+// marksPool. Tests use it to check the buffers come back clear; it selects
+// nothing.
+var testMarksHook func(*groupMarks)
+
+func getMarks() *groupMarks { return marksPool.Get().(*groupMarks) }
+
+func putMarks(m *groupMarks) {
+	if h := testMarksHook; h != nil {
+		h(m)
+	}
+	marksPool.Put(m)
+}
+
+// markUsers flags users (IDs of g) and returns the flags, indexable by any
+// user of g. The caller clears them with unmark(flags, users).
+func (m *groupMarks) markUsers(g *bipartite.Graph, users []bipartite.NodeID) []bool {
+	return mark(&m.users, g.NumUsers(), users)
+}
+
+// markItems is markUsers for items.
+func (m *groupMarks) markItems(g *bipartite.Graph, items []bipartite.NodeID) []bool {
+	return mark(&m.items, g.NumItems(), items)
+}
+
+// mark grows *flags to at least n (growing replaces the clear buffer with a
+// clear one) and sets the flag of every id.
+func mark(flags *[]bool, n int, ids []bipartite.NodeID) []bool {
+	if len(*flags) < n {
+		*flags = make([]bool, n)
+	}
+	f := *flags
+	for _, id := range ids {
+		f[id] = true
+	}
+	return f
+}
+
+// unmark clears the flags mark set for ids.
+func unmark(flags []bool, ids []bipartite.NodeID) {
+	for _, id := range ids {
+		flags[id] = false
+	}
 }

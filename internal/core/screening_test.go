@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bipartite"
 	"repro/internal/detect"
+	"repro/internal/synth"
 )
 
 // fig5Graph reconstructs the spirit of the paper's Fig 5 example: a
@@ -49,7 +53,7 @@ func TestUserBehaviorCheckDropsHotOnlyUser(t *testing.T) {
 	if !hot.IsHot(0) {
 		t.Fatal("fixture broken: item 0 should be hot")
 	}
-	kept := userBehaviorCheck(g, grp, hot, p, nil, 0)
+	kept := userBehaviorCheck(g, grp, hot, p, nil, 0, new(groupMarks))
 	want := []bipartite.NodeID{1, 2}
 	if !reflect.DeepEqual(kept, want) {
 		t.Errorf("kept users = %v, want %v (u0 has no ≥T_click ordinary edge)", kept, want)
@@ -71,11 +75,11 @@ func TestUserBehaviorCheckDropsHotHeavyUser(t *testing.T) {
 	p.MaxHotAvg = 4 // enable the strict characteristic-(2) cap
 	hot := ComputeHotSet(g, p.THot)
 	grp := detect.Group{Users: []bipartite.NodeID{0}, Items: []bipartite.NodeID{0, 1}}
-	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0); len(kept) != 0 {
+	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0, new(groupMarks)); len(kept) != 0 {
 		t.Errorf("hot-heavy user survived the check: %v", kept)
 	}
 	p.MaxHotAvg = 0 // disabled: the literal Fig 5 check keeps the user
-	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0); len(kept) != 1 {
+	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0, new(groupMarks)); len(kept) != 1 {
 		t.Errorf("user dropped with MaxHotAvg disabled: %v", kept)
 	}
 }
@@ -90,15 +94,15 @@ func TestUserBehaviorCheckKeepsWorkerWithoutHotEdges(t *testing.T) {
 	p := DefaultParams()
 	hot := ComputeHotSet(g, p.THot)
 	grp := detect.Group{Users: []bipartite.NodeID{0}, Items: []bipartite.NodeID{0, 1}}
-	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0); len(kept) != 1 {
+	if kept := userBehaviorCheck(g, grp, hot, p, nil, 0, new(groupMarks)); len(kept) != 1 {
 		t.Errorf("worker without hot edges dropped: %v", kept)
 	}
 }
 
 func TestItemBehaviorVerification(t *testing.T) {
 	g, grp, hot, p := fig5Graph()
-	users := userBehaviorCheck(g, grp, hot, p, nil, 0) // u1, u2
-	items := itemBehaviorVerification(g, grp.Items, users, hot, p, nil, 0)
+	users := userBehaviorCheck(g, grp, hot, p, nil, 0, new(groupMarks)) // u1, u2
+	items := itemBehaviorVerification(g, grp.Items, users, hot, p, nil, 0, new(groupMarks))
 	// i0 is hot → excluded; i1, i2 have 2 supporters ≥ ceil(α·k1)=2.
 	want := []bipartite.NodeID{1, 2}
 	if !reflect.DeepEqual(items, want) {
@@ -108,7 +112,7 @@ func TestItemBehaviorVerification(t *testing.T) {
 
 func TestItemBehaviorVerificationDropsCamouflage(t *testing.T) {
 	g, grp, hot, p := fig5Graph()
-	users := userBehaviorCheck(g, grp, hot, p, nil, 0)
+	users := userBehaviorCheck(g, grp, hot, p, nil, 0, new(groupMarks))
 	// Add a camouflage item i3 clicked once by each checked user.
 	b := bipartite.NewBuilder(200, 10)
 	g.EachLiveUser(func(u bipartite.NodeID) bool {
@@ -121,7 +125,7 @@ func TestItemBehaviorVerificationDropsCamouflage(t *testing.T) {
 	b.Add(1, 3, 1)
 	b.Add(2, 3, 2)
 	g2 := b.Build()
-	items := itemBehaviorVerification(g2, append(grp.Items, 3), users, hot, p, nil, 0)
+	items := itemBehaviorVerification(g2, append(grp.Items, 3), users, hot, p, nil, 0, new(groupMarks))
 	for _, v := range items {
 		if v == 3 {
 			t.Error("camouflage item 3 verified as target")
@@ -195,5 +199,64 @@ func TestScreenGroupsEmptyInput(t *testing.T) {
 	hot := ComputeHotSet(g, p.THot)
 	if out := screenGroups(g, nil, hot, p); out != nil {
 		t.Errorf("screening nil groups = %v, want nil", out)
+	}
+}
+
+// Candidates that share one graph are screened concurrently, each worker on
+// its own membership marks: overlapping groups give the same output at 1 and
+// 8 workers, and every buffer goes back to the pool clear.
+func TestScreenGroupsCtxOverlappingGroupsConcurrentMarks(t *testing.T) {
+	ds := synth.MustGenerate(synth.SmallConfig())
+	g := ds.Graph
+	p := smallParams()
+	hot := ComputeHotSet(g, p.THot)
+	group := func(users, items []bipartite.NodeID) detect.Group {
+		grp := detect.Group{Users: slices.Clone(users), Items: slices.Clone(items)}
+		slices.Sort(grp.Users)
+		grp.Users = slices.Compact(grp.Users)
+		slices.Sort(grp.Items)
+		grp.Items = slices.Compact(grp.Items)
+		return grp
+	}
+	var groups []detect.Group
+	for i, a := range ds.Groups {
+		b := ds.Groups[(i+1)%len(ds.Groups)]
+		groups = append(groups,
+			group(a.Attackers, a.Targets),
+			group(a.Attackers[:len(a.Attackers)/2], a.Targets),
+			group(append(a.Attackers, b.Attackers...), append(a.Targets, b.Targets...)),
+			group(a.Attackers, b.Targets))
+	}
+
+	var mu sync.Mutex
+	released, dirty := 0, 0
+	testMarksHook = func(m *groupMarks) {
+		mu.Lock()
+		defer mu.Unlock()
+		released++
+		if slices.Contains(m.users, true) || slices.Contains(m.items, true) {
+			dirty++
+		}
+	}
+	defer func() { testMarksHook = nil }()
+
+	var outs [][]detect.Group
+	for _, workers := range []int{1, 8} {
+		pw := p
+		pw.Workers = workers
+		out, err := ScreenGroupsCtx(context.Background(), g, groups, hot, pw, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	if len(outs[0]) == 0 {
+		t.Fatal("screening kept no group; the test needs survivors")
+	}
+	if !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Fatalf("Workers 1 and 8 screen differently:\n%v\n%v", outs[0], outs[1])
+	}
+	if released < 2 || dirty != 0 {
+		t.Fatalf("%d of %d released mark buffers were not clear", dirty, released)
 	}
 }
