@@ -275,19 +275,18 @@ func TestAuditedDetectionScreensLikeTheGlobalPass(t *testing.T) {
 					label, len(got), len(want))
 			}
 
-			cp := p
-			cp.Cache = NewVerdictCache(0)
-			if _, err := (&Detector{Params: cp}).Detect(ds.Graph); err != nil {
+			cache := NewVerdictCache(0)
+			if _, err := (&Detector{Params: p, Cache: cache}).Detect(ds.Graph); err != nil {
 				t.Fatal(err)
 			}
-			warm := cp.Cache.Stats()
+			warm := cache.Stats()
 			o, _ = auditedObserver("test")
-			cachedAudited, err := (&Detector{Params: cp, Obs: o}).Detect(ds.Graph)
+			cachedAudited, err := (&Detector{Params: p, Obs: o, Cache: cache}).Detect(ds.Graph)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResults(t, label+" audited over a warm cache", plain, cachedAudited)
-			if st := cp.Cache.Stats(); st != warm {
+			if st := cache.Stats(); st != warm {
 				t.Fatalf("%s: audited run touched the cache: %+v, was %+v", label, st, warm)
 			}
 		}

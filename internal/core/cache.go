@@ -8,7 +8,7 @@ import (
 	"repro/internal/bipartite"
 )
 
-// This file implements the cross-sweep component verdict cache (DESIGN.md
+// This file implements the cross-refresh component verdict cache (DESIGN.md
 // §15). After the global core-prune fixpoint splits the residual into
 // connected components, each compacted component is fingerprinted — a
 // canonical 128-bit hash over its CSR rows plus the Params that affect its
@@ -19,7 +19,7 @@ import (
 // miss runs live detection, and its entry is stored once the screening stage
 // has screened the component's candidates on its compact graph. Only a fully
 // screened detection without an audit sink consults the cache
-// (shardOptions.hot), so every entry has the same shape.
+// (Detector.Cache), so every entry has the same shape.
 //
 // Soundness rests on the shard decomposition invariant (shard.go): a
 // component's verdict is a pure function of its compact CSR (topology +
@@ -165,8 +165,8 @@ type CacheStats struct {
 
 // VerdictCache is a bounded, epoch-evicted map from component fingerprint
 // to cached per-component verdict. It is safe for concurrent use by the
-// shard workers of one sweep; one instance lives across the sweeps of the
-// stream.Detector that owns it.
+// shard workers of one detection; one instance lives across the refreshes
+// of the stream.Detector that owns it.
 //
 // Eviction is oldest-epoch-first: BeginEpoch advances the clock once per
 // sharded pass, every store and hit restamps its entry with the current
@@ -195,7 +195,7 @@ func NewVerdictCache(maxBytes int64) *VerdictCache {
 }
 
 // BeginEpoch advances the eviction clock; the sharded pass calls it once
-// per sweep so "oldest epoch" means "least recently swept".
+// per detection so "oldest epoch" means "least recently detected".
 func (c *VerdictCache) BeginEpoch() {
 	c.mu.Lock()
 	c.epoch++

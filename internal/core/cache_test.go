@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -116,33 +115,32 @@ func TestComponentFingerprintProperties(t *testing.T) {
 }
 
 // TestCacheServesOnlyScreenedDetection pins the cache's one mode: it is
-// consulted only when screening rides inside the shards. Unscreened
-// extraction and a VariantUI detection handed a cache neither look
-// anything up nor store anything; the fully screened detection over the
-// same graph does both.
+// consulted only when full screening rides inside the shards. A VariantUI
+// or VariantI detection handed a cache neither looks anything up nor stores
+// anything, though both extract groups; the fully screened detection over
+// the same graph does both.
 func TestCacheServesOnlyScreenedDetection(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
 	p := smallParams()
-	p.Cache = NewVerdictCache(0)
+	cache := NewVerdictCache(0)
 
-	groups, err := NearBicliqueExtractCtx(context.Background(), ds.Graph.Clone(), p, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) == 0 {
-		t.Fatal("extraction found no groups; the test would be vacuous")
-	}
-	if _, err := (&Detector{Params: p, Variant: VariantUI}).Detect(ds.Graph); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Cache.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("unscreened runs touched the cache: %+v", st)
+	for _, v := range []Variant{VariantUI, VariantI} {
+		res, err := (&Detector{Params: p, Variant: v, Cache: cache}).Detect(ds.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Groups) == 0 {
+			t.Fatalf("%v found no groups; the test would be vacuous", v)
+		}
+		if st := cache.Stats(); st != (CacheStats{}) {
+			t.Fatalf("%v touched the cache: %+v", v, st)
+		}
 	}
 
-	if _, err := (&Detector{Params: p}).Detect(ds.Graph); err != nil {
+	if _, err := (&Detector{Params: p, Cache: cache}).Detect(ds.Graph); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Cache.Stats(); st.Misses == 0 || st.Bytes == 0 {
+	if st := cache.Stats(); st.Misses == 0 || st.Bytes == 0 {
 		t.Fatalf("the screened detection never used the cache: %+v", st)
 	}
 }
@@ -210,9 +208,9 @@ func sameResults(t *testing.T, label string, want, got *detect.Result) {
 }
 
 // TestCachedDetectionMatchesOracle pins cached ≡ cache-free detection across
-// the equivalence corpus: with Params.Cache set the screening passes run per
-// component inside the shards, with Cache nil one global ScreenGroupsCtx
-// screens all candidates, and the two must agree exactly. Per workload, a
+// the equivalence corpus: with Detector.Cache set components replay cached
+// verdicts, with Cache nil every component is detected live, and the two
+// must agree exactly. Per workload, a
 // cold run, a warm run and a poisoned-cache run over the same graph all
 // reproduce the uncached oracle, the warm run is all hits, and the obs
 // counters agree with the cache's own stats.
@@ -230,10 +228,8 @@ func TestCachedDetectionMatchesOracle(t *testing.T) {
 		groups += len(oracle.Groups)
 
 		cache := NewVerdictCache(0)
-		p := equivParams(i, cfg)
-		p.Cache = cache
 		o := obs.NewObserver("core")
-		det := &Detector{Params: p, Obs: o}
+		det := &Detector{Params: equivParams(i, cfg), Obs: o, Cache: cache}
 
 		cold, err := det.Detect(ds.Graph)
 		if err != nil {
@@ -316,9 +312,7 @@ func TestCachedDetectionEvictionCounterMatches(t *testing.T) {
 	var maxBytes int64
 	for i, ds := range datasets {
 		probe := NewVerdictCache(0)
-		p := smallParams()
-		p.Cache = probe
-		if _, err := (&Detector{Params: p}).Detect(ds.Graph); err != nil {
+		if _, err := (&Detector{Params: smallParams(), Cache: probe}).Detect(ds.Graph); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
 		if b := probe.Bytes(); b > maxBytes {
@@ -332,9 +326,7 @@ func TestCachedDetectionEvictionCounterMatches(t *testing.T) {
 	cache := NewVerdictCache(maxBytes)
 	o := obs.NewObserver("core")
 	for i, ds := range datasets {
-		p := smallParams()
-		p.Cache = cache
-		if _, err := (&Detector{Params: p, Obs: o}).Detect(ds.Graph); err != nil {
+		if _, err := (&Detector{Params: smallParams(), Obs: o, Cache: cache}).Detect(ds.Graph); err != nil {
 			t.Fatalf("workload %d: %v", i, err)
 		}
 	}

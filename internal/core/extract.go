@@ -132,38 +132,38 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 	return sub
 }
 
-// NearBicliqueExtractCtx runs Algorithm 3 on work (mutating it) and returns
+// NearBicliqueExtractCtx is ExtractCandidatesCtx's groups, with no hot set.
+func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
+	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
+
+	outc, err := ExtractCandidatesCtx(ctx, work, nil, nil, p, sp, o)
+	return outc.raw, err
+}
+
+// ExtractCandidatesCtx runs Algorithm 3 on work (mutating it) and returns
 // the surviving candidate groups: the connected components of the pruned
 // residual that satisfy the size bounds |L| ≥ k₁, |R| ≥ k₂ of Definition 3
 // (this is also the explicit group-size control of desired property (4b):
 // components too small to be a coordinated attack — e.g. group-buying
-// clusters around a single item — are discarded). Pruning rounds and the
-// component split become child spans of sp, and removal/group counts feed
-// o's registry under core.prune.* and core.extract.*; nil sp/o observe
-// nothing.
+// clusters around a single item — are discarded). It is the extraction of
+// every RICD detection. With hot, the HotSet of the input graph, every
+// candidate keeps the shard graph it was extracted from for the outcome's
+// Screen method; cache, which needs hot, is then consulted by the shards
+// unless an audit sink is attached. Pruning rounds and the component split
+// become child spans of sp, and removal/group counts feed o's registry under
+// core.prune.* and core.extract.*; nil sp/o observe nothing.
 //
 // Cancellation is cooperative: pruning checks ctx every round, and the
 // component split is guarded by the "core.extract" checkpoint. A cancelled
 // call returns no groups (a half-pruned residual would report organic users
-// as attackers) together with ctx's error. p.Cache is not consulted: the
-// verdict cache serves only Detector.DetectContext's full screening.
-func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
-	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
-
-	outc, err := extractCandidates(ctx, work, nil, p, sp, o)
-	return outc.raw, err
-}
-
-// extractCandidates is NearBicliqueExtractCtx's extraction. With hot set
-// (full screening) the outcome also carries every candidate on its shard
-// graph, and the verdict cache may be consulted (shardOptions.hot).
-func extractCandidates(ctx context.Context, work *bipartite.Graph, hot *HotSet,
-	p Params, sp *obs.Span, o *obs.Observer) (extractOutcome, error) {
+// as attackers) together with ctx's error.
+func ExtractCandidatesCtx(ctx context.Context, work *bipartite.Graph, hot *HotSet,
+	cache *VerdictCache, p Params, sp *obs.Span, o *obs.Observer) (extractOutcome, error) {
 
 	// The sharded orchestration prunes and extracts per component in one
 	// pass, so the groups come back already merged in canonical order.
 	psp := sp.Start("prune")
-	st, outc, err := shardedPruneExtract(ctx, work, p, psp, o, shardOptions{collect: true, hot: hot})
+	st, outc, err := shardedPruneExtract(ctx, work, p, psp, o, shardOptions{collect: true, hot: hot, cache: cache})
 	psp.SetInt("rounds", int64(st.Rounds))
 	psp.SetInt("users_removed", int64(st.UsersRemoved))
 	psp.SetInt("items_removed", int64(st.ItemsRemoved))

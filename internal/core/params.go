@@ -48,20 +48,6 @@ type Params struct {
 	// Workers bounds the goroutines used by the parallel stages (shard
 	// pool, square-pruning rounds, screening); 0 means GOMAXPROCS.
 	Workers int
-
-	// Cache, when non-nil, is the component verdict cache of a fully screened
-	// batch detection (Detector.DetectContext with VariantFull, its only
-	// reader; stream.Detector.FullDetectContext injects one that lives across
-	// refreshes): compacted components are fingerprinted after the global
-	// core prune and looked up before square-pruning runs, so components
-	// whose CSR, parameters and hot bits match an earlier detection replay
-	// their cached verdict instead of being re-detected (DESIGN.md §15).
-	// Output is identical with or without the cache — the fingerprint covers
-	// every verdict-affecting input and is the only invalidation; the golden
-	// harness pins the equivalence. Everything else never consults it, and an
-	// attached audit sink skips its lookup and store (replayed verdicts cannot
-	// re-emit the per-decision audit trail) and changes nothing else.
-	Cache *VerdictCache
 }
 
 // DefaultParams returns the paper's experiment defaults (Section VI-B):

@@ -51,6 +51,10 @@ type Detector struct {
 	// run, with the paper's Fig 8b detection/screening/identification
 	// phase split as children) and pipeline metrics. Nil costs nothing.
 	Obs *obs.Observer
+	// Cache, when non-nil, is the component verdict cache a VariantFull run
+	// without an audit sink consults (DESIGN.md §15): a component matching
+	// an earlier detection replays its verdict, identical to a live one.
+	Cache *VerdictCache
 }
 
 // Name implements detect.Detector.
@@ -173,11 +177,11 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 	// cached.
 	var outc extractOutcome
 	if err := stage("extraction", func() (eerr error) {
-		var screenHot *HotSet
-		if d.Variant == VariantFull {
-			screenHot = hot
+		screenHot, cache := hot, d.Cache
+		if d.Variant != VariantFull {
+			screenHot, cache = nil, nil
 		}
-		outc, eerr = extractCandidates(ctx, work, screenHot, p, dsp, o)
+		outc, eerr = ExtractCandidatesCtx(ctx, work, screenHot, cache, p, dsp, o)
 		groups = outc.raw
 		return eerr
 	}); err != nil {
@@ -199,7 +203,7 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 		case VariantI:
 			groups, serr = screenUsersOnly(ctx, g, groups, hot, p, a)
 		default:
-			groups, serr = screenCandidates(ctx, outc, p, ssp, o)
+			groups, serr = outc.Screen(ctx, p, ssp, o)
 		}
 		return serr
 	}); err != nil {

@@ -128,8 +128,8 @@ func itemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
 // of the induced verified subgraph and the Definition 3 size bounds are
 // re-applied (property (4b)). The user-check and item-verification passes
 // become child spans of sp, and candidate in/out counts feed o's registry
-// under core.screen.*; nil sp/o observe nothing. It is screenCandidates
-// with every group on g, so overlapping groups re-partition together.
+// under core.screen.*; nil sp/o observe nothing. It is Screen with every
+// group on g, so overlapping groups re-partition together.
 //
 // ctx is checked before each candidate group (fault-injection site
 // "core.screen.group"). On cancellation the groups fully screened so far
@@ -144,20 +144,20 @@ func ScreenGroupsCtx(ctx context.Context, g *bipartite.Graph, groups []detect.Gr
 	for i, grp := range groups {
 		cands[i] = candidate{Group: grp, local: localGroup{Users: grp.Users, Items: grp.Items}, on: on}
 	}
-	return screenCandidates(ctx, extractOutcome{cands: cands, graphs: []*screenGraph{on}}, p, sp, o)
+	return extractOutcome{cands: cands, graphs: []*screenGraph{on}}.Screen(ctx, p, sp, o)
 }
 
-// screenCandidates is Module 2 over an extraction outcome: every candidate
-// is screened on its own graph and each graph's survivors are re-partitioned
-// on that graph. This equals re-partitioning all survivors on the original
-// graph: a shard graph is one component of the core-pruned graph, and its
-// candidates are distinct residual components of it — pruning removes
-// vertices, never edges, so an edge between two survivors would have put
-// them in one candidate. For the same reason a shard-graph candidate that
-// screening left whole is its own repartition. The groups cache hits
-// replayed join the result, in canonical order, and the cache entries are
-// stored once every candidate is screened.
-func screenCandidates(ctx context.Context, outc extractOutcome, p Params,
+// Screen is Module 2 over an extraction outcome: every candidate is screened
+// on its own graph and each graph's survivors are re-partitioned on that
+// graph. This equals re-partitioning all survivors on the original graph: a
+// shard graph is one component of the core-pruned graph, and its candidates
+// are distinct residual components of it — pruning removes vertices, never
+// edges, so an edge between two survivors would have put them in one
+// candidate. For the same reason a shard-graph candidate that screening left
+// whole is its own repartition. The groups cache hits replayed join the
+// result in canonical order, and cache entries are stored once every
+// candidate is screened. Spans, metrics and cancellation: ScreenGroupsCtx's.
+func (outc extractOutcome) Screen(ctx context.Context, p Params,
 	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
 	var usersIn, itemsIn, usersKept, itemsKept int

@@ -38,17 +38,13 @@ import (
 //
 // Screening on shard graphs: with opt.hot set, every candidate leaves the
 // pass with the compact graph it was extracted from and its local hot bits
-// (screenGraph), and the screening stage judges it there (screenCandidates,
-// which gives the soundness argument).
+// (screenGraph), and the screening stage judges it there
+// (extractOutcome.Screen, which gives the soundness argument).
 //
-// Verdict caching (DESIGN.md §15): with p.Cache and opt.hot both set and no
-// audit sink, each shard hashes its freshly compacted CSR
-// (componentFingerprint) and consults the cache before pruning. A hit
-// replays the cached removals, candidates and screened groups through the
-// shard's local→original maps and leaves nothing to screen; a miss detects
-// live, and its entry is stored once the screening stage has screened its
-// candidates. The fingerprint is the only invalidation: a component any
-// click changed hashes differently.
+// Verdict caching (DESIGN.md §15, cache.go): with opt.cache set and no
+// audit sink, each shard looks its freshly compacted CSR up before pruning.
+// A hit replays the component's verdict and leaves nothing to screen; a miss
+// detects live, and the screening stage stores its entry.
 
 // maxShardSpans caps the per-shard child spans recorded under the prune
 // span, keeping traces bounded when the residual shatters into thousands of
@@ -64,8 +60,9 @@ type shardOptions struct {
 	// hot, when non-nil in collect mode, is the marketplace-wide HotSet
 	// (computed on the full input graph) the caller screens against with
 	// full screening: the candidates then carry their shard graphs, and
-	// p.Cache is consulted unless an audit sink is attached.
-	hot *HotSet
+	// cache, when non-nil, is consulted unless an audit sink is attached.
+	hot   *HotSet
+	cache *VerdictCache
 }
 
 // screenGraph is a graph candidates are screened on — a shard's compact
@@ -88,7 +85,7 @@ type candidate struct {
 	on           *screenGraph
 }
 
-// extractOutcome is the collect-mode output of shardedPruneExtract.
+// extractOutcome is an extraction's output, screened by its Screen method.
 type extractOutcome struct {
 	raw []detect.Group // every extracted candidate, replayed ones included, canonical order (sortGroupsCanonical)
 	// With opt.hot: the candidates left to screen, in canonical order, the
@@ -139,16 +136,15 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	var st PruneStats
 	var outc extractOutcome
 	a := newAuditor(o)
-	cache := p.Cache
-	if opt.hot == nil || a != nil {
+	if a != nil {
 		// The cache replays verdicts without re-running the per-decision
 		// passes, so it cannot re-emit the audit trail's removal and
 		// screening events; with a sink attached the trail's completeness
 		// wins and the cache is neither read nor filled.
-		cache = nil
+		opt.cache = nil
 	}
-	if cache != nil {
-		cache.BeginEpoch()
+	if opt.cache != nil {
+		opt.cache.BeginEpoch()
 	}
 	faultinject.Hit("core.prune.round")
 	if err := ctx.Err(); err != nil {
@@ -209,8 +205,7 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 				if i < maxShardSpans {
 					ssp = sp.Start("shard")
 				}
-				outs[i] = runShard(ctx, g, comps[i], p, inner[i], ssp, o, a, i+1,
-					opt.collect, cache, opt.hot)
+				outs[i] = runShard(ctx, g, comps[i], p, inner[i], ssp, o, a, i+1, opt)
 			}
 		}()
 	}
@@ -262,7 +257,7 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	if maxRounds > st.Rounds {
 		st.Rounds = maxRounds
 	}
-	if cache != nil {
+	if opt.cache != nil {
 		o.Counter("core.cache.hit").Add(int64(hits))
 		o.Counter("core.cache.miss").Add(int64(misses))
 		o.Counter("core.cache.fault").Add(int64(faults))
@@ -287,7 +282,7 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 			outc.graphs = append(outc.graphs, outs[i].on)
 		}
 	}
-	outc.cache = cache
+	outc.cache = opt.cache
 	sortGroupsCanonical(outc.raw)
 	sort.SliceStable(outc.cands, func(i, j int) bool {
 		return canonicalBefore(outc.cands[i].Group, outc.cands[j].Group)
@@ -320,16 +315,16 @@ func canonicalBefore(a, b detect.Group) bool {
 // result for deterministic rethrow by the merger.
 //
 // With hot set, the shard's candidates keep the compact graph and its local
-// hot bits for the screening stage; with cache set too (shardedPruneExtract
-// gates it), the shard consults the verdict cache and, on a miss, leaves its
-// entry for the screening stage to complete and store.
+// hot bits for the screening stage; with cache set too, the shard consults
+// the verdict cache and, on a miss, leaves its entry for the screening stage
+// to complete and store.
 //
 // Audit events emitted inside the shard carry the 1-based shard index and
 // original-graph IDs (via the auditor's local→original maps); rounds are
 // shard-local. A shard.done boundary event closes each completed shard.
 func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	p Params, innerWorkers int, ssp *obs.Span, o *obs.Observer, a *auditor,
-	shardIdx int, collect bool, cache *VerdictCache, hot *HotSet) (out shardResult) {
+	shardIdx int, opt shardOptions) (out shardResult) {
 
 	start := time.Now()
 	defer func() {
@@ -353,22 +348,21 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 
 	cg, userOf, itemOf := bipartite.CompactComponent(g, comp)
 	var localHot []bool
-	if hot != nil {
+	if opt.hot != nil {
 		localHot = make([]bool, len(itemOf))
 		for lv, v := range itemOf {
-			localHot[lv] = hot.IsHot(v)
+			localHot[lv] = opt.hot.IsHot(v)
 		}
 	}
 	var fp fingerprint
-	if cache != nil {
+	if opt.cache != nil {
 		fp = componentFingerprint(cg, localHot, p)
 		if ferr := faultinject.ErrAt("core.cache"); ferr != nil {
 			// Poisoned lookup: fall back to live detection (and restore the
-			// entry below); the sweep's verdicts must not depend on cache
-			// health.
+			// entry below); verdicts must not depend on cache health.
 			out.cacheFault = true
-			cache.noteFault()
-		} else if e, ok := cache.lookup(fp); ok {
+			opt.cache.noteFault()
+		} else if e, ok := opt.cache.lookup(fp); ok {
 			out.rounds = e.rounds
 			out.removedU = mapIDs(e.removedU, userOf)
 			out.removedI = mapIDs(e.removedI, itemOf)
@@ -391,7 +385,7 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	for lu := 0; lu < cg.NumUsers(); lu++ {
 		if !cg.UserAlive(bipartite.NodeID(lu)) {
 			out.removedU = append(out.removedU, userOf[lu])
-			if cache != nil {
+			if opt.cache != nil {
 				locRemU = append(locRemU, bipartite.NodeID(lu))
 			}
 		}
@@ -399,7 +393,7 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	for lv := 0; lv < cg.NumItems(); lv++ {
 		if !cg.ItemAlive(bipartite.NodeID(lv)) {
 			out.removedI = append(out.removedI, itemOf[lv])
-			if cache != nil {
+			if opt.cache != nil {
 				locRemI = append(locRemI, bipartite.NodeID(lv))
 			}
 		}
@@ -411,7 +405,7 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	}
 	a.shardDone(shardIdx, len(comp.Users), len(comp.Items), out.rounds,
 		len(out.removedU)+len(out.removedI))
-	if !collect {
+	if !opt.collect {
 		return
 	}
 	var locals []localGroup
@@ -421,14 +415,14 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 		}
 	}
 	out.groups = translateGroups(locals, userOf, itemOf)
-	if hot == nil {
+	if opt.hot == nil {
 		return
 	}
 	out.on = &screenGraph{g: cg, hot: &HotSet{hot: localHot, tHot: p.THot}, userOf: userOf, itemOf: itemOf}
 	for j, l := range locals {
 		out.cands = append(out.cands, candidate{Group: out.groups[j], local: l, on: out.on})
 	}
-	if cache != nil {
+	if opt.cache != nil {
 		out.on.fp = fp
 		out.on.entry = &cacheEntry{rounds: out.rounds, removedU: locRemU, removedI: locRemI, raw: locals}
 	}

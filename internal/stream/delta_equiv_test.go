@@ -120,11 +120,11 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0:
-				delta.CompactFraction = 1e-9 // every build hits a compaction boundary
+				delta.compactFraction = 1e-9 // every build hits a compaction boundary
 			case 1:
-				delta.CompactFraction = 1e9 // pure patching: one rebuild, then patch forever
+				delta.compactFraction = 1e9 // pure patching: one rebuild, then patch forever
 			}
-			compactFraction := delta.CompactFraction
+			compactFraction := delta.compactFraction
 
 			feedRebuildOracle(oracle, bg)
 			delta.AddBatch(bg)
@@ -172,7 +172,7 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 				if info.ColdStart {
 					t.Fatal("recovery saw a cold start")
 				}
-				recovered.CompactFraction = compactFraction
+				recovered.compactFraction = compactFraction
 				delta = recovered
 				sameGraphBytes(t, "after recovery", oracle, delta)
 			}
@@ -214,7 +214,7 @@ func TestGraphBuildModeCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.CompactFraction = 1e9
+	d.compactFraction = 1e9
 	d.Obs = obs.NewObserver("stream")
 	feed(d)
 	counters := d.Obs.Metrics.Counters()
@@ -229,7 +229,7 @@ func TestGraphBuildModeCounters(t *testing.T) {
 	}
 }
 
-// TestCompactionPolicyTriggers pins the CompactFraction policy arithmetic:
+// TestCompactionPolicyTriggers pins the compactFraction policy arithmetic:
 // with the base at N rows, a pending tail ≤ frac·N patches and a larger
 // one compacts.
 func TestCompactionPolicyTriggers(t *testing.T) {
@@ -237,7 +237,7 @@ func TestCompactionPolicyTriggers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.CompactFraction = 0.5
+	d.compactFraction = 0.5
 	d.Obs = obs.NewObserver("stream")
 	for i := 0; i < 100; i++ {
 		d.AddClick(uint32(i), uint32(i%10), 1)

@@ -52,13 +52,13 @@ import (
 type Detector struct {
 	params core.Params
 
-	// CompactFraction is the delta-maintenance compaction policy: when the
+	// compactFraction is the delta-maintenance compaction policy: when the
 	// raw rows accumulated since the last compaction exceed this fraction
 	// of the aggregated base table, the next graph build folds them in with
 	// a full rebuild instead of patching (amortizing the pending tail away).
-	// Zero means DefaultCompactFraction. Set before first use; do not change
-	// afterwards.
-	CompactFraction float64
+	// Zero means DefaultCompactFraction; tests set it to force either
+	// regime before first use.
+	compactFraction float64
 
 	// Obs, when non-nil, records every sweep as a stream.sweep span
 	// (sweep type, dirty-user scope, seed count, sweep-local graph size)
@@ -110,9 +110,9 @@ type Detector struct {
 	// next one for cheap re-validation.
 	cached []detect.Group
 
-	// cache is the component verdict cache of FullDetectContext, its only
+	// cache is the component verdict cache FullDetectContext arms, its only
 	// client: created on the first refresh, kept across refreshes and purged
-	// on every reset (Reset/Retune/WAL-replayed resets). Sweeps never touch
+	// on every reset (Reset/Retune/WAL-replayed resets). No sweep can reach
 	// it. It is volatile by design: a recovered detector starts cold and
 	// re-derives byte-identical verdicts (the fingerprint, not the cache, is
 	// the correctness authority).
@@ -290,7 +290,7 @@ func (d *Detector) Graph() *bipartite.Graph {
 // as a raw pending tail; a build patches just that tail's aggregate onto
 // the previous graph (copy-on-write on touched rows/columns), which costs
 // O(clicks since last build) instead of O(total history). When the tail
-// outgrows CompactFraction of the base — and on the first build — the build
+// outgrows compactFraction of the base — and on the first build — the build
 // compacts: the full history is re-aggregated and the graph rebuilt from
 // scratch. bipartite.PatchGraph's byte-identity contract (tested by
 // FuzzGraphPatch and the delta golden harness) makes the two branches
@@ -302,7 +302,7 @@ func (d *Detector) graphLocked() *bipartite.Graph {
 	sp := d.Obs.Root().Start("stream.graph")
 	faultinject.Hit("stream.graph")
 	deltaRows := d.table.DeltaLen()
-	frac := d.CompactFraction
+	frac := d.compactFraction
 	if frac <= 0 {
 		frac = DefaultCompactFraction
 	}
@@ -338,9 +338,9 @@ func (d *Detector) graphLocked() *bipartite.Graph {
 type sweepInput struct {
 	g      *bipartite.Graph
 	params core.Params
-	// full selects the work graph: the whole graph (the first sweep after
-	// New, Open or a reset) or the bounded ball around the suspicious dirty
-	// users.
+	// full selects a batch detection of the whole graph (the first sweep
+	// after New, Open or a reset) over extraction on the bounded ball
+	// around the suspicious dirty users.
 	full bool
 	// dirty is sorted, so the sweep is bit-reproducible regardless of map
 	// iteration order — required for the recovery-equivalence guarantee.
@@ -371,9 +371,10 @@ func (sw *sweepPass) kind() string {
 // accumulated since the last pass: group extraction runs scoped to the
 // neighborhoods of the users touched since the last committed sweep, and the
 // groups it finds are screened together with the carried ones against the
-// current graph. The very first call (or a call after Reset) extracts from
-// the whole graph instead. The screened groups are then identified against
-// the sweep's graph (core.Identify) before anything is committed.
+// current graph. The first sweep after New, Open or a reset is full: the
+// batch detection of FullDetectContext without the verdict cache, which no
+// sweep touches. The screened groups are then identified against the sweep's
+// graph (core.Identify) before anything is committed.
 //
 // A sweep is four steps: begin (snapshot under the lock), run (the detection
 // work, lock-free on the snapshot, so ingestion proceeds during it; extraction
@@ -483,33 +484,48 @@ func runSweep(ctx context.Context, in sweepInput, sp *obs.Span, o *obs.Observer)
 
 		reached = "extraction"
 		var work *bipartite.Graph
+		scope := 0 // users of the work graph; a seedless incremental sweep has none
 		if in.full {
 			work = core.GraphGenerator(in.g, detect.Seeds{})
+			scope = work.LiveUsers()
 		} else if len(seeds.Users) > 0 {
 			gsp := sp.Start("dirty_expand")
 			work = core.GraphGeneratorBounded(in.g, seeds, expandCap)
-			gsp.SetInt("scope_users", int64(work.LiveUsers()))
+			scope = work.LiveUsers()
+			gsp.SetInt("scope_users", int64(scope))
 			gsp.SetInt("scope_items", int64(work.LiveItems()))
 			gsp.End()
-			o.Gauge("stream.sweep.scope_users").Set(int64(work.LiveUsers()))
 		}
-		var fresh []detect.Group
-		if work != nil {
-			var eerr error
-			if fresh, eerr = core.NearBicliqueExtractCtx(ctx, work, in.params, sp, o); eerr != nil {
+		o.Gauge("stream.sweep.scope_users").Set(int64(scope))
+		// A full sweep is a batch detection without a verdict cache; only New,
+		// Open and a reset make a sweep full, so it carries no groups. An
+		// incremental sweep screens fresh and carried candidates (monotonicity
+		// keeps the carried valid) in one pass: the two can overlap or connect.
+		var screen func(ssp *obs.Span) ([]detect.Group, error)
+		if in.full {
+			outc, eerr := core.ExtractCandidatesCtx(ctx, work, hot, nil, in.params, sp, o)
+			if eerr != nil {
 				return eerr
+			}
+			screen = func(ssp *obs.Span) ([]detect.Group, error) { return outc.Screen(ctx, in.params, ssp, o) }
+		} else {
+			candidates := in.carried
+			if work != nil {
+				fresh, eerr := core.NearBicliqueExtractCtx(ctx, work, in.params, sp, o)
+				if eerr != nil {
+					return eerr
+				}
+				candidates = append(fresh, candidates...)
+			}
+			screen = func(ssp *obs.Span) ([]detect.Group, error) {
+				return core.ScreenGroupsCtx(ctx, in.g, candidates, hot, in.params, ssp, o)
 			}
 		}
 
 		reached = "screening"
-		// Merge candidates: freshly extracted groups plus the carried ones
-		// (monotonicity keeps their extraction validity; screening re-judges
-		// them against current weights and hotness). Screening stays one
-		// global pass — fresh and carried groups can overlap or connect.
-		candidates := append(append([]detect.Group(nil), fresh...), in.carried...)
 		ssp := sp.Start("screening")
 		var serr error
-		res.Groups, serr = core.ScreenGroupsCtx(ctx, in.g, candidates, hot, in.params, ssp, o)
+		res.Groups, serr = screen(ssp)
 		ssp.End()
 		if serr != nil {
 			return serr
@@ -659,22 +675,22 @@ func suspiciousUser(g *bipartite.Graph, hot *core.HotSet, u bipartite.NodeID, tC
 	return found
 }
 
-// FullDetectContext bypasses the incremental path and runs the batch RICD
-// detector on the current graph — the reference the incremental result is
-// validated against in tests and benchmarks — with the same partial-result
-// contract as core.(*Detector).DetectContext.
+// FullDetectContext runs a full sweep's detection on the current graph with
+// the verdict cache armed — the refresh, and the reference the incremental
+// result is validated against in tests and benchmarks. It commits nothing:
+// the dirty set, the carried groups and the record clock stay as they were.
+// It has the partial-result contract of core.(*Detector).DetectContext.
 func (d *Detector) FullDetectContext(ctx context.Context) (*detect.Result, error) {
 	d.mu.Lock()
 	g := d.graphLocked()
-	params := d.params
 	// The batch detector examines the whole current graph, so every
 	// component unchanged since the last refresh is a legitimate hit.
 	if d.cache == nil {
 		d.cache = core.NewVerdictCache(core.DefaultCacheBytes)
 	}
-	params.Cache = d.cache
+	det := &core.Detector{Params: d.params, Obs: d.Obs, Cache: d.cache}
 	d.mu.Unlock()
-	return (&core.Detector{Params: params, Obs: d.Obs}).DetectContext(ctx, g)
+	return det.DetectContext(ctx, g)
 }
 
 // CacheStats reports the verdict cache's lifetime counters (the zero value

@@ -1,11 +1,19 @@
 package stream
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/clicktable"
 	"repro/internal/core"
+	"repro/internal/detect"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -36,27 +44,193 @@ func TestNewValidatesParams(t *testing.T) {
 	}
 }
 
+// resultBytes serializes what identification leaves on a result — the
+// groups with their scores and statistics, and both rankings — for
+// byte-level comparison.
+func resultBytes(t *testing.T, res *detect.Result) []byte {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Groups                   []detect.Group
+		RankedUsers, RankedItems []detect.Scored
+	}{res.Groups, res.RankedUsers, res.RankedItems})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// decisionEvents returns an audit trail's prune.remove and screen.drop
+// events with seq cleared, sorted: the per-vertex decisions, independent of
+// the order the pool emitted them in.
+func decisionEvents(t *testing.T, trail *bytes.Buffer) []string {
+	t.Helper()
+	var out []string
+	for _, line := range bytes.Split(bytes.TrimRight(trail.Bytes(), "\n"), []byte("\n")) {
+		var e obs.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("audit line is not valid JSON: %v\n%s", err, line)
+		}
+		if e.Type != obs.EventPruneRemove && e.Type != obs.EventScreenDrop {
+			continue
+		}
+		e.Seq = 0
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(b))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestFirstDetectIsFull: the first sweep after New, a Reset, a Retune or a
+// cold Open is the batch detection. Over the equivalence corpus at one and
+// four workers it returns exactly what FullDetectContext returns on the same
+// graph — groups with scores and statistics, and both rankings — and, with
+// an audit sink attached, it makes the same prune.remove and screen.drop
+// decisions as an audited core.Detector run. On SmallConfig it also keeps
+// the detection quality floor: F1 ≥ 0.8 against the ground truth.
 func TestFirstDetectIsFull(t *testing.T) {
+	t.Run("SmallConfig/quality", func(t *testing.T) {
+		ds := synth.MustGenerate(synth.SmallConfig())
+		d, err := New(ds.Table, smallParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := mustSweep(t, d)
+		full, err := fullDetect(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resultBytes(t, full), resultBytes(t, res)) {
+			t.Fatalf("first sweep diverged from FullDetectContext: %d groups, want %d", len(res.Groups), len(full.Groups))
+		}
+		if ev := metrics.Evaluate(res, ds.Truth); ev.F1 < 0.8 {
+			t.Errorf("first detection F1 = %v, want ≥ 0.8", ev.F1)
+		}
+	})
+
+	var groups, decisions int
+	for i, cfg := range synth.EquivCorpus() {
+		ds := synth.MustGenerate(cfg)
+		background, attack := splitDataset(ds)
+		var all []clicktable.Record
+		ds.Table.Each(func(r clicktable.Record) bool {
+			all = append(all, r)
+			return true
+		})
+		for _, workers := range []int{1, 4} {
+			for _, after := range []string{"New", "Reset", "Retune", "Open"} {
+				t.Run(fmt.Sprintf("workload%02d/workers%d/%s", i, workers, after), func(t *testing.T) {
+					p := deltaEquivParams(cfg)
+					p.Workers = workers
+					var d *Detector
+					var err error
+					switch after {
+					case "New":
+						d, err = New(ds.Table, p)
+					case "Open":
+						var info *RecoveryInfo
+						if d, info, err = Open(Durability{Dir: t.TempDir()}, p, nil); err != nil {
+							t.Fatal(err)
+						}
+						defer d.Close()
+						if !info.ColdStart {
+							t.Fatalf("Open of an empty directory recovered state: %+v", info)
+						}
+						d.AddBatch(all)
+					default:
+						if d, err = New(background, p); err != nil {
+							t.Fatal(err)
+						}
+						mustSweep(t, d)
+						d.AddBatch(attack)
+						mustSweep(t, d)
+						if after == "Reset" {
+							d.Reset()
+						} else {
+							p.TClick--
+							err = d.Retune(p)
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					o := obs.NewObserver("stream")
+					var trail bytes.Buffer
+					o.Events = obs.NewEventSink(&trail, 0)
+					d.Obs = o
+					res := mustSweep(t, d)
+					d.Obs = nil
+					if got := o.Counter("stream.sweeps.full").Value(); got != 1 {
+						t.Fatalf("stream.sweeps.full = %d, want 1", got)
+					}
+					full, err := fullDetect(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(resultBytes(t, full), resultBytes(t, res)) {
+						t.Fatalf("first sweep diverged from FullDetectContext: %d groups, want %d", len(res.Groups), len(full.Groups))
+					}
+
+					ro := obs.NewObserver("core")
+					var refTrail bytes.Buffer
+					ro.Events = obs.NewEventSink(&refTrail, 0)
+					if _, err := (&core.Detector{Params: p, Obs: ro}).DetectContext(context.Background(), d.Graph()); err != nil {
+						t.Fatal(err)
+					}
+					got, want := decisionEvents(t, &trail), decisionEvents(t, &refTrail)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("first sweep made %d prune/screen decisions, the audited detection %d (or they differ)", len(got), len(want))
+					}
+					groups += len(res.Groups)
+					decisions += len(got)
+				})
+			}
+		}
+	}
+	if groups == 0 || decisions == 0 {
+		t.Fatalf("the corpus found %d groups and %d decisions; the comparison is vacuous", groups, decisions)
+	}
+}
+
+// TestScopeGaugeTracksEverySweep: stream.sweep.scope_users describes the
+// sweep that just ran — every live user for a full sweep, the ball's users
+// for a seeded incremental sweep, zero for an incremental sweep without
+// seeds — never a previous sweep's ball.
+func TestScopeGaugeTracksEverySweep(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
-	d, err := New(ds.Table, smallParams())
+	background, attack := splitDataset(ds)
+	d, err := New(background, smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sweep(d)
-	if err != nil {
-		t.Fatal(err)
+	o := obs.NewObserver("stream")
+	d.Obs = o
+	scope := func(label string, want int64) {
+		t.Helper()
+		if got := o.Gauge("stream.sweep.scope_users").Value(); got != want {
+			t.Fatalf("%s: stream.sweep.scope_users = %d, want %d", label, got, want)
+		}
 	}
-	full, err := fullDetect(d)
-	if err != nil {
-		t.Fatal(err)
+
+	mustSweep(t, d)
+	scope("full sweep", int64(d.Graph().LiveUsers()))
+	d.AddBatch(attack)
+	mustSweep(t, d)
+	ball := o.Gauge("stream.sweep.scope_users").Value()
+	if ball <= 0 || ball >= int64(d.Graph().LiveUsers()) {
+		t.Fatalf("seeded sweep scoped %d of %d users, want a proper ball", ball, d.Graph().LiveUsers())
 	}
-	if got, want := len(res.Groups), len(full.Groups); got != want {
-		t.Errorf("first Detect found %d groups, full detection %d", got, want)
-	}
-	ev := metrics.Evaluate(res, ds.Truth)
-	if ev.F1 < 0.8 {
-		t.Errorf("first detection F1 = %v, want ≥ 0.8", ev.F1)
-	}
+	mustSweep(t, d)
+	scope("sweep with nothing dirty", 0)
+	d.AddBatch(attack[:1])
+	mustSweep(t, d)
+	d.Reset()
+	mustSweep(t, d)
+	scope("full sweep after Reset", int64(d.Graph().LiveUsers()))
 }
 
 func TestIncrementalCatchesStreamedAttack(t *testing.T) {
