@@ -40,9 +40,7 @@
 // a full rebuild once the pending tail exceeds half the aggregated base.
 // Detection itself is incremental too: after the first (full) sweep, each
 // sweep extracts only around the users touched since the last one and
-// re-screens the groups it carried over. No sweep of this command replays a
-// cached verdict — the component verdict cache serves only the library's
-// FullSweep refreshes.
+// re-screens the groups it carried over.
 //
 // -buffer inserts a bounded pending-click queue between the reader and
 // the detector; when it fills, -shed-policy decides between backpressure

@@ -1,6 +1,6 @@
 // Streaming detection: the paper's Section VIII future-work direction as a
 // running application. Click events arrive continuously; the incremental
-// detector re-screens cached groups and scopes fresh extraction to the
+// detector re-screens the groups it carried and scopes fresh extraction to the
 // users touched since the last sweep, so each sweep after the first costs
 // a fraction of a full batch detection.
 package main
@@ -81,6 +81,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nreference batch detection: %d groups in %v (incremental sweeps above "+
-		"re-used cached groups + dirty-region scoping)\n",
+		"re-screened carried groups + dirty-region scoping)\n",
 		len(full.Groups), time.Since(t0).Round(time.Microsecond))
 }

@@ -136,7 +136,7 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
 	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
-	outc, err := ExtractCandidatesCtx(ctx, work, nil, nil, p, sp, o)
+	outc, err := ExtractCandidatesCtx(ctx, work, nil, p, sp, o)
 	return outc.raw, err
 }
 
@@ -148,22 +148,21 @@ func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params
 // clusters around a single item — are discarded). It is the extraction of
 // every RICD detection. With hot, the HotSet of the input graph, every
 // candidate keeps the shard graph it was extracted from for the outcome's
-// Screen method; cache, which needs hot, is then consulted by the shards
-// unless an audit sink is attached. Pruning rounds and the component split
-// become child spans of sp, and removal/group counts feed o's registry under
-// core.prune.* and core.extract.*; nil sp/o observe nothing.
+// Screen method. Pruning rounds and the component split become child spans
+// of sp, and removal/group counts feed o's registry under core.prune.* and
+// core.extract.*; nil sp/o observe nothing.
 //
 // Cancellation is cooperative: pruning checks ctx every round, and the
 // component split is guarded by the "core.extract" checkpoint. A cancelled
 // call returns no groups (a half-pruned residual would report organic users
 // as attackers) together with ctx's error.
 func ExtractCandidatesCtx(ctx context.Context, work *bipartite.Graph, hot *HotSet,
-	cache *VerdictCache, p Params, sp *obs.Span, o *obs.Observer) (extractOutcome, error) {
+	p Params, sp *obs.Span, o *obs.Observer) (extractOutcome, error) {
 
 	// The sharded orchestration prunes and extracts per component in one
 	// pass, so the groups come back already merged in canonical order.
 	psp := sp.Start("prune")
-	st, outc, err := shardedPruneExtract(ctx, work, p, psp, o, shardOptions{collect: true, hot: hot, cache: cache})
+	st, outc, err := shardedPruneExtract(ctx, work, p, psp, o, shardOptions{collect: true, hot: hot})
 	psp.SetInt("rounds", int64(st.Rounds))
 	psp.SetInt("users_removed", int64(st.UsersRemoved))
 	psp.SetInt("items_removed", int64(st.ItemsRemoved))

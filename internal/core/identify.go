@@ -83,33 +83,40 @@ func RankResult(g *bipartite.Graph, res *detect.Result) (users, items []detect.S
 	if h := testRankHook; h != nil {
 		h()
 	}
-	susItems := map[bipartite.NodeID]bool{}
-	for _, v := range res.Items() {
-		susItems[v] = true
+	ids, sus := res.Users(), res.Items()
+	if len(ids) == 0 && len(sus) == 0 {
+		return nil, nil
 	}
+	m := getMarks()
+	defer putMarks(m)
+	susItem := m.markItems(g, sus)
+	defer unmark(susItem, sus)
 
-	userScore := map[bipartite.NodeID]float64{}
-	for _, u := range res.Users() {
+	// Until it is sorted, users is aligned with ids, which is sorted, so a
+	// suspicious user's score is found by binary search.
+	users = slices.Grow(users, len(ids))
+	for _, u := range ids {
 		n := 0
 		g.EachUserNeighbor(u, func(v bipartite.NodeID, _ uint32) bool {
-			if susItems[v] {
+			if susItem[v] {
 				n++
 			}
 			return true
 		})
-		userScore[u] = float64(n)
+		users = append(users, detect.Scored{ID: u, Score: float64(n)})
 	}
+	susUser := m.markUsers(g, ids)
+	defer unmark(susUser, ids)
 
-	users = slices.Grow(users, len(userScore))
-	for u, s := range userScore {
-		users = append(users, detect.Scored{ID: u, Score: s})
-	}
-	items = slices.Grow(items, len(susItems))
-	for v := range susItems {
+	items = slices.Grow(items, len(sus))
+	for _, v := range sus {
 		var sum float64
 		n := 0
 		g.EachItemNeighbor(v, func(u bipartite.NodeID, _ uint32) bool {
-			sum += userScore[u] // zero for non-suspicious users
+			if susUser[u] { // a non-suspicious clicker adds zero
+				i, _ := slices.BinarySearch(ids, u)
+				sum += users[i].Score
+			}
 			n++
 			return true
 		})

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the reference model of Algorithm 3 that the golden harnesses
-// (shardequiv, shard_property, frontier, widemask, audit, cache, prune
+// (shardequiv, shard_property, frontier, widemask, audit, prune
 // postconditions) compare the production pipeline against: one monolithic
 // graph, every live vertex re-evaluated every round, a plain 2-hop walk on
 // both sides. It shares no pruning kernel with production — its own degree

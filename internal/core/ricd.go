@@ -51,10 +51,6 @@ type Detector struct {
 	// run, with the paper's Fig 8b detection/screening/identification
 	// phase split as children) and pipeline metrics. Nil costs nothing.
 	Obs *obs.Observer
-	// Cache, when non-nil, is the component verdict cache a VariantFull run
-	// without an audit sink consults (DESIGN.md §15): a component matching
-	// an earlier detection replays its verdict, identical to a live one.
-	Cache *VerdictCache
 }
 
 // Name implements detect.Detector.
@@ -173,15 +169,14 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 	}
 
 	// Full screening judges each candidate on the shard graph it was
-	// extracted from, so it hands the hot set down; only its verdicts are
-	// cached.
+	// extracted from, so it hands the hot set down.
 	var outc extractOutcome
 	if err := stage("extraction", func() (eerr error) {
-		screenHot, cache := hot, d.Cache
+		screenHot := hot
 		if d.Variant != VariantFull {
-			screenHot, cache = nil, nil
+			screenHot = nil
 		}
-		outc, eerr = ExtractCandidatesCtx(ctx, work, screenHot, cache, p, dsp, o)
+		outc, eerr = ExtractCandidatesCtx(ctx, work, screenHot, p, dsp, o)
 		groups = outc.raw
 		return eerr
 	}); err != nil {

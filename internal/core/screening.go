@@ -154,9 +154,8 @@ func ScreenGroupsCtx(ctx context.Context, g *bipartite.Graph, groups []detect.Gr
 // are distinct residual components of it — pruning removes vertices, never
 // edges, so an edge between two survivors would have put them in one
 // candidate. For the same reason a shard-graph candidate that screening left
-// whole is its own repartition. The groups cache hits replayed join the
-// result in canonical order, and cache entries are stored once every
-// candidate is screened. Spans, metrics and cancellation: ScreenGroupsCtx's.
+// whole is its own repartition. Spans, metrics and cancellation:
+// ScreenGroupsCtx's.
 func (outc extractOutcome) Screen(ctx context.Context, p Params,
 	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
@@ -200,18 +199,6 @@ func (outc extractOutcome) Screen(ctx context.Context, p Params,
 		rsp.End()
 		o.Counter("core.screen.groups_out").Add(int64(len(out)))
 	}
-	if outc.cache != nil && ctxErr == nil {
-		evicted := 0
-		for _, on := range outc.graphs {
-			if on.entry != nil {
-				on.entry.screened = on.screened
-				evicted += outc.cache.store(on.fp, on.entry)
-			}
-		}
-		o.Counter("core.cache.evict").Add(int64(evicted))
-		o.Gauge("core.cache.bytes").Set(outc.cache.Bytes())
-	}
-	out = append(out, outc.replayed...)
 	sortGroupsCanonical(out)
 	return out, ctxErr
 }

@@ -40,11 +40,6 @@ import (
 // pass with the compact graph it was extracted from and its local hot bits
 // (screenGraph), and the screening stage judges it there
 // (extractOutcome.Screen, which gives the soundness argument).
-//
-// Verdict caching (DESIGN.md §15, cache.go): with opt.cache set and no
-// audit sink, each shard looks its freshly compacted CSR up before pruning.
-// A hit replays the component's verdict and leaves nothing to screen; a miss
-// detects live, and the screening stage stores its entry.
 
 // maxShardSpans caps the per-shard child spans recorded under the prune
 // span, keeping traces bounded when the residual shatters into thousands of
@@ -59,10 +54,8 @@ type shardOptions struct {
 	collect bool
 	// hot, when non-nil in collect mode, is the marketplace-wide HotSet
 	// (computed on the full input graph) the caller screens against with
-	// full screening: the candidates then carry their shard graphs, and
-	// cache, when non-nil, is consulted unless an audit sink is attached.
-	hot   *HotSet
-	cache *VerdictCache
+	// full screening: the candidates then carry their shard graphs.
+	hot *HotSet
 }
 
 // screenGraph is a graph candidates are screened on — a shard's compact
@@ -74,8 +67,12 @@ type screenGraph struct {
 	userOf, itemOf []bipartite.NodeID // local → original IDs; nil when g is the original graph
 	users, items   []bipartite.NodeID // survivors left to re-partition
 	screened       []localGroup
-	entry          *cacheEntry // the component's verdict-cache entry, stored under fp once screened
-	fp             fingerprint
+}
+
+// localGroup is one extracted or screened group in the IDs of the graph it
+// is screened on.
+type localGroup struct {
+	Users, Items []bipartite.NodeID
 }
 
 // candidate is one extracted group and the graph it is screened on.
@@ -87,14 +84,11 @@ type candidate struct {
 
 // extractOutcome is an extraction's output, screened by its Screen method.
 type extractOutcome struct {
-	raw []detect.Group // every extracted candidate, replayed ones included, canonical order (sortGroupsCanonical)
-	// With opt.hot: the candidates left to screen, in canonical order, the
-	// graphs they are screened on, the screened groups cache hits replayed
-	// instead, and the cache consulted (nil when none).
-	cands    []candidate
-	graphs   []*screenGraph
-	replayed []detect.Group
-	cache    *VerdictCache
+	raw []detect.Group // every extracted candidate, canonical order (sortGroupsCanonical)
+	// With opt.hot: the candidates to screen, in canonical order, and the
+	// graphs they are screened on.
+	cands  []candidate
+	graphs []*screenGraph
 }
 
 // shardResult is one component's contribution to the merged outcome.
@@ -102,18 +96,13 @@ type shardResult struct {
 	removedU []bipartite.NodeID // original IDs pruned inside the shard
 	removedI []bipartite.NodeID
 	groups   []detect.Group // extracted groups in original IDs (collect mode)
-	on       *screenGraph   // the shard graph cands are screened on (opt.hot set, live run)
+	on       *screenGraph   // the shard graph cands are screened on (opt.hot set)
 	cands    []candidate
-	replayed []detect.Group // a cache hit's screened groups in original IDs
-	rounds   int            // local fixpoint rounds
+	rounds   int // local fixpoint rounds
 	elapsed  time.Duration
 	done     bool  // shard ran (possibly cut short by ctx with err set)
 	err      error // ctx error observed mid-shard
 	panicked any   // recovered panic, rethrown on the caller's goroutine
-
-	cacheHit   bool // verdict replayed from the cache
-	cacheMiss  bool // cache consulted, no entry (stored after screening)
-	cacheFault bool // poisoned lookup (fault site core.cache), ran live
 }
 
 // shardedPruneExtract runs Algorithm 3 sharded by connected component:
@@ -136,16 +125,6 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	var st PruneStats
 	var outc extractOutcome
 	a := newAuditor(o)
-	if a != nil {
-		// The cache replays verdicts without re-running the per-decision
-		// passes, so it cannot re-emit the audit trail's removal and
-		// screening events; with a sink attached the trail's completeness
-		// wins and the cache is neither read nor filled.
-		opt.cache = nil
-	}
-	if opt.cache != nil {
-		opt.cache.BeginEpoch()
-	}
 	faultinject.Hit("core.prune.round")
 	if err := ctx.Err(); err != nil {
 		return st, outc, err
@@ -215,7 +194,6 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	// the caller's goroutine, so a stage bug surfaces as a panic through
 	// PruneCtx / the DetectContext stage isolation.
 	maxRounds := 0
-	hits, misses, faults := 0, 0, 0
 	var firstErr error
 	for i := range outs {
 		out := &outs[i]
@@ -239,15 +217,6 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 		if out.err != nil && firstErr == nil {
 			firstErr = out.err
 		}
-		if out.cacheHit {
-			hits++
-		}
-		if out.cacheMiss {
-			misses++
-		}
-		if out.cacheFault {
-			faults++
-		}
 		o.Histogram("core.shard").Observe(out.elapsed)
 	}
 	// Round r of a whole-graph fixpoint removes each component's round-r
@@ -256,13 +225,6 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	// fixpoint rounds.
 	if maxRounds > st.Rounds {
 		st.Rounds = maxRounds
-	}
-	if opt.cache != nil {
-		o.Counter("core.cache.hit").Add(int64(hits))
-		o.Counter("core.cache.miss").Add(int64(misses))
-		o.Counter("core.cache.fault").Add(int64(faults))
-		sp.SetInt("cache_hits", int64(hits))
-		sp.SetInt("cache_misses", int64(misses))
 	}
 	if err := ctx.Err(); err != nil {
 		return st, extractOutcome{}, err
@@ -277,12 +239,10 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	for i := range outs {
 		outc.raw = append(outc.raw, outs[i].groups...)
 		outc.cands = append(outc.cands, outs[i].cands...)
-		outc.replayed = append(outc.replayed, outs[i].replayed...)
 		if outs[i].on != nil {
 			outc.graphs = append(outc.graphs, outs[i].on)
 		}
 	}
-	outc.cache = opt.cache
 	sortGroupsCanonical(outc.raw)
 	sort.SliceStable(outc.cands, func(i, j int) bool {
 		return canonicalBefore(outc.cands[i].Group, outc.cands[j].Group)
@@ -315,9 +275,7 @@ func canonicalBefore(a, b detect.Group) bool {
 // result for deterministic rethrow by the merger.
 //
 // With hot set, the shard's candidates keep the compact graph and its local
-// hot bits for the screening stage; with cache set too, the shard consults
-// the verdict cache and, on a miss, leaves its entry for the screening stage
-// to complete and store.
+// hot bits for the screening stage.
 //
 // Audit events emitted inside the shard carry the 1-based shard index and
 // original-graph IDs (via the auditor's local→original maps); rounds are
@@ -354,48 +312,19 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 			localHot[lv] = opt.hot.IsHot(v)
 		}
 	}
-	var fp fingerprint
-	if opt.cache != nil {
-		fp = componentFingerprint(cg, localHot, p)
-		if ferr := faultinject.ErrAt("core.cache"); ferr != nil {
-			// Poisoned lookup: fall back to live detection (and restore the
-			// entry below); verdicts must not depend on cache health.
-			out.cacheFault = true
-			opt.cache.noteFault()
-		} else if e, ok := opt.cache.lookup(fp); ok {
-			out.rounds = e.rounds
-			out.removedU = mapIDs(e.removedU, userOf)
-			out.removedI = mapIDs(e.removedI, itemOf)
-			out.groups = translateGroups(e.raw, userOf, itemOf)
-			out.replayed = translateGroups(e.screened, userOf, itemOf)
-			out.done = true
-			out.cacheHit = true
-			ssp.Set("cache", "hit")
-			return
-		} else {
-			out.cacheMiss = true
-		}
-	}
 
 	lp := p
 	lp.Workers = innerWorkers
 	lst, err := newFrontier(cg).prune(ctx, lp, ssp, o, a.forShard(shardIdx, userOf, itemOf))
 	out.rounds = lst.Rounds
-	var locRemU, locRemI []bipartite.NodeID
 	for lu := 0; lu < cg.NumUsers(); lu++ {
 		if !cg.UserAlive(bipartite.NodeID(lu)) {
 			out.removedU = append(out.removedU, userOf[lu])
-			if opt.cache != nil {
-				locRemU = append(locRemU, bipartite.NodeID(lu))
-			}
 		}
 	}
 	for lv := 0; lv < cg.NumItems(); lv++ {
 		if !cg.ItemAlive(bipartite.NodeID(lv)) {
 			out.removedI = append(out.removedI, itemOf[lv])
-			if opt.cache != nil {
-				locRemI = append(locRemI, bipartite.NodeID(lv))
-			}
 		}
 	}
 	out.done = true
@@ -422,16 +351,11 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	for j, l := range locals {
 		out.cands = append(out.cands, candidate{Group: out.groups[j], local: l, on: out.on})
 	}
-	if opt.cache != nil {
-		out.on.fp = fp
-		out.on.entry = &cacheEntry{rounds: out.rounds, removedU: locRemU, removedI: locRemI, raw: locals}
-	}
 	return
 }
 
 // translateGroups maps component-local groups back to original IDs through
-// the shard's userOf/itemOf tables, allocating fresh slices so cache
-// entries stay immutable across hits.
+// the shard's userOf/itemOf tables.
 func translateGroups(locals []localGroup, userOf, itemOf []bipartite.NodeID) []detect.Group {
 	if len(locals) == 0 {
 		return nil

@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
+	"repro/internal/bipartite"
+	"repro/internal/detect"
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -131,5 +135,79 @@ func TestShardedPruneLeavesOracleResidual(t *testing.T) {
 			pp.Workers = w
 			check(fmt.Sprintf("w%d", w), pp)
 		}
+	}
+}
+
+// sameResults compares two detection results group-for-group (members,
+// order, scores) plus the flattened suspicious sets.
+func sameResults(t *testing.T, label string, want, got *detect.Result) {
+	t.Helper()
+	if len(got.Groups) != len(want.Groups) {
+		t.Fatalf("%s: %d groups, want %d", label, len(got.Groups), len(want.Groups))
+	}
+	for gi := range want.Groups {
+		w, g := want.Groups[gi], got.Groups[gi]
+		if !reflect.DeepEqual(g.Users, w.Users) || !reflect.DeepEqual(g.Items, w.Items) || g.Score != w.Score {
+			t.Fatalf("%s: group %d diverged", label, gi)
+		}
+	}
+	if !reflect.DeepEqual(got.Users(), want.Users()) || !reflect.DeepEqual(got.Items(), want.Items()) {
+		t.Fatalf("%s: suspicious sets diverged", label)
+	}
+}
+
+// TestCachedDetectionMatchesOracle pins that nothing a Detector or its
+// pooled scratch keeps between detections changes a verdict. The test is
+// named for the component verdict cache a Detector could once carry; the
+// cache is gone, and the scratch pools (the prune workers' buffers, the
+// screening membership marks) are what persists now. Per workload one
+// Detector runs a cold detection, a warm one over the same graph, one over
+// the previous workload's graph (pooled scratch sized for another shape)
+// and the first graph again: every run reproduces the reference model,
+// the rankings never move, and each run's counters match the cold run's.
+func TestCachedDetectionMatchesOracle(t *testing.T) {
+	cfgs := equivCorpus()
+	groups := 0
+	var prev *bipartite.Graph
+	for i, cfg := range cfgs {
+		ds := synth.MustGenerate(cfg)
+		p := equivParams(i, cfg)
+		p.Workers = 1 + i%3
+		oracle := refDetect(ds.Graph, p)
+		groups += len(oracle.Groups)
+
+		det := &Detector{Params: p}
+		run := func(label string, g *bipartite.Graph) (*detect.Result, map[string]int64) {
+			t.Helper()
+			det.Obs = obs.NewObserver("core")
+			res, err := det.Detect(g)
+			if err != nil {
+				t.Fatalf("workload %d %s: %v", i, label, err)
+			}
+			return res, det.Obs.Metrics.Counters()
+		}
+		cold, coldCounters := run("cold", ds.Graph)
+		sameResults(t, fmt.Sprintf("workload %d cold", i), oracle, cold)
+		check := func(label string) {
+			t.Helper()
+			res, counters := run(label, ds.Graph)
+			label = fmt.Sprintf("workload %d %s", i, label)
+			sameResults(t, label, oracle, res)
+			if !reflect.DeepEqual(res.RankedUsers, cold.RankedUsers) || !reflect.DeepEqual(res.RankedItems, cold.RankedItems) {
+				t.Fatalf("%s: rankings diverged from the cold run", label)
+			}
+			if !maps.Equal(counters, coldCounters) {
+				t.Fatalf("%s: counters diverged:\ncold: %v\nthis: %v", label, coldCounters, counters)
+			}
+		}
+		check("warm")
+		if prev != nil {
+			run("other shape", prev)
+			check("after another shape")
+		}
+		prev = ds.Graph
+	}
+	if groups == 0 {
+		t.Fatal("the oracle found no groups anywhere; the test would be vacuous")
 	}
 }

@@ -7,6 +7,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -159,21 +160,19 @@ func (r *Result) memoizeUnion() {
 func (r *Result) NumNodes() int { return len(r.Users()) + len(r.Items()) }
 
 func unionNodes(groups []Group, get func(Group) []bipartite.NodeID) []bipartite.NodeID {
-	seen := map[bipartite.NodeID]struct{}{}
+	n := 0
 	for _, g := range groups {
-		for _, id := range get(g) {
-			seen[id] = struct{}{}
-		}
+		n += len(get(g))
 	}
-	if len(seen) == 0 {
+	if n == 0 {
 		return nil
 	}
-	out := make([]bipartite.NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
+	out := make([]bipartite.NodeID, 0, n)
+	for _, g := range groups {
+		out = append(out, get(g)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Detector is a "Ride Item's Coattails" attack detector. Detect must not

@@ -3,9 +3,14 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
+	"reflect"
 	"testing"
 
+	"repro/internal/detect"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
@@ -90,5 +95,66 @@ func TestSweepAuditTrail(t *testing.T) {
 
 	if got := o.Metrics.Counters()["stream.clicks"]; got == 0 {
 		t.Error("AddBatch ingested clicks but stream.clicks counter is 0")
+	}
+}
+
+// TestObservationDoesNotChangeWhatRuns: an event sink records what runs and
+// changes none of it. Over the equivalence corpus a detector whose observer
+// has a sink and one whose observer has none take the same traffic: a full
+// and an incremental sweep, two refreshes with a click between them, a Reset
+// and a sweep. Every step must return the same result, compile the same
+// index and leave the same counters.
+func TestObservationDoesNotChangeWhatRuns(t *testing.T) {
+	var groups, events int
+	for i, cfg := range synth.EquivCorpus() {
+		t.Run(fmt.Sprintf("workload%02d", i), func(t *testing.T) {
+			params := deltaEquivParams(cfg)
+			background, attack := splitDataset(synth.MustGenerate(cfg))
+			half := len(attack) / 2
+			var trail bytes.Buffer
+			detector := func(sink *obs.EventSink) *Detector {
+				d, err := New(background, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.Obs = obs.NewObserver("stream")
+				d.Obs.Events = sink
+				return d
+			}
+			plain, audited := detector(nil), detector(obs.NewEventSink(&trail, 0))
+
+			step := func(label string, run func(*Detector) (*detect.Result, error)) {
+				t.Helper()
+				want, werr := run(plain)
+				got, gerr := run(audited)
+				if werr != nil || gerr != nil {
+					t.Fatalf("%s: %v (audited: %v)", label, werr, gerr)
+				}
+				if !bytes.Equal(resultBytes(t, want), resultBytes(t, got)) {
+					t.Fatalf("%s: the audited detector returned a different result", label)
+				}
+				if !reflect.DeepEqual(serve.Compile(plain.Graph(), want, params.THot, params.TClick),
+					serve.Compile(audited.Graph(), got, params.THot, params.TClick)) {
+					t.Fatalf("%s: the compiled indexes differ", label)
+				}
+				if wc, gc := plain.Obs.Metrics.Counters(), audited.Obs.Metrics.Counters(); !maps.Equal(wc, gc) {
+					t.Fatalf("%s: counters differ:\nplain:   %v\naudited: %v", label, wc, gc)
+				}
+				groups += len(want.Groups)
+			}
+			both := func(f func(*Detector)) { f(plain); f(audited) }
+			step("full sweep", sweep)
+			both(func(d *Detector) { d.AddBatch(attack[:half]) })
+			step("incremental sweep", sweep)
+			step("refresh", fullDetect)
+			both(func(d *Detector) { d.AddClick(attack[half].UserID, attack[half].ItemID, attack[half].Clicks) })
+			step("refresh after a click", fullDetect)
+			both((*Detector).Reset)
+			step("full sweep after Reset", sweep)
+			events += bytes.Count(trail.Bytes(), []byte("\n"))
+		})
+	}
+	if groups == 0 || events == 0 {
+		t.Fatalf("the corpus found %d groups and recorded %d events; the comparison is vacuous", groups, events)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
@@ -23,7 +24,9 @@ import (
 // The corpus crosses marketplace shapes with the three compaction regimes
 // (compact-every-build, never-compact/pure-patching, default policy) and
 // folds in mid-sweep ingestion and crash-recovery replays, so compaction
-// boundaries and WAL replay are corpus members, not special cases.
+// boundaries and WAL replay are corpus members, not special cases. Both
+// detectors publish every commit, and the two stores must serve the same
+// epochs.
 
 // deltaEquivCorpus is the shared seeded workload corpus
 // (synth.EquivCorpus): varied small marketplaces plus tiny
@@ -57,6 +60,24 @@ func sameGraphBytes(t *testing.T, label string, oracle, delta *Detector) {
 	}
 }
 
+// publishTo wires d's commits into store, as cmd/stream and the facade do.
+func publishTo(d *Detector, store *serve.Store) {
+	thot, tclick := d.params.THot, d.params.TClick
+	d.OnCommit = func(res *detect.Result, g *bipartite.Graph) {
+		_ = store.Publish(serve.Compile(g, res, thot, tclick))
+	}
+}
+
+// sameServed checks that got serves want's epoch with as many groups; the
+// groups themselves are sameGroups's.
+func sameServed(t *testing.T, label string, want, got *serve.Store) {
+	t.Helper()
+	if we, ge := want.Epoch(), got.Epoch(); we != ge || want.Current().NumGroups() != got.Current().NumGroups() {
+		t.Fatalf("%s: serving epoch %d with %d groups, want epoch %d with %d",
+			label, ge, got.Current().NumGroups(), we, want.Current().NumGroups())
+	}
+}
+
 // TestDeltaEquivalenceGoldenWorkloads is the harness proper: for every
 // corpus workload, drive a rebuild oracle and a delta-maintained detector
 // through an identical three-phase stream (background, first attack half,
@@ -71,7 +92,8 @@ func sameGraphBytes(t *testing.T, label string, oracle, delta *Detector) {
 //     oracle's post-sweep feed does);
 //   - i%4 == 1 runs the delta detector durably and crash-recovers it
 //     (abandoned WAL handle, reopened directory) between sweeps 2 and 3 —
-//     the replayed detector must re-derive the identical patched graph.
+//     the replayed detector must re-derive the identical patched graph,
+//     and its commits continue the crashed detector's served epochs.
 func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 	defer faultinject.Reset()
 	cfgs := deltaEquivCorpus()
@@ -125,6 +147,9 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 				delta.compactFraction = 1e9 // pure patching: one rebuild, then patch forever
 			}
 			compactFraction := delta.compactFraction
+			oracleStore, deltaStore := serve.NewStore(nil), serve.NewStore(nil)
+			publishTo(oracle, oracleStore)
+			publishTo(delta, deltaStore)
 
 			feedRebuildOracle(oracle, bg)
 			delta.AddBatch(bg)
@@ -143,6 +168,7 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 			}
 			r1d := mustSweep(t, delta)
 			sameGroups(t, "sweep1", r1o, r1d)
+			sameServed(t, "sweep1", oracleStore, deltaStore)
 			if i%3 == 0 {
 				// The oracle gets the mid-sweep clicks now: for both
 				// detectors they are post-sweep-1, pre-sweep-2 traffic.
@@ -158,6 +184,7 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 			r2o := oracleSweep()
 			r2d := mustSweep(t, delta)
 			sameGroups(t, "sweep2", r2o, r2d)
+			sameServed(t, "sweep2", oracleStore, deltaStore)
 			sameGraphBytes(t, "after sweep2", oracle, delta)
 
 			if durDir != "" {
@@ -173,6 +200,8 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 					t.Fatal("recovery saw a cold start")
 				}
 				recovered.compactFraction = compactFraction
+				// The store is the serving side and outlives the crash.
+				publishTo(recovered, deltaStore)
 				delta = recovered
 				sameGraphBytes(t, "after recovery", oracle, delta)
 			}
@@ -182,6 +211,7 @@ func TestDeltaEquivalenceGoldenWorkloads(t *testing.T) {
 			r3o := oracleSweep()
 			r3d := mustSweep(t, delta)
 			sameGroups(t, "sweep3", r3o, r3d)
+			sameServed(t, "sweep3", oracleStore, deltaStore)
 			sameGraphBytes(t, "after sweep3", oracle, delta)
 			totalGroups += len(r3o.Groups)
 

@@ -15,7 +15,7 @@
 //     activity the original sweep's snapshot saw (seq ≤ startSeq) while
 //     users touched mid-sweep stay dirty.
 //  2. Sweep records carry the committed groups, so replay installs the
-//     cache without re-running detection — replay is pure state
+//     carried groups without re-running detection — replay is pure state
 //     application, fast and deterministic.
 //  3. Sweeps sort their dirty seeds (stream.go), making detection output
 //     independent of map iteration order.

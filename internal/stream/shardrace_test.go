@@ -161,7 +161,7 @@ func TestMidFrontierRoundCancelRestoresDirtySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweep(d); err != nil { // full warm-up sweep, caches 6 groups
+	if _, err := sweep(d); err != nil { // full warm-up sweep, carries 6 groups
 		t.Fatal(err)
 	}
 

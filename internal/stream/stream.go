@@ -110,14 +110,6 @@ type Detector struct {
 	// next one for cheap re-validation.
 	cached []detect.Group
 
-	// cache is the component verdict cache FullDetectContext arms, its only
-	// client: created on the first refresh, kept across refreshes and purged
-	// on every reset (Reset/Retune/WAL-replayed resets). No sweep can reach
-	// it. It is volatile by design: a recovered detector starts cold and
-	// re-derives byte-identical verdicts (the fingerprint, not the cache, is
-	// the correctness authority).
-	cache *core.VerdictCache
-
 	// durability (all nil/zero for a memory-only detector; see Open)
 	wal       *durable.WAL
 	dur       Durability
@@ -372,9 +364,9 @@ func (sw *sweepPass) kind() string {
 // neighborhoods of the users touched since the last committed sweep, and the
 // groups it finds are screened together with the carried ones against the
 // current graph. The first sweep after New, Open or a reset is full: the
-// batch detection of FullDetectContext without the verdict cache, which no
-// sweep touches. The screened groups are then identified against the sweep's
-// graph (core.Identify) before anything is committed.
+// batch detection FullDetectContext runs. The screened groups are then
+// identified against the sweep's graph (core.Identify) before anything is
+// committed.
 //
 // A sweep is four steps: begin (snapshot under the lock), run (the detection
 // work, lock-free on the snapshot, so ingestion proceeds during it; extraction
@@ -497,13 +489,13 @@ func runSweep(ctx context.Context, in sweepInput, sp *obs.Span, o *obs.Observer)
 			gsp.End()
 		}
 		o.Gauge("stream.sweep.scope_users").Set(int64(scope))
-		// A full sweep is a batch detection without a verdict cache; only New,
-		// Open and a reset make a sweep full, so it carries no groups. An
-		// incremental sweep screens fresh and carried candidates (monotonicity
-		// keeps the carried valid) in one pass: the two can overlap or connect.
+		// A full sweep is a batch detection; only New, Open and a reset make
+		// a sweep full, so it carries no groups. An incremental sweep screens
+		// fresh and carried candidates (monotonicity keeps the carried valid)
+		// in one pass: the two can overlap or connect.
 		var screen func(ssp *obs.Span) ([]detect.Group, error)
 		if in.full {
-			outc, eerr := core.ExtractCandidatesCtx(ctx, work, hot, nil, in.params, sp, o)
+			outc, eerr := core.ExtractCandidatesCtx(ctx, work, hot, in.params, sp, o)
 			if eerr != nil {
 				return eerr
 			}
@@ -675,34 +667,26 @@ func suspiciousUser(g *bipartite.Graph, hot *core.HotSet, u bipartite.NodeID, tC
 	return found
 }
 
-// FullDetectContext runs a full sweep's detection on the current graph with
-// the verdict cache armed — the refresh, and the reference the incremental
+// FullDetectContext runs the batch detection, core.(*Detector).DetectContext,
+// on the current graph — the refresh, and the reference the incremental
 // result is validated against in tests and benchmarks. It commits nothing:
 // the dirty set, the carried groups and the record clock stay as they were.
 // It has the partial-result contract of core.(*Detector).DetectContext.
 func (d *Detector) FullDetectContext(ctx context.Context) (*detect.Result, error) {
 	d.mu.Lock()
 	g := d.graphLocked()
-	// The batch detector examines the whole current graph, so every
-	// component unchanged since the last refresh is a legitimate hit.
-	if d.cache == nil {
-		d.cache = core.NewVerdictCache(core.DefaultCacheBytes)
-	}
-	det := &core.Detector{Params: d.params, Obs: d.Obs, Cache: d.cache}
+	det := &core.Detector{Params: d.params, Obs: d.Obs}
 	d.mu.Unlock()
 	return det.DetectContext(ctx, g)
 }
 
-// CacheStats reports the verdict cache's lifetime counters (the zero value
-// when the cache is not yet created).
-func (d *Detector) CacheStats() core.CacheStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cache == nil {
-		return core.CacheStats{}
-	}
-	return d.cache.Stats()
-}
+// CacheStats holds the counters (*Detector).CacheStats reports, all zero.
+type CacheStats struct{ Hits, Misses, Evictions, Bytes int64 }
+
+// CacheStats returns the zero value: the detector keeps no verdict cache.
+// The method stays only because the benchmark harness still reads it, and
+// goes when the benchmark stops (ROADMAP.md item 1).
+func (d *Detector) CacheStats() CacheStats { return CacheStats{} }
 
 // Reset drops the cached detection state, forcing the next sweep to run
 // fully (for example after a parameter change via Retune). On a durable
@@ -722,13 +706,6 @@ func (d *Detector) resetLocked() {
 	d.cached = nil
 	d.lastFull = false
 	d.dirty = map[bipartite.NodeID]uint64{}
-	if d.cache != nil {
-		// Invalidate wholesale: Reset/Retune change what a fingerprint's
-		// entry would have been computed under (params may change via
-		// Retune; replayed resets mark state discontinuities), and the
-		// cache is cheap to rebuild — correctness over warmth.
-		d.cache.Purge()
-	}
 }
 
 // logResetLocked advances the record clock and write-ahead-logs a reset.

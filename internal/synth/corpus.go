@@ -2,7 +2,7 @@ package synth
 
 // EquivCorpus returns the shared ≥ 20-workload seeded corpus every
 // golden-oracle equivalence harness runs against — the sharded-pipeline
-// harness (internal/core), the delta-maintenance and verdict-cache
+// harness (internal/core), the delta-maintenance and observation
 // harnesses (internal/stream), and the query-serving harness (facade).
 // One corpus keeps the oracles honest about the same inputs: a workload
 // shape added here is exercised end to end by every equivalence proof.

@@ -174,7 +174,7 @@ func (s *StreamDetector) Sweep() (*Report, error) {
 // SweepContext is Sweep under a context. A cancelled or deadline-expired
 // sweep returns a non-nil PARTIAL report (Report.Partial, Report.Stage,
 // Report.Err — same contract as DetectContext) and commits nothing: the
-// dirty region and cached groups are untouched, so the next sweep redoes
+// dirty region and carried groups are untouched, so the next sweep redoes
 // the work in full. A stage panic is isolated into a *StageError.
 func (s *StreamDetector) SweepContext(ctx context.Context) (*Report, error) {
 	res, err := s.inner.SweepContext(ctx)
@@ -192,7 +192,9 @@ func (s *StreamDetector) report(res *detect.Result, err error) (*Report, error) 
 	return newReport(g, res, err, s.params, s.cfg)
 }
 
-// FullSweep forces a from-scratch batch detection.
+// FullSweep runs the batch detection on the current graph, from scratch:
+// the reference the incremental sweeps are checked against. It commits
+// nothing.
 func (s *StreamDetector) FullSweep() (*Report, error) {
 	return s.FullSweepContext(context.Background())
 }
