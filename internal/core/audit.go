@@ -150,22 +150,6 @@ func (a *auditor) dropUserNoAttackEdge(group int, u bipartite.NodeID, maxOrdinar
 	})
 }
 
-// dropUserHotAvg: the user's average clicks on in-group hot items reached
-// MaxHotAvg (Fig 5 condition (2) — attackers touch hot items minimally).
-func (a *auditor) dropUserHotAvg(group int, u bipartite.NodeID, avg, max float64) {
-	if a == nil {
-		return
-	}
-	a.sink.Emit(obs.Event{
-		Type:   obs.EventScreenDrop,
-		Side:   "user",
-		ID:     uint32(a.translate(bipartite.UserSide, u)),
-		Group:  group,
-		Reason: "user.hot_avg",
-		Stat:   fmt.Sprintf("hot_avg=%.1f max=%.1f", avg, max),
-	})
-}
-
 // dropUserNoVerifiedTarget: every item the user supported failed item
 // behavior verification, so no attack target remains for them.
 func (a *auditor) dropUserNoVerifiedTarget(group int, u bipartite.NodeID) {

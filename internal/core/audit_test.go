@@ -48,7 +48,6 @@ func auditedObserver(name string) (*obs.Observer, *bytes.Buffer) {
 // contract is that every screened-out node carries one of these.
 var screenDropReasons = map[string]bool{
 	"user.no_attack_edge":     true,
-	"user.hot_avg":            true,
 	"user.no_verified_target": true,
 	"item.hot":                true,
 	"item.supporters":         true,

@@ -38,13 +38,6 @@ type Params struct {
 	// TRisk is the naive algorithm's risk threshold.
 	TRisk float64
 
-	// MaxHotAvg, when positive, additionally caps the average hot-item
-	// click count of a suspicious user (Section IV-A characteristic (2):
-	// "extremely small (< 4)"). Zero disables the cap, which matches the
-	// literal Fig 5 user-behavior check; the threshold is exposed for the
-	// stricter-screening ablation.
-	MaxHotAvg float64
-
 	// Workers bounds the goroutines used by the parallel stages (shard
 	// pool, square-pruning rounds, screening); 0 means GOMAXPROCS.
 	Workers int
@@ -54,13 +47,12 @@ type Params struct {
 // k₁ = k₂ = 10, α = 1.0, T_hot = 1,000, T_click = 12.
 func DefaultParams() Params {
 	return Params{
-		K1:        10,
-		K2:        10,
-		Alpha:     1.0,
-		THot:      1000,
-		TClick:    12,
-		TRisk:     50,
-		MaxHotAvg: 0,
+		K1:     10,
+		K2:     10,
+		Alpha:  1.0,
+		THot:   1000,
+		TClick: 12,
+		TRisk:  50,
 	}
 }
 
@@ -73,8 +65,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: Alpha must be in (0,1], got %v", p.Alpha)
 	case p.TClick == 0:
 		return fmt.Errorf("core: TClick must be positive")
-	case p.MaxHotAvg < 0:
-		return fmt.Errorf("core: MaxHotAvg must be ≥ 0 (0 disables), got %v", p.MaxHotAvg)
 	case p.Workers < 0:
 		return fmt.Errorf("core: Workers must be ≥ 0, got %d", p.Workers)
 	}

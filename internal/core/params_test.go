@@ -16,7 +16,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.Alpha = 0 },
 		func(p *Params) { p.Alpha = 1.2 },
 		func(p *Params) { p.TClick = 0 },
-		func(p *Params) { p.MaxHotAvg = -1 },
 		func(p *Params) { p.Workers = -2 },
 	}
 	for i, mutate := range bad {

@@ -20,12 +20,9 @@ import (
 
 // userBehaviorCheck filters a candidate group's users down to those whose
 // in-group click pattern matches the crowd-worker profile of Section IV-A:
-//
-//	(1) at least one in-group ordinary (non-hot) item clicked ≥ T_click
-//	    times — the attack signature of Fig 5;
-//	(2) optionally (MaxHotAvg > 0), average clicks on in-group hot items
-//	    below MaxHotAvg — attackers touch hot items as little as possible
-//	    (Section IV-A characteristic (2); optimal strategy: once).
+// at least one in-group ordinary (non-hot) item clicked ≥ T_click times —
+// the attack signature of Fig 5. Clicks on in-group hot items neither keep
+// nor drop a user.
 //
 // In the paper's Fig 5 example this is what removes u₁, whose only strong
 // edges go to a hot item. Every dropped user produces a screen.drop event on
@@ -39,35 +36,23 @@ func userBehaviorCheck(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Para
 	defer unmark(inGroup, grp.Items)
 	var kept []bipartite.NodeID
 	for _, u := range grp.Users {
-		var hotClicks, hotEdges int
 		var maxOrdinary uint32
 		hasAttackEdge := false
 		g.EachUserNeighbor(u, func(v bipartite.NodeID, w uint32) bool {
-			if !inGroup[v] {
+			if !inGroup[v] || hot.IsHot(v) {
 				return true
 			}
-			if hot.IsHot(v) {
-				hotClicks += int(w)
-				hotEdges++
-			} else {
-				if w > maxOrdinary {
-					maxOrdinary = w
-				}
-				if w >= p.TClick {
-					hasAttackEdge = true
-				}
+			if w > maxOrdinary {
+				maxOrdinary = w
+			}
+			if w >= p.TClick {
+				hasAttackEdge = true
 			}
 			return true
 		})
 		if !hasAttackEdge {
 			a.dropUserNoAttackEdge(group, u, maxOrdinary, p.TClick)
 			continue
-		}
-		if p.MaxHotAvg > 0 && hotEdges > 0 {
-			if avg := float64(hotClicks) / float64(hotEdges); avg >= p.MaxHotAvg {
-				a.dropUserHotAvg(group, u, avg, p.MaxHotAvg)
-				continue
-			}
 		}
 		kept = append(kept, u)
 	}

@@ -156,16 +156,14 @@ func sameResults(t *testing.T, label string, want, got *detect.Result) {
 	}
 }
 
-// TestCachedDetectionMatchesOracle pins that nothing a Detector or its
-// pooled scratch keeps between detections changes a verdict. The test is
-// named for the component verdict cache a Detector could once carry; the
-// cache is gone, and the scratch pools (the prune workers' buffers, the
-// screening membership marks) are what persists now. Per workload one
+// TestReusedDetectorRepeatsColdRun pins that nothing a Detector or its
+// pooled scratch (the prune workers' buffers, the screening membership
+// marks) keeps between detections changes a verdict. Per workload one
 // Detector runs a cold detection, a warm one over the same graph, one over
 // the previous workload's graph (pooled scratch sized for another shape)
 // and the first graph again: every run reproduces the reference model,
 // the rankings never move, and each run's counters match the cold run's.
-func TestCachedDetectionMatchesOracle(t *testing.T) {
+func TestReusedDetectorRepeatsColdRun(t *testing.T) {
 	cfgs := equivCorpus()
 	groups := 0
 	var prev *bipartite.Graph

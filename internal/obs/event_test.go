@@ -22,7 +22,7 @@ func TestEventSinkJSONL(t *testing.T) {
 		{Type: EventRunStart, Reason: "RICD", Users: 100, Items: 50},
 		{Type: EventPruneRemove, Side: "user", ID: 0, Round: 1, Reason: "core.degree", Stat: "deg=3 min=10"},
 		{Type: EventPruneRemove, Side: "item", ID: 42, Round: 2, Shard: 3, Reason: "square.neighbors"},
-		{Type: EventScreenDrop, Side: "user", ID: 7, Group: 2, Reason: "user.hot_avg", Stat: "hot_avg=9.5 max=8.0"},
+		{Type: EventScreenDrop, Side: "user", ID: 7, Group: 2, Reason: "user.no_attack_edge", Stat: "max_ordinary_clicks=9 t_click=12"},
 		{Type: EventFeedbackWiden, Round: 2, Reason: "t_click", Old: "12", New: "10"},
 		{Type: EventGroupVerdict, Group: 1, Users: 10, Items: 10, Score: 9.75, Stat: "density=1.000"},
 		{Type: EventGroupVerdict, Group: 2, Users: 5, Items: 5, Score: 0}, // zero score still emitted

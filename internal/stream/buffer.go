@@ -15,7 +15,7 @@ import (
 type ShedPolicy int
 
 const (
-	// ShedBlock makes Offer wait up to BlockWait for the drainer to free a
+	// ShedBlock makes Offer wait up to blockWait for the drainer to free a
 	// slot, then shed the incoming click — backpressure first, load
 	// shedding only as the last resort.
 	ShedBlock ShedPolicy = iota
@@ -58,22 +58,19 @@ type BufferConfig struct {
 	Capacity int
 	// Policy is the overload behavior.
 	Policy ShedPolicy
-	// BlockWait is ShedBlock's maximum wait for a free slot (0 = 100ms).
-	BlockWait time.Duration
-	// Batch is how many clicks the drainer hands to AddBatch per lock
-	// acquisition (0 = 512).
-	Batch int
 }
+
+const (
+	// blockWait is ShedBlock's maximum wait for a free slot.
+	blockWait = 100 * time.Millisecond
+	// drainBatch is how many clicks the drainer hands to AddBatch per lock
+	// acquisition.
+	drainBatch = 512
+)
 
 func (c *BufferConfig) normalize() {
 	if c.Capacity <= 0 {
 		c.Capacity = 4096
-	}
-	if c.BlockWait <= 0 {
-		c.BlockWait = 100 * time.Millisecond
-	}
-	if c.Batch <= 0 {
-		c.Batch = 512
 	}
 }
 
@@ -150,8 +147,8 @@ func (b *Buffer) Offer(r clicktable.Record) bool {
 			b.mu.Unlock()
 			return false
 		case ShedBlock:
-			deadline := time.Now().Add(b.cfg.BlockWait)
-			timer := time.AfterFunc(b.cfg.BlockWait, func() {
+			deadline := time.Now().Add(blockWait)
+			timer := time.AfterFunc(blockWait, func() {
 				b.mu.Lock()
 				b.notFull.Broadcast()
 				b.mu.Unlock()
@@ -194,7 +191,7 @@ func (b *Buffer) shedLocked(reason string) {
 // until Close, then drains whatever remains and exits.
 func (b *Buffer) drain() {
 	defer close(b.done)
-	scratch := make([]clicktable.Record, 0, b.cfg.Batch)
+	scratch := make([]clicktable.Record, 0, drainBatch)
 	b.mu.Lock()
 	for {
 		for b.n == 0 && !b.closed {
@@ -207,7 +204,7 @@ func (b *Buffer) drain() {
 			return
 		}
 		scratch = scratch[:0]
-		for len(scratch) < b.cfg.Batch && b.n > 0 {
+		for len(scratch) < drainBatch && b.n > 0 {
 			scratch = append(scratch, b.q[b.head])
 			b.head = (b.head + 1) % len(b.q)
 			b.n--

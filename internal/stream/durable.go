@@ -1,5 +1,5 @@
 // Durability for the streaming detector: every state-changing operation
-// (click, sweep commit, reset) is written ahead to a checksummed WAL, and
+// (click, sweep commit) is written ahead to a checksummed WAL, and
 // the full detector state is periodically captured in an atomic snapshot,
 // so a crashed detector reopens exactly where it stopped — Open loads the
 // newest valid snapshot and replays only the WAL tail behind it.
@@ -82,14 +82,13 @@ type RecoveryInfo struct {
 //
 //	click: u8 recClick | u32 user | u32 item | u32 clicks
 //	sweep: u8 recSweep | u64 startSeq | groups
-//	reset: u8 recReset
 //
 // where groups = u32 count | per group { u64 scoreBits | u32 nUsers |
-// u32 nItems | users | items }.
+// u32 nItems | users | items }. Any other type byte fails recovery: replay
+// never skips a record it does not know.
 const (
 	recClick = 1
 	recSweep = 2
-	recReset = 3
 )
 
 const stateVersion = 1
@@ -225,10 +224,10 @@ func (d *Detector) Snapshot() error {
 	table := d.table.Clone()
 	dirty := maps.Clone(d.dirty)
 	cached := append([]detect.Group(nil), d.cached...)
-	events, detections, lastFull := d.events, d.detections, d.lastFull
+	events, detections := d.events, d.detections
 	d.mu.Unlock()
 
-	payload := encodeState(table, dirty, cached, events, detections, lastFull)
+	payload := encodeState(table, dirty, cached, events, detections)
 	err := faultinject.ErrAt("stream.snapshot")
 	if err == nil {
 		faultinject.Hit("stream.snapshot")
@@ -262,7 +261,7 @@ func (d *Detector) Snapshot() error {
 }
 
 // applyRecord applies one replayed WAL record through the functions the live
-// path applies it with (applyClick, applySweep, resetLocked). Called only
+// path applies it with (applyClick, applySweep). Called only
 // during Open, before the detector is shared, so no locking.
 func (d *Detector) applyRecord(seq uint64, payload []byte) error {
 	if len(payload) == 0 {
@@ -282,12 +281,7 @@ func (d *Detector) applyRecord(seq uint64, payload []byte) error {
 			return err
 		}
 		d.seq = seq
-		if !d.supersededLocked(startSeq) {
-			d.applySweep(startSeq, groups)
-		}
-	case recReset:
-		d.seq = seq
-		d.resetLocked()
+		d.applySweep(startSeq, groups)
 	default:
 		return fmt.Errorf("stream: unknown WAL record type %d", payload[0])
 	}
@@ -332,10 +326,6 @@ func decodeSweepRecord(p []byte) (startSeq uint64, groups []detect.Group, err er
 	return startSeq, groups, nil
 }
 
-func appendResetRecord(b []byte) []byte {
-	return append(b, recReset)
-}
-
 func appendGroups(b []byte, groups []detect.Group) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(groups)))
 	for _, g := range groups {
@@ -359,7 +349,9 @@ func appendGroups(b []byte, groups []detect.Group) []byte {
 //	u32 nDirty | pairs (u32 user | u64 seq)
 //	groups (same layout as sweep records)
 //
-// The snapshot container (durable.WriteSnapshot) adds the clock, version
+// lastFull is detections > 0. It is written for the layout's sake and ignored
+// on read: detections alone says whether the next sweep is full. The
+// snapshot container (durable.WriteSnapshot) adds the clock, version
 // and checksum around this. The staged table flattens to plain rows
 // (aggregated base first, then the raw pending tail): the base/pending
 // split is a build-cost optimization, not state — a recovered detector
@@ -367,12 +359,12 @@ func appendGroups(b []byte, groups []detect.Group) []byte {
 // rebuild whose aggregate equals the live detector's patched graph
 // (bipartite.PatchGraph's byte-identity contract), preserving the
 // recovery-equivalence guarantee.
-func encodeState(table *clicktable.Staged, dirty map[bipartite.NodeID]uint64, cached []detect.Group, events, detections int, lastFull bool) []byte {
+func encodeState(table *clicktable.Staged, dirty map[bipartite.NodeID]uint64, cached []detect.Group, events, detections int) []byte {
 	b := make([]byte, 0, 17+12*table.Len()+12*len(dirty))
 	b = binary.LittleEndian.AppendUint32(b, stateVersion)
 	b = binary.LittleEndian.AppendUint64(b, uint64(events))
 	b = binary.LittleEndian.AppendUint64(b, uint64(detections))
-	if lastFull {
+	if detections > 0 {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
@@ -400,7 +392,7 @@ func (d *Detector) decodeState(p []byte, clock uint64) error {
 	}
 	events := r.u64()
 	detections := r.u64()
-	lastFull := r.u8() != 0
+	r.u8() // lastFull: see encodeState
 	nRows := int(r.u32())
 	if r.err != nil || nRows > r.remaining()/12 {
 		return errors.New("truncated state")
@@ -426,7 +418,6 @@ func (d *Detector) decodeState(p []byte, clock uint64) error {
 	d.seq = clock
 	d.events = int(events)
 	d.detections = int(detections)
-	d.lastFull = lastFull
 	// All recovered rows land in the pending tail (see encodeState): the
 	// first build after recovery re-aggregates the full history.
 	d.table = clicktable.NewStaged(table)

@@ -413,30 +413,45 @@ func TestSnapshotPrunesWALAndOldSnapshots(t *testing.T) {
 	sameGroups(t, "post-prune sweep", mustSweep(t, oracle), mustSweep(t, d2))
 }
 
-// TestResetAndRetuneSurviveRecovery: a logged reset must replay, so a
-// recovered detector's first sweep is full exactly when the original's
-// would have been.
-func TestResetAndRetuneSurviveRecovery(t *testing.T) {
-	dir := t.TempDir()
-	d1, _ := openDurable(t, dir, Durability{})
-	for i := 0; i < 50; i++ {
-		d1.AddClick(uint32(i), uint32(i%10), 3)
+// TestReplayRejectsUnknownRecordType: replay never skips a record it does
+// not know. A WAL whose tail holds an empty payload, or one whose type byte
+// is neither click nor sweep — type 3, the retired reset record, included —
+// fails Open with an error that names what it found.
+func TestReplayRejectsUnknownRecordType(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"empty", nil, "empty WAL record"},
+		{"type3", []byte{3}, "type 3"},
+		{"type255", []byte{0xFF, 1, 2, 3}, "type 255"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := durable.OpenWAL(dir, durable.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(1, appendClickRecord(nil, 7, 3, 5)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(2, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d, _, err := Open(Durability{Dir: dir}, smallParams(), nil)
+			if err == nil {
+				d.Close()
+				t.Fatalf("Open replayed a WAL holding a %s record", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open error %q does not name %q", err, tc.want)
+			}
+		})
 	}
-	mustSweep(t, d1)
-	d1.Reset()
-
-	oracle, _ := New(nil, smallParams())
-	for i := 0; i < 50; i++ {
-		oracle.AddClick(uint32(i), uint32(i%10), 3)
-	}
-	mustSweep(t, oracle)
-	oracle.Reset()
-
-	d2, info := openDurable(t, dir, Durability{})
-	if info.Replayed != 52 { // 50 clicks + 1 sweep + 1 reset
-		t.Fatalf("replayed %d records, want 52", info.Replayed)
-	}
-	sameGroups(t, "post-reset sweep", mustSweep(t, oracle), mustSweep(t, d2))
 }
 
 // TestOpenRequiresDir pins the misuse error.

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"maps"
@@ -14,15 +13,12 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/clicktable"
-	"repro/internal/core"
-	"repro/internal/detect"
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
 // This file pins the "detector is its own log" design (DESIGN.md §12.2): the
-// live path and WAL replay apply every record through the same three
+// live path and WAL replay apply every record through the same two
 // functions, so a detector reopened from a copy of the WAL directory holds
 // the STATE the live one holds — not merely one whose next sweep agrees,
 // which is all durable_test.go compares.
@@ -32,7 +28,6 @@ type logState struct {
 	seq        uint64
 	events     int
 	detections int
-	lastFull   bool
 	carried    []byte
 	dirty      map[bipartite.NodeID]uint64
 }
@@ -40,7 +35,7 @@ type logState struct {
 func stateOf(d *Detector) logState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return logState{seq: d.seq, events: d.events, detections: d.detections, lastFull: d.lastFull,
+	return logState{seq: d.seq, events: d.events, detections: d.detections,
 		carried: groupBytes(d.cached), dirty: maps.Clone(d.dirty)}
 }
 
@@ -81,101 +76,16 @@ func sameLogState(t *testing.T, label string, live *Detector, dur Durability) {
 	defer replayed.Close()
 	want, got := stateOf(live), stateOf(replayed)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("%s: replayed state diverged from live state\nlive:     seq=%d events=%d detections=%d lastFull=%v carried=%dB dirty=%d\nreplayed: seq=%d events=%d detections=%d lastFull=%v carried=%dB dirty=%d",
-			label, want.seq, want.events, want.detections, want.lastFull, len(want.carried), len(want.dirty),
-			got.seq, got.events, got.detections, got.lastFull, len(got.carried), len(got.dirty))
+		t.Fatalf("%s: replayed state diverged from live state\nlive:     seq=%d events=%d detections=%d carried=%dB dirty=%d\nreplayed: seq=%d events=%d detections=%d carried=%dB dirty=%d",
+			label, want.seq, want.events, want.detections, len(want.carried), len(want.dirty),
+			got.seq, got.events, got.detections, len(got.carried), len(got.dirty))
 	}
 }
 
-// TestRetuneMidSweepSupersedesTheSweep: a Retune that lands while a sweep is
-// in flight wins. The overtaken sweep returns its result but commits
-// nothing, and the next sweep is a full one under the new parameters
-// (regression: the in-flight sweep used to commit lastFull and the groups it
-// computed under the OLD parameters, silently undoing the retune).
-func TestRetuneMidSweepSupersedesTheSweep(t *testing.T) {
-	ds := synth.MustGenerate(synth.SmallConfig())
-	var all []clicktable.Record
-	ds.Table.Each(func(r clicktable.Record) bool {
-		all = append(all, r)
-		return true
-	})
-	strict, loose := smallParams(), smallParams()
-	strict.K1, strict.K2 = 500, 500 // nothing is that large: no groups
-
-	for _, durable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
-			defer faultinject.Reset()
-			o := obs.NewObserver("test")
-			var d *Detector
-			var err error
-			dur := Durability{Dir: t.TempDir()}
-			if durable {
-				d, _, err = Open(dur, strict, o)
-			} else {
-				d, err = New(nil, strict)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Obs = o
-			commits := 0
-			d.OnCommit = func(*detect.Result, *bipartite.Graph) { commits++ }
-			d.AddBatch(all)
-
-			faultinject.Arm("stream.sweep", faultinject.Fault{Do: func() {
-				if err := d.Retune(loose); err != nil {
-					t.Error(err)
-				}
-			}, Times: 1})
-			res, err := sweep(d)
-			if err != nil || res.Partial {
-				t.Fatalf("superseded sweep: err=%v partial=%v, want its complete result", err, res.Partial)
-			}
-			faultinject.Reset()
-
-			d.mu.Lock()
-			lastFull, carried := d.lastFull, len(d.cached)
-			d.mu.Unlock()
-			if lastFull || carried != 0 || d.Detections() != 0 || commits != 0 {
-				t.Fatalf("sweep overtaken by Retune committed: lastFull=%v carried=%d detections=%d OnCommit=%d",
-					lastFull, carried, d.Detections(), commits)
-			}
-			if got := o.Counter("stream.sweeps.superseded").Value(); got != 1 {
-				t.Errorf("stream.sweeps.superseded = %d, want 1", got)
-			}
-			if durable {
-				sameLogState(t, "after superseded sweep", d, dur)
-			}
-
-			next := mustSweep(t, d)
-			if got := o.Counter("stream.sweeps.full").Value(); got != 1 {
-				t.Errorf("stream.sweeps.full = %d after the retuned sweep, want 1", got)
-			}
-			want, err := (&core.Detector{Params: loose}).DetectContext(context.Background(), d.Graph())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.Groups) == 0 {
-				t.Fatal("workload detects nothing under the loose parameters; the test cannot tell the two parameter sets apart")
-			}
-			sameGroups(t, "sweep after Retune", want, next)
-			if commits != 1 {
-				t.Errorf("OnCommit fired %d times, want 1", commits)
-			}
-			if durable {
-				sameLogState(t, "after retuned sweep", d, dur)
-			}
-		})
-	}
-}
-
-// TestSweepsNeverTouchTheVerdictCache: the test is named for the verdict
-// cache FullDetectContext once armed; the detector keeps no cache now, and
-// what the test guarded still holds. Over the equivalence corpus —
-// warm-started and cold, through a Reset and a recovery — a detector that
-// refreshes between its sweeps sweeps exactly what a twin that never
-// refreshes does, and CacheStats stays zero throughout (regression: a
-// warm-started first sweep used to look up and store every component).
+// TestSweepsNeverTouchTheVerdictCache (named for the retired verdict cache):
+// over the equivalence corpus — warm-started and cold, through a recovery —
+// a detector that refreshes between its sweeps sweeps exactly what a twin
+// that never refreshes does, and CacheStats stays zero throughout.
 func TestSweepsNeverTouchTheVerdictCache(t *testing.T) {
 	var refreshGroups int
 	for i, cfg := range synth.EquivCorpus() {
@@ -231,8 +141,7 @@ func TestSweepsNeverTouchTheVerdictCache(t *testing.T) {
 			}
 			sameSweep("incremental sweep after two refreshes")
 
-			both((*Detector).Reset)
-			sameSweep("full sweep after Reset")
+			sameSweep("quiet sweep")
 			if i%3 == 2 {
 				d = reopenCopy(t, d, dur)
 				defer d.Close()
@@ -254,9 +163,6 @@ const (
 	opCancelledSweep
 	opMidSweepClick
 	opMidSweepSnapshot
-	opReset
-	opRetune
-	opMidSweepReset
 	numLogOps
 )
 
@@ -292,10 +198,9 @@ func logWorkload(i int) []clicktable.Record {
 
 // FuzzLiveStateEqualsReplayedState drives a durable detector through a
 // schedule of ops — batches, sweeps, sweeps cancelled at a fault site,
-// clicks / snapshots / resets landing mid-sweep, Reset, Retune — and after
-// EVERY op reopens a copy of its directory: the replayed detector must hold
-// the live one's record clock, event and detection counts, lastFull, carried
-// groups and dirty map (user → seq). Seeds: one schedule per corpus workload.
+// clicks and snapshots landing mid-sweep — and after EVERY op reopens a copy
+// of its directory: the replayed detector must hold the live one's record
+// clock, event and detection counts, carried groups and dirty map (user → seq). Seeds: one schedule per corpus workload.
 func FuzzLiveStateEqualsReplayedState(f *testing.F) {
 	for i := range synth.EquivCorpus() {
 		rng := rand.New(rand.NewSource(int64(i)))
@@ -314,12 +219,8 @@ func FuzzLiveStateEqualsReplayedState(f *testing.F) {
 		if len(ops) > 24 {
 			ops = ops[:24]
 		}
-		paramSets := []core.Params{deltaEquivParams(corpus[wi]), deltaEquivParams(corpus[wi])}
-		paramSets[1].K1, paramSets[1].K2 = 8, 8
-		retunes := 0
-
 		dur := Durability{Dir: t.TempDir(), SnapshotEvery: 150, SegmentBytes: 1 << 16}
-		d, _, err := Open(dur, paramSets[0], nil)
+		d, _, err := Open(dur, deltaEquivParams(corpus[wi]), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +234,7 @@ func FuzzLiveStateEqualsReplayedState(f *testing.F) {
 			return batch
 		}
 		// sweepWith runs one sweep with fault armed at site; whether the
-		// sweep commits, aborts or is superseded, the log must agree.
+		// sweep commits or aborts, the log must agree.
 		sweepWith := func(ctx context.Context, site string, do func()) {
 			faultinject.Arm(site, faultinject.Fault{Do: do, Times: 1})
 			_, _ = d.SweepContext(ctx)
@@ -364,15 +265,6 @@ func FuzzLiveStateEqualsReplayedState(f *testing.F) {
 					}
 				})
 				cancel()
-			case opReset:
-				d.Reset()
-			case opRetune:
-				retunes++
-				if err := d.Retune(paramSets[retunes%2]); err != nil {
-					t.Fatal(err)
-				}
-			case opMidSweepReset:
-				sweepWith(context.Background(), "stream.sweep", d.Reset)
 			}
 			if err := d.DurabilityErr(); err != nil {
 				t.Fatalf("step %d: WAL degraded: %v", step, err)
@@ -380,32 +272,4 @@ func FuzzLiveStateEqualsReplayedState(f *testing.F) {
 			sameLogState(t, fmt.Sprintf("workload %d step %d (op %d)", wi, step, op), d, dur)
 		}
 	})
-}
-
-// TestReplaySkipsASupersededSweepRecord: a log written before the
-// superseded-sweep rule can hold a sweep record whose snapshot predates a
-// reset logged ahead of it; replay applies the same rule the live commit
-// does and skips it.
-func TestReplaySkipsASupersededSweepRecord(t *testing.T) {
-	d, err := New(nil, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply := func(seq uint64, payload []byte) {
-		t.Helper()
-		if err := d.applyRecord(seq, bytes.Clone(payload)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	apply(1, appendClickRecord(nil, 7, 3, 5))
-	apply(2, appendResetRecord(nil))
-	apply(3, appendSweepRecord(nil, 1, []detect.Group{{Users: []bipartite.NodeID{7}, Items: []bipartite.NodeID{3}}}))
-	if d.lastFull || len(d.cached) != 0 || d.detections != 0 || d.seq != 3 {
-		t.Fatalf("replay applied a superseded sweep: lastFull=%v carried=%d detections=%d seq=%d",
-			d.lastFull, len(d.cached), d.detections, d.seq)
-	}
-	apply(4, appendSweepRecord(nil, 3, nil))
-	if !d.lastFull || d.detections != 1 {
-		t.Fatalf("replay skipped a sweep that began after the reset: lastFull=%v detections=%d", d.lastFull, d.detections)
-	}
 }

@@ -21,9 +21,9 @@
 // events and the OnCommit hook all see the same scored, ranked, most-
 // suspicious-first outcome.
 //
-// The detector is a state machine driven by its own log. Three record types
-// change its state — a click, a sweep commit, a reset — and each has exactly
-// one apply function (applyClick, applySweep, resetLocked). The live path is
+// The detector is a state machine driven by its own log. Two record types
+// change its state — a click and a sweep commit — and each has exactly one
+// apply function (applyClick, applySweep). The live path is
 // "tick the record clock, write the record ahead, apply it"; recovery
 // (durable.go) is "apply" over the same functions, so a recovered detector
 // holds the state the live one held, not merely an equivalent one.
@@ -50,6 +50,7 @@ import (
 // sweep, which examines a consistent snapshot of the graph taken at entry;
 // clicks streamed during a sweep land in the next one.
 type Detector struct {
+	// params are fixed when New or Open builds the detector.
 	params core.Params
 
 	// compactFraction is the delta-maintenance compaction policy: when the
@@ -101,11 +102,6 @@ type Detector struct {
 	// snapshot's clock says precisely which WAL tail still needs replay.
 	seq uint64
 
-	// resetSeq is the record clock of the newest reset this incarnation
-	// applied: a sweep whose snapshot predates it is superseded (see
-	// supersededLocked). Volatile — no sweep is in flight across a recovery.
-	resetSeq uint64
-
 	// cached are the groups of the last committed sweep, carried into the
 	// next one for cheap re-validation.
 	cached []detect.Group
@@ -119,9 +115,10 @@ type Detector struct {
 	snapMu    sync.Mutex
 
 	// stats
-	events     int
+	events int
+	// detections counts committed sweeps; while it is zero the next sweep
+	// is full.
 	detections int
-	lastFull   bool
 
 	// lastSweepEnd is when the previous sweep (committed or aborted)
 	// finished; the stream.sweep.lag_ms gauge reports the age of that
@@ -330,9 +327,9 @@ func (d *Detector) graphLocked() *bipartite.Graph {
 type sweepInput struct {
 	g      *bipartite.Graph
 	params core.Params
-	// full selects a batch detection of the whole graph (the first sweep
-	// after New, Open or a reset) over extraction on the bounded ball
-	// around the suspicious dirty users.
+	// full selects a batch detection of the whole graph (the first sweep)
+	// over extraction on the bounded ball around the suspicious dirty
+	// users.
 	full bool
 	// dirty is sorted, so the sweep is bit-reproducible regardless of map
 	// iteration order — required for the recovery-equivalence guarantee.
@@ -363,10 +360,9 @@ func (sw *sweepPass) kind() string {
 // accumulated since the last pass: group extraction runs scoped to the
 // neighborhoods of the users touched since the last committed sweep, and the
 // groups it finds are screened together with the carried ones against the
-// current graph. The first sweep after New, Open or a reset is full: the
-// batch detection FullDetectContext runs. The screened groups are then
-// identified against the sweep's graph (core.Identify) before anything is
-// committed.
+// current graph. The first sweep is full: the batch detection
+// FullDetectContext runs. The screened groups are then identified against
+// the sweep's graph (core.Identify) before anything is committed.
 //
 // A sweep is four steps: begin (snapshot under the lock), run (the detection
 // work, lock-free on the snapshot, so ingestion proceeds during it; extraction
@@ -378,9 +374,7 @@ func (sw *sweepPass) kind() string {
 // non-nil PARTIAL result (Result.Partial, Result.StageReached) with whatever
 // the completed stages produced (unidentified), plus the context's error. A
 // partial sweep commits nothing, so the next sweep redoes the work in full. A
-// panicking stage is isolated into a *detect.StageError. A sweep that a
-// Reset/Retune overtook returns its (complete) result but commits nothing
-// either: see supersededLocked.
+// panicking stage is isolated into a *detect.StageError.
 func (d *Detector) SweepContext(ctx context.Context) (*detect.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -410,7 +404,7 @@ func (d *Detector) beginSweep() *sweepPass {
 	d.mu.Lock()
 	sw.g = d.graphLocked()
 	sw.params = d.params
-	sw.full = !d.lastFull
+	sw.full = d.detections == 0
 	sw.startSeq = d.seq
 	// The seed slice is detector-owned scratch: this sweep takes ownership
 	// (a hypothetical concurrent sweep would just allocate fresh) and
@@ -489,10 +483,10 @@ func runSweep(ctx context.Context, in sweepInput, sp *obs.Span, o *obs.Observer)
 			gsp.End()
 		}
 		o.Gauge("stream.sweep.scope_users").Set(int64(scope))
-		// A full sweep is a batch detection; only New, Open and a reset make
-		// a sweep full, so it carries no groups. An incremental sweep screens
-		// fresh and carried candidates (monotonicity keeps the carried valid)
-		// in one pass: the two can overlap or connect.
+		// A full sweep is a batch detection; only the first sweep is full, so
+		// it carries no groups. An incremental sweep screens fresh and
+		// carried candidates (monotonicity keeps the carried valid) in one
+		// pass: the two can overlap or connect.
 		var screen func(ssp *obs.Span) ([]detect.Group, error)
 		if in.full {
 			outc, eerr := core.ExtractCandidatesCtx(ctx, work, hot, in.params, sp, o)
@@ -567,16 +561,6 @@ func (d *Detector) abortSweep(sw *sweepPass, res *detect.Result, reached string)
 	}
 }
 
-// supersededLocked reports whether a reset overtook a sweep whose snapshot
-// was taken at startSeq. Such a sweep ran under state the reset declared
-// stale, so it commits nothing and the reset's promise — the next sweep runs
-// fully, under the current parameters — holds. The live commit asks before it
-// writes ahead (a superseded sweep leaves no WAL record) and replay asks
-// before it applies, so the two agree on any log. d.mu must be held.
-func (d *Detector) supersededLocked(startSeq uint64) bool {
-	return startSeq < d.resetSeq
-}
-
 // applySweep applies one sweep-commit record, shared by the live commit and
 // WAL replay: the groups become the carried set and exactly the users whose
 // newest click the sweep's snapshot saw (seq ≤ startSeq) are retired — users
@@ -589,53 +573,39 @@ func (d *Detector) applySweep(startSeq uint64, groups []detect.Group) {
 		}
 	}
 	d.cached = groups
-	d.lastFull = true
 	d.detections++
 }
 
 // commitSweep ends a sweep that completed: tick the record clock, write the
-// commit ahead to the WAL (durable detectors), apply it — unless a reset
-// superseded the sweep, which then ends without a trace in the state.
+// commit ahead to the WAL (durable detectors), apply it.
 func (d *Detector) commitSweep(sw *sweepPass, res *detect.Result) {
 	sw.sp.End()
 	d.mu.Lock()
-	superseded := d.supersededLocked(sw.startSeq)
+	d.seq++
 	walLogged := false
-	if !superseded {
-		d.seq++
-		if d.walActiveLocked() {
-			d.walBuf = appendSweepRecord(d.walBuf[:0], sw.startSeq, res.Groups)
-			faultinject.Hit("stream.wal.append")
-			if werr := d.wal.Append(d.seq, d.walBuf); werr != nil {
-				d.degradeLocked(werr)
-			} else {
-				d.sinceSnap++
-				walLogged = true
-			}
+	if d.walActiveLocked() {
+		d.walBuf = appendSweepRecord(d.walBuf[:0], sw.startSeq, res.Groups)
+		faultinject.Hit("stream.wal.append")
+		if werr := d.wal.Append(d.seq, d.walBuf); werr != nil {
+			d.degradeLocked(werr)
+		} else {
+			d.sinceSnap++
+			walLogged = true
 		}
-		d.applySweep(sw.startSeq, res.Groups)
 	}
+	d.applySweep(sw.startSeq, res.Groups)
 	remaining := d.endSweepLocked(sw)
-	snapDue := !superseded && d.wal != nil && d.walErr == nil && d.dur.SnapshotEvery > 0 && d.sinceSnap >= d.dur.SnapshotEvery
+	snapDue := d.wal != nil && d.walErr == nil && d.dur.SnapshotEvery > 0 && d.sinceSnap >= d.dur.SnapshotEvery
 	d.mu.Unlock()
 
 	d.Obs.Histogram("stream.sweep.latency").Observe(res.Elapsed)
 	d.Obs.Gauge("stream.dirty_users").Set(int64(remaining))
-	sink := d.Obs.Sink()
-	if superseded {
-		sw.sp.Set("superseded", "reset")
-		d.Obs.Counter("stream.sweeps.superseded").Inc()
-		if sink != nil {
-			sink.Emit(obs.Event{Type: obs.EventSweepAbort, Reason: "superseded", Groups: len(res.Groups)})
-		}
-		return
-	}
 	d.Obs.Counter("stream.sweeps." + sw.kind()).Inc()
 	d.Obs.Histogram("stream.sweep." + sw.kind()).Observe(res.Elapsed)
 	if walLogged {
 		d.Obs.Counter("stream.wal.appends").Inc()
 	}
-	if sink != nil {
+	if sink := d.Obs.Sink(); sink != nil {
 		core.EmitGroupVerdicts(sink, res.Groups)
 		sink.Emit(obs.Event{Type: obs.EventSweepCommit, Reason: sw.kind(), Groups: len(res.Groups)})
 	}
@@ -687,56 +657,6 @@ type CacheStats struct{ Hits, Misses, Evictions, Bytes int64 }
 // The method stays only because the benchmark harness still reads it, and
 // goes when the benchmark stops (ROADMAP.md item 1).
 func (d *Detector) CacheStats() CacheStats { return CacheStats{} }
-
-// Reset drops the cached detection state, forcing the next sweep to run
-// fully (for example after a parameter change via Retune). On a durable
-// detector the reset is WAL-logged so recovery reproduces it.
-func (d *Detector) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.logResetLocked()
-	d.resetLocked()
-}
-
-// resetLocked applies one reset record stamped with the current record
-// clock, shared by Reset, Retune and WAL replay; d.mu must be held. It does
-// not tick the clock — the callers that originate a reset log it first.
-func (d *Detector) resetLocked() {
-	d.resetSeq = d.seq
-	d.cached = nil
-	d.lastFull = false
-	d.dirty = map[bipartite.NodeID]uint64{}
-}
-
-// logResetLocked advances the record clock and write-ahead-logs a reset.
-func (d *Detector) logResetLocked() {
-	d.seq++
-	if d.walActiveLocked() {
-		d.walBuf = appendResetRecord(d.walBuf[:0])
-		if err := d.wal.Append(d.seq, d.walBuf); err != nil {
-			d.degradeLocked(err)
-		} else {
-			d.sinceSnap++
-		}
-	}
-}
-
-// Retune swaps detection parameters and resets the incremental state.
-// Parameters themselves are configuration, not state: a durable detector
-// recovered via Open uses whatever params the reopening caller passes, so
-// operators must persist param changes in their own config alongside the
-// WAL directory.
-func (d *Detector) Retune(params core.Params) error {
-	if err := params.Validate(); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.params = params
-	d.logResetLocked()
-	d.resetLocked()
-	return nil
-}
 
 // Detections returns how many sweeps have committed.
 func (d *Detector) Detections() int {

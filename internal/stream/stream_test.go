@@ -84,8 +84,8 @@ func decisionEvents(t *testing.T, trail *bytes.Buffer) []string {
 	return out
 }
 
-// TestFirstDetectIsFull: the first sweep after New, a Reset, a Retune or a
-// cold Open is the batch detection. Over the equivalence corpus at one and
+// TestFirstDetectIsFull: the first sweep after New or a cold Open is the
+// batch detection. Over the equivalence corpus at one and
 // four workers it returns exactly what FullDetectContext returns on the same
 // graph — groups with scores and statistics, and both rankings — and, with
 // an audit sink attached, it makes the same prune.remove and screen.drop
@@ -114,23 +114,23 @@ func TestFirstDetectIsFull(t *testing.T) {
 	var groups, decisions int
 	for i, cfg := range synth.EquivCorpus() {
 		ds := synth.MustGenerate(cfg)
-		background, attack := splitDataset(ds)
 		var all []clicktable.Record
 		ds.Table.Each(func(r clicktable.Record) bool {
 			all = append(all, r)
 			return true
 		})
 		for _, workers := range []int{1, 4} {
-			for _, after := range []string{"New", "Reset", "Retune", "Open"} {
+			for _, after := range []string{"New", "Open"} {
 				t.Run(fmt.Sprintf("workload%02d/workers%d/%s", i, workers, after), func(t *testing.T) {
 					p := deltaEquivParams(cfg)
 					p.Workers = workers
 					var d *Detector
 					var err error
-					switch after {
-					case "New":
-						d, err = New(ds.Table, p)
-					case "Open":
+					if after == "New" {
+						if d, err = New(ds.Table, p); err != nil {
+							t.Fatal(err)
+						}
+					} else {
 						var info *RecoveryInfo
 						if d, info, err = Open(Durability{Dir: t.TempDir()}, p, nil); err != nil {
 							t.Fatal(err)
@@ -140,22 +140,6 @@ func TestFirstDetectIsFull(t *testing.T) {
 							t.Fatalf("Open of an empty directory recovered state: %+v", info)
 						}
 						d.AddBatch(all)
-					default:
-						if d, err = New(background, p); err != nil {
-							t.Fatal(err)
-						}
-						mustSweep(t, d)
-						d.AddBatch(attack)
-						mustSweep(t, d)
-						if after == "Reset" {
-							d.Reset()
-						} else {
-							p.TClick--
-							err = d.Retune(p)
-						}
-					}
-					if err != nil {
-						t.Fatal(err)
 					}
 
 					o := obs.NewObserver("stream")
@@ -226,11 +210,6 @@ func TestScopeGaugeTracksEverySweep(t *testing.T) {
 	}
 	mustSweep(t, d)
 	scope("sweep with nothing dirty", 0)
-	d.AddBatch(attack[:1])
-	mustSweep(t, d)
-	d.Reset()
-	mustSweep(t, d)
-	scope("full sweep after Reset", int64(d.Graph().LiveUsers()))
 }
 
 func TestIncrementalCatchesStreamedAttack(t *testing.T) {
@@ -359,47 +338,6 @@ func TestRescreeningDropsGroupWhenTargetGoesHot(t *testing.T) {
 				t.Errorf("item %d is now hot but still reported as target", v)
 			}
 		}
-	}
-}
-
-func TestResetForcesFullDetection(t *testing.T) {
-	ds := synth.MustGenerate(synth.SmallConfig())
-	d, err := New(ds.Table, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweep(d); err != nil {
-		t.Fatal(err)
-	}
-	d.Reset()
-	res, err := sweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Groups) == 0 {
-		t.Error("post-reset detection found nothing")
-	}
-}
-
-func TestRetune(t *testing.T) {
-	ds := synth.MustGenerate(synth.SmallConfig())
-	d, err := New(ds.Table, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Retune(core.Params{}); err == nil {
-		t.Error("Retune accepted invalid params")
-	}
-	p := smallParams()
-	p.TClick = 10
-	if err := d.Retune(p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweep(d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Detections() != 1 {
-		t.Errorf("Detections = %d, want 1", d.Detections())
 	}
 }
 
