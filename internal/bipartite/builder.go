@@ -14,7 +14,9 @@ import (
 type Builder struct {
 	numUsers int
 	numItems int
-	edges    []Edge
+	users    []NodeID // the records, one column each
+	items    []NodeID
+	weights  []uint32
 }
 
 // NewBuilder returns a Builder for a graph with at least the given number of
@@ -29,13 +31,11 @@ func (b *Builder) Add(u, v NodeID, clicks uint32) {
 	if clicks == 0 {
 		return
 	}
-	if int(u) >= b.numUsers {
-		b.numUsers = int(u) + 1
-	}
-	if int(v) >= b.numItems {
-		b.numItems = int(v) + 1
-	}
-	b.edges = append(b.edges, Edge{U: u, V: v, Weight: clicks})
+	b.numUsers = max(b.numUsers, int(u)+1)
+	b.numItems = max(b.numItems, int(v)+1)
+	b.users = append(b.users, u)
+	b.items = append(b.items, v)
+	b.weights = append(b.weights, clicks)
 }
 
 // AddEdges records a batch of edges.
@@ -45,47 +45,63 @@ func (b *Builder) AddEdges(edges []Edge) {
 	}
 }
 
-// Grow reserves room for n more records, so that a caller that knows its
-// row count (clicktable.Table.ToGraph) pays for one buffer instead
-// of append's doubling.
-func (b *Builder) Grow(n int) { b.edges = slices.Grow(b.edges, n) }
-
 // Build constructs the Graph. The Builder may be reused afterwards; the
 // built graph does not alias the builder's storage, and the recorded edges
 // are left in the order they were added.
-//
-// It is a counting build, linear in the records but for the per-row sorts:
-// count records per user, scatter them into one pre-sized arena, sort each
-// (short) row by item and merge its duplicates in place, then fill the item
-// side with one scatter in user order — which leaves every item column
-// ascending by user with no sort at all. It runs on one goroutine: every
-// pass is a bandwidth-bound sweep over arrays the others also touch, and
-// the chunk-sort/merge/atomic-scatter build it replaced was slower at every
-// worker count (DESIGN.md §9).
 func (b *Builder) Build() *Graph {
-	g := NewGraph(b.numUsers, b.numItems)
+	return build(b.numUsers, b.numItems, b.users, b.items, b.weights)
+}
+
+// FromColumns builds the graph of the records (users[i], items[i],
+// weights[i]) from three equal-length columns it only reads, with no staging
+// copy. Zero-weight records are skipped as Add skips them: they size nothing.
+func FromColumns(users, items []NodeID, weights []uint32) *Graph {
+	numUsers, numItems := 0, 0
+	for i, w := range weights {
+		if w != 0 {
+			numUsers = max(numUsers, int(users[i])+1)
+			numItems = max(numItems, int(items[i])+1)
+		}
+	}
+	return build(numUsers, numItems, users, items, weights)
+}
+
+// build is the counting build behind Build and FromColumns, linear in the
+// records but for the per-row sorts: count records per user, scatter them
+// into one pre-sized arena, sort each (short) row by item and merge its
+// duplicates in place, then fill the item side with one scatter in user
+// order — which leaves every item column ascending by user with no sort at
+// all. It runs on one goroutine: every pass is a bandwidth-bound sweep over
+// arrays the others also touch, and the chunk-sort/merge/atomic-scatter
+// build it replaced was slower at every worker count (DESIGN.md §9).
+func build(numUsers, numItems int, users, items []NodeID, weights []uint32) *Graph {
+	g := NewGraph(numUsers, numItems)
 
 	// User side: rows[start[u]:start[u+1]] receives u's records in input
 	// order; uDeg doubles as the scatter cursor and ends up as the raw
 	// (pre-merge) row length.
-	start := make([]int, b.numUsers+1)
-	for _, e := range b.edges {
-		start[e.U+1]++
+	start := make([]int, numUsers+1)
+	for i, u := range users {
+		if weights[i] != 0 {
+			start[u+1]++
+		}
 	}
-	for u := 0; u < b.numUsers; u++ {
+	for u := 0; u < numUsers; u++ {
 		start[u+1] += start[u]
 	}
-	rows := make([]Arc, len(b.edges))
-	for _, e := range b.edges {
-		rows[start[e.U]+int(g.uDeg[e.U])] = Arc{To: e.V, Weight: e.Weight}
-		g.uDeg[e.U]++
+	rows := make([]Arc, start[numUsers])
+	for i, u := range users {
+		if weights[i] != 0 {
+			rows[start[u]+int(g.uDeg[u])] = Arc{To: items[i], Weight: weights[i]}
+			g.uDeg[u]++
+		}
 	}
 
 	// Sort and merge each row, sliding it left over the slots earlier rows'
 	// duplicates freed (w never passes the row's own start, so the copy
 	// only ever moves data toward the front).
 	w := 0
-	for u := 0; u < b.numUsers; u++ {
+	for u := 0; u < numUsers; u++ {
 		row := rows[start[u]:start[u+1]]
 		slices.SortFunc(row, compareArcs)
 		lo := w
@@ -107,7 +123,7 @@ func (b *Builder) Build() *Graph {
 
 	// Cut the user rows and count the item side.
 	w = 0
-	for u := 0; u < b.numUsers; u++ {
+	for u := 0; u < numUsers; u++ {
 		row := rows[w : w+int(g.uDeg[u]) : w+int(g.uDeg[u])]
 		w += len(row)
 		g.uAdj[u] = row
@@ -124,7 +140,7 @@ func (b *Builder) Build() *Graph {
 	// fills ascending by user.
 	cols := make([]Arc, len(rows))
 	w = 0
-	for v := 0; v < b.numItems; v++ {
+	for v := 0; v < numItems; v++ {
 		g.vAdj[v] = cols[w : w : w+int(g.vDeg[v])]
 		w += int(g.vDeg[v])
 	}

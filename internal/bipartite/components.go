@@ -19,8 +19,13 @@ func (c Component) Size() int { return len(c.Users) + len(c.Items) }
 // g, largest first. Isolated vertices (live degree 0) form singleton
 // components and are included.
 func ConnectedComponents(g *Graph) []Component {
-	uSeen := make([]bool, g.NumUsers())
-	vSeen := make([]bool, g.NumItems())
+	sc := bfsPool.Get().(*bfsScratch)
+	defer bfsPool.Put(sc)
+	uSeen := slices.Grow(sc.uSeen[:0], g.NumUsers())[:g.NumUsers()]
+	vSeen := slices.Grow(sc.vSeen[:0], g.NumItems())[:g.NumItems()]
+	sc.uSeen, sc.vSeen = uSeen, vSeen
+	clear(uSeen)
+	clear(vSeen)
 	var comps []Component
 
 	// BFS queue entries encode side in the high bit of a uint64 to avoid
@@ -29,11 +34,10 @@ func ConnectedComponents(g *Graph) []Component {
 
 	bfs := func(startUser NodeID) Component {
 		var comp Component
-		queue := []uint64{uint64(startUser)}
+		queue := append(sc.queue[:0], uint64(startUser))
 		uSeen[startUser] = true
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			if cur&itemBit == 0 {
 				u := NodeID(cur)
 				comp.Users = append(comp.Users, u)
@@ -56,6 +60,7 @@ func ConnectedComponents(g *Graph) []Component {
 				})
 			}
 		}
+		sc.queue = queue
 		slices.Sort(comp.Users)
 		slices.Sort(comp.Items)
 		return comp
@@ -79,6 +84,15 @@ func ConnectedComponents(g *Graph) []Component {
 	slices.SortStableFunc(comps, func(a, b Component) int { return cmp.Compare(b.Size(), a.Size()) })
 	return comps
 }
+
+// bfsScratch is ConnectedComponents' seen flags and BFS queue, leased from
+// bfsPool; the member lists a Component keeps are always fresh.
+type bfsScratch struct {
+	uSeen, vSeen []bool
+	queue        []uint64
+}
+
+var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 
 // itemIndexPool lends CompactComponent its dense original→local item
 // index, sized to the source graph's items. Entries are never cleared: a

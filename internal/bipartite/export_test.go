@@ -1,0 +1,7 @@
+package bipartite
+
+// For the external tests in tograph_test.go, which build graphs through
+// clicktable, an importer of this package.
+var GraphsEqual = graphsEqual
+
+const RaceEnabled = raceEnabled

@@ -268,7 +268,6 @@ func Compact(g *Graph) (c *Graph, userOf, itemOf []NodeID) {
 		newV[v] = NodeID(i)
 	}
 	b := NewBuilder(len(userOf), len(itemOf))
-	b.Grow(g.LiveEdges())
 	for _, u := range userOf {
 		g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
 			b.Add(newU[u], newV[v], w)

@@ -58,20 +58,24 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 // counting build is tested against.
 func (b *Builder) BuildSerial() *Graph {
 	// Sort by (U, V) so duplicates are adjacent and adjacency ends up sorted.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
+	edges := make([]Edge, len(b.users))
+	for i := range edges {
+		edges[i] = Edge{U: b.users[i], V: b.items[i], Weight: b.weights[i]}
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].U != edges[j].U {
+			return edges[i].U < edges[j].U
 		}
-		return b.edges[i].V < b.edges[j].V
+		return edges[i].V < edges[j].V
 	})
 
 	g := NewGraph(b.numUsers, b.numItems)
 	var merged []Edge
-	for i := 0; i < len(b.edges); {
-		e := b.edges[i]
+	for i := 0; i < len(edges); {
+		e := edges[i]
 		j := i + 1
-		for j < len(b.edges) && b.edges[j].U == e.U && b.edges[j].V == e.V {
-			e.Weight = satAdd32(e.Weight, b.edges[j].Weight)
+		for j < len(edges) && edges[j].U == e.U && edges[j].V == e.V {
+			e.Weight = satAdd32(e.Weight, edges[j].Weight)
 			j++
 		}
 		merged = append(merged, e)

@@ -1,0 +1,103 @@
+package bipartite_test
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/bipartite"
+	"repro/internal/clicktable"
+)
+
+// shuffledTable is a click table over users × items in random row order:
+// rows distinct (user, item) pairs, then dups of them repeated.
+func shuffledTable(seed int64, users, items, rows, dups int, weight func(*rand.Rand) uint32) *clicktable.Table {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[[2]uint32]bool, rows)
+	var pairs [][2]uint32
+	for len(pairs) < rows {
+		p := [2]uint32{uint32(rng.Intn(users)), uint32(rng.Intn(items))}
+		if !seen[p] {
+			seen[p] = true
+			pairs = append(pairs, p)
+		}
+	}
+	for i := 0; i < dups; i++ {
+		pairs = append(pairs, pairs[rng.Intn(rows)])
+	}
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	t := clicktable.New(len(pairs))
+	for _, p := range pairs {
+		t.Append(p[0], p[1], weight(rng))
+	}
+	return t
+}
+
+// serialOf builds t's graph through the Builder's sort-everything reference.
+func serialOf(t *clicktable.Table) *bipartite.Graph {
+	b := bipartite.NewBuilder(0, 0)
+	t.Each(func(r clicktable.Record) bool {
+		b.Add(r.UserID, r.ItemID, r.Clicks)
+		return true
+	})
+	return b.BuildSerial()
+}
+
+// TestToGraphMatchesSerial pins the table → graph build, which reads the
+// table's columns in place, against the reference build of the same rows.
+func TestToGraphMatchesSerial(t *testing.T) {
+	small := func(rng *rand.Rand) uint32 { return uint32(1 + rng.Intn(9)) }
+	huge := func(rng *rand.Rand) uint32 { return math.MaxUint32 - uint32(rng.Intn(3)) }
+	for name, tbl := range map[string]*clicktable.Table{
+		"empty":                  clicktable.New(0),
+		"shuffled with dups":     shuffledTable(1, 900, 250, 20000, 10000, small),
+		"heavy duplication":      shuffledTable(2, 6, 10, 50, 20000, small),
+		"sums saturate":          shuffledTable(3, 40, 30, 600, 900, huge),
+		"aggregated then merged": shuffledTable(4, 300, 80, 4000, 0, small).Aggregate(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			bipartite.GraphsEqual(t, tbl.ToGraph(), serialOf(tbl))
+		})
+	}
+
+	// Zero-weight records are skipped outright: the ones carrying the
+	// largest IDs do not widen the graph.
+	users := []bipartite.NodeID{0, 9, 2, 1, 2, 40}
+	items := []bipartite.NodeID{3, 1, 77, 3, 1, 0}
+	weights := []uint32{2, 0, 0, 5, 1, 0}
+	ref := bipartite.NewBuilder(0, 0)
+	for i := range users {
+		ref.Add(users[i], items[i], weights[i])
+	}
+	got := bipartite.FromColumns(users, items, weights)
+	if got.NumUsers() != 3 || got.NumItems() != 4 {
+		t.Fatalf("FromColumns sized %d users × %d items, want 3 × 4", got.NumUsers(), got.NumItems())
+	}
+	bipartite.GraphsEqual(t, got, ref.BuildSerial())
+}
+
+// TestToGraphAllocatesOnlyTheGraph: a table without duplicate rows becomes a
+// graph with no row-sized allocation beyond the graph's own two arc arenas
+// (8 bytes per row each) and the per-user row offsets.
+func TestToGraphAllocatesOnlyTheGraph(t *testing.T) {
+	if bipartite.RaceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const users, items, rows = 20000, 4000, 150000
+	tbl := shuffledTable(5, users, items, rows, 0, func(*rand.Rand) uint32 { return 1 })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := tbl.ToGraph()
+	runtime.ReadMemStats(&after)
+	if g.LiveEdges() != rows {
+		t.Fatalf("%d edges, want %d", g.LiveEdges(), rows)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(16*rows + 8*(g.NumUsers()+1) + 40*(g.NumUsers()+g.NumItems()) + 4096)
+	t.Logf("ToGraph of %d rows: %d bytes allocated (bound %d)", rows, got, bound)
+	if got > bound {
+		t.Fatalf("ToGraph of %d rows allocated %d bytes, want ≤ %d: a staging copy of the table costs %d more",
+			rows, got, bound, 12*rows)
+	}
+}

@@ -1,0 +1,28 @@
+package clicktable
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// BenchmarkToGraph times the TableToBiGraph step on a shuffled 150k-row
+// table with a batch_detect-like shape: 20k users × 4k items, a sixth of
+// the rows repeating an earlier pair.
+func BenchmarkToGraph(b *testing.B) {
+	const users, items, rows = 20000, 4000, 150000
+	rng := rand.New(rand.NewSource(1))
+	t := New(rows)
+	for i := 0; i < rows; i++ {
+		if i%6 == 5 {
+			r := t.Row(rng.Intn(i))
+			t.Append(r.UserID, r.ItemID, 1+uint32(rng.Intn(5)))
+			continue
+		}
+		t.Append(uint32(rng.Intn(users)), uint32(rng.Intn(items)), 1+uint32(rng.Intn(5)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.ToGraph()
+	}
+}

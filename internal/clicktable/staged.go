@@ -100,23 +100,27 @@ func (s *Staged) Delta() Delta {
 // appended after this point.
 func (s *Staged) MarkPatched() { s.patched = s.pending.Len() }
 
-// Compact folds the pending tail into the base: the concatenation is fully
-// re-aggregated (the same sort+merge a from-scratch build pays, which is
-// what keeps compaction cost identical to the historical full-rebuild
-// path), the tail empties, and the patched watermark resets. With an empty
-// tail the base's aggregated invariant makes this free (Aggregate's fast
-// path).
+// Compact folds the pending tail into the base: the tail alone is
+// aggregated, then merged with the sorted, duplicate-free base in one pass
+// into one new table, equal pairs summed with saturation — the table a full
+// re-aggregation of the history gives. The tail empties and the patched
+// watermark resets. With an empty tail there is nothing to do.
 func (s *Staged) Compact() {
 	if s.pending.Len() == 0 {
-		s.base = s.base.Aggregate()
 		return
 	}
-	all := s.base.Clone()
-	s.pending.Each(func(r Record) bool {
-		all.AppendRecord(r)
-		return true
-	})
-	s.base = all.Aggregate()
+	a, b := s.base, s.pending.Aggregate()
+	out := New(a.Len() + b.Len())
+	for i, j := 0, 0; i < a.Len() || j < b.Len(); {
+		if j == b.Len() || i < a.Len() && a.key(i) <= b.key(j) {
+			out.addRow(a, i)
+			i++
+		} else {
+			out.addRow(b, j)
+			j++
+		}
+	}
+	s.base = out
 	s.pending = New(0)
 	s.patched = 0
 }

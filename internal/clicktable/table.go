@@ -94,40 +94,34 @@ func (t *Table) Aggregate() *Table {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if t.users[i] != t.users[j] {
-			return t.users[i] < t.users[j]
-		}
-		return t.items[i] < t.items[j]
-	})
+	sort.Slice(idx, func(a, b int) bool { return t.key(idx[a]) < t.key(idx[b]) })
 	out := New(t.Len())
-	for p := 0; p < len(idx); {
-		i := idx[p]
-		u, v, c := t.users[i], t.items[i], uint64(t.clicks[i])
-		q := p + 1
-		for q < len(idx) && t.users[idx[q]] == u && t.items[idx[q]] == v {
-			c += uint64(t.clicks[idx[q]])
-			q++
-		}
-		if c > 1<<32-1 {
-			c = 1<<32 - 1
-		}
-		out.Append(u, v, uint32(c))
-		p = q
+	for _, i := range idx {
+		out.addRow(t, i)
 	}
 	return out
 }
+
+// addRow appends row i of t, summing its clicks into the last row instead
+// (saturating) when that row holds the same (user, item) pair: fed rows in
+// (user, item) order, it builds an aggregated table.
+func (t *Table) addRow(from *Table, i int) {
+	if n := t.Len(); n > 0 && t.key(n-1) == from.key(i) {
+		t.clicks[n-1] = uint32(min(uint64(t.clicks[n-1])+uint64(from.clicks[i]), 1<<32-1))
+		return
+	}
+	t.Append(from.users[i], from.items[i], from.clicks[i])
+}
+
+// key is row i's (user, item) pair as one integer ordered like the pair.
+func (t *Table) key(i int) uint64 { return uint64(t.users[i])<<32 | uint64(t.items[i]) }
 
 // aggregated reports whether the rows are strictly increasing by
 // (user, item) — the invariant Aggregate's output satisfies: sorted with no
 // duplicate pairs (zero-click rows can never be appended).
 func (t *Table) aggregated() bool {
 	for i := 1; i < len(t.users); i++ {
-		if t.users[i] < t.users[i-1] {
-			return false
-		}
-		if t.users[i] == t.users[i-1] && t.items[i] <= t.items[i-1] {
+		if t.key(i) <= t.key(i-1) {
 			return false
 		}
 	}
@@ -165,14 +159,10 @@ func (s Scale) String() string {
 
 // ToGraph converts the table to a bipartite click graph. Duplicate rows are
 // merged by summing clicks (the graph builder does this). This is the
-// TableToBiGraph function of the paper's Algorithm 2.
+// TableToBiGraph function of the paper's Algorithm 2. The build reads the
+// table's own columns: nothing row-sized is allocated beyond the graph.
 func (t *Table) ToGraph() *bipartite.Graph {
-	b := bipartite.NewBuilder(0, 0)
-	b.Grow(len(t.users))
-	for i := range t.users {
-		b.Add(t.users[i], t.items[i], t.clicks[i])
-	}
-	return b.Build()
+	return bipartite.FromColumns(t.users, t.items, t.clicks)
 }
 
 // FromGraph materializes the live part of a bipartite graph back into a

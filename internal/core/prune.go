@@ -67,15 +67,34 @@ func PruneCtx(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span) (
 // parallel rounds would race on the hook's state.
 var testSquareEvalHook func(side bipartite.Side, id bipartite.NodeID)
 
+// frontiers lends each fixpoint (newFrontier … release) its dirty sets,
+// certificate slabs and wide masks, grown to the largest graph met, so a
+// warm fixpoint allocates none of them (DESIGN.md §10.4).
+var frontiers = sync.Pool{New: func() any { return new(frontier) }}
+
+// newFrontier leases a frontier for a fixpoint on g, with no dirty marks.
 func newFrontier(g *bipartite.Graph) *frontier {
-	return &frontier{
-		g:     g,
-		users: newDirtySet(g.NumUsers()),
-		items: newDirtySet(g.NumItems()),
-		walkU: newDirtySet(g.NumUsers()),
-		walkI: newDirtySet(g.NumItems()),
-	}
+	fr := frontiers.Get().(*frontier)
+	fr.g = g
+	fr.users.bits = resize(fr.users.bits, g.NumUsers())
+	fr.items.bits = resize(fr.items.bits, g.NumItems())
+	fr.walkU.bits = resize(fr.walkU.bits, g.NumUsers())
+	fr.walkI.bits = resize(fr.walkI.bits, g.NumItems())
+	return fr
 }
+
+// release clears fr's marks and hands it back; no result points into it.
+func (fr *frontier) release() {
+	for _, s := range []*dirtySet{&fr.users, &fr.items, &fr.walkU, &fr.walkI} {
+		s.reset()
+	}
+	fr.g = nil
+	frontiers.Put(fr)
+}
+
+// resize returns buf with length n, reusing its array when it is large
+// enough; reused elements keep whatever they held.
+func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
 // prune computes the Core/Square fixpoint of Algorithm 3 on fr.g. Round 1
 // evaluates every live vertex; each later round evaluates only the dirty
@@ -115,8 +134,10 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 	st.Rounds = 1
 	rsp := sp.Start("round")
 	removed := corePruneFixpoint(g, p, a, st.Rounds)
-	wide := newWideMasks(g)
-	fr.certU, fr.certI = newCertificates(g.NumUsers(), p.K1), newCertificates(g.NumItems(), p.K2)
+	wide := &fr.wide
+	wide.build(g)
+	fr.certU.reset(g.NumUsers(), p.K1)
+	fr.certI.reset(g.NumItems(), p.K2)
 	prev := g.SetRemovalObserver(fr)
 	defer g.SetRemovalObserver(prev)
 
@@ -141,7 +162,7 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 			evalU = fr.users.take()
 		}
 		wide.refresh(g)
-		uVictims := squareRoundUsers(ctx, g, p, evalU, pool, wide, fr.certU)
+		uVictims := squareRoundUsers(ctx, g, p, evalU, pool, wide, &fr.certU)
 		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, ceilMul(p.K2, p.Alpha), p.K1)
 		for _, u := range uVictims {
 			g.RemoveUser(u)
@@ -157,7 +178,7 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 			fr.expand()
 			evalI = fr.items.take()
 		}
-		iVictims := squareRoundItems(ctx, g, p, evalI, pool, fr.certI)
+		iVictims := squareRoundItems(ctx, g, p, evalI, pool, &fr.certI)
 		a.squareRemovals(bipartite.ItemSide, iVictims, st.Rounds, ceilMul(p.K1, p.Alpha), p.K2)
 		for _, v := range iVictims {
 			g.RemoveItem(v)
@@ -201,14 +222,13 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 // have shrunk since their last evaluation. mark is O(1) and idempotent; take
 // returns the marked IDs sorted ascending (the evaluation order of a full
 // scan) and resets the set. The two backing buffers alternate between rounds,
-// so a steady-state fixpoint allocates nothing here.
+// so a steady-state fixpoint allocates nothing here. bits is sized to the
+// graph's side; every flag is clear when the set holds no marks.
 type dirtySet struct {
 	bits  []bool
 	list  []bipartite.NodeID
 	spare []bipartite.NodeID
 }
-
-func newDirtySet(n int) *dirtySet { return &dirtySet{bits: make([]bool, n)} }
 
 func (s *dirtySet) mark(id bipartite.NodeID) {
 	if !s.bits[id] {
@@ -278,12 +298,13 @@ func (s *dirtySet) reset() {
 // prove anything.
 type frontier struct {
 	g     *bipartite.Graph
-	users *dirtySet
-	items *dirtySet
-	walkU *dirtySet // users adjacent to removed items, pending a one-hop expansion
-	walkI *dirtySet // items adjacent to removed users, pending a one-hop expansion
-	certU *certificates
-	certI *certificates
+	users dirtySet
+	items dirtySet
+	walkU dirtySet // users adjacent to removed items, pending a one-hop expansion
+	walkI dirtySet // items adjacent to removed users, pending a one-hop expansion
+	certU certificates
+	certI certificates
+	wide  wideMasks
 }
 
 func (f *frontier) UserRemoved(x bipartite.NodeID) {
@@ -338,12 +359,15 @@ type certificates struct {
 	lost []bool             // x has no certificate that holds: until its first pass, after a failing test, once a neighbour dies
 }
 
-func newCertificates(n, k int) *certificates {
-	cs := &certificates{k: k, wit: make([]bipartite.NodeID, n*k), lost: make([]bool, n)}
+// reset readies cs for a fixpoint over n vertices with k witnesses each:
+// no vertex holds a certificate.
+func (cs *certificates) reset(n, k int) {
+	cs.k = k
+	cs.wit = resize(cs.wit, n*k)
+	cs.lost = resize(cs.lost, n)
 	for x := range cs.lost {
 		cs.lost[x] = true
 	}
-	return cs
 }
 
 // holds reports whether x's certificate still proves that x survives.
@@ -377,22 +401,19 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 	minUDeg := ceilMul(p.K2, p.Alpha)
 	minIDeg := ceilMul(p.K1, p.Alpha)
 
-	type node struct {
-		id   bipartite.NodeID
-		side bipartite.Side
-	}
-	var queue []node
-	var nbrs []bipartite.NodeID // scratch: the live neighbors of the vertex being removed
+	ps := peels.Get().(*peelScratch)
+	queue := ps.queue[:0]
+	nbrs := ps.nbrs[:0] // the live neighbors of the vertex being removed
 
 	g.EachLiveUser(func(u bipartite.NodeID) bool {
 		if g.UserDegree(u) < minUDeg {
-			queue = append(queue, node{u, bipartite.UserSide})
+			queue = append(queue, peelNode{u, bipartite.UserSide})
 		}
 		return true
 	})
 	g.EachLiveItem(func(v bipartite.NodeID) bool {
 		if g.ItemDegree(v) < minIDeg {
-			queue = append(queue, node{v, bipartite.ItemSide})
+			queue = append(queue, peelNode{v, bipartite.ItemSide})
 		}
 		return true
 	})
@@ -415,7 +436,7 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 			st.UsersRemoved++
 			for _, v := range nbrs {
 				if g.ItemAlive(v) && g.ItemDegree(v) < minIDeg {
-					queue = append(queue, node{v, bipartite.ItemSide})
+					queue = append(queue, peelNode{v, bipartite.ItemSide})
 				}
 			}
 		} else {
@@ -432,13 +453,32 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 			st.ItemsRemoved++
 			for _, u := range nbrs {
 				if g.UserAlive(u) && g.UserDegree(u) < minUDeg {
-					queue = append(queue, node{u, bipartite.UserSide})
+					queue = append(queue, peelNode{u, bipartite.UserSide})
 				}
 			}
 		}
 	}
+	ps.queue, ps.nbrs = queue, nbrs
+	peels.Put(ps)
 	return st
 }
+
+// peelNode is one entry of the core peel's stack.
+type peelNode struct {
+	id   bipartite.NodeID
+	side bipartite.Side
+}
+
+// peelScratch is corePruneFixpoint's stack and neighbour buffer, leased
+// from peels. The peel pushes a vertex again each time a removal drops it
+// below its bound and skips it when it pops dead: that LIFO order, duplicates
+// included, is the order of the audited removals and of RemovalEpoch.
+type peelScratch struct {
+	queue []peelNode
+	nbrs  []bipartite.NodeID
+}
+
+var peels = sync.Pool{New: func() any { return new(peelScratch) }}
 
 // commonCounter is a reusable dense counter for common-neighbor counting.
 // countsU/countsI are indexed by vertex ID; touched remembers which slots to
@@ -454,36 +494,35 @@ type commonCounter struct {
 	certified int                // vertices whose certificate held, since the counter was last pooled
 }
 
-func newCommonCounter(numUsers, numItems int) *commonCounter {
-	return &commonCounter{
-		countsU: make([]int32, numUsers),
-		countsI: make([]int32, numItems),
-	}
-}
+// counters lends commonCounters to the square tests of every fixpoint. A
+// counter's counts are all zero whenever it is not lent out (each test
+// clears what it touched), and a lease grows them to the graph at hand, so
+// steady-state rounds, shards and detections allocate no counter state.
+var counters = sync.Pool{New: func() any { return new(commonCounter) }}
 
-// counterPool recycles commonCounters across the rounds and workers of one
-// pruning fixpoint. The counters are graph-sized (component-sized inside a
-// compacted shard, which is why each shard builds its own pool), so reuse
-// means steady-state rounds allocate no counter state at all. A counter
-// handed back adds its certified count to the pool's, so the workers of a
-// round tally without sharing a word.
+// counterPool leases counters sized to one fixpoint's graph. A counter
+// handed back adds its certified count to the fixpoint's, so the workers of
+// a round tally without sharing a word.
 type counterPool struct {
-	pool      sync.Pool
-	certified atomic.Int64
+	numUsers, numItems int
+	certified          atomic.Int64
 }
 
 func newCounterPool(numUsers, numItems int) *counterPool {
-	cp := &counterPool{}
-	cp.pool.New = func() any { return newCommonCounter(numUsers, numItems) }
-	return cp
+	return &counterPool{numUsers: numUsers, numItems: numItems}
 }
 
-func (cp *counterPool) get() *commonCounter { return cp.pool.Get().(*commonCounter) }
+func (cp *counterPool) get() *commonCounter {
+	c := counters.Get().(*commonCounter)
+	c.countsU = resize(c.countsU, cp.numUsers)
+	c.countsI = resize(c.countsI, cp.numItems)
+	return c
+}
 
 func (cp *counterPool) put(c *commonCounter) {
 	cp.certified.Add(int64(c.certified))
 	c.certified = 0
-	cp.pool.Put(c)
+	counters.Put(c)
 }
 
 // maxWide is the number of wide items a wideMasks indexes: one bit each of
@@ -510,23 +549,29 @@ type wideMasks struct {
 	isWide []bool             // item → whether it is in W
 	user   []uint64           // user → the wide items it has an arc to; 0 once the user is dead
 	live   uint64             // the bits of W whose item is still alive
+	keys   []uint64           // sortByDegree scratch
 }
 
-func newWideMasks(g *bipartite.Graph) *wideMasks {
-	items := g.LiveItemIDs()
-	sortByDegree(items, g.ItemDegree, nil)
-	wm := &wideMasks{
-		items:  items[max(0, len(items)-maxWide):], // the widest are last
-		isWide: make([]bool, g.NumItems()),
-		user:   make([]uint64, g.NumUsers()),
-	}
+// build fixes W and the user masks for a fixpoint on g, reusing wm's
+// buffers.
+func (wm *wideMasks) build(g *bipartite.Graph) {
+	items := wm.items[:0]
+	g.EachLiveItem(func(v bipartite.NodeID) bool {
+		items = append(items, v)
+		return true
+	})
+	wm.keys = sortByDegree(items, g.ItemDegree, wm.keys)
+	wm.items = append(items[:0], items[max(0, len(items)-maxWide):]...) // the widest are last
+	wm.isWide = resize(wm.isWide, g.NumItems())
+	wm.user = resize(wm.user, g.NumUsers())
+	clear(wm.isWide)
+	clear(wm.user)
 	for i, v := range wm.items {
 		wm.isWide[v] = true
 		for _, a := range g.ItemArcs(v) {
 			wm.user[a.To] |= 1 << i
 		}
 	}
-	return wm
 }
 
 // refresh re-reads liveness from g: call it between rounds, after the
@@ -783,17 +828,17 @@ func parallelFilter(ctx context.Context, ids []bipartite.NodeID, workers int,
 	var next atomic.Int64
 	work := func() {
 		c := pool.get()
-		defer pool.put(c)
 		for {
 			lo := int(next.Add(filterGrain)) - filterGrain
 			if lo >= len(ids) || ctx.Err() != nil {
-				return
+				break
 			}
 			for i := lo; i < min(lo+filterGrain, len(ids)); i++ {
 				keep[i] = pred(c, ids[i])
 			}
 			runtime.Gosched()
 		}
+		pool.put(c) // not deferred: a counter a panicking test left dirty is dropped
 	}
 	workers = min(max(workers, 1), (len(ids)+filterGrain-1)/filterGrain)
 	var wg sync.WaitGroup

@@ -315,7 +315,9 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 
 	lp := p
 	lp.Workers = innerWorkers
-	lst, err := newFrontier(cg).prune(ctx, lp, ssp, o, a.forShard(shardIdx, userOf, itemOf))
+	fr := newFrontier(cg)
+	lst, err := fr.prune(ctx, lp, ssp, o, a.forShard(shardIdx, userOf, itemOf))
+	fr.release()
 	out.rounds = lst.Rounds
 	for lu := 0; lu < cg.NumUsers(); lu++ {
 		if !cg.UserAlive(bipartite.NodeID(lu)) {
