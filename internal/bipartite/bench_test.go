@@ -50,11 +50,29 @@ func BenchmarkTwoHopUsers(b *testing.B) {
 	}
 }
 
+// BenchmarkConnectedComponents splits a whole graph, and a residual shaped
+// like the one after the global core peel: 150k clicks over 20k users × 4k
+// items with nine users in ten dead, so most of a live item's column leads
+// to dead users.
 func BenchmarkConnectedComponents(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConnectedComponents(g)
+	rng := rand.New(rand.NewSource(1))
+	builder := NewBuilder(20000, 4000)
+	for e := 0; e < 150000; e++ {
+		builder.Add(NodeID(rng.Intn(20000)), NodeID(rng.Intn(4000)), 1)
+	}
+	residual := builder.Build()
+	for u := 0; u < residual.NumUsers(); u++ {
+		if u%10 != 0 {
+			residual.RemoveUser(NodeID(u))
+		}
+	}
+	for name, g := range map[string]*Graph{"whole": benchGraph(b), "residual": residual} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ConnectedComponents(g)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package bipartite
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -55,7 +54,12 @@ func (b *Builder) Build() *Graph {
 // FromColumns builds the graph of the records (users[i], items[i],
 // weights[i]) from three equal-length columns it only reads, with no staging
 // copy. Zero-weight records are skipped as Add skips them: they size nothing.
+// Columns of unequal length panic.
 func FromColumns(users, items []NodeID, weights []uint32) *Graph {
+	if len(users) != len(weights) || len(items) != len(weights) {
+		panic(fmt.Sprintf("bipartite: FromColumns: columns of unequal length: %d users, %d items, %d weights",
+			len(users), len(items), len(weights)))
+	}
 	numUsers, numItems := 0, 0
 	for i, w := range weights {
 		if w != 0 {
@@ -67,45 +71,78 @@ func FromColumns(users, items []NodeID, weights []uint32) *Graph {
 }
 
 // build is the counting build behind Build and FromColumns, linear in the
-// records but for the per-row sorts: count records per user, scatter them
-// into one pre-sized arena, sort each (short) row by item and merge its
-// duplicates in place, then fill the item side with one scatter in user
-// order — which leaves every item column ascending by user with no sort at
-// all. It runs on one goroutine: every pass is a bandwidth-bound sweep over
-// arrays the others also touch, and the chunk-sort/merge/atomic-scatter
-// build it replaced was slower at every worker count (DESIGN.md §9).
+// records with no comparison sort. Records ordered by (user, item), as an
+// aggregated table hands them over, are copied into one pre-sized arena;
+// any other order is bucketed by item, then dealt out to the user rows in
+// ascending item order. Either way each row ascends by item with its
+// duplicates adjacent for one in-place merge, and one scatter in user order
+// fills every item column ascending by user. It runs on one goroutine: the
+// chunk-sort/merge/atomic-scatter build it replaced was slower at every
+// worker count (DESIGN.md §9).
 func build(numUsers, numItems int, users, items []NodeID, weights []uint32) *Graph {
 	g := NewGraph(numUsers, numItems)
 
-	// User side: rows[start[u]:start[u+1]] receives u's records in input
-	// order; uDeg doubles as the scatter cursor and ends up as the raw
-	// (pre-merge) row length.
+	// Count records per user, and see whether they come ordered.
 	start := make([]int, numUsers+1)
+	ordered, prev := true, uint64(0)
 	for i, u := range users {
 		if weights[i] != 0 {
 			start[u+1]++
+			k := uint64(u)<<32 | uint64(items[i])
+			ordered, prev = ordered && k >= prev, k
 		}
 	}
 	for u := 0; u < numUsers; u++ {
 		start[u+1] += start[u]
 	}
 	rows := make([]Arc, start[numUsers])
-	for i, u := range users {
-		if weights[i] != 0 {
-			rows[start[u]+int(g.uDeg[u])] = Arc{To: items[i], Weight: weights[i]}
-			g.uDeg[u]++
+	var byItem []Arc
+	if ordered {
+		w := 0
+		for i, v := range items {
+			if weights[i] != 0 {
+				rows[w] = Arc{To: v, Weight: weights[i]}
+				w++
+			}
+		}
+	} else {
+		// Bucket the records by item, in input order; vEnd[v] ends as
+		// the end of v's bucket, which is where v+1's begins.
+		vEnd := make([]int, numItems+1)
+		for i, v := range items {
+			if weights[i] != 0 {
+				vEnd[v+1]++
+			}
+		}
+		for v := 0; v < numItems; v++ {
+			vEnd[v+1] += vEnd[v]
+		}
+		byItem = make([]Arc, len(rows))
+		for i, v := range items {
+			if weights[i] != 0 {
+				byItem[vEnd[v]] = Arc{To: users[i], Weight: weights[i]}
+				vEnd[v]++
+			}
+		}
+		// Deal the buckets out to the rows, items ascending; uDeg is the
+		// row cursor.
+		lo := 0
+		for v := 0; v < numItems; v++ {
+			for _, a := range byItem[lo:vEnd[v]] {
+				rows[start[a.To]+int(g.uDeg[a.To])] = Arc{To: NodeID(v), Weight: a.Weight}
+				g.uDeg[a.To]++
+			}
+			lo = vEnd[v]
 		}
 	}
 
-	// Sort and merge each row, sliding it left over the slots earlier rows'
-	// duplicates freed (w never passes the row's own start, so the copy
-	// only ever moves data toward the front).
+	// Merge each row's duplicates, sliding it left over the slots earlier
+	// rows' duplicates freed (w never passes the row's own start, so the
+	// copy only ever moves data toward the front).
 	w := 0
 	for u := 0; u < numUsers; u++ {
-		row := rows[start[u]:start[u+1]]
-		slices.SortFunc(row, compareArcs)
 		lo := w
-		for _, a := range row {
+		for _, a := range rows[start[u]:start[u+1]] {
 			if w > lo && rows[w-1].To == a.To {
 				rows[w-1].Weight = satAdd32(rows[w-1].Weight, a.Weight)
 				continue
@@ -116,8 +153,8 @@ func build(numUsers, numItems int, users, items []NodeID, weights []uint32) *Gra
 		g.uDeg[u] = int32(w - lo)
 	}
 	if w < len(rows) {
-		// Duplicates were merged: do not pin the unused tail for the
-		// graph's lifetime.
+		// Duplicates were merged: neither arena pins the unused tail for
+		// the graph's lifetime.
 		rows = slices.Clone(rows[:w])
 	}
 
@@ -137,8 +174,12 @@ func build(numUsers, numItems int, users, items []NodeID, weights []uint32) *Gra
 	g.liveEdges = len(rows)
 
 	// Item side: users are visited in ascending order, so each column
-	// fills ascending by user.
-	cols := make([]Arc, len(rows))
+	// fills ascending by user. The item buckets, read by now, are reused
+	// when they are exactly that long.
+	cols := byItem
+	if len(cols) != len(rows) {
+		cols = make([]Arc, len(rows))
+	}
 	w = 0
 	for v := 0; v < numItems; v++ {
 		g.vAdj[v] = cols[w : w : w+int(g.vDeg[v])]
@@ -151,8 +192,6 @@ func build(numUsers, numItems int, users, items []NodeID, weights []uint32) *Gra
 	}
 	return g
 }
-
-func compareArcs(a, b Arc) int { return cmp.Compare(a.To, b.To) }
 
 // FromEdges is a convenience constructor building a graph directly from an
 // edge list. Vertex counts are inferred from the maximum IDs present.

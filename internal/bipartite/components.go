@@ -16,83 +16,86 @@ type Component struct {
 func (c Component) Size() int { return len(c.Users) + len(c.Items) }
 
 // ConnectedComponents returns the connected components of the live part of
-// g, largest first. Isolated vertices (live degree 0) form singleton
-// components and are included.
+// g, largest first, then by smallest user; isolated vertices (live degree
+// 0) form singleton components, isolated items last. Member lists ascend.
+//
+// It is a union–find over the live users' rows (items after users in one
+// parent array) whose unions keep the smaller index as root, so a
+// component with a user is rooted at its smallest user: ascending scans of
+// the users, then the items, number the components in the order a BFS
+// from each unreached user finds them and fill every list sorted.
 func ConnectedComponents(g *Graph) []Component {
-	sc := bfsPool.Get().(*bfsScratch)
-	defer bfsPool.Put(sc)
-	uSeen := slices.Grow(sc.uSeen[:0], g.NumUsers())[:g.NumUsers()]
-	vSeen := slices.Grow(sc.vSeen[:0], g.NumItems())[:g.NumItems()]
-	sc.uSeen, sc.vSeen = uSeen, vSeen
-	clear(uSeen)
-	clear(vSeen)
-	var comps []Component
-
-	// BFS queue entries encode side in the high bit of a uint64 to avoid
-	// allocating a struct per frontier entry.
-	const itemBit = uint64(1) << 32
-
-	bfs := func(startUser NodeID) Component {
-		var comp Component
-		queue := append(sc.queue[:0], uint64(startUser))
-		uSeen[startUser] = true
-		for head := 0; head < len(queue); head++ {
-			cur := queue[head]
-			if cur&itemBit == 0 {
-				u := NodeID(cur)
-				comp.Users = append(comp.Users, u)
-				g.EachUserNeighbor(u, func(v NodeID, _ uint32) bool {
-					if !vSeen[v] {
-						vSeen[v] = true
-						queue = append(queue, uint64(v)|itemBit)
-					}
-					return true
-				})
+	nu := g.NumUsers()
+	sc := splitPool.Get().(*splitScratch)
+	defer splitPool.Put(sc)
+	sc.parent = slices.Grow(sc.parent[:0], nu+g.NumItems())[:nu+g.NumItems()]
+	sc.id = slices.Grow(sc.id[:0], nu)[:nu]
+	parent, id := sc.parent, sc.id
+	for x := range parent {
+		parent[x] = int32(x)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for u, row := range g.uAdj {
+		if !g.uAlive[u] {
+			continue
+		}
+		r := int32(u) // u is a singleton until its own row is read
+		for _, a := range row {
+			if !g.vAlive[a.To] {
+				continue
+			}
+			if rv := find(int32(nu) + int32(a.To)); rv < r {
+				parent[r], r = rv, rv
 			} else {
-				v := NodeID(cur &^ itemBit)
-				comp.Items = append(comp.Items, v)
-				g.EachItemNeighbor(v, func(u NodeID, _ uint32) bool {
-					if !uSeen[u] {
-						uSeen[u] = true
-						queue = append(queue, uint64(u))
-					}
-					return true
-				})
+				parent[rv] = r
 			}
 		}
-		sc.queue = queue
-		slices.Sort(comp.Users)
-		slices.Sort(comp.Items)
-		return comp
 	}
 
-	g.EachLiveUser(func(u NodeID) bool {
-		if !uSeen[u] {
-			comps = append(comps, bfs(u))
+	// Number the components in the order their roots appear; every user
+	// component exists before the item scan starts, so the components of
+	// isolated items come after all of them.
+	var comps []Component
+	for u, alive := range g.uAlive {
+		if !alive {
+			continue
 		}
-		return true
-	})
-	// Items unreachable from any user (isolated items).
-	g.EachLiveItem(func(v NodeID) bool {
-		if !vSeen[v] {
-			vSeen[v] = true
-			comps = append(comps, Component{Items: []NodeID{v}})
+		r := find(int32(u))
+		if r == int32(u) {
+			id[u] = int32(len(comps))
+			comps = append(comps, Component{})
 		}
-		return true
-	})
+		c := &comps[id[r]]
+		c.Users = append(c.Users, NodeID(u))
+	}
+	for v, alive := range g.vAlive {
+		if !alive {
+			continue
+		}
+		if r := find(int32(nu + v)); r < int32(nu) {
+			c := &comps[id[r]]
+			c.Items = append(c.Items, NodeID(v))
+		} else {
+			comps = append(comps, Component{Items: []NodeID{NodeID(v)}})
+		}
+	}
 
 	slices.SortStableFunc(comps, func(a, b Component) int { return cmp.Compare(b.Size(), a.Size()) })
 	return comps
 }
 
-// bfsScratch is ConnectedComponents' seen flags and BFS queue, leased from
-// bfsPool; the member lists a Component keeps are always fresh.
-type bfsScratch struct {
-	uSeen, vSeen []bool
-	queue        []uint64
-}
+// splitScratch is ConnectedComponents' parent array and component numbers,
+// leased from splitPool; the member lists a Component keeps are always
+// fresh.
+type splitScratch struct{ parent, id []int32 }
 
-var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+var splitPool = sync.Pool{New: func() any { return new(splitScratch) }}
 
 // itemIndexPool lends CompactComponent its dense original→local item
 // index, sized to the source graph's items. Entries are never cleared: a

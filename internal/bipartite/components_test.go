@@ -1,9 +1,99 @@
 package bipartite
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
+
+// bfsComponents is the oracle ConnectedComponents is held to: a BFS from
+// each live user not yet reached, in ascending order, over rows and
+// columns alike, member lists sorted after the fact; then every live item
+// no user reached as a singleton; then a stable sort, largest first.
+func bfsComponents(g *Graph) []Component {
+	uSeen := make([]bool, g.NumUsers())
+	vSeen := make([]bool, g.NumItems())
+	var comps []Component
+	const itemBit = uint64(1) << 32
+	g.EachLiveUser(func(start NodeID) bool {
+		if uSeen[start] {
+			return true
+		}
+		var comp Component
+		uSeen[start] = true
+		queue := []uint64{uint64(start)}
+		for head := 0; head < len(queue); head++ {
+			if cur := queue[head]; cur&itemBit == 0 {
+				comp.Users = append(comp.Users, NodeID(cur))
+				g.EachUserNeighbor(NodeID(cur), func(v NodeID, _ uint32) bool {
+					if !vSeen[v] {
+						vSeen[v] = true
+						queue = append(queue, uint64(v)|itemBit)
+					}
+					return true
+				})
+			} else {
+				comp.Items = append(comp.Items, NodeID(cur&^itemBit))
+				g.EachItemNeighbor(NodeID(cur&^itemBit), func(u NodeID, _ uint32) bool {
+					if !uSeen[u] {
+						uSeen[u] = true
+						queue = append(queue, uint64(u))
+					}
+					return true
+				})
+			}
+		}
+		slices.Sort(comp.Users)
+		slices.Sort(comp.Items)
+		comps = append(comps, comp)
+		return true
+	})
+	g.EachLiveItem(func(v NodeID) bool {
+		if !vSeen[v] {
+			comps = append(comps, Component{Items: []NodeID{v}})
+		}
+		return true
+	})
+	slices.SortStableFunc(comps, func(a, b Component) int { return cmp.Compare(b.Size(), a.Size()) })
+	return comps
+}
+
+// TestConnectedComponentsMatchesBFS: on random graphs with dead vertices,
+// isolated users and isolated items, the union–find split returns exactly
+// the BFS oracle's components — their order, their members' order, and nil
+// where the oracle has nil.
+func TestConnectedComponentsMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		nu, ni := 1+rng.Intn(60), 1+rng.Intn(40)
+		b := NewBuilder(nu+rng.Intn(5), ni+rng.Intn(5)) // the extra IDs are isolated
+		for e := rng.Intn(3 * (nu + ni)); e > 0; e-- {
+			b.Add(NodeID(rng.Intn(nu)), NodeID(rng.Intn(ni)), 1)
+		}
+		g := b.Build()
+		for u := 0; u < g.NumUsers(); u++ {
+			if rng.Intn(3) == 0 {
+				g.RemoveUser(NodeID(u))
+			}
+		}
+		for v := 0; v < g.NumItems(); v++ {
+			if rng.Intn(4) == 0 {
+				g.RemoveItem(NodeID(v))
+			}
+		}
+		// Twice: the second call runs on scratch the first one pooled.
+		for range 2 {
+			if got, want := ConnectedComponents(g), bfsComponents(g); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %v:\n got %+v\nwant %+v", trial, g, got, want)
+			}
+		}
+	}
+	if got := ConnectedComponents(NewGraph(0, 0)); got != nil {
+		t.Fatalf("empty graph: %#v, want nil", got)
+	}
+}
 
 func TestConnectedComponentsBasic(t *testing.T) {
 	// One big component (u1—v2—u2 bridges everything) plus two isolated

@@ -7,7 +7,8 @@ import (
 
 // BenchmarkToGraph times the TableToBiGraph step on a shuffled 150k-row
 // table with a batch_detect-like shape: 20k users × 4k items, a sixth of
-// the rows repeating an earlier pair.
+// the rows repeating an earlier pair; and on its aggregate, the rows in
+// (user, item) order a stream's rebuild hands over.
 func BenchmarkToGraph(b *testing.B) {
 	const users, items, rows = 20000, 4000, 150000
 	rng := rand.New(rand.NewSource(1))
@@ -20,9 +21,15 @@ func BenchmarkToGraph(b *testing.B) {
 		}
 		t.Append(uint32(rng.Intn(users)), uint32(rng.Intn(items)), 1+uint32(rng.Intn(5)))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.ToGraph()
+	for _, c := range []struct {
+		name string
+		t    *Table
+	}{{"shuffled", t}, {"aggregated", t.Aggregate()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.t.ToGraph()
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -489,6 +490,7 @@ type commonCounter struct {
 	touched   []bipartite.NodeID
 	nbrs      []bipartite.NodeID
 	keys      []uint64           // sortByDegree scratch
+	slots     []int32            // orderByDegree's per-degree cursors
 	wit       []bipartite.NodeID // the candidates the last test counted at ≥ need, in order: a pass's witnesses
 	steps     int                // arcs and mask words read by the masked user test, accumulated
 	certified int                // vertices whose certificate held, since the counter was last pooled
@@ -708,7 +710,7 @@ func squareSurvivesItem(g *bipartite.Graph, v bipartite.NodeID, need, k2 int, c 
 		c.nbrs = append(c.nbrs, u)
 		return true
 	})
-	c.keys = sortByDegree(c.nbrs, g.UserDegree, c.keys)
+	c.orderByDegree(g.UserDegree)
 
 	c.touched = c.touched[:0]
 	num := 0
@@ -755,6 +757,42 @@ func sortByDegree(ids []bipartite.NodeID, deg func(bipartite.NodeID) int, keys [
 		ids[i] = bipartite.NodeID(uint32(k))
 	}
 	return keys
+}
+
+// orderByDegree puts c.nbrs, which must ascend by ID, in sortByDegree's
+// (degree, ID) order: as they are when all share one degree, otherwise by a
+// stable counting pass over the degrees, which keeps each degree's IDs in
+// their input order. That costs n plus the degree range, so a range wider
+// than n·log₂n takes sortByDegree instead.
+func (c *commonCounter) orderByDegree(deg func(bipartite.NodeID) int) {
+	ids, keys := c.nbrs, c.keys[:0]
+	lo, hi := uint32(math.MaxUint32), uint32(0)
+	for _, id := range ids {
+		d := uint32(deg(id))
+		lo, hi = min(lo, d), max(hi, d)
+		keys = append(keys, uint64(d)<<32|uint64(id))
+	}
+	c.keys = keys
+	switch n := len(ids); {
+	case hi <= lo:
+	case int(hi-lo) > n*bits.Len(uint(n)):
+		c.keys = sortByDegree(ids, deg, keys)
+	default:
+		slots := resize(c.slots, int(hi-lo)+2)
+		clear(slots)
+		for _, k := range keys {
+			slots[uint32(k>>32)-lo+1]++
+		}
+		for d := 1; d < len(slots); d++ {
+			slots[d] += slots[d-1]
+		}
+		for _, k := range keys {
+			d := uint32(k>>32) - lo
+			ids[slots[d]] = bipartite.NodeID(uint32(k))
+			slots[d]++
+		}
+		c.slots = slots
+	}
 }
 
 // squareRoundUsers evaluates the user-side square condition for the given

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -386,4 +387,68 @@ func TestSortByDegreeBreaksTiesByNodeID(t *testing.T) {
 			t.Fatalf("sorted order = %v, want %v", ids, want)
 		}
 	}
+}
+
+// TestItemWalkOrderMatchesSortByDegree: the item walk's order is
+// sortByDegree's (degree, ID) order on all three of its paths. Every user
+// of an item in the block clicks all of the block's items, so those columns
+// share one degree and are left as they are; a few users click hundreds of
+// items, so some columns span a degree range wider than n·log₂n and take
+// the comparison sort; the rest are counted.
+func TestItemWalkOrderMatchesSortByDegree(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	c := newCommonCounter(0, 0)
+	var paths [3]int // one degree, counted, sorted
+	for trial := 0; trial < 40; trial++ {
+		nu, ni := 50+rng.Intn(400), 20+rng.Intn(600)
+		b := bipartite.NewBuilder(nu+20, ni+5)
+		for u := 0; u < nu; u++ {
+			deg := 1 + rng.Intn(6)
+			if rng.Intn(100) == 0 {
+				deg = ni / 2
+			}
+			for ; deg > 0; deg-- {
+				b.Add(bipartite.NodeID(u), bipartite.NodeID(rng.Intn(ni)), 1)
+			}
+		}
+		for u := nu; u < nu+20; u++ {
+			for v := ni; v < ni+5; v++ {
+				b.Add(bipartite.NodeID(u), bipartite.NodeID(v), 1)
+			}
+		}
+		g := b.Build()
+		for u := 0; u < g.NumUsers(); u++ {
+			if rng.Intn(4) == 0 {
+				g.RemoveUser(bipartite.NodeID(u))
+			}
+		}
+		for v := 0; v < g.NumItems(); v++ {
+			col := g.ItemNeighbors(bipartite.NodeID(v))
+			c.nbrs = c.nbrs[:0]
+			lo, hi := g.NumItems(), 0
+			for _, a := range col {
+				c.nbrs = append(c.nbrs, a.To)
+				lo, hi = min(lo, g.UserDegree(a.To)), max(hi, g.UserDegree(a.To))
+			}
+			want := slices.Clone(c.nbrs)
+			sortByDegree(want, g.UserDegree, nil)
+			c.orderByDegree(g.UserDegree)
+			if !slices.Equal(c.nbrs, want) {
+				t.Fatalf("trial %d, item %d: walk order %v, sortByDegree %v", trial, v, c.nbrs, want)
+			}
+			switch n := len(col); {
+			case n < 2:
+			case hi == lo:
+				paths[0]++
+			case hi-lo > n*bits.Len(uint(n)):
+				paths[2]++
+			default:
+				paths[1]++
+			}
+		}
+	}
+	if slices.Contains(paths[:], 0) {
+		t.Fatalf("columns per path (one degree, counted, sorted) = %v: every path must run", paths)
+	}
+	t.Logf("columns per path (one degree, counted, sorted) = %v", paths)
 }

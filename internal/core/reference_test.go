@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/detect"
@@ -151,16 +153,55 @@ func refPruneSinglePass(g *bipartite.Graph, p Params) PruneStats {
 }
 
 // refExtract prunes g to the fixpoint and returns the connected components of
-// the residual that meet the Definition 3 size bounds |L| ≥ k₁, |R| ≥ k₂.
+// the residual that meet the Definition 3 size bounds |L| ≥ k₁, |R| ≥ k₂,
+// largest first.
 func refExtract(g *bipartite.Graph, p Params) []detect.Group {
 	refPrune(g, p)
 	var groups []detect.Group
-	for _, comp := range bipartite.ConnectedComponents(g) {
-		if len(comp.Users) >= p.K1 && len(comp.Items) >= p.K2 {
-			groups = append(groups, detect.Group{Users: comp.Users, Items: comp.Items})
+	for _, grp := range refComponents(g) {
+		if len(grp.Users) >= p.K1 && len(grp.Items) >= p.K2 {
+			groups = append(groups, grp)
 		}
 	}
 	return groups
+}
+
+// refComponents is a BFS from each live user not yet reached, in ascending
+// order, member lists sorted, largest component first, ties in discovery
+// order. Components without a user are left out: no group can be one.
+func refComponents(g *bipartite.Graph) []detect.Group {
+	uSeen := make([]bool, g.NumUsers())
+	vSeen := make([]bool, g.NumItems())
+	var comps []detect.Group
+	for _, start := range g.LiveUserIDs() {
+		if uSeen[start] {
+			continue
+		}
+		c := detect.Group{Users: []bipartite.NodeID{start}}
+		uSeen[start] = true
+		for head := 0; head < len(c.Users); head++ {
+			for _, v := range g.UserNeighbors(c.Users[head]) {
+				if vSeen[v.To] {
+					continue
+				}
+				vSeen[v.To] = true
+				c.Items = append(c.Items, v.To)
+				for _, y := range g.ItemNeighbors(v.To) {
+					if !uSeen[y.To] {
+						uSeen[y.To] = true
+						c.Users = append(c.Users, y.To)
+					}
+				}
+			}
+		}
+		slices.Sort(c.Users)
+		slices.Sort(c.Items)
+		comps = append(comps, c)
+	}
+	slices.SortStableFunc(comps, func(a, b detect.Group) int {
+		return cmp.Compare(len(b.Users)+len(b.Items), len(a.Users)+len(a.Items))
+	})
+	return comps
 }
 
 // refDetect is the Fig 4 pipeline around the reference extraction: hotness on
