@@ -10,9 +10,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/bipartite"
@@ -34,13 +36,9 @@ func main() {
 		labels = flag.String("labels", "", "ground-truth label CSV; marks target items")
 	)
 	flag.Parse()
-	if *in == "" {
+	if err := checkFlags(*in, *anchor, *hot, *k); err != nil {
 		flag.Usage()
-		log.Fatal("missing -in")
-	}
-	if *anchor < 0 && *hot == 0 {
-		flag.Usage()
-		log.Fatal("need -anchor or -hot")
+		log.Fatal(err)
 	}
 
 	f, err := os.Open(*in)
@@ -84,6 +82,22 @@ func main() {
 		fmt.Printf("\nexposure: %d/%d slots (%.1f%%) held by labeled targets; %d/%d anchors hit\n",
 			e.TargetSlots, e.Slots, 100*e.Share(), e.AnchorsHit, e.Anchors)
 	}
+}
+
+// checkFlags returns the usage error for flags main cannot run with: no
+// input, no anchor in the uint32 item ID space and no hot threshold, or a
+// list depth below one. An anchor beyond that space is rejected even with
+// -hot, since main would otherwise truncate it to another item's ID.
+func checkFlags(in string, anchor int64, hot uint64, k int) error {
+	switch {
+	case in == "":
+		return errors.New("missing -in")
+	case anchor > math.MaxUint32 || (anchor < 0 && hot == 0):
+		return errors.New("need -anchor (an item ID, 0 to 4294967295) or -hot")
+	case k < 1:
+		return fmt.Errorf("-k %d: the list depth must be at least 1", k)
+	}
+	return nil
 }
 
 func printAnchor(g *bipartite.Graph, anchor bipartite.NodeID, k int, truth *detect.Labels) {

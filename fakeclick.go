@@ -134,22 +134,13 @@ type Config struct {
 	// Construct one with NewAuditSink. Works with or without Observer; a
 	// nil Audit disables the trail at no cost (events are never built).
 	Audit *obs.EventSink
-	// Durability, when non-nil, makes a StreamDetector persist every click
-	// and sweep commit to a write-ahead log with periodic atomic snapshots
-	// under its Dir, so a crashed detector reopens exactly where it
-	// stopped (see StreamDetector.Recovery). Requires explicit THot and
-	// TClick — derived thresholds could silently differ across restarts —
-	// and no warm-start graph. Batch Detect ignores it.
-	Durability *StreamDurability
 	// Serve, when non-nil, is the online serving hook: every complete
 	// detection outcome is compiled into an immutable verdict index
-	// (Report.Index) and published to the store atomically — a
-	// StreamDetector publishes after every committed sweep, the batch
-	// entry points after every complete run. Partial (cut-short) outcomes
-	// are never published; the previous epoch keeps serving. Mount the
-	// store behind NewVerdictServer to answer /v1/user, /v1/item,
-	// /v1/pair, /v1/group, /v1/check and /healthz. Construct with
-	// NewVerdictStore.
+	// (Report.Index) and published to the store atomically after every
+	// complete run. Partial (cut-short) outcomes are never published; the
+	// previous epoch keeps serving. Mount the store behind
+	// NewVerdictServer to answer /v1/user, /v1/item, /v1/pair, /v1/group,
+	// /v1/check and /healthz. Construct with NewVerdictStore.
 	Serve *VerdictStore
 }
 
@@ -383,13 +374,13 @@ func DetectWithExpectationContext(ctx context.Context, g *Graph, cfg Config,
 }
 
 // newReport turns a detection outcome into its Report — the one path behind
-// Detect, DetectWithExpectation, Sweep and FullSweep. params is what the
-// detection ran with. A complete outcome arrives identified against the
-// graph it examined and is reported as is; a cut-short one is identified
-// here against g, which is read for nothing else. The graceful-degradation
-// contract: a nil error or a pure cancellation yields a report (partial on
-// cancellation); a stage panic yields the partial report AND its
-// *StageError; no result fails outright.
+// Detect and DetectWithExpectation. params is what the detection ran with.
+// A complete outcome arrives identified against the graph it examined and
+// is reported as is; a cut-short one is identified here against g, which is
+// read for nothing else. The graceful-degradation contract: a nil error or
+// a pure cancellation yields a report (partial on cancellation); a stage
+// panic yields the partial report AND its *StageError; no result fails
+// outright.
 // With Config.Serve set, every complete outcome is published as a fresh
 // index epoch; partial ones publish nothing and the previous epoch keeps
 // serving. A Publish failure is already counted and audited by the store
@@ -477,7 +468,7 @@ func Explain(g *Graph, rep *Report, group int) (string, error) {
 // Recommend returns the top-k item-to-item recommendations for a user who
 // just clicked anchor — the I2I serving path (Eq 1) the attack manipulates.
 // Exposed so applications can inspect the attack's effect before and after
-// cleaning.
+// cleaning. A k of zero or less returns nil, as Report.TopUsers does.
 func Recommend(g *Graph, anchor uint32, k int) []uint32 {
 	return i2i.Recommend(g.graph(), anchor, k)
 }

@@ -276,12 +276,11 @@ func TestExplainGroup(t *testing.T) {
 }
 
 func TestCSVRoundTripThroughFacade(t *testing.T) {
-	g, _ := syntheticGraph(t)
-	// Export the graph via the clicktable package and reload through the
-	// facade: edge accounting must survive.
+	g, ds := syntheticGraph(t)
+	// Export the click table via the clicktable package and reload through
+	// the facade: edge accounting must survive.
 	var buf bytes.Buffer
-	tbl := clicktable.FromGraph(g.graph())
-	if err := clicktable.WriteCSV(&buf, tbl); err != nil {
+	if err := clicktable.WriteCSV(&buf, ds.Table); err != nil {
 		t.Fatal(err)
 	}
 	g2 := NewGraph()

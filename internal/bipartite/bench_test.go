@@ -34,22 +34,6 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkCommonUserNeighbors(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CommonUserNeighbors(g, NodeID(i%1000), NodeID((i+7)%1000))
-	}
-}
-
-func BenchmarkTwoHopUsers(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TwoHopUsers(g, NodeID(i%1000))
-	}
-}
-
 // BenchmarkConnectedComponents splits a whole graph, and a residual shaped
 // like the one after the global core peel: 150k clicks over 20k users × 4k
 // items with nine users in ten dead, so most of a live item's column leads

@@ -37,13 +37,6 @@ func (b *Builder) Add(u, v NodeID, clicks uint32) {
 	b.weights = append(b.weights, clicks)
 }
 
-// AddEdges records a batch of edges.
-func (b *Builder) AddEdges(edges []Edge) {
-	for _, e := range edges {
-		b.Add(e.U, e.V, e.Weight)
-	}
-}
-
 // Build constructs the Graph. The Builder may be reused afterwards; the
 // built graph does not alias the builder's storage, and the recorded edges
 // are left in the order they were added.
@@ -191,14 +184,6 @@ func build(numUsers, numItems int, users, items []NodeID, weights []uint32) *Gra
 		}
 	}
 	return g
-}
-
-// FromEdges is a convenience constructor building a graph directly from an
-// edge list. Vertex counts are inferred from the maximum IDs present.
-func FromEdges(edges []Edge) *Graph {
-	b := NewBuilder(0, 0)
-	b.AddEdges(edges)
-	return b.Build()
 }
 
 // InducedSubgraph returns the subgraph of g induced by the given user and

@@ -213,28 +213,6 @@ func (g *Graph) UserArcs(u NodeID) []Arc { return g.uAdj[u] }
 // ascending by user ID, dead users included, read-only.
 func (g *Graph) ItemArcs(v NodeID) []Arc { return g.vAdj[v] }
 
-// UserNeighbors returns the live item neighbors of u as a fresh slice,
-// sorted by item ID.
-func (g *Graph) UserNeighbors(u NodeID) []Arc {
-	var out []Arc
-	g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
-		out = append(out, Arc{To: v, Weight: w})
-		return true
-	})
-	return out
-}
-
-// ItemNeighbors returns the live user neighbors of v as a fresh slice,
-// sorted by user ID.
-func (g *Graph) ItemNeighbors(v NodeID) []Arc {
-	var out []Arc
-	g.EachItemNeighbor(v, func(u NodeID, w uint32) bool {
-		out = append(out, Arc{To: u, Weight: w})
-		return true
-	})
-	return out
-}
-
 // SetRemovalObserver installs o as the graph's removal observer and returns
 // the previous one (nil if none), so callers can save/restore around a scoped
 // use. Observers do not survive Clone or CompactComponent: clones are
@@ -333,19 +311,6 @@ func (g *Graph) LiveUserIDs() []NodeID {
 func (g *Graph) LiveItemIDs() []NodeID {
 	out := make([]NodeID, 0, g.liveItems)
 	g.EachLiveItem(func(v NodeID) bool { out = append(out, v); return true })
-	return out
-}
-
-// Edges returns all live edges in (user, item) order.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.liveEdges)
-	g.EachLiveUser(func(u NodeID) bool {
-		g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
-			out = append(out, Edge{U: u, V: v, Weight: w})
-			return true
-		})
-		return true
-	})
 	return out
 }
 

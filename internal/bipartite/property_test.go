@@ -1,7 +1,6 @@
 package bipartite
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -78,33 +77,6 @@ func TestPropertyAdjacencySymmetry(t *testing.T) {
 			return ok
 		})
 		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: binary serialization round-trips the live edge set exactly.
-func TestPropertyBinaryRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 25, 25, 120)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			return false
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if g2.LiveEdges() != g.LiveEdges() || g2.LiveClicks() != g.LiveClicks() {
-			return false
-		}
-		for _, e := range g.Edges() {
-			if g2.Weight(e.U, e.V) != e.Weight {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -164,17 +164,3 @@ func (s Scale) String() string {
 func (t *Table) ToGraph() *bipartite.Graph {
 	return bipartite.FromColumns(t.users, t.items, t.clicks)
 }
-
-// FromGraph materializes the live part of a bipartite graph back into a
-// click table sorted by (user, item).
-func FromGraph(g *bipartite.Graph) *Table {
-	t := New(g.LiveEdges())
-	g.EachLiveUser(func(u bipartite.NodeID) bool {
-		g.EachUserNeighbor(u, func(v bipartite.NodeID, w uint32) bool {
-			t.Append(u, v, w)
-			return true
-		})
-		return true
-	})
-	return t
-}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/bipartite"
 )
 
 func sampleTable() *Table {
@@ -84,7 +86,14 @@ func TestToGraphRoundTrip(t *testing.T) {
 	if got, want := g.Weight(2, 2), uint32(5); got != want {
 		t.Errorf("Weight(2,2) = %d, want %d", got, want)
 	}
-	back := FromGraph(g)
+	back := New(g.LiveEdges())
+	g.EachLiveUser(func(u bipartite.NodeID) bool {
+		g.EachUserNeighbor(u, func(v bipartite.NodeID, w uint32) bool {
+			back.Append(u, v, w)
+			return true
+		})
+		return true
+	})
 	if back.Len() != tbl.Len() {
 		t.Fatalf("round-trip Len = %d, want %d", back.Len(), tbl.Len())
 	}

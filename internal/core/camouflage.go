@@ -32,51 +32,3 @@ func CamouflageBound(m, n, s, t int) float64 {
 	fs, ft := float64(s), float64(t)
 	return math.Pow(fs-1, 1/ft)*(fn-ft+1)*math.Pow(fm, 1-1/ft) + (ft-1)*fm
 }
-
-// ContainsBiclique reports whether the 0/1 adjacency matrix adj (m rows =
-// accounts, n cols = items) contains a complete K_{s,t} sub-biclique. It is
-// exponential and intended only for validating CamouflageBound on small
-// instances in tests.
-func ContainsBiclique(adj [][]bool, s, t int) bool {
-	m := len(adj)
-	if m == 0 || s <= 0 || t <= 0 || s > m {
-		return false
-	}
-	n := len(adj[0])
-	if t > n {
-		return false
-	}
-	rows := make([]int, 0, s)
-	var rec func(start int) bool
-	rec = func(start int) bool {
-		if len(rows) == s {
-			// Count columns common to all chosen rows.
-			common := 0
-			for c := 0; c < n; c++ {
-				all := true
-				for _, r := range rows {
-					if !adj[r][c] {
-						all = false
-						break
-					}
-				}
-				if all {
-					common++
-					if common >= t {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		for r := start; r < m; r++ {
-			rows = append(rows, r)
-			if rec(r + 1) {
-				return true
-			}
-			rows = rows[:len(rows)-1]
-		}
-		return false
-	}
-	return rec(0)
-}

@@ -67,9 +67,7 @@ func ladderWithHub(layers, m, k int) *bipartite.Graph {
 	ladder := synth.LadderGraph(layers, m, k)
 	uOff, vOff := ladder.NumUsers(), ladder.NumItems()
 	b := bipartite.NewBuilder(uOff+n, vOff+n)
-	for _, e := range ladder.Edges() {
-		b.Add(e.U, e.V, e.Weight)
-	}
+	addLiveEdges(b, ladder)
 	for u := 0; u < uOff; u++ {
 		b.Add(bipartite.NodeID(u), bipartite.NodeID(vOff+u%n), 1)
 	}
@@ -250,7 +248,7 @@ func TestPropertyWitnessesProveThePass(t *testing.T) {
 					}
 					passU++
 					if !witnessesProve(c.wit, s.k1, func(y bipartite.NodeID) bool {
-						return bipartite.CommonUserNeighbors(g, u, y) >= needU
+						return commonUsers(g, u, y) >= needU
 					}) {
 						t.Logf("seed %d: user %d passed on witnesses %v", seed, u, c.wit)
 						return false
@@ -262,7 +260,7 @@ func TestPropertyWitnessesProveThePass(t *testing.T) {
 					}
 					passI++
 					if !witnessesProve(c.wit, s.k2, func(y bipartite.NodeID) bool {
-						return bipartite.CommonItemNeighbors(g, v, y) >= needI
+						return commonItems(g, v, y) >= needI
 					}) {
 						t.Logf("seed %d: item %d passed on witnesses %v", seed, v, c.wit)
 						return false

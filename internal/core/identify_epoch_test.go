@@ -172,28 +172,6 @@ func TestEveryPublishedEpochIsRankedOnce(t *testing.T) {
 			}
 			return store
 		}},
-		{"facade Sweep with Config.Serve", func(t *testing.T) *serve.Store {
-			store := serve.NewStore(nil)
-			sd, err := fakeclick.NewStreamDetector(facadeGraph, facadeConfig(store))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sd.Sweep(); err != nil {
-				t.Fatal(err)
-			}
-			return store
-		}},
-		{"facade FullSweep with Config.Serve", func(t *testing.T) *serve.Store {
-			store := serve.NewStore(nil)
-			sd, err := fakeclick.NewStreamDetector(facadeGraph, facadeConfig(store))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sd.FullSweep(); err != nil {
-				t.Fatal(err)
-			}
-			return store
-		}},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {

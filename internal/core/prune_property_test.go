@@ -77,9 +77,7 @@ func TestPropertyPruneMonotoneUnderEdgeAddition(t *testing.T) {
 
 		// Add random extra edges on top of the same base graph.
 		b := bipartite.NewBuilder(60, 60)
-		for _, e := range g.Edges() {
-			b.Add(e.U, e.V, e.Weight)
-		}
+		addLiveEdges(b, g)
 		for e := 0; e < 60; e++ {
 			b.Add(bipartite.NodeID(rng.Intn(60)), bipartite.NodeID(rng.Intn(60)), 1)
 		}

@@ -170,7 +170,7 @@ func TestPruneFixpointPostconditions(t *testing.T) {
 			}
 			n := 0
 			for _, y := range users {
-				if bipartite.CommonUserNeighbors(g, u, y) >= minUDeg {
+				if commonUsers(g, u, y) >= minUDeg {
 					n++
 				}
 			}
@@ -184,7 +184,7 @@ func TestPruneFixpointPostconditions(t *testing.T) {
 			}
 			n := 0
 			for _, y := range items {
-				if bipartite.CommonItemNeighbors(g, v, y) >= minIDeg {
+				if commonItems(g, v, y) >= minIDeg {
 					n++
 				}
 			}
@@ -423,20 +423,20 @@ func TestItemWalkOrderMatchesSortByDegree(t *testing.T) {
 			}
 		}
 		for v := 0; v < g.NumItems(); v++ {
-			col := g.ItemNeighbors(bipartite.NodeID(v))
 			c.nbrs = c.nbrs[:0]
 			lo, hi := g.NumItems(), 0
-			for _, a := range col {
-				c.nbrs = append(c.nbrs, a.To)
-				lo, hi = min(lo, g.UserDegree(a.To)), max(hi, g.UserDegree(a.To))
-			}
+			g.EachItemNeighbor(bipartite.NodeID(v), func(u bipartite.NodeID, _ uint32) bool {
+				c.nbrs = append(c.nbrs, u)
+				lo, hi = min(lo, g.UserDegree(u)), max(hi, g.UserDegree(u))
+				return true
+			})
 			want := slices.Clone(c.nbrs)
 			sortByDegree(want, g.UserDegree, nil)
 			c.orderByDegree(g.UserDegree)
 			if !slices.Equal(c.nbrs, want) {
 				t.Fatalf("trial %d, item %d: walk order %v, sortByDegree %v", trial, v, c.nbrs, want)
 			}
-			switch n := len(col); {
+			switch n := len(c.nbrs); {
 			case n < 2:
 			case hi == lo:
 				paths[0]++
@@ -451,4 +451,51 @@ func TestItemWalkOrderMatchesSortByDegree(t *testing.T) {
 		t.Fatalf("columns per path (one degree, counted, sorted) = %v: every path must run", paths)
 	}
 	t.Logf("columns per path (one degree, counted, sorted) = %v", paths)
+}
+
+// commonUsers and commonItems count the live neighbours two users (two
+// items) share: a sorted merge of their rows (columns) that skips dead
+// endpoints.
+func commonUsers(g *bipartite.Graph, a, b bipartite.NodeID) int {
+	if !g.UserAlive(a) || !g.UserAlive(b) {
+		return 0
+	}
+	return commonLive(g.UserArcs(a), g.UserArcs(b), g.ItemAlive)
+}
+
+func commonItems(g *bipartite.Graph, a, b bipartite.NodeID) int {
+	if !g.ItemAlive(a) || !g.ItemAlive(b) {
+		return 0
+	}
+	return commonLive(g.ItemArcs(a), g.ItemArcs(b), g.UserAlive)
+}
+
+func commonLive(a, b []bipartite.Arc, alive func(bipartite.NodeID) bool) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].To < b[j].To:
+			i++
+		case a[i].To > b[j].To:
+			j++
+		default:
+			if alive(a[i].To) {
+				n++
+			}
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// addLiveEdges adds every live edge of g to b.
+func addLiveEdges(b *bipartite.Builder, g *bipartite.Graph) {
+	g.EachLiveUser(func(u bipartite.NodeID) bool {
+		g.EachUserNeighbor(u, func(v bipartite.NodeID, w uint32) bool {
+			b.Add(u, v, w)
+			return true
+		})
+		return true
+	})
 }

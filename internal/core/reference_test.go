@@ -180,19 +180,21 @@ func refComponents(g *bipartite.Graph) []detect.Group {
 		c := detect.Group{Users: []bipartite.NodeID{start}}
 		uSeen[start] = true
 		for head := 0; head < len(c.Users); head++ {
-			for _, v := range g.UserNeighbors(c.Users[head]) {
-				if vSeen[v.To] {
-					continue
+			g.EachUserNeighbor(c.Users[head], func(v bipartite.NodeID, _ uint32) bool {
+				if vSeen[v] {
+					return true
 				}
-				vSeen[v.To] = true
-				c.Items = append(c.Items, v.To)
-				for _, y := range g.ItemNeighbors(v.To) {
-					if !uSeen[y.To] {
-						uSeen[y.To] = true
-						c.Users = append(c.Users, y.To)
+				vSeen[v] = true
+				c.Items = append(c.Items, v)
+				g.EachItemNeighbor(v, func(y bipartite.NodeID, _ uint32) bool {
+					if !uSeen[y] {
+						uSeen[y] = true
+						c.Users = append(c.Users, y)
 					}
-				}
-			}
+					return true
+				})
+				return true
+			})
 		}
 		slices.Sort(c.Users)
 		slices.Sort(c.Items)

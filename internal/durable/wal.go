@@ -252,7 +252,7 @@ type WAL struct {
 // OpenWAL opens (or creates) the WAL under dir for appending. The newest
 // segment's torn tail, if any, is truncated — call Replay first when the
 // records matter; OpenWAL re-verifies rather than trusts. The returned
-// WAL's next append must use a seq greater than LastSeq.
+// WAL's next append must use a seq greater than its newest record's.
 func OpenWAL(dir string, opts Options) (*WAL, error) {
 	opts.normalize()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -303,24 +303,6 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 	return w, nil
 }
 
-// LastSeq returns the newest durable record's sequence number (0 when the
-// log is empty).
-func (w *WAL) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastSeq
-}
-
-// Segments returns how many segment files the WAL currently spans.
-func (w *WAL) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return len(w.closed)
-	}
-	return len(w.closed) + 1
-}
-
 // Entry is one record for AppendAll.
 type Entry struct {
 	Seq     uint64
@@ -328,8 +310,8 @@ type Entry struct {
 }
 
 // Append writes one record and applies the sync policy. seq must exceed
-// LastSeq. After any I/O error the WAL is poisoned: the error is latched
-// and returned by this and every later call.
+// the newest record's. After any I/O error the WAL is poisoned: the error
+// is latched and returned by this and every later call.
 func (w *WAL) Append(seq uint64, payload []byte) error {
 	return w.AppendAll([]Entry{{Seq: seq, Payload: payload}})
 }
@@ -464,13 +446,6 @@ func (w *WAL) Prune(upTo uint64) (int, error) {
 		}
 	}
 	return removed, nil
-}
-
-// Err returns the latched I/O error, if any.
-func (w *WAL) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }
 
 // ErrClosed is latched by Close so a stray late Append fails loudly instead

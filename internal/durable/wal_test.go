@@ -69,7 +69,10 @@ func TestWALSegmentRotationAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if segs := w.Segments(); segs < 3 {
+	w.mu.Lock()
+	segs := len(w.closed) + 1 // the open segment
+	w.mu.Unlock()
+	if segs < 3 {
 		t.Fatalf("expected ≥ 3 segments after 40×80-byte frames at 256-byte cap, got %d", segs)
 	}
 	got, _ := collect(t, dir, 0)
@@ -133,8 +136,11 @@ func TestWALTornTailTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w2.LastSeq() != 9 {
-			t.Fatalf("cut %d: reopened LastSeq = %d, want 9", cut, w2.LastSeq())
+		w2.mu.Lock()
+		last := w2.lastSeq
+		w2.mu.Unlock()
+		if last != 9 {
+			t.Fatalf("cut %d: reopened lastSeq = %d, want 9", cut, last)
 		}
 		if err := w2.Append(10, []byte("again")); err != nil {
 			t.Fatal(err)
@@ -255,8 +261,11 @@ func TestWALWriteErrorPoisonsLog(t *testing.T) {
 	if err := w.Append(3, []byte("refused")); !errors.Is(err, diskErr) {
 		t.Fatalf("append after poison: %v", err)
 	}
-	if err := w.Err(); !errors.Is(err, diskErr) {
-		t.Fatalf("Err() = %v", err)
+	w.mu.Lock()
+	latched := w.err
+	w.mu.Unlock()
+	if !errors.Is(latched, diskErr) {
+		t.Fatalf("latched error = %v", latched)
 	}
 	w.Close()
 	got, _ := collect(t, dir, 0)

@@ -62,8 +62,12 @@ func Scores(g *bipartite.Graph, anchor bipartite.NodeID) []ItemScore {
 }
 
 // Recommend returns the top-k recommendation list for a user who just
-// clicked the anchor item — the I2I serving path the attack hijacks.
+// clicked the anchor item — the I2I serving path the attack hijacks. A k of
+// zero or less recommends nothing.
 func Recommend(g *bipartite.Graph, anchor bipartite.NodeID, k int) []bipartite.NodeID {
+	if k <= 0 {
+		return nil
+	}
 	scores := Scores(g, anchor)
 	if k > len(scores) {
 		k = len(scores)
@@ -73,15 +77,4 @@ func Recommend(g *bipartite.Graph, anchor bipartite.NodeID, k int) []bipartite.N
 		out = append(out, scores[i].Item)
 	}
 	return out
-}
-
-// Rank returns the 1-based position of target in anchor's score list, or 0
-// if the target does not co-occur at all.
-func Rank(g *bipartite.Graph, anchor, target bipartite.NodeID) int {
-	for i, s := range Scores(g, anchor) {
-		if s.Item == target {
-			return i + 1
-		}
-	}
-	return 0
 }

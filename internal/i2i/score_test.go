@@ -64,15 +64,31 @@ func TestRecommend(t *testing.T) {
 	if got := Recommend(g, 0, 10); len(got) != 2 {
 		t.Errorf("Recommend k>n returned %d items", len(got))
 	}
+	for _, k := range []int{0, -1} {
+		if got := Recommend(g, 0, k); got != nil {
+			t.Errorf("Recommend k=%d = %v, want nil", k, got)
+		}
+	}
+}
+
+// rank returns the 1-based position of target in anchor's score list, or 0
+// if the target does not co-occur at all.
+func rank(g *bipartite.Graph, anchor, target bipartite.NodeID) int {
+	for i, s := range Scores(g, anchor) {
+		if s.Item == target {
+			return i + 1
+		}
+	}
+	return 0
 }
 
 func TestRank(t *testing.T) {
 	g := recGraph()
-	if r := Rank(g, 0, 2); r != 2 {
-		t.Errorf("Rank(0,2) = %d, want 2", r)
+	if r := rank(g, 0, 2); r != 2 {
+		t.Errorf("rank(0,2) = %d, want 2", r)
 	}
-	if r := Rank(g, 0, 3); r != 0 {
-		t.Errorf("Rank of non-co-clicked item = %d, want 0", r)
+	if r := rank(g, 0, 3); r != 0 {
+		t.Errorf("rank of non-co-clicked item = %d, want 0", r)
 	}
 }
 
@@ -80,18 +96,22 @@ func TestAttackRaisesScoreAndRank(t *testing.T) {
 	// Attack: users 10..14 click anchor 0 once and target 2 many times.
 	// The target's rank in anchor's list must improve.
 	g := recGraph()
-	before := Rank(g, 0, 2)
+	before := rank(g, 0, 2)
 
 	b := bipartite.NewBuilder(15, 4)
-	for _, e := range g.Edges() {
-		b.Add(e.U, e.V, e.Weight)
-	}
+	g.EachLiveUser(func(u bipartite.NodeID) bool {
+		g.EachUserNeighbor(u, func(v bipartite.NodeID, w uint32) bool {
+			b.Add(u, v, w)
+			return true
+		})
+		return true
+	})
 	for u := bipartite.NodeID(10); u < 15; u++ {
 		b.Add(u, 0, 1)
 		b.Add(u, 2, 15)
 	}
 	attacked := b.Build()
-	after := Rank(attacked, 0, 2)
+	after := rank(attacked, 0, 2)
 	if after >= before {
 		t.Errorf("attack did not improve rank: before %d, after %d", before, after)
 	}

@@ -220,13 +220,6 @@ func (b *Buffer) drain() {
 	}
 }
 
-// Depth returns how many clicks are queued right now.
-func (b *Buffer) Depth() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
-}
-
 // Stats returns how many clicks were accepted and how many shed.
 func (b *Buffer) Stats() (accepted, shed uint64) {
 	b.mu.Lock()

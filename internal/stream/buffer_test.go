@@ -53,7 +53,10 @@ func TestBufferShedOldest(t *testing.T) {
 			t.Fatalf("shed-oldest rejected incoming click %d", u)
 		}
 	}
-	if depth := b.Depth(); depth != 4 {
+	b.mu.Lock()
+	depth := b.n
+	b.mu.Unlock()
+	if depth != 4 {
 		t.Fatalf("depth = %d, want 4", depth)
 	}
 	if _, shed := b.Stats(); shed != 2 {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -42,25 +43,34 @@ func deltaEquivParams(c synth.Config) core.Params {
 	return p
 }
 
-func graphBytes(t *testing.T, g *bipartite.Graph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := bipartite.WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// graphBytes encodes what a graph holds live: its dimensions, its live edge
+// count and every live (user, item, clicks) triple in row order.
+func graphBytes(g *bipartite.Graph) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(g.NumUsers()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(g.NumItems()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(g.LiveEdges()))
+	g.EachLiveUser(func(u bipartite.NodeID) bool {
+		g.EachUserNeighbor(u, func(v bipartite.NodeID, w uint32) bool {
+			b = binary.LittleEndian.AppendUint32(b, u)
+			b = binary.LittleEndian.AppendUint32(b, v)
+			b = binary.LittleEndian.AppendUint32(b, w)
+			return true
+		})
+		return true
+	})
+	return b
 }
 
 func sameGraphBytes(t *testing.T, label string, oracle, delta *Detector) {
 	t.Helper()
-	want, got := graphBytes(t, oracle.Graph()), graphBytes(t, delta.Graph())
+	want, got := graphBytes(oracle.Graph()), graphBytes(delta.Graph())
 	if !bytes.Equal(want, got) {
 		t.Fatalf("%s: delta-maintained graph diverged from full rebuild (%d vs %d bytes)",
 			label, len(got), len(want))
 	}
 }
 
-// publishTo wires d's commits into store, as cmd/stream and the facade do.
+// publishTo wires d's commits into store, as cmd/stream does.
 func publishTo(d *Detector, store *serve.Store) {
 	thot, tclick := d.params.THot, d.params.TClick
 	d.OnCommit = func(res *detect.Result, g *bipartite.Graph) {

@@ -155,7 +155,7 @@ func TestRecoveryEquivalenceGoldenWorkloads(t *testing.T) {
 			if got, want := d2.Events(), oracle.Events(); got != want {
 				t.Fatalf("seed %d/%s: recovered events=%d oracle=%d", cfg.Seed, crashPoint, got, want)
 			}
-			if got, want := d2.Detections(), oracle.Detections(); got != want {
+			if got, want := stateOf(d2).detections, stateOf(oracle).detections; got != want {
 				t.Fatalf("seed %d/%s: recovered detections=%d oracle=%d", cfg.Seed, crashPoint, got, want)
 			}
 			if err := d2.Close(); err != nil {

@@ -32,7 +32,7 @@ func TestDetectContextCancelledSweepCommitsNothing(t *testing.T) {
 	if res == nil || !res.Partial {
 		t.Fatalf("cancelled sweep result = %+v, want a partial result", res)
 	}
-	if d.Detections() != 0 {
+	if stateOf(d).detections != 0 {
 		t.Error("cancelled sweep counted as a completed detection")
 	}
 	faultinject.Reset()
@@ -71,7 +71,7 @@ func TestDetectContextPanicIsStageError(t *testing.T) {
 	if res == nil || !res.Partial {
 		t.Error("panicking sweep did not yield a partial result")
 	}
-	if d.Detections() != 0 {
+	if stateOf(d).detections != 0 {
 		t.Error("panicked sweep counted as a completed detection")
 	}
 }

@@ -657,10 +657,3 @@ type CacheStats struct{ Hits, Misses, Evictions, Bytes int64 }
 // The method stays only because the benchmark harness still reads it, and
 // goes when the benchmark stops (ROADMAP.md item 1).
 func (d *Detector) CacheStats() CacheStats { return CacheStats{} }
-
-// Detections returns how many sweeps have committed.
-func (d *Detector) Detections() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.detections
-}

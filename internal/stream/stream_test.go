@@ -364,3 +364,51 @@ func TestGraphReflectsStream(t *testing.T) {
 		t.Errorf("Weight = %d, want 5 (aggregated)", g.Weight(0, 0))
 	}
 }
+
+func TestStreamDetectorEmptyStart(t *testing.T) {
+	d, err := New(nil, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := mustSweep(t, d); len(res.Groups) != 0 {
+		t.Errorf("empty stream produced groups")
+	}
+}
+
+// TestStreamObserver verifies sweep-type accounting on the incremental
+// path: first sweep is full, later sweeps are incremental, and both are
+// recorded distinctly.
+func TestStreamObserver(t *testing.T) {
+	ds := synth.MustGenerate(synth.SmallConfig())
+	d, err := New(ds.Table, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver("stream")
+	d.Obs = o
+	mustSweep(t, d)
+	d.AddClick(uint32(ds.NumNormalUsers-1), uint32(ds.NumNormalItems-1), 1)
+	mustSweep(t, d)
+
+	if got := o.Counter("stream.sweeps.full").Value(); got != 1 {
+		t.Errorf("stream.sweeps.full = %d, want 1", got)
+	}
+	if got := o.Counter("stream.sweeps.incremental").Value(); got != 1 {
+		t.Errorf("stream.sweeps.incremental = %d, want 1", got)
+	}
+	if got := o.Counter("stream.events").Value(); got != 1 {
+		t.Errorf("stream.events = %d, want 1", got)
+	}
+
+	o.Trace.Finish()
+	e := o.Trace.Export()
+	var sweeps int
+	for _, c := range e.Children {
+		if c.Name == "stream.sweep" {
+			sweeps++
+		}
+	}
+	if sweeps != 2 {
+		t.Errorf("trace has %d stream.sweep spans, want 2", sweeps)
+	}
+}

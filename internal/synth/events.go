@@ -94,16 +94,3 @@ func EventStream(ds *Dataset, cfg EventStreamConfig) ([]Event, error) {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Day < events[j].Day })
 	return events, nil
 }
-
-// EventsToTable aggregates a prefix of the stream (events with Day ≤ upToDay)
-// back into a click table.
-func EventsToTable(events []Event, upToDay int) *clicktable.Table {
-	t := clicktable.New(len(events))
-	for _, e := range events {
-		if e.Day > upToDay {
-			break // stream is day-ordered
-		}
-		t.Append(e.UserID, e.ItemID, e.Clicks)
-	}
-	return t.Aggregate()
-}

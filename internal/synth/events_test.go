@@ -6,6 +6,19 @@ import (
 	"repro/internal/clicktable"
 )
 
+// EventsToTable aggregates a prefix of the stream (events with Day ≤ upToDay)
+// back into a click table.
+func EventsToTable(events []Event, upToDay int) *clicktable.Table {
+	t := clicktable.New(len(events))
+	for _, e := range events {
+		if e.Day > upToDay {
+			break // stream is day-ordered
+		}
+		t.Append(e.UserID, e.ItemID, e.Clicks)
+	}
+	return t.Aggregate()
+}
+
 func TestEventStreamConservesClicks(t *testing.T) {
 	ds := MustGenerate(SmallConfig())
 	events, err := EventStream(ds, DefaultEventStreamConfig())

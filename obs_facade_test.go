@@ -81,54 +81,6 @@ func TestDetectObserverDisabled(t *testing.T) {
 	}
 }
 
-// TestStreamObserver verifies sweep-type accounting on the incremental
-// path: first sweep is full, later sweeps are incremental, and both are
-// recorded distinctly.
-func TestStreamObserver(t *testing.T) {
-	g, ds := syntheticGraph(t)
-	cfg := smallConfig()
-	o := NewObserver("stream")
-	cfg.Observer = o
-
-	det, err := NewStreamDetector(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := det.Sweep(); err != nil {
-		t.Fatal(err)
-	}
-	det.AddClicks(uint32(ds.NumNormalUsers-1), uint32(ds.NumNormalItems-1), 1)
-	rep, err := det.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Trace == nil {
-		t.Fatal("stream Report.Trace is nil with an Observer configured")
-	}
-
-	if got := o.Counter("stream.sweeps.full").Value(); got != 1 {
-		t.Errorf("stream.sweeps.full = %d, want 1", got)
-	}
-	if got := o.Counter("stream.sweeps.incremental").Value(); got != 1 {
-		t.Errorf("stream.sweeps.incremental = %d, want 1", got)
-	}
-	if got := o.Counter("stream.events").Value(); got != 1 {
-		t.Errorf("stream.events = %d, want 1", got)
-	}
-
-	o.Trace.Finish()
-	e := o.Trace.Export()
-	var sweeps int
-	for _, c := range e.Children {
-		if c.Name == "stream.sweep" {
-			sweeps++
-		}
-	}
-	if sweeps != 2 {
-		t.Errorf("trace has %d stream.sweep spans, want 2", sweeps)
-	}
-}
-
 // TestDetectWithAuditSink verifies the facade's audit wiring: Config.Audit
 // alone (no Observer) produces a JSONL trail bracketed by run.start /
 // run.end with one verdict per reported group, while Report.Trace stays

@@ -98,40 +98,6 @@ func TestDetectContextStagePanicSurfacesAsStageError(t *testing.T) {
 	}
 }
 
-// TestSweepContextCancellation: the streaming facade shares the contract —
-// partial report, nil error, nothing committed.
-func TestSweepContextCancellation(t *testing.T) {
-	defer faultinject.Reset()
-	g, _ := syntheticGraph(t)
-	sd, err := NewStreamDetector(g, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Arm("stream.sweep", faultinject.Fault{Do: cancel, Times: 1})
-
-	rep, err := sd.SweepContext(ctx)
-	if err != nil {
-		t.Fatalf("cancelled sweep must degrade, not fail: %v", err)
-	}
-	if !rep.Partial || !errors.Is(rep.Err, context.Canceled) {
-		t.Errorf("rep.Partial=%v rep.Err=%v, want partial with context.Canceled", rep.Partial, rep.Err)
-	}
-
-	// The cancelled sweep committed nothing; an unhindered retry succeeds.
-	rep2, err := sd.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Partial {
-		t.Error("retry after cancelled sweep still partial")
-	}
-	if len(rep2.Groups) == 0 {
-		t.Error("retry found no groups on a dataset with implanted attacks")
-	}
-}
-
 // TestPartialSummaryMentionsInterruption: the human-readable digest warns
 // when its numbers come from a cut-short run.
 func TestPartialSummaryMentionsInterruption(t *testing.T) {
