@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bipartite"
+	"repro/internal/detect"
 	"repro/internal/synth"
 )
 
@@ -160,17 +161,48 @@ func BenchmarkNaiveSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkRankResult ranks the small dataset's detection and the
+// blocks_resweep epoch's shape: 24 disjoint bicliques of 600 users × 16
+// items, every member suspicious.
 func BenchmarkRankResult(b *testing.B) {
-	ds := benchDataset(b)
-	d := &Detector{Params: smallParams()}
-	res, err := d.Detect(ds.Graph)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RankResult(ds.Graph, res)
-	}
+	b.Run("small", func(b *testing.B) {
+		ds := benchDataset(b)
+		d := &Detector{Params: smallParams()}
+		res, err := d.Detect(ds.Graph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			RankResult(ds.Graph, res)
+		}
+	})
+	b.Run("blocks", func(b *testing.B) {
+		const blocks, users, items = 24, 600, 16
+		gb := bipartite.NewBuilder(blocks*users, blocks*items)
+		res := &detect.Result{}
+		for k := range blocks {
+			var grp detect.Group
+			for u := range users {
+				grp.Users = append(grp.Users, bipartite.NodeID(k*users+u))
+			}
+			for v := range items {
+				grp.Items = append(grp.Items, bipartite.NodeID(k*items+v))
+			}
+			for _, u := range grp.Users {
+				for _, v := range grp.Items {
+					gb.Add(u, v, 12)
+				}
+			}
+			res.Groups = append(res.Groups, grp)
+		}
+		g := gb.Build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			RankResult(g, res)
+		}
+	})
 }
 
 func BenchmarkDeriveThresholds(b *testing.B) {

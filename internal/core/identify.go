@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sort"
@@ -30,12 +31,11 @@ func Identify(g *bipartite.Graph, res *detect.Result) {
 	if res.Identified {
 		return
 	}
-	res.RankedUsers, res.RankedItems = RankResult(g, res)
+	users, items := rank(g, res)
 
-	// The suspicious-user union is sorted, so a user's slot in it indexes
-	// its risk score.
+	// Until it is sorted, users is aligned with the sorted suspicious-user
+	// union, so a member's slot in the union indexes its score.
 	ids := res.Users()
-	score := make([]float64, len(ids))
 	// slot finds id's place in ids; at, the slot after the previous hit, is
 	// tried first because members mostly arrive in ascending runs.
 	at := 0
@@ -46,27 +46,27 @@ func Identify(g *bipartite.Graph, res *detect.Result) {
 		at++
 		return at - 1
 	}
-	for _, n := range res.RankedUsers {
-		score[slot(n.ID)] = n.Score
-	}
 	m := getMarks()
 	defer putMarks(m)
 	for gi := range res.Groups {
 		grp := &res.Groups[gi]
 		var sum float64
 		for _, u := range grp.Users {
-			sum += score[slot(u)]
+			sum += users[slot(u)].Score
 		}
 		grp.Score = sum / float64(max(len(grp.Users), 1))
 		st := groupStats(g, *grp, m)
 		grp.Density, grp.MeanEdgeClicks, grp.OutsideShare = st.Density, st.MeanEdgeClicks, st.OutsideShare
 	}
+	sortRanked(users)
+	sortRanked(items)
+	res.RankedUsers, res.RankedItems = users, items
 	sort.SliceStable(res.Groups, func(i, j int) bool { return res.Groups[i].Score > res.Groups[j].Score })
 	res.Identified = true
 }
 
-// testRankHook, when non-nil, is invoked once per RankResult execution. Tests
-// use it to count ranking passes per published epoch; it selects nothing.
+// testRankHook, when non-nil, is invoked once per ranking pass. Tests use it
+// to count ranking passes per published epoch; it selects nothing.
 var testRankHook func()
 
 // RankResult computes risk scores for every suspicious node of a detection
@@ -80,6 +80,17 @@ var testRankHook func()
 //
 // Every call recomputes both rankings from res's groups; nothing is cached.
 func RankResult(g *bipartite.Graph, res *detect.Result) (users, items []detect.Scored) {
+	users, items = rank(g, res)
+	sortRanked(users)
+	sortRanked(items)
+	return users, items
+}
+
+// rank is RankResult before the sort, aligned with res.Users() and
+// res.Items(). Each suspicious user's row gives its score, which it pushes
+// into the sum of every suspicious item in the row; an item's score is its
+// sum over its live degree. The sums are exact (DESIGN.md §5).
+func rank(g *bipartite.Graph, res *detect.Result) (users, items []detect.Scored) {
 	if h := testRankHook; h != nil {
 		h()
 	}
@@ -91,52 +102,49 @@ func RankResult(g *bipartite.Graph, res *detect.Result) (users, items []detect.S
 	defer putMarks(m)
 	susItem := m.markItems(g, sus)
 	defer unmark(susItem, sus)
-
-	// Until it is sorted, users is aligned with ids, which is sorted, so a
-	// suspicious user's score is found by binary search.
-	users = slices.Grow(users, len(ids))
-	for _, u := range ids {
-		n := 0
-		g.EachUserNeighbor(u, func(v bipartite.NodeID, _ uint32) bool {
-			if susItem[v] {
-				n++
-			}
-			return true
-		})
-		users = append(users, detect.Scored{ID: u, Score: float64(n)})
+	if len(m.sums) < g.NumItems() {
+		m.sums = make([]float64, g.NumItems())
 	}
-	susUser := m.markUsers(g, ids)
-	defer unmark(susUser, ids)
+	sum := m.sums // zero outside a ranking
+
+	users = slices.Grow(users, len(ids))
+	row := m.row
+	for _, u := range ids {
+		row = row[:0]
+		if g.UserAlive(u) {
+			for _, a := range g.UserArcs(u) {
+				if susItem[a.To] && g.ItemAlive(a.To) {
+					row = append(row, a.To)
+				}
+			}
+		}
+		n := float64(len(row))
+		for _, v := range row {
+			sum[v] += n
+		}
+		users = append(users, detect.Scored{ID: u, Score: n})
+	}
+	m.row = row[:0]
 
 	items = slices.Grow(items, len(sus))
 	for _, v := range sus {
-		var sum float64
-		n := 0
-		g.EachItemNeighbor(v, func(u bipartite.NodeID, _ uint32) bool {
-			if susUser[u] { // a non-suspicious clicker adds zero
-				i, _ := slices.BinarySearch(ids, u)
-				sum += users[i].Score
-			}
-			n++
-			return true
-		})
 		score := 0.0
-		if n > 0 {
-			score = sum / float64(n)
+		if d := g.ItemDegree(v); d > 0 {
+			score = sum[v] / float64(d)
 		}
+		sum[v] = 0
 		items = append(items, detect.Scored{ID: v, Score: score})
 	}
-	sortRanked(users)
-	sortRanked(items)
 	return users, items
 }
 
+// sortRanked orders a ranking by score descending, ties by ID ascending.
 func sortRanked(nodes []detect.Scored) {
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Score != nodes[j].Score {
-			return nodes[i].Score > nodes[j].Score
+	slices.SortFunc(nodes, func(a, b detect.Scored) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return nodes[i].ID < nodes[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -178,4 +182,98 @@ func TestRelaxOrder(t *testing.T) {
 		}
 	}
 	t.Error("relax never reached its floor")
+}
+
+// TestRankResultMatchesColumnWalk pins the push ranking, and Identify
+// around it, to the reference model's column walk bit for bit, on random
+// graphs with dead users and dead items, users in two groups, a member that
+// clicked no suspicious item (score 0) and a suspicious item nobody clicked.
+// Counting an item's dead clickers in its degree fails it.
+func TestRankResultMatchesColumnWalk(t *testing.T) {
+	// Ranking leases pooled scratch and must hand it back clear.
+	testMarksHook = func(m *groupMarks) {
+		if slices.Contains(m.users, true) || slices.Contains(m.items, true) ||
+			slices.ContainsFunc(m.sums, func(f float64) bool { return f != 0 }) {
+			t.Error("ranking returned dirty scratch to the pool")
+		}
+	}
+	defer func() { testMarksHook = nil }()
+	rng := rand.New(rand.NewSource(43))
+	for trial := range 200 {
+		nu, ni := 8+rng.Intn(40), 6+rng.Intn(20)
+		// User nu and item ni are isolated: they get no arcs.
+		b := bipartite.NewBuilder(nu+1, ni+1)
+		for u := range nu {
+			for v := range ni {
+				if rng.Intn(3) == 0 {
+					b.Add(bipartite.NodeID(u), bipartite.NodeID(v), uint32(1+rng.Intn(20)))
+				}
+			}
+		}
+		g := b.Build()
+		for range rng.Intn(4) {
+			g.RemoveUser(bipartite.NodeID(rng.Intn(nu)))
+		}
+		for range rng.Intn(3) {
+			g.RemoveItem(bipartite.NodeID(rng.Intn(ni)))
+		}
+		pick := func(n, k int) []bipartite.NodeID {
+			ids := make([]bipartite.NodeID, 0, k)
+			for _, id := range rng.Perm(n)[:k] {
+				ids = append(ids, bipartite.NodeID(id))
+			}
+			return ids
+		}
+		var groups []detect.Group
+		for range 2 + rng.Intn(3) {
+			groups = append(groups, detect.Group{Users: pick(nu, 1+rng.Intn(nu/2)), Items: pick(ni, 1+rng.Intn(ni/2))})
+		}
+		shared := groups[1].Users[0]
+		if !slices.Contains(groups[0].Users, shared) {
+			groups[0].Users = append(groups[0].Users, shared) // in two groups
+		}
+		groups[0].Users = append(groups[0].Users, bipartite.NodeID(nu)) // score 0
+		groups[1].Items = append(groups[1].Items, bipartite.NodeID(ni)) // clicked by nobody
+		clone := func() *detect.Result {
+			r := &detect.Result{Groups: make([]detect.Group, len(groups))}
+			for i, grp := range groups {
+				r.Groups[i] = detect.Group{Users: slices.Clone(grp.Users), Items: slices.Clone(grp.Items)}
+			}
+			return r
+		}
+
+		label := fmt.Sprintf("trial %d", trial)
+		gotU, gotI := RankResult(g, clone())
+		wantU, wantI := refRank(g, clone())
+		sameRanking(t, label+" users", gotU, wantU)
+		sameRanking(t, label+" items", gotI, wantI)
+
+		got, want := clone(), clone()
+		Identify(g, got)
+		refIdentify(g, want)
+		sameRanking(t, label+" identified users", got.RankedUsers, want.RankedUsers)
+		sameRanking(t, label+" identified items", got.RankedItems, want.RankedItems)
+		for gi := range want.Groups {
+			w, h := want.Groups[gi], got.Groups[gi]
+			if !slices.Equal(h.Users, w.Users) || !slices.Equal(h.Items, w.Items) ||
+				math.Float64bits(h.Score) != math.Float64bits(w.Score) ||
+				math.Float64bits(h.Density) != math.Float64bits(w.Density) ||
+				math.Float64bits(h.MeanEdgeClicks) != math.Float64bits(w.MeanEdgeClicks) ||
+				math.Float64bits(h.OutsideShare) != math.Float64bits(w.OutsideShare) {
+				t.Fatalf("%s: group %d = %+v, reference %+v", label, gi, h, w)
+			}
+		}
+	}
+}
+
+func sameRanking(t *testing.T, label string, got, want []detect.Scored) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d ranked, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: rank %d = %+v, reference %+v", label, i, got[i], want[i])
+		}
+	}
 }

@@ -14,9 +14,10 @@ import (
 // postconditions) compare the production pipeline against: one monolithic
 // graph, every live vertex re-evaluated every round, a plain 2-hop walk on
 // both sides. It shares no pruning kernel with production — its own degree
-// peel, its own user and item walks — and takes no context, observer, audit
-// sink or fault site, so it is small enough to be checked against the paper
-// by reading it. It keeps production's round protocol (core fixpoint, then
+// peel, its own user and item walks — nor Module 3: it ranks by walking item
+// columns (refRank) where production pushes along user rows. It takes no
+// context, observer, audit sink or fault site, so it is small enough to be
+// checked against the paper by reading it. It keeps production's round protocol (core fixpoint, then
 // all users against the frozen graph, then all items against the graph
 // without that round's user victims) so PruneStats, Rounds and RemovalEpoch
 // compare exactly, not just the residual.
@@ -208,15 +209,103 @@ func refComponents(g *bipartite.Graph) []detect.Group {
 
 // refDetect is the Fig 4 pipeline around the reference extraction: hotness on
 // the whole graph, Algorithm 3 on a clone, one global screening pass over all
-// candidates, risk scoring.
+// candidates, and the reference identification.
 func refDetect(g *bipartite.Graph, p Params) *detect.Result {
 	hot := ComputeHotSet(g, p.THot)
 	groups := refExtract(g.Clone(), p)
 	p.Workers = 1
 	groups = screenGroups(g, groups, hot, p)
 	res := &detect.Result{Groups: groups}
-	Identify(g, res)
+	refIdentify(g, res)
 	return res
+}
+
+// refRank is Module 3's ranking read the way §VII states it, by pulling: a
+// user's score is the number of live suspicious items in its row; an item's
+// score is the sum of its column's suspicious clickers' scores, each found
+// by binary search, over the number of live clickers in the column.
+func refRank(g *bipartite.Graph, res *detect.Result) (users, items []detect.Scored) {
+	ids, sus := res.Users(), res.Items()
+	for _, u := range ids {
+		n := 0
+		g.EachUserNeighbor(u, func(v bipartite.NodeID, _ uint32) bool {
+			if _, found := slices.BinarySearch(sus, v); found {
+				n++
+			}
+			return true
+		})
+		users = append(users, detect.Scored{ID: u, Score: float64(n)})
+	}
+	for _, v := range sus {
+		var sum float64
+		n := 0
+		g.EachItemNeighbor(v, func(u bipartite.NodeID, _ uint32) bool {
+			if i, found := slices.BinarySearch(ids, u); found {
+				sum += users[i].Score
+			}
+			n++
+			return true
+		})
+		score := 0.0
+		if n > 0 {
+			score = sum / float64(n)
+		}
+		items = append(items, detect.Scored{ID: v, Score: score})
+	}
+	byRisk := func(a, b detect.Scored) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	}
+	slices.SortStableFunc(users, byRisk)
+	slices.SortStableFunc(items, byRisk)
+	return users, items
+}
+
+// refIdentify scores each group with its users' mean risk, measures its
+// statistics on g by walking its items' columns, and orders the groups most
+// suspicious first, ties keeping their order.
+func refIdentify(g *bipartite.Graph, res *detect.Result) {
+	res.RankedUsers, res.RankedItems = refRank(g, res)
+	risk := make(map[bipartite.NodeID]float64, len(res.RankedUsers))
+	for _, n := range res.RankedUsers {
+		risk[n.ID] = n.Score
+	}
+	for gi := range res.Groups {
+		grp := &res.Groups[gi]
+		var sum float64
+		member := make(map[bipartite.NodeID]bool, len(grp.Users))
+		for _, u := range grp.Users {
+			sum += risk[u]
+			member[u] = true
+		}
+		grp.Score = sum / float64(max(len(grp.Users), 1))
+		var edges int
+		var fake, total uint64
+		for _, v := range grp.Items {
+			total += g.ItemStrength(v)
+			g.EachItemNeighbor(v, func(u bipartite.NodeID, w uint32) bool {
+				if member[u] {
+					edges++
+					fake += uint64(w)
+				}
+				return true
+			})
+		}
+		grp.Density, grp.MeanEdgeClicks, grp.OutsideShare = 0, 0, 0
+		if len(grp.Users) > 0 && len(grp.Items) > 0 {
+			grp.Density = float64(edges) / (float64(len(grp.Users)) * float64(len(grp.Items)))
+		}
+		if edges > 0 {
+			grp.MeanEdgeClicks = float64(fake) / float64(edges)
+		}
+		if total > 0 {
+			grp.OutsideShare = float64(total-fake) / float64(total)
+		}
+	}
+	slices.SortStableFunc(res.Groups, func(a, b detect.Group) int { return cmp.Compare(b.Score, a.Score) })
+	res.Identified = true
 }
 
 // The helpers below call the context-taking entry points for tests that

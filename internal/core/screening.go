@@ -315,8 +315,13 @@ func screenOne(g *bipartite.Graph, grp detect.Group, hot *HotSet, p Params,
 // returns, so setting, reading and clearing all cost the group, not the
 // graph, and one buffer — grown to the largest graph it meets — serves every
 // group its goroutine checks. The flags are all clear whenever a buffer is
-// not lent out.
-type groupMarks struct{ users, items []bool }
+// not lent out. Ranking also borrows a per-item score sum, likewise zero,
+// and a row buffer.
+type groupMarks struct {
+	users, items []bool
+	sums         []float64
+	row          []bipartite.NodeID
+}
 
 // marksPool keeps groupMarks across detections: every sweep screens on the
 // same graph sizes, so a pooled buffer is already grown.

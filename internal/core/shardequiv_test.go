@@ -154,6 +154,9 @@ func sameResults(t *testing.T, label string, want, got *detect.Result) {
 	if !reflect.DeepEqual(got.Users(), want.Users()) || !reflect.DeepEqual(got.Items(), want.Items()) {
 		t.Fatalf("%s: suspicious sets diverged", label)
 	}
+	if !reflect.DeepEqual(got.RankedUsers, want.RankedUsers) || !reflect.DeepEqual(got.RankedItems, want.RankedItems) {
+		t.Fatalf("%s: risk rankings diverged", label)
+	}
 }
 
 // TestReusedDetectorRepeatsColdRun pins that nothing a Detector or its

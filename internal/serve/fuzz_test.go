@@ -24,6 +24,8 @@ func FuzzQueryPath(f *testing.F) {
 	f.Add("POST", "/v1/check", `[{"kind":"user","id":1}]`)
 	f.Add("POST", "/v1/check", `[{"kind":"pair","user":1}]`)
 	f.Add("POST", "/v1/check", `{`)
+	f.Add("POST", "/v1/check", `[{"kind":"user","id":1}] garbage`)
+	f.Add("POST", "/v1/check", `[{"kind":"user","id":1}][{"kind":"item","id":10}]`)
 	f.Add("DELETE", "/v1/user/1", "")
 	f.Add("GET", "//v1/user/1", "")
 	f.Add("GET", "/v1/user/%31", "")

@@ -13,7 +13,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,21 +47,14 @@ type Data struct {
 	Partial bool
 }
 
-// nodeEntry is one suspicious node's verdict material: its 1-based group
-// memberships (sorted ascending) and its risk score.
-type nodeEntry struct {
-	groups []int
-	score  float64
-}
-
 // Index is an immutable verdict index over one detection outcome. All
 // methods are safe for unbounded concurrent use and never allocate on the
 // clean-verdict path; a nil *Index answers every query with the clean
 // verdict (no detection has been published yet).
 type Index struct {
 	data  Data
-	users map[uint32]nodeEntry
-	items map[uint32]nodeEntry
+	users side
+	items side
 
 	// epoch and at are stamped by Store.Publish; 0/zero before
 	// publication. They are written once, before the atomic pointer swap
@@ -71,50 +63,95 @@ type Index struct {
 	at    time.Time
 }
 
+// side is one node kind's verdict material in flat arrays. slot numbers the
+// suspicious IDs; slot s has risk score score[s] and its 1-based group
+// memberships, ascending, in arena[off[s]:off[s+1]].
+type side struct {
+	slot  map[uint32]int32
+	score []float64
+	off   []int32
+	arena []int
+}
+
 // Build compiles a Data into an Index. The index references the Data's
 // slices without copying; callers must not mutate them afterwards.
 // Building is pure: the same Data always compiles to an index giving the
 // same answers (the recompile-idempotence property of the equivalence
 // harness).
 func Build(d Data) *Index {
-	ix := &Index{
+	return &Index{
 		data:  d,
-		users: make(map[uint32]nodeEntry, len(d.RankedUsers)),
-		items: make(map[uint32]nodeEntry, len(d.RankedItems)),
+		users: buildSide(d.Groups, d.RankedUsers, func(g *Group) []uint32 { return g.Users }),
+		items: buildSide(d.Groups, d.RankedItems, func(g *Group) []uint32 { return g.Items }),
 	}
-	for gi, g := range d.Groups {
-		for _, u := range g.Users {
-			e := ix.users[u]
-			e.groups = append(e.groups, gi+1)
-			ix.users[u] = e
+}
+
+// buildSide indexes one node kind. A ranked node in no group still gets a
+// slot (suspicious with no group), a member nobody ranked scores 0, and a
+// node ranked twice keeps its last score. The groups are walked in index
+// order, so every list comes out ascending without a sort.
+func buildSide(groups []Group, ranked []Scored, members func(*Group) []uint32) side {
+	sd := side{
+		slot:  make(map[uint32]int32, len(ranked)),
+		score: make([]float64, 0, len(ranked)),
+		off:   make([]int32, 1, len(ranked)+1),
+	}
+	at := func(id uint32) int32 {
+		s, ok := sd.slot[id]
+		if !ok {
+			s = int32(len(sd.score))
+			sd.slot[id] = s
+			sd.score = append(sd.score, 0)
+			sd.off = append(sd.off, 0)
 		}
-		for _, v := range g.Items {
-			e := ix.items[v]
-			e.groups = append(e.groups, gi+1)
-			ix.items[v] = e
+		return s
+	}
+	// at may grow the slices, so it runs before they are indexed.
+	for _, r := range ranked {
+		s := at(r.ID)
+		sd.score[s] = r.Score
+	}
+	for gi := range groups {
+		for _, id := range members(&groups[gi]) {
+			s := at(id)
+			sd.off[s+1]++
 		}
 	}
-	for _, m := range []map[uint32]nodeEntry{ix.users, ix.items} {
-		for id, e := range m {
-			sort.Ints(e.groups)
-			m[id] = e
+	for s := 1; s < len(sd.off); s++ {
+		sd.off[s] += sd.off[s-1]
+	}
+	// off[s] is slot s's write cursor, which ends at off[s+1]; shifting
+	// the offsets up by one restores them.
+	sd.arena = make([]int, sd.off[len(sd.off)-1])
+	for gi := range groups {
+		for _, id := range members(&groups[gi]) {
+			s := sd.slot[id]
+			sd.arena[sd.off[s]] = gi + 1
+			sd.off[s]++
 		}
 	}
-	// Overlay risk scores. Ranked nodes are exactly the group-member union
-	// in a well-formed report, but a ranked node missing from every group
-	// still gets an entry (suspicious with no group) rather than being
-	// silently dropped.
-	for _, s := range d.RankedUsers {
-		e := ix.users[s.ID]
-		e.score = s.Score
-		ix.users[s.ID] = e
+	copy(sd.off[1:], sd.off)
+	sd.off[0] = 0
+	return sd
+}
+
+// verdict looks id up; unknown IDs are clean.
+func (sd *side) verdict(id uint32) NodeVerdict {
+	s, ok := sd.slot[id]
+	if !ok {
+		return NodeVerdict{}
 	}
-	for _, s := range d.RankedItems {
-		e := ix.items[s.ID]
-		e.score = s.Score
-		ix.items[s.ID] = e
+	return NodeVerdict{Suspicious: true, Score: sd.score[s], Groups: sd.groups(s)}
+}
+
+// groups returns slot s's memberships, nil for a groupless node, capped so
+// that an append by a caller cannot reach the next slot's list.
+func (sd *side) groups(s int32) []int {
+	lo, hi := sd.off[s], sd.off[s+1]
+	if lo == hi {
+		return nil
 	}
-	return ix
+	return sd.arena[lo:hi:hi]
 }
 
 // NodeVerdict answers "is this node part of a detected attack group".
@@ -142,31 +179,19 @@ type PairVerdict struct {
 }
 
 // User returns the verdict for a user ID. Unknown IDs are clean.
-func (ix *Index) User(id uint32) NodeVerdict { return nodeVerdictOf(ix, ix.usersMap(), id) }
-
-// Item returns the verdict for an item ID. Unknown IDs are clean.
-func (ix *Index) Item(id uint32) NodeVerdict { return nodeVerdictOf(ix, ix.itemsMap(), id) }
-
-func (ix *Index) usersMap() map[uint32]nodeEntry {
+func (ix *Index) User(id uint32) NodeVerdict {
 	if ix == nil {
-		return nil
-	}
-	return ix.users
-}
-
-func (ix *Index) itemsMap() map[uint32]nodeEntry {
-	if ix == nil {
-		return nil
-	}
-	return ix.items
-}
-
-func nodeVerdictOf(ix *Index, m map[uint32]nodeEntry, id uint32) NodeVerdict {
-	e, ok := m[id]
-	if !ok {
 		return NodeVerdict{}
 	}
-	return NodeVerdict{Suspicious: true, Score: e.score, Groups: e.groups}
+	return ix.users.verdict(id)
+}
+
+// Item returns the verdict for an item ID. Unknown IDs are clean.
+func (ix *Index) Item(id uint32) NodeVerdict {
+	if ix == nil {
+		return NodeVerdict{}
+	}
+	return ix.items.verdict(id)
 }
 
 // Pair returns the co-click verdict for a (user, item) pair: InGroup iff
@@ -175,25 +200,26 @@ func (ix *Index) Pair(user, item uint32) PairVerdict {
 	if ix == nil {
 		return PairVerdict{}
 	}
-	ue, ok := ix.users[user]
+	us, ok := ix.users.slot[user]
 	if !ok {
 		return PairVerdict{}
 	}
-	ve, ok := ix.items[item]
+	vs, ok := ix.items.slot[item]
 	if !ok {
 		return PairVerdict{}
 	}
 	// Both membership lists are sorted ascending; intersect by merge.
+	ug, vg := ix.users.groups(us), ix.items.groups(vs)
 	var shared []int
 	i, j := 0, 0
-	for i < len(ue.groups) && j < len(ve.groups) {
+	for i < len(ug) && j < len(vg) {
 		switch {
-		case ue.groups[i] < ve.groups[j]:
+		case ug[i] < vg[j]:
 			i++
-		case ue.groups[i] > ve.groups[j]:
+		case ug[i] > vg[j]:
 			j++
 		default:
-			shared = append(shared, ue.groups[i])
+			shared = append(shared, ug[i])
 			i++
 			j++
 		}
@@ -224,7 +250,7 @@ func (ix *Index) NumSuspiciousUsers() int {
 	if ix == nil {
 		return 0
 	}
-	return len(ix.users)
+	return len(ix.users.slot)
 }
 
 // NumSuspiciousItems returns the number of distinct suspicious items.
@@ -232,7 +258,7 @@ func (ix *Index) NumSuspiciousItems() int {
 	if ix == nil {
 		return 0
 	}
-	return len(ix.items)
+	return len(ix.items.slot)
 }
 
 // Partial reports whether the index was compiled from a cut-short report.

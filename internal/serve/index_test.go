@@ -2,6 +2,9 @@ package serve
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -268,5 +271,185 @@ func TestBuildIdempotent(t *testing.T) {
 		if av, bv := a.Item(id), b.Item(id); av.Suspicious != bv.Suspicious || av.Score != bv.Score {
 			t.Fatalf("item %d differs across recompiles: %+v vs %+v", id, av, bv)
 		}
+	}
+}
+
+// mapIndex is the oracle for Build's flat layout: the map-per-node index
+// Build compiled before, each node's groups appended per membership, sorted,
+// then overlaid with the ranked scores.
+type mapIndex struct{ users, items map[uint32]mapEntry }
+
+type mapEntry struct {
+	groups []int
+	score  float64
+}
+
+func buildMapOracle(d Data) mapIndex {
+	ix := mapIndex{users: map[uint32]mapEntry{}, items: map[uint32]mapEntry{}}
+	for gi, g := range d.Groups {
+		for _, u := range g.Users {
+			e := ix.users[u]
+			e.groups = append(e.groups, gi+1)
+			ix.users[u] = e
+		}
+		for _, v := range g.Items {
+			e := ix.items[v]
+			e.groups = append(e.groups, gi+1)
+			ix.items[v] = e
+		}
+	}
+	for _, m := range []map[uint32]mapEntry{ix.users, ix.items} {
+		for id, e := range m {
+			sort.Ints(e.groups)
+			m[id] = e
+		}
+	}
+	for _, s := range d.RankedUsers {
+		e := ix.users[s.ID]
+		e.score = s.Score
+		ix.users[s.ID] = e
+	}
+	for _, s := range d.RankedItems {
+		e := ix.items[s.ID]
+		e.score = s.Score
+		ix.items[s.ID] = e
+	}
+	return ix
+}
+
+func (m mapIndex) node(side map[uint32]mapEntry, id uint32) NodeVerdict {
+	e, ok := side[id]
+	if !ok {
+		return NodeVerdict{}
+	}
+	return NodeVerdict{Suspicious: true, Score: e.score, Groups: e.groups}
+}
+
+func (m mapIndex) pair(user, item uint32) PairVerdict {
+	ue, ok := m.users[user]
+	if !ok {
+		return PairVerdict{}
+	}
+	ve, ok := m.items[item]
+	if !ok {
+		return PairVerdict{}
+	}
+	var shared []int
+	i, j := 0, 0
+	for i < len(ue.groups) && j < len(ve.groups) {
+		switch {
+		case ue.groups[i] < ve.groups[j]:
+			i++
+		case ue.groups[i] > ve.groups[j]:
+			j++
+		default:
+			shared = append(shared, ue.groups[i])
+			i++
+			j++
+		}
+	}
+	return PairVerdict{InGroup: len(shared) > 0, Groups: shared}
+}
+
+// randomData draws an outcome with every irregularity Build must keep:
+// nodes in several groups, a member listed twice in one group, empty
+// groups, members nobody ranked, ranked nodes in no group, and IDs ranked
+// twice (the last score wins).
+func randomData(rng *rand.Rand, ids int) Data {
+	var d Data
+	draw := func(n int) []uint32 {
+		out := make([]uint32, 0, n)
+		for len(out) < n {
+			out = append(out, uint32(rng.Intn(ids)))
+		}
+		return out
+	}
+	for range rng.Intn(6) {
+		d.Groups = append(d.Groups, Group{Users: draw(rng.Intn(6)), Items: draw(rng.Intn(6)), Score: rng.Float64()})
+	}
+	rankedUsers, rankedItems := draw(rng.Intn(ids)), draw(rng.Intn(ids))
+	for _, id := range rankedUsers {
+		d.RankedUsers = append(d.RankedUsers, Scored{ID: id, Score: float64(rng.Intn(4))})
+	}
+	for _, id := range rankedItems {
+		d.RankedItems = append(d.RankedItems, Scored{ID: id, Score: rng.Float64()})
+	}
+	return d
+}
+
+// TestBuildMatchesMapOracle: the flat index answers every query exactly as
+// the map-per-node index did, nil versus empty Groups included, and a
+// caller appending to a returned Groups cannot change the index.
+func TestBuildMatchesMapOracle(t *testing.T) {
+	const ids = 24 // IDs ids.. are misses
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 400 {
+		d := randomData(rng, ids)
+		ix, want := Build(d), buildMapOracle(d)
+		check := func(when string) {
+			t.Helper()
+			for id := uint32(0); id < ids+4; id++ {
+				if got, w := ix.User(id), want.node(want.users, id); !reflect.DeepEqual(got, w) {
+					t.Fatalf("trial %d %s: User(%d) = %#v, oracle %#v", trial, when, id, got, w)
+				}
+				if got, w := ix.Item(id), want.node(want.items, id); !reflect.DeepEqual(got, w) {
+					t.Fatalf("trial %d %s: Item(%d) = %#v, oracle %#v", trial, when, id, got, w)
+				}
+				for item := uint32(0); item < ids+4; item++ {
+					if got, w := ix.Pair(id, item), want.pair(id, item); !reflect.DeepEqual(got, w) {
+						t.Fatalf("trial %d %s: Pair(%d, %d) = %#v, oracle %#v", trial, when, id, item, got, w)
+					}
+				}
+			}
+			if ix.NumSuspiciousUsers() != len(want.users) || ix.NumSuspiciousItems() != len(want.items) {
+				t.Fatalf("trial %d %s: %d/%d suspicious, oracle %d/%d", trial, when,
+					ix.NumSuspiciousUsers(), ix.NumSuspiciousItems(), len(want.users), len(want.items))
+			}
+			for n := -1; n <= len(d.Groups)+1; n++ {
+				g, ok := ix.Group(n)
+				if ok != (n >= 1 && n <= len(d.Groups)) || ok && !reflect.DeepEqual(g, d.Groups[n-1]) {
+					t.Fatalf("trial %d %s: Group(%d) = %+v, %v", trial, when, n, g, ok)
+				}
+			}
+		}
+		check("built")
+		for id := uint32(0); id < ids; id++ {
+			for _, groups := range [][]int{ix.User(id).Groups, ix.Item(id).Groups} {
+				if len(groups) > 0 {
+					_ = append(groups, -1)
+				}
+			}
+		}
+		check("after appends to returned groups")
+	}
+}
+
+// blocksData is the blocks_resweep epoch's shape: 24 disjoint bicliques of
+// 600 users × 16 items, every member ranked.
+func blocksData() Data {
+	const groups, users, items = 24, 600, 16
+	var d Data
+	for g := range groups {
+		grp := Group{Score: float64(items)}
+		for u := range users {
+			id := uint32(g*users + u)
+			grp.Users = append(grp.Users, id)
+			d.RankedUsers = append(d.RankedUsers, Scored{ID: id, Score: items})
+		}
+		for v := range items {
+			id := uint32(g*items + v)
+			grp.Items = append(grp.Items, id)
+			d.RankedItems = append(d.RankedItems, Scored{ID: id, Score: items})
+		}
+		d.Groups = append(d.Groups, grp)
+	}
+	return d
+}
+
+func BenchmarkBuild(b *testing.B) {
+	d := blocksData()
+	b.ReportAllocs()
+	for b.Loop() {
+		Build(d)
 	}
 }

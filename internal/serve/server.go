@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -220,7 +223,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request, kind, rawID 
 	if ix == nil {
 		return
 	}
-	writeJSON(w, nodeResponse(ix, kind, id))
+	writeAppended(w, nodeResponse(ix, kind, id).appendJSON)
 }
 
 func nodeResponse(ix *Index, kind string, id uint32) NodeResponse {
@@ -259,7 +262,7 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 	if ix == nil {
 		return
 	}
-	writeJSON(w, pairResponse(ix, u, i))
+	writeAppended(w, pairResponse(ix, u, i).appendJSON)
 }
 
 func pairResponse(ix *Index, u, i uint32) PairResponse {
@@ -308,7 +311,16 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var items []CheckItem
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&items); err != nil {
+	err := dec.Decode(&items)
+	if err == nil {
+		// Only whitespace may follow the array, or the rest goes unanswered.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the request array")
+		}
+	}
+	if err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxErr.Limit))
@@ -342,16 +354,23 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if ix == nil {
 		return
 	}
-	out := make([]any, len(items))
-	for k, it := range items {
-		switch it.Kind {
-		case "user", "item":
-			out[k] = nodeResponse(ix, it.Kind, *it.ID)
-		case "pair":
-			out[k] = pairResponse(ix, *it.User, *it.Item)
+	writeAppended(w, func(b []byte) (_ []byte, err error) {
+		b = append(b, '[')
+		for k, it := range items {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			if it.Kind == "pair" {
+				b, err = pairResponse(ix, *it.User, *it.Item).appendJSON(b)
+			} else {
+				b, err = nodeResponse(ix, it.Kind, *it.ID).appendJSON(b)
+			}
+			if err != nil {
+				return b, err
+			}
 		}
-	}
-	writeJSON(w, out)
+		return append(b, ']'), nil
+	})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -388,13 +407,96 @@ func parseID(s string) (uint32, error) {
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
+	writeAppended(w, func(b []byte) ([]byte, error) { return appendMarshal(b, v) })
+}
+
+// appendMarshal appends json.Marshal's encoding of v.
+func appendMarshal(b []byte, v any) ([]byte, error) {
 	data, err := json.Marshal(v)
+	return append(b, data...), err
+}
+
+// respBufs recycles response buffers, since Write copies what it is given.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAppended answers 200 with the JSON enc appends and a newline, or 500
+// with enc's error.
+func writeAppended(w http.ResponseWriter, enc func([]byte) ([]byte, error)) {
+	buf := respBufs.Get().(*[]byte)
+	data, err := enc((*buf)[:0])
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+	} else {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		data = append(data, '\n')
+		w.Write(data)
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(append(data, '\n'))
+	if cap(data) <= 64<<10 { // a buffer a near-MaxBatch check grew is not kept
+		*buf = data[:0]
+		respBufs.Put(buf)
+	}
+}
+
+// appendJSON appends r exactly as json.Marshal encodes it, without
+// reflection; r.Kind is "user" or "item", which need no escaping. A score
+// json.Marshal refuses (NaN, ±Inf) goes to it for its error.
+func (r NodeResponse) appendJSON(b []byte) ([]byte, error) {
+	if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+		return appendMarshal(b, r)
+	}
+	b = append(b, `{"kind":"`...)
+	b = append(b, r.Kind...)
+	b = append(b, `","id":`...)
+	b = strconv.AppendUint(b, uint64(r.ID), 10)
+	b = append(b, `,"suspicious":`...)
+	b = strconv.AppendBool(b, r.Suspicious)
+	b = append(b, `,"score":`...)
+	b = appendFloat(b, r.Score)
+	return appendGroupsEpoch(b, r.Groups, r.Epoch), nil
+}
+
+// appendJSON is NodeResponse.appendJSON for a pair verdict.
+func (r PairResponse) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"user":`...)
+	b = strconv.AppendUint(b, uint64(r.User), 10)
+	b = append(b, `,"item":`...)
+	b = strconv.AppendUint(b, uint64(r.Item), 10)
+	b = append(b, `,"in_group":`...)
+	b = strconv.AppendBool(b, r.InGroup)
+	return appendGroupsEpoch(b, r.Groups, r.Epoch), nil
+}
+
+// appendGroupsEpoch closes a verdict: "groups", which omitempty drops when
+// empty, then "epoch".
+func appendGroupsEpoch(b []byte, groups []int, epoch uint64) []byte {
+	if len(groups) > 0 {
+		b = append(b, `,"groups":[`...)
+		for k, g := range groups {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(g), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, epoch, 10)
+	return append(b, '}')
+}
+
+// appendFloat appends a finite f as encoding/json does: the shortest 'f'
+// form for zero and 1e-6 <= |f| < 1e21, else 'e' with a one-digit negative
+// exponent written without its leading zero.
+func appendFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1] // e-09 becomes e-9
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -220,6 +223,22 @@ func TestCheckBatch(t *testing.T) {
 		}
 	}
 
+	// One array and only whitespace after it: a second value or garbage
+	// would otherwise be silently dropped from the answer.
+	for name, bad := range map[string]string{
+		"trailing garbage": `[{"kind":"user","id":1}] garbage`,
+		"second array":     `[{"kind":"user","id":1}][{"kind":"user","id":2}]`,
+		"stray bracket":    `[{"kind":"user","id":1}]]`,
+	} {
+		code, body := post(bad)
+		if code != http.StatusBadRequest || !strings.Contains(body, "bad request body: trailing data after the request array") {
+			t.Fatalf("%s: %d %q, want 400 trailing data", name, code, body)
+		}
+	}
+	if code, body := post("[{\"kind\":\"user\",\"id\":1}] \n\t "); code != http.StatusOK {
+		t.Fatalf("trailing whitespace: %d %q, want 200", code, body)
+	}
+
 	// Batch over the limit is rejected before any work.
 	small := NewServer(publishedStore(t), Options{MaxBatch: 2})
 	rec := httptest.NewRecorder()
@@ -338,5 +357,82 @@ func TestDrainUnderLoadNoLeaks(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before {
 		t.Fatalf("goroutines leaked across drain: %d before, %d after", before, now)
+	}
+}
+
+// TestVerdictBytesMatchMarshal pins the reflection-free verdict encoder to
+// encoding/json: the struct tags are the spec, and every float takes
+// json.Marshal's form, at the 'f'/'e' switch points, at the extremes and
+// over sixty decades of random values.
+func TestVerdictBytesMatchMarshal(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 1.0 / 3, 1e-7, 1e-6, 1e21, 1e20, 123456789e-15,
+		5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 2.5e-300, 4}
+	rng := rand.New(rand.NewSource(1))
+	for range 100_000 {
+		f := (rng.Float64()*9 + 1) * math.Pow(10, float64(rng.Intn(61)-30))
+		if rng.Intn(2) == 0 {
+			f = -f
+		}
+		floats = append(floats, f)
+	}
+	groupLists := [][]int{nil, {}, {1}, {1, 2, 24}, {math.MaxInt32, -3}}
+	same := func(v interface {
+		appendJSON([]byte) ([]byte, error)
+	}) {
+		t.Helper()
+		want, werr := json.Marshal(v)
+		got, gerr := v.appendJSON([]byte("prefix"))
+		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+			t.Fatalf("%#v: appendJSON error %v, json.Marshal %v", v, gerr, werr)
+		}
+		if werr == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("%#v:\n appendJSON %s\n json.Marshal %s", v, got[len("prefix"):], want)
+		}
+	}
+	for i, f := range floats {
+		groups := groupLists[i%len(groupLists)]
+		same(NodeResponse{Kind: "user", ID: uint32(i), Suspicious: i%2 == 0, Score: f, Groups: groups, Epoch: uint64(i) << 20})
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		same(NodeResponse{Kind: "item", Score: f})
+	}
+	same(NodeResponse{Kind: "item", ID: math.MaxUint32, Score: 2, Epoch: math.MaxUint64})
+	for i, groups := range groupLists {
+		same(PairResponse{User: uint32(i), Item: math.MaxUint32, InGroup: len(groups) > 0, Groups: groups, Epoch: uint64(i)})
+	}
+}
+
+// BenchmarkCheck answers a 16-entry /v1/check batch (users, items and
+// pairs) against the blocks_resweep epoch's index.
+func BenchmarkCheck(b *testing.B) {
+	store := NewStore(nil)
+	if err := store.Publish(Build(blocksData())); err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(store, Options{})
+	var body strings.Builder
+	body.WriteByte('[')
+	for k := range 16 {
+		if k > 0 {
+			body.WriteByte(',')
+		}
+		switch id := k * 997; k % 3 {
+		case 0:
+			fmt.Fprintf(&body, `{"kind":"user","id":%d}`, id)
+		case 1:
+			fmt.Fprintf(&body, `{"kind":"item","id":%d}`, id%400)
+		default:
+			fmt.Fprintf(&body, `{"kind":"pair","user":%d,"item":%d}`, id, id/600*16)
+		}
+	}
+	body.WriteByte(']')
+	req := body.String()
+	b.ReportAllocs()
+	for b.Loop() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(req)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("check: %d %s", rec.Code, rec.Body)
+		}
 	}
 }
