@@ -121,10 +121,9 @@ var itemIndexPool = sync.Pool{New: func() any { return new([]NodeID) }}
 // (filled in ascending local user order, so already sorted), with each
 // item's transposed degree checked against its live degree in g.
 //
-// The compact graph starts at removal epoch 0 with no removal observer:
-// incremental passes attach their own per-shard observer to c, and the
-// shard's removals reach g (bumping g's epoch) only when the merger replays
-// them through g.RemoveUser/RemoveItem.
+// The compact graph starts at removal epoch 0, and the shard's removals
+// reach g (bumping g's epoch) only when the merger replays them through
+// g.RemoveUser/RemoveItem.
 func CompactComponent(g *Graph, comp Component) (c *Graph, userOf, itemOf []NodeID) {
 	userOf, itemOf = comp.Users, comp.Items
 	idxp := itemIndexPool.Get().(*[]NodeID)

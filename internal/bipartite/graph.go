@@ -72,19 +72,7 @@ type Graph struct {
 	liveEdges int
 	liveClick uint64
 
-	removals uint64          // epoch counter: total vertex removals applied
-	observer RemovalObserver // notified at the start of each removal; may be nil
-}
-
-// RemovalObserver is notified synchronously at the START of RemoveUser /
-// RemoveItem, before any liveness state is mutated: the vertex and its
-// adjacency are still fully traversable, so the observer sees the graph
-// exactly as it was when the removal was decided. Incremental algorithms
-// (the dirty-frontier square pruning in internal/core) use this to mark the
-// removed vertex's surviving neighborhood for re-evaluation.
-type RemovalObserver interface {
-	UserRemoved(u NodeID)
-	ItemRemoved(v NodeID)
+	removals uint64 // epoch counter: total vertex removals applied
 }
 
 // NewGraph returns an empty graph with capacity for the given number of
@@ -213,16 +201,6 @@ func (g *Graph) UserArcs(u NodeID) []Arc { return g.uAdj[u] }
 // ascending by user ID, dead users included, read-only.
 func (g *Graph) ItemArcs(v NodeID) []Arc { return g.vAdj[v] }
 
-// SetRemovalObserver installs o as the graph's removal observer and returns
-// the previous one (nil if none), so callers can save/restore around a scoped
-// use. Observers do not survive Clone or CompactComponent: clones are
-// mass-edited by unrelated passes, and compact graphs live in a different ID
-// space.
-func (g *Graph) SetRemovalObserver(o RemovalObserver) (prev RemovalObserver) {
-	prev, g.observer = g.observer, o
-	return prev
-}
-
 // RemovalEpoch returns the total number of vertex removals ever applied to
 // this graph (no-op removals of already-dead vertices do not count). Clones
 // inherit the epoch of their source, so two graphs that underwent the same
@@ -235,9 +213,6 @@ func (g *Graph) RemovalEpoch() uint64 { return g.removals }
 func (g *Graph) RemoveUser(u NodeID) {
 	if !g.UserAlive(u) {
 		return
-	}
-	if g.observer != nil {
-		g.observer.UserRemoved(u)
 	}
 	g.removals++
 	g.uAlive[u] = false
@@ -259,9 +234,6 @@ func (g *Graph) RemoveUser(u NodeID) {
 func (g *Graph) RemoveItem(v NodeID) {
 	if !g.ItemAlive(v) {
 		return
-	}
-	if g.observer != nil {
-		g.observer.ItemRemoved(v)
 	}
 	g.removals++
 	g.vAlive[v] = false
@@ -316,8 +288,7 @@ func (g *Graph) LiveItemIDs() []NodeID {
 
 // Clone returns a deep copy of the graph, preserving deletions.
 // Adjacency slices are shared because they are immutable after build;
-// only the mutable liveness state is copied. The removal epoch carries over;
-// the removal observer deliberately does not (see SetRemovalObserver).
+// only the mutable liveness state is copied. The removal epoch carries over.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		removals:  g.removals,

@@ -312,3 +312,26 @@ func TestRemoveAllVertices(t *testing.T) {
 		}
 	}
 }
+
+func TestRemovalEpochCountsEffectiveRemovals(t *testing.T) {
+	g := testGraph(t)
+	if g.RemovalEpoch() != 0 {
+		t.Fatalf("fresh graph epoch = %d, want 0", g.RemovalEpoch())
+	}
+	g.RemoveUser(0)
+	g.RemoveUser(0) // no-op must not bump the epoch
+	g.RemoveItem(2)
+	if got := g.RemovalEpoch(); got != 2 {
+		t.Errorf("epoch = %d, want 2 (no-op removals excluded)", got)
+	}
+
+	// Clones inherit the epoch but advance independently.
+	c := g.Clone()
+	if c.RemovalEpoch() != g.RemovalEpoch() {
+		t.Errorf("clone epoch = %d, want %d", c.RemovalEpoch(), g.RemovalEpoch())
+	}
+	c.RemoveUser(1)
+	if c.RemovalEpoch() != 3 || g.RemovalEpoch() != 2 {
+		t.Errorf("epochs entangled: clone=%d source=%d", c.RemovalEpoch(), g.RemovalEpoch())
+	}
+}

@@ -23,9 +23,9 @@ import (
 // Preconditions, checked and enforced by panic (violations are programming
 // errors, not data errors): base must be fully live — no vertex ever
 // removed — and delta must be sorted by (U, V) with unique pairs and
-// non-zero weights, i.e. aggregated. The returned graph is fully live,
-// carries no removal observer, and shares no mutable state with base; base
-// itself is never modified. An empty delta returns base unchanged.
+// non-zero weights, i.e. aggregated. The returned graph is fully live and
+// shares no mutable state with base; base itself is never modified. An
+// empty delta returns base unchanged.
 func PatchGraph(base *Graph, delta []Edge) *Graph {
 	if base.removals != 0 || base.liveUsers != len(base.uAdj) || base.liveItems != len(base.vAdj) {
 		panic("bipartite: PatchGraph requires a fully live base graph")

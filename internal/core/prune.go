@@ -29,9 +29,9 @@ import (
 // Rounds after the first do not rescan the whole graph: a vertex's square
 // verdict depends only on its ≤2-hop live neighborhood, so only vertices
 // within two hops of a removal can change verdict between rounds. The
-// dirty-frontier loop (frontier.prune) exploits this by observing every
-// removal and re-evaluating only the marked frontier; see DESIGN.md §10 for
-// the soundness argument. A frontier vertex whose last passing test left a
+// dirty-frontier loop (frontier.prune) exploits this by marking the
+// neighbourhood of every removal it applies and re-evaluating only the marked
+// frontier; see DESIGN.md §10 for the soundness argument. A frontier vertex whose last passing test left a
 // survivor certificate that still holds survives without a walk (DESIGN.md
 // §10.6).
 
@@ -69,8 +69,8 @@ func PruneCtx(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span) (
 var testSquareEvalHook func(side bipartite.Side, id bipartite.NodeID)
 
 // frontiers lends each fixpoint (newFrontier … release) its dirty sets,
-// certificate slabs and wide masks, grown to the largest graph met, so a
-// warm fixpoint allocates none of them (DESIGN.md §10.4).
+// certificate slabs, wide masks and removal scratch, grown to the largest
+// graph met, so a warm fixpoint allocates none of them (DESIGN.md §10.4).
 var frontiers = sync.Pool{New: func() any { return new(frontier) }}
 
 // newFrontier leases a frontier for a fixpoint on g, with no dirty marks.
@@ -100,18 +100,18 @@ func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 // prune computes the Core/Square fixpoint of Algorithm 3 on fr.g. Round 1
 // evaluates every live vertex; each later round evaluates only the dirty
 // frontier: the vertices whose ≤2-hop live neighborhood shrank since their
-// last evaluation. The frontier is maintained by observing every removal
-// (bipartite.RemovalObserver), so core cascades, square victims, and
-// caller-applied removals all feed it. o (nil-safe) receives the
-// core.frontier metrics. On cancellation fr is left holding every vertex
-// whose evaluation was taken but not finished.
+// last evaluation. Every removal the fixpoint applies, a core cascade's or a
+// square victim, marks the frontier just before it happens (removeUser,
+// removeItem). o (nil-safe) receives the core.frontier metrics. On
+// cancellation fr is left holding every vertex whose evaluation was taken but
+// not finished.
 //
 // Round protocol, chosen so that victims, rounds and residual are those of a
 // loop that re-evaluates every live vertex every round (the reference in
 // reference_test.go):
 //
-//  1. The initial core fixpoint runs before the observer attaches, and the
-//     redundant item-side marks of round 1's user victims are dropped.
+//  1. Round 1's core peel marks nothing, and the redundant item-side marks
+//     of round 1's user victims are dropped.
 //  2. Each later round runs the core fixpoint first (its removals mark),
 //     then takes the user frontier, then — only after the round's user
 //     victims are applied — takes the item frontier, so the item evaluations
@@ -134,13 +134,11 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 	}
 	st.Rounds = 1
 	rsp := sp.Start("round")
-	removed := corePruneFixpoint(g, p, a, st.Rounds)
+	removed := corePruneFixpoint(g, p, a, st.Rounds, nil)
 	wide := &fr.wide
 	wide.build(g)
 	fr.certU.reset(g.NumUsers(), p.K1)
 	fr.certI.reset(g.NumItems(), p.K2)
-	prev := g.SetRemovalObserver(fr)
-	defer g.SetRemovalObserver(prev)
 
 	first := true
 	for {
@@ -151,7 +149,7 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 			}
 			st.Rounds++
 			rsp = sp.Start("round")
-			removed = corePruneFixpoint(g, p, a, st.Rounds)
+			removed = corePruneFixpoint(g, p, a, st.Rounds, fr)
 		}
 		faultinject.Hit("core.frontier")
 
@@ -166,7 +164,7 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 		uVictims := squareRoundUsers(ctx, g, p, evalU, pool, wide, &fr.certU)
 		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, ceilMul(p.K2, p.Alpha), p.K1)
 		for _, u := range uVictims {
-			g.RemoveUser(u)
+			fr.nbrs = removeUser(g, u, fr, fr.nbrs)
 		}
 		var evalI []bipartite.NodeID
 		if first {
@@ -182,7 +180,7 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 		iVictims := squareRoundItems(ctx, g, p, evalI, pool, &fr.certI)
 		a.squareRemovals(bipartite.ItemSide, iVictims, st.Rounds, ceilMul(p.K1, p.Alpha), p.K2)
 		for _, v := range iVictims {
-			g.RemoveItem(v)
+			fr.nbrs = removeItem(g, v, fr, fr.nbrs)
 		}
 
 		st.UsersRemoved += removed.UsersRemoved + len(uVictims)
@@ -271,28 +269,28 @@ func (s *dirtySet) reset() {
 }
 
 // frontier is the dirty-vertex worklist of the incremental square-pruning
-// fixpoint, installed as the graph's removal observer. The marking rule
+// fixpoint, marked before each removal the fixpoint applies. The marking rule
 // follows from the square conditions (Definition 4): removing user x shrinks
 // the live degree of each item v ∈ N(x) (a 1-hop input of v's verdict) and
 // the common-item counts of every user sharing an item with x (a 2-hop
 // input), so those — and only those — vertices can change verdict. Item
 // removals are the exact dual.
 //
-// The 1-hop marks are applied synchronously: the hook fires at the start of
-// the removal, while x and its adjacency are still traversable, so N(x) is
-// the neighborhood the removal decision saw. The 2-hop marks are deferred:
-// the hook only queues N(x) in a walk set, and expand — called once before
-// each frontier is taken — walks each queued vertex's neighborhood exactly
-// once. Deferral makes removals O(deg) instead of O(Σ two-hop), dedupes the
-// expensive walk when many removals share neighbors (in a heavy round most
-// do), and skips queued vertices that died later in the round outright:
-// their neighborhoods were marked 1-hop by their own removals, so walking a
-// dead vertex would only re-mark what is already covered. Expansion at
-// take-time liveness still marks every stale vertex — if the connecting
-// vertex v on a path u–v–x is live when u is next evaluated, it was live at
-// expansion and u was marked through it; if v died first, u was marked by
-// v's own 1-hop hook — so the taken frontier remains a superset of the
-// vertices whose verdict can have changed, which is all equivalence needs.
+// The 1-hop marks are applied synchronously, just before the removal, while x
+// and its adjacency are still traversable, so N(x) is the neighborhood the
+// removal decision saw. The 2-hop marks are deferred: the removal only queues
+// N(x) in a walk set, and expand — called once before each frontier is taken —
+// walks each queued vertex's neighborhood exactly once. Deferral makes
+// removals O(deg) instead of O(Σ two-hop), dedupes the expensive walk when
+// many removals share neighbors (in a heavy round most do), and skips queued
+// vertices that died later in the round outright: their neighborhoods were
+// marked 1-hop by their own removals, so walking a dead vertex would only
+// re-mark what is already covered. Expansion at take-time liveness still marks
+// every stale vertex — if the connecting vertex v on a path u–v–x is live when
+// u is next evaluated, it was live at expansion and u was marked through it;
+// if v died first, u was marked by v's own 1-hop marks — so the taken frontier
+// remains a superset of the vertices whose verdict can have changed, which is
+// all equivalence needs.
 //
 // The same 1-hop marks also set the lost bit of each neighbour's survivor
 // certificate: its live neighbourhood shrank, so its witnesses no longer
@@ -306,27 +304,49 @@ type frontier struct {
 	certU certificates
 	certI certificates
 	wide  wideMasks
+	nbrs  []bipartite.NodeID // the victim loops' removeUser/removeItem scratch
 }
 
-func (f *frontier) UserRemoved(x bipartite.NodeID) {
-	f.g.EachUserNeighbor(x, func(v bipartite.NodeID, _ uint32) bool {
-		f.items.mark(v)
-		f.walkI.mark(v)
-		f.certI.lost[v] = true
+// removeUser removes live user x from g and returns its live items,
+// collected into nbrs. On fr (nil marks nothing) it first marks the 1-hop
+// side of the removal: each of those items is dirty, queued for expansion
+// and has lost its certificate.
+func removeUser(g *bipartite.Graph, x bipartite.NodeID, fr *frontier, nbrs []bipartite.NodeID) []bipartite.NodeID {
+	nbrs = nbrs[:0]
+	g.EachUserNeighbor(x, func(v bipartite.NodeID, _ uint32) bool {
+		nbrs = append(nbrs, v)
 		return true
 	})
+	if fr != nil {
+		for _, v := range nbrs {
+			fr.items.mark(v)
+			fr.walkI.mark(v)
+			fr.certI.lost[v] = true
+		}
+	}
+	g.RemoveUser(x)
+	return nbrs
 }
 
-func (f *frontier) ItemRemoved(y bipartite.NodeID) {
-	f.g.EachItemNeighbor(y, func(u bipartite.NodeID, _ uint32) bool {
-		f.users.mark(u)
-		f.walkU.mark(u)
-		f.certU.lost[u] = true
+// removeItem is the item-side dual of removeUser.
+func removeItem(g *bipartite.Graph, y bipartite.NodeID, fr *frontier, nbrs []bipartite.NodeID) []bipartite.NodeID {
+	nbrs = nbrs[:0]
+	g.EachItemNeighbor(y, func(u bipartite.NodeID, _ uint32) bool {
+		nbrs = append(nbrs, u)
 		return true
 	})
+	if fr != nil {
+		for _, u := range nbrs {
+			fr.users.mark(u)
+			fr.walkU.mark(u)
+			fr.certU.lost[u] = true
+		}
+	}
+	g.RemoveItem(y)
+	return nbrs
 }
 
-// expand drains the walk sets queued by the removal hooks, marking the
+// expand drains the walk sets queued by the removals, marking the
 // deferred 2-hop side of each removal: the live users sharing an item with a
 // removed user, and the live items sharing a user with a removed item.
 // Each*Neighbor skips vertices that have since died, which is sound (see the
@@ -396,15 +416,16 @@ func (cs *certificates) record(x bipartite.NodeID, pass bool, wit []bipartite.No
 // corePruneFixpoint removes vertices violating the Lemma 1 degree bounds
 // until stable, propagating removals through a work queue. Each removal is
 // audited (a nil-safe) with the vertex's live degree at removal time and
-// the round of the enclosing square fixpoint.
-func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) PruneStats {
+// the round of the enclosing square fixpoint, and marked on fr (nil for a
+// peel that feeds no frontier).
+func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int, fr *frontier) PruneStats {
 	var st PruneStats
 	minUDeg := ceilMul(p.K2, p.Alpha)
 	minIDeg := ceilMul(p.K1, p.Alpha)
 
 	ps := peels.Get().(*peelScratch)
 	queue := ps.queue[:0]
-	nbrs := ps.nbrs[:0] // the live neighbors of the vertex being removed
+	nbrs := ps.nbrs[:0] // the live neighbors of the vertex last removed
 
 	g.EachLiveUser(func(u bipartite.NodeID) bool {
 		if g.UserDegree(u) < minUDeg {
@@ -426,14 +447,8 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 			if !g.UserAlive(n.id) {
 				continue
 			}
-			// Collect neighbors before removal so we can recheck them.
-			nbrs = nbrs[:0]
-			g.EachUserNeighbor(n.id, func(v bipartite.NodeID, _ uint32) bool {
-				nbrs = append(nbrs, v)
-				return true
-			})
+			nbrs = removeUser(g, n.id, fr, nbrs)
 			a.coreRemoval(bipartite.UserSide, n.id, round, len(nbrs), minUDeg)
-			g.RemoveUser(n.id)
 			st.UsersRemoved++
 			for _, v := range nbrs {
 				if g.ItemAlive(v) && g.ItemDegree(v) < minIDeg {
@@ -444,13 +459,8 @@ func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int) Prun
 			if !g.ItemAlive(n.id) {
 				continue
 			}
-			nbrs = nbrs[:0]
-			g.EachItemNeighbor(n.id, func(u bipartite.NodeID, _ uint32) bool {
-				nbrs = append(nbrs, u)
-				return true
-			})
+			nbrs = removeItem(g, n.id, fr, nbrs)
 			a.coreRemoval(bipartite.ItemSide, n.id, round, len(nbrs), minIDeg)
-			g.RemoveItem(n.id)
 			st.ItemsRemoved++
 			for _, u := range nbrs {
 				if g.UserAlive(u) && g.UserDegree(u) < minUDeg {

@@ -131,7 +131,7 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	}
 	st.Rounds = 1
 	csp := sp.Start("global_core")
-	removed := corePruneFixpoint(g, p, a, 1)
+	removed := corePruneFixpoint(g, p, a, 1, nil)
 	st.UsersRemoved = removed.UsersRemoved
 	st.ItemsRemoved = removed.ItemsRemoved
 	csp.SetInt("users_removed", int64(removed.UsersRemoved))

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -307,4 +309,66 @@ func TestCoveredDuration(t *testing.T) {
 	if got := e.CoveredDuration(); got != 95 {
 		t.Errorf("covered = %d, want 95", got)
 	}
+}
+
+// ParseTrace parses the output of Trace.JSON back into an export tree.
+func ParseTrace(data []byte) (*SpanExport, error) {
+	var e SpanExport
+	if err := json.Unmarshal(data, &e); err != nil {
+		return nil, fmt.Errorf("obs: parsing trace: %w", err)
+	}
+	return &e, nil
+}
+
+// CoveredDuration returns the sum of the direct children's durations — the
+// share of a parent span its instrumented stages account for. Used by
+// tests to assert trace coverage of the measured pipeline time.
+func (e *SpanExport) CoveredDuration() time.Duration {
+	if e == nil {
+		return 0
+	}
+	var sum time.Duration
+	for _, c := range e.Children {
+		sum += time.Duration(c.DurationNS)
+	}
+	return sum
+}
+
+// Find returns the first span with the given name in a pre-order walk of
+// the subtree, or nil.
+func (e *SpanExport) Find(name string) *SpanExport {
+	if e == nil {
+		return nil
+	}
+	if e.Name == name {
+		return e
+	}
+	for _, c := range e.Children {
+		if f := c.Find(name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// SpanNames returns the sorted distinct span names of the subtree.
+func (e *SpanExport) SpanNames() []string {
+	seen := map[string]bool{}
+	var walk func(e *SpanExport)
+	walk = func(e *SpanExport) {
+		if e == nil {
+			return
+		}
+		seen[e.Name] = true
+		for _, c := range e.Children {
+			walk(c)
+		}
+	}
+	walk(e)
+	out := make([]string, 0, len(seen))
+	for n := range seen {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }

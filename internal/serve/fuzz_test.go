@@ -35,7 +35,7 @@ func FuzzQueryPath(f *testing.F) {
 	if err := store.Publish(Build(twoGroupData())); err != nil {
 		f.Fatal(err)
 	}
-	published := NewServer(store, Options{MaxBatch: 64})
+	published := NewServer(store, Options{})
 	empty := NewServer(NewStore(nil), Options{})
 
 	f.Fuzz(func(t *testing.T, method, path, body string) {

@@ -245,22 +245,6 @@ func (ix *Index) NumGroups() int {
 	return len(ix.data.Groups)
 }
 
-// NumSuspiciousUsers returns the number of distinct suspicious users.
-func (ix *Index) NumSuspiciousUsers() int {
-	if ix == nil {
-		return 0
-	}
-	return len(ix.users.slot)
-}
-
-// NumSuspiciousItems returns the number of distinct suspicious items.
-func (ix *Index) NumSuspiciousItems() int {
-	if ix == nil {
-		return 0
-	}
-	return len(ix.items.slot)
-}
-
 // Partial reports whether the index was compiled from a cut-short report.
 func (ix *Index) Partial() bool {
 	if ix == nil {
@@ -357,8 +341,8 @@ func (s *Store) Publish(ix *Index) error {
 		Type:   obs.EventIndexSwap,
 		Round:  int(s.epoch),
 		Groups: ix.NumGroups(),
-		Users:  ix.NumSuspiciousUsers(),
-		Items:  ix.NumSuspiciousItems(),
+		Users:  len(ix.users.slot),
+		Items:  len(ix.items.slot),
 		Reason: reason,
 	})
 	return nil

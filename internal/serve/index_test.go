@@ -453,3 +453,19 @@ func BenchmarkBuild(b *testing.B) {
 		Build(d)
 	}
 }
+
+// NumSuspiciousUsers returns the number of distinct suspicious users.
+func (ix *Index) NumSuspiciousUsers() int {
+	if ix == nil {
+		return 0
+	}
+	return len(ix.users.slot)
+}
+
+// NumSuspiciousItems returns the number of distinct suspicious items.
+func (ix *Index) NumSuspiciousItems() int {
+	if ix == nil {
+		return 0
+	}
+	return len(ix.items.slot)
+}

@@ -35,8 +35,6 @@ type Options struct {
 	// buffer's shed-accounting discipline applied to queries). 0 means
 	// unlimited. /healthz is exempt: health must answer under overload.
 	MaxInflight int
-	// MaxBatch bounds /v1/check array length (0 = DefaultMaxBatch).
-	MaxBatch int
 	// Degraded, when non-nil, feeds the /healthz degraded flag — wire the
 	// streaming detector's durability latch (DurabilityErr != nil) here.
 	Degraded func() bool
@@ -51,7 +49,6 @@ type Server struct {
 	store    *Store
 	o        *obs.Observer
 	inflight chan struct{}
-	maxBatch int
 	degraded func() bool
 }
 
@@ -60,11 +57,7 @@ func NewServer(store *Store, opts Options) *Server {
 	s := &Server{
 		store:    store,
 		o:        opts.Obs,
-		maxBatch: opts.MaxBatch,
 		degraded: opts.Degraded,
-	}
-	if s.maxBatch <= 0 {
-		s.maxBatch = DefaultMaxBatch
 	}
 	if opts.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInflight)
@@ -329,8 +322,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	if len(items) > s.maxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d entries over the %d limit", len(items), s.maxBatch))
+	if len(items) > DefaultMaxBatch {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d entries over the %d limit", len(items), DefaultMaxBatch))
 		return
 	}
 	for k, it := range items {
@@ -431,7 +424,7 @@ func writeAppended(w http.ResponseWriter, enc func([]byte) ([]byte, error)) {
 		data = append(data, '\n')
 		w.Write(data)
 	}
-	if cap(data) <= 64<<10 { // a buffer a near-MaxBatch check grew is not kept
+	if cap(data) <= 64<<10 { // a buffer a near-DefaultMaxBatch check grew is not kept
 		*buf = data[:0]
 		respBufs.Put(buf)
 	}

@@ -239,13 +239,15 @@ func TestCheckBatch(t *testing.T) {
 		t.Fatalf("trailing whitespace: %d %q, want 200", code, body)
 	}
 
-	// Batch over the limit is rejected before any work.
-	small := NewServer(publishedStore(t), Options{MaxBatch: 2})
-	rec := httptest.NewRecorder()
-	small.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check",
-		strings.NewReader(`[{"kind":"user","id":1},{"kind":"user","id":2},{"kind":"user","id":3}]`)))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("over-limit batch = %d, want 400", rec.Code)
+	// Batch over the limit is rejected before any work; one at the limit
+	// is answered.
+	full := strings.Repeat(`{"kind":"user","id":1},`, DefaultMaxBatch)
+	if code, body := post("[" + strings.TrimSuffix(full, ",") + "]"); code != http.StatusOK {
+		t.Fatalf("batch at the limit = %d %q, want 200", code, body[:min(len(body), 200)])
+	}
+	over := "[" + full + `{"kind":"user","id":2}]`
+	if code, body := post(over); code != http.StatusBadRequest || !strings.Contains(body, "limit") {
+		t.Fatalf("over-limit batch = %d %q, want 400 over the limit", code, body)
 	}
 
 	// Oversized body is a 413, not an unmarshal 400.

@@ -51,16 +51,11 @@ type Durability struct {
 	// after this many WAL records (0 disables automatic snapshots; Snapshot
 	// can still be called explicitly).
 	SnapshotEvery int
-	// KeepSnapshots is how many snapshot generations to retain (< 1 = 2;
-	// keeping ≥ 2 lets recovery fall back past a corrupt newest snapshot).
-	KeepSnapshots int
 }
 
-func (dur *Durability) normalize() {
-	if dur.KeepSnapshots < 1 {
-		dur.KeepSnapshots = 2
-	}
-}
+// keepSnapshots is how many snapshot generations a snapshot leaves on disk:
+// keeping two lets recovery fall back past a corrupt newest snapshot.
+const keepSnapshots = 2
 
 // RecoveryInfo reports what Open reconstructed.
 type RecoveryInfo struct {
@@ -102,7 +97,6 @@ func Open(dur Durability, params core.Params, o *obs.Observer) (*Detector, *Reco
 	if dur.Dir == "" {
 		return nil, nil, errors.New("stream: Open requires Durability.Dir")
 	}
-	dur.normalize()
 	d, err := New(nil, params)
 	if err != nil {
 		return nil, nil, err
@@ -205,8 +199,8 @@ func (d *Detector) Close() error {
 }
 
 // Snapshot atomically persists the full detector state at the current
-// record clock, then prunes snapshots beyond Durability.KeepSnapshots and
-// WAL segments the new snapshot covers. Safe to call concurrently with
+// record clock, then prunes all but the newest keepSnapshots snapshots and
+// the WAL segments the new snapshot covers. Safe to call concurrently with
 // ingestion and sweeps (a running sweep only borrows the dirty set, so the
 // snapshot holds it whichever way the sweep ends). Returns an error on a
 // memory-only detector.
@@ -242,7 +236,7 @@ func (d *Detector) Snapshot() error {
 	}
 	// Retention: old snapshots beyond the keep count and WAL segments the
 	// new snapshot supersedes. Failures here do not invalidate the snapshot.
-	_, _ = durable.PruneSnapshots(d.dur.Dir, d.dur.KeepSnapshots)
+	_, _ = durable.PruneSnapshots(d.dur.Dir, keepSnapshots)
 	if w != nil {
 		_, _ = w.Prune(clock)
 	}

@@ -371,7 +371,7 @@ func TestWALWriteFailureDegradesToMemoryOnly(t *testing.T) {
 // the directory still recovers to the oracle state.
 func TestSnapshotPrunesWALAndOldSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	dur := Durability{SegmentBytes: 1 << 10, KeepSnapshots: 2}
+	dur := Durability{SegmentBytes: 1 << 10}
 	d1, _ := openDurable(t, dir, dur)
 	oracle, _ := New(nil, smallParams())
 	for round := 0; round < 4; round++ {

@@ -108,9 +108,13 @@ func (h *refreshEquivHarness) sameIndexes(label string, res *detect.Result) {
 		}
 		return
 	}
+	var numUsers, numItems uint32
+	for _, r := range h.history {
+		numUsers, numItems = max(numUsers, r.UserID+1), max(numItems, r.ItemID+1)
+	}
 	if oix.NumGroups() != wix.NumGroups() ||
-		oix.NumSuspiciousUsers() != wix.NumSuspiciousUsers() ||
-		oix.NumSuspiciousItems() != wix.NumSuspiciousItems() {
+		numSuspicious(numUsers, oix.User) != numSuspicious(numUsers, wix.User) ||
+		numSuspicious(numItems, oix.Item) != numSuspicious(numItems, wix.Item) {
 		h.t.Fatalf("%s: served index shape diverged", label)
 	}
 	for _, grp := range res.Groups {
@@ -121,6 +125,18 @@ func (h *refreshEquivHarness) sameIndexes(label string, res *detect.Result) {
 			h.t.Fatalf("%s: served verdicts for pair (%d,%d) diverged", label, u, v)
 		}
 	}
+}
+
+// numSuspicious counts the IDs below n whose verdict is suspicious. Every ID
+// an index holds has clicked, so n past the largest ID clicked counts all.
+func numSuspicious(n uint32, verdict func(uint32) serve.NodeVerdict) int {
+	c := 0
+	for id := uint32(0); id < n; id++ {
+		if verdict(id).Suspicious {
+			c++
+		}
+	}
+	return c
 }
 
 // TestCacheEquivalenceGoldenWorkloads is the harness proper (its name dates

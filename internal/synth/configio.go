@@ -21,16 +21,6 @@ func LoadConfig(r io.Reader) (Config, error) {
 	return cfg, nil
 }
 
-// SaveConfig writes a Config as indented JSON.
-func SaveConfig(w io.Writer, cfg Config) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(cfg); err != nil {
-		return fmt.Errorf("synth: encode config: %w", err)
-	}
-	return nil
-}
-
 // Metadata is the reproducibility sidecar written next to a generated
 // dataset: the exact configuration plus the realized scale and statistics.
 type Metadata struct {
@@ -69,13 +59,4 @@ func SaveMetadata(w io.Writer, md Metadata) error {
 		return fmt.Errorf("synth: encode metadata: %w", err)
 	}
 	return nil
-}
-
-// LoadMetadata reads a sidecar.
-func LoadMetadata(r io.Reader) (Metadata, error) {
-	var md Metadata
-	if err := json.NewDecoder(r).Decode(&md); err != nil {
-		return md, fmt.Errorf("synth: decode metadata: %w", err)
-	}
-	return md, nil
 }

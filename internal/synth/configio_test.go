@@ -2,6 +2,9 @@ package synth
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -55,4 +58,23 @@ func TestMetadataRoundTrip(t *testing.T) {
 	if got.Config != md.Config || got.Scale != md.Scale || got.Attack != md.Attack {
 		t.Errorf("metadata round trip changed data")
 	}
+}
+
+// SaveConfig writes a Config as indented JSON.
+func SaveConfig(w io.Writer, cfg Config) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(cfg); err != nil {
+		return fmt.Errorf("synth: encode config: %w", err)
+	}
+	return nil
+}
+
+// LoadMetadata reads a sidecar.
+func LoadMetadata(r io.Reader) (Metadata, error) {
+	var md Metadata
+	if err := json.NewDecoder(r).Decode(&md); err != nil {
+		return md, fmt.Errorf("synth: decode metadata: %w", err)
+	}
+	return md, nil
 }
