@@ -80,3 +80,34 @@ func BenchmarkStats(b *testing.B) {
 		Stats(g, ItemSide)
 	}
 }
+
+// BenchmarkPatchGraph patches a 150k-click graph over 20k users × 4k items
+// with an aggregated delta of 128 edges (a stream's sweep) and of a day's
+// 5.7k edges (a bulk delta).
+func BenchmarkPatchGraph(b *testing.B) {
+	const users, items = 20000, 4000
+	rng := rand.New(rand.NewSource(1))
+	builder := NewBuilder(users, items)
+	for e := 0; e < 150000; e++ {
+		builder.Add(NodeID(rng.Intn(users)), NodeID(rng.Intn(items)), 1)
+	}
+	base := builder.Build()
+	delta := func(n int) []Edge {
+		edges := make([]Edge, n)
+		for i := range edges {
+			edges[i] = Edge{U: NodeID(rng.Intn(users)), V: NodeID(rng.Intn(items)), Weight: 1}
+		}
+		return satAggregate(edges)
+	}
+	for _, c := range []struct {
+		name  string
+		delta []Edge
+	}{{"delta128", delta(128)}, {"day", delta(5700)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PatchGraph(base, c.delta)
+			}
+		})
+	}
+}

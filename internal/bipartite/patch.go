@@ -1,8 +1,9 @@
 package bipartite
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PatchGraph builds the graph a from-scratch Build over base's edges plus
@@ -84,14 +85,12 @@ func PatchGraph(base *Graph, delta []Edge) *Graph {
 		i = j
 	}
 
-	// Item columns: regroup the delta by (V, U) and rewrite each touched
-	// item's column the same way.
-	byItem := append([]Edge(nil), delta...)
-	sort.Slice(byItem, func(i, j int) bool {
-		if byItem[i].V != byItem[j].V {
-			return byItem[i].V < byItem[j].V
-		}
-		return byItem[i].U < byItem[j].U
+	// Item columns: regroup the delta by (V, U) — its pairs are unique, so
+	// the order is total — and rewrite each touched item's column the same
+	// way.
+	byItem := slices.Clone(delta)
+	slices.SortFunc(byItem, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.V, b.V), cmp.Compare(a.U, b.U))
 	})
 	for i := 0; i < len(byItem); {
 		v := byItem[i].V

@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkToGraph times the TableToBiGraph step on a shuffled 150k-row
-// table with a batch_detect-like shape: 20k users × 4k items, a sixth of
-// the rows repeating an earlier pair; and on its aggregate, the rows in
-// (user, item) order a stream's rebuild hands over.
-func BenchmarkToGraph(b *testing.B) {
+// benchTable is a shuffled 150k-row table with a batch_detect-like shape:
+// 20k users × 4k items, a sixth of the rows repeating an earlier pair.
+func benchTable() *Table {
 	const users, items, rows = 20000, 4000, 150000
 	rng := rand.New(rand.NewSource(1))
 	t := New(rows)
@@ -21,6 +19,13 @@ func BenchmarkToGraph(b *testing.B) {
 		}
 		t.Append(uint32(rng.Intn(users)), uint32(rng.Intn(items)), 1+uint32(rng.Intn(5)))
 	}
+	return t
+}
+
+// BenchmarkToGraph times the TableToBiGraph step on benchTable, and on its
+// aggregate, the rows in (user, item) order a stream's rebuild hands over.
+func BenchmarkToGraph(b *testing.B) {
+	t := benchTable()
 	for _, c := range []struct {
 		name string
 		t    *Table
@@ -29,6 +34,28 @@ func BenchmarkToGraph(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.t.ToGraph()
+			}
+		})
+	}
+}
+
+// BenchmarkAggregate times Aggregate on benchTable (a compaction's or a
+// restart's whole history), on a day of about 5.7k rows over the same ID
+// ranges (a bulk delta) — both ordered by counting — and on a 128-row
+// delta over them, which sorts.
+func BenchmarkAggregate(b *testing.B) {
+	full := benchTable()
+	slice := func(n int) *Table {
+		return &Table{users: full.users[:n], items: full.items[:n], clicks: full.clicks[:n]}
+	}
+	for _, c := range []struct {
+		name string
+		t    *Table
+	}{{"shuffled", full}, {"day", slice(5700)}, {"delta128", slice(128)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.t.Aggregate()
 			}
 		})
 	}

@@ -84,14 +84,13 @@ type Delta struct {
 	Records *Table
 }
 
-// Delta aggregates the pending rows beyond the patched watermark. The
-// receiver is unchanged; call MarkPatched once the returned delta has been
-// applied.
+// Delta aggregates the pending rows beyond the patched watermark where they
+// lie, with no staging copy. The receiver is unchanged, and the returned
+// records may share its storage: they are read-only. Call MarkPatched once
+// the returned delta has been applied.
 func (s *Staged) Delta() Delta {
-	tail := New(s.DeltaLen())
-	for i := s.patched; i < s.pending.Len(); i++ {
-		tail.AppendRecord(s.pending.Row(i))
-	}
+	p, n := s.patched, s.pending.Len()
+	tail := &Table{users: s.pending.users[p:n:n], items: s.pending.items[p:n:n], clicks: s.pending.clicks[p:n:n]}
 	return Delta{Records: tail.Aggregate()}
 }
 
@@ -101,8 +100,8 @@ func (s *Staged) Delta() Delta {
 func (s *Staged) MarkPatched() { s.patched = s.pending.Len() }
 
 // Compact folds the pending tail into the base: the tail alone is
-// aggregated, then merged with the sorted, duplicate-free base in one pass
-// into one new table, equal pairs summed with saturation — the table a full
+// aggregated, then merged with the sorted, duplicate-free base into one new
+// table, equal pairs summed with saturation — the table a full
 // re-aggregation of the history gives. The tail empties and the patched
 // watermark resets. With an empty tail there is nothing to do.
 func (s *Staged) Compact() {
@@ -113,14 +112,14 @@ func (s *Staged) Compact() {
 	out := New(a.Len() + b.Len())
 	for i, j := 0, 0; i < a.Len() || j < b.Len(); {
 		if j == b.Len() || i < a.Len() && a.key(i) <= b.key(j) {
-			out.addRow(a, i)
+			out.Append(a.users[i], a.items[i], a.clicks[i])
 			i++
 		} else {
-			out.addRow(b, j)
+			out.Append(b.users[j], b.items[j], b.clicks[j])
 			j++
 		}
 	}
-	s.base = out
+	s.base = out.mergeRuns()
 	s.pending = New(0)
 	s.patched = 0
 }

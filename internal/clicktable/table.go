@@ -6,8 +6,11 @@
 package clicktable
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bipartite"
 )
@@ -86,31 +89,71 @@ func (t *Table) Clone() *Table {
 // An already-aggregated table (strictly increasing (user, item) rows) is
 // returned as-is — no sort, no copy — so Aggregate is idempotent and free
 // to call defensively: Aggregate(Aggregate(t)) returns the same *Table.
+//
+// Otherwise two stable counting passes, by item and then by user, order the
+// rows as the graph build does, linear in the rows and the largest IDs.
+// When those IDs sum past n·log₂n for n rows, as in a small delta, the rows
+// are sorted as packed (user, item) keys instead: no ID-sized array. That
+// rule sits at the measured crossover of the two (DESIGN.md §9).
 func (t *Table) Aggregate() *Table {
 	if t.aggregated() {
 		return t
 	}
-	idx := make([]int, t.Len())
-	for i := range idx {
-		idx[i] = i
+	n := t.Len()
+	out := &Table{users: make([]uint32, n), items: make([]uint32, n), clicks: make([]uint32, n)}
+	uMax, vMax := slices.Max(t.users), slices.Max(t.items)
+	if n > math.MaxInt32 || int(uMax)+int(vMax) > n*bits.Len(uint(n)) {
+		rows := make([][2]uint64, n) // (user, item) key, clicks
+		for i := range rows {
+			rows[i] = [2]uint64{t.key(i), uint64(t.clicks[i])}
+		}
+		slices.SortFunc(rows, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+		for i, r := range rows {
+			out.users[i], out.items[i], out.clicks[i] = uint32(r[0]>>32), uint32(r[0]), uint32(r[1])
+		}
+		return out.mergeRuns()
 	}
-	sort.Slice(idx, func(a, b int) bool { return t.key(idx[a]) < t.key(idx[b]) })
-	out := New(t.Len())
-	for _, i := range idx {
-		out.addRow(t, i)
+	// perm lists the rows by item; next[id] is id's bucket cursor.
+	perm := make([]int32, n)
+	next := make([]int32, int(max(uMax, vMax))+2)
+	cursors := func(ids []uint32) {
+		clear(next)
+		for _, id := range ids {
+			next[id+1]++
+		}
+		for x := 1; x < len(next); x++ {
+			next[x] += next[x-1]
+		}
 	}
-	return out
+	cursors(t.items)
+	for i, v := range t.items {
+		perm[next[v]] = int32(i)
+		next[v]++
+	}
+	cursors(t.users)
+	for _, i := range perm {
+		u := t.users[i]
+		out.users[next[u]], out.items[next[u]], out.clicks[next[u]] = u, t.items[i], t.clicks[i]
+		next[u]++
+	}
+	return out.mergeRuns()
 }
 
-// addRow appends row i of t, summing its clicks into the last row instead
-// (saturating) when that row holds the same (user, item) pair: fed rows in
-// (user, item) order, it builds an aggregated table.
-func (t *Table) addRow(from *Table, i int) {
-	if n := t.Len(); n > 0 && t.key(n-1) == from.key(i) {
-		t.clicks[n-1] = uint32(min(uint64(t.clicks[n-1])+uint64(from.clicks[i]), 1<<32-1))
-		return
+// mergeRuns sums each run of equal adjacent (user, item) rows into one row,
+// saturating, in place: fed rows in (user, item) order, it leaves an
+// aggregated table. It returns the receiver.
+func (t *Table) mergeRuns() *Table {
+	w := 0
+	for i := range t.users {
+		if w > 0 && t.key(w-1) == t.key(i) {
+			t.clicks[w-1] = uint32(min(uint64(t.clicks[w-1])+uint64(t.clicks[i]), math.MaxUint32))
+			continue
+		}
+		t.users[w], t.items[w], t.clicks[w] = t.users[i], t.items[i], t.clicks[i]
+		w++
 	}
-	t.Append(from.users[i], from.items[i], from.clicks[i])
+	t.users, t.items, t.clicks = t.users[:w], t.items[:w], t.clicks[:w]
+	return t
 }
 
 // key is row i's (user, item) pair as one integer ordered like the pair.

@@ -32,7 +32,7 @@ package stream
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -418,7 +418,7 @@ func (d *Detector) beginSweep() *sweepPass {
 	sw.carried = append([]detect.Group(nil), d.cached...)
 	lastEnd := d.lastSweepEnd
 	d.mu.Unlock()
-	sort.Slice(sw.dirty, func(i, j int) bool { return sw.dirty[i] < sw.dirty[j] })
+	slices.Sort(sw.dirty)
 	if !lastEnd.IsZero() {
 		d.Obs.Gauge("stream.sweep.lag_ms").Set(time.Since(lastEnd).Milliseconds())
 	}

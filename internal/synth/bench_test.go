@@ -12,21 +12,25 @@ func BenchmarkGenerateSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkEventStream unrolls SmallConfig over the default six days, and
+// DefaultConfig over a 200-day window with the attack from day 100, the
+// stream the market_stream benchmark workload replays.
 func BenchmarkEventStream(b *testing.B) {
-	ds := MustGenerate(SmallConfig())
-	cfg := DefaultEventStreamConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EventStream(ds, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAggregate(b *testing.B) {
-	ds := MustGenerate(SmallConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ds.Table.Aggregate()
+	for _, c := range []struct {
+		name string
+		ds   *Dataset
+		cfg  EventStreamConfig
+	}{
+		{"small", MustGenerate(SmallConfig()), DefaultEventStreamConfig()},
+		{"market", MustGenerate(DefaultConfig()), EventStreamConfig{Days: 200, AttackStartDay: 100, Seed: 99}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EventStream(c.ds, c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

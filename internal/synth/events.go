@@ -3,7 +3,6 @@ package synth
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/clicktable"
 )
@@ -49,6 +48,25 @@ func EventStream(ds *Dataset, cfg EventStreamConfig) ([]Event, error) {
 	if cfg.AttackStartDay < 1 || cfg.AttackStartDay > cfg.Days {
 		return nil, fmt.Errorf("synth: AttackStartDay %d outside [1,%d]", cfg.AttackStartDay, cfg.Days)
 	}
+	// The draws are seeded, so a first pass counts each day's events and a
+	// second draws them again straight into their day's slots: a stable
+	// counting scatter that holds the events once, in an array of their size.
+	next := make([]int, cfg.Days+2)
+	unroll(ds, cfg, func(e Event) { next[e.Day+1]++ })
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	events := make([]Event, next[cfg.Days+1])
+	unroll(ds, cfg, func(e Event) {
+		events[next[e.Day]] = e
+		next[e.Day]++
+	})
+	return events, nil
+}
+
+// unroll calls emit with EventStream's events in the order they are drawn:
+// row by row, each row's chunks in turn.
+func unroll(ds *Dataset, cfg EventStreamConfig, emit func(Event)) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	rampDays := cfg.Days - cfg.AttackStartDay + 1
@@ -65,7 +83,6 @@ func EventStream(ds *Dataset, cfg EventStreamConfig) ([]Event, error) {
 		return cfg.Days
 	}
 
-	var events []Event
 	ds.Table.Each(func(rec clicktable.Record) bool {
 		isAttack := int(rec.UserID) >= ds.NumNormalUsers
 		remaining := rec.Clicks
@@ -81,16 +98,8 @@ func EventStream(ds *Dataset, cfg EventStreamConfig) ([]Event, error) {
 			if isAttack {
 				day = pickRampDay()
 			}
-			events = append(events, Event{
-				Day:    day,
-				UserID: rec.UserID,
-				ItemID: rec.ItemID,
-				Clicks: chunk,
-			})
+			emit(Event{Day: day, UserID: rec.UserID, ItemID: rec.ItemID, Clicks: chunk})
 		}
 		return true
 	})
-
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Day < events[j].Day })
-	return events, nil
 }

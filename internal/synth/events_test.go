@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/clicktable"
@@ -129,5 +131,36 @@ func TestEventsToTablePrefix(t *testing.T) {
 	}
 	if r := tbl.Row(0); r.Clicks != 5 {
 		t.Errorf("clicks = %d, want 5", r.Clicks)
+	}
+}
+
+// TestEventStreamOrderMatchesStableSort: EventStream's counting order is
+// the events as drawn, stably sorted by day, over short and long windows.
+func TestEventStreamOrderMatchesStableSort(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"small", SmallConfig()}, {"default", DefaultConfig()}} {
+		ds := MustGenerate(c.cfg)
+		for _, days := range []int{6, 30, 200} {
+			t.Run(fmt.Sprintf("%s/%d_days", c.name, days), func(t *testing.T) {
+				cfg := EventStreamConfig{Days: days, AttackStartDay: days / 2, Seed: 99}
+				var want []Event
+				unroll(ds, cfg, func(e Event) { want = append(want, e) })
+				sort.SliceStable(want, func(i, j int) bool { return want[i].Day < want[j].Day })
+				got, err := EventStream(ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d events, want %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+					}
+				}
+			})
+		}
 	}
 }
