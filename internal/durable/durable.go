@@ -16,6 +16,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/faultinject"
 )
@@ -95,4 +98,47 @@ func syncDir(dir string) error {
 		return fmt.Errorf("durable: fsync dir %s: %w", dir, err)
 	}
 	return nil
+}
+
+// numbered names the files of one kind in a directory by a zero-padded
+// sequence number between a prefix and a suffix: WAL segments by their
+// first record's seq, snapshots by the clock they cover.
+type numbered struct{ prefix, suffix string }
+
+const numberDigits = 20
+
+var (
+	segments  = numbered{"wal-", ".seg"}
+	snapshots = numbered{"snap-", ".snap"}
+)
+
+func (n numbered) path(dir string, num uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%0*d%s", n.prefix, numberDigits, num, n.suffix))
+}
+
+// parse returns the number in name; ok is false for names of another kind.
+func (n numbered) parse(name string) (uint64, bool) {
+	mid, okPrefix := strings.CutPrefix(name, n.prefix)
+	mid, okSuffix := strings.CutSuffix(mid, n.suffix)
+	if !okPrefix || !okSuffix || len(mid) != numberDigits {
+		return 0, false
+	}
+	num, err := strconv.ParseUint(mid, 10, 64)
+	return num, err == nil
+}
+
+// list returns the numbers of this kind's files under dir, ascending.
+func (n numbered) list(dir string) ([]uint64, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("durable: list %s*%s: %w", n.prefix, n.suffix, err)
+	}
+	var nums []uint64
+	for _, e := range ents {
+		if num, ok := n.parse(e.Name()); ok && !e.IsDir() {
+			nums = append(nums, num)
+		}
+	}
+	slices.Sort(nums)
+	return nums, nil
 }

@@ -6,10 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // Snapshot files capture the full detector state at a WAL position, so
@@ -30,48 +26,12 @@ var snapMagic = [4]byte{'D', 'S', 'N', '1'}
 
 const (
 	snapVersion    = 1
-	snapPrefix     = "snap-"
-	snapSuffix     = ".snap"
 	snapHeaderLen  = 4 + 4 + 8 // magic + version + clock
 	snapTrailerLen = 4         // crc32
 )
 
 // ErrNoSnapshot reports that no valid snapshot exists in the directory.
 var ErrNoSnapshot = errors.New("durable: no valid snapshot")
-
-func snapName(clock uint64) string {
-	return fmt.Sprintf("%s%0*d%s", snapPrefix, segSeqDigits, clock, snapSuffix)
-}
-
-func snapClock(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-		return 0, false
-	}
-	mid := name[len(snapPrefix) : len(name)-len(snapSuffix)]
-	if len(mid) != segSeqDigits {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-func listSnapshots(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: list snapshots: %w", err)
-	}
-	var clocks []uint64
-	for _, e := range ents {
-		if c, ok := snapClock(e.Name()); ok && !e.IsDir() {
-			clocks = append(clocks, c)
-		}
-	}
-	sort.Slice(clocks, func(i, j int) bool { return clocks[i] < clocks[j] })
-	return clocks, nil
-}
 
 // WriteSnapshot atomically writes a snapshot of payload covering WAL
 // position clock, returning the file path.
@@ -86,7 +46,7 @@ func WriteSnapshot(dir string, clock uint64, payload []byte) (string, error) {
 	buf = append(buf, payload...)
 	crc := crc32.ChecksumIEEE(buf[len(snapMagic):])
 	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	path := filepath.Join(dir, snapName(clock))
+	path := snapshots.path(dir, clock)
 	if err := WriteFileAtomic(path, buf, 0o644); err != nil {
 		return "", err
 	}
@@ -133,7 +93,7 @@ type SnapshotInfo struct {
 // corrupt ones. ErrNoSnapshot means a cold start (no usable snapshot).
 func LatestSnapshot(dir string) ([]byte, SnapshotInfo, error) {
 	var info SnapshotInfo
-	clocks, err := listSnapshots(dir)
+	clocks, err := snapshots.list(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, info, ErrNoSnapshot
@@ -141,7 +101,7 @@ func LatestSnapshot(dir string) ([]byte, SnapshotInfo, error) {
 		return nil, info, err
 	}
 	for i := len(clocks) - 1; i >= 0; i-- {
-		path := filepath.Join(dir, snapName(clocks[i]))
+		path := snapshots.path(dir, clocks[i])
 		payload, err := readSnapshot(path, clocks[i])
 		if err != nil {
 			info.Skipped++
@@ -161,13 +121,13 @@ func PruneSnapshots(dir string, keep int) (int, error) {
 	if keep < 1 {
 		keep = 1
 	}
-	clocks, err := listSnapshots(dir)
+	clocks, err := snapshots.list(dir)
 	if err != nil {
 		return 0, err
 	}
 	removed := 0
 	for i := 0; i < len(clocks)-keep; i++ {
-		if err := os.Remove(filepath.Join(dir, snapName(clocks[i]))); err != nil {
+		if err := os.Remove(snapshots.path(dir, clocks[i])); err != nil {
 			return removed, fmt.Errorf("durable: prune snapshot: %w", err)
 		}
 		removed++

@@ -73,7 +73,7 @@ func TestPruneSnapshotsKeepsNewest(t *testing.T) {
 	if err != nil || removed != 3 {
 		t.Fatalf("removed %d (%v), want 3", removed, err)
 	}
-	clocks, _ := listSnapshots(dir)
+	clocks, _ := snapshots.list(dir)
 	if len(clocks) != 2 || clocks[0] != 4 || clocks[1] != 5 {
 		t.Fatalf("kept %v, want [4 5]", clocks)
 	}
@@ -81,7 +81,7 @@ func TestPruneSnapshotsKeepsNewest(t *testing.T) {
 	if _, err := PruneSnapshots(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	clocks, _ = listSnapshots(dir)
+	clocks, _ = snapshots.list(dir)
 	if len(clocks) != 1 || clocks[0] != 5 {
 		t.Fatalf("kept %v, want [5]", clocks)
 	}

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/faultinject"
@@ -28,10 +26,10 @@ import (
 // where length = len(body) and crc32 is IEEE over body. Frames carry their
 // own sequence numbers (strictly increasing, gaps allowed) so replay can
 // skip everything a snapshot already covers. A crash can tear only the tail
-// of the newest segment; Replay and OpenWAL both truncate at the first
-// frame that fails its length or checksum there, while a bad frame in an
-// older segment — which append-only writing cannot produce — is reported as
-// corruption rather than silently skipped.
+// of the newest segment; Recover reads every segment once, truncates at the
+// first frame there that fails its length or checksum and appends from that
+// offset, while a bad frame in an older segment — which append-only writing
+// cannot produce — is reported as corruption rather than silently skipped.
 
 // SyncPolicy says when the WAL fsyncs appended frames.
 type SyncPolicy int
@@ -61,9 +59,6 @@ const (
 	// are treated as corruption.
 	maxFrame       = 64 << 20
 	frameHeaderLen = 8 // u32 length + u32 crc
-	segPrefix      = "wal-"
-	segSuffix      = ".seg"
-	segSeqDigits   = 20
 )
 
 func (o *Options) normalize() {
@@ -75,42 +70,6 @@ func (o *Options) normalize() {
 // ErrCorrupt reports a bad frame that torn-tail truncation cannot explain:
 // a checksum or framing failure before the newest segment's tail.
 var ErrCorrupt = errors.New("durable: corrupt WAL")
-
-func segName(start uint64) string {
-	return fmt.Sprintf("%s%0*d%s", segPrefix, segSeqDigits, start, segSuffix)
-}
-
-// segStart parses a segment file name; ok is false for non-segment names.
-func segStart(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
-	}
-	mid := name[len(segPrefix) : len(name)-len(segSuffix)]
-	if len(mid) != segSeqDigits {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// listSegments returns the WAL segments under dir, sorted by start seq.
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: list segments: %w", err)
-	}
-	var starts []uint64
-	for _, e := range ents {
-		if s, ok := segStart(e.Name()); ok && !e.IsDir() {
-			starts = append(starts, s)
-		}
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	return starts, nil
-}
 
 // appendFrame appends one encoded frame to b.
 func appendFrame(b []byte, seq uint64, payload []byte) ([]byte, error) {
@@ -164,7 +123,7 @@ func scanFrames(data []byte, minSeq uint64, fn func(seq uint64, payload []byte) 
 	}
 }
 
-// ReplayResult summarizes a Replay pass.
+// ReplayResult summarizes what Recover read.
 type ReplayResult struct {
 	// Records is how many records were delivered to fn (seq > from).
 	Records int
@@ -173,61 +132,6 @@ type ReplayResult struct {
 	// TruncatedBytes is how many torn/corrupt trailing bytes were cut from
 	// the newest segment (0 for a clean log).
 	TruncatedBytes int64
-	// Segments is how many segment files were scanned.
-	Segments int
-}
-
-// Replay scans the WAL under dir in order, calling fn for every valid
-// record with seq > from. Torn or corrupt trailing frames in the newest
-// segment are truncated in place (the defined crash wound); a bad frame in
-// any older segment aborts with ErrCorrupt, because replaying past a hole
-// could resurrect state the lost records had superseded. fn errors abort
-// the replay unchanged.
-func Replay(dir string, from uint64, fn func(seq uint64, payload []byte) error) (ReplayResult, error) {
-	var res ReplayResult
-	res.LastSeq = from
-	starts, err := listSegments(dir)
-	if err != nil {
-		if os.IsNotExist(err) || errors.Is(err, os.ErrNotExist) {
-			return res, nil
-		}
-		return res, err
-	}
-	lastSeq := uint64(0)
-	for i, start := range starts {
-		path := filepath.Join(dir, segName(start))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return res, fmt.Errorf("durable: read segment: %w", err)
-		}
-		res.Segments++
-		validEnd, segLast, err := scanFrames(data, lastSeq, func(seq uint64, payload []byte) error {
-			if seq <= from {
-				return nil
-			}
-			res.Records++
-			return fn(seq, payload)
-		})
-		if err != nil {
-			return res, err
-		}
-		if segLast > lastSeq {
-			lastSeq = segLast
-		}
-		if validEnd < int64(len(data)) {
-			if i != len(starts)-1 {
-				return res, fmt.Errorf("%w: bad frame at %s:%d (not the newest segment)", ErrCorrupt, segName(start), validEnd)
-			}
-			if err := os.Truncate(path, validEnd); err != nil {
-				return res, fmt.Errorf("durable: truncate torn tail: %w", err)
-			}
-			res.TruncatedBytes = int64(len(data)) - validEnd
-		}
-	}
-	if lastSeq > res.LastSeq {
-		res.LastSeq = lastSeq
-	}
-	return res, nil
 }
 
 // WAL is an open write-ahead log positioned for appending. Appends are
@@ -243,64 +147,85 @@ type WAL struct {
 	f       *os.File
 	size    int64
 	lastSeq uint64
-	closed  []uint64 // start seqs of closed segments, ascending
-	segs    int      // total segments ever opened (closed + current)
 	buf     []byte
 	err     error
 }
 
-// OpenWAL opens (or creates) the WAL under dir for appending. The newest
-// segment's torn tail, if any, is truncated — call Replay first when the
-// records matter; OpenWAL re-verifies rather than trusts. The returned
-// WAL's next append must use a seq greater than its newest record's.
-func OpenWAL(dir string, opts Options) (*WAL, error) {
+// Recover opens (or creates) the WAL under dir for appending, reading each
+// segment once on the way: fn gets every valid record with seq > from, in
+// order. Torn or corrupt trailing frames in the newest segment are
+// truncated in place (the defined crash wound) and appending resumes at the
+// last good frame; a bad frame in any older segment aborts with ErrCorrupt,
+// because replaying past a hole could resurrect state the lost records had
+// superseded. fn errors abort the recovery unchanged. The returned WAL's
+// next append must use a seq greater than its newest record's.
+func Recover(dir string, opts Options, from uint64, fn func(seq uint64, payload []byte) error) (*WAL, ReplayResult, error) {
 	opts.normalize()
+	res := ReplayResult{LastSeq: from}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("durable: create WAL dir: %w", err)
+		return nil, res, fmt.Errorf("durable: create WAL dir: %w", err)
 	}
-	starts, err := listSegments(dir)
+	starts, err := segments.list(dir)
 	if err != nil {
-		return nil, err
+		return nil, res, err
 	}
-	w := &WAL{dir: dir, opts: opts}
-	if len(starts) == 0 {
-		return w, nil
-	}
-	w.closed = starts[:len(starts)-1]
-	w.segs = len(starts)
-	// Every closed segment's records precede the open one's; only the open
-	// segment needs scanning to find the clean append offset and last seq.
-	// The floor for seq validation is the open segment's own first frame
-	// (strictly increasing within a segment is what scanFrames enforces).
-	last := starts[len(starts)-1]
-	path := filepath.Join(dir, segName(last))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("durable: read segment: %w", err)
-	}
-	validEnd, lastSeq, _ := scanFrames(data, 0, nil)
-	if validEnd < int64(len(data)) {
-		if err := os.Truncate(path, validEnd); err != nil {
-			return nil, fmt.Errorf("durable: truncate torn tail: %w", err)
+	var last uint64
+	var tailLen, validEnd int64
+	for i, start := range starts {
+		data, err := os.ReadFile(segments.path(dir, start))
+		if err != nil {
+			return nil, res, fmt.Errorf("durable: read segment: %w", err)
+		}
+		validEnd, last, err = scanFrames(data, last, func(seq uint64, payload []byte) error {
+			if seq <= from {
+				return nil
+			}
+			res.Records++
+			return fn(seq, payload)
+		})
+		if err != nil {
+			return nil, res, err
+		}
+		tailLen = int64(len(data))
+		if validEnd < tailLen && i != len(starts)-1 {
+			return nil, res, fmt.Errorf("%w: bad frame at %s:%d (not the newest segment)", ErrCorrupt, segments.path(dir, start), validEnd)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	res.LastSeq = max(res.LastSeq, last)
+	w := &WAL{dir: dir, opts: opts, lastSeq: last}
+	if len(starts) == 0 {
+		return w, res, nil
+	}
+	newest := starts[len(starts)-1]
+	f, err := os.OpenFile(segments.path(dir, newest), os.O_WRONLY, 0)
 	if err != nil {
-		return nil, fmt.Errorf("durable: open segment: %w", err)
+		return nil, res, fmt.Errorf("durable: open segment: %w", err)
 	}
-	if _, err := f.Seek(validEnd, 0); err != nil {
+	if validEnd < tailLen {
+		if err := f.Truncate(validEnd); err != nil {
+			f.Close()
+			return nil, res, fmt.Errorf("durable: truncate torn tail: %w", err)
+		}
+		res.TruncatedBytes = tailLen - validEnd
+	}
+	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("durable: seek segment: %w", err)
+		return nil, res, fmt.Errorf("durable: seek segment: %w", err)
 	}
-	w.f = f
-	w.size = validEnd
-	w.lastSeq = lastSeq
-	if lastSeq == 0 && last > 0 {
-		// Empty (or fully torn) open segment: its name still floors the
+	w.f, w.size = f, validEnd
+	if validEnd == 0 && newest > last+1 {
+		// Empty (or fully torn) newest segment: its name still floors the
 		// next record's seq.
-		w.lastSeq = last - 1
+		w.lastSeq = newest - 1
 	}
-	return w, nil
+	return w, res, nil
+}
+
+// OpenWAL opens (or creates) the WAL under dir for appending: Recover with
+// nothing to replay.
+func OpenWAL(dir string, opts Options) (*WAL, error) {
+	w, _, err := Recover(dir, opts, math.MaxUint64, nil)
+	return w, err
 }
 
 // Entry is one record for AppendAll.
@@ -377,16 +302,9 @@ func (w *WAL) rotate(nextSeq uint64) error {
 		if err := w.f.Close(); err != nil {
 			return fmt.Errorf("durable: close segment: %w", err)
 		}
-		// The closed segment's start is recoverable from its name; track it
-		// for Prune. The just-closed segment is the previous newest.
-		starts, err := listSegments(w.dir)
-		if err == nil && len(starts) > 0 {
-			w.closed = starts
-		}
 		w.f = nil
 	}
-	path := filepath.Join(w.dir, segName(nextSeq))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(segments.path(w.dir, nextSeq), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: create segment: %w", err)
 	}
@@ -396,7 +314,6 @@ func (w *WAL) rotate(nextSeq uint64) error {
 	}
 	w.f = f
 	w.size = 0
-	w.segs++
 	return nil
 }
 
@@ -421,28 +338,19 @@ func (w *WAL) syncLocked() error {
 func (w *WAL) Prune(upTo uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	starts, err := listSegments(w.dir)
+	starts, err := segments.list(w.dir)
 	if err != nil {
 		return 0, err
 	}
 	removed := 0
-	for i := 0; i+1 < len(starts); i++ {
-		if starts[i+1] > upTo+1 {
-			break
-		}
-		if err := os.Remove(filepath.Join(w.dir, segName(starts[i]))); err != nil {
+	for ; removed+1 < len(starts) && starts[removed+1] <= upTo+1; removed++ {
+		if err := os.Remove(segments.path(w.dir, starts[removed])); err != nil {
 			return removed, fmt.Errorf("durable: prune segment: %w", err)
 		}
-		removed++
 	}
 	if removed > 0 {
 		if err := syncDir(w.dir); err != nil {
 			return removed, err
-		}
-		if rest, err := listSegments(w.dir); err == nil && len(rest) > 1 {
-			w.closed = rest[:len(rest)-1]
-		} else {
-			w.closed = nil
 		}
 	}
 	return removed, nil

@@ -10,16 +10,19 @@ import (
 	"repro/internal/faultinject"
 )
 
-// collect replays dir from seq `from` and returns the records seen.
+// collect recovers dir from seq `from` and returns the records seen.
 func collect(t *testing.T, dir string, from uint64) (map[uint64]string, ReplayResult) {
 	t.Helper()
 	got := map[uint64]string{}
-	res, err := Replay(dir, from, func(seq uint64, payload []byte) error {
+	w, res, err := Recover(dir, Options{}, from, func(seq uint64, payload []byte) error {
 		got[seq] = string(payload)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("Recover: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return got, res
 }
@@ -69,11 +72,12 @@ func TestWALSegmentRotationAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.mu.Lock()
-	segs := len(w.closed) + 1 // the open segment
-	w.mu.Unlock()
-	if segs < 3 {
-		t.Fatalf("expected ≥ 3 segments after 40×80-byte frames at 256-byte cap, got %d", segs)
+	starts, err := segments.list(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(starts) < 3 {
+		t.Fatalf("expected ≥ 3 segments after 40×80-byte frames at 256-byte cap, got %d", len(starts))
 	}
 	got, _ := collect(t, dir, 0)
 	if len(got) != 40 {
@@ -115,11 +119,11 @@ func TestWALTornTailTruncated(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		starts, err := listSegments(dir)
+		starts, err := segments.list(dir)
 		if err != nil || len(starts) != 1 {
 			t.Fatalf("segments: %v %v", starts, err)
 		}
-		path := filepath.Join(dir, segName(starts[0]))
+		path := segments.path(dir, starts[0])
 		fi, _ := os.Stat(path)
 		if err := os.Truncate(path, fi.Size()-int64(cut)); err != nil {
 			t.Fatal(err)
@@ -169,8 +173,8 @@ func TestWALBitFlipTruncatesAtBadFrame(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	starts, _ := listSegments(dir)
-	path := filepath.Join(dir, segName(starts[0]))
+	starts, _ := segments.list(dir)
+	path := segments.path(dir, starts[0])
 	data, _ := os.ReadFile(path)
 	// Flip a bit inside record 8's body: records 1–7 must survive, the
 	// rest of the tail is dropped at the first bad checksum.
@@ -199,19 +203,19 @@ func TestWALCorruptionInOldSegmentIsFatal(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	starts, _ := listSegments(dir)
+	starts, _ := segments.list(dir)
 	if len(starts) < 2 {
 		t.Fatalf("need ≥ 2 segments, got %d", len(starts))
 	}
-	path := filepath.Join(dir, segName(starts[0]))
+	path := segments.path(dir, starts[0])
 	data, _ := os.ReadFile(path)
 	data[len(data)/2] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Replay(dir, 0, func(uint64, []byte) error { return nil })
+	_, _, err = Recover(dir, Options{}, 0, func(uint64, []byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("replay over mid-log corruption returned %v, want ErrCorrupt", err)
+		t.Fatalf("recovery over mid-log corruption returned %v, want ErrCorrupt", err)
 	}
 }
 
@@ -293,12 +297,12 @@ func TestWALFsyncErrorPoisonsLog(t *testing.T) {
 
 func TestWALEmptyDirReplay(t *testing.T) {
 	got, res := collect(t, t.TempDir(), 0)
-	if len(got) != 0 || res.Records != 0 || res.Segments != 0 {
+	if len(got) != 0 || res.Records != 0 {
 		t.Fatalf("empty dir replay: %v %+v", got, res)
 	}
 	// A directory that does not exist at all is also a cold start.
-	res2, err := Replay(filepath.Join(t.TempDir(), "missing"), 0, nil)
-	if err != nil || res2.Records != 0 {
-		t.Fatalf("missing dir replay: %+v %v", res2, err)
+	got, res = collect(t, filepath.Join(t.TempDir(), "missing"), 0)
+	if len(got) != 0 || res.Records != 0 {
+		t.Fatalf("missing dir replay: %v %+v", got, res)
 	}
 }

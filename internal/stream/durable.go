@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/clicktable"
@@ -90,9 +91,9 @@ const stateVersion = 1
 
 // Open creates a durable detector backed by dur.Dir, recovering any state
 // a previous incarnation persisted there: the newest valid snapshot is
-// loaded, the WAL tail behind it replayed (torn trailing records are
-// truncated), and the WAL reopened for appending. A fresh directory is a
-// cold start. The observer may be nil.
+// loaded, then one pass over the WAL replays the tail behind it, truncates
+// torn trailing records and leaves the WAL open for appending at the cut.
+// A fresh directory is a cold start. The observer may be nil.
 func Open(dur Durability, params core.Params, o *obs.Observer) (*Detector, *RecoveryInfo, error) {
 	if dur.Dir == "" {
 		return nil, nil, errors.New("stream: Open requires Durability.Dir")
@@ -119,19 +120,14 @@ func Open(dur Durability, params core.Params, o *obs.Observer) (*Detector, *Reco
 		return nil, nil, err
 	}
 
-	res, err := durable.Replay(dur.Dir, d.seq, d.applyRecord)
-	if err != nil {
-		return nil, nil, err
-	}
-	info.Replayed = res.Records
-	info.TruncatedBytes = res.TruncatedBytes
-	info.ColdStart = info.SnapshotClock == 0 && res.Records == 0
-
-	w, err := durable.OpenWAL(dur.Dir, durable.Options{SegmentBytes: dur.SegmentBytes, Sync: dur.Sync})
+	w, res, err := durable.Recover(dur.Dir, durable.Options{SegmentBytes: dur.SegmentBytes, Sync: dur.Sync}, d.seq, d.applyRecord)
 	if err != nil {
 		return nil, nil, err
 	}
 	d.wal = w
+	info.Replayed = res.Records
+	info.TruncatedBytes = res.TruncatedBytes
+	info.ColdStart = info.SnapshotClock == 0 && res.Records == 0
 	// Records appended since the snapshot still await the next one.
 	d.sinceSnap = int(d.seq - info.SnapshotClock)
 	info.Seq = d.seq
@@ -340,10 +336,11 @@ func appendGroups(b []byte, groups []detect.Group) []byte {
 //
 //	u32 stateVersion | u64 events | u64 detections | u8 lastFull
 //	u32 nRows  | rows  (u32 user | u32 item | u32 clicks)
-//	u32 nDirty | pairs (u32 user | u64 seq)
+//	u32 nDirty | pairs (u32 user | u64 seq), ascending by user
 //	groups (same layout as sweep records)
 //
-// lastFull is detections > 0. It is written for the layout's sake and ignored
+// The pairs are sorted so equal states encode to equal bytes, whatever the
+// map's iteration order. lastFull is detections > 0. It is written for the layout's sake and ignored
 // on read: detections alone says whether the next sweep is full. The
 // snapshot container (durable.WriteSnapshot) adds the clock, version
 // and checksum around this. The staged table flattens to plain rows
@@ -371,9 +368,14 @@ func encodeState(table *clicktable.Staged, dirty map[bipartite.NodeID]uint64, ca
 		return true
 	})
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(dirty)))
-	for u, s := range dirty {
+	users := make([]bipartite.NodeID, 0, len(dirty))
+	for u := range dirty {
+		users = append(users, u)
+	}
+	slices.Sort(users)
+	for _, u := range users {
 		b = binary.LittleEndian.AppendUint32(b, u)
-		b = binary.LittleEndian.AppendUint64(b, s)
+		b = binary.LittleEndian.AppendUint64(b, dirty[u])
 	}
 	return appendGroups(b, cached)
 }

@@ -413,6 +413,34 @@ func TestSnapshotPrunesWALAndOldSnapshots(t *testing.T) {
 	sameGroups(t, "post-prune sweep", mustSweep(t, oracle), mustSweep(t, d2))
 }
 
+// TestSnapshotBytesAreAFunctionOfState: two snapshots of one unchanged
+// detector are the same file, byte for byte. With a few hundred dirty users
+// a map-ordered encoding of the dirty set differs between two writes.
+func TestSnapshotBytesAreAFunctionOfState(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := openDurable(t, dir, Durability{})
+	defer d.Close()
+	for u := uint32(0); u < 300; u++ {
+		d.AddClick(u, u%17, 1+u%5)
+	}
+	var files [2][]byte
+	for i := range files {
+		if err := d.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("snapshot files %v (%v), want one", paths, err)
+		}
+		if files[i], err = os.ReadFile(paths[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two snapshots of one state differ (%d and %d bytes)", len(files[0]), len(files[1]))
+	}
+}
+
 // TestReplayRejectsUnknownRecordType: replay never skips a record it does
 // not know. A WAL whose tail holds an empty payload, or one whose type byte
 // is neither click nor sweep — type 3, the retired reset record, included —

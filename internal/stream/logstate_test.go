@@ -82,11 +82,10 @@ func sameLogState(t *testing.T, label string, live *Detector, dur Durability) {
 	}
 }
 
-// TestSweepsNeverTouchTheVerdictCache (named for the retired verdict cache):
-// over the equivalence corpus — warm-started and cold, through a recovery —
+// TestRefreshesLeaveSweepsAlone: over the equivalence corpus — warm-started and cold, through a recovery —
 // a detector that refreshes between its sweeps sweeps exactly what a twin
 // that never refreshes does, and CacheStats stays zero throughout.
-func TestSweepsNeverTouchTheVerdictCache(t *testing.T) {
+func TestRefreshesLeaveSweepsAlone(t *testing.T) {
 	var refreshGroups int
 	for i, cfg := range synth.EquivCorpus() {
 		t.Run(fmt.Sprintf("workload%02d", i), func(t *testing.T) {

@@ -139,9 +139,8 @@ func numSuspicious(n uint32, verdict func(uint32) serve.NodeVerdict) int {
 	return c
 }
 
-// TestCacheEquivalenceGoldenWorkloads is the harness proper (its name dates
-// from the retired verdict cache; what it pins is that a refresh between
-// sweeps changes nothing a sweep commits or serves). Per workload:
+// TestRefreshEquivalenceGoldenWorkloads is the harness proper: a refresh
+// between sweeps changes nothing a sweep commits or serves. Per workload:
 //
 //	background → sweep 1 (first sweep: full) → two refreshes over the
 //	unchanged graph → attack phase A → refresh → incremental sweep 3 →
@@ -156,7 +155,7 @@ func numSuspicious(n uint32, verdict func(uint32) serve.NodeVerdict) int {
 // durably and crash-recovers it — the reopened detector must serve the
 // crashed one's epochs onward with identical verdicts; i%5 == 0 ends with a
 // quiet sweep and refresh over the same history.
-func TestCacheEquivalenceGoldenWorkloads(t *testing.T) {
+func TestRefreshEquivalenceGoldenWorkloads(t *testing.T) {
 	defer faultinject.Reset()
 	cfgs := synth.EquivCorpus()
 	if len(cfgs) < 20 {

@@ -655,5 +655,5 @@ type CacheStats struct{ Hits, Misses, Evictions, Bytes int64 }
 
 // CacheStats returns the zero value: the detector keeps no verdict cache.
 // The method stays only because the benchmark harness still reads it, and
-// goes when the benchmark stops (ROADMAP.md item 1).
+// goes when the benchmark stops (ROADMAP.md item 3).
 func (d *Detector) CacheStats() CacheStats { return CacheStats{} }
