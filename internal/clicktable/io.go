@@ -41,21 +41,22 @@ func WriteCSV(w io.Writer, t *Table) error {
 	return bw.Flush()
 }
 
-// parseField parses one uint32 CSV field with an operator-grade diagnosis:
-// negative values and values past the uint32 range get their own messages
-// instead of strconv's generic ones.
-func parseField(line int, name, s string) (uint32, error) {
+// ParseUint32 parses one uint32 CSV field named name with an operator-grade
+// diagnosis: negative values and values past the uint32 range get their own
+// messages instead of strconv's generic ones. The error carries no prefix;
+// each reader adds its own, with the line number.
+func ParseUint32(name, s string) (uint32, error) {
 	v, err := strconv.ParseUint(s, 10, 32)
 	if err == nil {
 		return uint32(v), nil
 	}
 	switch {
 	case strings.HasPrefix(strings.TrimSpace(s), "-"):
-		return 0, fmt.Errorf("clicktable: line %d: %s %q is negative (IDs and clicks must be non-negative integers)", line, name, s)
+		return 0, fmt.Errorf("%s %q is negative (must be a non-negative integer)", name, s)
 	case errors.Is(err, strconv.ErrRange):
-		return 0, fmt.Errorf("clicktable: line %d: %s %q out of range for uint32 (max %d)", line, name, s, uint64(math.MaxUint32))
+		return 0, fmt.Errorf("%s %q out of range for uint32 (max %d)", name, s, uint64(math.MaxUint32))
 	default:
-		return 0, fmt.Errorf("clicktable: line %d: %s %q is not an unsigned integer", line, name, s)
+		return 0, fmt.Errorf("%s %q is not an unsigned integer", name, s)
 	}
 }
 
@@ -87,18 +88,12 @@ func ReadCSV(r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("clicktable: line %d: %w", line, err)
 		}
-		u, err := parseField(line, "user_id", rec[0])
-		if err != nil {
-			return nil, err
+		var f [3]uint32
+		for k, name := range csvHeader {
+			if f[k], err = ParseUint32(name, rec[k]); err != nil {
+				return nil, fmt.Errorf("clicktable: line %d: %w", line, err)
+			}
 		}
-		v, err := parseField(line, "item_id", rec[1])
-		if err != nil {
-			return nil, err
-		}
-		c, err := parseField(line, "click", rec[2])
-		if err != nil {
-			return nil, err
-		}
-		t.Append(u, v, c)
+		t.Append(f[0], f[1], f[2])
 	}
 }

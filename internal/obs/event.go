@@ -42,7 +42,8 @@ const (
 	// clock and payload size, Reason is "error: ..." when the write failed.
 	EventSnapshotWrite = "snapshot.write"
 	// EventIngestShed is one pending-click drop by the overload buffer;
-	// Reason names the shed policy that fired.
+	// Reason names the shed policy that fired, or "closed" for a click
+	// offered to a closed buffer.
 	EventIngestShed = "ingest.shed"
 	// EventIndexSwap is one atomic verdict-index publication by the serving
 	// layer: Round carries the new epoch, Groups/Users/Items the index

@@ -133,6 +133,7 @@ func (b *Buffer) Offer(r clicktable.Record) bool {
 	}
 	b.mu.Lock()
 	if b.closed {
+		b.shedLocked("closed")
 		b.mu.Unlock()
 		return false
 	}
@@ -158,6 +159,7 @@ func (b *Buffer) Offer(r clicktable.Record) bool {
 			}
 			timer.Stop()
 			if b.closed {
+				b.shedLocked("closed")
 				b.mu.Unlock()
 				return false
 			}

@@ -154,3 +154,35 @@ func TestBufferFlushDeadline(t *testing.T) {
 		t.Fatal("flush with a stuck drainer returned nil")
 	}
 }
+
+// TestBufferOfferToClosedBufferIsShed: a click offered to a closed buffer,
+// on entry or while a ShedBlock Offer waits for a slot, is a shed like any
+// other: counted, and audited with reason "closed".
+func TestBufferOfferToClosedBufferIsShed(t *testing.T) {
+	d, err := New(nil, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Obs = obs.NewObserver("stream")
+	d.Obs.Events = obs.NewEventSink(nil, 16)
+	b := newBuffer(d, BufferConfig{Capacity: 1, Policy: ShedBlock}) // no drainer: the queue stays full
+	b.Offer(rec(1))
+	blocked := make(chan bool)
+	go func() { blocked <- b.Offer(rec(2)) }()
+	time.Sleep(blockWait / 10) // let that Offer start waiting for a slot
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // Close marks the buffer closed, then stops waiting for the absent drainer
+	_ = b.Close(ctx)
+	if <-blocked || b.Offer(rec(3)) {
+		t.Fatal("a closed buffer accepted a click")
+	}
+	closed := 0
+	for _, e := range d.Obs.Events.Events() {
+		if e.Type == obs.EventIngestShed && e.Reason == "closed" {
+			closed++
+		}
+	}
+	if _, shed := b.Stats(); shed != 2 || closed != 2 || d.Obs.Metrics.Counters()["stream.ingest.shed"] != 2 {
+		t.Fatalf("shed=%d, closed events=%d; want 2 of each, counted", shed, closed)
+	}
+}

@@ -4,7 +4,7 @@
 // so a crashed detector reopens exactly where it stopped — Open loads the
 // newest valid snapshot and replays only the WAL tail behind it.
 //
-// The recovery-equivalence guarantee (tested in durable_test.go): a
+// The recovery-equivalence guarantee (tested in ops_test.go): a
 // detector recovered from snapshot + WAL replay produces byte-identical
 // Sweep results to one that never crashed. Three mechanisms make that
 // hold:

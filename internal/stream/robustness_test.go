@@ -1,55 +1,30 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
 	"testing"
 
+	"repro/internal/bipartite"
+	"repro/internal/clicktable"
 	"repro/internal/detect"
 	"repro/internal/faultinject"
+	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
 // TestDetectContextCancelledSweepCommitsNothing: a cancelled sweep returns
-// a partial result and leaves the detector's incremental state untouched,
-// so the next sweep redoes the work and matches an uninterrupted run.
+// a partial result and commits nothing, so the retry is still the first,
+// full sweep and must equal the model's batch detection exactly.
 func TestDetectContextCancelledSweepCommitsNothing(t *testing.T) {
 	defer faultinject.Reset()
-	ds := synth.MustGenerate(synth.SmallConfig())
-	d, err := New(ds.Table, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Arm("stream.sweep", faultinject.Fault{Do: cancel, Times: 1})
-	res, err := d.SweepContext(ctx)
-	if !errors.Is(err, context.Canceled) {
+	r := newOpRun(t, smallParams(), Durability{}, synth.MustGenerate(synth.SmallConfig()).Table, false)
+	if err := r.cancelledSweep("stream.sweep"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res == nil || !res.Partial {
-		t.Fatalf("cancelled sweep result = %+v, want a partial result", res)
-	}
-	if stateOf(d).detections != 0 {
-		t.Error("cancelled sweep counted as a completed detection")
-	}
-	faultinject.Reset()
-
-	// The aborted sweep committed nothing, so the retry is still the first
-	// full detection and must match a reference detector exactly.
-	res2, err := sweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := fullDetect(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(res2.Groups), len(full.Groups); got != want {
-		t.Errorf("post-cancel sweep found %d groups, reference %d", got, want)
-	}
+	r.sweep()
 }
 
 // TestDetectContextPanicIsStageError: a panicking sweep stage surfaces as
@@ -165,62 +140,111 @@ func TestConcurrentIngestWithCancelledSweeps(t *testing.T) {
 // sweep for a user that sweep already snapshotted was taken on a graph the
 // sweep cannot see, so the commit must leave the user dirty for the next
 // sweep (regression: the commit used to delete exactly the snapshotted
-// users, silently un-marking the mid-sweep click forever).
+// users, silently un-marking the mid-sweep click forever). The driver's
+// model requires user 1 dirty with the mid-sweep click's seq.
 func TestMidSweepClickOnSnapshottedUserStaysDirty(t *testing.T) {
 	defer faultinject.Reset()
-	ds := synth.MustGenerate(synth.SmallConfig())
-	d, err := New(ds.Table, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweep(d); err != nil { // full sweep; retires all dirty users
-		t.Fatal(err)
-	}
+	r := newOpRun(t, smallParams(), Durability{}, synth.MustGenerate(synth.SmallConfig()).Table, false)
+	r.sweep() // full sweep; retires all dirty users
+	// User 1 joins the next sweep's snapshot, then clicks again while it runs.
+	r.feed([]clicktable.Record{{UserID: 1, ItemID: 2, Clicks: 3}}, true)
+	r.midSweepFeed([]clicktable.Record{{UserID: 1, ItemID: 2, Clicks: 4}})
+}
 
-	d.AddClick(1, 2, 3) // user 1 joins the next sweep's snapshot
-	// The stream.sweep site fires after the snapshot is taken: this click
-	// races the in-flight sweep, exactly the advertised ingestion pattern.
-	faultinject.Arm("stream.sweep", faultinject.Fault{Do: func() {
-		d.AddClick(1, 2, 4)
-	}, Times: 1})
-	if _, err := sweep(d); err != nil {
-		t.Fatal(err)
-	}
-
-	d.mu.Lock()
-	_, stillDirty := d.dirty[1]
-	d.mu.Unlock()
-	if !stillDirty {
-		t.Fatal("mid-sweep click for a snapshotted user was un-marked by the commit; the next sweep will never examine it")
+// TestAbortedSweepRestoresDirtySet: an aborted sweep only borrowed its dirty
+// users, so they must all still be dirty — losing one would shrink the next
+// sweep's scope below what correctness requires.
+func TestAbortedSweepRestoresDirtySet(t *testing.T) {
+	defer faultinject.Reset()
+	r := newOpRun(t, smallParams(), Durability{}, synth.MustGenerate(synth.SmallConfig()).Table, false)
+	r.sweep()
+	r.feed([]clicktable.Record{{UserID: 7, ItemID: 3, Clicks: 5}}, true)
+	if err := r.cancelledSweep("stream.sweep"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestAbortedSweepRestoresDirtySet: an aborted sweep owns its dirty
-// snapshot, so the abort path must merge it back — losing it would shrink
-// the next sweep's scope below what correctness requires.
-func TestAbortedSweepRestoresDirtySet(t *testing.T) {
-	defer faultinject.Reset()
+// TestConcurrentIngestDuringRefreshesAndSweeps is the -race companion: refreshes
+// and sweeps alternate while a goroutine hammers AddClick the whole time.
+// Served epochs must stay strictly monotone, and every committed and every
+// refreshed result must stay byte-stable after it is returned — neither may
+// hand out state a concurrent ingest can dirty.
+func TestConcurrentIngestDuringRefreshesAndSweeps(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
-	d, err := New(ds.Table, smallParams())
+	params := smallParams()
+	d, err := New(nil, params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := serve.NewStore(nil)
+	type frozen struct {
+		epoch  uint64
+		bytes  []byte         // serialized when returned
+		groups []detect.Group // the very slices that were returned
+	}
+	var commits, refreshes []frozen
+	d.OnCommit = func(res *detect.Result, g *bipartite.Graph) {
+		_ = store.Publish(serve.Compile(g, res, params.THot, params.TClick))
+		commits = append(commits, frozen{store.Epoch(), groupBytes(res.Groups), res.Groups})
+	}
+
+	background, attack := splitDataset(ds)
+	var bg []clicktable.Record
+	background.Each(func(r clicktable.Record) bool {
+		bg = append(bg, r)
+		return true
+	})
+	d.AddBatch(bg)
+	d.AddBatch(attack)
 	if _, err := sweep(d); err != nil {
 		t.Fatal(err)
 	}
 
-	d.AddClick(7, 3, 5)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Arm("stream.sweep", faultinject.Fault{Do: cancel, Times: 1})
-	if _, err := d.SweepContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// A narrow band of one-item users churns throughout; the core peel
+		// removes them in every detection.
+		churn := uint32(ds.Graph.NumUsers())
+		for i := uint32(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				d.AddClick(churn+i%7, i%7, 1)
+			}
+		}
+	}()
+	for k := 0; k < 5; k++ {
+		res, err := fullDetect(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refreshes = append(refreshes, frozen{0, groupBytes(res.Groups), res.Groups})
+		if _, err := sweep(d); err != nil {
+			t.Fatal(err)
+		}
 	}
+	close(stop)
+	wg.Wait()
 
-	d.mu.Lock()
-	_, stillDirty := d.dirty[7]
-	d.mu.Unlock()
-	if !stillDirty {
-		t.Fatal("aborted sweep dropped its dirty snapshot instead of merging it back")
+	if len(refreshes[0].groups) == 0 {
+		t.Fatal("the refresh found no groups; the race surface was never exercised")
+	}
+	for i, c := range commits {
+		if i > 0 && c.epoch <= commits[i-1].epoch {
+			t.Errorf("served epochs not monotone: commit %d has epoch %d after %d",
+				i, c.epoch, commits[i-1].epoch)
+		}
+		if !bytes.Equal(groupBytes(c.groups), c.bytes) {
+			t.Errorf("groups served under epoch %d were mutated after commit", c.epoch)
+		}
+	}
+	for k, r := range refreshes {
+		if !bytes.Equal(groupBytes(r.groups), r.bytes) {
+			t.Errorf("refresh %d's groups were mutated after it returned", k)
+		}
 	}
 }

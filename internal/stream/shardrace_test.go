@@ -102,45 +102,19 @@ func TestRaceAddClickDuringShardedSweeps(t *testing.T) {
 // shard pool (fault-injection site "core.shard", which fires as a worker
 // picks up a shard) and asserts that the pool drains completely: every
 // worker goroutine joins before the partial result is returned, so the
-// process goroutine count settles back to its pre-sweep level.
+// process goroutine count settles back to its pre-sweep level. The aborted
+// sweep committed nothing, so the next one is still the first, full sweep.
 func TestMidShardCancelLeaksNoGoroutines(t *testing.T) {
 	defer faultinject.Reset()
-
 	p := smallParams()
 	p.Workers = 8
-	d, err := New(blockTable(6, 12, 15), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	r := newOpRun(t, p, Durability{}, blockTable(6, 12, 15), false)
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Arm("core.shard", faultinject.Fault{Do: cancel, Times: 1})
-
-	res, rerr := d.SweepContext(ctx)
-	if rerr == nil || !res.Partial {
-		t.Fatalf("expected a partial sweep, got partial=%v err=%v", res.Partial, rerr)
+	if r.cancelledSweep("core.shard") == nil {
+		t.Fatal("the sweep committed: the cancel never fired in the shard pool")
 	}
-	if faultinject.HitCount("core.shard") == 0 {
-		t.Fatal("cancel fault never fired — the sweep did not reach the shard pool")
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before sweep, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The detector must remain fully usable: the aborted sweep committed
-	// nothing, and the next sweep redoes the work and finds every block.
-	res, rerr = d.SweepContext(context.Background())
-	if rerr != nil {
-		t.Fatalf("follow-up sweep: %v", rerr)
-	}
-	if len(res.Groups) != 6 {
+	settles(t, before)
+	if res := r.sweep(); len(res.Groups) != 6 {
 		t.Fatalf("follow-up sweep found %d groups, want 6", len(res.Groups))
 	}
 }
@@ -148,61 +122,36 @@ func TestMidShardCancelLeaksNoGoroutines(t *testing.T) {
 // TestMidFrontierRoundCancelRestoresDirtySet cancels an incremental sweep
 // from inside a dirty-frontier pruning round (fault-injection site
 // "core.frontier", which fires at the top of every frontier evaluation
-// round) and asserts the PR-2/PR-3 robustness contract end to end: the
-// shard pool drains with no leaked goroutines, the sweep's truncated dirty
-// snapshot is merged back so nothing is lost, and the next sweep redoes the
-// work completely.
+// round) and asserts the robustness contract end to end: the shard pool
+// drains with no leaked goroutines, the sweep's dirty users stay dirty (the
+// driver's model), and the next sweep redoes the work completely.
 func TestMidFrontierRoundCancelRestoresDirtySet(t *testing.T) {
 	defer faultinject.Reset()
-
 	p := smallParams()
 	p.Workers = 8
-	d, err := New(blockTable(6, 12, 15), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweep(d); err != nil { // full warm-up sweep, carries 6 groups
-		t.Fatal(err)
-	}
-
+	r := newOpRun(t, p, Durability{}, blockTable(6, 12, 15), false)
+	r.sweep() // full warm-up sweep, carries 6 groups
 	// Dirty one attacker of block 0; its weight-15 edges to non-hot items
 	// pass the incremental seed filter, so the next sweep prunes its
 	// neighborhood — and reaches the frontier rounds.
-	d.AddClick(0, 0, 5)
-
+	r.feed([]clicktable.Record{{UserID: 0, ItemID: 0, Clicks: 5}}, true)
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Arm("core.frontier", faultinject.Fault{Do: cancel, Times: 1})
-
-	res, rerr := d.SweepContext(ctx)
-	if rerr == nil || !res.Partial {
-		t.Fatalf("expected a partial sweep, got partial=%v err=%v", res.Partial, rerr)
+	if r.cancelledSweep("core.frontier") == nil {
+		t.Fatal("the sweep committed: the cancel never fired in a frontier round")
 	}
-	if faultinject.HitCount("core.frontier") == 0 {
-		t.Fatal("cancel fault never fired — the sweep did not reach a frontier round")
+	settles(t, before)
+	if res := r.sweep(); len(res.Groups) != 6 {
+		t.Fatalf("follow-up sweep found %d groups, want 6", len(res.Groups))
 	}
+}
 
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
+// settles waits up to two seconds for the goroutine count to fall back to
+// before.
+func settles(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d before sweep, %d after", before, runtime.NumGoroutine())
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	d.mu.Lock()
-	_, stillDirty := d.dirty[0]
-	d.mu.Unlock()
-	if !stillDirty {
-		t.Fatal("aborted mid-frontier sweep dropped its dirty snapshot instead of merging it back")
-	}
-
-	res, rerr = d.SweepContext(context.Background())
-	if rerr != nil {
-		t.Fatalf("follow-up sweep: %v", rerr)
-	}
-	if len(res.Groups) != 6 {
-		t.Fatalf("follow-up sweep found %d groups, want 6", len(res.Groups))
 	}
 }

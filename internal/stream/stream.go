@@ -138,10 +138,11 @@ type Detector struct {
 
 // DefaultCompactFraction is the default compaction policy: a full rebuild
 // once the raw pending rows exceed half the aggregated base. Patch cost is
-// linear in the delta while rebuild cost is sort-dominated over the whole
-// history, so by the time the delta is a constant fraction of the base a
-// rebuild costs only a small multiple of the patch — compacting there
-// bounds both the pending tail's memory and the patch chain's length.
+// linear in the delta and a rebuild is a linear counting build over the
+// whole history (DESIGN.md §9.3, §14.3), so by the time the delta is a
+// constant fraction of the base a rebuild costs only a small multiple of
+// the patch. The fraction exists to bound the pending tail's memory and
+// the patch chain's length.
 const DefaultCompactFraction = 0.5
 
 // expandCap bounds dirty-region seed expansion: items with more live

@@ -85,12 +85,13 @@ func decisionEvents(t *testing.T, trail *bytes.Buffer) []string {
 }
 
 // TestFirstDetectIsFull: the first sweep after New or a cold Open is the
-// batch detection. Over the equivalence corpus at one and
-// four workers it returns exactly what FullDetectContext returns on the same
-// graph — groups with scores and statistics, and both rankings — and, with
-// an audit sink attached, it makes the same prune.remove and screen.drop
-// decisions as an audited core.Detector run. On SmallConfig it also keeps
-// the detection quality floor: F1 ≥ 0.8 against the ground truth.
+// batch detection. Over the equivalence corpus at one and four workers,
+// with an audit sink attached, it returns exactly what an audited
+// core.Detector run on the same graph returns — groups with scores and
+// statistics, and both rankings — and makes the same prune.remove and
+// screen.drop decisions. On SmallConfig it returns what FullDetectContext
+// returns and keeps the detection quality floor: F1 ≥ 0.8 against the
+// ground truth.
 func TestFirstDetectIsFull(t *testing.T) {
 	t.Run("SmallConfig/quality", func(t *testing.T) {
 		ds := synth.MustGenerate(synth.SmallConfig())
@@ -151,19 +152,15 @@ func TestFirstDetectIsFull(t *testing.T) {
 					if got := o.Counter("stream.sweeps.full").Value(); got != 1 {
 						t.Fatalf("stream.sweeps.full = %d, want 1", got)
 					}
-					full, err := fullDetect(d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(resultBytes(t, full), resultBytes(t, res)) {
-						t.Fatalf("first sweep diverged from FullDetectContext: %d groups, want %d", len(res.Groups), len(full.Groups))
-					}
-
 					ro := obs.NewObserver("core")
 					var refTrail bytes.Buffer
 					ro.Events = obs.NewEventSink(&refTrail, 0)
-					if _, err := (&core.Detector{Params: p, Obs: ro}).DetectContext(context.Background(), d.Graph()); err != nil {
+					ref, err := (&core.Detector{Params: p, Obs: ro}).DetectContext(context.Background(), d.Graph())
+					if err != nil {
 						t.Fatal(err)
+					}
+					if !bytes.Equal(resultBytes(t, ref), resultBytes(t, res)) {
+						t.Fatalf("first sweep diverged from the batch detection: %d groups, want %d", len(res.Groups), len(ref.Groups))
 					}
 					got, want := decisionEvents(t, &trail), decisionEvents(t, &refTrail)
 					if !reflect.DeepEqual(got, want) {
@@ -215,26 +212,13 @@ func TestScopeGaugeTracksEverySweep(t *testing.T) {
 func TestIncrementalCatchesStreamedAttack(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
 	background, attack := splitDataset(ds)
-
-	d, err := New(background, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Baseline sweep over clean traffic.
-	res, err := sweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Groups) != 0 {
+	r := newOpRun(t, smallParams(), Durability{}, background, false)
+	if res := r.sweep(); len(res.Groups) != 0 { // baseline sweep over clean traffic
 		t.Fatalf("clean traffic produced %d groups", len(res.Groups))
 	}
-
 	// Stream the attack, then re-detect incrementally.
-	d.AddBatch(attack)
-	res, err = sweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r.feed(attack, false)
+	res := r.sweep()
 	ev := metrics.Evaluate(res, ds.Truth)
 	t.Logf("incremental after attack: %v (elapsed %v)", ev, res.Elapsed)
 	if ev.Recall < 0.9 || ev.Precision < 0.9 {
@@ -245,56 +229,28 @@ func TestIncrementalCatchesStreamedAttack(t *testing.T) {
 func TestIncrementalMatchesFullDetection(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
 	background, attack := splitDataset(ds)
-
-	d, err := New(background, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweep(d); err != nil {
-		t.Fatal(err)
-	}
+	r := newOpRun(t, smallParams(), Durability{}, background, false)
+	r.sweep()
 	// Stream the attack in three chunks with a detection after each.
 	third := len(attack) / 3
-	chunks := [][]clicktable.Record{attack[:third], attack[third : 2*third], attack[2*third:]}
-	var inc *metrics.Eval
-	for _, chunk := range chunks {
-		d.AddBatch(chunk)
-		res, err := sweep(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := metrics.Evaluate(res, ds.Truth)
-		inc = &e
+	var inc metrics.Eval
+	for _, chunk := range [][]clicktable.Record{attack[:third], attack[third : 2*third], attack[2*third:]} {
+		r.feed(chunk, false)
+		inc = metrics.Evaluate(r.sweep(), ds.Truth)
 	}
-	full, err := fullDetect(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe := metrics.Evaluate(full, ds.Truth)
-	t.Logf("incremental: %v\nfull:        %v", *inc, fe)
+	fe := metrics.Evaluate(r.refresh(), ds.Truth)
+	t.Logf("incremental: %v\nfull:        %v", inc, fe)
 	if inc.F1 < fe.F1-0.05 {
 		t.Errorf("incremental F1 %v materially below full %v", inc.F1, fe.F1)
 	}
 }
 
 func TestCachedGroupsSurviveQuietStream(t *testing.T) {
-	ds := synth.MustGenerate(synth.SmallConfig())
-	d, err := New(ds.Table, smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := sweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newOpRun(t, smallParams(), Durability{}, synth.MustGenerate(synth.SmallConfig()).Table, false)
+	first := r.sweep()
 	// No new events: detection must return the cached groups.
-	second, err := sweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(second.Groups) != len(first.Groups) {
-		t.Errorf("quiet re-detection changed groups: %d → %d",
-			len(first.Groups), len(second.Groups))
+	if second := r.sweep(); len(second.Groups) != len(first.Groups) {
+		t.Errorf("quiet re-detection changed groups: %d → %d", len(first.Groups), len(second.Groups))
 	}
 }
 
@@ -311,28 +267,18 @@ func TestRescreeningDropsGroupWhenTargetGoesHot(t *testing.T) {
 		tbl.Append(u, 0, 14)
 		tbl.Append(u, 1, 14)
 	}
-	d, err := New(tbl, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Groups) != 1 {
+	r := newOpRun(t, p, Durability{}, tbl, false)
+	if res := r.sweep(); len(res.Groups) != 1 {
 		t.Fatalf("initial detection found %d groups, want 1", len(res.Groups))
 	}
 
 	// Item 0 and item 1 go viral: hundreds of organic users.
+	var viral []clicktable.Record
 	for u := uint32(100); u < 700; u++ {
-		d.AddClick(u, 0, 1)
-		d.AddClick(u, 1, 1)
+		viral = append(viral, clicktable.Record{UserID: u, ItemID: 0, Clicks: 1}, clicktable.Record{UserID: u, ItemID: 1, Clicks: 1})
 	}
-	res, err = sweep(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, grp := range res.Groups {
+	r.feed(viral, true)
+	for _, grp := range r.sweep().Groups {
 		for _, v := range grp.Items {
 			if v == 0 || v == 1 {
 				t.Errorf("item %d is now hot but still reported as target", v)

@@ -3,31 +3,13 @@ package synth
 import (
 	"bufio"
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
-)
 
-// parseUint32 parses one uint32 CSV field of the `where` stream (events,
-// labels) with an operator-grade diagnosis: negative values and values past
-// the uint32 range get their own messages instead of strconv's generic ones.
-func parseUint32(where string, line int, name, s string) (uint32, error) {
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err == nil {
-		return uint32(v), nil
-	}
-	switch {
-	case strings.HasPrefix(strings.TrimSpace(s), "-"):
-		return 0, fmt.Errorf("synth: %s line %d: %s %q is negative (must be a non-negative integer)", where, line, name, s)
-	case errors.Is(err, strconv.ErrRange):
-		return 0, fmt.Errorf("synth: %s line %d: %s %q out of range for uint32 (max %d)", where, line, name, s, uint64(math.MaxUint32))
-	default:
-		return 0, fmt.Errorf("synth: %s line %d: %s %q is not an unsigned integer", where, line, name, s)
-	}
-}
+	"repro/internal/clicktable"
+)
 
 // Event CSV interchange format: header "day,user_id,item_id,click", one
 // event per row, day-ordered. cmd/synthgen can emit it and cmd/stream
@@ -98,18 +80,12 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 				line, day, prevDay)
 		}
 		prevDay = day
-		u, err := parseUint32("events", line, "user_id", rec[1])
-		if err != nil {
-			return nil, err
+		var f [3]uint32
+		for k, name := range eventHeader[1:] {
+			if f[k], err = clicktable.ParseUint32(name, rec[k+1]); err != nil {
+				return nil, fmt.Errorf("synth: events line %d: %w", line, err)
+			}
 		}
-		v, err := parseUint32("events", line, "item_id", rec[2])
-		if err != nil {
-			return nil, err
-		}
-		c, err := parseUint32("events", line, "click", rec[3])
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, Event{Day: day, UserID: u, ItemID: v, Clicks: c})
+		events = append(events, Event{Day: day, UserID: f[0], ItemID: f[1], Clicks: f[2]})
 	}
 }

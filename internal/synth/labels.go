@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/clicktable"
 	"repro/internal/detect"
 )
 
@@ -78,9 +79,9 @@ func ReadLabels(r io.Reader) (*detect.Labels, []detect.Group, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("synth: labels line %d: %w", line, err)
 		}
-		id, err := parseUint32("labels", line, "id", rec[1])
+		id, err := clicktable.ParseUint32("id", rec[1])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("synth: labels line %d: %w", line, err)
 		}
 		gi, err := strconv.Atoi(rec[2])
 		if err != nil || gi < 0 {
