@@ -62,3 +62,30 @@ func FuzzQueryPath(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckDecodeMatchesJSON holds the served /v1/check to referenceCheck,
+// which decodes every body with encoding/json: on any body, published or
+// not, both give the same status, Content-Type and bytes. The canonical
+// scanner may take only bodies whose answer it cannot change.
+func FuzzCheckDecodeMatchesJSON(f *testing.F) {
+	for _, c := range checkCases {
+		// The batch- and size-limit bodies stay with the table test: the
+		// mutator stalls on inputs that large.
+		if len(c.body) <= 4<<10 {
+			f.Add(c.body)
+		}
+	}
+	for _, body := range []string{`[{"kind":"user","id":1}]`, `[{"kind":"pair","user":1}]`, `{`,
+		`[{"kind":"user","id":1}] garbage`, `[{"kind":"user","id":1}][{"kind":"item","id":10}]`} {
+		f.Add(body)
+	}
+	store := NewStore(nil)
+	if err := store.Publish(Build(twoGroupData())); err != nil {
+		f.Fatal(err)
+	}
+	published, empty := NewServer(store, Options{}), NewServer(NewStore(nil), Options{})
+	f.Fuzz(func(t *testing.T, body string) {
+		sameAnswer(t, published, store, body)
+		sameAnswer(t, empty, empty.store, body)
+	})
+}

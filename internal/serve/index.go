@@ -197,20 +197,26 @@ func (ix *Index) Item(id uint32) NodeVerdict {
 // Pair returns the co-click verdict for a (user, item) pair: InGroup iff
 // some single group contains both. Either side unknown is clean.
 func (ix *Index) Pair(user, item uint32) PairVerdict {
+	shared := ix.appendShared(nil, user, item)
+	return PairVerdict{InGroup: len(shared) > 0, Groups: shared}
+}
+
+// appendShared appends the groups that contain both user and item to dst,
+// ascending: Pair's Groups, into a buffer the caller may reuse.
+func (ix *Index) appendShared(dst []int, user, item uint32) []int {
 	if ix == nil {
-		return PairVerdict{}
+		return dst
 	}
 	us, ok := ix.users.slot[user]
 	if !ok {
-		return PairVerdict{}
+		return dst
 	}
 	vs, ok := ix.items.slot[item]
 	if !ok {
-		return PairVerdict{}
+		return dst
 	}
 	// Both membership lists are sorted ascending; intersect by merge.
 	ug, vg := ix.users.groups(us), ix.items.groups(vs)
-	var shared []int
 	i, j := 0, 0
 	for i < len(ug) && j < len(vg) {
 		switch {
@@ -219,12 +225,12 @@ func (ix *Index) Pair(user, item uint32) PairVerdict {
 		case ug[i] > vg[j]:
 			j++
 		default:
-			shared = append(shared, ug[i])
+			dst = append(dst, ug[i])
 			i++
 			j++
 		}
 	}
-	return PairVerdict{InGroup: len(shared) > 0, Groups: shared}
+	return dst
 }
 
 // Group returns the 1-based n'th detected group and whether it exists.

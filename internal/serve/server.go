@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,7 +138,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if path == "/healthz" {
 		// Health is exempt from shedding: an overloaded server must still
 		// tell its load balancer it is alive.
-		s.instrument("healthz", w, r, s.handleHealth)
+		s.instrument("serve.req.healthz", "serve.latency.healthz", w, r, s.handleHealth)
 		return
 	}
 	if s.inflight != nil {
@@ -151,35 +153,35 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case strings.HasPrefix(path, "/v1/user/"):
-		s.instrument("user", w, r, func(w http.ResponseWriter, r *http.Request) {
+		s.instrument("serve.req.user", "serve.latency.user", w, r, func(w http.ResponseWriter, r *http.Request) {
 			s.handleNode(w, r, "user", strings.TrimPrefix(path, "/v1/user/"))
 		})
 	case strings.HasPrefix(path, "/v1/item/"):
-		s.instrument("item", w, r, func(w http.ResponseWriter, r *http.Request) {
+		s.instrument("serve.req.item", "serve.latency.item", w, r, func(w http.ResponseWriter, r *http.Request) {
 			s.handleNode(w, r, "item", strings.TrimPrefix(path, "/v1/item/"))
 		})
 	case strings.HasPrefix(path, "/v1/group/"):
-		s.instrument("group", w, r, func(w http.ResponseWriter, r *http.Request) {
+		s.instrument("serve.req.group", "serve.latency.group", w, r, func(w http.ResponseWriter, r *http.Request) {
 			s.handleGroup(w, r, strings.TrimPrefix(path, "/v1/group/"))
 		})
 	case path == "/v1/pair":
-		s.instrument("pair", w, r, s.handlePair)
+		s.instrument("serve.req.pair", "serve.latency.pair", w, r, s.handlePair)
 	case path == "/v1/check":
-		s.instrument("check", w, r, s.handleCheck)
+		s.instrument("serve.req.check", "serve.latency.check", w, r, s.handleCheck)
 	default:
 		writeError(w, http.StatusNotFound, "unknown route (endpoints: "+Endpoints+")")
 	}
 }
 
-// instrument counts the request and observes its latency under the
-// endpoint's name.
-func (s *Server) instrument(name string, w http.ResponseWriter, r *http.Request,
+// instrument counts the request under req and times it under latency, names
+// passed whole: building them per request allocates even with no observer.
+func (s *Server) instrument(req, latency string, w http.ResponseWriter, r *http.Request,
 	h func(http.ResponseWriter, *http.Request)) {
 
-	s.o.Counter("serve.req." + name).Inc()
+	s.o.Counter(req).Inc()
 	t0 := time.Now()
 	h(w, r)
-	s.o.Histogram("serve.latency." + name).Observe(time.Since(t0))
+	s.o.Histogram(latency).Observe(time.Since(t0))
 }
 
 // index returns the current index, or writes 503 and returns nil when no
@@ -293,6 +295,29 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request, rawID strin
 	})
 }
 
+// checkEntry is a CheckItem decoded by value: a kindNames index and the IDs.
+type checkEntry struct {
+	kind           uint8
+	id, user, item uint32
+}
+
+var (
+	kindNames = [...]string{"user", "item", "pair"}       // by checkEntry.kind
+	kindNeeds = [...]uint8{0b0011, 0b0011, 0b1101}        // keys each kind needs, as presence bits
+	checkKeys = [...]string{"kind", "id", "user", "item"} // in presence-bit order
+)
+
+const kindPair = 2
+
+// checkScratch is the memory a /v1/check request reuses.
+type checkScratch struct {
+	body    bytes.Buffer
+	entries []checkEntry
+	shared  []int // one pair's groups
+}
+
+var checkScratches = sync.Pool{New: func() any { return new(checkScratch) }}
+
 // handleCheck answers a batch of verdict questions in one round trip. All
 // entries are answered from ONE captured index, so a batch is internally
 // consistent even if a swap lands mid-request.
@@ -301,8 +326,52 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed (want POST)")
 		return
 	}
+	sc := checkScratches.Get().(*checkScratch)
+	defer func() {
+		if sc.body.Cap() <= maxCheckBody { // as in writeAppended
+			checkScratches.Put(sc)
+		}
+	}()
+	// A body scanCheck refuses goes to encoding/json as the same byte
+	// stream: the buffered bytes, then the limit reader, whose error is
+	// sticky.
+	body := http.MaxBytesReader(w, r.Body, maxCheckBody)
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(body); err != nil || !scanCheck(sc) {
+		if !decodeCheck(w, io.MultiReader(bytes.NewReader(sc.body.Bytes()), body), sc) {
+			return
+		}
+	}
+	ix := s.index(w)
+	if ix == nil {
+		return
+	}
+	writeAppended(w, func(b []byte) (_ []byte, err error) {
+		b = append(b, '[')
+		for k, e := range sc.entries {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			if e.kind == kindPair {
+				sc.shared = ix.appendShared(sc.shared[:0], e.user, e.item)
+				b, err = PairResponse{User: e.user, Item: e.item, InGroup: len(sc.shared) > 0, Groups: sc.shared, Epoch: ix.Epoch()}.appendJSON(b)
+			} else {
+				b, err = nodeResponse(ix, kindNames[e.kind], e.id).appendJSON(b)
+			}
+			if err != nil {
+				return b, err
+			}
+		}
+		return append(b, ']'), nil
+	})
+}
+
+// decodeCheck is the reflecting decoder: it decodes and validates a batch
+// into sc.entries, or answers the error and reports false.
+func decodeCheck(w http.ResponseWriter, body io.Reader, sc *checkScratch) bool {
+	sc.entries = sc.entries[:0]
 	var items []CheckItem
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCheckBody))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&items)
 	if err == nil {
@@ -317,53 +386,128 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxErr.Limit))
-			return
+			return false
 		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
+		return false
 	}
 	if len(items) > DefaultMaxBatch {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d entries over the %d limit", len(items), DefaultMaxBatch))
-		return
+		return false
 	}
 	for k, it := range items {
 		switch it.Kind {
 		case "user", "item":
 			if it.ID == nil {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: kind %q needs \"id\"", k, it.Kind))
-				return
+				return false
 			}
+			sc.entries = append(sc.entries, checkEntry{kind: uint8(slices.Index(kindNames[:], it.Kind)), id: *it.ID})
 		case "pair":
 			if it.User == nil || it.Item == nil {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: kind \"pair\" needs \"user\" and \"item\"", k))
-				return
+				return false
 			}
+			sc.entries = append(sc.entries, checkEntry{kind: kindPair, user: *it.User, item: *it.Item})
 		default:
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: unknown kind %q (want user, item or pair)", k, it.Kind))
-			return
+			return false
 		}
 	}
-	ix := s.index(w)
-	if ix == nil {
-		return
+	return true
+}
+
+// scanCheck decodes sc.body into sc.entries if it is canonical: whitespace
+// around one array of at most DefaultMaxBatch objects holding their kind's
+// keys and only CheckItem's, each once and spelled exactly, an unescaped
+// kind, and IDs in plain decimal ≤ math.MaxUint32 with no leading zero.
+func scanCheck(sc *checkScratch) bool {
+	sc.entries = sc.entries[:0]
+	s := scanner{b: sc.body.Bytes()}
+	if !s.eat('[') {
+		return false
 	}
-	writeAppended(w, func(b []byte) (_ []byte, err error) {
-		b = append(b, '[')
-		for k, it := range items {
-			if k > 0 {
-				b = append(b, ',')
+	for more := true; more; more = s.eat(',') {
+		if len(sc.entries) == DefaultMaxBatch || !s.eat('{') {
+			return false
+		}
+		var e checkEntry
+		var has uint8 // bit k: checkKeys[k] seen
+		for more := true; more; more = s.eat(',') {
+			k := s.word(checkKeys[:])
+			if k < 0 || has&(1<<k) != 0 || !s.eat(':') {
+				return false
 			}
-			if it.Kind == "pair" {
-				b, err = pairResponse(ix, *it.User, *it.Item).appendJSON(b)
-			} else {
-				b, err = nodeResponse(ix, it.Kind, *it.ID).appendJSON(b)
+			has |= 1 << k
+			ok := true
+			switch k {
+			case 0:
+				kind := s.word(kindNames[:])
+				e.kind, ok = uint8(kind), kind >= 0
+			case 1:
+				e.id, ok = s.uint32()
+			case 2:
+				e.user, ok = s.uint32()
+			case 3:
+				e.item, ok = s.uint32()
 			}
-			if err != nil {
-				return b, err
+			if !ok {
+				return false
 			}
 		}
-		return append(b, ']'), nil
-	})
+		if need := kindNeeds[e.kind]; has&need != need || !s.eat('}') {
+			return false
+		}
+		sc.entries = append(sc.entries, e)
+	}
+	return s.eat(']') && s.skip() == len(s.b)
+}
+
+// scanner walks a body for scanCheck.
+type scanner struct {
+	b []byte
+	p int
+}
+
+// skip skips JSON whitespace and returns the position after it.
+func (s *scanner) skip() int {
+	for s.p < len(s.b) && (s.b[s.p] == ' ' || s.b[s.p] == '\t' || s.b[s.p] == '\n' || s.b[s.p] == '\r') {
+		s.p++
+	}
+	return s.p
+}
+
+// eat consumes c if it comes next.
+func (s *scanner) eat(c byte) bool {
+	if s.skip() < len(s.b) && s.b[s.p] == c {
+		s.p++
+		return true
+	}
+	return false
+}
+
+// word consumes a string and returns the index of the word it spells, or -1.
+func (s *scanner) word(words []string) int {
+	if !s.eat('"') {
+		return -1
+	}
+	n := bytes.IndexByte(s.b[s.p:], '"')
+	if n < 0 {
+		return -1
+	}
+	s.p += n + 1
+	return slices.IndexFunc(words, func(w string) bool { return string(s.b[s.p-n-1:s.p-1]) == w })
+}
+
+// uint32 consumes a decimal of at most math.MaxUint32 without a leading
+// zero.
+func (s *scanner) uint32() (uint32, bool) {
+	start := s.skip()
+	for s.p < len(s.b) && '0' <= s.b[s.p] && s.b[s.p] <= '9' {
+		s.p++
+	}
+	v, err := strconv.ParseUint(string(s.b[start:s.p]), 10, 32)
+	return uint32(v), err == nil && (s.b[start] != '0' || s.p == start+1)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -424,7 +568,7 @@ func writeAppended(w http.ResponseWriter, enc func([]byte) ([]byte, error)) {
 		data = append(data, '\n')
 		w.Write(data)
 	}
-	if cap(data) <= 64<<10 { // a buffer a near-DefaultMaxBatch check grew is not kept
+	if cap(data) <= maxCheckBody { // a DefaultMaxBatch answer fits; what an outsized one grew is dropped
 		*buf = data[:0]
 		respBufs.Put(buf)
 	}
