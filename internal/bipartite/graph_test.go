@@ -253,51 +253,6 @@ func TestInducedSubgraphRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// Compact rewrites the graph dropping dead vertices and returns the new
-// graph along with mappings from new IDs back to the IDs in g, through a
-// Builder round-trip. It is the oracle CompactComponent is checked against.
-func Compact(g *Graph) (c *Graph, userOf, itemOf []NodeID) {
-	userOf = g.LiveUserIDs()
-	itemOf = g.LiveItemIDs()
-	newU := make(map[NodeID]NodeID, len(userOf))
-	newV := make(map[NodeID]NodeID, len(itemOf))
-	for i, u := range userOf {
-		newU[u] = NodeID(i)
-	}
-	for i, v := range itemOf {
-		newV[v] = NodeID(i)
-	}
-	b := NewBuilder(len(userOf), len(itemOf))
-	for _, u := range userOf {
-		g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
-			b.Add(newU[u], newV[v], w)
-			return true
-		})
-	}
-	return b.Build(), userOf, itemOf
-}
-
-func TestCompact(t *testing.T) {
-	g := testGraph(t)
-	g.RemoveUser(0)
-	g.RemoveItem(1)
-	c, userOf, itemOf := Compact(g)
-	if c.NumUsers() != 3 || c.NumItems() != 3 {
-		t.Fatalf("compact dims = (%d,%d), want (3,3)", c.NumUsers(), c.NumItems())
-	}
-	// Every compacted edge must correspond to an original live edge.
-	for _, e := range c.Edges() {
-		ou, ov := userOf[e.U], itemOf[e.V]
-		if g.Weight(ou, ov) != e.Weight {
-			t.Errorf("compacted edge (%d,%d,%d) maps to (%d,%d) with weight %d",
-				e.U, e.V, e.Weight, ou, ov, g.Weight(ou, ov))
-		}
-	}
-	if c.LiveEdges() != g.LiveEdges() {
-		t.Errorf("compact LiveEdges = %d, want %d", c.LiveEdges(), g.LiveEdges())
-	}
-}
-
 func TestRemoveAllVertices(t *testing.T) {
 	g := testGraph(t)
 	for u := 0; u < g.NumUsers(); u++ {

@@ -1,11 +1,14 @@
 package bipartite
 
-import "sort"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+)
 
-// This file holds the graph accessors and set operations that only tests
-// use: edge-list construction, materialized neighbor lists and live edge
-// lists, and the sorted-adjacency intersection counts and two-hop
-// neighborhoods the square-pruning tests check against.
+// This file holds what only tests use: edge-list construction,
+// materialized neighbor lists and live edge lists, the one random graph
+// generator and the one graph comparator.
 
 // AddEdges records a batch of edges.
 func (b *Builder) AddEdges(edges []Edge) {
@@ -57,147 +60,42 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// CommonUserNeighbors returns the number of live items adjacent to both
-// users a and b (|a.adj ∩ b.adj| in the paper's notation).
-func CommonUserNeighbors(g *Graph, a, b NodeID) int {
-	if !g.UserAlive(a) || !g.UserAlive(b) {
-		return 0
+// randomGraph draws a graph of 1…maxUsers × 1…maxItems vertices from seed
+// and n click records over them. Records repeat pairs, so duplicate merging
+// runs; they are returned with the graph for tests that build them another
+// way.
+func randomGraph(seed int64, maxUsers, maxItems, n int) (*Graph, []Edge) {
+	rng := rand.New(rand.NewSource(seed))
+	nu, ni := 1+rng.Intn(maxUsers), 1+rng.Intn(maxItems)
+	edges := make([]Edge, n)
+	for i := range edges {
+		edges[i] = Edge{U: NodeID(rng.Intn(nu)), V: NodeID(rng.Intn(ni)), Weight: uint32(1 + rng.Intn(9))}
 	}
-	return countCommon(g.uAdj[a], g.uAdj[b], g.vAlive)
+	b := NewBuilder(nu, ni)
+	b.AddEdges(edges)
+	return b.Build(), edges
 }
 
-// CommonItemNeighbors returns the number of live users adjacent to both
-// items a and b.
-func CommonItemNeighbors(g *Graph, a, b NodeID) int {
-	if !g.ItemAlive(a) || !g.ItemAlive(b) {
-		return 0
+// graphDiff describes the first difference between two graphs in what a
+// caller can observe — sizes, live totals, removal epoch, and each vertex's
+// liveness, degree, strength and live arcs in order, weights included — or
+// returns "".
+func graphDiff(got, want *Graph) string {
+	// String prints the sizes and the live totals.
+	if got.String() != want.String() || got.RemovalEpoch() != want.RemovalEpoch() {
+		return fmt.Sprintf("totals %v epoch %d, want %v epoch %d", got, got.RemovalEpoch(), want, want.RemovalEpoch())
 	}
-	return countCommon(g.vAdj[a], g.vAdj[b], g.uAlive)
-}
-
-// CommonUserNeighborsAtLeast reports whether users a and b share at least k
-// live item neighbors, short-circuiting once k is reached.
-func CommonUserNeighborsAtLeast(g *Graph, a, b NodeID, k int) bool {
-	if k <= 0 {
-		return true
-	}
-	if !g.UserAlive(a) || !g.UserAlive(b) {
-		return false
-	}
-	return countCommonAtLeast(g.uAdj[a], g.uAdj[b], g.vAlive, k)
-}
-
-// CommonItemNeighborsAtLeast reports whether items a and b share at least k
-// live user neighbors, short-circuiting once k is reached.
-func CommonItemNeighborsAtLeast(g *Graph, a, b NodeID, k int) bool {
-	if k <= 0 {
-		return true
-	}
-	if !g.ItemAlive(a) || !g.ItemAlive(b) {
-		return false
-	}
-	return countCommonAtLeast(g.vAdj[a], g.vAdj[b], g.uAlive, k)
-}
-
-func countCommon(a, b []Arc, alive []bool) int {
-	n := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].To < b[j].To:
-			i++
-		case a[i].To > b[j].To:
-			j++
-		default:
-			if alive[a[i].To] {
-				n++
-			}
-			i++
-			j++
+	for u := range NodeID(want.NumUsers()) {
+		if got.UserAlive(u) != want.UserAlive(u) || got.UserDegree(u) != want.UserDegree(u) ||
+			got.UserStrength(u) != want.UserStrength(u) || !slices.Equal(got.UserNeighbors(u), want.UserNeighbors(u)) {
+			return fmt.Sprintf("user %d diverges: arcs %v, want %v", u, got.UserNeighbors(u), want.UserNeighbors(u))
 		}
 	}
-	return n
-}
-
-func countCommonAtLeast(a, b []Arc, alive []bool, k int) bool {
-	n := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		// Not enough remaining entries to ever reach k: bail out.
-		rem := len(a) - i
-		if len(b)-j < rem {
-			rem = len(b) - j
-		}
-		if n+rem < k {
-			return false
-		}
-		switch {
-		case a[i].To < b[j].To:
-			i++
-		case a[i].To > b[j].To:
-			j++
-		default:
-			if alive[a[i].To] {
-				n++
-				if n >= k {
-					return true
-				}
-			}
-			i++
-			j++
+	for v := range NodeID(want.NumItems()) {
+		if got.ItemAlive(v) != want.ItemAlive(v) || got.ItemDegree(v) != want.ItemDegree(v) ||
+			got.ItemStrength(v) != want.ItemStrength(v) || !slices.Equal(got.ItemNeighbors(v), want.ItemNeighbors(v)) {
+			return fmt.Sprintf("item %d diverges: arcs %v, want %v", v, got.ItemNeighbors(v), want.ItemNeighbors(v))
 		}
 	}
-	return n >= k
-}
-
-// TwoHopUsers returns the live users reachable from user u through one live
-// item, excluding u itself. The result is sorted and duplicate-free. This is
-// the candidate set the square-pruning stage must test for (α,k)-neighbor
-// relations: any user sharing zero items trivially fails the test.
-func TwoHopUsers(g *Graph, u NodeID) []NodeID {
-	if !g.UserAlive(u) {
-		return nil
-	}
-	seen := map[NodeID]struct{}{}
-	g.EachUserNeighbor(u, func(v NodeID, _ uint32) bool {
-		g.EachItemNeighbor(v, func(u2 NodeID, _ uint32) bool {
-			if u2 != u {
-				seen[u2] = struct{}{}
-			}
-			return true
-		})
-		return true
-	})
-	return sortedKeys(seen)
-}
-
-// TwoHopItems returns the live items reachable from item v through one live
-// user, excluding v itself. The result is sorted and duplicate-free.
-func TwoHopItems(g *Graph, v NodeID) []NodeID {
-	if !g.ItemAlive(v) {
-		return nil
-	}
-	seen := map[NodeID]struct{}{}
-	g.EachItemNeighbor(v, func(u NodeID, _ uint32) bool {
-		g.EachUserNeighbor(u, func(v2 NodeID, _ uint32) bool {
-			if v2 != v {
-				seen[v2] = struct{}{}
-			}
-			return true
-		})
-		return true
-	})
-	return sortedKeys(seen)
-}
-
-func sortedKeys(m map[NodeID]struct{}) []NodeID {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return ""
 }

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -32,33 +33,6 @@ func inducedByRemoval(g *Graph, users, items []NodeID) *Graph {
 	return sub
 }
 
-// sameLiveState reports whether two graphs agree on every vertex's
-// liveness, live degree and strength, the live totals, the removal epoch
-// and the live edge list.
-func sameLiveState(got, want *Graph) bool {
-	if got.NumUsers() != want.NumUsers() || got.NumItems() != want.NumItems() ||
-		got.LiveUsers() != want.LiveUsers() || got.LiveItems() != want.LiveItems() ||
-		got.LiveEdges() != want.LiveEdges() || got.LiveClicks() != want.LiveClicks() ||
-		got.RemovalEpoch() != want.RemovalEpoch() {
-		return false
-	}
-	for u := 0; u < want.NumUsers(); u++ {
-		id := NodeID(u)
-		if got.UserAlive(id) != want.UserAlive(id) || got.UserDegree(id) != want.UserDegree(id) ||
-			got.UserStrength(id) != want.UserStrength(id) {
-			return false
-		}
-	}
-	for v := 0; v < want.NumItems(); v++ {
-		id := NodeID(v)
-		if got.ItemAlive(id) != want.ItemAlive(id) || got.ItemDegree(id) != want.ItemDegree(id) ||
-			got.ItemStrength(id) != want.ItemStrength(id) {
-			return false
-		}
-	}
-	return slices.Equal(got.Edges(), want.Edges())
-}
-
 // buildsInduced restates InducedSubgraph's leg choice, so the property test
 // can show that both legs ran: build when the kept users' live degree is no
 // more than the dropped vertices'.
@@ -85,16 +59,10 @@ func buildsInduced(g *Graph, users, items []NodeID) bool {
 // are near empty, near full or in between, with duplicate and dead IDs.
 func TestPropertyInducedSubgraphMatchesCloneAndRemove(t *testing.T) {
 	var legs [2]int
-	f := func(seed int64, kills []uint16) bool {
-		g := randomGraph(seed, 60, 60, 400)
+	f := func(seed int64) bool {
+		g, _ := randomGraph(seed, 60, 60, 400)
 		rng := rand.New(rand.NewSource(seed ^ 0x1d))
-		for _, k := range kills {
-			if rng.Intn(2) == 0 {
-				g.RemoveUser(NodeID(int(k) % g.NumUsers()))
-			} else {
-				g.RemoveItem(NodeID(int(k) % g.NumItems()))
-			}
-		}
+		killSome(g, rng)
 		keep := [...]float64{0.03, 0.97, 0.5}[rng.Intn(3)]
 		pick := func(n int) []NodeID {
 			var ids []NodeID
@@ -116,10 +84,10 @@ func TestPropertyInducedSubgraphMatchesCloneAndRemove(t *testing.T) {
 		}
 		before := g.Clone()
 		sub, err := InducedSubgraph(g, users, items)
-		return err == nil && sameLiveState(sub, inducedByRemoval(g, users, items)) &&
-			sameLiveState(g, before)
+		return err == nil && graphDiff(sub, inducedByRemoval(g, users, items)) == "" &&
+			graphDiff(g, before) == ""
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, seeded(300)); err != nil {
 		t.Fatal(err)
 	}
 	if legs[0] == 0 || legs[1] == 0 {
@@ -127,46 +95,137 @@ func TestPropertyInducedSubgraphMatchesCloneAndRemove(t *testing.T) {
 	}
 }
 
-// Property: on every component of a random graph with deaths,
-// CompactComponent equals the Builder round-trip Compact of that component's
-// induced subgraph — the same ID maps and the same compact graph.
-func TestPropertyCompactComponentMatchesCompact(t *testing.T) {
-	f := func(seed int64, kills []uint16) bool {
-		g := randomGraph(seed, 50, 50, 120)
-		rng := rand.New(rand.NewSource(seed ^ 0xc0))
-		for _, k := range kills {
-			if rng.Intn(2) == 0 {
-				g.RemoveUser(NodeID(int(k) % g.NumUsers()))
-			} else {
-				g.RemoveItem(NodeID(int(k) % g.NumItems()))
-			}
-		}
-		for _, comp := range ConnectedComponents(g) {
-			sub, err := InducedSubgraph(g, comp.Users, comp.Items)
-			if err != nil {
-				return false
-			}
-			want, wantU, wantV := Compact(sub)
-			got, gotU, gotV := CompactComponent(g, comp)
-			if !slices.Equal(gotU, wantU) || !slices.Equal(gotV, wantV) || !sameLiveState(got, want) {
-				return false
-			}
-			for lu := range gotU {
-				if !slices.Equal(got.UserArcs(NodeID(lu)), want.UserArcs(NodeID(lu))) {
-					return false
-				}
-			}
-			for lv := range gotV {
-				if !slices.Equal(got.ItemArcs(NodeID(lv)), want.ItemArcs(NodeID(lv))) {
-					return false
-				}
-			}
-		}
-		return true
+// Compact rewrites the graph dropping dead vertices and returns the new
+// graph along with mappings from new IDs back to the IDs in g, through a
+// Builder round-trip. It is the oracle CompactComponent is checked against.
+func Compact(g *Graph) (c *Graph, userOf, itemOf []NodeID) {
+	userOf = g.LiveUserIDs()
+	itemOf = g.LiveItemIDs()
+	newU := make(map[NodeID]NodeID, len(userOf))
+	newV := make(map[NodeID]NodeID, len(itemOf))
+	for i, u := range userOf {
+		newU[u] = NodeID(i)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	for i, v := range itemOf {
+		newV[v] = NodeID(i)
+	}
+	b := NewBuilder(len(userOf), len(itemOf))
+	for _, u := range userOf {
+		g.EachUserNeighbor(u, func(v NodeID, w uint32) bool {
+			b.Add(newU[u], newV[v], w)
+			return true
+		})
+	}
+	return b.Build(), userOf, itemOf
+}
+
+// compactDiff holds g to the compaction contract, or describes where it
+// breaks. Compact keeps one vertex per live vertex of g and every live edge
+// with its weight. On every component of g, CompactComponent
+// equals Compact of the component's induced subgraph: the same ID maps and
+// the same compact graph.
+func compactDiff(g *Graph) string {
+	c, userOf, itemOf := Compact(g)
+	if c.NumUsers() != g.LiveUsers() || c.NumItems() != g.LiveItems() ||
+		c.LiveEdges() != g.LiveEdges() || c.LiveClicks() != g.LiveClicks() {
+		return fmt.Sprintf("Compact gave %v for %v", c, g)
+	}
+	for _, e := range c.Edges() {
+		if w := g.Weight(userOf[e.U], itemOf[e.V]); w != e.Weight {
+			return fmt.Sprintf("Compact: edge %+v maps to weight %d", e, w)
+		}
+	}
+	for _, comp := range ConnectedComponents(g) {
+		sub, err := InducedSubgraph(g, comp.Users, comp.Items)
+		if err != nil {
+			return err.Error()
+		}
+		want, wantU, wantV := Compact(sub)
+		got, gotU, gotV := CompactComponent(g, comp)
+		if !slices.Equal(gotU, wantU) || !slices.Equal(gotV, wantV) {
+			return fmt.Sprintf("component %+v: maps %v %v, want %v %v", comp, gotU, gotV, wantU, wantV)
+		}
+		if d := graphDiff(got, want); d != "" {
+			return fmt.Sprintf("component %+v: %s", comp, d)
+		}
+	}
+	return ""
+}
+
+// compactCheck holds the graphs draw gives for n seeded draws to
+// compactDiff. The tests below are its cases.
+func compactCheck(t *testing.T, n int, draw func(seed int64) *Graph) {
+	t.Helper()
+	f := func(seed int64) bool {
+		d := compactDiff(draw(seed))
+		if d != "" {
+			t.Logf("seed %d: %s", seed, d)
+		}
+		return d == ""
+	}
+	if err := quick.Check(f, seeded(n)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomWithDeaths is a random graph after up to 49 removals.
+func randomWithDeaths(maxUsers, maxItems, n int) func(seed int64) *Graph {
+	return func(seed int64) *Graph {
+		g, _ := randomGraph(seed, maxUsers, maxItems, n)
+		killSome(g, rand.New(rand.NewSource(seed^0xc0)))
+		return g
+	}
+}
+
+// Sparse random graphs with deaths: many components.
+func TestPropertyCompactComponentMatchesCompact(t *testing.T) {
+	compactCheck(t, 100, randomWithDeaths(50, 50, 120))
+}
+
+// Denser random graphs with deaths: few, larger components.
+func TestPropertyCompactPreservesEdges(t *testing.T) {
+	compactCheck(t, 40, randomWithDeaths(30, 30, 150))
+}
+
+// The package fixture with a user and an item dead.
+func TestCompact(t *testing.T) {
+	compactCheck(t, 1, func(int64) *Graph {
+		g := testGraph(t)
+		g.RemoveUser(0)
+		g.RemoveItem(1)
+		return g
+	})
+}
+
+// Two separated blocks of distinct weights, with a user and an item dead.
+func TestCompactComponentPreservesStructure(t *testing.T) {
+	compactCheck(t, 1, func(int64) *Graph {
+		b := NewBuilder(0, 0)
+		for u := 0; u < 8; u++ {
+			for v := 0; v < 8; v++ {
+				b.Add(NodeID(u), NodeID(v), uint32(1+u+v))
+			}
+		}
+		for u := 20; u < 26; u++ {
+			for v := 30; v < 35; v++ {
+				b.Add(NodeID(u), NodeID(v), 3)
+			}
+		}
+		g := b.Build()
+		g.RemoveUser(7)
+		g.RemoveItem(2)
+		return g
+	})
+}
+
+// One dense component with a user and an item dead.
+func TestCompactComponentAgreesWithCompact(t *testing.T) {
+	compactCheck(t, 1, func(int64) *Graph {
+		g, _ := randomGraph(9, 15, 12, 400)
+		g.RemoveUser(3)
+		g.RemoveItem(8)
+		return g
+	})
 }
 
 // mustPanic fails t unless fn panics.

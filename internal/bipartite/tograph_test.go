@@ -100,7 +100,9 @@ func TestToGraphMatchesSerial(t *testing.T) {
 		"hub user and hub item":  hubTable(9),
 	} {
 		t.Run(name, func(t *testing.T) {
-			bipartite.GraphsEqual(t, tbl.ToGraph(), serialOf(tbl))
+			if d := bipartite.GraphDiff(tbl.ToGraph(), serialOf(tbl)); d != "" {
+				t.Fatal(d)
+			}
 		})
 	}
 
@@ -117,7 +119,9 @@ func TestToGraphMatchesSerial(t *testing.T) {
 	if got.NumUsers() != 3 || got.NumItems() != 4 {
 		t.Fatalf("FromColumns sized %d users × %d items, want 3 × 4", got.NumUsers(), got.NumItems())
 	}
-	bipartite.GraphsEqual(t, got, ref.BuildSerial())
+	if d := bipartite.GraphDiff(got, ref.BuildSerial()); d != "" {
+		t.Fatal(d)
+	}
 }
 
 // outOfOrderLast appends one row that sorts before t's last row.

@@ -228,7 +228,7 @@ func TestAuditedDetectionScreensLikeTheGlobalPass(t *testing.T) {
 		{"small", synth.SmallConfig(), smallParams()},
 		{"default", synth.DefaultConfig(), smallParams()},
 	}
-	for i, cfg := range equivCorpus() {
+	for i, cfg := range synth.EquivCorpus() {
 		workloads = append(workloads, workload{fmt.Sprintf("corpus %d", i), cfg, equivParams(i, cfg)})
 	}
 	drops := 0

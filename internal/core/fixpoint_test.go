@@ -1,0 +1,444 @@
+package core
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/bipartite"
+	"repro/internal/detect"
+	"repro/internal/obs"
+	"repro/internal/synth"
+)
+
+// This file is the detector's one fixpoint driver. Algorithm 3 has one
+// maximal (α,k₁,k₂) fixpoint (Lemmas 1–2), so every configuration the
+// detector runs — sharded or not, one frontier with survivor certificates
+// and wide masks, any Workers — must land on exactly the fixpoint of the
+// reference model (reference_test.go). A case is a graph shape, an entry
+// point and a number of draws. For each draw the driver runs the reference
+// once, then runs the entry point at Workers 1, 2 and 8 and holds it to:
+//   - refPrune, for one frontier over the whole graph (newFrontier(g).prune)
+//     and for PruneCtx: PruneStats with Rounds, the residual (liveness,
+//     degrees, strengths) and RemovalEpoch;
+//   - refExtract, for extractGroups: the groups in order, each within the
+//     Definition 3 size bounds and disjoint from the others, and the
+//     residual;
+//   - refDetect, for Detector.Detect: the groups with their members, scores
+//     and statistics in order, and both risk rankings.
+//
+// Draws are seeded, so a fault a case shows fails every run. The tests at
+// the end of the file are its cases, under the names of the harnesses they
+// replaced.
+
+// entry is the production entry point a case runs.
+type entry int
+
+const (
+	viaFrontier entry = iota
+	viaPrune
+	viaExtract
+	viaDetect
+)
+
+// shape draws a graph and the thresholds to prune it with: draw i of a case
+// gets the i-th seed of the driver's source. With sub set, each draw and
+// worker count runs as subtest <name><i>/w<workers>.
+type shape struct {
+	name string
+	draw func(i int, seed int64) (*bipartite.Graph, Params)
+	sub  bool
+}
+
+type fixCase struct {
+	shape
+	via       entry
+	draws     int
+	minRounds int  // every run takes at least this many rounds
+	certify   bool // at every worker count some vertex survives on its certificate
+}
+
+var fixWorkers = []int{1, 2, 8}
+
+// fixRun runs every case and the non-vacuity checks each one asks for;
+// extraction and detection cases must find a group.
+func fixRun(t *testing.T, cases ...fixCase) {
+	t.Helper()
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(1))
+		certified := make([]int64, len(fixWorkers))
+		groups := 0
+		for i := range c.draws {
+			seed := int64(rng.Uint64())
+			g, p := c.draw(i, seed)
+			ref := g.Clone()
+			var wantSt PruneStats
+			var want *detect.Result
+			switch c.via {
+			case viaFrontier, viaPrune:
+				wantSt = refPrune(ref, p)
+			case viaExtract:
+				want = &detect.Result{Groups: refExtract(ref, p)}
+			case viaDetect:
+				want = refDetect(g, p)
+			}
+			if want != nil {
+				groups += len(want.Groups)
+			}
+			for wi, w := range fixWorkers {
+				where := fmt.Sprintf("%s draw %d (seed %d), workers %d", c.name, i, seed, w)
+				p := p
+				p.Workers = w
+				run := func(t *testing.T) {
+					got, msg := g.Clone(), ""
+					switch c.via {
+					case viaFrontier, viaPrune:
+						var st PruneStats
+						var err error
+						if c.via == viaFrontier {
+							o := obs.NewObserver("test")
+							st, err = newFrontier(got).prune(context.Background(), p, nil, o, nil)
+							certified[wi] += o.Counter("core.frontier.certified").Value()
+						} else {
+							st, err = PruneCtx(context.Background(), got, p, nil)
+						}
+						switch {
+						case err != nil:
+							msg = err.Error()
+						case st != wantSt:
+							msg = fmt.Sprintf("stats %+v, reference %+v", st, wantSt)
+						case st.Rounds < c.minRounds:
+							msg = fmt.Sprintf("the fixpoint ended after %d rounds, want ≥ %d", st.Rounds, c.minRounds)
+						}
+					case viaExtract:
+						groups := extractGroups(got, p)
+						msg = cmp.Or(sizedAndDisjoint(groups, p), resultDiff(&detect.Result{Groups: groups}, want))
+					case viaDetect:
+						if res, err := (&Detector{Params: p}).Detect(g); err != nil {
+							msg = err.Error()
+						} else {
+							msg = resultDiff(res, want)
+						}
+					}
+					if c.via != viaDetect && msg == "" {
+						msg = graphStateDiff(got, ref)
+					}
+					if msg != "" {
+						t.Fatalf("%s: %s", where, msg)
+					}
+				}
+				if c.sub {
+					t.Run(fmt.Sprintf("%s%02d/w%d", c.name, i, w), run)
+				} else {
+					run(t)
+				}
+			}
+		}
+		for wi, n := range certified {
+			if c.certify && n == 0 {
+				t.Errorf("%s, workers %d: no vertex was certified", c.name, fixWorkers[wi])
+			}
+		}
+		if c.via >= viaExtract && groups == 0 {
+			t.Errorf("%s: the reference found no group in %d draws", c.name, c.draws)
+		}
+	}
+}
+
+// resultDiff describes where got differs from want — the groups with their
+// members, scores and statistics, in order, and both risk rankings — or
+// returns "".
+func resultDiff(got, want *detect.Result) string {
+	if len(got.Groups) != len(want.Groups) {
+		return fmt.Sprintf("%d groups, want %d", len(got.Groups), len(want.Groups))
+	}
+	for i := range want.Groups {
+		if !reflect.DeepEqual(got.Groups[i], want.Groups[i]) {
+			return fmt.Sprintf("group %d diverges:\n got %+v\nwant %+v", i, got.Groups[i], want.Groups[i])
+		}
+	}
+	if !reflect.DeepEqual(got.RankedUsers, want.RankedUsers) || !reflect.DeepEqual(got.RankedItems, want.RankedItems) {
+		return "risk rankings diverge"
+	}
+	return ""
+}
+
+// sizedAndDisjoint describes the first group below the Definition 3 size
+// bounds or sharing a vertex with an earlier group, or returns "".
+func sizedAndDisjoint(groups []detect.Group, p Params) string {
+	seenU, seenV := map[bipartite.NodeID]bool{}, map[bipartite.NodeID]bool{}
+	for i, grp := range groups {
+		if len(grp.Users) < p.K1 || len(grp.Items) < p.K2 {
+			return fmt.Sprintf("group %d is %d×%d, below %d×%d", i, len(grp.Users), len(grp.Items), p.K1, p.K2)
+		}
+		for _, u := range grp.Users {
+			if seenU[u] {
+				return fmt.Sprintf("user %d is in two groups", u)
+			}
+			seenU[u] = true
+		}
+		for _, v := range grp.Items {
+			if seenV[v] {
+				return fmt.Sprintf("item %d is in two groups", v)
+			}
+			seenV[v] = true
+		}
+	}
+	return ""
+}
+
+// The shapes.
+
+// plantedBlock is randomPruneGraph under fixed thresholds.
+func plantedBlock(k1, k2 int, alpha float64) shape {
+	return shape{name: "planted block", draw: func(_ int, seed int64) (*bipartite.Graph, Params) {
+		return randomPruneGraph(seed), params(k1, k2, alpha)
+	}}
+}
+
+var (
+	// randomThresholds is randomPruneGraph under k1, k2 ∈ [4, 8] and
+	// α ∈ [0.6, 1]: α < 1 and K1 ≠ K2 in most draws.
+	randomThresholds = shape{name: "planted block, random thresholds", draw: func(_ int, seed int64) (*bipartite.Graph, Params) {
+		rng := rand.New(rand.NewSource(seed))
+		return randomPruneGraph(seed), params(4+rng.Intn(5), 4+rng.Intn(5), 0.6+0.1*float64(rng.Intn(5)))
+	}}
+	tightBlocks = shape{name: "tight blocks", draw: func(_ int, seed int64) (*bipartite.Graph, Params) {
+		return tightBlocksGraph(seed)
+	}}
+	// hubLadder is ladderWithHub of random shape under α = ½ and
+	// K1 = 2m+1 ≠ K2 = k, about layers/2 ≥ 3 rounds, so certificates made
+	// after a removal are consulted again. Beside it stands a (2m+2)²
+	// biclique: a second shard that converges in round 1, and the larger
+	// group though the smaller component, so shard order and group order
+	// differ.
+	hubLadder = shape{name: "hub ladder", draw: func(_ int, seed int64) (*bipartite.Graph, Params) {
+		rng := rand.New(rand.NewSource(seed))
+		m, k := 3+rng.Intn(4), 3+rng.Intn(4)
+		k1, k2, alpha := synth.LadderParams(m, k)
+		return ladderWithHub(6+rng.Intn(10), m, k, 2*m+2), params(k1, k2, alpha)
+	}}
+	// corpus is the seeded synth.EquivCorpus marketplaces, workload i for
+	// draw i, under equivParams: many-component residuals, one-component
+	// residuals and empty results.
+	corpus = shape{name: "workload", sub: true, draw: func(i int, _ int64) (*bipartite.Graph, Params) {
+		return corpusData()[i].Graph, equivParams(i, synth.EquivCorpus()[i])
+	}}
+)
+
+// corpusData generates the corpus once for every test that reads it; no
+// test mutates its graphs.
+var corpusData = sync.OnceValue(func() []*synth.Dataset {
+	var out []*synth.Dataset
+	for _, cfg := range synth.EquivCorpus() {
+		out = append(out, synth.MustGenerate(cfg))
+	}
+	return out
+})
+
+// equivParams varies the detection knobs across the corpus so the cases
+// cover α < 1, relaxed size bounds, and the tiny marketplace's hot range.
+func equivParams(i int, cfg synth.Config) Params {
+	p := smallParams()
+	switch i % 3 {
+	case 1:
+		p.Alpha = 0.8
+	case 2:
+		p.K1, p.K2 = 8, 8
+	}
+	if cfg.NumUsers < 1000 {
+		p.THot = 200
+	}
+	return p
+}
+
+// randomPruneGraph builds a random bipartite graph mixing a planted dense
+// block with noise.
+func randomPruneGraph(seed int64) *bipartite.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := bipartite.NewBuilder(60, 60)
+	// Planted block with random size 6..14.
+	n := 6 + rng.Intn(9)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if rng.Float64() < 0.9 {
+				b.Add(bipartite.NodeID(u), bipartite.NodeID(v), uint32(1+rng.Intn(15)))
+			}
+		}
+	}
+	for e := 0; e < 250; e++ {
+		b.Add(bipartite.NodeID(rng.Intn(60)), bipartite.NodeID(rng.Intn(60)), uint32(1+rng.Intn(3)))
+	}
+	return b.Build()
+}
+
+// ladderWithHub is synth.LadderGraph(layers, m, k) plus a hub: an n×n
+// biclique appended after the ladder IDs, with ladder user u also clicking
+// hub item u mod n. Under LadderParams(m, k), with n = 2m+1, the ladder peels
+// as it does alone (a ladder user shares one hub item with a hub user, fewer
+// than ⌈k/2⌉) while the hub survives. Every ladder user that dies takes a
+// live item from the hub, so hub users are re-taken, two hops from the
+// removal and with their own items intact: the frontier shape that
+// certificates exist for. A bare ladder has none — each vertex it takes lost
+// a neighbour in the same round. A disjoint side×side biclique follows the
+// hub.
+func ladderWithHub(layers, m, k, side int) *bipartite.Graph {
+	n := 2*m + 1
+	ladder := synth.LadderGraph(layers, m, k)
+	uOff, vOff := ladder.NumUsers(), ladder.NumItems()
+	b := bipartite.NewBuilder(uOff+n+side, vOff+n+side)
+	addLiveEdges(b, ladder)
+	for u := 0; u < uOff; u++ {
+		b.Add(bipartite.NodeID(u), bipartite.NodeID(vOff+u%n), 1)
+	}
+	for _, blk := range [][2]int{{0, n}, {n, n + side}} {
+		for u := blk[0]; u < blk[1]; u++ {
+			for v := blk[0]; v < blk[1]; v++ {
+				b.Add(bipartite.NodeID(uOff+u), bipartite.NodeID(vOff+v), 1)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// tightBlocksGraph draws thresholds and a 40×40 graph of 2–5 overlapping
+// near-bicliques sized at those thresholds, plus noise. A block vertex then
+// has barely k qualifying partners, so losing one partner — with its own
+// neighbourhood intact — is enough to make it fail: the case a certificate
+// must not paper over.
+func tightBlocksGraph(seed int64) (*bipartite.Graph, Params) {
+	rng := rand.New(rand.NewSource(seed))
+	p := params(3+rng.Intn(4), 3+rng.Intn(4), 0.5+0.1*float64(rng.Intn(6)))
+	const n = 40
+	b := bipartite.NewBuilder(n, n)
+	for blocks := 2 + rng.Intn(4); blocks > 0; blocks-- {
+		su, si := p.K1+rng.Intn(3), p.K2+rng.Intn(3)
+		u0, v0 := rng.Intn(n-su), rng.Intn(n-si)
+		density := 0.6 + 0.4*rng.Float64()
+		for u := u0; u < u0+su; u++ {
+			for v := v0; v < v0+si; v++ {
+				if rng.Float64() < density {
+					b.Add(bipartite.NodeID(u), bipartite.NodeID(v), 1)
+				}
+			}
+		}
+	}
+	for e := 0; e < 30; e++ {
+		b.Add(bipartite.NodeID(rng.Intn(n)), bipartite.NodeID(rng.Intn(n)), 1)
+	}
+	return b.Build(), p
+}
+
+// The cases.
+
+// One frontier over the whole graph — what a one-component residual runs
+// inside its shard — isolating the frontier from the sharding.
+func TestPropertyFrontierMatchesRescanOracle(t *testing.T) {
+	fixRun(t, fixCase{shape: plantedBlock(6, 6, 0.8), via: viaFrontier, draws: 40})
+}
+
+// Survivor certificates change what the frontier walks, never what it
+// decides. Every shape must certify, or the case proves nothing.
+func TestPropertyCertifiedFrontierMatchesRescanOracle(t *testing.T) {
+	fixRun(t,
+		fixCase{shape: randomThresholds, via: viaFrontier, draws: 300, certify: true},
+		fixCase{shape: tightBlocks, via: viaFrontier, draws: 300, certify: true},
+		fixCase{shape: hubLadder, via: viaFrontier, draws: 300, certify: true, minRounds: 3})
+}
+
+// The sharded fixpoint lands where the serial one does at every worker
+// count, on one-component and on rounds-heavy residuals.
+func TestPropertyFixpointWorkerIndependent(t *testing.T) {
+	fixRun(t,
+		fixCase{shape: plantedBlock(6, 6, 0.8), via: viaPrune, draws: 25},
+		fixCase{shape: hubLadder, via: viaPrune, draws: 25, minRounds: 3})
+}
+
+// Per-shard PruneStats merge into the whole graph's: removal counts sum and
+// Rounds is the max over components of their local rounds, on residuals of
+// several components.
+func TestPropertyShardMergedStatsMatchWholeGraph(t *testing.T) {
+	fixRun(t, fixCase{shape: tightBlocks, via: viaPrune, draws: 30})
+}
+
+// Extraction through the shards returns the serial group sequence.
+func TestPropertyShardedExtractionMatchesSerial(t *testing.T) {
+	fixRun(t,
+		fixCase{shape: plantedBlock(6, 6, 0.8), via: viaExtract, draws: 30},
+		fixCase{shape: tightBlocks, via: viaExtract, draws: 30},
+		fixCase{shape: hubLadder, via: viaExtract, draws: 10})
+}
+
+// Every extracted group meets the Definition 3 size bounds, and groups are
+// vertex-disjoint (the driver checks both on every extraction).
+func TestPropertyExtractedGroupsDisjointAndSized(t *testing.T) {
+	fixRun(t, fixCase{shape: plantedBlock(5, 5, 0.8), via: viaExtract, draws: 30})
+}
+
+// Not just the reported groups but the residual graph itself.
+func TestShardedPruneLeavesOracleResidual(t *testing.T) {
+	fixRun(t, fixCase{shape: corpus, via: viaPrune, draws: 6})
+}
+
+// The whole Fig 4 pipeline on at least 20 marketplaces.
+func TestShardedDetectionMatchesSerialOracle(t *testing.T) {
+	if n := len(corpusData()); n < 20 {
+		t.Fatalf("corpus has %d workloads, want ≥ 20", n)
+	}
+	fixRun(t, fixCase{shape: corpus, via: viaDetect, draws: len(corpusData())})
+}
+
+// TestReusedDetectorRepeatsColdRun pins that nothing a Detector or its
+// pooled scratch (the prune workers' buffers, the screening membership
+// marks) keeps between detections changes a verdict. Per workload one
+// Detector runs a cold detection, a warm one over the same graph, one over
+// the previous workload's graph (pooled scratch sized for another shape)
+// and the first graph again: every run reproduces the reference model and
+// each run's counters match the cold run's.
+func TestReusedDetectorRepeatsColdRun(t *testing.T) {
+	groups := 0
+	var prev *bipartite.Graph
+	for i := range corpusData() {
+		g, p := corpus.draw(i, 0)
+		p.Workers = 1 + i%3
+		oracle := refDetect(g, p)
+		groups += len(oracle.Groups)
+
+		det := &Detector{Params: p}
+		run := func(label string, g *bipartite.Graph, want *detect.Result) map[string]int64 {
+			t.Helper()
+			det.Obs = obs.NewObserver("core")
+			res, err := det.Detect(g)
+			if err != nil {
+				t.Fatalf("workload %d %s: %v", i, label, err)
+			}
+			if want != nil {
+				if msg := resultDiff(res, want); msg != "" {
+					t.Fatalf("workload %d %s: %s", i, label, msg)
+				}
+			}
+			return det.Obs.Metrics.Counters()
+		}
+		cold := run("cold", g, oracle)
+		check := func(label string) {
+			t.Helper()
+			if counters := run(label, g, oracle); !maps.Equal(counters, cold) {
+				t.Fatalf("workload %d %s: counters diverged:\ncold: %v\nthis: %v", i, label, cold, counters)
+			}
+		}
+		check("warm")
+		if prev != nil {
+			run("other shape", prev, nil)
+			check("after another shape")
+		}
+		prev = g
+	}
+	if groups == 0 {
+		t.Fatal("the oracle found no groups anywhere; the test would be vacuous")
+	}
+}

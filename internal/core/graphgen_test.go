@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/detect"
-	"repro/internal/synth"
 )
 
 // refGraphGeneratorBounded is GraphGeneratorBounded as it was written with
@@ -104,8 +103,7 @@ func refGraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegree
 }
 
 func TestGraphGeneratorBoundedMatchesMapReference(t *testing.T) {
-	for i, cfg := range synth.EquivCorpus() {
-		ds := synth.MustGenerate(cfg)
+	for i, ds := range corpusData() {
 		g := ds.Graph.Clone()
 		// Prior deaths: the generator must skip dead seeds and neighbours.
 		for u := 0; u < g.NumUsers(); u += 17 {

@@ -9,9 +9,9 @@ import (
 	"repro/internal/detect"
 )
 
-// This file is the reference model of Algorithm 3 that the golden harnesses
-// (shardequiv, shard_property, frontier, widemask, audit, prune
-// postconditions) compare the production pipeline against: one monolithic
+// This file is the reference model of Algorithm 3 that the fixpoint driver
+// (fixpoint_test.go) and the frontier, widemask, audit and prune
+// postcondition tests compare the production pipeline against: one monolithic
 // graph, every live vertex re-evaluated every round, a plain 2-hop walk on
 // both sides. It shares no pruning kernel with production — its own degree
 // peel, its own user and item walks — nor Module 3: it ranks by walking item

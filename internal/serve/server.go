@@ -564,7 +564,7 @@ func writeAppended(w http.ResponseWriter, enc func([]byte) ([]byte, error)) {
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 	} else {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.Header()["Content-Type"] = jsonContentType
 		data = append(data, '\n')
 		w.Write(data)
 	}
@@ -636,8 +636,14 @@ func appendFloat(b []byte, f float64) []byte {
 	return strconv.AppendFloat(b, f, 'f', -1, 64)
 }
 
+// jsonContentType is every response's Content-Type, assigned under the
+// canonical key: Header().Set would allocate a one-element slice per
+// response. Its capacity is 1, so an Add elsewhere copies it rather than
+// writing into the shared array.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
 func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	data, _ := json.Marshal(errorResponse{Error: msg})
 	w.Write(append(data, '\n'))

@@ -17,7 +17,7 @@ import (
 
 // This file is the query-equivalence harness for the online verdict
 // serving layer: across the same ≥ 20 seeded workload corpus the
-// component-sharding harness uses (internal/core/shardequiv_test.go),
+// detector's fixpoint driver uses (internal/core/fixpoint_test.go),
 // every answer the HTTP query API gives — user, item, pair, batch — must
 // be byte-identical to the answer derived by scanning the facade Report
 // directly. The Report is the golden oracle; the epoch-swapped index is
