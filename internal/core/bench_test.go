@@ -65,8 +65,8 @@ func BenchmarkSquareRoundCounterReuse(b *testing.B) {
 	pool := newCounterPool(g.NumUsers(), g.NumItems())
 	ids := g.LiveUserIDs()
 	ctx := context.Background()
-	wide := newWideMasks(g)
-	wide.refresh(g)
+	wide := newWideMasks(g, ceilMul(p.K2, p.Alpha))
+	wide.refresh(g, ceilMul(p.K2, p.Alpha))
 	// Fresh certificates every round: every user is walked, as in round 1.
 	cert := newCertificates(g.NumUsers(), p.K1)
 	round := func() {
@@ -147,6 +147,39 @@ func BenchmarkDetectBatchShape(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDetectScaled times one detection of DefaultConfig with users and
+// items multiplied by ×1, ×3 and ×10, at Workers 1 and 0, to record how
+// detection cost grows with the marketplace (ROADMAP items 5 and 15). The
+// ×10 marketplace takes a few seconds to generate and about a second to
+// detect, so CI's bench smoke leaves it out; run it with
+//
+//	go test -run=NONE -bench=DetectScaled -benchtime=3x ./internal/core
+func BenchmarkDetectScaled(b *testing.B) {
+	for _, scale := range []int{1, 3, 10} {
+		cfg := synth.DefaultConfig()
+		cfg.NumUsers *= scale
+		cfg.NumItems *= scale
+		var ds *synth.Dataset
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("x%d/workers=%d", scale, workers), func(b *testing.B) {
+				if ds == nil {
+					ds = synth.MustGenerate(cfg)
+				}
+				d := &Detector{Params: DefaultParams()}
+				d.Params.Workers = workers
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := d.DetectContext(context.Background(), ds.Graph); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(ds.Graph.LiveEdges()), "edges")
+			})
+		}
 	}
 }
 

@@ -20,9 +20,10 @@ func newCertificates(n, k int) *certificates {
 	return cs
 }
 
-// newWideMasks is a fresh wideMasks built on g, outside any frontier.
-func newWideMasks(g *bipartite.Graph) *wideMasks {
+// newWideMasks is a fresh wideMasks built on g for a user test of the given
+// need, outside any frontier.
+func newWideMasks(g *bipartite.Graph, need int) *wideMasks {
 	wm := new(wideMasks)
-	wm.build(g)
+	wm.build(g, need)
 	return wm
 }

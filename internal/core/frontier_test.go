@@ -52,39 +52,26 @@ func TestFrontierCertifiesOnLadderAndMarketplace(t *testing.T) {
 // exactly k distinct vertices, each sharing at least need live neighbours with
 // the tested one (which may be among them). Checked for every live user and
 // item of the masked-kernel shapes after random removals, which between them
-// pass users on the walk, on the touched-candidates finish and on the
-// all-users scan.
+// pass users on the heavy list alone, on the walk and on the finish.
 func TestPropertyWitnessesProveThePass(t *testing.T) {
 	for _, s := range maskShapes {
 		t.Run(s.name, func(t *testing.T) {
-			needU, needI := ceilMul(s.k2, s.alpha), ceilMul(s.k1, s.alpha)
-			passU, passI := 0, 0
+			needU, needI := s.need(), ceilMul(s.k1, s.alpha)
+			passU, passI, maskPassU := 0, 0, 0
 			f := func(seed int64) bool {
-				rng := rand.New(rand.NewSource(seed))
-				g := s.graph(rng)
-				wm := newWideMasks(g)
-				share := []float64{0, 0.1, 0.4}[rng.Intn(3)]
-				for u := 0; u < s.users; u++ {
-					if rng.Float64() < share {
-						g.RemoveUser(bipartite.NodeID(u))
-					}
-				}
-				for v := 0; v < s.items; v++ {
-					if rng.Float64() < share {
-						g.RemoveItem(bipartite.NodeID(v))
-					}
-				}
-				wm.refresh(g)
+				g, wm := s.maskedGraph(rand.New(rand.NewSource(seed)))
 				c := newCommonCounter(g.NumUsers(), g.NumItems())
 				for _, u := range g.LiveUserIDs() {
+					c.maskPasses = 0
 					if !squareSurvivesUserWide(g, u, needU, s.k1, c, wm) {
 						continue
 					}
 					passU++
+					maskPassU += c.maskPasses
 					if !witnessesProve(c.wit, s.k1, func(y bipartite.NodeID) bool {
 						return commonUsers(g, u, y) >= needU
 					}) {
-						t.Logf("seed %d: user %d passed on witnesses %v", seed, u, c.wit)
+						t.Logf("seed %d: user %d passed on witnesses %v (heavy list alone: %v)", seed, u, c.wit, c.maskPasses > 0)
 						return false
 					}
 				}
@@ -108,6 +95,9 @@ func TestPropertyWitnessesProveThePass(t *testing.T) {
 			}
 			if passU == 0 || passI == 0 {
 				t.Errorf("vacuous: %d users and %d items passed", passU, passI)
+			}
+			if s.wantMaskPass && maskPassU == 0 {
+				t.Error("no user passed on the heavy list alone")
 			}
 		})
 	}

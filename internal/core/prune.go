@@ -121,8 +121,9 @@ func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 //     scan.
 //
 // The user-side evaluations go through the wide-item masks (wideMasks), built
-// once after the first core fixpoint, next to the survivor certificates that
-// let a taken vertex skip its walk.
+// once after the first core fixpoint and refreshed, with the heavy list,
+// before every round's user evaluations; next to them sit the survivor
+// certificates that let a taken vertex skip its walk.
 func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Observer, a *auditor) (PruneStats, error) {
 	var st PruneStats
 	g := fr.g
@@ -135,8 +136,9 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 	st.Rounds = 1
 	rsp := sp.Start("round")
 	removed := corePruneFixpoint(g, p, a, st.Rounds, nil)
+	needU := ceilMul(p.K2, p.Alpha)
 	wide := &fr.wide
-	wide.build(g)
+	wide.build(g, needU)
 	fr.certU.reset(g.NumUsers(), p.K1)
 	fr.certI.reset(g.NumItems(), p.K2)
 
@@ -160,9 +162,9 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 			fr.expand()
 			evalU = fr.users.take()
 		}
-		wide.refresh(g)
+		wide.refresh(g, needU)
 		uVictims := squareRoundUsers(ctx, g, p, evalU, pool, wide, &fr.certU)
-		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, ceilMul(p.K2, p.Alpha), p.K1)
+		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, needU, p.K1)
 		for _, u := range uVictims {
 			fr.nbrs = removeUser(g, u, fr, fr.nbrs)
 		}
@@ -195,6 +197,8 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 		rsp.End()
 		o.Counter("core.frontier.evaluated").Add(int64(len(evalU) + len(evalI)))
 		o.Counter("core.frontier.certified").Add(pool.certified.Swap(0))
+		o.Counter("core.square.mask_passes").Add(pool.maskPasses.Swap(0))
+		o.Counter("core.square.walks").Add(pool.walks.Swap(0))
 
 		if err := ctx.Err(); err != nil {
 			// The cancelled evaluations above consumed dirty marks they did
@@ -504,6 +508,9 @@ type commonCounter struct {
 	wit       []bipartite.NodeID // the candidates the last test counted at ≥ need, in order: a pass's witnesses
 	steps     int                // arcs and mask words read by the masked user test, accumulated
 	certified int                // vertices whose certificate held, since the counter was last pooled
+	// Since the counter was last pooled: user passes settled by the heavy
+	// list alone, and user and item tests that walked.
+	maskPasses, walks int
 }
 
 // counters lends commonCounters to the square tests of every fixpoint. A
@@ -513,11 +520,11 @@ type commonCounter struct {
 var counters = sync.Pool{New: func() any { return new(commonCounter) }}
 
 // counterPool leases counters sized to one fixpoint's graph. A counter
-// handed back adds its certified count to the fixpoint's, so the workers of
-// a round tally without sharing a word.
+// handed back adds its tallies to the fixpoint's, so the workers of a round
+// tally without sharing a word.
 type counterPool struct {
-	numUsers, numItems int
-	certified          atomic.Int64
+	numUsers, numItems           int
+	certified, maskPasses, walks atomic.Int64
 }
 
 func newCounterPool(numUsers, numItems int) *counterPool {
@@ -533,7 +540,9 @@ func (cp *counterPool) get() *commonCounter {
 
 func (cp *counterPool) put(c *commonCounter) {
 	cp.certified.Add(int64(c.certified))
-	c.certified = 0
+	cp.maskPasses.Add(int64(c.maskPasses))
+	cp.walks.Add(int64(c.walks))
+	c.certified, c.maskPasses, c.walks = 0, 0, 0
 	counters.Put(c)
 }
 
@@ -549,24 +558,30 @@ const maxWide = 64
 // The wide set W (the ≤ 64 live items of highest live degree) and the user
 // masks — bit i of user[y] says y has an arc to items[i] — are fixed for the
 // whole fixpoint. Which of them still count is re-read before every round
-// (refresh): a round evaluates against a frozen graph, so one reading serves
-// all of its evaluations, on every worker. For live users u, y
+// (refresh), which also narrows the heavy list H to the round's heavy users:
+// the live users with at least need live wide items, the only ones that can
+// share need items with anybody through W alone. A round evaluates against a
+// frozen graph, so one reading serves all of its evaluations, on every
+// worker. For live users u, y
 //
 //	common(u, y) = |{v ∉ W live : v ∈ N(u) ∩ N(y)}| + popcount(user[u] & user[y] & live)
 //
 // exactly, so the masked test decides the same predicate as a plain 2-hop walk
 // whatever W is (DESIGN.md §10.5).
 type wideMasks struct {
-	items  []bipartite.NodeID // W; bit i stands for items[i]
-	isWide []bool             // item → whether it is in W
-	user   []uint64           // user → the wide items it has an arc to; 0 once the user is dead
-	live   uint64             // the bits of W whose item is still alive
-	keys   []uint64           // sortByDegree scratch
+	items     []bipartite.NodeID // W; bit i stands for items[i]
+	isWide    []bool             // item → whether it is in W
+	user      []uint64           // user → the wide items it has an arc to
+	live      uint64             // the bits of W whose item is still alive
+	heavy     []bipartite.NodeID // H, ascending
+	heavyMask []uint64           // heavyMask[j] = user[heavy[j]] & live
+	keys      []uint64           // sortByDegree scratch
 }
 
 // build fixes W and the user masks for a fixpoint on g, reusing wm's
-// buffers.
-func (wm *wideMasks) build(g *bipartite.Graph) {
+// buffers, and lists in H every user with at least need wide items: the
+// heavy users of any round are among them.
+func (wm *wideMasks) build(g *bipartite.Graph, need int) {
 	items := wm.items[:0]
 	g.EachLiveItem(func(v bipartite.NodeID) bool {
 		items = append(items, v)
@@ -584,75 +599,112 @@ func (wm *wideMasks) build(g *bipartite.Graph) {
 			wm.user[a.To] |= 1 << i
 		}
 	}
+	n := 0 // H is sized before it is filled, so a fresh frontier grows it once
+	for _, my := range wm.user {
+		if bits.OnesCount64(my) >= need {
+			n++
+		}
+	}
+	wm.heavy, wm.heavyMask = resize(wm.heavy, n)[:0], resize(wm.heavyMask, n)[:0]
+	for y, my := range wm.user {
+		if bits.OnesCount64(my) >= need {
+			wm.heavy = append(wm.heavy, bipartite.NodeID(y))
+			wm.heavyMask = append(wm.heavyMask, my)
+		}
+	}
 }
 
-// refresh re-reads liveness from g: call it between rounds, after the
-// previous round's removals are applied and before the next evaluations.
-func (wm *wideMasks) refresh(g *bipartite.Graph) {
+// refresh re-reads liveness from g and narrows H to the round's heavy
+// users: call it before every round's user evaluations, after the previous
+// round's removals are applied. Liveness only falls, so H only shrinks.
+func (wm *wideMasks) refresh(g *bipartite.Graph, need int) {
 	wm.live = 0
 	for i, v := range wm.items {
 		if g.ItemAlive(v) {
 			wm.live |= 1 << i
 		}
 	}
-	for y := range wm.user {
-		if !g.UserAlive(bipartite.NodeID(y)) {
-			wm.user[y] = 0
+	h := 0
+	for j, y := range wm.heavy {
+		if my := wm.heavyMask[j] & wm.live; bits.OnesCount64(my) >= need && g.UserAlive(y) {
+			wm.heavy[h], wm.heavyMask[h] = y, my
+			h++
 		}
 	}
+	wm.heavy, wm.heavyMask = wm.heavy[:h], wm.heavyMask[:h]
 }
+
+// counted is the count a user test gives a candidate the heavy-list pass has
+// already taken as a witness: no increment brings it to need, and no finish
+// takes it again.
+const counted = math.MinInt32
 
 // squareSurvivesUserWide reports whether user u has at least k1 users (itself
 // included, per Definition 4: u trivially shares all deg(u) ≥ need neighbors
 // with itself) whose common-item count with u is ≥ need.
 //
-// u's live items that are not wide are walked in ascending counterpart-degree
-// order with an online exit: a vertex's (α,k)-neighbor count can only be
-// certified after `need` items have been merged, and attack targets (low
-// degree) certify their co-attackers long before the expensive hot-item
-// adjacencies are touched — the candidate-ordering heuristic the paper adopts
-// from reduce2Hop. u's live wide items are then settled per candidate y by
-// popcount(user[u] & user[y] & live), added to what the walk counted for y:
+// If u is heavy (u ∈ H), any user may qualify through wide items alone, and
+// those that do are all in H. When walking u's live wide columns would cost
+// at least |H|, the test first reads H's masks: every y with
+// popcount(user[u] & user[y] & live) ≥ need is a witness, and k1 of them
+// settle the pass with no walk. Otherwise u's live wide items are walked like
+// any other item; either way one evaluation costs no more than the plain
+// walk's Σ deg.
 //
-//   - u has fewer than need live wide items: a user the walk never touched
-//     shares at most those with u and cannot reach need, so only the
-//     touched candidates are finished — no more work than the walk did;
-//   - u has at least need of them: any user may qualify through wide items
-//     alone, so every user's mask is read. That costs NumUsers steps in
-//     place of walking the wide columns, and is taken only when those
-//     columns together are at least that long; otherwise they are walked
-//     like any other item. Either way one evaluation costs no more than the
-//     plain walk's Σ deg.
+// The walk takes u's live items that are not settled by masks in ascending
+// counterpart-degree order with an online exit: a vertex's (α,k)-neighbor
+// count can only be certified after `need` items have been merged, and
+// attack targets (low degree) certify their co-attackers long before the
+// expensive hot-item adjacencies are touched — the candidate-ordering
+// heuristic the paper adopts from reduce2Hop. The heavy-list witnesses are
+// kept and marked counted, so the walk does not count them twice. The finish
+// then adds, per touched candidate y the walk left short of need, the wide
+// items y shares with u. A user neither touched nor heavy shares fewer than
+// need wide items with u and no other item, so it cannot qualify; the
+// untouched heavy ones that do were all taken by the heavy-list pass.
 //
-// Every candidate counted at ≥ need, by the walk or a finish, is appended to
-// c.wit in the order found: on a pass, u's k1 witnesses.
+// Every candidate counted at ≥ need, by the heavy list, the walk or the
+// finish, is appended to c.wit in the order found: on a pass, u's k1
+// witnesses.
 func squareSurvivesUserWide(g *bipartite.Graph, u bipartite.NodeID, need, k1 int, c *commonCounter, wm *wideMasks) bool {
-	c.nbrs = c.nbrs[:0]
-	c.wit = c.wit[:0]
-	c.steps += len(g.UserArcs(u))
-	wideSteps := 0 // what walking u's live wide columns would cost
-	for _, a := range g.UserArcs(u) {
-		if !g.ItemAlive(a.To) {
-			continue
+	c.nbrs, c.wit, c.touched = c.nbrs[:0], c.wit[:0], c.touched[:0]
+	mu := wm.user[u] & wm.live // the live wide items the walk leaves to masks; 0 walks them all
+	num := 0
+	if bits.OnesCount64(mu) >= need {
+		wideSteps := 0 // what walking u's live wide columns would cost
+		for m := mu; m != 0; m &= m - 1 {
+			wideSteps += g.ItemDegree(wm.items[bits.TrailingZeros64(m)])
 		}
-		if wm.isWide[a.To] {
-			wideSteps += g.ItemDegree(a.To)
+		if wideSteps < len(wm.heavy) {
+			mu = 0
 		} else {
+			for j, my := range wm.heavyMask {
+				if bits.OnesCount64(my&mu) >= need {
+					c.wit = append(c.wit, wm.heavy[j])
+					if num++; num >= k1 {
+						c.steps += j + 1
+						c.maskPasses++
+						return true
+					}
+				}
+			}
+			c.steps += len(wm.heavyMask)
+			for _, y := range c.wit {
+				c.countsU[y] = counted
+			}
+			c.touched = append(c.touched, c.wit...)
+		}
+	}
+
+	c.walks++
+	row := g.UserArcs(u)
+	c.steps += len(row)
+	for _, a := range row {
+		if g.ItemAlive(a.To) && (mu == 0 || !wm.isWide[a.To]) {
 			c.nbrs = append(c.nbrs, a.To)
 		}
 	}
-	mu := wm.user[u] & wm.live
-	scanAll := bits.OnesCount64(mu) >= need
-	if scanAll && wideSteps < len(wm.user) {
-		for m := mu; m != 0; m &= m - 1 {
-			c.nbrs = append(c.nbrs, wm.items[bits.TrailingZeros64(m)])
-		}
-		mu, scanAll = 0, false
-	}
 	c.keys = sortByDegree(c.nbrs, g.ItemDegree, c.keys)
-
-	c.touched = c.touched[:0]
-	num := 0
 walk:
 	for _, v := range c.nbrs {
 		col := g.ItemArcs(v)
@@ -675,24 +727,10 @@ walk:
 			}
 		}
 	}
-	// Finish: candidates the walk left short of need may get there through
-	// the wide items they share with u. (Those already at need are counted.)
-	switch {
-	case num >= k1 || mu == 0:
-	case scanAll:
-		c.steps += len(wm.user)
-		for y, my := range wm.user {
-			if my&mu == 0 {
-				continue
-			}
-			if n := int(c.countsU[y]); n < need && n+bits.OnesCount64(my&mu) >= need {
-				c.wit = append(c.wit, bipartite.NodeID(y))
-				if num++; num >= k1 {
-					break
-				}
-			}
-		}
-	default:
+	// Finish: touched candidates the walk left short of need may get there
+	// through the wide items they share with u. (Those already at need, and
+	// the heavy-list witnesses, are counted.)
+	if num < k1 && mu != 0 {
 		c.steps += len(c.touched)
 		for _, y := range c.touched {
 			if n := int(c.countsU[y]); n < need && n+bits.OnesCount64(wm.user[y]&mu) >= need {
@@ -710,45 +748,44 @@ walk:
 }
 
 // squareSurvivesItem is the item-side dual of squareSurvivesUserWide, by a
-// plain 2-hop walk: whether item v has at least k2 items (itself included)
-// sharing ≥ need live users with it. Its witnesses go to c.wit in the same
-// way.
+// plain 2-hop walk over the raw arcs: whether item v has at least k2 items
+// (itself included) sharing ≥ need live users with it. Its witnesses go to
+// c.wit in the same way.
 func squareSurvivesItem(g *bipartite.Graph, v bipartite.NodeID, need, k2 int, c *commonCounter) bool {
-	c.nbrs = c.nbrs[:0]
-	c.wit = c.wit[:0]
-	g.EachItemNeighbor(v, func(u bipartite.NodeID, _ uint32) bool {
-		c.nbrs = append(c.nbrs, u)
-		return true
-	})
+	c.nbrs, c.wit, c.touched = c.nbrs[:0], c.wit[:0], c.touched[:0]
+	c.walks++
+	for _, a := range g.ItemArcs(v) {
+		if g.UserAlive(a.To) {
+			c.nbrs = append(c.nbrs, a.To)
+		}
+	}
 	c.orderByDegree(g.UserDegree)
 
-	c.touched = c.touched[:0]
 	num := 0
-	ok := false
+walk:
 	for _, u := range c.nbrs {
-		g.EachUserNeighbor(u, func(v2 bipartite.NodeID, _ uint32) bool {
-			if c.countsI[v2] == 0 {
+		for _, a := range g.UserArcs(u) {
+			v2 := a.To
+			if !g.ItemAlive(v2) {
+				continue
+			}
+			n := c.countsI[v2]
+			if n == 0 {
 				c.touched = append(c.touched, v2)
 			}
-			c.countsI[v2]++
-			if int(c.countsI[v2]) == need {
+			c.countsI[v2] = n + 1
+			if int(n)+1 == need {
 				c.wit = append(c.wit, v2)
-				num++
-				if num >= k2 {
-					ok = true
-					return false
+				if num++; num >= k2 {
+					break walk
 				}
 			}
-			return true
-		})
-		if ok {
-			break
 		}
 	}
 	for _, v2 := range c.touched {
 		c.countsI[v2] = 0
 	}
-	return ok
+	return num >= k2
 }
 
 // sortByDegree orders ids ascending by (degree, id). Each id is packed once

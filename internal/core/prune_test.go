@@ -202,8 +202,8 @@ func TestParallelFilterMatchesSerial(t *testing.T) {
 	pSerial.Workers = 1
 
 	pool := newCounterPool(g.NumUsers(), g.NumItems())
-	wide := newWideMasks(g)
-	wide.refresh(g)
+	wide := newWideMasks(g, ceilMul(pSerial.K2, pSerial.Alpha))
+	wide.refresh(g, ceilMul(pSerial.K2, pSerial.Alpha))
 	round := func(p Params) []bipartite.NodeID {
 		return squareRoundUsers(ctx, g, p, g.LiveUserIDs(), pool, wide, newCertificates(g.NumUsers(), p.K1))
 	}

@@ -111,7 +111,7 @@ type shardResult struct {
 // bounded worker pool → deterministic merge. It screens nothing. g is
 // left at the residual a monolithic fixpoint over the whole graph produces;
 // the returned stats and groups are identical to that reference's (see
-// shardequiv_test.go).
+// fixpoint_test.go).
 //
 // Cancellation: ctx is checked at entry (fault-injection site
 // "core.prune.round"), before each shard ("core.shard"), and between pruning
