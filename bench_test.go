@@ -257,24 +257,6 @@ func BenchmarkDetectSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkPruneFrontier measures the dirty-frontier fixpoint on the
-// rounds-heavy ladder workload (~100 fixpoint rounds of small removals, where
-// re-evaluating every vertex every round would be maximally wasteful; that
-// comparison is internal/core's BenchmarkPruneLadderFrontier).
-func BenchmarkPruneFrontier(b *testing.B) {
-	base := synth.LadderGraph(200, 6, 6)
-	p := core.DefaultParams()
-	p.K1, p.K2, p.Alpha = synth.LadderParams(6, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := base.Clone()
-		if _, err := core.PruneCtx(context.Background(), g, p, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkScreeningOnly isolates the UI module's cost (the small stack
 // segment of Fig 8b).
 func BenchmarkScreeningOnly(b *testing.B) {

@@ -376,8 +376,8 @@ func TestAuditConcurrentCancel(t *testing.T) {
 	defer faultinject.Reset()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Fire the cancel from inside a shard worker after a few frontier
-	// batches, so other workers are mid-emission when it lands.
+	// Fire the cancel from inside a shard worker after a few fixpoint
+	// rounds, so other workers are mid-emission when it lands.
 	var hits atomic.Int32
 	faultinject.Arm("core.frontier", faultinject.Fault{Do: func() {
 		if hits.Add(1) == 3 {

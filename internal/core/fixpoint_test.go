@@ -223,6 +223,28 @@ var (
 		k1, k2, alpha := synth.LadderParams(m, k)
 		return ladderWithHub(6+rng.Intn(10), m, k, 2*m+2), params(k1, k2, alpha)
 	}}
+	// witnessChain is a chain of 4–12 users under k1 = 3, k2 = 4, α = 0.3
+	// (a user pair needs 2 common items, an item pair 1 common user). Each
+	// pair of neighbours shares two items of its own, so an inner user
+	// passes with exactly k1 witnesses, itself and its two neighbours, and
+	// the end users fail. An end user's items live on through the next
+	// user, which so loses no neighbour, only its k1-th witness, and must
+	// fail the next round: the chain unravels one user from each end per
+	// round. A certificate that took a dead witness on trust would stop it
+	// after round 1. IDs are shuffled per draw.
+	witnessChain = shape{name: "witness chain", draw: func(_ int, seed int64) (*bipartite.Graph, Params) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(9)
+		users, items := rng.Perm(n), rng.Perm(2*(n-1))
+		b := bipartite.NewBuilder(n, len(items))
+		for i := 0; i+1 < n; i++ {
+			for _, v := range items[2*i : 2*i+2] {
+				b.Add(bipartite.NodeID(users[i]), bipartite.NodeID(v), 1)
+				b.Add(bipartite.NodeID(users[i+1]), bipartite.NodeID(v), 1)
+			}
+		}
+		return b.Build(), params(3, 4, 0.3)
+	}}
 	// corpus is the seeded synth.EquivCorpus marketplaces, workload i for
 	// draw i, under equivParams: many-component residuals, one-component
 	// residuals and empty results.
@@ -282,11 +304,9 @@ func randomPruneGraph(seed int64) *bipartite.Graph {
 // hub item u mod n. Under LadderParams(m, k), with n = 2m+1, the ladder peels
 // as it does alone (a ladder user shares one hub item with a hub user, fewer
 // than ⌈k/2⌉) while the hub survives. Every ladder user that dies takes a
-// live item from the hub, so hub users are re-taken, two hops from the
-// removal and with their own items intact: the frontier shape that
-// certificates exist for. A bare ladder has none — each vertex it takes lost
-// a neighbour in the same round. A disjoint side×side biclique follows the
-// hub.
+// live user from a hub item, so the hub users sit two hops from the removal
+// with their own items intact, and survive on their certificates while the
+// hub items are walked again. A disjoint side×side biclique follows the hub.
 func ladderWithHub(layers, m, k, side int) *bipartite.Graph {
 	n := 2*m + 1
 	ladder := synth.LadderGraph(layers, m, k)
@@ -337,9 +357,13 @@ func tightBlocksGraph(seed int64) (*bipartite.Graph, Params) {
 // The cases.
 
 // One frontier over the whole graph — what a one-component residual runs
-// inside its shard — isolating the frontier from the sharding.
+// inside its shard — isolating the frontier from the sharding. The witness
+// chain pins that a vertex whose witness died is walked again though it
+// lost no neighbour.
 func TestPropertyFrontierMatchesRescanOracle(t *testing.T) {
-	fixRun(t, fixCase{shape: plantedBlock(6, 6, 0.8), via: viaFrontier, draws: 40})
+	fixRun(t,
+		fixCase{shape: plantedBlock(6, 6, 0.8), via: viaFrontier, draws: 40},
+		fixCase{shape: witnessChain, via: viaFrontier, draws: 20, certify: true, minRounds: 3})
 }
 
 // Survivor certificates change what the frontier walks, never what it

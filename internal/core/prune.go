@@ -26,14 +26,9 @@ import (
 // rounds). The guarantees of Lemmas 1–2 only hold at that fixpoint; the
 // paper's literal one-pass pseudocode lives in reference_test.go.
 //
-// Rounds after the first do not rescan the whole graph: a vertex's square
-// verdict depends only on its ≤2-hop live neighborhood, so only vertices
-// within two hops of a removal can change verdict between rounds. The
-// dirty-frontier loop (frontier.prune) exploits this by marking the
-// neighbourhood of every removal it applies and re-evaluating only the marked
-// frontier; see DESIGN.md §10 for the soundness argument. A frontier vertex whose last passing test left a
-// survivor certificate that still holds survives without a walk (DESIGN.md
-// §10.6).
+// Every round takes every live vertex, as the reference model's rescan does.
+// A vertex whose last passing test left a survivor certificate that still
+// holds survives without a walk (DESIGN.md §10).
 
 // PruneStats reports what pruning removed.
 type PruneStats struct {
@@ -63,32 +58,39 @@ func PruneCtx(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span) (
 
 // testSquareEvalHook, when non-nil, is invoked for every live vertex whose
 // square condition is actually walked during fixpoint rounds (a vertex whose
-// certificate holds is not). Tests use it to assert the frontier never
-// re-evaluates vertices far from every removal. Only set it with Workers=1 —
-// parallel rounds would race on the hook's state.
+// certificate holds is not). Tests use it to count the walks a fixpoint
+// spends. Only set it with Workers=1 — parallel rounds would race on the
+// hook's state.
 var testSquareEvalHook func(side bipartite.Side, id bipartite.NodeID)
 
-// frontiers lends each fixpoint (newFrontier … release) its dirty sets,
-// certificate slabs, wide masks and removal scratch, grown to the largest
+// frontiers lends each fixpoint (newFrontier … release) its certificate
+// slabs, wide masks, ID buffer and removal scratch, grown to the largest
 // graph met, so a warm fixpoint allocates none of them (DESIGN.md §10.4).
 var frontiers = sync.Pool{New: func() any { return new(frontier) }}
 
-// newFrontier leases a frontier for a fixpoint on g, with no dirty marks.
+// frontier is one fixpoint's scratch: what a round takes, what its tests
+// prove and what its removals collect. Every removal the fixpoint applies,
+// a core cascade's or a square victim, goes through removeUser/removeItem,
+// which set the lost bit of each neighbour's survivor certificate: its live
+// neighbourhood shrank, so its witnesses no longer prove anything.
+type frontier struct {
+	g     *bipartite.Graph
+	certU certificates
+	certI certificates
+	wide  wideMasks
+	ids   []bipartite.NodeID // the live users, then the live items, a round takes
+	nbrs  []bipartite.NodeID // the victim loops' removeUser/removeItem scratch
+}
+
+// newFrontier leases a frontier for a fixpoint on g.
 func newFrontier(g *bipartite.Graph) *frontier {
 	fr := frontiers.Get().(*frontier)
 	fr.g = g
-	fr.users.bits = resize(fr.users.bits, g.NumUsers())
-	fr.items.bits = resize(fr.items.bits, g.NumItems())
-	fr.walkU.bits = resize(fr.walkU.bits, g.NumUsers())
-	fr.walkI.bits = resize(fr.walkI.bits, g.NumItems())
 	return fr
 }
 
-// release clears fr's marks and hands it back; no result points into it.
+// release hands fr back; no result points into it.
 func (fr *frontier) release() {
-	for _, s := range []*dirtySet{&fr.users, &fr.items, &fr.walkU, &fr.walkI} {
-		s.reset()
-	}
 	fr.g = nil
 	frontiers.Put(fr)
 }
@@ -97,89 +99,49 @@ func (fr *frontier) release() {
 // enough; reused elements keep whatever they held.
 func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
-// prune computes the Core/Square fixpoint of Algorithm 3 on fr.g. Round 1
-// evaluates every live vertex; each later round evaluates only the dirty
-// frontier: the vertices whose ≤2-hop live neighborhood shrank since their
-// last evaluation. Every removal the fixpoint applies, a core cascade's or a
-// square victim, marks the frontier just before it happens (removeUser,
-// removeItem). o (nil-safe) receives the core.frontier metrics. On
-// cancellation fr is left holding every vertex whose evaluation was taken but
-// not finished.
+// prune computes the Core/Square fixpoint of Algorithm 3 on fr.g. Each round
+// runs the core fixpoint, then tests every live user and applies the user
+// victims, then tests every live item, so the item tests see the same
+// round's user removals; each side is taken in ascending ID order. That is
+// the reference model's rescan loop (reference_test.go), and victims, rounds
+// and residual are its. A vertex whose certificate still holds survives
+// without a walk. o (nil-safe) receives the core.frontier metrics.
 //
-// Round protocol, chosen so that victims, rounds and residual are those of a
-// loop that re-evaluates every live vertex every round (the reference in
-// reference_test.go):
-//
-//  1. Round 1's core peel marks nothing, and the redundant item-side marks
-//     of round 1's user victims are dropped.
-//  2. Each later round runs the core fixpoint first (its removals mark),
-//     then takes the user frontier, then — only after the round's user
-//     victims are applied — takes the item frontier, so the item evaluations
-//     see the same round's user removals.
-//  3. Taken frontiers are evaluated in ascending ID order with dead entries
-//     skipped, so the victim sequence is that of a LiveUserIDs/LiveItemIDs
-//     scan.
-//
-// The user-side evaluations go through the wide-item masks (wideMasks), built
-// once after the first core fixpoint and refreshed, with the heavy list,
-// before every round's user evaluations; next to them sit the survivor
-// certificates that let a taken vertex skip its walk.
+// The user tests go through the wide-item masks (wideMasks), built once
+// after the first core fixpoint and refreshed, with the heavy list, before
+// every round's user tests.
 func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Observer, a *auditor) (PruneStats, error) {
 	var st PruneStats
 	g := fr.g
 	pool := newCounterPool(g.NumUsers(), g.NumItems())
-
-	faultinject.Hit("core.prune.round")
-	if err := ctx.Err(); err != nil {
-		return st, err
-	}
-	st.Rounds = 1
-	rsp := sp.Start("round")
-	removed := corePruneFixpoint(g, p, a, st.Rounds, nil)
 	needU := ceilMul(p.K2, p.Alpha)
 	wide := &fr.wide
-	wide.build(g, needU)
 	fr.certU.reset(g.NumUsers(), p.K1)
 	fr.certI.reset(g.NumItems(), p.K2)
-
-	first := true
 	for {
-		if !first {
-			faultinject.Hit("core.prune.round")
-			if err := ctx.Err(); err != nil {
-				return st, err
-			}
-			st.Rounds++
-			rsp = sp.Start("round")
-			removed = corePruneFixpoint(g, p, a, st.Rounds, fr)
+		faultinject.Hit("core.prune.round")
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
+		st.Rounds++
+		rsp := sp.Start("round")
+		removed := corePruneFixpoint(g, p, a, st.Rounds, fr)
+		if st.Rounds == 1 {
+			wide.build(g, needU)
 		}
 		faultinject.Hit("core.frontier")
 
-		var evalU []bipartite.NodeID
-		if first {
-			evalU = g.LiveUserIDs()
-		} else {
-			fr.expand()
-			evalU = fr.users.take()
-		}
+		fr.ids = liveIDs(fr.ids, g.NumUsers(), g.UserAlive)
+		users := len(fr.ids)
 		wide.refresh(g, needU)
-		uVictims := squareRoundUsers(ctx, g, p, evalU, pool, wide, &fr.certU)
+		uVictims := squareRoundUsers(ctx, g, p, fr.ids, pool, wide, &fr.certU)
 		a.squareRemovals(bipartite.UserSide, uVictims, st.Rounds, needU, p.K1)
 		for _, u := range uVictims {
 			fr.nbrs = removeUser(g, u, fr, fr.nbrs)
 		}
-		var evalI []bipartite.NodeID
-		if first {
-			// Round 1's user victims marked their item neighborhoods, but
-			// round 1 evaluates every item anyway — drop the redundant item
-			// marks (the user-side marks stay queued for round 2).
-			fr.items.reset()
-			evalI = g.LiveItemIDs()
-		} else {
-			fr.expand()
-			evalI = fr.items.take()
-		}
-		iVictims := squareRoundItems(ctx, g, p, evalI, pool, &fr.certI)
+		fr.ids = liveIDs(fr.ids, g.NumItems(), g.ItemAlive)
+		items := len(fr.ids)
+		iVictims := squareRoundItems(ctx, g, p, fr.ids, pool, &fr.certI)
 		a.squareRemovals(bipartite.ItemSide, iVictims, st.Rounds, ceilMul(p.K1, p.Alpha), p.K2)
 		for _, v := range iVictims {
 			fr.nbrs = removeItem(g, v, fr, fr.nbrs)
@@ -191,130 +153,38 @@ func (fr *frontier) prune(ctx context.Context, p Params, sp *obs.Span, o *obs.Ob
 		rsp.SetInt("core_items_removed", int64(removed.ItemsRemoved))
 		rsp.SetInt("square_users_removed", int64(len(uVictims)))
 		rsp.SetInt("square_items_removed", int64(len(iVictims)))
-		rsp.SetInt("frontier_users", int64(len(evalU)))
-		rsp.SetInt("frontier_items", int64(len(evalI)))
-		rsp.SetInt("frontier_size", int64(len(evalU)+len(evalI)))
+		rsp.SetInt("users", int64(users))
+		rsp.SetInt("items", int64(items))
 		rsp.End()
-		o.Counter("core.frontier.evaluated").Add(int64(len(evalU) + len(evalI)))
+		o.Counter("core.frontier.evaluated").Add(int64(users + items))
 		o.Counter("core.frontier.certified").Add(pool.certified.Swap(0))
 		o.Counter("core.square.mask_passes").Add(pool.maskPasses.Swap(0))
 		o.Counter("core.square.walks").Add(pool.walks.Swap(0))
 
 		if err := ctx.Err(); err != nil {
-			// The cancelled evaluations above consumed dirty marks they did
-			// not finish re-checking. Merge the taken sets back so the
-			// frontier still covers every potentially stale vertex — the
-			// graph stays a sound mid-prune over-approximation and a resumed
-			// pass (or the next stream sweep) redoes exactly that work.
-			for _, u := range evalU {
-				fr.users.mark(u)
-			}
-			for _, v := range evalI {
-				fr.items.mark(v)
-			}
 			return st, err
 		}
 		if len(uVictims) == 0 && len(iVictims) == 0 {
 			return st, nil
 		}
-		first = false
 	}
 }
 
-// dirtySet tracks the vertices of one side whose square-condition inputs may
-// have shrunk since their last evaluation. mark is O(1) and idempotent; take
-// returns the marked IDs sorted ascending (the evaluation order of a full
-// scan) and resets the set. The two backing buffers alternate between rounds,
-// so a steady-state fixpoint allocates nothing here. bits is sized to the
-// graph's side; every flag is clear when the set holds no marks.
-type dirtySet struct {
-	bits  []bool
-	list  []bipartite.NodeID
-	spare []bipartite.NodeID
-}
-
-func (s *dirtySet) mark(id bipartite.NodeID) {
-	if !s.bits[id] {
-		s.bits[id] = true
-		s.list = append(s.list, id)
+// liveIDs refills ids, in ascending order, with the n vertices of one side
+// that alive reports live.
+func liveIDs(ids []bipartite.NodeID, n int, alive func(bipartite.NodeID) bool) []bipartite.NodeID {
+	ids = ids[:0]
+	for id := range bipartite.NodeID(n) {
+		if alive(id) {
+			ids = append(ids, id)
+		}
 	}
-}
-
-// take returns the current dirty IDs sorted ascending and clears the set.
-// The returned slice is only valid until the next take (its buffer is
-// recycled).
-func (s *dirtySet) take() []bipartite.NodeID {
-	out := s.list
-	for _, id := range out {
-		s.bits[id] = false
-	}
-	s.list, s.spare = s.spare[:0], out
-	slices.Sort(out)
-	return out
-}
-
-// drain is take without the sort: for the walk sets, whose processing order
-// is irrelevant (marking is commutative and idempotent).
-func (s *dirtySet) drain() []bipartite.NodeID {
-	out := s.list
-	for _, id := range out {
-		s.bits[id] = false
-	}
-	s.list, s.spare = s.spare[:0], out
-	return out
-}
-
-// reset discards all pending marks without returning them.
-func (s *dirtySet) reset() {
-	for _, id := range s.list {
-		s.bits[id] = false
-	}
-	s.list = s.list[:0]
-}
-
-// frontier is the dirty-vertex worklist of the incremental square-pruning
-// fixpoint, marked before each removal the fixpoint applies. The marking rule
-// follows from the square conditions (Definition 4): removing user x shrinks
-// the live degree of each item v ∈ N(x) (a 1-hop input of v's verdict) and
-// the common-item counts of every user sharing an item with x (a 2-hop
-// input), so those — and only those — vertices can change verdict. Item
-// removals are the exact dual.
-//
-// The 1-hop marks are applied synchronously, just before the removal, while x
-// and its adjacency are still traversable, so N(x) is the neighborhood the
-// removal decision saw. The 2-hop marks are deferred: the removal only queues
-// N(x) in a walk set, and expand — called once before each frontier is taken —
-// walks each queued vertex's neighborhood exactly once. Deferral makes
-// removals O(deg) instead of O(Σ two-hop), dedupes the expensive walk when
-// many removals share neighbors (in a heavy round most do), and skips queued
-// vertices that died later in the round outright: their neighborhoods were
-// marked 1-hop by their own removals, so walking a dead vertex would only
-// re-mark what is already covered. Expansion at take-time liveness still marks
-// every stale vertex — if the connecting vertex v on a path u–v–x is live when
-// u is next evaluated, it was live at expansion and u was marked through it;
-// if v died first, u was marked by v's own 1-hop marks — so the taken frontier
-// remains a superset of the vertices whose verdict can have changed, which is
-// all equivalence needs.
-//
-// The same 1-hop marks also set the lost bit of each neighbour's survivor
-// certificate: its live neighbourhood shrank, so its witnesses no longer
-// prove anything.
-type frontier struct {
-	g     *bipartite.Graph
-	users dirtySet
-	items dirtySet
-	walkU dirtySet // users adjacent to removed items, pending a one-hop expansion
-	walkI dirtySet // items adjacent to removed users, pending a one-hop expansion
-	certU certificates
-	certI certificates
-	wide  wideMasks
-	nbrs  []bipartite.NodeID // the victim loops' removeUser/removeItem scratch
+	return ids
 }
 
 // removeUser removes live user x from g and returns its live items,
-// collected into nbrs. On fr (nil marks nothing) it first marks the 1-hop
-// side of the removal: each of those items is dirty, queued for expansion
-// and has lost its certificate.
+// collected into nbrs. On fr (nil for a peel outside any fixpoint) each of
+// those items loses its certificate.
 func removeUser(g *bipartite.Graph, x bipartite.NodeID, fr *frontier, nbrs []bipartite.NodeID) []bipartite.NodeID {
 	nbrs = nbrs[:0]
 	g.EachUserNeighbor(x, func(v bipartite.NodeID, _ uint32) bool {
@@ -323,8 +193,6 @@ func removeUser(g *bipartite.Graph, x bipartite.NodeID, fr *frontier, nbrs []bip
 	})
 	if fr != nil {
 		for _, v := range nbrs {
-			fr.items.mark(v)
-			fr.walkI.mark(v)
 			fr.certI.lost[v] = true
 		}
 	}
@@ -341,34 +209,11 @@ func removeItem(g *bipartite.Graph, y bipartite.NodeID, fr *frontier, nbrs []bip
 	})
 	if fr != nil {
 		for _, u := range nbrs {
-			fr.users.mark(u)
-			fr.walkU.mark(u)
 			fr.certU.lost[u] = true
 		}
 	}
 	g.RemoveItem(y)
 	return nbrs
-}
-
-// expand drains the walk sets queued by the removals, marking the
-// deferred 2-hop side of each removal: the live users sharing an item with a
-// removed user, and the live items sharing a user with a removed item.
-// Each*Neighbor skips vertices that have since died, which is sound (see the
-// type comment). Called before every take so the frontier is complete at the
-// moment it is consumed.
-func (f *frontier) expand() {
-	for _, v := range f.walkI.drain() {
-		f.g.EachItemNeighbor(v, func(u bipartite.NodeID, _ uint32) bool {
-			f.users.mark(u)
-			return true
-		})
-	}
-	for _, u := range f.walkU.drain() {
-		f.g.EachUserNeighbor(u, func(v bipartite.NodeID, _ uint32) bool {
-			f.items.mark(v)
-			return true
-		})
-	}
 }
 
 // certificates are one side's survivor certificates for one fixpoint
@@ -420,8 +265,8 @@ func (cs *certificates) record(x bipartite.NodeID, pass bool, wit []bipartite.No
 // corePruneFixpoint removes vertices violating the Lemma 1 degree bounds
 // until stable, propagating removals through a work queue. Each removal is
 // audited (a nil-safe) with the vertex's live degree at removal time and
-// the round of the enclosing square fixpoint, and marked on fr (nil for a
-// peel that feeds no frontier).
+// the round of the enclosing square fixpoint, and costs its neighbours
+// their certificates on fr (nil for a peel outside any fixpoint).
 func corePruneFixpoint(g *bipartite.Graph, p Params, a *auditor, round int, fr *frontier) PruneStats {
 	var st PruneStats
 	minUDeg := ceilMul(p.K2, p.Alpha)
@@ -843,18 +688,13 @@ func (c *commonCounter) orderByDegree(deg func(bipartite.NodeID) int) {
 }
 
 // squareRoundUsers evaluates the user-side square condition for the given
-// candidate users against the frozen graph, in parallel, and returns the
-// victims in candidate order. Candidates must be sorted ascending; dead
-// candidates (stale frontier marks) are skipped, so the victim sequence is
-// exactly the one a full LiveUserIDs scan would produce. A candidate whose
-// certificate in cert holds survives without a walk; every walk leaves a new
-// one. wide must have been refreshed for this round.
+// live users against the frozen graph, in parallel, and returns the victims
+// in candidate order. A candidate whose certificate in cert holds survives
+// without a walk; every walk leaves a new one. wide must have been refreshed
+// for this round.
 func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool, wide *wideMasks, cert *certificates) []bipartite.NodeID {
 	need := ceilMul(p.K2, p.Alpha)
 	return parallelFilter(ctx, ids, p.workers(), func(c *commonCounter, u bipartite.NodeID) bool {
-		if !g.UserAlive(u) {
-			return false
-		}
 		if cert.holds(u, g.UserAlive) {
 			c.certified++
 			return false
@@ -872,9 +712,6 @@ func squareRoundUsers(ctx context.Context, g *bipartite.Graph, p Params, ids []b
 func squareRoundItems(ctx context.Context, g *bipartite.Graph, p Params, ids []bipartite.NodeID, pool *counterPool, cert *certificates) []bipartite.NodeID {
 	need := ceilMul(p.K1, p.Alpha)
 	return parallelFilter(ctx, ids, p.workers(), func(c *commonCounter, v bipartite.NodeID) bool {
-		if !g.ItemAlive(v) {
-			return false
-		}
 		if cert.holds(v, g.ItemAlive) {
 			c.certified++
 			return false

@@ -270,8 +270,8 @@ func canonicalBefore(a, b detect.Group) bool {
 
 // runShard prunes one compacted component to its local fixpoint and, in
 // collect mode, extracts its candidate groups, all in original IDs. Each
-// shard's compact graph carries its own dirty frontier, sized to the
-// component rather than the whole graph. A panic is recovered into the
+// shard's compact graph leases its own frontier (certificates, wide masks,
+// ID buffer), sized to the component rather than the whole graph. A panic is recovered into the
 // result for deterministic rethrow by the merger.
 //
 // With hot set, the shard's candidates keep the compact graph and its local

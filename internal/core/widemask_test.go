@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -11,8 +9,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/bipartite"
-	"repro/internal/faultinject"
-	"repro/internal/synth"
 )
 
 // maskShape is one family of random graphs for the masked-kernel property.
@@ -264,58 +260,5 @@ func TestWideMaskScanNeverCostsMoreThanTheWalk(t *testing.T) {
 	})
 	if wideEnough < g.NumUsers()/2 {
 		t.Fatalf("only %d of %d users have ≥ %d wide items; the scan branch was never in question", wideEnough, g.NumUsers(), need)
-	}
-}
-
-// TestFrontierCancelledRoundKeepsTakenMarks: a round cancelled after it took
-// its frontier must hand the taken vertices back, so that the frontier still
-// covers everything a resumed pass has to re-check. The reference is the
-// same fixpoint left to run: whatever it evaluates in round 2 must still be
-// marked after a run cancelled at the start of round 2.
-func TestFrontierCancelledRoundKeepsTakenMarks(t *testing.T) {
-	defer faultinject.Reset()
-	defer func() { testSquareEvalHook = nil }()
-	k1, k2, alpha := synth.LadderParams(6, 6)
-	p := params(k1, k2, alpha)
-	p.Workers = 1 // the eval hook is not synchronized
-
-	// Reference run: the users round 2 evaluates. "core.frontier" fires once
-	// per round, before the round takes its frontier.
-	round := 0
-	faultinject.Arm("core.frontier", faultinject.Fault{Do: func() { round++ }})
-	var round2 []bipartite.NodeID
-	testSquareEvalHook = func(side bipartite.Side, id bipartite.NodeID) {
-		if side == bipartite.UserSide && round == 2 {
-			round2 = append(round2, id)
-		}
-	}
-	if _, err := newFrontier(synth.LadderGraph(8, 6, 6)).prune(context.Background(), p, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(round2) == 0 {
-		t.Fatal("reference run evaluated no user in round 2")
-	}
-
-	testSquareEvalHook = nil
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	round = 0
-	faultinject.Arm("core.frontier", faultinject.Fault{Do: func() {
-		if round++; round == 2 {
-			cancel()
-		}
-	}})
-	fr := newFrontier(synth.LadderGraph(8, 6, 6))
-	st, err := fr.prune(ctx, p, nil, nil, nil)
-	if !errors.Is(err, context.Canceled) || st.Rounds != 2 {
-		t.Fatalf("err = %v after %d rounds, want context.Canceled in round 2", err, st.Rounds)
-	}
-	for _, u := range round2 {
-		if !fr.users.bits[u] {
-			t.Errorf("user %d is due in round 2 but the cancelled round dropped its mark", u)
-		}
-	}
-	if len(fr.items.list) == 0 {
-		t.Error("the cancelled round dropped its item frontier")
 	}
 }

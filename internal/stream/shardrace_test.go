@@ -120,9 +120,9 @@ func TestMidShardCancelLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestMidFrontierRoundCancelRestoresDirtySet cancels an incremental sweep
-// from inside a dirty-frontier pruning round (fault-injection site
-// "core.frontier", which fires at the top of every frontier evaluation
-// round) and asserts the robustness contract end to end: the shard pool
+// from inside a fixpoint pruning round (fault-injection site
+// "core.frontier", which fires before every round's square tests) and
+// asserts the robustness contract end to end: the shard pool
 // drains with no leaked goroutines, the sweep's dirty users stay dirty (the
 // driver's model), and the next sweep redoes the work completely.
 func TestMidFrontierRoundCancelRestoresDirtySet(t *testing.T) {
@@ -133,11 +133,11 @@ func TestMidFrontierRoundCancelRestoresDirtySet(t *testing.T) {
 	r.sweep() // full warm-up sweep, carries 6 groups
 	// Dirty one attacker of block 0; its weight-15 edges to non-hot items
 	// pass the incremental seed filter, so the next sweep prunes its
-	// neighborhood — and reaches the frontier rounds.
+	// neighborhood — and reaches the fixpoint rounds.
 	r.feed([]clicktable.Record{{UserID: 0, ItemID: 0, Clicks: 5}}, true)
 	before := runtime.NumGoroutine()
 	if r.cancelledSweep("core.frontier") == nil {
-		t.Fatal("the sweep committed: the cancel never fired in a frontier round")
+		t.Fatal("the sweep committed: the cancel never fired in a fixpoint round")
 	}
 	settles(t, before)
 	if res := r.sweep(); len(res.Groups) != 6 {

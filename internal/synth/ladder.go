@@ -3,7 +3,7 @@ package synth
 import "repro/internal/bipartite"
 
 // LadderGraph builds the rounds-heavy pruning stress workload used by the
-// frontier benchmarks and tests: a "ladder" of `layers` user layers U_0..U_{D-1}
+// fixpoint benchmarks and tests: a "ladder" of `layers` user layers U_0..U_{D-1}
 // (m users each) and item layers V_0..V_{D-1} (k items each), where every user
 // of U_j clicks every item of V_j and V_{j+1}.
 //
@@ -19,8 +19,8 @@ import "repro/internal/bipartite"
 //     next user layer as the new end.
 //
 // The fixpoint therefore needs ≈ layers/2 rounds of *small* removals — the
-// workload where per-round full rescans are maximally wasteful and the dirty
-// frontier shines. The residual is empty. LadderParams returns the matching
+// workload where walking every live vertex every round is most wasteful and
+// survivor certificates save the most. The residual is empty. LadderParams returns the matching
 // thresholds.
 func LadderGraph(layers, m, k int) *bipartite.Graph {
 	b := bipartite.NewBuilder(layers*m, layers*k)
