@@ -197,8 +197,10 @@ func build(numUsers, numItems int, users, items []NodeID, weights []uint32) *Gra
 // cheaper walk: building fresh liveness state costs the kept users' arcs,
 // cloning g's and removing the rest costs the dropped vertices' arcs. Both
 // live-degree sums come from the kept sets alone (each side's degrees sum to
-// LiveEdges), so the choice costs O(kept). A seed ball that keeps a fifth of
-// the users builds; a repartition that keeps nearly everything removes.
+// LiveEdges), so the choice costs O(kept). The seed ball around a few dirty
+// users builds; the ball around a day-sized bulk delta reaches most of the
+// graph and removes. The benchmark's durable_bulk workload takes both legs,
+// most of its balls the remove leg.
 func InducedSubgraph(g *Graph, users, items []NodeID) (*Graph, error) {
 	for _, u := range users {
 		if int(u) >= g.NumUsers() {

@@ -18,16 +18,52 @@ func (c Component) Size() int { return len(c.Users) + len(c.Items) }
 // ConnectedComponents returns the connected components of the live part of
 // g, largest first, then by smallest user; isolated vertices (live degree
 // 0) form singleton components, isolated items last. Member lists ascend.
+func ConnectedComponents(g *Graph) []Component {
+	sc := splitPool.Get().(*splitScratch)
+	defer splitPool.Put(sc)
+	return sc.components(g, g.uAlive, g.vAlive)
+}
+
+// ComponentsOf returns ConnectedComponents of the subgraph of g induced by
+// users and items, without building it: the same components, in the same
+// order, as ConnectedComponents(InducedSubgraph(g, users, items)). IDs may
+// repeat; dead IDs are ignored. An ID out of range panics.
+func ComponentsOf(g *Graph, users, items []NodeID) []Component {
+	sc := splitPool.Get().(*splitScratch)
+	// A panic while marking drops sc instead of pooling half-set flags.
+	inU, inV := markLive(&sc.inU, g.uAlive, users), markLive(&sc.inV, g.vAlive, items)
+	defer func() {
+		clear(inU)
+		clear(inV)
+		splitPool.Put(sc)
+	}()
+	return sc.components(g, inU, inV)
+}
+
+// markLive grows *flags to len(alive), all clear, and sets the flag of every
+// id that is alive.
+func markLive(flags *[]bool, alive []bool, ids []NodeID) []bool {
+	if len(*flags) < len(alive) {
+		*flags = make([]bool, len(alive))
+	}
+	f := (*flags)[:len(alive)]
+	for _, id := range ids {
+		f[id] = alive[id]
+	}
+	return f
+}
+
+// components is the one component split: the connected components of the
+// users and items flagged in inU/inV, which must be live, over the arcs
+// between them, in ConnectedComponents' order.
 //
-// It is a union–find over the live users' rows (items after users in one
+// It is a union–find over the member users' rows (items after users in one
 // parent array) whose unions keep the smaller index as root, so a
 // component with a user is rooted at its smallest user: ascending scans of
 // the users, then the items, number the components in the order a BFS
 // from each unreached user finds them and fill every list sorted.
-func ConnectedComponents(g *Graph) []Component {
+func (sc *splitScratch) components(g *Graph, inU, inV []bool) []Component {
 	nu := g.NumUsers()
-	sc := splitPool.Get().(*splitScratch)
-	defer splitPool.Put(sc)
 	sc.parent = slices.Grow(sc.parent[:0], nu+g.NumItems())[:nu+g.NumItems()]
 	sc.id = slices.Grow(sc.id[:0], nu)[:nu]
 	parent, id := sc.parent, sc.id
@@ -42,12 +78,12 @@ func ConnectedComponents(g *Graph) []Component {
 		return x
 	}
 	for u, row := range g.uAdj {
-		if !g.uAlive[u] {
+		if !inU[u] {
 			continue
 		}
 		r := int32(u) // u is a singleton until its own row is read
 		for _, a := range row {
-			if !g.vAlive[a.To] {
+			if !inV[a.To] {
 				continue
 			}
 			if rv := find(int32(nu) + int32(a.To)); rv < r {
@@ -62,8 +98,8 @@ func ConnectedComponents(g *Graph) []Component {
 	// component exists before the item scan starts, so the components of
 	// isolated items come after all of them.
 	var comps []Component
-	for u, alive := range g.uAlive {
-		if !alive {
+	for u, in := range inU {
+		if !in {
 			continue
 		}
 		r := find(int32(u))
@@ -74,8 +110,8 @@ func ConnectedComponents(g *Graph) []Component {
 		c := &comps[id[r]]
 		c.Users = append(c.Users, NodeID(u))
 	}
-	for v, alive := range g.vAlive {
-		if !alive {
+	for v, in := range inV {
+		if !in {
 			continue
 		}
 		if r := find(int32(nu + v)); r < int32(nu) {
@@ -90,10 +126,13 @@ func ConnectedComponents(g *Graph) []Component {
 	return comps
 }
 
-// splitScratch is ConnectedComponents' parent array and component numbers,
-// leased from splitPool; the member lists a Component keeps are always
-// fresh.
-type splitScratch struct{ parent, id []int32 }
+// splitScratch is the split's parent array and component numbers, and
+// ComponentsOf's membership flags (all clear between calls), leased from
+// splitPool; the member lists a Component keeps are always fresh.
+type splitScratch struct {
+	parent, id []int32
+	inU, inV   []bool
+}
 
 var splitPool = sync.Pool{New: func() any { return new(splitScratch) }}
 

@@ -3,6 +3,7 @@ package bipartite
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -92,6 +93,48 @@ func TestPropertyInducedSubgraphMatchesCloneAndRemove(t *testing.T) {
 	}
 	if legs[0] == 0 || legs[1] == 0 {
 		t.Fatalf("legs taken: build %d, remove %d; want both", legs[0], legs[1])
+	}
+}
+
+// Property: ComponentsOf is ConnectedComponents of the induced subgraph it
+// does not build — the same components, order and member lists, nil where
+// the definition has nil — on graphs with prior deaths and member sets that
+// are empty, near empty, near full or in between, with duplicate and dead
+// IDs. g is left as it was, and the flags ComponentsOf pools come back
+// clear: a second call, after a whole-graph split on the same scratch,
+// agrees.
+func TestPropertyComponentsOfIsConnectedComponentsOfInducedSubgraph(t *testing.T) {
+	f := func(seed int64) bool {
+		g, _ := randomGraph(seed, 60, 60, 200)
+		rng := rand.New(rand.NewSource(seed ^ 0x2b))
+		killSome(g, rng)
+		pick := func(n int) []NodeID {
+			keep := [...]float64{0, 0.03, 0.5, 0.97}[rng.Intn(4)]
+			var ids []NodeID
+			for _, id := range rng.Perm(n) {
+				if rng.Float64() < keep {
+					ids = append(ids, NodeID(id))
+				}
+			}
+			if len(ids) > 0 && rng.Intn(2) == 0 {
+				ids = append(ids, ids[rng.Intn(len(ids))]) // a duplicate
+			}
+			return ids
+		}
+		users, items := pick(g.NumUsers()), pick(g.NumItems())
+		sub, err := InducedSubgraph(g, users, items)
+		if err != nil {
+			return false
+		}
+		want := ConnectedComponents(sub)
+		before := g.Clone()
+		got := ComponentsOf(g, users, items)
+		ConnectedComponents(g)
+		again := ComponentsOf(g, users, items)
+		return reflect.DeepEqual(got, want) && reflect.DeepEqual(again, want) && graphDiff(g, before) == ""
+	}
+	if err := quick.Check(f, seeded(300)); err != nil {
+		t.Fatal(err)
 	}
 }
 

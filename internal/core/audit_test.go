@@ -213,12 +213,11 @@ func screenDropSet(t *testing.T, events []obs.Event) map[string]int {
 	return set
 }
 
-// TestAuditedDetectionScreensLikeTheGlobalPass: attaching an audit sink
-// does not change what screening runs. Per workload and worker count, an
-// audited detection returns the unaudited result exactly; its screen.drop
-// trail is the one ScreenGroupsCtx emits when it screens
-// NearBicliqueExtractCtx's candidates on the original graph.
-func TestAuditedDetectionScreensLikeTheGlobalPass(t *testing.T) {
+// TestAuditedDetectionMatchesUnaudited: attaching an audit sink does not
+// change what a detection runs. Per workload and worker count, an audited
+// detection returns the unaudited result exactly, and its screen.drop events
+// name original IDs and candidate indices, never a shard.
+func TestAuditedDetectionMatchesUnaudited(t *testing.T) {
 	type workload struct {
 		name string
 		cfg  synth.Config
@@ -252,34 +251,13 @@ func TestAuditedDetectionScreensLikeTheGlobalPass(t *testing.T) {
 				!reflect.DeepEqual(plain.RankedItems, audited.RankedItems) {
 				t.Fatalf("%s: the audited detection's result diverged", label)
 			}
-			got := screenDropSet(t, parseAudit(t, buf))
-
-			candidates, err := NearBicliqueExtractCtx(context.Background(), ds.Graph.Clone(), p, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			og, gbuf := auditedObserver("test")
-			hot := ComputeHotSet(ds.Graph, p.THot)
-			if _, err := ScreenGroupsCtx(context.Background(), ds.Graph, candidates, hot, p, nil, og); err != nil {
-				t.Fatal(err)
-			}
-			want := screenDropSet(t, parseAudit(t, gbuf))
-			for key, n := range want {
-				if got[key] != n {
-					t.Fatalf("%s: screen.drop %s emitted %d times by the audited detection, %d by the global pass",
-						label, key, got[key], n)
-				}
+			for _, n := range screenDropSet(t, parseAudit(t, buf)) {
 				drops += n
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: audited detection emitted %d distinct screen.drop events, the global pass %d",
-					label, len(got), len(want))
-			}
-
 		}
 	}
 	if drops == 0 {
-		t.Fatal("no workload dropped anything in screening; the trail comparison is vacuous")
+		t.Fatal("no workload dropped anything in screening; the shard-stamp check is vacuous")
 	}
 }
 

@@ -132,37 +132,28 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 	return sub
 }
 
-// NearBicliqueExtractCtx is ExtractCandidatesCtx's groups, with no hot set.
-func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
-	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
-
-	outc, err := ExtractCandidatesCtx(ctx, work, nil, p, sp, o)
-	return outc.raw, err
-}
-
-// ExtractCandidatesCtx runs Algorithm 3 on work (mutating it) and returns
-// the surviving candidate groups: the connected components of the pruned
-// residual that satisfy the size bounds |L| ≥ k₁, |R| ≥ k₂ of Definition 3
-// (this is also the explicit group-size control of desired property (4b):
-// components too small to be a coordinated attack — e.g. group-buying
-// clusters around a single item — are discarded). It is the extraction of
-// every RICD detection. With hot, the HotSet of the input graph, every
-// candidate keeps the shard graph it was extracted from for the outcome's
-// Screen method. Pruning rounds and the component split become child spans
-// of sp, and removal/group counts feed o's registry under core.prune.* and
-// core.extract.*; nil sp/o observe nothing.
+// NearBicliqueExtractCtx runs Algorithm 3 on work (mutating it) and returns
+// the surviving candidate groups in original IDs: the connected components
+// of the pruned residual that satisfy the size bounds |L| ≥ k₁, |R| ≥ k₂ of
+// Definition 3 (this is also the explicit group-size control of desired
+// property (4b): components too small to be a coordinated attack — e.g.
+// group-buying clusters around a single item — are discarded). It is the
+// extraction of every RICD detection; the compact shard graphs it prunes on
+// die when it returns. Pruning rounds and the component split become child
+// spans of sp, and removal/group counts feed o's registry under core.prune.*
+// and core.extract.*; nil sp/o observe nothing.
 //
 // Cancellation is cooperative: pruning checks ctx every round, and the
 // component split is guarded by the "core.extract" checkpoint. A cancelled
 // call returns no groups (a half-pruned residual would report organic users
 // as attackers) together with ctx's error.
-func ExtractCandidatesCtx(ctx context.Context, work *bipartite.Graph, hot *HotSet,
-	p Params, sp *obs.Span, o *obs.Observer) (extractOutcome, error) {
+func NearBicliqueExtractCtx(ctx context.Context, work *bipartite.Graph, p Params,
+	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
 	// The sharded orchestration prunes and extracts per component in one
 	// pass, so the groups come back already merged in canonical order.
 	psp := sp.Start("prune")
-	st, outc, err := shardedPruneExtract(ctx, work, p, psp, o, shardOptions{collect: true, hot: hot})
+	st, groups, err := shardedPruneExtract(ctx, work, p, psp, o, true)
 	psp.SetInt("rounds", int64(st.Rounds))
 	psp.SetInt("users_removed", int64(st.UsersRemoved))
 	psp.SetInt("items_removed", int64(st.ItemsRemoved))
@@ -172,18 +163,18 @@ func ExtractCandidatesCtx(ctx context.Context, work *bipartite.Graph, hot *HotSe
 	o.Counter("core.prune.items_removed").Add(int64(st.ItemsRemoved))
 	o.Histogram("core.prune").Observe(psp.Duration())
 	if err != nil {
-		return extractOutcome{}, err
+		return nil, err
 	}
 
 	faultinject.Hit("core.extract")
 	if err := ctx.Err(); err != nil {
-		return extractOutcome{}, err
+		return nil, err
 	}
 	esp := sp.Start("extract")
-	esp.SetInt("groups", int64(len(outc.raw)))
+	esp.SetInt("groups", int64(len(groups)))
 	esp.SetInt("survivor_users", int64(work.LiveUsers()))
 	esp.SetInt("survivor_items", int64(work.LiveItems()))
 	esp.End()
-	o.Counter("core.extract.groups").Add(int64(len(outc.raw)))
-	return outc, nil
+	o.Counter("core.extract.groups").Add(int64(len(groups)))
+	return groups, nil
 }

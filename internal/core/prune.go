@@ -52,7 +52,7 @@ type PruneStats struct {
 // graph is left mid-prune (still a valid graph, but not at the fixpoint) and
 // the accumulated stats are returned with ctx's error.
 func PruneCtx(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span) (PruneStats, error) {
-	st, _, err := shardedPruneExtract(ctx, g, p, sp, nil, shardOptions{})
+	st, _, err := shardedPruneExtract(ctx, g, p, sp, nil, false)
 	return st, err
 }
 

@@ -168,16 +168,8 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 		return degrade("graph_generator", err)
 	}
 
-	// Full screening judges each candidate on the shard graph it was
-	// extracted from, so it hands the hot set down.
-	var outc extractOutcome
 	if err := stage("extraction", func() (eerr error) {
-		screenHot := hot
-		if d.Variant != VariantFull {
-			screenHot = nil
-		}
-		outc, eerr = ExtractCandidatesCtx(ctx, work, screenHot, p, dsp, o)
-		groups = outc.raw
+		groups, eerr = NearBicliqueExtractCtx(ctx, work, p, dsp, o)
 		return eerr
 	}); err != nil {
 		dsp.End()
@@ -186,9 +178,9 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 	dsp.End()
 	detectDone = time.Now()
 
-	// Module 2: suspicious group screening (variant-dependent). On
-	// cancellation mid-screening the groups fully screened so far are kept:
-	// each is individually sound, the run is just incomplete.
+	// Module 2: suspicious group screening (variant-dependent) on the input
+	// graph g. On cancellation mid-screening the groups fully screened so far
+	// are kept: each is individually sound, the run is just incomplete.
 	ssp := run.Start("screening")
 	ssp.Set("mode", d.Variant.String())
 	if err := stage("screening", func() (serr error) {
@@ -198,7 +190,7 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 		case VariantI:
 			groups, serr = screenUsersOnly(ctx, g, groups, hot, p, a)
 		default:
-			groups, serr = outc.Screen(ctx, p, ssp, o)
+			groups, serr = ScreenGroupsCtx(ctx, g, groups, hot, p, ssp, o)
 		}
 		return serr
 	}); err != nil {

@@ -14,9 +14,8 @@ import (
 // This file implements the Suspicious Group Screening module: the user
 // behavior check (Fig 5) and the item behavior verification (Fig 6). Both
 // steps read only a candidate's in-group edges, with their real click
-// weights, against the marketplace-wide hot classification — so the graph
-// they read is either the original click graph or the compact shard graph
-// the candidate was extracted from, which holds those edges unchanged.
+// weights, against the marketplace-wide hot classification, on the graph the
+// detection was given.
 
 // userBehaviorCheck filters a candidate group's users down to those whose
 // in-group click pattern matches the crowd-worker profile of Section IV-A:
@@ -106,15 +105,18 @@ func itemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
 	return kept
 }
 
-// ScreenGroupsCtx applies the full screening module to candidate groups and
-// re-partitions the survivors: removing hot items can split a merged
-// component (several attack groups riding the same hot items) back into its
-// true attack groups, so survivors are re-clustered by connected components
-// of the induced verified subgraph and the Definition 3 size bounds are
-// re-applied (property (4b)). The user-check and item-verification passes
-// become child spans of sp, and candidate in/out counts feed o's registry
-// under core.screen.*; nil sp/o observe nothing. It is Screen with every
-// group on g, so overlapping groups re-partition together.
+// ScreenGroupsCtx applies the full screening module to candidate groups on
+// g, the graph the detection was given, and re-partitions the survivors:
+// removing hot items can split a merged component (several attack groups
+// riding the same hot items) back into its true attack groups, so survivors
+// are re-clustered by connected components of the subgraph they induce
+// (bipartite.ComponentsOf, which builds no subgraph) and the Definition 3
+// size bounds are re-applied (property (4b)). Candidates may overlap or
+// connect — a stream sweep's fresh and carried groups — and then
+// re-partition together. The output is in ConnectedComponents' order. The
+// user-check and item-verification passes become child spans of sp, and
+// candidate in/out counts feed o's registry under core.screen.*; nil sp/o
+// observe nothing.
 //
 // ctx is checked before each candidate group (fault-injection site
 // "core.screen.group"). On cancellation the groups fully screened so far
@@ -124,115 +126,84 @@ func itemBehaviorVerification(g *bipartite.Graph, items []bipartite.NodeID,
 func ScreenGroupsCtx(ctx context.Context, g *bipartite.Graph, groups []detect.Group,
 	hot *HotSet, p Params, sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
 
-	on := &screenGraph{g: g, hot: hot}
-	cands := make([]candidate, len(groups))
-	for i, grp := range groups {
-		cands[i] = candidate{Group: grp, local: localGroup{Users: grp.Users, Items: grp.Items}, on: on}
-	}
-	return extractOutcome{cands: cands, graphs: []*screenGraph{on}}.Screen(ctx, p, sp, o)
-}
-
-// Screen is Module 2 over an extraction outcome: every candidate is screened
-// on its own graph and each graph's survivors are re-partitioned on that
-// graph. This equals re-partitioning all survivors on the original graph: a
-// shard graph is one component of the core-pruned graph, and its candidates
-// are distinct residual components of it — pruning removes vertices, never
-// edges, so an edge between two survivors would have put them in one
-// candidate. For the same reason a shard-graph candidate that screening left
-// whole is its own repartition. Spans, metrics and cancellation:
-// ScreenGroupsCtx's.
-func (outc extractOutcome) Screen(ctx context.Context, p Params,
-	sp *obs.Span, o *obs.Observer) ([]detect.Group, error) {
-
-	var usersIn, itemsIn, usersKept, itemsKept int
-	for _, c := range outc.cands {
-		usersIn += len(c.Users)
-		itemsIn += len(c.Items)
+	var usersIn, itemsIn int
+	for _, grp := range groups {
+		usersIn += len(grp.Users)
+		itemsIn += len(grp.Items)
 	}
 	csp := sp.Start("behavior_checks")
-	kept, ctxErr := behaviorChecks(ctx, outc.cands, p, newAuditor(o))
+	kept, ctxErr := behaviorChecks(ctx, g, groups, hot, p, newAuditor(o))
+	var users, items []bipartite.NodeID
 	for _, k := range kept {
-		usersKept += len(k.Users)
-		itemsKept += len(k.Items)
+		users = append(users, k.Users...)
+		items = append(items, k.Items...)
 	}
 	csp.SetInt("users_in", int64(usersIn))
-	csp.SetInt("users_kept", int64(usersKept))
+	csp.SetInt("users_kept", int64(len(users)))
 	csp.SetInt("items_in", int64(itemsIn))
-	csp.SetInt("items_kept", int64(itemsKept))
+	csp.SetInt("items_kept", int64(len(items)))
 	csp.End()
-	o.Counter("core.screen.groups_in").Add(int64(len(outc.cands)))
-	o.Counter("core.screen.users_dropped").Add(int64(usersIn - usersKept))
-	o.Counter("core.screen.items_dropped").Add(int64(itemsIn - itemsKept))
+	o.Counter("core.screen.groups_in").Add(int64(len(groups)))
+	o.Counter("core.screen.users_dropped").Add(int64(usersIn - len(users)))
+	o.Counter("core.screen.items_dropped").Add(int64(itemsIn - len(items)))
 
 	var out []detect.Group
-	if usersKept > 0 {
+	if len(users) > 0 {
 		rsp := sp.Start("repartition")
-		for i, c := range outc.cands {
-			// Only a shard graph (one with ID maps) holds its candidates as
-			// distinct residual components.
-			if k := kept[i]; c.on.userOf != nil && len(k.Users) == len(c.Users) && len(k.Items) == len(c.Items) {
-				c.on.screened = append(c.on.screened, k)
-			} else {
-				c.on.users = append(c.on.users, k.Users...)
-				c.on.items = append(c.on.items, k.Items...)
+		for _, comp := range bipartite.ComponentsOf(g, users, items) {
+			if len(comp.Users) >= p.K1 && len(comp.Items) >= p.K2 {
+				out = append(out, detect.Group{Users: comp.Users, Items: comp.Items})
 			}
-		}
-		for _, on := range outc.graphs {
-			out = append(out, on.repartition(p)...)
 		}
 		rsp.SetInt("groups_out", int64(len(out)))
 		rsp.End()
 		o.Counter("core.screen.groups_out").Add(int64(len(out)))
 	}
-	sortGroupsCanonical(out)
 	return out, ctxErr
 }
 
-// behaviorChecks runs screenOne on every candidate's graph on a pool of up
-// to p.workers() goroutines and returns each candidate's supported users and
-// verified items in its graph's IDs; candidates are independent, so the
-// output does not depend on scheduling. Each worker screens with its own
-// membership scratch (groupMarks), so candidates sharing one graph never
-// share a buffer. ctx is checked before each candidate
-// (fault-injection site "core.screen.group"); on cancellation the candidates
-// screened before it keep their output, each individually sound. A panic is
-// rethrown on the caller's goroutine for the stage isolation. Audit events
-// carry the candidate's 1-based position and original IDs.
-func behaviorChecks(ctx context.Context, cands []candidate, p Params,
-	a *auditor) (kept []localGroup, ctxErr error) {
+// behaviorChecks runs screenOne on every group on a pool of up to
+// p.workers() goroutines and returns each group's supported users and
+// verified items; groups are independent, so the output does not depend on
+// scheduling. Each worker screens with its own membership scratch
+// (groupMarks), so overlapping groups never share a buffer. ctx is checked
+// before each group (fault-injection site "core.screen.group"); on
+// cancellation the groups screened before it keep their output, each
+// individually sound. A panic is rethrown on the caller's goroutine for the
+// stage isolation. Audit events carry the group's 1-based position.
+func behaviorChecks(ctx context.Context, g *bipartite.Graph, groups []detect.Group, hot *HotSet,
+	p Params, a *auditor) (kept []detect.Group, ctxErr error) {
 
-	kept = make([]localGroup, len(cands))
-	done := make([]bool, len(cands))
-	panicked := make([]any, len(cands))
+	kept = make([]detect.Group, len(groups))
+	done := make([]bool, len(groups))
+	panicked := make([]any, len(groups))
 	screen := func(i int, m *groupMarks) bool {
 		defer func() { panicked[i] = recover() }()
 		faultinject.Hit("core.screen.group")
 		if ctx.Err() != nil {
 			return false
 		}
-		c := cands[i]
-		kept[i].Users, kept[i].Items = screenOne(c.on.g, detect.Group{Users: c.local.Users, Items: c.local.Items},
-			c.on.hot, p, a.forShard(0, c.on.userOf, c.on.itemOf), i+1, m)
+		kept[i].Users, kept[i].Items = screenOne(g, groups[i], hot, p, a, i+1, m)
 		done[i] = true
 		return true
 	}
 	var next atomic.Int32
 	var wg sync.WaitGroup
-	for w := min(p.workers(), len(cands)); w > 0; w-- {
+	for w := min(p.workers(), len(groups)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			m := getMarks()
 			defer putMarks(m)
 			for {
-				if i := int(next.Add(1)) - 1; i >= len(cands) || !screen(i, m) {
+				if i := int(next.Add(1)) - 1; i >= len(groups) || !screen(i, m) {
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for i := range cands {
+	for i := range groups {
 		if panicked[i] != nil {
 			panic(panicked[i])
 		}
@@ -241,25 +212,6 @@ func behaviorChecks(ctx context.Context, cands []candidate, p Params,
 		}
 	}
 	return kept, ctxErr
-}
-
-// repartition adds to on.screened the connected components of the
-// survivors' induced subgraph on on.g that meet the size bounds, and
-// returns on.screened in original IDs.
-func (on *screenGraph) repartition(p Params) []detect.Group {
-	if len(on.users) > 0 {
-		sub, err := bipartite.InducedSubgraph(on.g, on.users, on.items)
-		if err != nil {
-			// IDs came from on.g itself; out-of-range is impossible.
-			panic("core: screening produced invalid IDs: " + err.Error())
-		}
-		for _, comp := range bipartite.ConnectedComponents(sub) {
-			if len(comp.Users) >= p.K1 && len(comp.Items) >= p.K2 {
-				on.screened = append(on.screened, localGroup{Users: comp.Users, Items: comp.Items})
-			}
-		}
-	}
-	return translateGroups(on.screened, on.userOf, on.itemOf)
 }
 
 // screenOne applies the user behavior check and item behavior verification

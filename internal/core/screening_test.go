@@ -187,6 +187,40 @@ func TestScreenGroupsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestScreenGroupsSizeBoundsAreInclusive: the repartition keeps a surviving
+// component of exactly K1 users and K2 items and drops one a single item
+// short. The merged candidate is two planted groups glued by a hot item: A
+// is 4 users × 4 items, B 4 users × 3 items, under K1 = K2 = 4.
+func TestScreenGroupsSizeBoundsAreInclusive(t *testing.T) {
+	b := bipartite.NewBuilder(1000, 20)
+	hotItem := bipartite.NodeID(0)
+	for u := bipartite.NodeID(100); u < 1000; u++ {
+		b.Add(u, hotItem, 3)
+	}
+	plant := func(users, items []bipartite.NodeID) {
+		for _, u := range users {
+			b.Add(u, hotItem, 1)
+			for _, v := range items {
+				b.Add(u, v, 14)
+			}
+		}
+	}
+	a := detect.Group{Users: []bipartite.NodeID{0, 1, 2, 3}, Items: []bipartite.NodeID{1, 2, 3, 4}}
+	plant(a.Users, a.Items)
+	plant([]bipartite.NodeID{4, 5, 6, 7}, []bipartite.NodeID{5, 6, 7})
+	g := b.Build()
+	p := DefaultParams()
+	p.K1, p.K2 = 4, 4
+	hot := ComputeHotSet(g, p.THot)
+	if !hot.IsHot(hotItem) {
+		t.Fatal("fixture broken: item 0 should be hot")
+	}
+	merged := detect.Group{Users: []bipartite.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, Items: []bipartite.NodeID{0, 1, 2, 3, 4, 5, 6, 7}}
+	if out := screenGroups(g, []detect.Group{merged}, hot, p); !reflect.DeepEqual(out, []detect.Group{a}) {
+		t.Fatalf("screened %+v, want only the %d×%d group %+v", out, p.K1, p.K2, a)
+	}
+}
+
 func TestScreenGroupsEmptyInput(t *testing.T) {
 	g := bipartite.NewGraph(1, 1)
 	p := DefaultParams()

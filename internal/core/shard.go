@@ -36,69 +36,22 @@ import (
 // order, so every ID-ordered traversal (and the degree-then-ID candidate
 // order of sortByDegree) coincides with the original graph's.
 //
-// Screening on shard graphs: with opt.hot set, every candidate leaves the
-// pass with the compact graph it was extracted from and its local hot bits
-// (screenGraph), and the screening stage judges it there
-// (extractOutcome.Screen, which gives the soundness argument).
+// Shard graphs are scratch: extraction maps each shard's groups back to
+// original IDs, and nothing a caller receives points into a compact graph,
+// so every shard graph dies when extraction returns. Screening reads the
+// input graph (ScreenGroupsCtx).
 
 // maxShardSpans caps the per-shard child spans recorded under the prune
 // span, keeping traces bounded when the residual shatters into thousands of
 // tiny components.
 const maxShardSpans = 48
 
-// shardOptions selects what shardedPruneExtract produces beyond the pruned
-// residual.
-type shardOptions struct {
-	// collect extracts candidate groups (the extraction callers); false
-	// prunes only (PruneCtx).
-	collect bool
-	// hot, when non-nil in collect mode, is the marketplace-wide HotSet
-	// (computed on the full input graph) the caller screens against with
-	// full screening: the candidates then carry their shard graphs.
-	hot *HotSet
-}
-
-// screenGraph is a graph candidates are screened on — a shard's compact
-// component graph, or the original graph itself (ScreenGroupsCtx) — with
-// what screening gathers on it.
-type screenGraph struct {
-	g              *bipartite.Graph
-	hot            *HotSet            // hot bits in g's ID space
-	userOf, itemOf []bipartite.NodeID // local → original IDs; nil when g is the original graph
-	users, items   []bipartite.NodeID // survivors left to re-partition
-	screened       []localGroup
-}
-
-// localGroup is one extracted or screened group in the IDs of the graph it
-// is screened on.
-type localGroup struct {
-	Users, Items []bipartite.NodeID
-}
-
-// candidate is one extracted group and the graph it is screened on.
-type candidate struct {
-	detect.Group            // original IDs
-	local        localGroup // the same group in on's IDs
-	on           *screenGraph
-}
-
-// extractOutcome is an extraction's output, screened by its Screen method.
-type extractOutcome struct {
-	raw []detect.Group // every extracted candidate, canonical order (sortGroupsCanonical)
-	// With opt.hot: the candidates to screen, in canonical order, and the
-	// graphs they are screened on.
-	cands  []candidate
-	graphs []*screenGraph
-}
-
 // shardResult is one component's contribution to the merged outcome.
 type shardResult struct {
 	removedU []bipartite.NodeID // original IDs pruned inside the shard
 	removedI []bipartite.NodeID
 	groups   []detect.Group // extracted groups in original IDs (collect mode)
-	on       *screenGraph   // the shard graph cands are screened on (opt.hot set)
-	cands    []candidate
-	rounds   int // local fixpoint rounds
+	rounds   int            // local fixpoint rounds
 	elapsed  time.Duration
 	done     bool  // shard ran (possibly cut short by ctx with err set)
 	err      error // ctx error observed mid-shard
@@ -107,8 +60,9 @@ type shardResult struct {
 
 // shardedPruneExtract runs Algorithm 3 sharded by connected component:
 // global CorePruning fixpoint → component split → per-shard compaction +
-// local Core/Square fixpoint (+ group extraction when opt says so) on a
-// bounded worker pool → deterministic merge. It screens nothing. g is
+// local Core/Square fixpoint (+ group extraction when collect is set;
+// PruneCtx prunes only) on a bounded worker pool → deterministic merge. It
+// screens nothing and keeps no shard graph. g is
 // left at the residual a monolithic fixpoint over the whole graph produces;
 // the returned stats and groups are identical to that reference's (see
 // fixpoint_test.go).
@@ -120,14 +74,13 @@ type shardResult struct {
 // partially sharded residual is a sound over-approximation of the fixpoint.
 // On cancellation no groups are returned.
 func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
-	sp *obs.Span, o *obs.Observer, opt shardOptions) (PruneStats, extractOutcome, error) {
+	sp *obs.Span, o *obs.Observer, collect bool) (PruneStats, []detect.Group, error) {
 
 	var st PruneStats
-	var outc extractOutcome
 	a := newAuditor(o)
 	faultinject.Hit("core.prune.round")
 	if err := ctx.Err(); err != nil {
-		return st, outc, err
+		return st, nil, err
 	}
 	st.Rounds = 1
 	csp := sp.Start("global_core")
@@ -144,7 +97,7 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 	plan.End()
 	o.Counter("core.shards").Add(int64(len(comps)))
 	if len(comps) == 0 {
-		return st, outc, nil
+		return st, nil, nil
 	}
 
 	// Worker budget: one pool worker per shard up to p.workers(); when there
@@ -184,7 +137,7 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 				if i < maxShardSpans {
 					ssp = sp.Start("shard")
 				}
-				outs[i] = runShard(ctx, g, comps[i], p, inner[i], ssp, o, a, i+1, opt)
+				outs[i] = runShard(ctx, g, comps[i], p, inner[i], ssp, o, a, i+1, collect)
 			}
 		}()
 	}
@@ -227,62 +180,47 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 		st.Rounds = maxRounds
 	}
 	if err := ctx.Err(); err != nil {
-		return st, extractOutcome{}, err
+		return st, nil, err
 	}
 	if firstErr != nil {
-		return st, extractOutcome{}, firstErr
+		return st, nil, firstErr
 	}
 
-	if !opt.collect {
-		return st, outc, nil
-	}
+	var groups []detect.Group
 	for i := range outs {
-		outc.raw = append(outc.raw, outs[i].groups...)
-		outc.cands = append(outc.cands, outs[i].cands...)
-		if outs[i].on != nil {
-			outc.graphs = append(outc.graphs, outs[i].on)
-		}
+		groups = append(groups, outs[i].groups...)
 	}
-	sortGroupsCanonical(outc.raw)
-	sort.SliceStable(outc.cands, func(i, j int) bool {
-		return canonicalBefore(outc.cands[i].Group, outc.cands[j].Group)
-	})
-	return st, outc, nil
+	sortGroupsCanonical(groups)
+	return st, groups, nil
 }
 
 // sortGroupsCanonical orders groups the way ConnectedComponents orders the
-// components of one graph holding all of them (the global repartition, the
-// reference's extraction): discovery by ascending minimum user ID, then a
-// stable sort by group size descending — i.e. one stable sort by size
-// descending, then minimum user ascending.
+// components of one graph holding all of them (the reference's extraction):
+// discovery by ascending minimum user ID, then a stable sort by group size
+// descending — i.e. one stable sort by size descending, then minimum user
+// ascending. Users is sorted, so Users[0] is the minimum.
 func sortGroupsCanonical(groups []detect.Group) {
-	sort.SliceStable(groups, func(i, j int) bool { return canonicalBefore(groups[i], groups[j]) })
-}
-
-// canonicalBefore is sortGroupsCanonical's order. Users is sorted, so
-// Users[0] is the minimum.
-func canonicalBefore(a, b detect.Group) bool {
-	if sa, sb := len(a.Users)+len(a.Items), len(b.Users)+len(b.Items); sa != sb {
-		return sa > sb
-	}
-	return a.Users[0] < b.Users[0]
+	sort.SliceStable(groups, func(i, j int) bool {
+		a, b := groups[i], groups[j]
+		if sa, sb := len(a.Users)+len(a.Items), len(b.Users)+len(b.Items); sa != sb {
+			return sa > sb
+		}
+		return a.Users[0] < b.Users[0]
+	})
 }
 
 // runShard prunes one compacted component to its local fixpoint and, in
 // collect mode, extracts its candidate groups, all in original IDs. Each
 // shard's compact graph leases its own frontier (certificates, wide masks,
-// ID buffer), sized to the component rather than the whole graph. A panic is recovered into the
-// result for deterministic rethrow by the merger.
-//
-// With hot set, the shard's candidates keep the compact graph and its local
-// hot bits for the screening stage.
+// ID buffer), sized to the component rather than the whole graph. A panic
+// is recovered into the result for deterministic rethrow by the merger.
 //
 // Audit events emitted inside the shard carry the 1-based shard index and
 // original-graph IDs (via the auditor's local→original maps); rounds are
 // shard-local. A shard.done boundary event closes each completed shard.
 func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	p Params, innerWorkers int, ssp *obs.Span, o *obs.Observer, a *auditor,
-	shardIdx int, opt shardOptions) (out shardResult) {
+	shardIdx int, collect bool) (out shardResult) {
 
 	start := time.Now()
 	defer func() {
@@ -305,13 +243,6 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	}
 
 	cg, userOf, itemOf := bipartite.CompactComponent(g, comp)
-	var localHot []bool
-	if opt.hot != nil {
-		localHot = make([]bool, len(itemOf))
-		for lv, v := range itemOf {
-			localHot[lv] = opt.hot.IsHot(v)
-		}
-	}
 
 	lp := p
 	lp.Workers = innerWorkers
@@ -336,49 +267,23 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	}
 	a.shardDone(shardIdx, len(comp.Users), len(comp.Items), out.rounds,
 		len(out.removedU)+len(out.removedI))
-	if !opt.collect {
+	if !collect {
 		return
 	}
-	var locals []localGroup
 	for _, c := range bipartite.ConnectedComponents(cg) {
 		if len(c.Users) >= p.K1 && len(c.Items) >= p.K2 {
-			locals = append(locals, localGroup{Users: c.Users, Items: c.Items})
+			out.groups = append(out.groups, detect.Group{Users: mapIDs(c.Users, userOf), Items: mapIDs(c.Items, itemOf)})
 		}
-	}
-	out.groups = translateGroups(locals, userOf, itemOf)
-	if opt.hot == nil {
-		return
-	}
-	out.on = &screenGraph{g: cg, hot: &HotSet{hot: localHot, tHot: p.THot}, userOf: userOf, itemOf: itemOf}
-	for j, l := range locals {
-		out.cands = append(out.cands, candidate{Group: out.groups[j], local: l, on: out.on})
 	}
 	return
 }
 
-// translateGroups maps component-local groups back to original IDs through
-// the shard's userOf/itemOf tables.
-func translateGroups(locals []localGroup, userOf, itemOf []bipartite.NodeID) []detect.Group {
-	if len(locals) == 0 {
-		return nil
-	}
-	out := make([]detect.Group, len(locals))
-	for i, l := range locals {
-		out[i] = detect.Group{Users: mapIDs(l.Users, userOf), Items: mapIDs(l.Items, itemOf)}
-	}
-	return out
-}
-
-// mapIDs translates sorted local IDs back to original IDs; the mapping is
-// strictly increasing, so the output stays sorted. A nil mapping is the
-// identity (a graph already in original IDs) and copies nothing.
+// mapIDs rewrites sorted local IDs to original IDs in place (a component's
+// member lists are its own); the mapping is strictly increasing, so the
+// list stays sorted.
 func mapIDs(local, of []bipartite.NodeID) []bipartite.NodeID {
-	if of == nil {
-		return local
-	}
-	out := make([]bipartite.NodeID, len(local))
 	for i, id := range local {
-		out[i] = of[id]
+		local[i] = of[id]
 	}
-	return out
+	return local
 }

@@ -488,31 +488,19 @@ func runSweep(ctx context.Context, in sweepInput, sp *obs.Span, o *obs.Observer)
 		// it carries no groups. An incremental sweep screens fresh and
 		// carried candidates (monotonicity keeps the carried valid) in one
 		// pass: the two can overlap or connect.
-		var screen func(ssp *obs.Span) ([]detect.Group, error)
-		if in.full {
-			outc, eerr := core.ExtractCandidatesCtx(ctx, work, hot, in.params, sp, o)
+		candidates := in.carried
+		if work != nil {
+			fresh, eerr := core.NearBicliqueExtractCtx(ctx, work, in.params, sp, o)
 			if eerr != nil {
 				return eerr
 			}
-			screen = func(ssp *obs.Span) ([]detect.Group, error) { return outc.Screen(ctx, in.params, ssp, o) }
-		} else {
-			candidates := in.carried
-			if work != nil {
-				fresh, eerr := core.NearBicliqueExtractCtx(ctx, work, in.params, sp, o)
-				if eerr != nil {
-					return eerr
-				}
-				candidates = append(fresh, candidates...)
-			}
-			screen = func(ssp *obs.Span) ([]detect.Group, error) {
-				return core.ScreenGroupsCtx(ctx, in.g, candidates, hot, in.params, ssp, o)
-			}
+			candidates = append(fresh, candidates...)
 		}
 
 		reached = "screening"
 		ssp := sp.Start("screening")
 		var serr error
-		res.Groups, serr = screen(ssp)
+		res.Groups, serr = core.ScreenGroupsCtx(ctx, in.g, candidates, hot, in.params, ssp, o)
 		ssp.End()
 		if serr != nil {
 			return serr
