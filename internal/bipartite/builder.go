@@ -200,7 +200,8 @@ func build(numUsers, numItems int, users, items []NodeID, weights []uint32) *Gra
 // LiveEdges), so the choice costs O(kept). The seed ball around a few dirty
 // users builds; the ball around a day-sized bulk delta reaches most of the
 // graph and removes. The benchmark's durable_bulk workload takes both legs,
-// most of its balls the remove leg.
+// most of its balls the remove leg. Either leg's result holds leased
+// liveness storage, which Release hands back.
 func InducedSubgraph(g *Graph, users, items []NodeID) (*Graph, error) {
 	for _, u := range users {
 		if int(u) >= g.NumUsers() {
@@ -213,9 +214,14 @@ func InducedSubgraph(g *Graph, users, items []NodeID) (*Graph, error) {
 		}
 	}
 	// keepU/keepV mark the kept live vertices once each: the build leg's
-	// liveness, the remove leg's membership test.
-	keepU := make([]bool, g.NumUsers())
-	keepV := make([]bool, g.NumItems())
+	// liveness, the remove leg's membership test. They are the leased
+	// liveness flags of the graph the build leg returns; the remove leg
+	// hands them back once it is done with them.
+	sub := &Graph{uAdj: g.uAdj, vAdj: g.vAdj}
+	leaseArena(&livenessArenas, sub, g.NumUsers(), g.NumItems())
+	keepU, keepV := sub.uAlive, sub.vAlive
+	clear(keepU)
+	clear(keepV)
 	var liveU, liveV, keptUserDeg, keptItemDeg int
 	for _, u := range users {
 		if g.uAlive[u] && !keepU[u] {
@@ -232,22 +238,17 @@ func InducedSubgraph(g *Graph, users, items []NodeID) (*Graph, error) {
 		}
 	}
 	if dropDeg := 2*g.liveEdges - keptUserDeg - keptItemDeg; keptUserDeg > dropDeg {
-		return removeOutside(g, keepU, keepV), nil
+		out := removeOutside(g, keepU, keepV)
+		sub.Release()
+		return out, nil
 	}
 
-	sub := &Graph{
-		uAdj:      g.uAdj,
-		vAdj:      g.vAdj,
-		uAlive:    keepU,
-		vAlive:    keepV,
-		uDeg:      make([]int32, g.NumUsers()),
-		vDeg:      make([]int32, g.NumItems()),
-		uStrength: make([]uint64, g.NumUsers()),
-		vStrength: make([]uint64, g.NumItems()),
-		liveUsers: liveU,
-		liveItems: liveV,
-		removals:  g.removals + uint64(g.liveUsers-liveU+g.liveItems-liveV),
-	}
+	clear(sub.uDeg)
+	clear(sub.vDeg)
+	clear(sub.uStrength)
+	clear(sub.vStrength)
+	sub.liveUsers, sub.liveItems = liveU, liveV
+	sub.removals = g.removals + uint64(g.liveUsers-liveU+g.liveItems-liveV)
 	for u, kept := range keepU {
 		if !kept {
 			continue

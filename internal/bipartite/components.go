@@ -64,8 +64,7 @@ func markLive(flags *[]bool, alive []bool, ids []NodeID) []bool {
 // from each unreached user finds them and fill every list sorted.
 func (sc *splitScratch) components(g *Graph, inU, inV []bool) []Component {
 	nu := g.NumUsers()
-	sc.parent = slices.Grow(sc.parent[:0], nu+g.NumItems())[:nu+g.NumItems()]
-	sc.id = slices.Grow(sc.id[:0], nu)[:nu]
+	sc.parent, sc.id = grow(sc.parent, nu+g.NumItems()), grow(sc.id, nu)
 	parent, id := sc.parent, sc.id
 	for x := range parent {
 		parent[x] = int32(x)
@@ -162,7 +161,9 @@ var itemIndexPool = sync.Pool{New: func() any { return new([]NodeID) }}
 //
 // The compact graph starts at removal epoch 0, and the shard's removals
 // reach g (bumping g's epoch) only when the merger replays them through
-// g.RemoveUser/RemoveItem.
+// g.RemoveUser/RemoveItem. Its rows and liveness live in an arena leased
+// from compactArenas, grown to the largest component met, which Release
+// hands back; userOf and itemOf are comp's own lists.
 func CompactComponent(g *Graph, comp Component) (c *Graph, userOf, itemOf []NodeID) {
 	userOf, itemOf = comp.Users, comp.Items
 	idxp := itemIndexPool.Get().(*[]NodeID)
@@ -175,12 +176,25 @@ func CompactComponent(g *Graph, comp Component) (c *Graph, userOf, itemOf []Node
 		localV[v] = NodeID(lv)
 	}
 
-	c = NewGraph(len(userOf), len(itemOf))
+	c = &Graph{liveUsers: len(userOf), liveItems: len(itemOf)}
+	a := leaseArena(&compactArenas, c, len(userOf), len(itemOf))
+	for i := range c.uAlive {
+		c.uAlive[i] = true
+	}
+	for i := range c.vAlive {
+		c.vAlive[i] = true
+	}
+	clear(c.uStrength)
+	clear(c.vStrength)
+	clear(c.vDeg)
+	a.uAdj, a.vAdj = grow(a.uAdj, len(userOf)), grow(a.vAdj, len(itemOf))
+	c.uAdj, c.vAdj = a.uAdj, a.vAdj
 	arcs := 0
 	for _, u := range userOf {
 		arcs += g.UserDegree(u)
 	}
-	rows := make([]Arc, arcs)
+	a.rows = grow(a.rows, arcs)
+	rows := a.rows
 	w := 0
 	for lu, u := range userOf {
 		start := w
@@ -211,7 +225,8 @@ func CompactComponent(g *Graph, comp Component) (c *Graph, userOf, itemOf []Node
 	// Item rows: the transpose of the user rows. An item whose live degree
 	// in g exceeds the arcs its component's users gave it has a live
 	// neighbour outside comp.
-	cols := make([]Arc, w)
+	a.cols = grow(a.cols, w)
+	cols := a.cols
 	w = 0
 	for lv, v := range itemOf {
 		d := int(c.vDeg[lv])

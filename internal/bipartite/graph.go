@@ -11,7 +11,9 @@ package bipartite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a vertex within one side of the graph. User IDs and
@@ -73,6 +75,67 @@ type Graph struct {
 	liveClick uint64
 
 	removals uint64 // epoch counter: total vertex removals applied
+
+	// lease is the pooled storage the graph was built in (Clone,
+	// InducedSubgraph's build leg, CompactComponent); nil when the graph
+	// owns its storage. Release hands it back.
+	lease *arena
+}
+
+// arena is the pooled storage of a graph a detection builds only for
+// itself: the liveness arrays and, for a compact graph, the row headers and
+// both arc slabs. livenessArenas lends the first kind (Clone,
+// InducedSubgraph), compactArenas the second (CompactComponent); each grows
+// its arenas to the largest graph met. A lease re-establishes every array
+// it hands out — copies, clears or fills it — so nothing an earlier graph
+// left in an arena is read.
+type arena struct {
+	pool                 *sync.Pool
+	uAlive, vAlive       []bool
+	uDeg, vDeg           []int32
+	uStrength, vStrength []uint64
+	uAdj, vAdj           [][]Arc
+	rows, cols           []Arc
+}
+
+var (
+	livenessArenas = sync.Pool{New: func() any { return new(arena) }}
+	compactArenas  = sync.Pool{New: func() any { return new(arena) }}
+)
+
+// leaseArena takes an arena from pool and points g's liveness arrays into
+// it, sized numUsers × numItems and holding whatever the arena last held.
+func leaseArena(pool *sync.Pool, g *Graph, numUsers, numItems int) *arena {
+	a := pool.Get().(*arena)
+	a.pool = pool
+	a.uAlive, a.vAlive = grow(a.uAlive, numUsers), grow(a.vAlive, numItems)
+	a.uDeg, a.vDeg = grow(a.uDeg, numUsers), grow(a.vDeg, numItems)
+	a.uStrength, a.vStrength = grow(a.uStrength, numUsers), grow(a.vStrength, numItems)
+	g.uAlive, g.vAlive = a.uAlive, a.vAlive
+	g.uDeg, g.vDeg = a.uDeg, a.vDeg
+	g.uStrength, g.vStrength = a.uStrength, a.vStrength
+	g.lease = a
+	return a
+}
+
+// grow returns buf with length n, reusing its array when it is large
+// enough; reused elements keep whatever they held.
+func grow[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
+
+// Release hands back the pooled storage g was built in and empties g: it
+// reads as a graph with no vertices, and an accessor given one of its former
+// vertices panics instead of reading the graph the storage serves next.
+// Nothing may read that storage afterwards — no UserArcs/ItemArcs slice of
+// g, and no Clone of a compact g, which shares its rows. Release is a no-op
+// on a graph that holds no lease (from NewGraph, a Builder, ToGraph or
+// PatchGraph) and on a second call.
+func (g *Graph) Release() {
+	a := g.lease
+	if a == nil {
+		return
+	}
+	*g = Graph{}
+	a.pool.Put(a)
 }
 
 // NewGraph returns an empty graph with capacity for the given number of
@@ -288,23 +351,25 @@ func (g *Graph) LiveItemIDs() []NodeID {
 
 // Clone returns a deep copy of the graph, preserving deletions.
 // Adjacency slices are shared because they are immutable after build;
-// only the mutable liveness state is copied. The removal epoch carries over.
+// only the mutable liveness state is copied, into leased storage that
+// Release hands back. The removal epoch carries over.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		removals:  g.removals,
 		uAdj:      g.uAdj,
 		vAdj:      g.vAdj,
-		uAlive:    append([]bool(nil), g.uAlive...),
-		vAlive:    append([]bool(nil), g.vAlive...),
-		uDeg:      append([]int32(nil), g.uDeg...),
-		vDeg:      append([]int32(nil), g.vDeg...),
-		uStrength: append([]uint64(nil), g.uStrength...),
-		vStrength: append([]uint64(nil), g.vStrength...),
 		liveUsers: g.liveUsers,
 		liveItems: g.liveItems,
 		liveEdges: g.liveEdges,
 		liveClick: g.liveClick,
 	}
+	leaseArena(&livenessArenas, c, len(g.uAlive), len(g.vAlive))
+	copy(c.uAlive, g.uAlive)
+	copy(c.vAlive, g.vAlive)
+	copy(c.uDeg, g.uDeg)
+	copy(c.vDeg, g.vDeg)
+	copy(c.uStrength, g.uStrength)
+	copy(c.vStrength, g.vStrength)
 	return c
 }
 

@@ -11,7 +11,8 @@ import (
 )
 
 // inducedByRemoval is the definition InducedSubgraph's two legs are checked
-// against: clone g, then remove every live vertex outside the kept sets.
+// against: copy g into storage of its own, then remove every live vertex
+// outside the kept sets.
 func inducedByRemoval(g *Graph, users, items []NodeID) *Graph {
 	keepU, keepV := map[NodeID]bool{}, map[NodeID]bool{}
 	for _, u := range users {
@@ -20,7 +21,7 @@ func inducedByRemoval(g *Graph, users, items []NodeID) *Graph {
 	for _, v := range items {
 		keepV[v] = true
 	}
-	sub := g.Clone()
+	sub := ownedClone(g)
 	for _, u := range sub.LiveUserIDs() {
 		if !keepU[u] {
 			sub.RemoveUser(u)

@@ -151,6 +151,44 @@ func BenchmarkDetectBatchShape(b *testing.B) {
 	}
 }
 
+// blocksShape is the blocks_resweep benchmark's graph: 24 disjoint bicliques
+// of 600 users × 16 items, block k's arcs of weight TClick + k, under a THot
+// above every item's clicks. Core pruning removes nothing and each block is
+// one shard, so a detection is the 24-shard path: compaction, a fixpoint and
+// extraction per block.
+func blocksShape() (*bipartite.Graph, Params) {
+	const blocks, users, items = 24, 600, 16
+	p := DefaultParams()
+	p.THot = 1 << 20
+	gb := bipartite.NewBuilder(blocks*users, blocks*items)
+	for k := range blocks {
+		for u := range users {
+			for v := range items {
+				gb.Add(bipartite.NodeID(k*users+u), bipartite.NodeID(k*items+v), p.TClick+uint32(k))
+			}
+		}
+	}
+	return gb.Build(), p
+}
+
+// BenchmarkDetectBlocksShape times one batch detection of blocksShape, the
+// 24-shard path without the benchmark harness, at Workers 0 and 1.
+func BenchmarkDetectBlocksShape(b *testing.B) {
+	g, p := blocksShape()
+	for _, workers := range []int{0, 1} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			d := &Detector{Params: p}
+			d.Params.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.DetectContext(context.Background(), g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDetectScaled times one detection of DefaultConfig with users and
 // items multiplied by ×1, ×3 and ×10, at Workers 1 and 0, to record how
 // detection cost grows with the marketplace (ROADMAP items 5 and 15). The
@@ -196,8 +234,8 @@ func BenchmarkNaiveSmall(b *testing.B) {
 }
 
 // BenchmarkRankResult ranks the small dataset's detection and the
-// blocks_resweep epoch's shape: 24 disjoint bicliques of 600 users × 16
-// items, every member suspicious.
+// blocks_resweep epoch's shape: blocksShape's 24 disjoint bicliques of 600
+// users × 16 items, every member suspicious.
 func BenchmarkRankResult(b *testing.B) {
 	b.Run("small", func(b *testing.B) {
 		ds := benchDataset(b)
@@ -212,25 +250,11 @@ func BenchmarkRankResult(b *testing.B) {
 		}
 	})
 	b.Run("blocks", func(b *testing.B) {
-		const blocks, users, items = 24, 600, 16
-		gb := bipartite.NewBuilder(blocks*users, blocks*items)
+		g, _ := blocksShape()
 		res := &detect.Result{}
-		for k := range blocks {
-			var grp detect.Group
-			for u := range users {
-				grp.Users = append(grp.Users, bipartite.NodeID(k*users+u))
-			}
-			for v := range items {
-				grp.Items = append(grp.Items, bipartite.NodeID(k*items+v))
-			}
-			for _, u := range grp.Users {
-				for _, v := range grp.Items {
-					gb.Add(u, v, 12)
-				}
-			}
-			res.Groups = append(res.Groups, grp)
+		for _, c := range bipartite.ConnectedComponents(g) {
+			res.Groups = append(res.Groups, detect.Group{Users: c.Users, Items: c.Items})
 		}
-		g := gb.Build()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -23,6 +23,11 @@ import (
 // three hops (seed user → its items → their users → those users' items),
 // so the expansion collects exactly that ball. Seeds only prune the search
 // space — the module works without them (Lines 5–10 of Algorithm 2).
+//
+// The working graph's liveness state is leased (bipartite.Graph.Release):
+// its caller owns it until it calls Release, after which the graph must not
+// be read. A detection releases it as soon as NearBicliqueExtractCtx
+// returns; a caller that never releases it leaves it to the collector.
 func GraphGenerator(g *bipartite.Graph, seeds detect.Seeds) *bipartite.Graph {
 	return GraphGeneratorBounded(g, seeds, 0)
 }
@@ -139,9 +144,10 @@ func GraphGeneratorBounded(g *bipartite.Graph, seeds detect.Seeds, itemDegreeCap
 // property (4b): components too small to be a coordinated attack — e.g.
 // group-buying clusters around a single item — are discarded). It is the
 // extraction of every RICD detection; the compact shard graphs it prunes on
-// die when it returns. Pruning rounds and the component split become child
-// spans of sp, and removal/group counts feed o's registry under core.prune.*
-// and core.extract.*; nil sp/o observe nothing.
+// go back to their pool before it returns, and work stays the caller's.
+// Pruning rounds and the component split become child spans of sp, and
+// removal/group counts feed o's registry under core.prune.* and
+// core.extract.*; nil sp/o observe nothing.
 //
 // Cancellation is cooperative: pruning checks ctx every round, and the
 // component split is guarded by the "core.extract" checkpoint. A cancelled

@@ -183,14 +183,15 @@ func liveIDs(ids []bipartite.NodeID, n int, alive func(bipartite.NodeID) bool) [
 }
 
 // removeUser removes live user x from g and returns its live items,
-// collected into nbrs. On fr (nil for a peel outside any fixpoint) each of
-// those items loses its certificate.
+// collected into nbrs from x's raw row in arc order. On fr (nil for a peel
+// outside any fixpoint) each of those items loses its certificate.
 func removeUser(g *bipartite.Graph, x bipartite.NodeID, fr *frontier, nbrs []bipartite.NodeID) []bipartite.NodeID {
 	nbrs = nbrs[:0]
-	g.EachUserNeighbor(x, func(v bipartite.NodeID, _ uint32) bool {
-		nbrs = append(nbrs, v)
-		return true
-	})
+	for _, a := range g.UserArcs(x) {
+		if g.ItemAlive(a.To) {
+			nbrs = append(nbrs, a.To)
+		}
+	}
 	if fr != nil {
 		for _, v := range nbrs {
 			fr.certI.lost[v] = true
@@ -203,10 +204,11 @@ func removeUser(g *bipartite.Graph, x bipartite.NodeID, fr *frontier, nbrs []bip
 // removeItem is the item-side dual of removeUser.
 func removeItem(g *bipartite.Graph, y bipartite.NodeID, fr *frontier, nbrs []bipartite.NodeID) []bipartite.NodeID {
 	nbrs = nbrs[:0]
-	g.EachItemNeighbor(y, func(u bipartite.NodeID, _ uint32) bool {
-		nbrs = append(nbrs, u)
-		return true
-	})
+	for _, a := range g.ItemArcs(y) {
+		if g.UserAlive(a.To) {
+			nbrs = append(nbrs, a.To)
+		}
+	}
 	if fr != nil {
 		for _, u := range nbrs {
 			fr.certU.lost[u] = true

@@ -170,6 +170,9 @@ func (d *Detector) DetectContext(ctx context.Context, g *bipartite.Graph) (*dete
 
 	if err := stage("extraction", func() (eerr error) {
 		groups, eerr = NearBicliqueExtractCtx(ctx, work, p, dsp, o)
+		// Nothing after extraction reads the working copy: screening and
+		// identification read g.
+		work.Release()
 		return eerr
 	}); err != nil {
 		dsp.End()

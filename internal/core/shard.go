@@ -38,8 +38,8 @@ import (
 //
 // Shard graphs are scratch: extraction maps each shard's groups back to
 // original IDs, and nothing a caller receives points into a compact graph,
-// so every shard graph dies when extraction returns. Screening reads the
-// input graph (ScreenGroupsCtx).
+// so runShard hands each shard graph's pooled arena back as it returns.
+// Screening reads the input graph (ScreenGroupsCtx).
 
 // maxShardSpans caps the per-shard child spans recorded under the prune
 // span, keeping traces bounded when the residual shatters into thousands of
@@ -211,9 +211,10 @@ func sortGroupsCanonical(groups []detect.Group) {
 
 // runShard prunes one compacted component to its local fixpoint and, in
 // collect mode, extracts its candidate groups, all in original IDs. Each
-// shard's compact graph leases its own frontier (certificates, wide masks,
-// ID buffer), sized to the component rather than the whole graph. A panic
-// is recovered into the result for deterministic rethrow by the merger.
+// shard's compact graph leases its own arena and frontier (certificates,
+// wide masks, ID buffer), sized to the component rather than the whole
+// graph, and hands both back before it returns. A panic is recovered into
+// the result for deterministic rethrow by the merger.
 //
 // Audit events emitted inside the shard carry the 1-based shard index and
 // original-graph IDs (via the auditor's local→original maps); rounds are
@@ -243,6 +244,10 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	}
 
 	cg, userOf, itemOf := bipartite.CompactComponent(g, comp)
+	// The release point of the shard graph: the removal lists and groups
+	// below are fresh slices in original IDs, so once they are built
+	// nothing points into cg's arena.
+	defer cg.Release()
 
 	lp := p
 	lp.Workers = innerWorkers

@@ -37,13 +37,44 @@ func copyResult(res *detect.Result) resultCopy {
 	return c
 }
 
+// graphCopy is a deep copy of what a graph shows through its accessors.
+type graphCopy struct {
+	Summary              string
+	Epoch                uint64
+	UserAlive, ItemAlive []bool
+	UserDeg, ItemDeg     []int
+	UserStr, ItemStr     []uint64
+	UserArcs             [][]bipartite.Arc
+}
+
+func copyGraph(g *bipartite.Graph) graphCopy {
+	c := graphCopy{Summary: g.String(), Epoch: g.RemovalEpoch()}
+	for u := range bipartite.NodeID(g.NumUsers()) {
+		c.UserAlive = append(c.UserAlive, g.UserAlive(u))
+		c.UserDeg = append(c.UserDeg, g.UserDegree(u))
+		c.UserStr = append(c.UserStr, g.UserStrength(u))
+		c.UserArcs = append(c.UserArcs, slices.Clone(g.UserArcs(u)))
+	}
+	for v := range bipartite.NodeID(g.NumItems()) {
+		c.ItemAlive = append(c.ItemAlive, g.ItemAlive(v))
+		c.ItemDeg = append(c.ItemDeg, g.ItemDegree(v))
+		c.ItemStr = append(c.ItemStr, g.ItemStrength(v))
+	}
+	return c
+}
+
 // TestLeasedScratchLeavesResultsAlone: a fixpoint's scratch (peel stack,
-// dirty sets, certificates, wide masks, counters, component flags) is leased
-// from package pools and handed to the next fixpoint, so nothing a result
-// keeps may point into it. A result taken on one graph must read the same
+// dirty sets, certificates, wide masks, counters, component flags) and the
+// graphs a detection builds only for itself (its working copy, its shard
+// graphs) are leased from package pools and handed to the next detection,
+// so nothing a result keeps may point into them, and a detection may hand
+// back only what it leased. A result taken on one graph must read the same
 // after detections on a larger and a smaller graph, at one and at four
-// workers, and a stream sweep have reused every pooled buffer; and two
-// detections running at once must each return what they return alone.
+// workers, and a stream sweep have reused every pooled buffer; every input
+// graph must read as it did before all of them; and two detections running
+// at once must each return what they return alone. Graph A is a Clone, which
+// holds leased storage itself, so a detection that released its input
+// instead of its working copy would empty it.
 func TestLeasedScratchLeavesResultsAlone(t *testing.T) {
 	detectOn := func(g *bipartite.Graph, workers int) *detect.Result {
 		t.Helper()
@@ -57,9 +88,14 @@ func TestLeasedScratchLeavesResultsAlone(t *testing.T) {
 	}
 	larger := synth.SmallConfig()
 	larger.Seed, larger.NumUsers, larger.NumItems = 7, 5000, 900
-	graphA := synth.MustGenerate(synth.SmallConfig()).Graph
+	graphA := synth.MustGenerate(synth.SmallConfig()).Graph.Clone()
 	graphB := synth.MustGenerate(larger).Graph
 	smaller := synth.MustGenerate(synth.EquivCorpus()[10])
+	inputs := []*bipartite.Graph{graphA, graphB, smaller.Graph}
+	var inputsBefore []graphCopy
+	for _, g := range inputs {
+		inputsBefore = append(inputsBefore, copyGraph(g))
+	}
 
 	a := detectOn(graphA, 4)
 	if len(a.Groups) == 0 || len(a.RankedUsers) == 0 {
@@ -81,6 +117,9 @@ func TestLeasedScratchLeavesResultsAlone(t *testing.T) {
 		d.AddClick(r.UserID, r.ItemID, r.Clicks)
 		return true
 	})
+	swept := d.Graph()
+	inputs = append(inputs, swept)
+	inputsBefore = append(inputsBefore, copyGraph(swept))
 	mustSweep(t, d)
 	d.AddClick(1, 1, 3)
 	mustSweep(t, d)
@@ -109,6 +148,11 @@ func TestLeasedScratchLeavesResultsAlone(t *testing.T) {
 	for i, g := range []*bipartite.Graph{graphB, smaller.Graph} {
 		if !reflect.DeepEqual(got[i], serial[g]) {
 			t.Errorf("concurrent detection %d differs from its serial run", i)
+		}
+	}
+	for i, g := range inputs {
+		if !reflect.DeepEqual(copyGraph(g), inputsBefore[i]) {
+			t.Fatalf("input graph %d changed across the detections and sweeps that read it: %v", i, g)
 		}
 	}
 }

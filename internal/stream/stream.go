@@ -491,6 +491,8 @@ func runSweep(ctx context.Context, in sweepInput, sp *obs.Span, o *obs.Observer)
 		candidates := in.carried
 		if work != nil {
 			fresh, eerr := core.NearBicliqueExtractCtx(ctx, work, in.params, sp, o)
+			// Screening and identification read in.g, never the work graph.
+			work.Release()
 			if eerr != nil {
 				return eerr
 			}
