@@ -20,6 +20,7 @@ import (
 	"repro/internal/baselines/louvain"
 	"repro/internal/baselines/lpa"
 	"repro/internal/bipartite"
+	"repro/internal/clicktable"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/experiments"
@@ -79,8 +80,7 @@ func BenchmarkTableII(b *testing.B) {
 	ds := benchDataset(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = bipartite.Stats(ds.Graph, bipartite.UserSide)
-		_ = bipartite.Stats(ds.Graph, bipartite.ItemSide)
+		_ = clicktable.ComputeStats(ds.Table)
 	}
 }
 

@@ -72,15 +72,6 @@ func BenchmarkRemoveAndClone(b *testing.B) {
 	}
 }
 
-func BenchmarkStats(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Stats(g, UserSide)
-		Stats(g, ItemSide)
-	}
-}
-
 // BenchmarkPatchGraph patches a 150k-click graph over 20k users × 4k items
 // with an aggregated delta of 128 edges (a stream's sweep) and of a day's
 // 5.7k edges (a bulk delta).

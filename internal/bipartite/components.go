@@ -93,21 +93,60 @@ func (sc *splitScratch) components(g *Graph, inU, inV []bool) []Component {
 		}
 	}
 
-	// Number the components in the order their roots appear; every user
-	// component exists before the item scan starts, so the components of
-	// isolated items come after all of them.
-	var comps []Component
+	// Number the components in the order their roots appear and count
+	// their members; every user component exists before the item scan
+	// starts, so the components of isolated items come after all of them.
+	sizes := sc.sizes[:0] // users, then items, of component k at 2k and 2k+1
+	users, items, isolated := 0, 0, 0
 	for u, in := range inU {
 		if !in {
 			continue
 		}
 		r := find(int32(u))
 		if r == int32(u) {
-			id[u] = int32(len(comps))
-			comps = append(comps, Component{})
+			id[u] = int32(len(sizes) / 2)
+			sizes = append(sizes, 0, 0)
 		}
-		c := &comps[id[r]]
-		c.Users = append(c.Users, NodeID(u))
+		sizes[2*id[r]]++
+		users++
+	}
+	for v, in := range inV {
+		if !in {
+			continue
+		}
+		if r := find(int32(nu + v)); r < int32(nu) {
+			sizes[2*id[r]+1]++
+		} else {
+			isolated++
+		}
+		items++
+	}
+	sc.sizes = sizes
+
+	// Cut every member list from one exact-size slab per side, capped so
+	// that an append to one list cannot reach the next.
+	uSlab, vSlab := make([]NodeID, users), make([]NodeID, items)
+	cut := func(slab []NodeID, lo *int, n int32) []NodeID {
+		if n == 0 {
+			return nil
+		}
+		s := slab[*lo : *lo : *lo+int(n)]
+		*lo += int(n)
+		return s
+	}
+	var comps []Component
+	if n := len(sizes) / 2; n+isolated > 0 {
+		comps = make([]Component, n, n+isolated)
+	}
+	uLo, vLo := 0, 0
+	for k := range comps {
+		comps[k] = Component{Users: cut(uSlab, &uLo, sizes[2*k]), Items: cut(vSlab, &vLo, sizes[2*k+1])}
+	}
+	for u, in := range inU {
+		if in {
+			c := &comps[id[find(int32(u))]]
+			c.Users = append(c.Users, NodeID(u))
+		}
 	}
 	for v, in := range inV {
 		if !in {
@@ -117,7 +156,9 @@ func (sc *splitScratch) components(g *Graph, inU, inV []bool) []Component {
 			c := &comps[id[r]]
 			c.Items = append(c.Items, NodeID(v))
 		} else {
-			comps = append(comps, Component{Items: []NodeID{NodeID(v)}})
+			c := Component{Items: cut(vSlab, &vLo, 1)}
+			c.Items = append(c.Items, NodeID(v))
+			comps = append(comps, c)
 		}
 	}
 
@@ -125,12 +166,14 @@ func (sc *splitScratch) components(g *Graph, inU, inV []bool) []Component {
 	return comps
 }
 
-// splitScratch is the split's parent array and component numbers, and
-// ComponentsOf's membership flags (all clear between calls), leased from
-// splitPool; the member lists a Component keeps are always fresh.
+// splitScratch is the split's parent array, component numbers and member
+// counts, and ComponentsOf's membership flags (all clear between calls),
+// leased from splitPool. The member lists a Component keeps are cut from
+// slabs allocated fresh per split and never pooled: groups built from them
+// outlive the detection.
 type splitScratch struct {
-	parent, id []int32
-	inU, inV   []bool
+	parent, id, sizes []int32
+	inU, inV          []bool
 }
 
 var splitPool = sync.Pool{New: func() any { return new(splitScratch) }}

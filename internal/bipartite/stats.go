@@ -5,58 +5,6 @@ import (
 	"sort"
 )
 
-// SideStats summarizes the click activity of one side of the graph, matching
-// the columns of the paper's Table II.
-type SideStats struct {
-	// AvgClicks is the average total click weight per live vertex
-	// (Avg_clk for users, i.e. clicks issued; for items, clicks received).
-	AvgClicks float64
-	// AvgDegree is the average number of distinct live counterparts
-	// (Avg_cnt in the paper).
-	AvgDegree float64
-	// StdevClicks is the population standard deviation of total click
-	// weight per live vertex (Stdev in the paper).
-	StdevClicks float64
-}
-
-// Stats computes Table II-style statistics for the requested side of g.
-func Stats(g *Graph, s Side) SideStats {
-	var n int
-	var sum, sumSq float64
-	var deg int64
-	add := func(strength uint64, degree int) {
-		n++
-		x := float64(strength)
-		sum += x
-		sumSq += x * x
-		deg += int64(degree)
-	}
-	if s == UserSide {
-		g.EachLiveUser(func(u NodeID) bool {
-			add(g.UserStrength(u), g.UserDegree(u))
-			return true
-		})
-	} else {
-		g.EachLiveItem(func(v NodeID) bool {
-			add(g.ItemStrength(v), g.ItemDegree(v))
-			return true
-		})
-	}
-	if n == 0 {
-		return SideStats{}
-	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return SideStats{
-		AvgClicks:   mean,
-		AvgDegree:   float64(deg) / float64(n),
-		StdevClicks: math.Sqrt(variance),
-	}
-}
-
 // ClickHistogram is a log-binned histogram of per-vertex total clicks, used
 // to reproduce the heavy-tailed distributions of the paper's Fig 2.
 type ClickHistogram struct {

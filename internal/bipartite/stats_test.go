@@ -7,51 +7,6 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestStatsUserSide(t *testing.T) {
-	g := testGraph(t)
-	s := Stats(g, UserSide)
-	// Strengths: 4, 8, 7, 0 → mean 4.75; degrees: 2,3,1,0 → mean 1.5.
-	if !almostEqual(s.AvgClicks, 4.75, 1e-9) {
-		t.Errorf("AvgClicks = %v, want 4.75", s.AvgClicks)
-	}
-	if !almostEqual(s.AvgDegree, 1.5, 1e-9) {
-		t.Errorf("AvgDegree = %v, want 1.5", s.AvgDegree)
-	}
-	wantVar := (16.0+64+49+0)/4 - 4.75*4.75
-	if !almostEqual(s.StdevClicks, math.Sqrt(wantVar), 1e-9) {
-		t.Errorf("StdevClicks = %v, want %v", s.StdevClicks, math.Sqrt(wantVar))
-	}
-}
-
-func TestStatsItemSide(t *testing.T) {
-	g := testGraph(t)
-	s := Stats(g, ItemSide)
-	// Item strengths: 5, 6, 8, 0 → mean 4.75; degrees 2,2,2,0 → 1.5.
-	if !almostEqual(s.AvgClicks, 4.75, 1e-9) {
-		t.Errorf("AvgClicks = %v, want 4.75", s.AvgClicks)
-	}
-	if !almostEqual(s.AvgDegree, 1.5, 1e-9) {
-		t.Errorf("AvgDegree = %v, want 1.5", s.AvgDegree)
-	}
-}
-
-func TestStatsEmptyGraph(t *testing.T) {
-	g := NewGraph(0, 0)
-	s := Stats(g, UserSide)
-	if s.AvgClicks != 0 || s.AvgDegree != 0 || s.StdevClicks != 0 {
-		t.Errorf("empty graph stats = %+v, want zeros", s)
-	}
-}
-
-func TestStatsReflectDeletions(t *testing.T) {
-	g := testGraph(t)
-	g.RemoveUser(3) // drop the zero-strength user
-	s := Stats(g, UserSide)
-	if !almostEqual(s.AvgClicks, 19.0/3.0, 1e-9) {
-		t.Errorf("AvgClicks = %v, want %v", s.AvgClicks, 19.0/3.0)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	g := testGraph(t)
 	h := Histogram(g, UserSide)

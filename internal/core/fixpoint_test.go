@@ -7,6 +7,8 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,7 +32,13 @@ import (
 //     Definition 3 size bounds and disjoint from the others, and the
 //     residual;
 //   - refDetect, for Detector.Detect: the groups with their members, scores
-//     and statistics in order, and both risk rankings.
+//     and statistics in order, and both risk rankings;
+//   - no reference at all for the metamorphic relations, which hold
+//     Detector.Detect to itself: on a copy of the graph with user and item
+//     IDs permuted, and on the disjoint union with the next draw's graph, it
+//     must find what it finds at Workers 1 on the originals, as member sets
+//     with scores and statistics (memberSets). The reference shares the
+//     detector's Graph and its ID-order conventions; the relations do not.
 //
 // Draws are seeded, so a fault a case shows fails every run. The tests at
 // the end of the file are its cases, under the names of the harnesses they
@@ -44,6 +52,8 @@ const (
 	viaPrune
 	viaExtract
 	viaDetect
+	viaRelabel
+	viaUnion
 )
 
 // shape draws a graph and the thresholds to prune it with: draw i of a case
@@ -79,6 +89,11 @@ func fixRun(t *testing.T, cases ...fixCase) {
 			ref := g.Clone()
 			var wantSt PruneStats
 			var want *detect.Result
+			// A relation's follow-up input, the maps from its IDs back to
+			// the originals', and what the detector finds on the originals.
+			var follow *bipartite.Graph
+			var back []idMap
+			var wantSets string
 			switch c.via {
 			case viaFrontier, viaPrune:
 				wantSt = refPrune(ref, p)
@@ -86,6 +101,17 @@ func fixRun(t *testing.T, cases ...fixCase) {
 				want = &detect.Result{Groups: refExtract(ref, p)}
 			case viaDetect:
 				want = refDetect(g, p)
+			case viaRelabel:
+				want = detectAt1(t, g, p)
+				wantSets = memberSets(want, nil)
+				follow, back = relabel(g, rand.New(rand.NewSource(seed)))
+			case viaUnion:
+				g2, _ := c.draw((i+1)%c.draws, int64(rng.Uint64()))
+				want = detectAt1(t, g, p)
+				also := detectAt1(t, g2, p)
+				wantSets = sortedLines(memberSets(want, nil) + memberSets(also, []idMap{offset(g.NumUsers()), offset(g.NumItems())}))
+				groups += len(also.Groups)
+				follow = disjointUnion(g, g2)
 			}
 			if want != nil {
 				groups += len(want.Groups)
@@ -124,8 +150,14 @@ func fixRun(t *testing.T, cases ...fixCase) {
 						} else {
 							msg = resultDiff(res, want)
 						}
+					case viaRelabel, viaUnion:
+						if res, err := (&Detector{Params: p}).Detect(follow); err != nil {
+							msg = err.Error()
+						} else if got := memberSets(res, back); got != wantSets {
+							msg = fmt.Sprintf("the relation fails:\n got %.600s\nwant %.600s", got, wantSets)
+						}
 					}
-					if c.via != viaDetect && msg == "" {
+					if c.via < viaDetect && msg == "" {
 						msg = graphStateDiff(got, ref)
 					}
 					if msg != "" {
@@ -166,6 +198,99 @@ func resultDiff(got, want *detect.Result) string {
 		return "risk rankings diverge"
 	}
 	return ""
+}
+
+// detectAt1 is Detector.Detect at Workers 1, a relation's source run.
+func detectAt1(t *testing.T, g *bipartite.Graph, p Params) *detect.Result {
+	t.Helper()
+	p.Workers = 1
+	res, err := (&Detector{Params: p}).Detect(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// idMap takes an ID of a relation's follow-up graph to the original's.
+type idMap func(bipartite.NodeID) bipartite.NodeID
+
+func offset(n int) idMap {
+	return func(id bipartite.NodeID) bipartite.NodeID { return id + bipartite.NodeID(n) }
+}
+
+// memberSets renders res as sets, with IDs taken through back (users, then
+// items; none keeps them): one line per group with its sorted members,
+// score and statistics, and one per ranked node with its score. Lines end
+// in newlines and are sorted, so group order and tied ranks do not count.
+func memberSets(res *detect.Result, back []idMap) string {
+	id := func(side int, x bipartite.NodeID) bipartite.NodeID {
+		if back == nil {
+			return x
+		}
+		return back[side](x)
+	}
+	ids := func(side int, in []bipartite.NodeID) []bipartite.NodeID {
+		out := make([]bipartite.NodeID, len(in))
+		for k, x := range in {
+			out[k] = id(side, x)
+		}
+		slices.Sort(out)
+		return out
+	}
+	var b strings.Builder
+	for _, g := range res.Groups {
+		fmt.Fprintf(&b, "group %v × %v score %v density %v mean %v outside %v\n",
+			ids(0, g.Users), ids(1, g.Items), g.Score, g.Density, g.MeanEdgeClicks, g.OutsideShare)
+	}
+	for side, ranked := range [][]detect.Scored{res.RankedUsers, res.RankedItems} {
+		for _, s := range ranked {
+			fmt.Fprintf(&b, "ranked %d %d %v\n", side, id(side, s.ID), s.Score)
+		}
+	}
+	return sortedLines(b.String())
+}
+
+func sortedLines(s string) string {
+	lines := strings.SplitAfter(s, "\n")
+	slices.Sort(lines)
+	return strings.Join(lines, "")
+}
+
+// addMapped adds g's live edges to b with their users and items taken
+// through user and item.
+func addMapped(b *bipartite.Builder, g *bipartite.Graph, user, item idMap) {
+	g.EachLiveUser(func(u bipartite.NodeID) bool {
+		g.EachUserNeighbor(u, func(v bipartite.NodeID, w uint32) bool {
+			b.Add(user(u), item(v), w)
+			return true
+		})
+		return true
+	})
+}
+
+// relabel copies g under random permutations of its user and item IDs, and
+// returns the maps back.
+func relabel(g *bipartite.Graph, rng *rand.Rand) (*bipartite.Graph, []idMap) {
+	var to, back [2]idMap
+	for side, n := range []int{g.NumUsers(), g.NumItems()} {
+		perm, inv := rng.Perm(n), make([]bipartite.NodeID, n)
+		for id, p := range perm {
+			inv[p] = bipartite.NodeID(id)
+		}
+		to[side] = func(id bipartite.NodeID) bipartite.NodeID { return bipartite.NodeID(perm[id]) }
+		back[side] = func(id bipartite.NodeID) bipartite.NodeID { return inv[id] }
+	}
+	b := bipartite.NewBuilder(g.NumUsers(), g.NumItems())
+	addMapped(b, g, to[0], to[1])
+	return b.Build(), back[:]
+}
+
+// disjointUnion is g1 ⊎ g2: g2's users and items follow g1's.
+func disjointUnion(g1, g2 *bipartite.Graph) *bipartite.Graph {
+	b := bipartite.NewBuilder(g1.NumUsers()+g2.NumUsers(), g1.NumItems()+g2.NumItems())
+	addLiveEdges(b, g1)
+	addMapped(b, g2, offset(g1.NumUsers()), offset(g1.NumItems()))
+	return b.Build()
 }
 
 // sizedAndDisjoint describes the first group below the Definition 3 size
@@ -415,6 +540,17 @@ func TestShardedDetectionMatchesSerialOracle(t *testing.T) {
 		t.Fatalf("corpus has %d workloads, want ≥ 20", n)
 	}
 	fixRun(t, fixCase{shape: corpus, via: viaDetect, draws: len(corpusData())})
+}
+
+// The metamorphic relations on the corpus's marketplaces: relabelling user
+// and item IDs, and the disjoint union with the next workload (the lemma
+// under component sharding, DESIGN §9), give the same member sets, scores,
+// statistics and ranks at every worker count.
+func TestMetamorphicRelationsHold(t *testing.T) {
+	relabelled, united := corpus, corpus
+	relabelled.name, united.name = "relabelled workload", "united workload"
+	n := len(corpusData())
+	fixRun(t, fixCase{shape: relabelled, via: viaRelabel, draws: n}, fixCase{shape: united, via: viaUnion, draws: n})
 }
 
 // TestReusedDetectorRepeatsColdRun pins that nothing a Detector or its

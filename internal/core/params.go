@@ -125,9 +125,19 @@ func DeriveThresholds(g *bipartite.Graph) Thresholds {
 		}
 	}
 
-	us := bipartite.Stats(g, bipartite.UserSide)
-	if us.AvgDegree > 0 {
-		tc := (us.AvgClicks * 0.8) / (us.AvgDegree * 0.2)
+	// Avg_clk and Avg_cnt are Table II's user-side means over live users.
+	var users int
+	var clicks float64
+	var degree int64
+	g.EachLiveUser(func(u bipartite.NodeID) bool {
+		users++
+		clicks += float64(g.UserStrength(u))
+		degree += int64(g.UserDegree(u))
+		return true
+	})
+	if degree > 0 {
+		avgClk, avgCnt := clicks/float64(users), float64(degree)/float64(users)
+		tc := (avgClk * 0.8) / (avgCnt * 0.2)
 		if tc < 1 {
 			tc = 1
 		}

@@ -259,17 +259,28 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 }
 
 // TestBuildIdempotent: compiling the same Data twice yields indexes that
-// answer identically (Build is pure) — the recompile-idempotence property
-// the root-level equivalence harness checks end to end over real reports.
+// answer identically (Build is pure), on the hand-checked outcome and on
+// random ones.
 func TestBuildIdempotent(t *testing.T) {
-	d := twoGroupData()
-	a, b := Build(d), Build(d)
-	for id := uint32(0); id < 16; id++ {
-		if av, bv := a.User(id), b.User(id); av.Suspicious != bv.Suspicious || av.Score != bv.Score {
-			t.Fatalf("user %d differs across recompiles: %+v vs %+v", id, av, bv)
-		}
-		if av, bv := a.Item(id), b.Item(id); av.Suspicious != bv.Suspicious || av.Score != bv.Score {
-			t.Fatalf("item %d differs across recompiles: %+v vs %+v", id, av, bv)
+	rng := rand.New(rand.NewSource(3))
+	inputs := []Data{twoGroupData()}
+	for range 50 {
+		inputs = append(inputs, randomData(rng, 12))
+	}
+	for trial, d := range inputs {
+		a, b := Build(d), Build(d)
+		for id := uint32(0); id < 16; id++ {
+			if av, bv := a.User(id), b.User(id); !reflect.DeepEqual(av, bv) {
+				t.Fatalf("input %d: user %d differs across recompiles: %+v vs %+v", trial, id, av, bv)
+			}
+			if av, bv := a.Item(id), b.Item(id); !reflect.DeepEqual(av, bv) {
+				t.Fatalf("input %d: item %d differs across recompiles: %+v vs %+v", trial, id, av, bv)
+			}
+			for item := uint32(0); item < 16; item++ {
+				if av, bv := a.Pair(id, item), b.Pair(id, item); !reflect.DeepEqual(av, bv) {
+					t.Fatalf("input %d: pair (%d, %d) differs across recompiles: %+v vs %+v", trial, id, item, av, bv)
+				}
+			}
 		}
 	}
 }

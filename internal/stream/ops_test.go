@@ -2,16 +2,21 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,10 +30,11 @@ import (
 	"repro/internal/synth"
 )
 
-// This file is the stream detector's one equivalence driver. A test is a
-// schedule of ops — feed, mid-sweep feed, sweep, a sweep cancelled at a fault
-// site, refresh, snapshot, mid-sweep snapshot, crash-and-recover, /v1/check
-// query — and after every op the driver holds the detector under test to:
+// This file is the stream detector's one equivalence driver and its one
+// serving harness. A test is a schedule of ops — feed, mid-sweep feed, sweep,
+// a sweep cancelled at a fault site, refresh, snapshot, mid-sweep snapshot,
+// crash-and-recover, /v1/check query — and after every op the driver holds
+// the detector under test to:
 //   - a twin fed the same clicks, the rebuild oracle (feedRebuildOracle) or a
 //     memory-only detector that never refreshes, which must build the same
 //     graph, sweep byte-identical groups and answer /v1/check
@@ -39,7 +45,12 @@ import (
 //     sweeps, the dirty map holds each user's newest click seq where it is
 //     above the last commit's startSeq, and a first sweep and every refresh
 //     equal core.Detector.DetectContext on the graph of the clicks accepted
-//     so far, scores, statistics and rankings included.
+//     so far, taken as a multiset, scores, statistics and rankings included;
+//   - the same model on the serving side: the store serves one epoch per
+//     committed sweep (503 before the first), and while the last commit was
+//     exact, its user, item, pair, group and /v1/check answers are
+//     byte-equal to the scan oracle (scanOracle) over the model's detection
+//     on that commit's prefix.
 //
 // An incremental sweep has no model: it is checked against twins only, so a
 // fault all twins share there passes (ROADMAP item 4).
@@ -57,10 +68,10 @@ type opRun struct {
 	twinStore *serve.Store
 	rebuild   bool
 	reopen    bool // compare d with a copy reopened from dur.Dir after every op
-	// res and twinRes are the committed results the stores serve; late are
-	// clicks fed to d mid-sweep, which the twin gets after its own sweep.
-	res, twinRes *detect.Result
-	late         []clicktable.Record
+	// res is the committed result the store serves; late are clicks fed to
+	// d mid-sweep, which the twin gets after its own sweep.
+	res  *detect.Result
+	late []clicktable.Record
 
 	// The model: the warm-start rows (the first warm of clicks), then every
 	// click accepted; the record clock; committed sweeps; the last commit's
@@ -70,10 +81,13 @@ type opRun struct {
 	seq, lastStart uint64
 	sweeps         int
 	newest         map[bipartite.NodeID]uint64
-	// model is the model's detection on the first modelN clicks, kept for
-	// the next comparison over the same clicks.
-	model  *detect.Result
-	modelN int
+	// model is the model's last detection, kept for the next comparison over
+	// the same clicks; oracle is what the store must answer: 503 before the
+	// first commit, then the scan oracle over the model's detection at the
+	// last commit, or nothing while that commit was not exact.
+	model      *modelDetection
+	oracle     []oracleAnswer
+	oracleHeld bool // the store gave every oracle answer since the commit
 
 	step int
 	op   string
@@ -88,7 +102,8 @@ type opRun struct {
 func newOpRun(t *testing.T, params core.Params, dur Durability, warm *clicktable.Table, rebuild bool) *opRun {
 	t.Helper()
 	r := &opRun{t: t, params: params, dur: dur, rebuild: rebuild,
-		store: serve.NewStore(nil), twinStore: serve.NewStore(nil), newest: map[bipartite.NodeID]uint64{}}
+		store: serve.NewStore(nil), twinStore: serve.NewStore(nil), newest: map[bipartite.NodeID]uint64{},
+		oracle: []oracleAnswer{{http.MethodGet, "/v1/user/0", nil, http.StatusServiceUnavailable, nil, true}}} // until the first commit
 	var err, terr error
 	if dur.Dir != "" {
 		r.d, _, err = Open(dur, params, nil)
@@ -189,12 +204,17 @@ func (r *opRun) sweepAt(ctx context.Context, site string, do func()) (*detect.Re
 		res = nil
 	} else {
 		r.seq, r.sweeps, r.lastStart = r.seq+1, r.sweeps+1, start
-		r.res, r.twinRes = res, mustSweep(r.t, r.twin)
-		if !bytes.Equal(groupBytes(r.twinRes.Groups), groupBytes(res.Groups)) {
-			r.fatalf("swept %d groups, the twin %d (serialized forms differ)", len(res.Groups), len(r.twinRes.Groups))
+		r.res = res
+		if twin := mustSweep(r.t, r.twin); !bytes.Equal(groupBytes(twin.Groups), groupBytes(res.Groups)) {
+			r.fatalf("swept %d groups, the twin %d (serialized forms differ)", len(res.Groups), len(twin.Groups))
 		}
-		if first {
+		// Only a full sweep is exact; a seeded one is held to the twins alone
+		// until ROADMAP item 4 makes every commit exact.
+		exact := first
+		r.oracle = nil
+		if exact {
 			r.sameAsModel(res, n)
+			r.oracle, r.oracleHeld = scanOracle(r.t, r.model, uint64(r.sweeps)), false
 		}
 		r.found += len(res.Groups)
 	}
@@ -293,36 +313,182 @@ func (r *opRun) query() {
 	r.check()
 }
 
-// sameAsModel requires res to equal core.Detector.DetectContext on the graph
-// of the first n clicks the model accepted.
+// modelDetection is core.Detector.DetectContext on the graph of the first n
+// clicks the model accepted, and that graph's dimensions.
+type modelDetection struct {
+	res          *detect.Result
+	n            int
+	users, items int
+}
+
+// sameAsModel requires res to equal the model's detection on the first n
+// clicks. The model takes them as a multiset: it aggregates them in (user,
+// item) order, whatever order the detector was fed them in.
 func (r *opRun) sameAsModel(res *detect.Result, n int) {
 	r.t.Helper()
-	if r.model == nil || r.modelN != n {
+	if r.model == nil || r.model.n != n {
+		clicks := slices.Clone(r.clicks[:n])
+		slices.SortStableFunc(clicks, func(a, b clicktable.Record) int {
+			return cmp.Or(cmp.Compare(a.UserID, b.UserID), cmp.Compare(a.ItemID, b.ItemID))
+		})
 		table := clicktable.New(n)
-		for _, c := range r.clicks[:n] {
+		for _, c := range clicks {
 			table.AppendRecord(c)
 		}
-		var err error
-		if r.model, err = (&core.Detector{Params: r.params}).DetectContext(context.Background(), table.ToGraph()); err != nil {
+		g := table.ToGraph()
+		m, err := (&core.Detector{Params: r.params}).DetectContext(context.Background(), g)
+		if err != nil {
 			r.fatalf("model detection: %v", err)
 		}
-		r.modelN = n
+		r.model = &modelDetection{res: m, n: n, users: g.NumUsers(), items: g.NumItems()}
 	}
-	if !bytes.Equal(resultBytes(r.t, r.model), resultBytes(r.t, res)) {
-		r.fatalf("found %d groups, the model's detection %d (serialized forms differ)", len(res.Groups), len(r.model.Groups))
+	if !bytes.Equal(resultBytes(r.t, r.model.res), resultBytes(r.t, res)) {
+		r.fatalf("found %d groups, the model's detection %d (serialized forms differ)", len(res.Groups), len(r.model.res.Groups))
 	}
 }
 
-// sameAnswers asks both stores one /v1/check batch — every user and item a
+// scanGroups is the scan oracle's membership: the 1-based positions of the
+// groups of res holding the user (when user ≥ 0) and the item (when item ≥
+// 0). It shares no code with serve.Build.
+func scanGroups(res *detect.Result, user, item int64) []int {
+	var in []int
+	for gi, g := range res.Groups {
+		if (user < 0 || slices.Contains(g.Users, uint32(user))) && (item < 0 || slices.Contains(g.Items, uint32(item))) {
+			in = append(in, gi+1)
+		}
+	}
+	return in
+}
+
+// oracleNode is the scan oracle's answer for a user or item: suspicious when
+// a group holds it or the ranking lists it, scored by the ranking.
+func oracleNode(res *detect.Result, kind string, id uint32, epoch uint64) serve.NodeResponse {
+	ranked, groups := res.RankedUsers, scanGroups(res, int64(id), -1)
+	if kind == "item" {
+		ranked, groups = res.RankedItems, scanGroups(res, -1, int64(id))
+	}
+	v := serve.NodeResponse{Kind: kind, ID: id, Suspicious: len(groups) > 0, Groups: groups, Epoch: epoch}
+	if i := slices.IndexFunc(ranked, func(s detect.Scored) bool { return s.ID == id }); i >= 0 {
+		v.Suspicious, v.Score = true, ranked[i].Score
+	}
+	return v
+}
+
+// request serves one request and returns its status and body.
+func request(h http.Handler, method, target string, body []byte) (int, []byte) {
+	path, query, _ := strings.Cut(target, "?")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, &http.Request{Method: method, URL: &url.URL{Path: path, RawQuery: query}, Body: io.NopCloser(bytes.NewReader(body))})
+	return rec.Code, rec.Body.Bytes()
+}
+
+// oracleAnswer is a request and the status and body the scan oracle gives
+// it; a nil want leaves the body unchecked. An answer marked everyOp is held
+// after every op, the others after the commit.
+type oracleAnswer struct {
+	method, target string
+	body           []byte
+	code           int
+	want           []byte
+	everyOp        bool
+}
+
+// scanOracle answers, at epoch, every user and item of m's graph and 50 ids
+// beyond it, in-group, cross-group and clean pairs, every group and the one
+// past the last. After the commit it holds them all, nodes and pairs in one
+// /v1/check batch; after every op, the groups and a batch of the named
+// entries: nodes in a group or a ranking, id 0, the ids beyond the graph and
+// the pairs. Each named entry is held through its endpoint too.
+func scanOracle(t *testing.T, m *modelDetection, epoch uint64) []oracleAnswer {
+	type entry struct {
+		check, target string
+		v             any
+		named         bool
+	}
+	var entries []entry
+	for _, side := range []struct {
+		kind string
+		n    int
+	}{{"user", m.users}, {"item", m.items}} {
+		for id := uint32(0); id < uint32(side.n)+50; id++ {
+			v := oracleNode(m.res, side.kind, id, epoch)
+			entries = append(entries, entry{fmt.Sprintf(`{"kind":%q,"id":%d}`, side.kind, id),
+				fmt.Sprintf("/v1/%s/%d", side.kind, id), v, v.Suspicious || id == 0 || id >= uint32(side.n)})
+		}
+	}
+	groups := m.res.Groups
+	pairs := [][2]uint32{{0, 0}, {uint32(m.users) + 7, uint32(m.items) + 7}}
+	for gi, g := range groups {
+		pairs = append(pairs, [2]uint32{g.Users[0], g.Items[0]}, [2]uint32{g.Users[0], uint32(m.items) + 7})
+		if gi > 0 {
+			pairs = append(pairs, [2]uint32{groups[0].Users[0], g.Items[0]}, [2]uint32{g.Users[0], groups[0].Items[0]})
+		}
+	}
+	for _, p := range pairs {
+		v := serve.PairResponse{User: p[0], Item: p[1], Groups: scanGroups(m.res, int64(p[0]), int64(p[1])), Epoch: epoch}
+		v.InGroup = len(v.Groups) > 0
+		entries = append(entries, entry{fmt.Sprintf(`{"kind":"pair","user":%d,"item":%d}`, p[0], p[1]),
+			fmt.Sprintf("/v1/pair?u=%d&i=%d", p[0], p[1]), v, true})
+	}
+
+	var out []oracleAnswer
+	hold := func(method, target string, body []byte, v any, everyOp bool) {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, oracleAnswer{method, target, body, http.StatusOK, append(want, '\n'), everyOp})
+	}
+	for _, everyOp := range []bool{false, true} {
+		var checks []string
+		var answers []any
+		for _, e := range entries {
+			if e.named || !everyOp {
+				checks, answers = append(checks, e.check), append(answers, e.v)
+			}
+		}
+		hold(http.MethodPost, "/v1/check", []byte("["+strings.Join(checks, ",")+"]"), answers, everyOp)
+	}
+	for _, e := range entries {
+		if e.named {
+			hold(http.MethodGet, e.target, nil, e.v, false)
+		}
+	}
+	for gi, g := range groups {
+		hold(http.MethodGet, fmt.Sprintf("/v1/group/%d", gi+1), nil, serve.GroupResponse{Group: gi + 1, Users: g.Users, Items: g.Items,
+			Score: g.Score, Density: g.Density, MeanEdgeClicks: g.MeanEdgeClicks, OutsideShare: g.OutsideShare, Epoch: epoch}, true)
+	}
+	return append(out, oracleAnswer{http.MethodGet, fmt.Sprintf("/v1/group/%d", len(groups)+1), nil, http.StatusNotFound, nil, true})
+}
+
+// servedAsModel holds the store to the model: it serves one epoch per
+// committed sweep, and it gives the oracle's answers, every one after the
+// commit and those marked everyOp after every op.
+func (r *opRun) servedAsModel() {
+	r.t.Helper()
+	srv := serve.NewServer(r.store, serve.Options{})
+	if e := r.store.Epoch(); e != uint64(r.sweeps) {
+		r.fatalf("serving epoch %d after %d committed sweeps", e, r.sweeps)
+	}
+	for _, a := range r.oracle {
+		if !a.everyOp && r.oracleHeld {
+			continue
+		}
+		if code, got := request(srv, a.method, a.target, a.body); code != a.code || a.want != nil && !bytes.Equal(got, a.want) {
+			r.fatalf("%s %s answered %d %.300s, the oracle %d %.300s", a.method, a.target, code, got, a.code, a.want)
+		}
+	}
+	r.oracleHeld = true
+}
+
+// sameAnswers asks both stores one /v1/check batch — every user and item the
 // served result ranks, each group's first (user, item) pair, and ids no
 // detection names — and requires byte-identical answers, epochs included.
+// The twin swept the same groups, so d's result names the twin's nodes too.
 func (r *opRun) sameAnswers() {
 	r.t.Helper()
 	body := []byte(`[{"kind":"user","id":0},{"kind":"item","id":0},{"kind":"user","id":4294967295}`)
-	for _, res := range []*detect.Result{r.res, r.twinRes} {
-		if res == nil {
-			continue
-		}
+	if res := r.res; res != nil {
 		for _, s := range res.RankedUsers {
 			body = fmt.Appendf(body, `,{"kind":"user","id":%d}`, s.ID)
 		}
@@ -335,10 +501,8 @@ func (r *opRun) sameAnswers() {
 	}
 	body = append(body, ']')
 	answer := func(store *serve.Store) []byte {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body))
-		serve.NewServer(store, serve.Options{}).ServeHTTP(rec, req)
-		return fmt.Appendf(nil, "%d %s", rec.Code, rec.Body.Bytes())
+		code, got := request(serve.NewServer(store, serve.Options{}), http.MethodPost, "/v1/check", body)
+		return fmt.Appendf(nil, "%d %s", code, got)
 	}
 	if want, got := answer(r.twinStore), answer(r.store); !bytes.Equal(want, got) {
 		r.fatalf("/v1/check answers diverged from the twin's:\n got  %.300s\n want %.300s", got, want)
@@ -369,6 +533,7 @@ func (r *opRun) check() {
 	if n := r.twin.Obs.Counter("stream.graph.patch").Value(); r.rebuild && n != 0 {
 		r.fatalf("the rebuild oracle patched its graph %d times", n)
 	}
+	r.servedAsModel()
 	if r.reopen {
 		c := reopenCopy(r.t, r.d, r.dur)
 		defer c.Close()
@@ -668,6 +833,36 @@ func TestRefreshesLeaveSweepsAlone(t *testing.T) {
 	}
 }
 
+// TestStreamOrderServesTheModelEpoch is the stream-order relation over the
+// corpus: every workload's clicks, shuffled, arrive by batch and click by
+// click, and the first sweep must serve the scan oracle over the model,
+// which takes the clicks as a multiset. The workload index varies α and the
+// size bounds, so the oracle sees several groups and none.
+func TestStreamOrderServesTheModelEpoch(t *testing.T) {
+	found := 0
+	for i, cfg := range equivCorpus(t) {
+		t.Run(fmt.Sprintf("workload%02d", i), func(t *testing.T) {
+			p := deltaEquivParams(cfg)
+			switch i % 3 {
+			case 1:
+				p.Alpha = 0.8
+			case 2:
+				p.K1, p.K2 = 8, 8
+			}
+			clicks := slices.Clone(logWorkloads()[i])
+			rand.New(rand.NewSource(int64(i))).Shuffle(len(clicks), func(a, b int) { clicks[a], clicks[b] = clicks[b], clicks[a] })
+			r := newOpRun(t, p, Durability{}, nil, false)
+			r.feed(clicks[64:], false)
+			r.feed(clicks[:64], true)
+			r.sweep()
+			found += r.found
+		})
+	}
+	if found == 0 {
+		t.Fatal("corpus detected no groups anywhere — the oracle held only all-clean epochs")
+	}
+}
+
 // Ops of FuzzLiveStateEqualsReplayedState, one per schedule byte (op =
 // byte % numOps; the byte's high bits size batches and pick fault sites).
 const (
@@ -686,24 +881,26 @@ const (
 // cancelSites are the fault sites a sweep passes through outside the lock.
 var cancelSites = []string{"stream.sweep", "core.prune.round", "core.shard", "core.frontier", "core.extract", "core.screen.group"}
 
-// logWorkloads are the corpus workloads as click sequences (background, then
-// the attack), generated once per process.
+// logWorkloads are the corpus workloads as click sequences (the attack's
+// first half, the background, then its second half), generated once per
+// process.
 var logWorkloads = sync.OnceValue(func() (out [][]clicktable.Record) {
 	for _, cfg := range synth.EquivCorpus() {
 		_, bg, phaseA, phaseB := workloadClicks(cfg)
-		out = append(out, append(append(bg, phaseA...), phaseB...))
+		out = append(out, slices.Concat(phaseA, bg, phaseB))
 	}
 	return out
 })
 
 // FuzzLiveStateEqualsReplayedState drives a durable detector and a
 // memory-only twin through a schedule of ops, and after EVERY op also reopens
-// a copy of the detector's directory, which must hold its state. Seeds: one
+// a copy of the detector's directory, which must hold its state; the served
+// answers are held to the scan oracle like every schedule's. Seeds: one
 // schedule per corpus workload.
 func FuzzLiveStateEqualsReplayedState(f *testing.F) {
 	for i := range synth.EquivCorpus() {
 		rng := rand.New(rand.NewSource(int64(i)))
-		ops := []byte{opFeed + 3*numOps, opSweep} // most of the background, then the first (full) sweep
+		ops := []byte{opFeed + 3*numOps, opSweep} // the first attack half and most of the background, then the first (full) sweep
 		for _, op := range rng.Perm(numOps) {     // then every op once, in a seeded order with seeded arguments
 			ops = append(ops, byte(op+numOps*rng.Intn(256/numOps)))
 		}

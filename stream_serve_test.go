@@ -43,11 +43,8 @@ func TestCompilePathMatchesReportPath(t *testing.T) {
 	}
 	ixCompile := serve.Compile(inner.Graph(), res, params.THot, params.TClick)
 
-	if a, b := ixCompile.NumGroups(), ixReport.NumGroups(); a != b {
-		t.Fatalf("group count differs: Compile %d, Report %d", a, b)
-	}
-	if a, b := ixCompile.NumGroups(), len(rep.Groups); a != b {
-		t.Fatalf("Compile found %d groups, report has %d", a, b)
+	if a, b, c := ixCompile.NumGroups(), ixReport.NumGroups(), len(rep.Groups); a != b || a != c {
+		t.Fatalf("group count differs: Compile %d, Report index %d, report %d", a, b, c)
 	}
 	for n := 1; n <= ixReport.NumGroups(); n++ {
 		ga, _ := ixCompile.Group(n)
@@ -56,12 +53,10 @@ func TestCompilePathMatchesReportPath(t *testing.T) {
 			t.Fatalf("group %d differs:\n Compile %+v\n Report  %+v", n, ga, gb)
 		}
 	}
-	for id := uint32(0); id < uint32(g.NumUsers())+50; id++ {
+	for id := uint32(0); id < uint32(max(g.NumUsers(), g.NumItems()))+50; id++ {
 		if a, b := ixCompile.User(id), ixReport.User(id); !reflect.DeepEqual(a, b) {
 			t.Fatalf("user %d differs: Compile %+v, Report %+v", id, a, b)
 		}
-	}
-	for id := uint32(0); id < uint32(g.NumItems())+50; id++ {
 		if a, b := ixCompile.Item(id), ixReport.Item(id); !reflect.DeepEqual(a, b) {
 			t.Fatalf("item %d differs: Compile %+v, Report %+v", id, a, b)
 		}
