@@ -55,9 +55,9 @@ func BenchmarkScreenGroupsSmall(b *testing.B) {
 // square round over a stable biclique (no victims, so no output growth)
 // with a warm pool allocates zero counter state — before pooling, every
 // round built a fresh graph-sized commonCounter per worker. The residual
-// allocs (5, 282 B) are the predicate closure and parallelFilter's per-round
-// keep slice, cursor and worker closure — O(candidates) bytes, not counter
-// state.
+// allocs (6, 330 B) are the predicate closure, parallelFilter's per-round
+// keep slice and body closure, and parallelFor's cursor, WaitGroup and
+// worker slice — O(candidates) bytes, not counter state.
 func BenchmarkSquareRoundCounterReuse(b *testing.B) {
 	g := plantedGraph(40, 40, 3, 0, 0, 0, 1)
 	p := params(10, 10, 1.0)

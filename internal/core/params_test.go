@@ -95,17 +95,19 @@ func TestDeriveThresholdsEmpty(t *testing.T) {
 }
 
 func TestHotSet(t *testing.T) {
-	b := bipartite.NewBuilder(3, 3)
+	// The highest item ID is hot, so a bound that stops one short shows.
+	b := bipartite.NewBuilder(3, 4)
 	b.Add(0, 0, 100)
 	b.Add(1, 1, 50)
 	b.Add(2, 2, 10)
+	b.Add(2, 3, 70)
 	g := b.Build()
 	h := ComputeHotSet(g, 50)
-	if !h.IsHot(0) || !h.IsHot(1) || h.IsHot(2) {
-		t.Errorf("hot flags = %v %v %v, want true true false", h.IsHot(0), h.IsHot(1), h.IsHot(2))
+	if !h.IsHot(0) || !h.IsHot(1) || h.IsHot(2) || !h.IsHot(3) {
+		t.Errorf("hot flags = %v %v %v %v, want true true false true", h.IsHot(0), h.IsHot(1), h.IsHot(2), h.IsHot(3))
 	}
-	if h.Count() != 2 {
-		t.Errorf("Count = %d, want 2", h.Count())
+	if h.Count() != 3 {
+		t.Errorf("Count = %d, want 3", h.Count())
 	}
 	if h.Threshold() != 50 {
 		t.Errorf("Threshold = %d, want 50", h.Threshold())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -59,8 +58,8 @@ func PruneCtx(ctx context.Context, g *bipartite.Graph, p Params, sp *obs.Span) (
 // testSquareEvalHook, when non-nil, is invoked for every live vertex whose
 // square condition is actually walked during fixpoint rounds (a vertex whose
 // certificate holds is not). Tests use it to count the walks a fixpoint
-// spends. Only set it with Workers=1 — parallel rounds would race on the
-// hook's state.
+// spends. A hook that keeps state needs Workers=1 — parallel rounds would
+// race on it; a stateless one (a panic, say) may run at any Workers.
 var testSquareEvalHook func(side bipartite.Side, id bipartite.NodeID)
 
 // frontiers lends each fixpoint (newFrontier … release) its certificate
@@ -727,56 +726,28 @@ func squareRoundItems(ctx context.Context, g *bipartite.Graph, p Params, ids []b
 	}, pool)
 }
 
-// filterGrain is how many consecutive IDs a parallelFilter worker takes at a
+// filterGrain is how many consecutive IDs a square-round worker takes at a
 // time: small enough that no worker is left with a dear tail while another
 // idles, large enough that the shared cursor is touched rarely.
 const filterGrain = 32
 
-// parallelFilter returns the IDs for which pred is true, preserving input
-// order. Up to workers workers — the calling goroutine is one of them — take
-// grains of filterGrain IDs from a shared cursor until none are left, so a
-// round's cost spreads over the workers however it is skewed by ID; each
-// result is written by position. Each worker leases a private counter from
-// pool while it runs, polls ctx before every grain and yields the processor
-// after it, so goroutines serving other requests are not starved by a long
-// round. A cancelled worker stops early; the caller must treat a cancelled
-// round's output as truncated (the fixpoint loops re-check ctx after applying
-// it). No worker outlives the call.
+// parallelFilter returns the IDs for which pred is true, in input order,
+// evaluated on parallelFor in grains of filterGrain IDs with one counter
+// leased from pool per worker. A cancelled round's output is truncated; the
+// fixpoint loops re-check ctx after applying it.
 func parallelFilter(ctx context.Context, ids []bipartite.NodeID, workers int,
 	pred func(*commonCounter, bipartite.NodeID) bool, pool *counterPool) []bipartite.NodeID {
 
-	if len(ids) == 0 {
-		return nil
-	}
 	keep := make([]bool, len(ids))
-	var next atomic.Int64
-	work := func() {
+	parallelFor(ctx, len(ids), workers, filterGrain, func(w *worker) {
 		c := pool.get()
-		for {
-			lo := int(next.Add(filterGrain)) - filterGrain
-			if lo >= len(ids) || ctx.Err() != nil {
-				break
-			}
-			for i := lo; i < min(lo+filterGrain, len(ids)); i++ {
+		for w.next() {
+			for i := w.lo; i < w.hi; i++ {
 				keep[i] = pred(c, ids[i])
 			}
-			runtime.Gosched()
 		}
 		pool.put(c) // not deferred: a counter a panicking test left dirty is dropped
-	}
-	workers = min(max(workers, 1), (len(ids)+filterGrain-1)/filterGrain)
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	func() {
-		defer wg.Wait() // even if this worker panics, the others finish first
-		work()
-	}()
+	})
 	var out []bipartite.NodeID
 	for i, k := range keep {
 		if k {

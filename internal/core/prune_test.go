@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,9 +230,11 @@ func TestParallelFilterMatchesSerial(t *testing.T) {
 // TestParallelFilterSkewedAndCancelled runs parallelFilter on a predicate
 // whose cost is skewed by ID — every 97th ID is 100× dearer, the shape that
 // left a worker idle under one fixed range per worker — and checks, at
-// Workers 2 and 8, that the grains give the serial output, that a round
+// Workers 1, 2 and 8, that the grains give the serial output, that a round
 // cancelled midway returns an order-preserving subset of it with nothing
-// from the grains after the cancel, and that no worker outlives the call.
+// from the grains after the cancel, that a panicking round raises the lowest
+// panic on the caller only after every worker has joined, and that no
+// worker outlives the call.
 func TestParallelFilterSkewedAndCancelled(t *testing.T) {
 	ids := make([]bipartite.NodeID, 2000)
 	for i := range ids {
@@ -299,6 +302,33 @@ func TestParallelFilterSkewedAndCancelled(t *testing.T) {
 		}
 		if !settled(base) {
 			t.Errorf("workers %d: %d goroutines after the call, %d before", workers, runtime.NumGoroutine(), base)
+		}
+
+		// Every 97th ID from 13 on panics with its ID, while the other
+		// workers are mid-grain in the dear predicate: the caller sees the
+		// lowest one's panic, once no predicate call is running any more.
+		var running atomic.Int32
+		func() {
+			defer func() {
+				if r := recover(); r != bipartite.NodeID(13) {
+					t.Errorf("workers %d: caller recovered %v, want the panic of ID 13", workers, r)
+				}
+				if n := running.Load(); n != 0 {
+					t.Errorf("workers %d: the panic reached the caller with %d predicate calls running", workers, n)
+				}
+			}()
+			parallelFilter(ctx, ids, workers, func(c *commonCounter, id bipartite.NodeID) bool {
+				running.Add(1)
+				defer running.Add(-1)
+				if id%97 == 13 {
+					panic(id)
+				}
+				return pred(c, id)
+			}, pool)
+			t.Errorf("workers %d: a panicking round returned", workers)
+		}()
+		if !settled(base) {
+			t.Errorf("workers %d: %d goroutines after the panicking call, %d before", workers, runtime.NumGoroutine(), base)
 		}
 	}
 }

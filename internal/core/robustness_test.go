@@ -79,24 +79,47 @@ func TestDetectContextCancelAtEverySite(t *testing.T) {
 	}
 }
 
-// TestDetectContextPanicIsStageError arms a panic at every stage boundary
-// and asserts it surfaces as a *detect.StageError naming the stage — never
-// as a process crash — alongside a partial result.
+// TestDetectContextPanicIsStageError arms a panic at every stage boundary,
+// and inside the square rounds' workers, and asserts it surfaces as a
+// *detect.StageError naming the stage — never as a process crash —
+// alongside a partial result.
 func TestDetectContextPanicIsStageError(t *testing.T) {
 	ds := synth.MustGenerate(synth.SmallConfig())
+	type panicCase struct {
+		name, stage string
+		workers     int
+		arm         func()
+	}
+	var cases []panicCase
 	for _, stage := range []string{"hotset", "graph_generator", "extraction", "screening", "identification"} {
-		t.Run(stage, func(t *testing.T) {
-			defer faultinject.Reset()
+		cases = append(cases, panicCase{stage, stage, 0, func() {
 			faultinject.Arm("core."+stage, faultinject.Fault{Panic: "injected bug", Times: 1})
+		}})
+	}
+	// Every user test panics, on every worker of a round: the workers
+	// parallelFilter starts must hand their panics to the stage too.
+	cases = append(cases, panicCase{"square_round", "extraction", 8, func() {
+		testSquareEvalHook = func(side bipartite.Side, _ bipartite.NodeID) {
+			if side == bipartite.UserSide {
+				panic("injected bug")
+			}
+		}
+	}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			defer func() { testSquareEvalHook = nil }()
+			c.arm()
 
 			d := &Detector{Params: smallParams()}
+			d.Params.Workers = c.workers
 			res, err := d.DetectContext(context.Background(), ds.Graph)
 			var se *detect.StageError
 			if !errors.As(err, &se) {
 				t.Fatalf("err = %v, want a *detect.StageError", err)
 			}
-			if se.Stage != stage {
-				t.Errorf("StageError.Stage = %q, want %q", se.Stage, stage)
+			if se.Stage != c.stage {
+				t.Errorf("StageError.Stage = %q, want %q", se.Stage, c.stage)
 			}
 			if se.Panic != "injected bug" {
 				t.Errorf("StageError.Panic = %v, want the injected value", se.Panic)

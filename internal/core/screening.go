@@ -162,54 +162,34 @@ func ScreenGroupsCtx(ctx context.Context, g *bipartite.Graph, groups []detect.Gr
 	return out, ctxErr
 }
 
-// behaviorChecks runs screenOne on every group on a pool of up to
-// p.workers() goroutines and returns each group's supported users and
-// verified items; groups are independent, so the output does not depend on
+// behaviorChecks runs screenOne on every group on parallelFor, one group a
+// grain, and returns each group's supported users and verified items by
+// position; groups are independent, so the output does not depend on
 // scheduling. Each worker screens with its own membership scratch
 // (groupMarks), so overlapping groups never share a buffer. ctx is checked
 // before each group (fault-injection site "core.screen.group"); on
 // cancellation the groups screened before it keep their output, each
-// individually sound. A panic is rethrown on the caller's goroutine for the
-// stage isolation. Audit events carry the group's 1-based position.
+// individually sound. Audit events carry the group's 1-based position.
 func behaviorChecks(ctx context.Context, g *bipartite.Graph, groups []detect.Group, hot *HotSet,
 	p Params, a *auditor) (kept []detect.Group, ctxErr error) {
 
 	kept = make([]detect.Group, len(groups))
-	done := make([]bool, len(groups))
-	panicked := make([]any, len(groups))
-	screen := func(i int, m *groupMarks) bool {
-		defer func() { panicked[i] = recover() }()
-		faultinject.Hit("core.screen.group")
-		if ctx.Err() != nil {
-			return false
-		}
-		kept[i].Users, kept[i].Items = screenOne(g, groups[i], hot, p, a, i+1, m)
-		done[i] = true
-		return true
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := min(p.workers(), len(groups)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := getMarks()
-			defer putMarks(m)
-			for {
-				if i := int(next.Add(1)) - 1; i >= len(groups) || !screen(i, m) {
-					return
-				}
+	var screened atomic.Int64
+	parallelFor(ctx, len(groups), p.workers(), 1, func(w *worker) {
+		m := getMarks()
+		for w.next() {
+			i := w.lo
+			faultinject.Hit("core.screen.group")
+			if ctx.Err() != nil {
+				break
 			}
-		}()
-	}
-	wg.Wait()
-	for i := range groups {
-		if panicked[i] != nil {
-			panic(panicked[i])
+			kept[i].Users, kept[i].Items = screenOne(g, groups[i], hot, p, a, i+1, m)
+			screened.Add(1)
 		}
-		if !done[i] {
-			ctxErr = ctx.Err()
-		}
+		putMarks(m) // not deferred: marks a panicking group left set are dropped
+	})
+	if int(screened.Load()) < len(groups) {
+		ctxErr = ctx.Err()
 	}
 	return kept, ctxErr
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bipartite"
@@ -55,7 +53,6 @@ type shardResult struct {
 	elapsed  time.Duration
 	done     bool  // shard ran (possibly cut short by ctx with err set)
 	err      error // ctx error observed mid-shard
-	panicked any   // recovered panic, rethrown on the caller's goroutine
 }
 
 // shardedPruneExtract runs Algorithm 3 sharded by connected component:
@@ -116,43 +113,23 @@ func shardedPruneExtract(ctx context.Context, g *bipartite.Graph, p Params,
 			inner[i]++
 		}
 	}
-	pool := workers
-	if pool > len(comps) {
-		pool = len(comps)
-	}
 
 	outs := make([]shardResult, len(comps))
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(comps) || ctx.Err() != nil {
-					return
-				}
-				var ssp *obs.Span
-				if i < maxShardSpans {
-					ssp = sp.Start("shard")
-				}
-				outs[i] = runShard(ctx, g, comps[i], p, inner[i], ssp, o, a, i+1, collect)
+	parallelFor(ctx, len(comps), workers, 1, func(w *worker) {
+		for w.next() {
+			i := w.lo
+			var ssp *obs.Span
+			if i < maxShardSpans {
+				ssp = sp.Start("shard")
 			}
-		}()
-	}
-	wg.Wait()
+			outs[i] = runShard(ctx, g, comps[i], p, inner[i], ssp, o, a, i+1, collect)
+		}
+	})
 
-	// Merge. Panics recovered inside shard workers are rethrown here, on
-	// the caller's goroutine, so a stage bug surfaces as a panic through
-	// PruneCtx / the DetectContext stage isolation.
 	maxRounds := 0
 	var firstErr error
 	for i := range outs {
 		out := &outs[i]
-		if out.panicked != nil {
-			panic(out.panicked)
-		}
 		if !out.done {
 			continue
 		}
@@ -213,8 +190,7 @@ func sortGroupsCanonical(groups []detect.Group) {
 // collect mode, extracts its candidate groups, all in original IDs. Each
 // shard's compact graph leases its own arena and frontier (certificates,
 // wide masks, ID buffer), sized to the component rather than the whole
-// graph, and hands both back before it returns. A panic is recovered into
-// the result for deterministic rethrow by the merger.
+// graph, and hands both back before it returns.
 //
 // Audit events emitted inside the shard carry the 1-based shard index and
 // original-graph IDs (via the auditor's local→original maps); rounds are
@@ -226,10 +202,6 @@ func runShard(ctx context.Context, g *bipartite.Graph, comp bipartite.Component,
 	start := time.Now()
 	defer func() {
 		out.elapsed = time.Since(start)
-		if r := recover(); r != nil {
-			out.panicked = r
-			out.done = false
-		}
 		ssp.SetInt("users", int64(len(comp.Users)))
 		ssp.SetInt("items", int64(len(comp.Items)))
 		ssp.SetInt("rounds", int64(out.rounds))

@@ -863,6 +863,60 @@ func TestStreamOrderServesTheModelEpoch(t *testing.T) {
 	}
 }
 
+// TestRowSplitServesTheModelEpoch is the row-splitting relation over the
+// corpus: every row of c ≥ 2 clicks is split into 2–3 rows of positive
+// counts summing to c, and part j of every row arrives in batch j (the last
+// batch click by click on odd workloads). Every build after a batch patches
+// (i%3 == 1) or re-aggregates (i%3 == 0) the parts onto the rows before
+// them. The detector must build the graph a detector fed the unsplit rows
+// builds, sweep its groups, and serve the model's epoch.
+func TestRowSplitServesTheModelEpoch(t *testing.T) {
+	found := 0
+	for i, cfg := range equivCorpus(t) {
+		t.Run(fmt.Sprintf("workload%02d", i), func(t *testing.T) {
+			p := deltaEquivParams(cfg)
+			clicks := logWorkloads()[i]
+			rng := rand.New(rand.NewSource(int64(i)))
+			var batches [3][]clicktable.Record
+			for _, c := range clicks {
+				parts, left := 1, int(c.Clicks)
+				if left >= 2 {
+					parts = min(2+rng.Intn(2), left)
+				}
+				for j := range parts {
+					n := left
+					if j < parts-1 {
+						n = 1 + rng.Intn(left-(parts-1-j))
+					}
+					left -= n
+					batches[j] = append(batches[j], clicktable.Record{UserID: c.UserID, ItemID: c.ItemID, Clicks: uint32(n)})
+				}
+			}
+			unsplit, err := New(nil, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unsplit.AddBatch(clicks)
+			r := newOpRun(t, p, Durability{}, nil, false)
+			r.d.compactFraction = []float64{1e-9, 1e9, 0}[i%3]
+			r.feed(batches[0], false)
+			r.feed(batches[1], false)
+			r.feed(batches[2], i%2 == 1)
+			if !sameGraph(unsplit.Graph(), r.d.Graph()) {
+				t.Fatal("the split rows built another graph than the unsplit ones")
+			}
+			res := r.sweep()
+			if want := mustSweep(t, unsplit); !bytes.Equal(groupBytes(want.Groups), groupBytes(res.Groups)) {
+				t.Fatalf("the split rows swept %d groups, the unsplit ones %d (serialized forms differ)", len(res.Groups), len(want.Groups))
+			}
+			found += r.found
+		})
+	}
+	if found == 0 {
+		t.Fatal("corpus detected no groups anywhere — the relation held only all-clean sweeps")
+	}
+}
+
 // Ops of FuzzLiveStateEqualsReplayedState, one per schedule byte (op =
 // byte % numOps; the byte's high bits size batches and pick fault sites).
 const (
